@@ -8,10 +8,9 @@
 // The trace is deterministic in the seed: a fixed session population and
 // a step/info request mix whose session choice is uniform or Zipf-skewed.
 // The replay is closed-loop at the configured concurrency. The summary
-// goes to stdout (and -out); -bench-out additionally writes the pinned
-// quantiles as BENCH_*.json-shaped rows so the serving numbers ride the
-// same trajectory as the micro-benchmarks. With -fail-on-5xx the exit
-// status enforces a zero-5xx run — the CI contract.
+// goes to stdout (and -out). With -fail-on-5xx the exit status enforces a
+// zero-5xx run — the CI contract. It is a correctness and resilience
+// driver; performance numbers come from `go run ./benchmark`.
 //
 // Chaos mode: -chaos-kill-pid <pid> -chaos-kill-at 0.4 SIGKILLs the given
 // process when the dispatch loop reaches 40% of the trace, and the replay
@@ -55,7 +54,6 @@ func run() error {
 	windowSec := flag.Float64("window-sec", 10, "control window for created sessions")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
 	out := flag.String("out", "", "optional file for the JSON summary (stdout always gets it)")
-	benchOut := flag.String("bench-out", "", "optional file for BENCH-compatible quantile rows")
 	failOn5xx := flag.Bool("fail-on-5xx", false, "exit non-zero if any request answered 5xx")
 	chaosKillPid := flag.Int("chaos-kill-pid", 0,
 		"chaos mode: SIGKILL this process id when the dispatch reaches -chaos-kill-at")
@@ -115,15 +113,6 @@ func run() error {
 	fmt.Println(string(summary))
 	if *out != "" {
 		if err := checkpoint.WriteFileAtomic(*out, append(summary, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	if *benchOut != "" {
-		rows, err := json.MarshalIndent(res.BenchRows(), "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := checkpoint.WriteFileAtomic(*benchOut, append(rows, '\n'), 0o644); err != nil {
 			return err
 		}
 	}

@@ -305,9 +305,11 @@ func TestCreateFailureAwareWithPlan(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessionsWithFaults hammers create/faults/step/info/delete
-// from parallel goroutines; under -race this validates that the fault path
-// shares the same locking discipline as the rest of the session API.
+// TestConcurrentSessionsWithFaults hammers create/faults/policy/step/info/
+// delete from parallel goroutines, half of the sessions auto-stepping (the
+// serving decide path under an active fault plan); under -race this
+// validates that the fault path shares the same locking discipline as the
+// rest of the session API.
 func TestConcurrentSessionsWithFaults(t *testing.T) {
 	c := newClient(t)
 	const workers = 8
@@ -333,10 +335,27 @@ func TestConcurrentSessionsWithFaults(t *testing.T) {
 				errs <- fmt.Errorf("worker %d: faults status %d", w, status)
 				return
 			}
+			// Workers 0,1,4,5 (two failure-aware, two plain) hand the
+			// allocation to the server: a policy sized to the session's own
+			// state_dim, every step an auto-step under the active plan.
+			step := StepRequest{Allocation: []int{3, 3}}
+			auto := w%4 < 2
+			if auto {
+				step = StepRequest{}
+				if status := c.do("POST", "/v1/sessions/"+info.ID+"/policy",
+					testPolicy(info.StateDim, info.ActionDim), nil); status != http.StatusOK {
+					errs <- fmt.Errorf("worker %d: policy status %d", w, status)
+					return
+				}
+			}
 			for k := 0; k < 5; k++ {
-				if status := c.do("POST", "/v1/sessions/"+info.ID+"/step",
-					StepRequest{Allocation: []int{3, 3}}, nil); status != http.StatusOK {
+				var out StepResponse
+				if status := c.do("POST", "/v1/sessions/"+info.ID+"/step", step, &out); status != http.StatusOK {
 					errs <- fmt.Errorf("worker %d: step status %d", w, status)
+					return
+				}
+				if auto && out.Controller != "policy" && out.Controller != "hpa" {
+					errs <- fmt.Errorf("worker %d: auto-step decided by %q, want policy or hpa", w, out.Controller)
 					return
 				}
 			}

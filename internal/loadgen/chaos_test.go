@@ -5,8 +5,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"miras/internal/httpapi"
+	"miras/internal/router"
 )
 
 func TestFleetTransportKillRevive(t *testing.T) {
@@ -133,6 +135,72 @@ func TestChaosRunMeasuresOutage(t *testing.T) {
 	}
 	if res.WithinErrorBudget == nil || *res.WithinErrorBudget {
 		t.Fatalf("50%% outage passed a 1%% error budget: %+v", res)
+	}
+}
+
+// TestChaosRunThroughResilientRouter: a seeded Zipf trace through a
+// resilient in-process router (retries, breakers, automated failover) over
+// two shards sharing a spill directory; one shard is spilled and killed at
+// 40% of the trace — what -spill-sync-interval plus a SIGKILL amount to in
+// production. The failover path must actually run, and client-visible
+// availability across the outage must stay at or above 95%.
+func TestChaosRunThroughResilientRouter(t *testing.T) {
+	spill := t.TempDir()
+	members := []string{"http://shard-0", "http://shard-1"}
+	fleet := NewFleetTransport()
+	servers := make([]*httpapi.Server, len(members))
+	for i, m := range members {
+		servers[i] = httpapi.NewServer(
+			httpapi.WithShardTopology(m, members),
+			httpapi.WithSpillDir(spill),
+		)
+		fleet.Register(m, servers[i].Handler())
+	}
+	rt, err := router.New(members,
+		router.WithClient(&http.Client{Transport: fleet}),
+		router.WithResilience(router.Resilience{
+			MaxRetries:       4,
+			RetryBase:        time.Millisecond,
+			RetryCap:         20 * time.Millisecond,
+			BreakerThreshold: 2,
+			BreakerCooldown:  50 * time.Millisecond,
+			Failover:         true,
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := Run(Config{
+		Transport:       NewHandlerTransport(rt.Handler()),
+		Requests:        800,
+		Sessions:        16,
+		Concurrency:     8,
+		Skew:            "zipf",
+		Seed:            1,
+		IdempotencyKeys: true,
+		ChaosKillAt:     0.4,
+		KillHook: func() {
+			_, _ = servers[1].SpillAll()
+			fleet.Kill(members[1])
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The failover rehydrate runs in a router goroutine; give a straggler a
+	// moment before declaring the recovery path broken.
+	failovers := rt.Registry().Counter("miras_router_failover_total", "")
+	for wait := 0; failovers.Value() == 0 && wait < 200; wait++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if failovers.Value() == 0 {
+		t.Fatalf("shard kill at 40%% of the trace triggered no failover (statuses %v)", res.Statuses)
+	}
+	if res.AvailabilityPct < 95 {
+		t.Fatalf("availability %.2f%% across the outage, want >= 95 (statuses %v)",
+			res.AvailabilityPct, res.Statuses)
 	}
 }
 

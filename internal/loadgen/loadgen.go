@@ -9,6 +9,12 @@
 // trace in order, so concurrency — not arrival rate — is the controlled
 // variable, and the measured throughput is the tier's capacity at that
 // concurrency.
+//
+// It is the driver behind miras-loadgen and the demo gates: zero 5xx under
+// skew, availability and error budgets across a mid-trace shard kill. Its
+// latency and throughput figures describe one run; committed performance
+// numbers come from the repository's benchmark (go run ./benchmark), which
+// reuses this package's in-process transports.
 package loadgen
 
 import (
@@ -23,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"miras/internal/faults"
 	"miras/internal/httpapi"
 )
 
@@ -49,8 +54,7 @@ type Config struct {
 	Target string
 	// Transport, when non-nil, carries every request instead of the
 	// network — pass NewHandlerTransport(server.Handler()) to drive an
-	// httpapi.Server in-process. This is how workload checks replay
-	// traces without shelling out or binding ports.
+	// httpapi.Server in-process, without sockets.
 	Transport http.RoundTripper
 	// Requests is the trace length (default 1000).
 	Requests int
@@ -72,18 +76,6 @@ type Config struct {
 	Ensemble  string
 	Budget    int
 	WindowSec float64
-	// FailureAware and Faults are forwarded to session creation, so a
-	// run can measure the serving tier with an active fault plan.
-	FailureAware bool
-	Faults       *faults.Plan
-	// AutoStep omits the allocation from step requests, so the session's
-	// attached policy (or its HPA fallback) decides each window — the
-	// serving decide path instead of the caller-allocated one.
-	AutoStep bool
-	// SetupSession, when non-nil, runs once per created session before
-	// the replay starts (unmeasured) — e.g. to attach a policy for
-	// AutoStep runs.
-	SetupSession func(client *http.Client, info httpapi.SessionInfo) error
 	// Timeout bounds each request (default 30s).
 	Timeout time.Duration
 	// ChaosKillAt, in (0,1), arms chaos mode: when the dispatch loop
@@ -197,8 +189,8 @@ func GenTrace(cfg Config) ([]Op, error) {
 	return trace, nil
 }
 
-// Result is a load run's measurement, JSON-shaped for LOADGEN_*.json
-// artifacts next to the BENCH_*.json trajectory.
+// Result is a load run's measurement, JSON-shaped for miras-loadgen's
+// summary output.
 type Result struct {
 	Target      string  `json:"target"`
 	Requests    int     `json:"requests"`
@@ -235,29 +227,6 @@ type Result struct {
 	WithinErrorBudget *bool   `json:"within_error_budget,omitempty"`
 }
 
-// BenchRow matches the repo's BENCH_*.json row shape, so loadgen results
-// can ride the same tooling.
-type BenchRow struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BPerOp      int     `json:"B_per_op"`
-	AllocsPerOp int     `json:"allocs_per_op"`
-}
-
-// BenchRows renders the run as BENCH-compatible rows: one per pinned
-// latency quantile, ns_per_op carrying the quantile.
-func (r Result) BenchRows() []BenchRow {
-	row := func(q string, ms float64) BenchRow {
-		return BenchRow{
-			Name:       fmt.Sprintf("Loadgen/%s/conc=%d/%s", r.Skew, r.Concurrency, q),
-			Iterations: r.Requests,
-			NsPerOp:    ms * 1e6,
-		}
-	}
-	return []BenchRow{row("p50", r.P50Ms), row("p90", r.P90Ms), row("p99", r.P99Ms)}
-}
-
 // Run creates the session population, replays the trace through a worker
 // pool, deletes the population, and reports the measurement. Session
 // creation and deletion are not measured — the replay is.
@@ -281,11 +250,6 @@ func Run(cfg Config) (Result, error) {
 		}
 		ids[i] = info.ID
 		actionDim = info.ActionDim
-		if cfg.SetupSession != nil {
-			if err := cfg.SetupSession(client, info); err != nil {
-				return Result{}, fmt.Errorf("setup session %s: %w", info.ID, err)
-			}
-		}
 	}
 	defer func() {
 		for _, id := range ids {
@@ -301,13 +265,8 @@ func Run(cfg Config) (Result, error) {
 	}()
 
 	// One step body serves every step: the budget spread evenly over the
-	// action vector, or no allocation at all when the session's own
-	// controller should decide (AutoStep).
-	var alloc []int
-	if !cfg.AutoStep {
-		alloc = evenAllocation(cfg.Budget, actionDim)
-	}
-	stepBody, err := json.Marshal(httpapi.StepRequest{Allocation: alloc})
+	// action vector.
+	stepBody, err := json.Marshal(httpapi.StepRequest{Allocation: evenAllocation(cfg.Budget, actionDim)})
 	if err != nil {
 		return Result{}, err
 	}
@@ -453,12 +412,10 @@ func summarize(cfg Config, trace []Op, samples []sample, elapsed time.Duration) 
 
 func createSession(client *http.Client, cfg Config) (httpapi.SessionInfo, error) {
 	body, err := json.Marshal(httpapi.CreateRequest{
-		Ensemble:     cfg.Ensemble,
-		Budget:       cfg.Budget,
-		WindowSec:    cfg.WindowSec,
-		Seed:         cfg.Seed,
-		FailureAware: cfg.FailureAware,
-		Faults:       cfg.Faults,
+		Ensemble:  cfg.Ensemble,
+		Budget:    cfg.Budget,
+		WindowSec: cfg.WindowSec,
+		Seed:      cfg.Seed,
 	})
 	if err != nil {
 		return httpapi.SessionInfo{}, err

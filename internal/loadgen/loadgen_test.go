@@ -120,10 +120,6 @@ func TestRunAgainstServer(t *testing.T) {
 	if res.HotShare <= 1.0/12 {
 		t.Fatalf("zipf hot share %.3f not above uniform floor", res.HotShare)
 	}
-	rows := res.BenchRows()
-	if len(rows) != 3 || rows[0].NsPerOp <= 0 || rows[0].Iterations != 200 {
-		t.Fatalf("bench rows %+v", rows)
-	}
 
 	// The population was cleaned up.
 	var page httpapi.ListResponse

@@ -11,8 +11,8 @@ import (
 // NewHandlerTransport returns an http.RoundTripper that serves every
 // request by calling h directly — no sockets, no ports, no network stack.
 // Set it as Config.Transport to replay a trace against an in-process
-// httpapi.Server (or router) handler: the workload-checks runner drives
-// serving workloads this way so a perf gate never depends on free ports or
+// httpapi.Server (or router) handler: the benchmark's serve workloads are
+// driven this way, so a measurement never depends on free ports or
 // loopback throughput.
 //
 // The transport is synchronous and safe for concurrent use when h is (the
@@ -70,7 +70,7 @@ func (r *responseRecorder) Write(p []byte) (int, error) {
 // to registered in-process handlers by the URL's scheme://host, and a
 // member can be killed so every later request to it fails with a transport
 // error — a shard crash without processes or sockets. Tests and the
-// router-failover workload check drive a whole router+shards topology
+// benchmark's serve-fleet workload drive a whole router+shards topology
 // through one of these.
 type FleetTransport struct {
 	mu      sync.RWMutex

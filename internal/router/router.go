@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -405,6 +406,16 @@ func (rt *Router) handleEnsembles(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, rt.shards[0])
 }
 
+// get issues one fan-out GET bound to the inbound request's context, so a
+// client that disconnects cancels the upstream calls made on its behalf.
+func (rt *Router) get(ctx context.Context, target string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
+	if err != nil {
+		return nil, err
+	}
+	return rt.client.Do(req)
+}
+
 // handleList fans GET /v1/sessions out to every shard and merges the
 // results into one id-ordered page. Each shard is asked for a full page
 // (the shard-side maximum), so the merged listing is exact as long as no
@@ -436,11 +447,13 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, sh string) {
 			defer wg.Done()
-			url := sh + "/v1/sessions?limit=1000"
+			// The token is a client-chosen session id and may hold query
+			// metacharacters (&, +, %, =, #); encode it.
+			upstream := url.Values{"limit": {"1000"}}
 			if token != "" {
-				url += "&page_token=" + token
+				upstream.Set("page_token", token)
 			}
-			resp, err := rt.client.Get(url)
+			resp, err := rt.get(r.Context(), sh+"/v1/sessions?"+upstream.Encode())
 			rt.reqs[sh].Inc()
 			if err != nil {
 				rt.upErrs[sh].Inc()
@@ -492,7 +505,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 // failures), half-open, or open-breaker — and, when failed over, which
 // member now serves its ids; partial outages are diagnosable from this body
 // alone, without scraping metrics.
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	type health struct {
 		Shard      string `json:"shard"`
 		OK         bool   `json:"ok"`
@@ -507,7 +520,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		go func(i int, sh string) {
 			defer wg.Done()
 			out[i].Shard = sh
-			resp, err := rt.client.Get(sh + "/healthz")
+			resp, err := rt.get(r.Context(), sh+"/healthz")
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
@@ -559,7 +572,7 @@ type promFamily struct {
 // each sample line gains a shard="<url>" label, families keep one
 // HELP/TYPE preamble (first shard's wins — they are identical by
 // construction), and the router's own metrics lead the page.
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fams := make(map[string]*promFamily)
 	var order []string
 
@@ -575,7 +588,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		go func(i int, sh string) {
 			defer wg.Done()
 			results[i].shard = sh
-			resp, err := rt.client.Get(sh + "/metrics")
+			resp, err := rt.get(r.Context(), sh+"/metrics")
 			if err != nil {
 				rt.upErrs[sh].Inc()
 				results[i].err = err

@@ -2,14 +2,17 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"miras/internal/faults"
 	"miras/internal/httpapi"
@@ -307,5 +310,110 @@ func TestRouterHealthz(t *testing.T) {
 	degradedURL := startRouter(t, append([]string{dead}, members...))
 	if status := jdo(t, degradedURL, "GET", "/healthz", nil, nil); status != http.StatusServiceUnavailable {
 		t.Fatalf("degraded fleet healthz status %d, want 503", status)
+	}
+}
+
+// TestRouterListEncodesPageToken: session ids are client-chosen
+// (X-Miras-Session-Id) and may hold query metacharacters, and the page token
+// is the last id of a page. The router must hand the shards the token it was
+// given, not a re-parse of it: a limit=1 walk across such ids lists each
+// exactly once.
+func TestRouterListEncodesPageToken(t *testing.T) {
+	members := startFleet(t, 2)
+	routerURL := startRouter(t, members)
+	ring, err := shardring.New(members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ids := []string{"a+b", "a&limit=1", "a%41"}
+	for _, id := range ids {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(httpapi.CreateRequest{Ensemble: "toy", Budget: 4}); err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest("POST", ring.Owner(id)+"/v1/sessions", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(httpapi.SessionIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %q status %d", id, resp.StatusCode)
+		}
+	}
+
+	listed := map[string]int{}
+	token := ""
+	for pages := 0; ; pages++ {
+		if pages > len(ids) {
+			t.Fatalf("pagination did not terminate: %v", listed)
+		}
+		query := url.Values{"limit": {"1"}}
+		if token != "" {
+			query.Set("page_token", token)
+		}
+		var page httpapi.ListResponse
+		if status := jdo(t, routerURL, "GET", "/v1/sessions?"+query.Encode(), nil, &page); status != http.StatusOK {
+			t.Fatalf("paged list status %d", status)
+		}
+		for _, s := range page.Sessions {
+			listed[s.ID]++
+		}
+		if page.NextPageToken == "" {
+			break
+		}
+		token = page.NextPageToken
+	}
+	for _, id := range ids {
+		if listed[id] != 1 {
+			t.Fatalf("id %q listed %d times, want once: %v", id, listed[id], listed)
+		}
+	}
+	if len(listed) != len(ids) {
+		t.Fatalf("listing %v, want exactly %v", listed, ids)
+	}
+}
+
+// TestRouterFanOutFollowsRequestContext: the list, healthz and metrics
+// fan-outs are made on behalf of one inbound request; when its client goes
+// away they must stop, not run on against a hung shard until the router
+// client's 30 s timeout.
+func TestRouterFanOutFollowsRequestContext(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer hung.Close()
+	defer close(release)
+
+	rt, err := New([]string{hung.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/sessions", "/healthz", "/metrics"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			req := httptest.NewRequest("GET", path, nil).WithContext(ctx)
+			rt.Handler().ServeHTTP(httptest.NewRecorder(), req)
+		}()
+		<-arrived // the fan-out is now blocked on the shard
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("GET %s still waiting on a hung shard 5 s after its client left", path)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The pre-commit gate: format check, vet, build, the full test suite (which
-# includes the golden end-to-end gate and the fuzz seed corpora), and the
-# race detector over every package. `make check` runs this.
+# includes the golden end-to-end gate and the fuzz seed corpora), the race
+# detector over every package, and the benchmark's smoke run. `make check`
+# runs this.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,9 +30,10 @@ go test ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-# Machine-class workload checks: the ci-small class under its pinned
-# limits, gated on declared budgets and the recorded perf trajectory.
-echo "==> miras-wlcheck -class ci-small"
-go run ./cmd/miras-wlcheck -class ci-small -baseline-dir . -out wlcheck-report.json
+# The benchmark's four workloads at tiny sizes with every correctness check
+# live. Timing verdicts are `make bench`'s job (repeats, quartiles, matched
+# hosts), not a pre-commit gate's.
+echo "==> go run ./benchmark -smoke"
+go run ./benchmark -smoke
 
 echo "OK"
