@@ -21,7 +21,7 @@
 // The router shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests up to -shutdown-timeout.
 //
-// Resilience (all opt-in; defaults preserve plain forwarding): -retries
+// Resilience (each mechanism off at its flag's zero value): -retries
 // enables bounded retries with exponential backoff + full jitter for
 // idempotent requests (GET/DELETE, POSTs with X-Miras-Idempotency-Key),
 // honoring Retry-After; -breaker-threshold arms a per-member circuit
@@ -29,9 +29,9 @@
 // -probe-interval /healthz probe loop; -request-timeout bounds a whole
 // forwarded request (all attempts) and is propagated downstream as
 // X-Miras-Deadline-Ms so shards abandon work the client gave up on;
-// -failover reacts to a breaker trip by rehydrating the dead member's
-// spilled sessions on a healthy fallback (the fleet must share -spill-dir)
-// and re-routing its ids there.
+// -failover reacts to a breaker trip by rehydrating, on a healthy fallback,
+// the spilled sessions of every home the dead member served (the fleet must
+// share -spill-dir) and reassigning those homes in the routing table.
 package main
 
 import (

@@ -44,6 +44,23 @@ func main() {
 	}
 }
 
+// newServer turns NewServer's refusal of a topology it must not serve
+// (-shard-self missing from -shard-peers, a duplicate or empty peer) from a
+// panic into the error the CLI prints. Only the configuration panics (plain
+// strings) are converted; anything else is a bug and keeps its stack.
+func newServer(opts []httpapi.Option) (srv *httpapi.Server, err error) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case string:
+			err = errors.New(r)
+		default:
+			panic(r)
+		}
+	}()
+	return httpapi.NewServer(opts...), nil
+}
+
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	maxSessions := flag.Int("max-sessions", 64, "maximum concurrent sessions")
@@ -124,18 +141,12 @@ func run() error {
 			peers[i] = strings.TrimRight(strings.TrimSpace(peers[i]), "/")
 		}
 		self := strings.TrimRight(strings.TrimSpace(*shardSelf), "/")
-		found := false
-		for _, p := range peers {
-			if p == self {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("-shard-self %q is not in -shard-peers %v", self, peers)
-		}
 		opts = append(opts, httpapi.WithShardTopology(self, peers))
 	}
-	srv := httpapi.NewServer(opts...)
+	srv, err := newServer(opts)
+	if err != nil {
+		return err
+	}
 	obs.RegisterProcessMetrics(srv.Registry())
 
 	mux := http.NewServeMux()

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"miras/internal/checkpoint"
+	"miras/internal/obs"
 )
 
 // spillKeep is how many spill checkpoints each session's store retains;
@@ -94,9 +95,8 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	now := s.now()
 	var live []*session
 	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id, sess := range sh.sessions {
-			if id <= token && token != "" {
+		for _, sess := range sh.snapshot() {
+			if sess.id <= token && token != "" {
 				continue
 			}
 			if _, exp := sess.expired(now); exp {
@@ -104,7 +104,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			}
 			live = append(live, sess)
 		}
-		sh.mu.RUnlock()
 	}
 	sort.Slice(live, func(a, b int) bool { return live[a].id < live[b].id })
 
@@ -166,13 +165,7 @@ func (s *Server) SpillAll() (int, error) {
 	n := 0
 	var firstErr error
 	for _, sh := range s.shards {
-		sh.mu.RLock()
-		victims := make([]*session, 0, len(sh.sessions))
-		for _, sess := range sh.sessions {
-			victims = append(victims, sess)
-		}
-		sh.mu.RUnlock()
-		for _, sess := range victims {
+		for _, sess := range sh.snapshot() {
 			if err := s.spill(sess); err != nil {
 				s.spillErrors.Inc()
 				if firstErr == nil {
@@ -210,22 +203,16 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := DrainResponse{Spilled: []string{}}
 	for _, sh := range s.shards {
-		sh.mu.RLock()
-		victims := make([]*session, 0, len(sh.sessions))
-		for _, sess := range sh.sessions {
-			victims = append(victims, sess)
-		}
-		sh.mu.RUnlock()
-		for _, sess := range victims {
-			// Spill before evicting: the session must not leave the
-			// registry until its snapshot is durable.
+		for _, sess := range sh.snapshot() {
+			// Spill before removing (evict spills after): the session must
+			// not leave the registry until its snapshot is durable.
 			if err := s.spill(sess); err != nil {
 				s.spillErrors.Inc()
 				writeError(w, http.StatusInternalServerError, CodeInternal,
 					fmt.Errorf("drain: spill session %q: %w", sess.id, err))
 				return
 			}
-			if s.evictDrained(sh, sess) {
+			if s.remove(sh, sess.id, sess, "drain") {
 				resp.Spilled = append(resp.Spilled, sess.id)
 			}
 		}
@@ -234,37 +221,16 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// evictDrained removes an already-spilled session (drain path — evict's
-// own spill is skipped by spilling first and removing here).
-func (s *Server) evictDrained(sh *shard, sess *session) bool {
-	sh.mu.Lock()
-	cur, ok := sh.sessions[sess.id]
-	if !ok || cur != sess {
-		sh.mu.Unlock()
-		return false
-	}
-	delete(sh.sessions, sess.id)
-	sh.tombs.add(sess.id)
-	sh.liveGauge.Set(float64(len(sh.sessions)))
-	sh.mu.Unlock()
-	s.live.Add(-1)
-	s.sessionsLive.Set(float64(s.live.Load()))
-	s.dropSessionObs(sess.id)
-	s.reg.Counter("miras_sessions_evicted_total",
-		"Sessions evicted, by shard and reason (ttl, idle, drain).",
-		"shard", strconv.Itoa(sh.idx), "reason", "drain").Inc()
-	return true
-}
-
 // handleRehydrate scans the spill directory and adopts every spilled
-// session this process owns, rebuilding each through the restore path
-// (fresh system from the snapshot's create request, operation log
-// replayed). Adopted sessions keep their original ids, shed their
-// tombstones, and their spill stores are deleted. Sessions the topology
-// assigns to another process are left on disk for their owner — unless the
-// request body names that owner in take_over, in which case this process
-// adopts them too (shard failover). Sessions that fail to rebuild are
-// reported in "failed" and left on disk.
+// session the routing table lets this process accept, rebuilding each
+// through the restore path (fresh system from the snapshot's create
+// request, operation log replayed). Adopted sessions keep their original
+// ids, shed their tombstones, and their spill stores are deleted. Sessions
+// homed on another process are left on disk for it — unless the request
+// body names that home in take_over: each entry is a reassignment row
+// applied to this request's copy of the table, so this process adopts those
+// too (shard failover). Sessions that fail to rebuild are reported in
+// "failed" and left on disk.
 func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request) {
 	if s.spillDir == "" {
 		writeError(w, http.StatusBadRequest, CodeBadRequest,
@@ -283,9 +249,11 @@ func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	takeOver := make(map[string]bool, len(req.TakeOver))
-	for _, m := range req.TakeOver {
-		takeOver[m] = true
+	table := s.table
+	if table != nil {
+		for _, home := range req.TakeOver {
+			table = table.Reassign(home, s.self)
+		}
 	}
 	entries, err := os.ReadDir(s.spillDir)
 	if err != nil && !os.IsNotExist(err) {
@@ -302,10 +270,8 @@ func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request) {
 		if validateID(id) != nil {
 			continue // not a session spill store
 		}
-		if s.topo != nil {
-			if owner := s.topo.ring.Owner(id); owner != s.topo.self && !takeOver[owner] {
-				continue // another process's session; leave it for its owner
-			}
+		if table != nil && !table.Accepts(s.self, id, "") {
+			continue // another process's session; leave it for its home
 		}
 		if s.sessionByID(id) != nil {
 			continue // already live here
@@ -337,54 +303,16 @@ func (s *Server) rehydrateOne(id string) error {
 		return err
 	}
 
-	if n := s.live.Add(1); n > int64(s.maxSessions) {
-		s.live.Add(-1)
-		return fmt.Errorf("session limit %d reached", s.maxSessions)
-	}
-	release := func() {
-		s.live.Add(-1)
-		s.sessionsLive.Set(float64(s.live.Load()))
-	}
-	faultsTotal := s.reg.Counter("miras_faults_total",
-		"Fault events injected (episode activations and consumer crashes), by session.",
-		"session", id)
-	crashed := s.reg.Counter("miras_consumers_crashed",
-		"Consumers killed by fault injection, by session.",
-		"session", id)
-	built, code, err := s.buildFromSnapshot(snap, faultsTotal, crashed)
-	if err != nil {
-		s.reg.Remove("miras_faults_total", "session", id)
-		s.reg.Remove("miras_consumers_crashed", "session", id)
-		release()
-		return fmt.Errorf("%s: %w", code, err)
-	}
-	sess := &session{
-		id:          id,
-		ensemble:    built.req.Ensemble,
-		env:         built.env,
-		generator:   built.gen,
-		windows:     built.windows,
-		create:      built.req,
-		createdAt:   s.now(),
-		ttl:         time.Duration(built.req.TTLSeconds * float64(time.Second)),
-		idle:        time.Duration(built.req.IdleTimeoutSeconds * float64(time.Second)),
-		ops:         snap.Ops,
-		policy:      snap.Policy,
-		profiler:    s.profiler,
-		faultsTotal: faultsTotal,
-		crashed:     crashed,
-	}
-	sess.touch(sess.createdAt)
-	if code, err := s.insertSession(sess); err != nil {
-		if code != CodeBadRequest {
-			s.reg.Remove("miras_faults_total", "session", id)
-			s.reg.Remove("miras_consumers_crashed", "session", id)
+	_, _, err = s.admit(id, func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
+		sess, code, err := s.buildFromSnapshot(snap, faultsTotal, crashed)
+		if err != nil {
+			err = fmt.Errorf("%s: %w", code, err) // the "failed" map shows why the replay broke
 		}
-		release()
+		return sess, code, err
+	})
+	if err != nil {
 		return err
 	}
-	sess.syncGauges()
-	s.sessionsLive.Set(float64(s.live.Load()))
 	// The session is live again; its spill store has served its purpose.
 	if err := os.RemoveAll(dir); err != nil {
 		return fmt.Errorf("session %q rehydrated but spill store not removed: %w", id, err)

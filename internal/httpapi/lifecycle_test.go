@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -466,5 +468,79 @@ func TestCreateWithHeaderID(t *testing.T) {
 	if status := c.do("POST", "/v1/sessions/r42/step",
 		StepRequest{Allocation: []int{2, 2}}, nil); status != http.StatusOK {
 		t.Fatal("live session broken by duplicate create")
+	}
+}
+
+// sessionSeries lists the metric series labelled with session id, values
+// stripped — the per-session footprint a session leaves in the registry.
+func sessionSeries(t *testing.T, srv *Server, id string) []string {
+	t.Helper()
+	var out []string
+	for _, line := range strings.Split(scrape(t, srv), "\n") {
+		if strings.Contains(line, `session="`+id+`"`) {
+			out = append(out, line[:strings.LastIndexByte(line, ' ')])
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestRegistryOneWayInOneWayOut pins the registry's single admit and single
+// remove through the per-session metric series: a session that came in
+// through rehydrate carries exactly the series a created one does, a
+// refused duplicate create leaves the live session's series alone, and
+// every exit — drain, DELETE, expiry — leaves none behind.
+func TestRegistryOneWayInOneWayOut(t *testing.T) {
+	c, srv, clock := lifecycleClient(t, WithSpillDir(t.TempDir()))
+	const id = "adopted-1"
+	if status := createWithID(t, c, id, ""); status != http.StatusCreated {
+		t.Fatalf("create status %d", status)
+	}
+	created := sessionSeries(t, srv, id)
+	if len(created) != 6 {
+		t.Fatalf("a created session registered %d series, want 6: %v", len(created), created)
+	}
+	if status := createWithID(t, c, id, ""); status != http.StatusBadRequest {
+		t.Fatalf("duplicate create status %d, want 400", status)
+	}
+	if got := sessionSeries(t, srv, id); !reflect.DeepEqual(got, created) {
+		t.Fatalf("refused duplicate create changed the live session's series:\n got %v\nwant %v", got, created)
+	}
+
+	if status := c.do("POST", "/v1/admin/drain", nil, nil); status != http.StatusOK {
+		t.Fatalf("drain status %d", status)
+	}
+	if got := sessionSeries(t, srv, id); len(got) != 0 {
+		t.Fatalf("drain left series behind: %v", got)
+	}
+	if status := c.do("POST", "/v1/admin/rehydrate", nil, nil); status != http.StatusOK {
+		t.Fatalf("rehydrate status %d", status)
+	}
+	if got := sessionSeries(t, srv, id); !reflect.DeepEqual(got, created) {
+		t.Fatalf("rehydrated session's series differ from a created one's:\n got %v\nwant %v", got, created)
+	}
+
+	if status := c.do("DELETE", "/v1/sessions/"+id, nil, nil); status != http.StatusNoContent {
+		t.Fatalf("delete status %d", status)
+	}
+	if got := sessionSeries(t, srv, id); len(got) != 0 {
+		t.Fatalf("DELETE left series behind: %v", got)
+	}
+
+	var info SessionInfo
+	if status := c.do("POST", "/v1/sessions", CreateRequest{
+		Ensemble: "toy", Budget: 4, TTLSeconds: 5,
+	}, &info); status != http.StatusCreated {
+		t.Fatalf("create status %d", status)
+	}
+	clock.Advance(6 * time.Second)
+	if n := srv.SweepExpired(); n != 1 {
+		t.Fatalf("sweep evicted %d, want 1", n)
+	}
+	if got := sessionSeries(t, srv, info.ID); len(got) != 0 {
+		t.Fatalf("expiry left series behind: %v", got)
+	}
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("SessionCount=%d after every session left, want 0", n)
 	}
 }

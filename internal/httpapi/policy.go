@@ -3,8 +3,8 @@
 // misbehaves (panic, non-finite output, budget violation), and promote the
 // policy back after consecutive healthy shadow probes. The same file holds
 // the snapshot/restore surface — a session's full history as a replayable
-// operation log — and the protective middlewares (body-size cap, request
-// deadline).
+// operation log — and the protective middlewares (body-size cap, the one
+// request-time bound).
 
 package httpapi
 
@@ -22,7 +22,6 @@ import (
 	"miras/internal/faults"
 	"miras/internal/obs"
 	"miras/internal/rl"
-	"miras/internal/workload"
 )
 
 // recoveryProbes is how many consecutive healthy shadow evaluations a
@@ -229,63 +228,55 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// rebuiltSession is the outcome of replaying a SessionSnapshot into a
-// fresh emulated system.
-type rebuiltSession struct {
-	env     *env.Env
-	gen     *workload.Generator
-	windows int
-	// req is the snapshot's create request with the seed defaulted — what
-	// the rebuilt session's create field must hold so a later snapshot
-	// round-trips byte-identically.
-	req CreateRequest
-}
-
 // buildFromSnapshot rebuilds an emulated system from a snapshot: a fresh
 // system from the creation request, the operation log replayed in order,
-// the attached policy validated against the result. Shared by POST
-// …/restore and admin rehydrate — both owe their byte-identical round-trip
-// guarantee to this replay being deterministic.
-func (s *Server) buildFromSnapshot(snap SessionSnapshot, faultsTotal, crashed *obs.Counter) (rebuiltSession, ErrorCode, error) {
+// the attached policy validated against the result. It returns the
+// snapshot-derived fields of a session (env, generator, windows, create
+// with the seed defaulted — so a later snapshot round-trips byte-
+// identically — ops, policy). Shared by POST …/restore and admin rehydrate
+// — both owe their byte-identical round-trip guarantee to this replay
+// being deterministic.
+func (s *Server) buildFromSnapshot(snap SessionSnapshot, faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
 	req := snap.Create
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
 	e, gen, _, err := s.buildSystem(req, faultsTotal, crashed)
 	if err != nil {
-		return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("snapshot create request: %w", err)
+		return nil, CodeBadSnapshot, fmt.Errorf("snapshot create request: %w", err)
 	}
 	windows := 0
 	for i, op := range snap.Ops {
 		switch op.Kind {
 		case opKindStep:
 			if _, err := e.Step(op.Alloc); err != nil {
-				return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("replay op %d (step): %w", i, err)
+				return nil, CodeBadSnapshot, fmt.Errorf("replay op %d (step): %w", i, err)
 			}
 			windows++
 		case opKindReset:
 			e.Reset()
 		case opKindBurst:
 			if err := gen.InjectBurst(op.Counts); err != nil {
-				return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("replay op %d (burst): %w", i, err)
+				return nil, CodeBadSnapshot, fmt.Errorf("replay op %d (burst): %w", i, err)
 			}
 		case opKindFaults:
 			if op.Plan == nil {
-				return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("replay op %d (faults): missing plan", i)
+				return nil, CodeBadSnapshot, fmt.Errorf("replay op %d (faults): missing plan", i)
 			}
 			if err := e.Cluster().ScheduleFaults(*op.Plan); err != nil {
-				return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("replay op %d (faults): %w", i, err)
+				return nil, CodeBadSnapshot, fmt.Errorf("replay op %d (faults): %w", i, err)
 			}
 		default:
-			return rebuiltSession{}, CodeBadSnapshot, fmt.Errorf("replay op %d: unknown kind %q", i, op.Kind)
+			return nil, CodeBadSnapshot, fmt.Errorf("replay op %d: unknown kind %q", i, op.Kind)
 		}
 	}
 	if snap.Policy != nil {
 		if err := validatePolicyFor(snap.Policy, e); err != nil {
-			return rebuiltSession{}, CodeBadSnapshot, err
+			return nil, CodeBadSnapshot, err
 		}
 	}
-	return rebuiltSession{env: e, gen: gen, windows: windows, req: req}, "", nil
+	return &session{env: e, generator: gen, windows: windows, create: req,
+		ops: snap.Ops, policy: snap.Policy}, "", nil
 }
 
 // handleRestore rebuilds the session from a snapshot: a fresh emulated
@@ -313,20 +304,20 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.env = built.env
-	sess.generator = built.gen
-	sess.ensemble = built.req.Ensemble
-	sess.create = built.req
-	sess.ops = snap.Ops
+	sess.generator = built.generator
+	sess.ensemble = built.create.Ensemble
+	sess.create = built.create
+	sess.ops = built.ops
 	sess.windows = built.windows
-	sess.policy = snap.Policy
+	sess.policy = built.policy
 	sess.fallback = nil
 	sess.healthyProbes = 0
 	sess.scratch = nil
 	sess.prev = env.StepResult{}
 	sess.havePrev = false
 	// The snapshot's lifecycle bounds replace the session's.
-	sess.ttl = time.Duration(built.req.TTLSeconds * float64(time.Second))
-	sess.idle = time.Duration(built.req.IdleTimeoutSeconds * float64(time.Second))
+	sess.ttl = time.Duration(built.create.TTLSeconds * float64(time.Second))
+	sess.idle = time.Duration(built.create.IdleTimeoutSeconds * float64(time.Second))
 	sess.syncGauges()
 	writeJSON(w, http.StatusOK, sessionInfo(sess))
 }
@@ -345,8 +336,8 @@ func maxBodyMiddleware(n int64, next http.Handler) http.Handler {
 }
 
 // bufferedResponse accumulates a handler's full response in memory so the
-// timeout middleware can atomically either flush it or discard it in favor
-// of a 408 envelope. Handler responses here are small (session info, step
+// bound middleware can atomically either flush it or discard it in favor of
+// a timeout envelope. Handler responses here are small (session info, step
 // stats), so buffering is cheap.
 type bufferedResponse struct {
 	header http.Header
@@ -360,32 +351,59 @@ func (b *bufferedResponse) WriteHeader(status int) { b.status = status }
 
 func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
 
-// deadlineMiddleware honors the caller's propagated deadline: a request
-// carrying DeadlineHeader (remaining budget in whole milliseconds) is
-// bounded by a context deadline and answered 504 deadline_exceeded once
-// the budget is spent — the caller has already given up, so the work is
-// abandoned, not finished. Requests without the header pass through
-// untouched. An already-exhausted budget (≤ 0 ms) is refused before the
-// handler runs at all.
-func deadlineMiddleware(next http.Handler) http.Handler {
+// maxDeadlineMs is the largest DeadlineHeader value that still fits a
+// time.Duration; anything above is clamped to it (292 years is unbounded
+// for every practical purpose, and a wrapped-negative budget is not).
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
+// RequestDeadline reads the caller's propagated budget from DeadlineHeader
+// — the one parser miras-server and miras-router share. It returns the
+// budget (0 when the header is absent) and true, or writes the refusal
+// itself and returns false: 400 bad_request for a malformed value, 504
+// deadline_exceeded for a budget already spent (≤ 0 ms).
+func RequestDeadline(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
+	raw := r.Header.Get(DeadlineHeader)
+	if raw == "" {
+		return 0, true
+	}
+	ms, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest,
+			fmt.Errorf("invalid %s header %q", DeadlineHeader, raw))
+		return 0, false
+	}
+	if ms <= 0 {
+		writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
+			fmt.Errorf("request deadline already exhausted"))
+		return 0, false
+	}
+	return time.Duration(min(ms, maxDeadlineMs)) * time.Millisecond, true
+}
+
+// boundMiddleware is the one bound on a request's time. The budget is the
+// tighter of the server's own request timeout (0 = none) and the caller's
+// propagated DeadlineHeader; the handler runs under a context carrying it,
+// its response is buffered, and when the budget runs out first the client
+// gets a clean envelope instead of a half-written body — 408
+// request_timeout when the server's bound tripped (the server protecting
+// itself), 504 deadline_exceeded when the caller's did (work the caller
+// has given up on is abandoned, not finished). With neither bound the
+// handler runs on the caller's goroutine, unbuffered.
+func boundMiddleware(serverTimeout time.Duration, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		raw := r.Header.Get(DeadlineHeader)
-		if raw == "" {
+		budget, ok := RequestDeadline(w, r)
+		if !ok {
+			return
+		}
+		serverBound := serverTimeout > 0 && (budget == 0 || serverTimeout < budget)
+		if serverBound {
+			budget = serverTimeout
+		}
+		if budget == 0 {
 			next.ServeHTTP(w, r)
 			return
 		}
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("invalid %s header %q", DeadlineHeader, raw))
-			return
-		}
-		if ms <= 0 {
-			writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-				fmt.Errorf("request deadline already exhausted"))
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
+		ctx, cancel := context.WithTimeout(r.Context(), budget)
 		defer cancel()
 		buf := &bufferedResponse{header: make(http.Header), status: http.StatusOK}
 		done := make(chan struct{})
@@ -402,36 +420,13 @@ func deadlineMiddleware(next http.Handler) http.Handler {
 			w.WriteHeader(buf.status)
 			_, _ = w.Write(buf.body.Bytes())
 		case <-ctx.Done():
-			writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-				fmt.Errorf("request exceeded its %dms deadline", ms))
-		}
-	})
-}
-
-// timeoutMiddleware bounds handler execution at d. Responses are buffered,
-// so a request that exceeds the deadline yields a clean 408
-// request_timeout envelope instead of a half-written body.
-func timeoutMiddleware(d time.Duration, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), d)
-		defer cancel()
-		buf := &bufferedResponse{header: make(http.Header), status: http.StatusOK}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			next.ServeHTTP(buf, r.WithContext(ctx))
-		}()
-		select {
-		case <-done:
-			h := w.Header()
-			for k, vs := range buf.header {
-				h[k] = vs
+			if serverBound {
+				writeError(w, http.StatusRequestTimeout, CodeRequestTimeout,
+					fmt.Errorf("request exceeded the %s deadline", budget))
+			} else {
+				writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
+					fmt.Errorf("request exceeded its %dms deadline", budget.Milliseconds()))
 			}
-			w.WriteHeader(buf.status)
-			_, _ = w.Write(buf.body.Bytes())
-		case <-ctx.Done():
-			writeError(w, http.StatusRequestTimeout, CodeRequestTimeout,
-				fmt.Errorf("request exceeded the %s deadline", d))
 		}
 	})
 }

@@ -281,7 +281,7 @@ func TestTimeoutMiddleware(t *testing.T) {
 		}
 		w.WriteHeader(http.StatusOK)
 	})
-	h := timeoutMiddleware(20*time.Millisecond, slow)
+	h := boundMiddleware(20*time.Millisecond, slow)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	if rec.Code != http.StatusRequestTimeout {
@@ -299,7 +299,7 @@ func TestTimeoutMiddleware(t *testing.T) {
 		fmt.Fprint(w, "hello")
 	})
 	rec = httptest.NewRecorder()
-	timeoutMiddleware(time.Second, fast).ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	boundMiddleware(time.Second, fast).ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
 	if rec.Code != http.StatusTeapot || rec.Body.String() != "hello" || rec.Header().Get("X-Probe") != "ok" {
 		t.Fatalf("fast handler mangled: %d %q %q", rec.Code, rec.Body.String(), rec.Header().Get("X-Probe"))
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -43,18 +44,23 @@ func envelopeOf(t *testing.T, resp *http.Response) ErrorEnvelope {
 }
 
 // TestDeadlineHeaderValidation pins the edge of the propagated-deadline
-// contract: a generous budget passes through, a malformed one is a 400,
-// and an already-spent one is refused 504 before any work runs.
+// contract: a generous budget passes through (however large), a malformed
+// one is a 400, and an already-spent one is refused 504 before any work
+// runs.
 func TestDeadlineHeaderValidation(t *testing.T) {
 	c := newClient(t)
 
-	resp := c.doWithHeaders("GET", "/v1/ensembles", map[string]string{DeadlineHeader: "5000"})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("generous deadline status %d, want 200", resp.StatusCode)
+	// The huge values would overflow time.Duration into a negative budget
+	// if multiplied out unclamped; they are simply very generous.
+	for _, raw := range []string{"5000", "9223372036855", "9223372036854775807"} {
+		resp := c.doWithHeaders("GET", "/v1/ensembles", map[string]string{DeadlineHeader: raw})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("generous deadline %q status %d, want 200", raw, resp.StatusCode)
+		}
 	}
 
-	resp = c.doWithHeaders("GET", "/v1/ensembles", map[string]string{DeadlineHeader: "soonish"})
+	resp := c.doWithHeaders("GET", "/v1/ensembles", map[string]string{DeadlineHeader: "soonish"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed deadline status %d, want 400", resp.StatusCode)
 	}
@@ -84,7 +90,7 @@ func TestDeadlineHeaderValidation(t *testing.T) {
 // the wire.
 func TestDeadlineMiddlewareExpiry(t *testing.T) {
 	released := make(chan struct{})
-	h := deadlineMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := boundMiddleware(0, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		<-r.Context().Done()
 		// Outlive the deadline by a margin so the middleware's select
 		// deterministically sees the expiry, not the handler's return.
@@ -311,4 +317,58 @@ func TestSpillAllRequiresSpillDir(t *testing.T) {
 	if _, err := NewServer().SpillAll(); err == nil {
 		t.Fatal("SpillAll without a spill directory succeeded")
 	}
+}
+
+// TestBoundMiddlewareTighterBoundWins: with both a server request timeout
+// and a caller deadline in play there is one bound — the tighter — and it
+// labels the refusal: 408 when the server's tripped, 504 when the caller's
+// did. With neither, the handler runs on the caller's goroutine, straight
+// onto the caller's ResponseWriter.
+func TestBoundMiddlewareTighterBoundWins(t *testing.T) {
+	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second):
+		}
+		time.Sleep(100 * time.Millisecond) // lose the race to the middleware's select
+	})
+	for _, tc := range []struct {
+		name       string
+		server     time.Duration
+		header     string
+		status     int
+		code       ErrorCode
+		messageHas string
+	}{
+		{"server tighter", 30 * time.Millisecond, "5000", http.StatusRequestTimeout, CodeRequestTimeout, "30ms"},
+		{"caller tighter", 5 * time.Second, "30", http.StatusGatewayTimeout, CodeDeadlineExceeded, "30ms"},
+		{"tie goes to the caller", 30 * time.Millisecond, "30", http.StatusGatewayTimeout, CodeDeadlineExceeded, "30ms"},
+	} {
+		req := httptest.NewRequest("GET", "/v1/sessions/s1", nil)
+		req.Header.Set(DeadlineHeader, tc.header)
+		rec := httptest.NewRecorder()
+		boundMiddleware(tc.server, slow).ServeHTTP(rec, req)
+		var env ErrorEnvelope
+		if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rec.Code != tc.status || env.Error.Code != tc.code || !strings.Contains(env.Error.Message, tc.messageHas) {
+			t.Fatalf("%s: status %d envelope %+v, want %d %s naming %s",
+				tc.name, rec.Code, env.Error, tc.status, tc.code, tc.messageHas)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	boundMiddleware(0, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if w != http.ResponseWriter(rec) {
+			t.Error("unbounded request got a buffered ResponseWriter")
+		}
+		if _, ok := r.Context().Deadline(); ok {
+			t.Error("unbounded request got a context deadline")
+		}
+		stack := make([]byte, 16<<10)
+		if stack = stack[:runtime.Stack(stack, false)]; !strings.Contains(string(stack), "TestBoundMiddlewareTighterBoundWins") {
+			t.Errorf("unbounded request left the caller's goroutine:\n%s", stack)
+		}
+	})).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/sessions/s1", nil))
 }

@@ -43,13 +43,13 @@
 // The session registry is split into N in-process shards (WithShards), each
 // with its own lock and map; a session id's shard is picked by consistent
 // hashing (internal/shardring), so requests against unrelated sessions
-// never touch the same mutex. In multi-process mode (WithShardTopology)
-// every server process additionally knows the full shard-process ring: a
-// request for an id the process does not own is refused with HTTP 421
-// wrong_shard, naming the owning process's address so routers and clients
-// can follow. POST /v1/sessions accepts a pre-minted id via the
-// X-Miras-Session-Id header (set by miras-router); without it the process
-// mints ids from the shared sequence, skipping ids the topology assigns
+// never touch the same mutex — that is lock striping, not placement. Which
+// *process* serves an id is decided by one shardring.Table
+// (WithShardTopology): a request for an id the table does not let this
+// process accept is refused with HTTP 421 wrong_shard, naming the id's home
+// so routers and clients can follow. POST /v1/sessions accepts a pre-minted
+// id via the X-Miras-Session-Id header (set by miras-router); without it
+// the process mints ids from the shared sequence, skipping ids homed
 // elsewhere.
 //
 // # Session lifecycle
@@ -121,9 +121,10 @@ const SessionIDHeader = "X-Miras-Session-Id"
 const DeadlineHeader = "X-Miras-Deadline-Ms"
 
 // FailoverHeader names the dead shard-process a request was re-routed away
-// from. miras-router sets it when a ring override is in force; the fallback
-// member accepts session ids the topology assigns to the named member
-// instead of answering 421 wrong_shard.
+// from: the wire form of a routing-table reassignment row. miras-router
+// sets it on every attempt that leaves the id's ring home; the fallback
+// accepts ids homed on the named member instead of answering 421
+// wrong_shard (shardring.Table.Accepts).
 const FailoverHeader = "X-Miras-Failover-From"
 
 // IdempotencyKeyHeader marks a POST as safe to retry. The serving stack's
@@ -146,12 +147,13 @@ type Server struct {
 	shards    []*shard
 	localRing *shardring.Ring
 
-	// topo, when non-nil, is the multi-process shard topology this process
-	// participates in (see WithShardTopology).
-	topo *topology
+	// table, when non-nil, is the fleet routing table this process
+	// consults and self its own member name (see WithShardTopology).
+	table *shardring.Table
+	self  string
 
 	// nextID is the shared mint sequence for session ids ("s1", "s2", …).
-	// In topology mode every process walks the same sequence and keeps
+	// With a routing table every process walks the same sequence and keeps
 	// only the ids it owns, so processes never collide.
 	nextID atomic.Int64
 	// live counts sessions across all shards; the total session bound is
@@ -203,17 +205,8 @@ type Server struct {
 	// reqTimeout bounds handler execution (0 disables).
 	reqTimeout time.Duration
 
-	// pending options consumed by NewServer after the option loop.
-	optShards    int
-	optTopoSelf  string
-	optTopoPeers []string
-}
-
-// topology is the resolved multi-process shard ring.
-type topology struct {
-	self    string // this process's advertised address (a ring member)
-	selfIdx int
-	ring    *shardring.Ring
+	// optShards is the WithShards count, consumed by NewServer.
+	optShards int
 }
 
 // Option configures a Server at construction.
@@ -242,14 +235,21 @@ func WithShards(n int) Option {
 // WithShardTopology declares the multi-process shard ring this server
 // participates in: members lists every shard process's advertised address
 // (the strings routers and clients dial) and self names this process's own
-// entry. Requests for session ids the topology assigns to another member
-// are refused with 421 wrong_shard naming the owner. NewServer panics if
-// self is not a member or the member list is invalid — a misconfigured
-// topology must not serve.
+// entry. Requests for session ids the resulting routing table does not let
+// this process accept are refused with 421 wrong_shard naming the id's
+// home. NewServer panics if self is not a member or the member list is
+// invalid — a misconfigured topology must not serve.
 func WithShardTopology(self string, members []string) Option {
 	return func(s *Server) {
-		s.optTopoSelf = self
-		s.optTopoPeers = append([]string(nil), members...)
+		table, err := shardring.NewTable(members)
+		if err != nil {
+			panic("httpapi: shard topology: " + err.Error())
+		}
+		if table.ServingHome(self) == "" {
+			panic(fmt.Sprintf("httpapi: shard topology: self %q is not a member of %v",
+				self, members))
+		}
+		s.table, s.self = table, self
 	}
 }
 
@@ -421,23 +421,6 @@ func NewServer(opts ...Option) *Server {
 	for i := range s.shards {
 		s.shards[i] = newShard(i, s.reg)
 	}
-	if s.optTopoSelf != "" || len(s.optTopoPeers) > 0 {
-		ring, err := shardring.New(s.optTopoPeers, 0)
-		if err != nil {
-			panic("httpapi: shard topology: " + err.Error())
-		}
-		selfIdx := -1
-		for i, m := range s.optTopoPeers {
-			if m == s.optTopoSelf {
-				selfIdx = i
-			}
-		}
-		if selfIdx < 0 {
-			panic(fmt.Sprintf("httpapi: shard topology: self %q is not a member of %v",
-				s.optTopoSelf, s.optTopoPeers))
-		}
-		s.topo = &topology{self: s.optTopoSelf, selfIdx: selfIdx, ring: ring}
-	}
 	s.sessionsLive = s.reg.Gauge("miras_sessions_live",
 		"Live environment sessions.")
 	s.windowsTotal = s.reg.Counter("miras_env_windows_total",
@@ -480,13 +463,7 @@ func (s *Server) Handler() http.Handler {
 	if s.maxBodyBytes > 0 {
 		h = maxBodyMiddleware(s.maxBodyBytes, h)
 	}
-	if s.reqTimeout > 0 {
-		h = timeoutMiddleware(s.reqTimeout, h)
-	}
-	// Outermost so a client deadline tighter than the server's own request
-	// timeout answers 504 deadline_exceeded, not 408.
-	h = deadlineMiddleware(h)
-	return h
+	return boundMiddleware(s.reqTimeout, h)
 }
 
 // instrument wraps h with a per-endpoint request counter, error counter,
@@ -716,77 +693,23 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-
-	// Resolve the id first: a router-minted id arrives in the header and
-	// must belong to this process; otherwise mint from the shared sequence.
+	// A router-minted id arrives in the header and must be one this process
+	// accepts; without it admit mints from the shared sequence.
 	id := r.Header.Get(SessionIDHeader)
 	if id != "" {
 		if err := validateID(id); err != nil {
 			writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 			return
 		}
-		if s.topo != nil {
-			// A failover re-route carries the dead owner's address; this
-			// process adopts its ids for the duration of the outage.
-			if owner := s.topo.ring.Owner(id); owner != s.topo.self &&
-				owner != r.Header.Get(FailoverHeader) {
-				writeError(w, http.StatusMisdirectedRequest, CodeWrongShard,
-					fmt.Errorf("session %q is owned by shard %s", id, owner))
-				return
-			}
+		if !s.accepts(w, r, id) {
+			return
 		}
 	}
-
-	// Reserve a slot against the global bound — an atomic reserve-then-
-	// rollback, so creates on different shards never share a lock.
-	if n := s.live.Add(1); n > int64(s.maxSessions) {
-		s.live.Add(-1)
-		writeError(w, http.StatusTooManyRequests, CodeSessionLimit,
-			fmt.Errorf("session limit %d reached", s.maxSessions))
-		return
-	}
-	release := func() {
-		s.live.Add(-1)
-		s.sessionsLive.Set(float64(s.live.Load()))
-	}
-
-	if id == "" {
-		id = s.mintID()
-	}
-	faultsTotal := s.reg.Counter("miras_faults_total",
-		"Fault events injected (episode activations and consumer crashes), by session.",
-		"session", id)
-	crashed := s.reg.Counter("miras_consumers_crashed",
-		"Consumers killed by fault injection, by session.",
-		"session", id)
-
-	e, gen, code, err := s.buildSystem(req, faultsTotal, crashed)
+	sess, code, err := s.admit(id, func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
+		e, gen, code, err := s.buildSystem(req, faultsTotal, crashed)
+		return &session{env: e, generator: gen, create: req}, code, err
+	})
 	if err != nil {
-		s.reg.Remove("miras_faults_total", "session", id)
-		s.reg.Remove("miras_consumers_crashed", "session", id)
-		release()
-		writeError(w, http.StatusBadRequest, code, err)
-		return
-	}
-
-	sess := &session{
-		id:          id,
-		ensemble:    req.Ensemble,
-		env:         e,
-		generator:   gen,
-		create:      req,
-		createdAt:   s.now(),
-		ttl:         time.Duration(req.TTLSeconds * float64(time.Second)),
-		idle:        time.Duration(req.IdleTimeoutSeconds * float64(time.Second)),
-		profiler:    s.profiler,
-		faultsTotal: faultsTotal,
-		crashed:     crashed,
-	}
-	sess.touch(sess.createdAt)
-	if code, err := s.insertSession(sess); err != nil {
-		s.reg.Remove("miras_faults_total", "session", id)
-		s.reg.Remove("miras_consumers_crashed", "session", id)
-		release()
 		status := http.StatusBadRequest
 		if code == CodeSessionLimit {
 			status = http.StatusTooManyRequests
@@ -794,8 +717,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, code, err)
 		return
 	}
-	sess.syncGauges()
-	s.sessionsLive.Set(float64(s.live.Load()))
 	writeJSON(w, http.StatusCreated, sessionInfo(sess))
 }
 
@@ -851,7 +772,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	defer sess.mu.Unlock()
 	// The session lock can be a queue under contention; if the client's
 	// deadline expired while waiting, abandon the step before doing the
-	// simulation work (the deadline middleware owns the 504 response).
+	// simulation work (the bound middleware owns the timeout response).
 	if err := r.Context().Err(); err != nil {
 		writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
 			fmt.Errorf("client deadline expired before the step ran"))
@@ -965,20 +886,10 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sh := s.shardFor(id)
-	sh.mu.Lock()
-	_, ok := sh.sessions[id]
-	if ok {
-		delete(sh.sessions, id)
-		sh.liveGauge.Set(float64(len(sh.sessions)))
-	}
-	sh.mu.Unlock()
-	if !ok {
+	if !s.remove(sh, id, nil, "") {
 		s.writeMiss(w, r, sh, id)
 		return
 	}
-	s.live.Add(-1)
-	s.dropSessionObs(id)
-	s.sessionsLive.Set(float64(s.live.Load()))
 	// A deleted session must stay deleted: drop any spilled snapshot so a
 	// later rehydrate (failover or restart) cannot resurrect it.
 	s.removeSpill(id)

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 
 	"miras/internal/obs"
 )
@@ -76,53 +77,162 @@ func (s *Server) shardFor(id string) *shard {
 	return s.shards[s.localRing.OwnerIndex(id)]
 }
 
-// mintID draws the next session id from the shared sequence. In topology
-// mode, ids the topology assigns to other processes are skipped, so every
-// process walking the same sequence mints from disjoint namespaces without
-// coordination.
+// snapshot returns the shard's live sessions as of now. Sweeps (expiry,
+// spill-sync, drain) walk the copy so no registry lock is held while they
+// work on a session.
+func (sh *shard) snapshot() []*session {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	out := make([]*session, 0, len(sh.sessions))
+	for _, sess := range sh.sessions {
+		out = append(out, sess)
+	}
+	return out
+}
+
+// accepts reports whether this process may serve id for r, asking the
+// routing table (a server without one accepts everything). When not, it
+// writes the 421 wrong_shard refusal naming id's home, so routers and
+// clients can follow, and returns false.
+func (s *Server) accepts(w http.ResponseWriter, r *http.Request, id string) bool {
+	if s.table == nil || s.table.Accepts(s.self, id, r.Header.Get(FailoverHeader)) {
+		return true
+	}
+	writeError(w, http.StatusMisdirectedRequest, CodeWrongShard,
+		fmt.Errorf("session %q is owned by shard %s", id, s.table.Home(id)))
+	return false
+}
+
+// mintID draws the next session id from the shared sequence, skipping ids
+// the routing table homes on other processes, so every process walking the
+// same sequence mints from disjoint namespaces without coordination.
 func (s *Server) mintID() string {
 	for {
 		id := "s" + strconv.FormatInt(s.nextID.Add(1), 10)
-		if s.topo != nil && s.topo.ring.Owner(id) != s.topo.self {
-			continue
+		if s.table == nil || s.table.Accepts(s.self, id, "") {
+			return id
 		}
-		return id
 	}
 }
 
-// insertSession registers the session's remaining metric series and
-// inserts it into its shard, enforcing the per-shard bound and id
-// uniqueness. The caller has already reserved a slot against the global
-// bound. On CodeBadRequest (duplicate id) the caller must NOT remove the
-// session's fault counters — they alias the live session's series.
-func (s *Server) insertSession(sess *session) (ErrorCode, error) {
-	sh := s.shardFor(sess.id)
+// admit is the one way into the registry, shared by create and rehydrate:
+// reserve a slot against the global bound (an atomic reserve-then-rollback,
+// so admissions on different shards never share a lock), mint the id when
+// none is given, register the per-session fault series build needs, build
+// the emulated system, and insert under the shard lock, enforcing id
+// uniqueness and the per-shard bound. build returns the session's
+// build-specific fields (env, generator, create, and for a rehydrate the
+// replayed windows/ops/policy); admit fills in the rest. Any failure rolls
+// the slot and the series back and reports the code to answer with.
+func (s *Server) admit(id string, build func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error)) (*session, ErrorCode, error) {
+	if n := s.live.Add(1); n > int64(s.maxSessions) {
+		s.live.Add(-1)
+		return nil, CodeSessionLimit, fmt.Errorf("session limit %d reached", s.maxSessions)
+	}
+	if id == "" {
+		id = s.mintID()
+	}
+	// rollback undoes the reservation; the series are dropped too unless a
+	// live session under the same id turned out to own them.
+	rollback := func(dropSeries bool) {
+		if dropSeries {
+			s.reg.Remove("miras_faults_total", "session", id)
+			s.reg.Remove("miras_consumers_crashed", "session", id)
+		}
+		s.live.Add(-1)
+		s.sessionsLive.Set(float64(s.live.Load()))
+	}
+	faultsTotal := s.reg.Counter("miras_faults_total",
+		"Fault events injected (episode activations and consumer crashes), by session.",
+		"session", id)
+	crashed := s.reg.Counter("miras_consumers_crashed",
+		"Consumers killed by fault injection, by session.",
+		"session", id)
+	sess, code, err := build(faultsTotal, crashed)
+	if err != nil {
+		rollback(s.sessionByID(id) == nil)
+		return nil, code, err
+	}
+	sess.id = id
+	sess.ensemble = sess.create.Ensemble
+	sess.createdAt = s.now()
+	sess.ttl = time.Duration(sess.create.TTLSeconds * float64(time.Second))
+	sess.idle = time.Duration(sess.create.IdleTimeoutSeconds * float64(time.Second))
+	sess.profiler = s.profiler
+	sess.faultsTotal, sess.crashed = faultsTotal, crashed
+	sess.touch(sess.createdAt)
+
+	sh := s.shardFor(id)
 	sess.shardIdx = sh.idx
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, exists := sh.sessions[sess.id]; exists {
-		return CodeBadRequest, fmt.Errorf("session %q already exists", sess.id)
+	if _, exists := sh.sessions[id]; exists {
+		sh.mu.Unlock()
+		rollback(false)
+		return nil, CodeBadRequest, fmt.Errorf("session %q already exists", id)
 	}
 	if s.maxPerShard > 0 && len(sh.sessions) >= s.maxPerShard {
-		return CodeSessionLimit,
+		sh.mu.Unlock()
+		rollback(true)
+		return nil, CodeSessionLimit,
 			fmt.Errorf("shard %d session limit %d reached", sh.idx, s.maxPerShard)
 	}
 	sess.wip = s.reg.Gauge("miras_env_wip",
 		"Total work-in-progress (queued + in-service tasks), by session.",
-		"session", sess.id)
+		"session", id)
 	sess.inflight = s.reg.Gauge("miras_cluster_inflight",
 		"Live (incomplete) workflow instances, by session.",
-		"session", sess.id)
+		"session", id)
 	sess.fallbackTotal = s.reg.Counter("miras_controller_fallback_total",
 		"Policy failures that degraded the session to the HPA baseline, by session.",
-		"session", sess.id)
+		"session", id)
 	sess.recoveredTotal = s.reg.Counter("miras_controller_recovered_total",
 		"Policies restored to control after passing health probes, by session.",
-		"session", sess.id)
-	sh.tombs.remove(sess.id)
-	sh.sessions[sess.id] = sess
+		"session", id)
+	sh.tombs.remove(id)
+	sh.sessions[id] = sess
 	sh.liveGauge.Set(float64(len(sh.sessions)))
-	return "", nil
+	sh.mu.Unlock()
+	sess.syncGauges()
+	s.sessionsLive.Set(float64(s.live.Load()))
+	return sess, "", nil
+}
+
+// remove is the one way out of the registry, shared by DELETE, expiry and
+// drain: take id out of its shard — only if it is still sess, when sess is
+// given, so a concurrent remove or a re-created id is left alone — release
+// its slot, and drop its metric series and trace spans. A reason (ttl,
+// idle, drain) marks an eviction: the id is tombstoned so later requests
+// answer 410, and the eviction is counted; a client DELETE passes "".
+// Reports whether this call removed the session.
+func (s *Server) remove(sh *shard, id string, sess *session, reason string) bool {
+	sh.mu.Lock()
+	cur, ok := sh.sessions[id]
+	if !ok || (sess != nil && cur != sess) {
+		sh.mu.Unlock()
+		return false
+	}
+	delete(sh.sessions, id)
+	if reason != "" {
+		sh.tombs.add(id)
+	}
+	sh.liveGauge.Set(float64(len(sh.sessions)))
+	sh.mu.Unlock()
+	s.live.Add(-1)
+	s.sessionsLive.Set(float64(s.live.Load()))
+	for _, series := range []string{"miras_env_wip", "miras_cluster_inflight",
+		"miras_faults_total", "miras_consumers_crashed",
+		"miras_controller_fallback_total", "miras_controller_recovered_total"} {
+		s.reg.Remove(series, "session", id)
+	}
+	// Evict the session's spans from the trace ring; the time-series ring
+	// prunes its removed registry series on its next sample.
+	s.tracer.Ring().DropSession(id)
+	if reason != "" {
+		s.reg.Counter("miras_sessions_evicted_total",
+			"Sessions evicted, by shard and reason (ttl, idle, drain).",
+			"shard", strconv.Itoa(sh.idx), "reason", reason).Inc()
+	}
+	return true
 }
 
 // lookup resolves the request's {id} to a live session, handling the full
@@ -131,10 +241,7 @@ func (s *Server) insertSession(sess *session) (ErrorCode, error) {
 // returning; callers take the session's own lock before touching its
 // state.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*session, bool) {
-	return s.resolve(w, r, r.PathValue("id"))
-}
-
-func (s *Server) resolve(w http.ResponseWriter, r *http.Request, id string) (*session, bool) {
+	id := r.PathValue("id")
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	sess, ok := sh.sessions[id]
@@ -155,13 +262,12 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, id string) (*se
 }
 
 // writeMiss explains an absent id: evicted sessions answer 410 from the
-// tombstone ring; in topology mode, ids owned by another shard process
-// answer 421 naming the owner so routers and clients can follow; everything
-// else is a plain 404. A session present locally is always served, even if
-// the topology says another process owns it — rehydrated sessions must stay
-// reachable wherever they were adopted. A failover re-route (FailoverHeader
-// naming the id's topological owner) skips the 421: this process is the
-// id's home while the owner is down, so the miss is a plain 404.
+// tombstone ring; ids the routing table does not let this process accept
+// answer 421 (see accepts); everything else is a plain 404. A session
+// present locally is always served, whatever the table says — rehydrated
+// sessions must stay reachable wherever they were adopted. A failover
+// re-route is accepted, so its miss is an honest 404: this process is the
+// id's home while the owner is down.
 func (s *Server) writeMiss(w http.ResponseWriter, r *http.Request, sh *shard, id string) {
 	sh.mu.RLock()
 	tomb := sh.tombs.has(id)
@@ -171,45 +277,26 @@ func (s *Server) writeMiss(w http.ResponseWriter, r *http.Request, sh *shard, id
 			fmt.Errorf("session %q expired", id))
 		return
 	}
-	if s.topo != nil {
-		if owner := s.topo.ring.Owner(id); owner != s.topo.self &&
-			owner != r.Header.Get(FailoverHeader) {
-			writeError(w, http.StatusMisdirectedRequest, CodeWrongShard,
-				fmt.Errorf("session %q is owned by shard %s", id, owner))
-			return
-		}
+	if !s.accepts(w, r, id) {
+		return
 	}
 	writeError(w, http.StatusNotFound, CodeSessionNotFound,
 		fmt.Errorf("no session %q", id))
 }
 
-// evict removes sess from its shard, tombstones the id, spills the
-// session's snapshot when a spill store is configured (best-effort —
-// failures increment miras_spill_errors_total), and drops the session's
-// metric and trace series. Reports whether this call performed the
-// eviction (false when a concurrent evict/delete got there first).
+// evict expires sess: remove it, then spill its snapshot when a spill store
+// is configured (best-effort — failures increment miras_spill_errors_total).
+// Reports whether this call performed the eviction (false when a concurrent
+// evict/delete got there first).
 func (s *Server) evict(sh *shard, sess *session, reason string) bool {
-	sh.mu.Lock()
-	cur, ok := sh.sessions[sess.id]
-	if !ok || cur != sess {
-		sh.mu.Unlock()
+	if !s.remove(sh, sess.id, sess, reason) {
 		return false
 	}
-	delete(sh.sessions, sess.id)
-	sh.tombs.add(sess.id)
-	sh.liveGauge.Set(float64(len(sh.sessions)))
-	sh.mu.Unlock()
-	s.live.Add(-1)
-	s.sessionsLive.Set(float64(s.live.Load()))
 	if s.spillDir != "" {
 		if err := s.spill(sess); err != nil {
 			s.spillErrors.Inc()
 		}
 	}
-	s.dropSessionObs(sess.id)
-	s.reg.Counter("miras_sessions_evicted_total",
-		"Sessions evicted, by shard and reason (ttl, idle, drain).",
-		"shard", strconv.Itoa(sh.idx), "reason", reason).Inc()
 	return true
 }
 
@@ -220,18 +307,8 @@ func (s *Server) SweepExpired() int {
 	now := s.now()
 	n := 0
 	for _, sh := range s.shards {
-		var victims []*session
-		var reasons []string
-		sh.mu.RLock()
-		for _, sess := range sh.sessions {
-			if reason, exp := sess.expired(now); exp {
-				victims = append(victims, sess)
-				reasons = append(reasons, reason)
-			}
-		}
-		sh.mu.RUnlock()
-		for i, sess := range victims {
-			if s.evict(sh, sess, reasons[i]) {
+		for _, sess := range sh.snapshot() {
+			if reason, exp := sess.expired(now); exp && s.evict(sh, sess, reason) {
 				n++
 			}
 		}
@@ -247,18 +324,4 @@ func (s *Server) sessionByID(id string) *session {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.sessions[id]
-}
-
-// dropSessionObs removes the session's per-session metric series and trace
-// spans after it leaves the registry.
-func (s *Server) dropSessionObs(id string) {
-	s.reg.Remove("miras_env_wip", "session", id)
-	s.reg.Remove("miras_cluster_inflight", "session", id)
-	s.reg.Remove("miras_faults_total", "session", id)
-	s.reg.Remove("miras_consumers_crashed", "session", id)
-	s.reg.Remove("miras_controller_fallback_total", "session", id)
-	s.reg.Remove("miras_controller_recovered_total", "session", id)
-	// Evict the session's spans from the trace ring; the time-series ring
-	// prunes its removed registry series on its next sample.
-	s.tracer.Ring().DropSession(id)
 }

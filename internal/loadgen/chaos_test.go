@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -9,6 +11,7 @@ import (
 
 	"miras/internal/httpapi"
 	"miras/internal/router"
+	"miras/internal/shardring"
 )
 
 func TestFleetTransportKillRevive(t *testing.T) {
@@ -201,6 +204,132 @@ func TestChaosRunThroughResilientRouter(t *testing.T) {
 	if res.AvailabilityPct < 95 {
 		t.Fatalf("availability %.2f%% across the outage, want >= 95 (statuses %v)",
 			res.AvailabilityPct, res.Statuses)
+	}
+}
+
+// TestChainedFailoverKeepsFirstVictimSessions: three shards share a spill
+// directory; A dies and B adopts its sessions, then B dies too. The second
+// failover must hand C every home B was serving — A's as well as B's own —
+// or A's sessions (spill-synced by B) stay on disk while the router sends
+// their requests to C. A's session must step on C with its history intact.
+func TestChainedFailoverKeepsFirstVictimSessions(t *testing.T) {
+	spill := t.TempDir()
+	members := []string{"http://shard-a", "http://shard-b", "http://shard-c"}
+	fleet := NewFleetTransport()
+	servers := make([]*httpapi.Server, len(members))
+	for i, m := range members {
+		servers[i] = httpapi.NewServer(
+			httpapi.WithShardTopology(m, members),
+			httpapi.WithSpillDir(spill),
+		)
+		fleet.Register(m, servers[i].Handler())
+	}
+	rt, err := router.New(members,
+		router.WithClient(&http.Client{Transport: fleet}),
+		router.WithResilience(router.Resilience{
+			MaxRetries:       1,
+			RetryBase:        time.Millisecond,
+			RetryCap:         2 * time.Millisecond,
+			BreakerThreshold: 1,
+			BreakerCooldown:  20 * time.Millisecond,
+			Failover:         true,
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: NewHandlerTransport(rt.Handler())}
+	call := func(method, path string, body, out any) int {
+		t.Helper()
+		var buf bytes.Buffer
+		if body != nil {
+			if err := json.NewEncoder(&buf).Encode(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		req, err := http.NewRequest(method, "http://router"+path, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if out != nil && resp.StatusCode < 300 {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode
+	}
+	step := func(id string) int {
+		t.Helper()
+		return call("POST", "/v1/sessions/"+id+"/step", httpapi.StepRequest{Allocation: []int{3, 3}}, nil)
+	}
+
+	// A session homed on A, with two windows of history.
+	table, err := shardring.NewTable(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ""
+	for i := 0; id == "" && i < 32; i++ {
+		var info httpapi.SessionInfo
+		if status := call("POST", "/v1/sessions", httpapi.CreateRequest{
+			Ensemble: "toy", Budget: 6, WindowSec: 10, Seed: int64(i + 1),
+		}, &info); status != http.StatusCreated {
+			t.Fatalf("create %d status %d", i, status)
+		}
+		if table.Home(info.ID) == members[0] {
+			id = info.ID
+		}
+	}
+	if id == "" {
+		t.Fatal("no session landed on shard A")
+	}
+	for i := 0; i < 2; i++ {
+		if status := step(id); status != http.StatusOK {
+			t.Fatalf("pre-crash step status %d", status)
+		}
+	}
+
+	// killAndAwaitFailover spill-syncs and kills member i, then drives reads
+	// at the session until the router has executed its n-th failover.
+	failovers := rt.Registry().Counter("miras_router_failover_total", "")
+	killAndAwaitFailover := func(i int, n uint64) {
+		t.Helper()
+		if _, err := servers[i].SpillAll(); err != nil {
+			t.Fatal(err)
+		}
+		fleet.Kill(members[i])
+		for wait := 0; failovers.Value() < n && wait < 500; wait++ {
+			call("GET", "/v1/sessions/"+id, nil, nil)
+			time.Sleep(10 * time.Millisecond)
+		}
+		if failovers.Value() < n {
+			t.Fatalf("killing %s triggered no failover", members[i])
+		}
+	}
+
+	killAndAwaitFailover(0, 1)
+	if status := step(id); status != http.StatusOK {
+		t.Fatalf("step on B after A died: status %d", status)
+	}
+	killAndAwaitFailover(1, 2)
+
+	var info httpapi.SessionInfo
+	if status := call("GET", "/v1/sessions/"+id, nil, &info); status != http.StatusOK {
+		t.Fatalf("A's session after A→B→C: status %d, want 200 from C", status)
+	}
+	if info.Windows != 3 {
+		t.Fatalf("A's session reached C with %d windows, want 3", info.Windows)
+	}
+	if status := step(id); status != http.StatusOK {
+		t.Fatalf("step on C: status %d", status)
+	}
+	if n := servers[2].SessionCount(); n == 0 {
+		t.Fatal("C serves nothing after two failovers")
 	}
 }
 

@@ -139,6 +139,9 @@ func TestRouterDeadlinePropagation(t *testing.T) {
 	var sawDeadline atomic.Value // string
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sawDeadline.Store(r.Header.Get(httpapi.DeadlineHeader))
+		if strings.HasSuffix(r.URL.Path, "/fast") {
+			return
+		}
 		select {
 		case <-r.Context().Done():
 		case <-time.After(2 * time.Second):
@@ -149,8 +152,8 @@ func TestRouterDeadlinePropagation(t *testing.T) {
 
 	_, routerURL := startRouterWith(t, []string{slow.URL}, WithResilience(Resilience{MaxRetries: 1}))
 
-	get := func(deadline string) *http.Response {
-		req, err := http.NewRequest(http.MethodGet, routerURL+"/v1/sessions/s1", nil)
+	getID := func(id, deadline string) *http.Response {
+		req, err := http.NewRequest(http.MethodGet, routerURL+"/v1/sessions/"+id, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,6 +165,21 @@ func TestRouterDeadlinePropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 		return resp
+	}
+
+	get := func(deadline string) *http.Response { return getID("s1", deadline) }
+
+	// A budget too large for a time.Duration is clamped, not wrapped into a
+	// negative one: the request is forwarded with a positive budget.
+	for _, huge := range []string{"9223372036855", "9223372036854775807"} {
+		resp := getID("fast", huge)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("deadline %q status %d, want 200", huge, resp.StatusCode)
+		}
+		if raw, _ := sawDeadline.Load().(string); raw == "" || raw[0] == '-' {
+			t.Fatalf("deadline %q propagated as %q", huge, raw)
+		}
 	}
 
 	resp := get("abc")

@@ -3,10 +3,10 @@
 // failure accounting and an active /healthz probe loop; idempotent requests
 // are retried with exponential backoff + full jitter under the caller's
 // propagated deadline; and when a member's breaker trips with failover
-// enabled, the router asks a healthy fallback to rehydrate the dead
-// member's spilled sessions and re-routes its ids there via a sticky ring
-// override. Everything here is opt-in: the zero Resilience value disables
-// the whole layer and the router forwards exactly as it always has.
+// enabled, the router asks a healthy fallback to rehydrate the spilled
+// sessions of every home the dead member was serving and then swaps in a
+// routing table that reassigns those homes to the fallback. Each mechanism
+// is off at its zero value; the forwarding loop is the same either way.
 
 package router
 
@@ -26,8 +26,8 @@ import (
 )
 
 // Resilience configures the router's failure handling. The zero value
-// disables every mechanism — no retries, no breakers, no probing, no
-// failover — leaving the router's behavior identical to plain forwarding.
+// turns every mechanism off — one attempt, no breakers, no probing, no
+// failover.
 type Resilience struct {
 	// MaxRetries is how many extra attempts a retryable request gets after
 	// its first failure (0 disables retries). Only idempotent requests are
@@ -58,19 +58,15 @@ type Resilience struct {
 	// budget. Zero leaves only the HTTP client's per-attempt timeout.
 	RequestTimeout time.Duration
 	// Failover, when true, reacts to a breaker trip by asking a healthy
-	// fallback member to rehydrate the dead member's spilled sessions
-	// (POST /v1/admin/rehydrate with take_over) and re-routing the dead
-	// member's ids to the fallback. Requires BreakerThreshold > 0 (the trip
-	// is the trigger) and a spill directory shared across the fleet.
+	// fallback member to rehydrate the spilled sessions of every home the
+	// dead member served (POST /v1/admin/rehydrate with take_over) and
+	// reassigning those homes to the fallback in the routing table.
+	// Requires BreakerThreshold > 0 (the trip is the trigger) and a spill
+	// directory shared across the fleet.
 	Failover bool
 	// Seed seeds the backoff-jitter RNG (default 1); tests pin it to make
 	// jitter sequences reproducible.
 	Seed int64
-}
-
-// enabled reports whether any resilience mechanism is on.
-func (c Resilience) enabled() bool {
-	return c.MaxRetries > 0 || c.BreakerThreshold > 0 || c.ProbeInterval > 0 || c.Failover
 }
 
 // withDefaults fills the derived defaults for whichever mechanisms are on.
@@ -322,7 +318,7 @@ func (rt *Router) RunProbes(ctx context.Context) {
 
 // probeOnce probes every member once, concurrently, and reacts to the
 // results: a trip fires failover; a member that stays dark with its breaker
-// open and no override yet gets its failover retried.
+// open gets its failover retried (maybeFailover ignores one already in force).
 func (rt *Router) probeOnce(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, m := range rt.shards {
@@ -335,7 +331,7 @@ func (rt *Router) probeOnce(ctx context.Context) {
 				rt.onBreakerTrip(m)
 			}
 			if !ok && rt.res.Failover {
-				if state, _ := br.snapshot(); state == breakerOpen && !rt.hasOverride(m) {
+				if state, _ := br.snapshot(); state == breakerOpen {
 					rt.maybeFailover(m)
 				}
 			}
@@ -374,14 +370,6 @@ func (rt *Router) probeMember(ctx context.Context, member string) bool {
 // member's sessions replays their full operation logs, so this is generous.
 const failoverTimeout = 60 * time.Second
 
-// hasOverride reports whether member's ids are already re-routed.
-func (rt *Router) hasOverride(member string) bool {
-	rt.failMu.Lock()
-	defer rt.failMu.Unlock()
-	_, ok := rt.overrides[member]
-	return ok
-}
-
 // onBreakerTrip is called on each closed/half-open → open edge.
 func (rt *Router) onBreakerTrip(member string) {
 	if rt.res.Failover {
@@ -390,37 +378,20 @@ func (rt *Router) onBreakerTrip(member string) {
 }
 
 // maybeFailover starts a failover for dead unless one is already in flight
-// or in force. The rehydrate call runs in its own goroutine — the request
-// that tripped the breaker must not block on it.
+// or in force (dead serves nothing any more). The rehydrate call runs in its
+// own goroutine — the request that tripped the breaker must not block on it.
 func (rt *Router) maybeFailover(dead string) {
 	rt.failMu.Lock()
-	if rt.pending[dead] {
-		rt.failMu.Unlock()
+	defer rt.failMu.Unlock()
+	table := rt.table.Load()
+	if rt.pending[dead] || table.ServingHome(dead) != dead {
 		return
 	}
-	if _, ok := rt.overrides[dead]; ok {
-		rt.failMu.Unlock()
-		return
-	}
-	fallback := rt.pickFallbackLocked(dead)
-	if fallback == "" {
-		rt.failMu.Unlock()
-		return // no healthy member to adopt the sessions; probes will retry
-	}
-	rt.pending[dead] = true
-	rt.failMu.Unlock()
-	go rt.failOver(dead, fallback)
-}
-
-// pickFallbackLocked chooses the first ring member that is alive to adopt
-// dead's sessions: not dead itself, not already failed-over, not mid-
-// failover, breaker not open. Callers hold rt.failMu.
-func (rt *Router) pickFallbackLocked(dead string) string {
+	// The fallback is the first member alive to adopt the sessions: serving
+	// its own home, not mid-failover, breaker not open. None means the probe
+	// loop retries later.
 	for _, m := range rt.shards {
-		if m == dead || rt.pending[m] {
-			continue
-		}
-		if _, failed := rt.overrides[m]; failed {
+		if m == dead || rt.pending[m] || table.ServingHome(m) != m {
 			continue
 		}
 		if br := rt.breakers[m]; br != nil {
@@ -428,20 +399,22 @@ func (rt *Router) pickFallbackLocked(dead string) string {
 				continue
 			}
 		}
-		return m
+		rt.pending[dead] = true
+		go rt.failOver(dead, m, table.HomesServedBy(dead))
+		return
 	}
-	return ""
 }
 
-// failOver asks fallback to adopt dead's spilled sessions and, on success,
-// installs the sticky ring override sending dead's ids to fallback. On
-// failure the pending mark is dropped so the probe loop can retry.
-func (rt *Router) failOver(dead, fallback string) {
+// failOver asks fallback to adopt the spilled sessions of homes — every home
+// dead was serving, its own and any it had adopted — and, on success, swaps
+// in the table that reassigns them to fallback. On failure the pending mark
+// is dropped so the probe loop can retry.
+func (rt *Router) failOver(dead, fallback string, homes []string) {
 	span := rt.tracer.Start("router.failover").
 		Str("dead", dead).Str("fallback", fallback)
 	ctx, cancel := context.WithTimeout(context.Background(), failoverTimeout)
 	defer cancel()
-	body, _ := json.Marshal(httpapi.RehydrateRequest{TakeOver: []string{dead}})
+	body, _ := json.Marshal(httpapi.RehydrateRequest{TakeOver: homes})
 	ok := false
 	rehydrated := 0
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
@@ -463,38 +436,11 @@ func (rt *Router) failOver(dead, fallback string) {
 	rt.failMu.Lock()
 	delete(rt.pending, dead)
 	if ok {
-		rt.overrides[dead] = fallback
+		rt.table.Store(rt.table.Load().Reassign(dead, fallback))
 	}
 	rt.failMu.Unlock()
 	if ok {
 		rt.failoverTotal.Inc()
 	}
 	span.Bool("ok", ok).Int("rehydrated", rehydrated).End()
-}
-
-// routeTarget resolves the shard an attempt should hit. With a fixed target
-// (create already routed, ensembles) the fixed member is used; otherwise
-// the ring owner of id. Either way, failover overrides are followed (a
-// bounded walk, in case the fallback itself later failed over), and when a
-// re-route is in force the original owner is returned so the attempt can
-// carry the X-Miras-Failover-From header.
-func (rt *Router) routeTarget(fixed, id string) (shard, failedFrom string) {
-	owner := fixed
-	if owner == "" {
-		owner = rt.ring.Owner(id)
-	}
-	rt.failMu.Lock()
-	defer rt.failMu.Unlock()
-	cur := owner
-	for hops := 0; hops < len(rt.shards); hops++ {
-		next, ok := rt.overrides[cur]
-		if !ok {
-			break
-		}
-		cur = next
-	}
-	if cur == owner {
-		return owner, ""
-	}
-	return cur, owner
 }

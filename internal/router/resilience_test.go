@@ -294,62 +294,7 @@ func TestRetryableRequest(t *testing.T) {
 	}
 }
 
-// TestRouteTargetFollowsOverrides checks the failover re-route walk: a
-// single override redirects and reports the original owner, chained
-// overrides are followed transitively, and a (never-expected) cycle still
-// terminates.
-func TestRouteTargetFollowsOverrides(t *testing.T) {
-	members := []string{"http://a", "http://b", "http://c"}
-	rt, err := New(members)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if sh, from := rt.routeTarget("http://a", ""); sh != "http://a" || from != "" {
-		t.Fatalf("no overrides: routeTarget = (%q,%q)", sh, from)
-	}
-
-	rt.overrides["http://a"] = "http://b"
-	if sh, from := rt.routeTarget("http://a", ""); sh != "http://b" || from != "http://a" {
-		t.Fatalf("single override: routeTarget = (%q,%q)", sh, from)
-	}
-	if sh, from := rt.routeTarget("http://b", ""); sh != "http://b" || from != "" {
-		t.Fatalf("unaffected member rerouted: routeTarget = (%q,%q)", sh, from)
-	}
-
-	rt.overrides["http://b"] = "http://c"
-	if sh, from := rt.routeTarget("http://a", ""); sh != "http://c" || from != "http://a" {
-		t.Fatalf("chained overrides: routeTarget = (%q,%q)", sh, from)
-	}
-
-	// A cycle cannot arise from maybeFailover's dedup, but the walk must
-	// still terminate if one ever did.
-	rt.overrides["http://c"] = "http://a"
-	if sh, _ := rt.routeTarget("http://a", ""); sh == "" {
-		t.Fatal("cyclic overrides returned empty shard")
-	}
-
-	// Routing by session id resolves through the ring, then the overrides.
-	delete(rt.overrides, "http://c")
-	owner := rt.ring.Owner("r1")
-	want := rt.overrides[owner]
-	if want == "" {
-		want = owner
-	}
-	for follow := 0; follow < len(members); follow++ {
-		if next, ok := rt.overrides[want]; ok {
-			want = next
-		}
-	}
-	if sh, _ := rt.routeTarget("", "r1"); sh != want {
-		t.Fatalf("routeTarget by id = %q, want %q", sh, want)
-	}
-}
-
 func TestResilienceDefaults(t *testing.T) {
-	if (Resilience{}).enabled() {
-		t.Fatal("zero Resilience reports enabled")
-	}
 	c := Resilience{MaxRetries: 2, BreakerThreshold: 3}.withDefaults()
 	if c.RetryBase != 25*time.Millisecond || c.RetryCap != time.Second {
 		t.Fatalf("retry defaults %v/%v", c.RetryBase, c.RetryCap)
@@ -359,9 +304,6 @@ func TestResilienceDefaults(t *testing.T) {
 	}
 	if c.Seed != 1 {
 		t.Fatalf("seed default %d", c.Seed)
-	}
-	if !c.enabled() {
-		t.Fatal("configured Resilience reports disabled")
 	}
 	// Explicit values survive.
 	c2 := Resilience{MaxRetries: 1, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond, Seed: 9}.withDefaults()

@@ -12,14 +12,16 @@
 // loses nothing. Shard membership is fixed at startup — resizing the fleet
 // is a drain/rehydrate operation on the shards, not a router concern.
 //
-// An opt-in resilience layer (WithResilience; see resilience.go) adds
+// Placement is one value: a shardring.Table (ring + reassignment rows)
+// held in an atomic pointer, so a forwarded request reads it without a
+// lock. The resilience layer (WithResilience; see resilience.go) adds
 // per-member circuit breakers fed by passive failure accounting and an
 // active probe loop, bounded retries with jittered backoff for idempotent
 // requests, deadline propagation via the X-Miras-Deadline-Ms header, and
 // automated shard failover: a tripped breaker triggers a rehydrate of the
-// dead member's spilled sessions on a fallback and a sticky re-route of
-// its ids. The only state this adds is the failover override map — a
-// router restart merely re-detects the outage and fails over again.
+// homes the dead member was serving on a fallback, then a table swap that
+// reassigns them. The table is the only state this adds — a router restart
+// merely re-detects the outage and fails over again.
 package router
 
 import (
@@ -45,7 +47,9 @@ import (
 // Router forwards v1 API traffic to the owning shard process. Safe for
 // concurrent use.
 type Router struct {
-	ring   *shardring.Ring
+	// table answers "who serves id X" for every forward; failOver swaps in
+	// a reassigned copy. shards is the member list, fixed at startup.
+	table  atomic.Pointer[shardring.Table]
 	shards []string
 	client *http.Client
 	// adminClient shares the forwarding client's transport but carries no
@@ -64,11 +68,10 @@ type Router struct {
 	breakers map[string]*breaker
 	rnd      *lockedRand
 
-	// failMu guards the failover state: overrides re-routes a dead member's
-	// ids to the fallback serving them; pending marks failovers in flight.
-	failMu    sync.Mutex
-	overrides map[string]string
-	pending   map[string]bool
+	// failMu serialises the failover path only: pending marks failovers in
+	// flight, and table swaps happen under it.
+	failMu  sync.Mutex
+	pending map[string]bool
 
 	reqs          map[string]*obs.Counter // forwards by shard
 	upErrs        map[string]*obs.Counter // unreachable upstreams by shard
@@ -116,12 +119,11 @@ func WithClock(now func() time.Time) Option {
 // must match the -shard-peers list every shard was started with — both
 // sides derive ownership from it independently.
 func New(shards []string, opts ...Option) (*Router, error) {
-	ring, err := shardring.New(shards, 0)
+	table, err := shardring.NewTable(shards)
 	if err != nil {
 		return nil, fmt.Errorf("router: %w", err)
 	}
 	rt := &Router{
-		ring:   ring,
 		shards: append([]string(nil), shards...),
 		client: &http.Client{Timeout: 30 * time.Second},
 		now:    time.Now,
@@ -135,7 +137,7 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	rt.res = rt.res.withDefaults()
 	rt.adminClient = &http.Client{Transport: rt.client.Transport}
 	rt.rnd = newLockedRand(rt.res.Seed)
-	rt.overrides = make(map[string]string)
+	rt.table.Store(table)
 	rt.pending = make(map[string]bool)
 	rt.reqs = make(map[string]*obs.Counter, len(shards))
 	rt.upErrs = make(map[string]*obs.Counter, len(shards))
@@ -188,27 +190,18 @@ func writeError(w http.ResponseWriter, status int, code httpapi.ErrorCode, err e
 	})
 }
 
-// forward proxies the request to a fixed shard; forwardSession routes by
-// session id, following failover overrides. Both run the same attempt loop.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard string) {
-	rt.proxy(w, r, shard, "")
-}
-
-func (rt *Router) forwardSession(w http.ResponseWriter, r *http.Request, id string) {
-	rt.proxy(w, r, "", id)
-}
-
-// proxy forwards the request upstream, preserving method, path, query,
-// body, and headers both ways. With resilience disabled this is a single
-// attempt and transport failures become 502 upstream_unreachable envelopes
-// — the uniform error surface clients already parse. With resilience
-// enabled, retryable requests get bounded retries with jittered backoff,
-// each attempt re-routed (an override installed mid-retry redirects the
-// next attempt), gated by the member's circuit breaker, and bounded by the
-// caller's propagated deadline; the final failure is classified as 504
-// deadline_exceeded, 503 upstream_degraded (breaker open), or 502
-// upstream_unreachable.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, fixed, id string) {
+// proxy forwards the request to the member serving id, preserving method,
+// path, query, body, and headers both ways. id is the routing key: a
+// session id, or "" for a request any member can answer (the ensemble
+// catalog), which rides the same path under the empty key. Every attempt
+// re-reads the routing table, so a failover landing mid-retry redirects
+// the next attempt, and an attempt that leaves the id's ring home carries
+// the reassignment row as X-Miras-Failover-From. Retryable requests get
+// Resilience.MaxRetries extra attempts with jittered backoff, each gated
+// by the member's circuit breaker and bounded by the caller's propagated
+// deadline; the final failure is classified as 504 deadline_exceeded, 503
+// upstream_degraded (breaker open), or 502 upstream_unreachable.
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 	start := rt.now()
 	span := rt.tracer.Start("router.forward").
 		Str("method", r.Method).Str("path", r.URL.Path)
@@ -231,27 +224,18 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, fixed, id string
 	// The whole-request budget: the caller's propagated deadline wins, else
 	// the configured default. Attempts, backoffs, and the downstream
 	// X-Miras-Deadline-Ms headers all derive from it.
+	budget, ok := httpapi.RequestDeadline(w, r)
+	if !ok {
+		span.Bool("error", true).End()
+		return
+	}
+	if budget == 0 {
+		budget = rt.res.RequestTimeout
+	}
 	ctx := r.Context()
-	if raw := r.Header.Get(httpapi.DeadlineHeader); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			span.Bool("error", true).End()
-			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				fmt.Errorf("invalid %s header %q", httpapi.DeadlineHeader, raw))
-			return
-		}
-		if ms <= 0 {
-			span.Bool("error", true).End()
-			writeError(w, http.StatusGatewayTimeout, httpapi.CodeDeadlineExceeded,
-				fmt.Errorf("request deadline already exhausted"))
-			return
-		}
+	if budget > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
-		defer cancel()
-	} else if rt.res.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.res.RequestTimeout)
+		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
 
@@ -287,7 +271,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, fixed, id string
 				break
 			}
 		}
-		shard, failedFrom := rt.routeTarget(fixed, id)
+		shard, home := rt.table.Load().Serving(id)
 		if attempt > 0 {
 			rt.retries[shard].Inc()
 		}
@@ -320,8 +304,8 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, fixed, id string
 			}
 			req.Header.Set(httpapi.DeadlineHeader, strconv.FormatInt(remaining, 10))
 		}
-		if failedFrom != "" {
-			req.Header.Set(httpapi.FailoverHeader, failedFrom)
+		if shard != home {
+			req.Header.Set(httpapi.FailoverHeader, home)
 		}
 
 		resp, err := rt.client.Do(req)
@@ -391,19 +375,19 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, fixed, id string
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	id := "r" + strconv.FormatInt(rt.nextID.Add(1), 10)
 	r.Header.Set(httpapi.SessionIDHeader, id)
-	rt.forwardSession(w, r, id)
+	rt.proxy(w, r, id)
 }
 
 // handleByID forwards any /v1/sessions/{id} or /v1/sessions/{id}/{op}
 // request to the id's owner (or the fallback serving it after a failover).
 func (rt *Router) handleByID(w http.ResponseWriter, r *http.Request) {
-	rt.forwardSession(w, r, r.PathValue("id"))
+	rt.proxy(w, r, r.PathValue("id"))
 }
 
-// handleEnsembles serves the static ensemble catalog from any shard (it is
-// identical everywhere).
+// handleEnsembles serves the static ensemble catalog from whichever member
+// serves the empty key (the catalog is identical everywhere).
 func (rt *Router) handleEnsembles(w http.ResponseWriter, r *http.Request) {
-	rt.forward(w, r, rt.shards[0])
+	rt.proxy(w, r, "")
 }
 
 // get issues one fan-out GET bound to the inbound request's context, so a
@@ -529,6 +513,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}(i, sh)
 	}
 	wg.Wait()
+	table := rt.table.Load()
 	for i, sh := range rt.shards {
 		if br := rt.breakers[sh]; br != nil {
 			switch state, fails := br.snapshot(); {
@@ -542,9 +527,9 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 				out[i].State = "healthy"
 			}
 		}
-		rt.failMu.Lock()
-		out[i].FailoverTo = rt.overrides[sh]
-		rt.failMu.Unlock()
+		if m := table.ServingHome(sh); m != sh {
+			out[i].FailoverTo = m
+		}
 	}
 	for _, h := range out {
 		if !h.OK {

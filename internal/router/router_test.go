@@ -172,6 +172,33 @@ func TestRouterRoutesEveryVerbToOwningShard(t *testing.T) {
 	}
 }
 
+// TestRouterEnsemblesRideTheTable: the static catalog has no session id, so
+// it routes under the empty key — to that key's home, or to whoever the
+// table says serves the home after a reassignment.
+func TestRouterEnsemblesRideTheTable(t *testing.T) {
+	members := startFleet(t, 2)
+	rt, base := startRouterWith(t, members)
+	catalog := func() {
+		t.Helper()
+		var out []httpapi.EnsembleInfo
+		if status := jdo(t, base, "GET", "/v1/ensembles", nil, &out); status != http.StatusOK || len(out) != 3 {
+			t.Fatalf("ensembles through the router: status %d, %d entries", status, len(out))
+		}
+	}
+	catalog()
+	table := rt.table.Load()
+	home := table.Home("")
+	other := members[0]
+	if other == home {
+		other = members[1]
+	}
+	rt.table.Store(table.Reassign(home, other))
+	catalog()
+	if got := rt.reqs[other].Value(); got != 1 {
+		t.Fatalf("reassigned catalog request reached %s %d times, want 1", other, got)
+	}
+}
+
 func TestRouterMergedList(t *testing.T) {
 	members := startFleet(t, 2)
 	routerURL := startRouter(t, members)

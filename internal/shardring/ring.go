@@ -15,7 +15,8 @@
 // reshuffle.
 //
 // Rings are immutable after New, so lookups are lock-free and safe for
-// concurrent use.
+// concurrent use. Table (table.go) adds the failover reassignment rows on
+// top and is what the router and the shard processes actually consult.
 package shardring
 
 import (

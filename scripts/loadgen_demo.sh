@@ -18,58 +18,7 @@ SHARD2_ADDR="${LOADGEN_DEMO_SHARD2:-127.0.0.1:18092}"
 SPILL_A_ADDR="${LOADGEN_DEMO_SPILL_A:-127.0.0.1:18093}"
 SPILL_B_ADDR="${LOADGEN_DEMO_SPILL_B:-127.0.0.1:18094}"
 
-WORK="$(mktemp -d)"
-PIDS=()
-cleanup() {
-    for pid in "${PIDS[@]:-}"; do
-        kill "$pid" 2>/dev/null || true
-        wait "$pid" 2>/dev/null || true
-    done
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-# fetch ADDR PATH — GET a URL and print the body. Prefers curl; falls
-# back to bash's /dev/tcp so the gate needs nothing beyond the base image.
-fetch() {
-    local addr="$1" path="$2"
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "http://$addr$path"
-    else
-        local host="${addr%:*}" port="${addr##*:}"
-        exec 3<>"/dev/tcp/$host/$port"
-        printf 'GET %s HTTP/1.0\r\nHost: %s\r\n\r\n' "$path" "$host" >&3
-        sed '1,/^\r\{0,1\}$/d' <&3
-        exec 3<&- 3>&-
-    fi
-}
-
-# post ADDR PATH BODY — POST a JSON body and print the response body.
-post() {
-    local addr="$1" path="$2" body="$3"
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf -X POST -d "$body" "http://$addr$path"
-    else
-        local host="${addr%:*}" port="${addr##*:}"
-        exec 3<>"/dev/tcp/$host/$port"
-        printf 'POST %s HTTP/1.0\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s' \
-            "$path" "$host" "${#body}" "$body" >&3
-        sed '1,/^\r\{0,1\}$/d' <&3
-        exec 3<&- 3>&-
-    fi
-}
-
-wait_healthy() {
-    local addr="$1"
-    for _ in $(seq 1 50); do
-        if fetch "$addr" /healthz 2>/dev/null | grep -q ok; then
-            return 0
-        fi
-        sleep 0.1
-    done
-    echo "server on $addr never became healthy" >&2
-    return 1
-}
+. scripts/lib.sh
 
 echo "==> building miras-server, miras-router, miras-loadgen"
 go build -o "$WORK/miras-server" ./cmd/miras-server

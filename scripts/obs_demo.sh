@@ -11,64 +11,22 @@ cd "$(dirname "$0")/.."
 export MIRAS_INVARIANTS=1
 
 ADDR="${OBS_DEMO_ADDR:-127.0.0.1:18080}"
-BIN="$(mktemp -d)/miras-server"
 
-# fetch PATH — GET a URL and print the body. Prefers curl; falls back to
-# bash's /dev/tcp so the gate needs nothing beyond the base image.
-fetch() {
-    local path="$1"
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "http://$ADDR$path"
-    else
-        local host="${ADDR%:*}" port="${ADDR##*:}"
-        exec 3<>"/dev/tcp/$host/$port"
-        printf 'GET %s HTTP/1.0\r\nHost: %s\r\n\r\n' "$path" "$host" >&3
-        # Strip the status line and headers; keep the body.
-        sed '1,/^\r\{0,1\}$/d' <&3
-        exec 3<&- 3>&-
-    fi
-}
-
-# post PATH BODY — POST a JSON body and print the response body, same
-# curl-or-/dev/tcp discipline as fetch.
-post() {
-    local path="$1" body="$2"
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf -X POST -d "$body" "http://$ADDR$path"
-    else
-        local host="${ADDR%:*}" port="${ADDR##*:}"
-        exec 3<>"/dev/tcp/$host/$port"
-        printf 'POST %s HTTP/1.0\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s' \
-            "$path" "$host" "${#body}" "$body" >&3
-        sed '1,/^\r\{0,1\}$/d' <&3
-        exec 3<&- 3>&-
-    fi
-}
+. scripts/lib.sh
+BIN="$WORK/miras-server"
 
 echo "==> building miras-server"
 go build -o "$BIN" ./cmd/miras-server
 
 echo "==> starting miras-server on $ADDR"
 "$BIN" -addr "$ADDR" -sample-interval 200ms &
-SERVER_PID=$!
-cleanup() {
-    kill "$SERVER_PID" 2>/dev/null || true
-    wait "$SERVER_PID" 2>/dev/null || true
-    rm -rf "$(dirname "$BIN")"
-}
-trap cleanup EXIT
+PIDS+=($!)
 
 echo "==> waiting for /healthz"
-for _ in $(seq 1 50); do
-    if fetch /healthz 2>/dev/null | grep -q ok; then
-        break
-    fi
-    sleep 0.1
-done
-fetch /healthz | grep -q ok || { echo "server never became healthy" >&2; exit 1; }
+wait_healthy "$ADDR"
 
 echo "==> scraping /metrics"
-metrics=$(fetch /metrics)
+metrics=$(fetch "$ADDR" /metrics)
 if [ -z "$metrics" ]; then
     echo "/metrics returned an empty body" >&2
     exit 1
@@ -84,18 +42,18 @@ echo "$metrics" | grep -q '^# TYPE' || {
 }
 
 echo "==> driving one traced session"
-created=$(post /v1/sessions '{"ensemble":"toy","budget":6,"window_sec":10}')
+created=$(post "$ADDR" /v1/sessions '{"ensemble":"toy","budget":6,"window_sec":10}')
 echo "$created" | grep -q '"id":"s1"' || {
     echo "session create failed: $created" >&2
     exit 1
 }
-post /v1/sessions/s1/step '{"allocation":[4,2]}' | grep -q '"reward"' || {
+post "$ADDR" /v1/sessions/s1/step '{"allocation":[4,2]}' | grep -q '"reward"' || {
     echo "session step failed" >&2
     exit 1
 }
 
 echo "==> scraping /v1/debug/traces"
-traces=$(fetch /v1/debug/traces)
+traces=$(fetch "$ADDR" /v1/debug/traces)
 echo "$traces" | grep -q '"name":"http.step"' || {
     echo "/v1/debug/traces missing the request root span: $traces" >&2
     exit 1
@@ -109,7 +67,7 @@ echo "==> scraping /v1/debug/timeseries"
 # The sampler runs every 200ms; give it a moment to take a sample that
 # includes the session's series.
 sleep 0.5
-series=$(fetch /v1/debug/timeseries)
+series=$(fetch "$ADDR" /v1/debug/timeseries)
 echo "$series" | grep -q '"samples":' || {
     echo "/v1/debug/timeseries is not a snapshot dump: $series" >&2
     exit 1
@@ -120,7 +78,7 @@ echo "$series" | grep -q 'miras_http_requests_total' || {
 }
 
 echo "==> scraping /debug/dash"
-dash=$(fetch /debug/dash)
+dash=$(fetch "$ADDR" /debug/dash)
 echo "$dash" | grep -q '<svg' || {
     echo "/debug/dash has no sparklines" >&2
     exit 1
