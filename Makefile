@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench bench-smoke benchmark-smoke fmt fuzz-smoke obs-demo chaos-demo golden-demo resume-demo loadgen-demo failover-demo
+.PHONY: build test vet race check bench benchmark-smoke fmt fuzz-smoke obs-demo chaos-demo golden-demo resume-demo loadgen-demo failover-demo
 
 build:
 	$(GO) build ./...
@@ -50,17 +50,6 @@ bench:
 # checker) — seconds, no timing verdict. The last step of `make check`.
 benchmark-smoke:
 	$(GO) run ./benchmark -smoke
-
-# Correctness pins for CI, not a timing gate: exercise the parallel GEMM
-# kernels at GOMAXPROCS 1 and 2 (10 iterations — the dispatch path, not its
-# speed), and pin the zero-allocation claims of the kernel-pool dispatch and
-# the serving decide path via testing.AllocsPerRun.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkMatMulBlocked|BenchmarkNNForwardBatch|BenchmarkNNBackwardBatch|BenchmarkEnvModelFit' -benchtime 10x -cpu 1,2 .
-	$(GO) test -run 'TestKernelDispatchZeroAlloc' -count 1 ./internal/parallel/
-	$(GO) test -run 'TestPolicyDecideZeroAlloc' -count 1 ./internal/httpapi/
-	$(GO) test -run 'TestActToMatchesActZeroAlloc' -count 1 ./internal/rl/
-	$(GO) test -run 'TestTracerDisabledZeroAlloc' -count 1 ./internal/obs/
 
 fmt:
 	gofmt -l -w .

@@ -3,7 +3,7 @@
 // Scientific Workflows" (Yang, Nguyen, Jin, Nahrstedt — ICDCS 2019).
 //
 // The library lives under internal/ (see DESIGN.md for the system
-// inventory), runnable programs under cmd/ and examples/, and the
-// benchmark harness regenerating every figure of the paper's evaluation in
-// bench_test.go.
+// inventory) and runnable programs under cmd/ and examples/. cmd/miras is
+// the offline front door: `miras figures` regenerates every figure of the
+// paper's evaluation. benchmark/ is the one performance instrument.
 package miras

@@ -71,6 +71,6 @@ func run() error {
 	if err := table.Render(os.Stdout, 12); err != nil {
 		return err
 	}
-	fmt.Println("\nfor the full five-algorithm comparison (incl. trained MIRAS): cmd/miras-compare -ensemble ligo")
+	fmt.Println("\nfor the full five-algorithm comparison (incl. trained MIRAS): go run ./cmd/miras compare -ensemble ligo")
 	return nil
 }

@@ -83,6 +83,6 @@ func run() error {
 		metrics.Mean(mirasSeries), metrics.TailMean(mirasSeries, 0.25))
 	fmt.Printf("%-8s %-11d %-14.1f %.1f\n", "static", staticDone,
 		metrics.Mean(staticSeries), metrics.TailMean(staticSeries, 0.25))
-	fmt.Println("\n(larger training scales — see cmd/miras-train — widen the gap)")
+	fmt.Println("\n(larger training scales — `go run ./cmd/miras train -scale medium` — widen the gap)")
 	return nil
 }

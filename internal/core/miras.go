@@ -244,6 +244,24 @@ func NewAgentNoRefine(cfg Config) (*Agent, error) {
 }
 
 func newAgent(cfg Config) (*Agent, error) {
+	// Zero means "use the default"; a negative count has no meaning and
+	// would otherwise surface as a panic deep inside Train.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Iterations", cfg.Iterations},
+		{"StepsPerIteration", cfg.StepsPerIteration},
+		{"PolicyEpisodes", cfg.PolicyEpisodes},
+		{"ModelEpochs", cfg.ModelEpochs},
+		{"RolloutLen", cfg.RolloutLen},
+		{"EvalSteps", cfg.EvalSteps},
+		{"ResetEvery", cfg.ResetEvery},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("core: %s must be >= 0 (0 selects the default), got %d", f.name, f.v)
+		}
+	}
 	cfg = cfg.withDefaults()
 	j := cfg.Env.StateDim()
 	ad := cfg.Env.ActionDim()

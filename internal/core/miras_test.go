@@ -66,6 +66,34 @@ func TestNewAgentValidation(t *testing.T) {
 	}
 }
 
+// TestNewAgentRejectsNegativeCounts pins that a negative count is a
+// construction error, not a panic inside Train.
+func TestNewAgentRejectsNegativeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Iterations", func(c *Config) { c.Iterations = -1 }},
+		{"StepsPerIteration", func(c *Config) { c.StepsPerIteration = -1 }},
+		{"PolicyEpisodes", func(c *Config) { c.PolicyEpisodes = -1 }},
+		{"ModelEpochs", func(c *Config) { c.ModelEpochs = -1 }},
+		{"RolloutLen", func(c *Config) { c.RolloutLen = -1 }},
+		{"EvalSteps", func(c *Config) { c.EvalSteps = -1 }},
+		{"ResetEvery", func(c *Config) { c.ResetEvery = -1 }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := tinyConfig(newToyEnv(t, 1), 1)
+			tc.set(&cfg)
+			if _, err := NewAgent(cfg); err == nil {
+				t.Fatalf("NewAgent accepted %s = -1", tc.field)
+			}
+			if _, err := NewAgentNoRefine(cfg); err == nil {
+				t.Fatalf("NewAgentNoRefine accepted %s = -1", tc.field)
+			}
+		})
+	}
+}
+
 func TestCollectRealGrowsDataset(t *testing.T) {
 	e := newToyEnv(t, 1)
 	a, err := NewAgent(tinyConfig(e, 1))

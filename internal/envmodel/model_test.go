@@ -491,3 +491,30 @@ func TestLoadDatasetRejectsCorrupt(t *testing.T) {
 		t.Fatal("expected error for missing file")
 	}
 }
+
+// TestFitZeroAlloc pins that a training epoch allocates nothing once the
+// model's batch scratch is warm, at the paper's hidden sizes (§VI-A3: three
+// layers of 20) over a 512-row dataset.
+func TestFitZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	d := NewDataset(4, 4)
+	s := make([]float64, 4)
+	a := make([]float64, 4)
+	for i := 0; i < 512; i++ {
+		for j := range s {
+			s[j] = rng.Float64() * 50
+			a[j] = rng.Float64() / 4
+		}
+		d.Add(s, a, s)
+	}
+	m, err := New(Config{StateDim: 4, ActionDim: 4, Hidden: []int{20, 20, 20}, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Fit(d, 1); err != nil { // warm up
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { m.Fit(d, 1) }); allocs != 0 {
+		t.Fatalf("Model.Fit: %v allocs/run, want 0", allocs)
+	}
+}

@@ -393,3 +393,25 @@ func TestRawNoiseViolationCounting(t *testing.T) {
 		t.Fatalf("param noise counted %d violations", v)
 	}
 }
+
+// TestDDPGUpdateZeroAlloc pins that one minibatch update allocates nothing
+// once its scratch is warm, at train-msd's shapes (4 services, 64×64×64
+// actor and critic, batch 64).
+func TestDDPGUpdateZeroAlloc(t *testing.T) {
+	agent, err := NewDDPG(Config{
+		StateDim: 4, ActionDim: 4, Hidden: []int{64, 64, 64},
+		BatchSize: 64, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 256; i++ {
+		s := []float64{rng.Float64() * 50, rng.Float64() * 50, rng.Float64() * 50, rng.Float64() * 50}
+		agent.Observe(Experience{State: s, Action: agent.Act(s), Next: s, Reward: -rng.Float64() * 100})
+	}
+	agent.Update() // warm up: size the batch scratch
+	if allocs := testing.AllocsPerRun(20, func() { agent.Update() }); allocs != 0 {
+		t.Fatalf("DDPG.Update: %v allocs/run, want 0", allocs)
+	}
+}

@@ -18,12 +18,12 @@ trap cleanup EXIT
 ALGS="stream,heft,monad"
 WINDOWS=8
 
-echo "==> building miras-chaos"
-go build -o "$WORK/miras-chaos" ./cmd/miras-chaos
+echo "==> building miras"
+go build -o "$WORK/miras" ./cmd/miras
 
 for run in 1 2; do
     echo "==> chaos run $run (algorithms=$ALGS windows=$WINDOWS)"
-    "$WORK/miras-chaos" -algorithms "$ALGS" -windows "$WINDOWS" \
+    "$WORK/miras" chaos -algorithms "$ALGS" -windows "$WINDOWS" \
         -out "$WORK/run$run" >"$WORK/run$run.log"
 done
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Golden end-to-end regression gate: build the three experiment CLIs, run
+# Golden end-to-end regression gate: build the offline CLI (cmd/miras), run
 # seeded short-horizon train / compare / chaos pipelines with runtime
 # invariants enabled, and fail unless every produced CSV matches the sha256
 # manifest pinned in scripts/testdata/golden_demo.sha256. Any behavioural
@@ -27,26 +27,23 @@ WORK="$(mktemp -d)"
 cleanup() { rm -rf "$WORK"; }
 trap cleanup EXIT
 
-echo "==> building miras-train miras-compare miras-chaos"
-go build -o "$WORK/miras-train" ./cmd/miras-train
-go build -o "$WORK/miras-compare" ./cmd/miras-compare
-go build -o "$WORK/miras-chaos" ./cmd/miras-chaos
+echo "==> building miras"
+go build -o "$WORK/miras" ./cmd/miras
 
 OUT="$WORK/out"
 
 echo "==> determinism self-checks (paired seeded runs per pipeline)"
-"$WORK/miras-train" -selfcheck
-"$WORK/miras-chaos" -selfcheck
+"$WORK/miras" selfcheck
 
 echo "==> seeded train run (quick msd)"
-"$WORK/miras-train" -out "$OUT" >"$WORK/train.log"
+"$WORK/miras" train -out "$OUT" >"$WORK/train.log"
 
 echo "==> seeded compare run (shrunk training)"
-"$WORK/miras-compare" -iterations 2 -steps-per-iter 50 -policy-episodes 6 \
+"$WORK/miras" compare -iterations 2 -steps-per-iter 50 -policy-episodes 6 \
     -out "$OUT" >"$WORK/compare.log"
 
 echo "==> seeded chaos run (non-learning algorithms)"
-"$WORK/miras-chaos" -algorithms stream,heft,monad -windows 8 \
+"$WORK/miras" chaos -algorithms stream,heft,monad -windows 8 \
     -out "$OUT" >"$WORK/chaos.log"
 
 manifest="$WORK/manifest.sha256"

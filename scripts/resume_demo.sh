@@ -22,14 +22,14 @@ trap cleanup EXIT
 # and run completion) is wide even on a loaded CI machine.
 ITERATIONS=8
 
-echo "==> building miras-train"
-go build -o "$WORK/miras-train" ./cmd/miras-train
+echo "==> building miras"
+go build -o "$WORK/miras" ./cmd/miras
 
 echo "==> golden uninterrupted run (quick msd, $ITERATIONS iterations)"
-"$WORK/miras-train" -iterations "$ITERATIONS" -out "$WORK/golden" >"$WORK/golden.log"
+"$WORK/miras" train -iterations "$ITERATIONS" -out "$WORK/golden" >"$WORK/golden.log"
 
 echo "==> interrupted run: SIGTERM after the first checkpoint lands"
-"$WORK/miras-train" -iterations "$ITERATIONS" -out "$WORK/resumed" \
+"$WORK/miras" train -iterations "$ITERATIONS" -out "$WORK/resumed" \
     -checkpoint-dir "$WORK/ckpt" >"$WORK/interrupted.log" &
 pid=$!
 for _ in $(seq 1 600); do
@@ -51,7 +51,7 @@ if ls "$WORK/resumed"/*.csv >/dev/null 2>&1; then
 fi
 
 echo "==> resuming from $(ls "$WORK/ckpt" | tail -1)"
-"$WORK/miras-train" -iterations "$ITERATIONS" -out "$WORK/resumed" \
+"$WORK/miras" train -iterations "$ITERATIONS" -out "$WORK/resumed" \
     -checkpoint-dir "$WORK/ckpt" -resume >"$WORK/resume.log"
 
 echo "==> comparing CSVs byte-for-byte"
