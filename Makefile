@@ -66,7 +66,7 @@ fuzz-smoke:
 	$(GO) test ./internal/nn/ -fuzz FuzzNetworkDecode -fuzztime 10s
 	$(GO) test ./internal/rl/ -fuzz FuzzPolicySnapshotDecode -fuzztime 10s
 
-# Smoke-test the observability surface: start miras-server, scrape
+# Smoke-test the observability surface: start `miras serve`, scrape
 # /metrics, and fail unless it serves non-empty Prometheus output.
 obs-demo:
 	./scripts/obs_demo.sh
@@ -88,15 +88,17 @@ golden-demo:
 resume-demo:
 	./scripts/resume_demo.sh
 
-# Horizontal-scaling gate: 2 shard processes behind miras-router, a seeded
-# 2000-request Zipf trace with zero tolerated 5xx, and a drain→rehydrate
-# byte-identity round-trip across two processes sharing a spill directory.
+# Horizontal-scaling gate: 2 `miras serve` shards behind `miras route`, a
+# seeded 2000-request Zipf trace from `miras load` with zero tolerated 5xx,
+# and a drain→rehydrate byte-identity round-trip across two processes
+# sharing a spill directory.
 loadgen-demo:
 	./scripts/loadgen_demo.sh
 
-# Serving-resilience gate: a resilient router (retries, breakers, probes,
-# automated failover) over 2 shards sharing a spill directory; one shard
-# is SIGKILLed at 40% of a seeded Zipf trace and the replay must stay
-# inside a 1% error budget with the dead shard's sessions still serving.
+# Serving-resilience gate: `miras route -failover` (retries, breakers and
+# probes at their defaults, plus automated failover) over 2 shards sharing
+# a spill directory; one shard is SIGKILLed at 40% of a seeded Zipf trace
+# and the replay must stay inside a 1% error budget with the dead shard's
+# sessions still serving.
 failover-demo:
 	./scripts/failover_demo.sh

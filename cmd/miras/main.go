@@ -1,8 +1,11 @@
-// Command miras is the offline front door to the reproduction: one
-// subcommand per figure of the paper's evaluation (Figs. 5–8), ablation run,
-// and extension study; `miras` alone lists them. Every experiment subcommand
-// shares one flag block (see common) plus its own flags, listed by
-// `miras <subcommand> -h`. Usage errors exit 2, run errors exit 1.
+// Command miras is the front door to the reproduction: one subcommand per
+// figure of the paper's evaluation (Figs. 5–8), ablation run and extension
+// study, plus the serving tier — serve (the HTTP gym API, alone or as one
+// shard of a fleet), route (the fleet's router) and load (a seeded trace
+// replayed against either). `miras` alone lists them. Every experiment
+// subcommand shares one flag block (see common), serve and route share
+// another (see listener), and `miras <subcommand> -h` lists a subcommand's
+// flags. Usage errors exit 2, run errors exit 1.
 package main
 
 import (
@@ -21,27 +24,26 @@ import (
 	"miras/internal/trace"
 )
 
-// body runs a subcommand once its flags are parsed, writing its report to w.
-type body func(c *common, w io.Writer) error
-
-// command is one subcommand. ensemble and scale are its shared-block
-// defaults; dot, which runs no experiment, has no scale and only -ensemble.
+// command is one subcommand. flags declares its flags on fs and returns
+// the run, which writes its report to w.
 type command struct {
-	name, ensemble, scale, summary string
-	// flags declares the subcommand's own flags and returns its body.
-	flags func(fs *flag.FlagSet) body
+	name, summary string
+	flags         func(fs *flag.FlagSet) func(w io.Writer) error
 }
 
 var commands = []command{
-	{"modeleval", "msd", "quick", "Fig. 5: accuracy of the learnt environment model", modeleval},
-	{"train", "msd", "quick", "Fig. 6: the Algorithm 2 training loop, with checkpoint/resume", train},
-	{"compare", "msd", "quick", "Figs. 7/8: burst response of miras, stream, heft, monad and rl", compare},
-	{"figures", "both", "quick", "Figs. 5-8, extensions and ablations in one run, plus summary.md", figures},
-	{"sweep", "msd", "medium", "extension studies: budget, dynamic, chaos, multiseed", sweep},
-	{"chaos", "msd", "quick", "the Figs. 7/8 comparison under each seeded fault regime", chaos},
-	{"replay", "msd", "medium", "replay a policy saved by train against a burst", replay},
-	{"selfcheck", "msd", "quick", "determinism digests: fault-free, then every fault regime", selfcheck},
-	{"dot", "msd", "", "export an ensemble's workflow DAGs as Graphviz DOT", dot},
+	{"modeleval", "Fig. 5: accuracy of the learnt environment model", experiment("msd", "quick", modeleval)},
+	{"train", "Fig. 6: the Algorithm 2 training loop, with checkpoint/resume", experiment("msd", "quick", train)},
+	{"compare", "Figs. 7/8: burst response of miras, stream, heft, monad and rl", experiment("msd", "quick", compare)},
+	{"figures", "Figs. 5-8, extensions and ablations in one run, plus summary.md", experiment("both", "quick", figures)},
+	{"sweep", "extension studies: budget, dynamic, chaos, multiseed", experiment("msd", "medium", sweep)},
+	{"chaos", "the Figs. 7/8 comparison under each seeded fault regime", experiment("msd", "quick", chaos)},
+	{"replay", "replay a policy saved by train against a burst", experiment("msd", "medium", replay)},
+	{"selfcheck", "determinism digests: fault-free, then every fault regime", experiment("msd", "quick", selfcheck)},
+	{"dot", "export an ensemble's workflow DAGs as Graphviz DOT", experiment("msd", "", dot)},
+	{"serve", "the HTTP gym API: one process, or one shard of a fleet", serve},
+	{"route", "the consistent-hash router in front of a fleet of serve shards", route},
+	{"load", "replay a seeded trace against serve or route; print a JSON summary", load},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -59,41 +61,65 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cmd := &commands[i]
-	fs, c, b := cmd.flagSet(stderr)
+	fs, body := cmd.flagSet(stderr)
 	if err := fs.Parse(args[1:]); err != nil { // -h included, as with the go tool
 		return 2
 	}
-	err := c.openTrace()
-	if err == nil {
-		err = b(c, stdout)
-		if cerr := c.rec.Close(); err == nil { // flushes the trace
-			err = cerr
-		}
-	}
-	if err != nil {
+	if err := body(stdout); err != nil {
 		fmt.Fprintf(stderr, "miras %s: %v\n", cmd.name, err)
+		if errors.As(err, new(usageError)) {
+			return 2
+		}
 		return 1
 	}
 	return 0
 }
 
-// flagSet declares the shared block and cmd's own flags on a fresh FlagSet.
-func (cmd *command) flagSet(stderr io.Writer) (*flag.FlagSet, *common, body) {
+// flagSet declares cmd's flags on a fresh FlagSet.
+func (cmd *command) flagSet(stderr io.Writer) (*flag.FlagSet, func(io.Writer) error) {
 	fs := flag.NewFlagSet("miras "+cmd.name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: miras %s [flags]\n%s\n\n", cmd.name, cmd.summary)
 		fs.PrintDefaults()
 	}
-	c := &common{}
-	c.declare(fs, cmd.ensemble, cmd.scale)
-	return fs, c, cmd.flags(fs)
+	return fs, cmd.flags(fs)
 }
 
 func usage(w io.Writer) {
 	fmt.Fprint(w, "usage: miras <subcommand> [flags]  (miras <subcommand> -h lists its flags)\n\nsubcommands:\n")
 	for _, c := range commands {
 		fmt.Fprintf(w, "  %-10s %s\n", c.name, c.summary)
+	}
+}
+
+// usageError is a refusal of a flag combination, found before the run opens
+// a file or starts a goroutine; it exits 2 like a flag parse error.
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// body runs an experiment subcommand once its flags are parsed.
+type body func(c *common, w io.Writer) error
+
+// experiment gives an experiment subcommand the shared flag block, with
+// ensemble and scale as its defaults (dot, which runs no experiment, has no
+// scale and only -ensemble), and runs its body inside the trace sink.
+func experiment(ensemble, scale string, flags func(fs *flag.FlagSet) body) func(*flag.FlagSet) func(io.Writer) error {
+	return func(fs *flag.FlagSet) func(io.Writer) error {
+		c := &common{}
+		c.declare(fs, ensemble, scale)
+		b := flags(fs)
+		return func(w io.Writer) error {
+			if err := c.openTrace(); err != nil {
+				return err
+			}
+			err := b(c, w)
+			if cerr := c.rec.Close(); err == nil { // flushes the trace
+				err = cerr
+			}
+			return err
+		}
 	}
 }
 
@@ -191,7 +217,7 @@ func (c *common) save(w io.Writer, tables ...*trace.Table) error {
 	return nil
 }
 
-// count is a non-negative integer flag; 0 keeps the preset.
+// count is a non-negative integer flag; 0 keeps the preset or default.
 type count int
 
 func (n *count) String() string { return strconv.Itoa(int(*n)) }
@@ -199,7 +225,7 @@ func (n *count) String() string { return strconv.Itoa(int(*n)) }
 func (n *count) Set(v string) error {
 	i, err := strconv.Atoi(v)
 	if err == nil && i < 0 {
-		err = errors.New("must be >= 0 (0 keeps the preset)")
+		err = errors.New("must be >= 0")
 	}
 	*n = count(i) // on error the parse fails and the value is never read
 	return err

@@ -58,8 +58,9 @@ func TestParseBurst(t *testing.T) {
 }
 
 // TestSubcommands pins the front door: every experiment subcommand carries
-// the shared flag block with its historical defaults, usage errors exit 2,
-// and the cheap subcommands run end to end in-process.
+// the shared flag block with its historical defaults (the service
+// subcommands, pinned by TestServiceFlags, carry none of it), usage errors
+// exit 2, and the cheap subcommands run end to end in-process.
 func TestSubcommands(t *testing.T) {
 	// Per-subcommand -ensemble / -scale defaults; dot has no -scale.
 	defaults := map[string][2]string{
@@ -77,13 +78,19 @@ func TestSubcommands(t *testing.T) {
 		"seed": "0", "out": "results", "trace-out": "", "log-level": "info",
 		"iterations": "0", "steps-per-iter": "0", "policy-episodes": "0",
 	}
-	if len(commands) != len(defaults) {
-		t.Fatalf("%d subcommands, table covers %d", len(commands), len(defaults))
+	if len(commands) != len(defaults)+len(serviceFlags) {
+		t.Fatalf("%d subcommands, tables cover %d", len(commands), len(defaults)+len(serviceFlags))
 	}
 	for i := range commands {
 		cmd := &commands[i]
-		fs, _, _ := cmd.flagSet(&bytes.Buffer{})
+		fs, _ := cmd.flagSet(&bytes.Buffer{})
 		want, ok := defaults[cmd.name]
+		if _, service := serviceFlags[cmd.name]; service {
+			if fs.Lookup("ensemble") != nil {
+				t.Errorf("%s declares the experiment block", cmd.name)
+			}
+			continue
+		}
 		if !ok {
 			t.Fatalf("subcommand %s missing from the defaults table", cmd.name)
 		}

@@ -4,6 +4,7 @@
 //
 // The library lives under internal/ (see DESIGN.md for the system
 // inventory) and runnable programs under cmd/ and examples/. cmd/miras is
-// the offline front door: `miras figures` regenerates every figure of the
-// paper's evaluation. benchmark/ is the one performance instrument.
+// the one front door: `miras figures` regenerates every figure of the
+// paper's evaluation, and `miras serve|route|load` run and drive the HTTP
+// serving tier. benchmark/ is the one performance instrument.
 package miras

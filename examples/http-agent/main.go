@@ -3,7 +3,7 @@
 // and control it with a simple backlog-proportional policy.
 //
 // The example starts an in-process server on a loopback port; against a
-// real deployment you would run `miras-server` and point -addr at it.
+// real deployment you would run `miras serve` and point -addr at it.
 //
 //	go run ./examples/http-agent
 package main

@@ -61,7 +61,7 @@ const (
 	// this is the server honoring a budget the caller declared: work the
 	// client has already given up on is abandoned, not finished.
 	CodeDeadlineExceeded ErrorCode = "deadline_exceeded"
-	// CodeUpstreamDegraded is emitted by miras-router when the owning
+	// CodeUpstreamDegraded is emitted by `miras route` when the owning
 	// shard's circuit breaker is open (HTTP 503): the shard is presumed
 	// down and requests fail fast instead of waiting out a dial timeout.
 	// Distinct from upstream_unreachable, which reports an actual failed
@@ -71,7 +71,7 @@ const (
 	// Unlike the codes above its occurrences are environmental, so the
 	// golden test does not pin it.
 	CodeInternal ErrorCode = "internal"
-	// CodeUpstreamUnreachable is emitted by miras-router when the owning
+	// CodeUpstreamUnreachable is emitted by `miras route` when the owning
 	// shard process cannot be reached (HTTP 502).
 	CodeUpstreamUnreachable ErrorCode = "upstream_unreachable"
 )

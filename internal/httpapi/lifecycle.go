@@ -56,7 +56,7 @@ type DrainResponse struct {
 
 // RehydrateRequest is the optional body of POST /v1/admin/rehydrate.
 // TakeOver lists shard-process addresses whose spilled sessions this
-// process should adopt in addition to its own — miras-router's failover
+// process should adopt in addition to its own — `miras route`'s failover
 // path posts the dead member's address here so the fallback serves the
 // dead member's sessions from the shared spill directory. An empty body
 // keeps the default behavior (adopt only sessions this process owns).

@@ -127,7 +127,7 @@ func TestMetricsMiddleware(t *testing.T) {
 	}
 }
 
-// TestMountDebugEndToEnd serves the full server mux the way cmd/miras-server
+// TestMountDebugEndToEnd serves the full server mux the way `miras serve`
 // assembles it and checks /metrics, /healthz, and the pprof index respond.
 func TestMountDebugEndToEnd(t *testing.T) {
 	s := NewServer()

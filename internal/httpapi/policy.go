@@ -357,7 +357,7 @@ func (b *bufferedResponse) Write(p []byte) (int, error) { return b.body.Write(p)
 const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 
 // RequestDeadline reads the caller's propagated budget from DeadlineHeader
-// — the one parser miras-server and miras-router share. It returns the
+// — the one parser `miras serve` and `miras route` share. It returns the
 // budget (0 when the header is absent) and true, or writes the refusal
 // itself and returns false: 400 bad_request for a malformed value, 504
 // deadline_exceeded for a budget already spent (≤ 0 ms).

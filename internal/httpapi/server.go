@@ -48,7 +48,7 @@
 // (WithShardTopology): a request for an id the table does not let this
 // process accept is refused with HTTP 421 wrong_shard, naming the id's home
 // so routers and clients can follow. POST /v1/sessions accepts a pre-minted
-// id via the X-Miras-Session-Id header (set by miras-router); without it
+// id via the X-Miras-Session-Id header (set by `miras route`); without it
 // the process mints ids from the shared sequence, skipping ids homed
 // elsewhere.
 //
@@ -56,7 +56,7 @@
 //
 // CreateRequest.TTLSeconds bounds a session's wall-clock lifetime and
 // IdleTimeoutSeconds bounds the gap between requests; an expired session is
-// evicted lazily on access and by Server.SweepExpired (miras-server runs a
+// evicted lazily on access and by Server.SweepExpired (`miras serve` runs a
 // sweeper goroutine). Evicted ids are remembered in a per-shard tombstone
 // ring and answer 410 session_expired, distinguishing "expired" from
 // "never existed". When a spill store is configured (WithSpillDir),
@@ -108,20 +108,20 @@ import (
 )
 
 // SessionIDHeader carries a pre-minted session id on POST /v1/sessions.
-// miras-router mints the id, picks the owning shard process from its hash
+// `miras route` mints the id, picks the owning shard process from its hash
 // ring, and forwards the create with this header so the shard adopts the
 // router's id instead of minting its own.
 const SessionIDHeader = "X-Miras-Session-Id"
 
 // DeadlineHeader carries the caller's remaining request budget in whole
-// milliseconds. miras-router recomputes it per upstream attempt; a server
+// milliseconds. `miras route` recomputes it per upstream attempt; a server
 // seeing it bounds the handler with a context deadline and answers 504
 // deadline_exceeded once the budget is spent, so work the client has
 // already abandoned is not finished on its behalf.
 const DeadlineHeader = "X-Miras-Deadline-Ms"
 
 // FailoverHeader names the dead shard-process a request was re-routed away
-// from: the wire form of a routing-table reassignment row. miras-router
+// from: the wire form of a routing-table reassignment row. `miras route`
 // sets it on every attempt that leaves the id's ring home; the fallback
 // accepts ids homed on the named member instead of answering 421
 // wrong_shard (shardring.Table.Accepts).
@@ -129,7 +129,7 @@ const FailoverHeader = "X-Miras-Failover-From"
 
 // IdempotencyKeyHeader marks a POST as safe to retry. The serving stack's
 // POSTs are not idempotent in general (a step advances the environment), so
-// miras-router only retries POSTs that carry this header — the caller's
+// `miras route` only retries POSTs that carry this header — the caller's
 // declaration that a duplicate apply is acceptable or deduplicated.
 const IdempotencyKeyHeader = "X-Miras-Idempotency-Key"
 

@@ -301,7 +301,7 @@ func (s *Server) evict(sh *shard, sess *session, reason string) bool {
 }
 
 // SweepExpired evicts every session past its TTL or idle bound, returning
-// the number evicted. miras-server runs this on a ticker; lazy eviction in
+// the number evicted. `miras serve` runs this on a ticker; lazy eviction in
 // resolve catches the rest.
 func (s *Server) SweepExpired() int {
 	now := s.now()

@@ -207,6 +207,94 @@ func TestChaosRunThroughResilientRouter(t *testing.T) {
 	}
 }
 
+// TestRouterDefaultsAreResilient: a router built with no WithResilience
+// retries, trips breakers and reports them. With one of two members killed,
+// reads of that member's session are retried, its breaker opens, later
+// requests fail fast with 503 upstream_degraded and a Retry-After, and
+// /healthz names the breaker state.
+func TestRouterDefaultsAreResilient(t *testing.T) {
+	members := []string{"http://shard-0", "http://shard-1"}
+	fleet := NewFleetTransport()
+	for _, m := range members {
+		fleet.Register(m, httpapi.NewServer(httpapi.WithShardTopology(m, members)).Handler())
+	}
+	rt, err := router.New(members, router.WithClient(&http.Client{Transport: fleet}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: NewHandlerTransport(rt.Handler())}
+	get := func(path string) *http.Response {
+		t.Helper()
+		resp, err := client.Get("http://router" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	table, err := shardring.NewTable(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, id := members[1], ""
+	for i := 0; id == "" && i < 32; i++ {
+		body, _ := json.Marshal(httpapi.CreateRequest{Ensemble: "toy", Budget: 6, WindowSec: 10})
+		resp, err := client.Post("http://router/v1/sessions", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info httpapi.SessionInfo
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create: status %d, %v", resp.StatusCode, err)
+		}
+		resp.Body.Close()
+		if table.Home(info.ID) == victim {
+			id = info.ID
+		}
+	}
+	if id == "" {
+		t.Fatal("no session landed on the victim")
+	}
+	fleet.Kill(victim)
+
+	for i := 0; i < 2; i++ {
+		resp := get("/v1/sessions/" + id)
+		var env httpapi.ErrorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != httpapi.CodeUpstreamDegraded ||
+			resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("read %d of a dead member: status %d code %q Retry-After %q, want 503 upstream_degraded with Retry-After",
+				i, resp.StatusCode, env.Error.Code, resp.Header.Get("Retry-After"))
+		}
+	}
+	if n := rt.Registry().Counter("miras_router_retries_total", "", "shard", victim).Value(); n == 0 {
+		t.Fatal("no retries recorded against the dead member")
+	}
+
+	resp := get("/healthz")
+	var hz struct {
+		Shards []struct {
+			Shard string `json:"shard"`
+			State string `json:"state"`
+		} `json:"shards"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&hz)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := map[string]string{}
+	for _, sh := range hz.Shards {
+		states[sh.Shard] = sh.State
+	}
+	if states[victim] != "open-breaker" || states[members[0]] != "healthy" {
+		t.Fatalf("/healthz breaker states %v, want the victim open-breaker and the survivor healthy", states)
+	}
+}
+
 // TestChainedFailoverKeepsFirstVictimSessions: three shards share a spill
 // directory; A dies and B adopts its sessions, then B dies too. The second
 // failover must hand C every home B was serving — A's as well as B's own —

@@ -1,5 +1,5 @@
-// Package loadgen replays ReqBench-style traces against a miras-server or
-// miras-router and measures the serving tier: latency quantiles,
+// Package loadgen replays ReqBench-style traces against a `miras serve` or
+// `miras route` and measures the serving tier: latency quantiles,
 // throughput, and error rates. Traces are generated deterministically from
 // a seed — a session population plus a request mix whose session choice is
 // either uniform or Zipf-skewed (the skewed case models the hot-session
@@ -10,7 +10,7 @@
 // variable, and the measured throughput is the tier's capacity at that
 // concurrency.
 //
-// It is the driver behind miras-loadgen and the demo gates: zero 5xx under
+// It is the driver behind `miras load` and the demo gates: zero 5xx under
 // skew, availability and error budgets across a mid-trace shard kill. Its
 // latency and throughput figures describe one run; committed performance
 // numbers come from the repository's benchmark (go run ./benchmark), which
@@ -48,7 +48,7 @@ type Op struct {
 
 // Config describes a load run. Zero fields take the documented defaults.
 type Config struct {
-	// Target is the base URL of a miras-server or miras-router. Optional
+	// Target is the base URL of a `miras serve` or `miras route`. Optional
 	// when Transport is set (it defaults to "http://in-process": the URL
 	// then only shapes request paths).
 	Target string
@@ -189,7 +189,7 @@ func GenTrace(cfg Config) ([]Op, error) {
 	return trace, nil
 }
 
-// Result is a load run's measurement, JSON-shaped for miras-loadgen's
+// Result is a load run's measurement, JSON-shaped for `miras load`'s
 // summary output.
 type Result struct {
 	Target      string  `json:"target"`

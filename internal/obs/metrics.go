@@ -4,7 +4,7 @@
 //
 // The registry serves the ROADMAP's production-server goal: counters,
 // gauges, and fixed-bucket histograms safe for concurrent use, scraped from
-// miras-server's /metrics endpoint. The recorder serves the paper's
+// `miras serve`'s /metrics endpoint. The recorder serves the paper's
 // evaluation methodology (§VI): every per-window observable the controller
 // sees — WIP vectors, allocations, rewards, model losses — can be written
 // as a replayable JSONL trace.

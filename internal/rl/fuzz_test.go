@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzPolicySnapshotDecode hammers the policy-snapshot codec — the input
-// surface of `miras-server`'s policy-attach endpoint and of snapshot files
+// surface of `miras serve`'s policy-attach endpoint and of snapshot files
 // on disk. Decoding + validation must never panic; a snapshot that passes
 // Validate must run inference without panicking and emit a finite simplex.
 func FuzzPolicySnapshotDecode(f *testing.F) {

@@ -223,8 +223,10 @@ func TestRouterDeadlinePropagation(t *testing.T) {
 // generous retry budget must still collapse to the caller's deadline —
 // the loop stops backing off once the budget cannot cover the next wait.
 func TestRouterRetriesRespectDeadline(t *testing.T) {
+	// The breaker threshold is out of reach, so every attempt dials.
 	_, routerURL := startRouterWith(t, []string{deadAddr(t)},
-		WithResilience(Resilience{MaxRetries: 100, RetryBase: 20 * time.Millisecond, RetryCap: 100 * time.Millisecond}))
+		WithResilience(Resilience{MaxRetries: 100, RetryBase: 20 * time.Millisecond, RetryCap: 100 * time.Millisecond,
+			BreakerThreshold: 1000}))
 
 	req, err := http.NewRequest(http.MethodGet, routerURL+"/v1/sessions/s1", nil)
 	if err != nil {
@@ -252,14 +254,14 @@ func TestRouterRetriesRespectDeadline(t *testing.T) {
 // TestRouterBreakerFailsFast: consecutive transport failures trip the
 // member's breaker; the next request is rejected without touching the
 // network — 503 upstream_degraded with a Retry-After — and the breaker
-// gauge reads open.
+// gauge reads open. The failures are bare POSTs, one attempt each.
 func TestRouterBreakerFailsFast(t *testing.T) {
 	dead := deadAddr(t)
 	rt, routerURL := startRouterWith(t, []string{dead},
 		WithResilience(Resilience{BreakerThreshold: 2, BreakerCooldown: time.Hour}))
 
 	for i := 0; i < 2; i++ {
-		resp, err := http.Get(routerURL + "/v1/sessions/s1")
+		resp, err := http.Post(routerURL+"/v1/sessions/s1/step", "application/json", strings.NewReader(`{}`))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,9 @@
 // propagated deadline; and when a member's breaker trips with failover
 // enabled, the router asks a healthy fallback to rehydrate the spilled
 // sessions of every home the dead member was serving and then swaps in a
-// routing table that reassigns those homes to the fallback. Each mechanism
-// is off at its zero value; the forwarding loop is the same either way.
+// routing table that reassigns those homes to the fallback. Retries,
+// breakers and probes are always on; only failover, which needs a spill
+// directory shared across the fleet, waits for its switch.
 
 package router
 
@@ -25,67 +26,60 @@ import (
 	"miras/internal/obs"
 )
 
-// Resilience configures the router's failure handling. The zero value
-// turns every mechanism off — one attempt, no breakers, no probing, no
-// failover.
+// Resilience tunes the router's failure handling. A zero or negative field
+// takes its default — the values the failover gate (scripts/failover_demo.sh)
+// holds its 1% error budget with — so the zero value is a resilient router;
+// Failover alone is off until set.
 type Resilience struct {
 	// MaxRetries is how many extra attempts a retryable request gets after
-	// its first failure (0 disables retries). Only idempotent requests are
-	// retried: GET/HEAD/DELETE, plus POSTs carrying the
-	// X-Miras-Idempotency-Key header.
+	// its first failure (default 5). Only idempotent requests are retried:
+	// GET/HEAD/DELETE, plus POSTs carrying the X-Miras-Idempotency-Key
+	// header.
 	MaxRetries int
 	// RetryBase and RetryCap bound the backoff between attempts: attempt n
 	// waits a uniformly random duration in [0, min(RetryCap, RetryBase·2ⁿ))
 	// — "full jitter", so synchronized clients spread out. Defaults: 25ms
-	// base, 1s cap (applied when MaxRetries > 0).
+	// base, 1s cap.
 	RetryBase time.Duration
 	RetryCap  time.Duration
 	// BreakerThreshold is the consecutive transport-failure count that
-	// trips a member's circuit breaker open (0 disables breakers). An open
-	// breaker fails requests fast (503 upstream_degraded) instead of
-	// waiting out dial timeouts.
+	// trips a member's circuit breaker open (default 3). An open breaker
+	// fails requests fast (503 upstream_degraded) instead of waiting out
+	// dial timeouts.
 	BreakerThreshold int
 	// BreakerCooldown is how long a tripped breaker stays open before
-	// admitting one half-open trial request (default 5s).
+	// admitting one half-open trial request (default 1s).
 	BreakerCooldown time.Duration
-	// ProbeInterval enables the active health-probe loop (RunProbes): every
-	// interval the router GETs each member's /healthz, feeding the breakers
-	// — a passing probe closes a breaker without waiting for live traffic
-	// to trial it. Zero disables probing. Requires BreakerThreshold > 0.
+	// ProbeInterval is the period of the active health-probe loop
+	// (RunProbes): every interval the router GETs each member's /healthz,
+	// feeding the breakers — a passing probe closes a breaker without
+	// waiting for live traffic to trial it (default 250ms).
 	ProbeInterval time.Duration
-	// RequestTimeout bounds a whole forwarded request — all attempts and
-	// backoffs — when the caller did not send its own X-Miras-Deadline-Ms
-	// budget. Zero leaves only the HTTP client's per-attempt timeout.
-	RequestTimeout time.Duration
 	// Failover, when true, reacts to a breaker trip by asking a healthy
 	// fallback member to rehydrate the spilled sessions of every home the
 	// dead member served (POST /v1/admin/rehydrate with take_over) and
 	// reassigning those homes to the fallback in the routing table.
-	// Requires BreakerThreshold > 0 (the trip is the trigger) and a spill
-	// directory shared across the fleet.
+	// Requires a spill directory shared across the fleet.
 	Failover bool
-	// Seed seeds the backoff-jitter RNG (default 1); tests pin it to make
-	// jitter sequences reproducible.
-	Seed int64
 }
 
-// withDefaults fills the derived defaults for whichever mechanisms are on.
+// withDefaults replaces every unset field with its default.
 func (c Resilience) withDefaults() Resilience {
-	if c.MaxRetries > 0 {
-		if c.RetryBase <= 0 {
-			c.RetryBase = 25 * time.Millisecond
-		}
-		if c.RetryCap <= 0 {
-			c.RetryCap = time.Second
-		}
-	}
-	if c.BreakerThreshold > 0 && c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
+	c.MaxRetries = orDefault(c.MaxRetries, 5)
+	c.RetryBase = orDefault(c.RetryBase, 25*time.Millisecond)
+	c.RetryCap = orDefault(c.RetryCap, time.Second)
+	c.BreakerThreshold = orDefault(c.BreakerThreshold, 3)
+	c.BreakerCooldown = orDefault(c.BreakerCooldown, time.Second)
+	c.ProbeInterval = orDefault(c.ProbeInterval, 250*time.Millisecond)
 	return c
+}
+
+// orDefault returns v, or def when v is not positive.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
 }
 
 // Breaker states, in the order they appear in the
@@ -298,12 +292,8 @@ func retryableRequest(r *http.Request) bool {
 
 // RunProbes runs the active health-probe loop until ctx is done: every
 // ProbeInterval, every member's /healthz is probed concurrently and the
-// result fed to its breaker. A no-op unless both ProbeInterval and
-// BreakerThreshold are configured. miras-router runs this in a goroutine.
+// result fed to its breaker. `miras route` runs this in a goroutine.
 func (rt *Router) RunProbes(ctx context.Context) {
-	if rt.res.ProbeInterval <= 0 || rt.breakers == nil {
-		return
-	}
 	t := time.NewTicker(rt.res.ProbeInterval)
 	defer t.Stop()
 	for {
@@ -394,10 +384,8 @@ func (rt *Router) maybeFailover(dead string) {
 		if m == dead || rt.pending[m] || table.ServingHome(m) != m {
 			continue
 		}
-		if br := rt.breakers[m]; br != nil {
-			if state, _ := br.snapshot(); state == breakerOpen {
-				continue
-			}
+		if state, _ := rt.breakers[m].snapshot(); state == breakerOpen {
+			continue
 		}
 		rt.pending[dead] = true
 		go rt.failOver(dead, m, table.HomesServedBy(dead))

@@ -155,14 +155,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-// TestBreakerNilReceiverSafe pins the nil-map contract the router relies
-// on: with breakers disabled, rt.breakers[shard] is a nil *breaker and
-// abort must be a no-op rather than a panic.
-func TestBreakerNilReceiverSafe(t *testing.T) {
-	var b *breaker
-	b.abort(false) // must not dereference
-}
-
 // TestBreakerFlapping hammers one breaker from many goroutines with a
 // near-zero cooldown so it flaps through all three states continuously —
 // the -race companion to the table test. The only assertions are the
@@ -294,20 +286,34 @@ func TestRetryableRequest(t *testing.T) {
 	}
 }
 
+// TestResilienceDefaults: the zero value is a resilient router at the
+// failover gate's settings, a non-positive field takes its default, and an
+// explicit value survives.
 func TestResilienceDefaults(t *testing.T) {
-	c := Resilience{MaxRetries: 2, BreakerThreshold: 3}.withDefaults()
-	if c.RetryBase != 25*time.Millisecond || c.RetryCap != time.Second {
-		t.Fatalf("retry defaults %v/%v", c.RetryBase, c.RetryCap)
+	want := Resilience{
+		MaxRetries:       5,
+		RetryBase:        25 * time.Millisecond,
+		RetryCap:         time.Second,
+		BreakerThreshold: 3,
+		BreakerCooldown:  time.Second,
+		ProbeInterval:    250 * time.Millisecond,
 	}
-	if c.BreakerCooldown != 5*time.Second {
-		t.Fatalf("cooldown default %v", c.BreakerCooldown)
+	if got := (Resilience{}).withDefaults(); got != want {
+		t.Fatalf("zero value defaults to %+v, want %+v", got, want)
 	}
-	if c.Seed != 1 {
-		t.Fatalf("seed default %d", c.Seed)
+	if got := (Resilience{MaxRetries: -1, BreakerThreshold: -2, ProbeInterval: -time.Second}).withDefaults(); got != want {
+		t.Fatalf("negative fields default to %+v, want %+v", got, want)
 	}
-	// Explicit values survive.
-	c2 := Resilience{MaxRetries: 1, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond, Seed: 9}.withDefaults()
-	if c2.RetryBase != time.Millisecond || c2.RetryCap != 2*time.Millisecond || c2.Seed != 9 {
-		t.Fatalf("explicit values overwritten: %+v", c2)
+	explicit := Resilience{
+		MaxRetries:       1,
+		RetryBase:        time.Millisecond,
+		RetryCap:         2 * time.Millisecond,
+		BreakerThreshold: 7,
+		BreakerCooldown:  time.Hour,
+		ProbeInterval:    time.Minute,
+		Failover:         true,
+	}
+	if got := explicit.withDefaults(); got != explicit {
+		t.Fatalf("explicit values overwritten: %+v", got)
 	}
 }

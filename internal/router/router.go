@@ -1,5 +1,5 @@
-// Package router implements miras-router: the thin coordinator in front of
-// a fleet of miras-server shard processes. The router owns nothing but the
+// Package router implements `miras route`: the thin coordinator in front of
+// a fleet of `miras serve` shard processes. The router owns nothing but the
 // consistent-hash ring (shared derivation with the shards — no gossip, no
 // state): it forwards every /v1/sessions/{id}/* request to the process the
 // ring assigns the id to, mints ids for POST /v1/sessions and forwards the
@@ -14,14 +14,15 @@
 //
 // Placement is one value: a shardring.Table (ring + reassignment rows)
 // held in an atomic pointer, so a forwarded request reads it without a
-// lock. The resilience layer (WithResilience; see resilience.go) adds
-// per-member circuit breakers fed by passive failure accounting and an
-// active probe loop, bounded retries with jittered backoff for idempotent
-// requests, deadline propagation via the X-Miras-Deadline-Ms header, and
-// automated shard failover: a tripped breaker triggers a rehydrate of the
-// homes the dead member was serving on a fallback, then a table swap that
-// reassigns them. The table is the only state this adds — a router restart
-// merely re-detects the outage and fails over again.
+// lock. The resilience layer (see resilience.go), on by default and tuned
+// with WithResilience, adds per-member circuit breakers fed by passive
+// failure accounting and an active probe loop, bounded retries with
+// jittered backoff for idempotent requests, deadline propagation via the
+// X-Miras-Deadline-Ms header, and, once switched on, automated shard
+// failover: a tripped breaker triggers a rehydrate of the homes the dead
+// member was serving on a fallback, then a table swap that reassigns them.
+// The table is the only state this adds — a router restart merely
+// re-detects the outage and fails over again.
 package router
 
 import (
@@ -30,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"sort"
@@ -61,9 +63,9 @@ type Router struct {
 	nextID      atomic.Int64
 	now         func() time.Time
 
-	// res is the resilience configuration (zero = disabled); breakers maps
-	// each member to its circuit breaker (nil map when breakers are off)
-	// and rnd is the shared seeded jitter stream for retry backoff.
+	// res is the resilience configuration with defaults applied; breakers
+	// maps each member to its circuit breaker and rnd is the shared seeded
+	// jitter stream for retry backoff.
 	res      Resilience
 	breakers map[string]*breaker
 	rnd      *lockedRand
@@ -83,10 +85,10 @@ type Router struct {
 // Option configures a Router.
 type Option func(*Router)
 
-// WithClient overrides the HTTP client used to reach shards (timeouts,
-// transport tuning). Its Timeout bounds each upstream attempt; with
-// retries enabled the whole-request budget is the caller's propagated
-// deadline or Resilience.RequestTimeout.
+// WithClient overrides the HTTP client used to reach shards (default: a
+// 30s per-attempt timeout, 5s dials, 32 idle connections per member). Its
+// Timeout bounds each upstream attempt; the whole-request budget is the
+// caller's propagated deadline.
 func WithClient(c *http.Client) Option {
 	return func(rt *Router) { rt.client = c }
 }
@@ -96,8 +98,9 @@ func WithRegistry(reg *obs.Registry) Option {
 	return func(rt *Router) { rt.reg = reg }
 }
 
-// WithResilience enables the failure-handling layer (see Resilience). The
-// zero value keeps every mechanism off.
+// WithResilience tunes the failure-handling layer (see Resilience) and
+// switches failover on or off. Without it the router runs Resilience{}:
+// retries, breakers and probes at their defaults, no failover.
 func WithResilience(c Resilience) Option {
 	return func(rt *Router) { rt.res = c }
 }
@@ -116,7 +119,7 @@ func WithClock(now func() time.Time) Option {
 
 // New builds a router over the shard processes at the given base URLs
 // (e.g. "http://10.0.0.1:8080"). The URL list is the ring member list and
-// must match the -shard-peers list every shard was started with — both
+// must match the -members list every shard was started with — both
 // sides derive ownership from it independently.
 func New(shards []string, opts ...Option) (*Router, error) {
 	table, err := shardring.NewTable(shards)
@@ -125,26 +128,34 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	}
 	rt := &Router{
 		shards: append([]string(nil), shards...),
-		client: &http.Client{Timeout: 30 * time.Second},
 		now:    time.Now,
 	}
 	for _, o := range opts {
 		o(rt)
+	}
+	if rt.client == nil {
+		rt.client = &http.Client{
+			Timeout: 30 * time.Second,
+			Transport: &http.Transport{
+				DialContext:         (&net.Dialer{Timeout: 5 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+				MaxIdleConns:        32 * len(shards),
+				MaxIdleConnsPerHost: 32,
+				IdleConnTimeout:     90 * time.Second,
+			},
+		}
 	}
 	if rt.reg == nil {
 		rt.reg = obs.NewRegistry()
 	}
 	rt.res = rt.res.withDefaults()
 	rt.adminClient = &http.Client{Transport: rt.client.Transport}
-	rt.rnd = newLockedRand(rt.res.Seed)
+	rt.rnd = newLockedRand(1)
 	rt.table.Store(table)
 	rt.pending = make(map[string]bool)
 	rt.reqs = make(map[string]*obs.Counter, len(shards))
 	rt.upErrs = make(map[string]*obs.Counter, len(shards))
 	rt.retries = make(map[string]*obs.Counter, len(shards))
-	if rt.res.BreakerThreshold > 0 {
-		rt.breakers = make(map[string]*breaker, len(shards))
-	}
+	rt.breakers = make(map[string]*breaker, len(shards))
 	for _, sh := range shards {
 		rt.reqs[sh] = rt.reg.Counter("miras_router_requests_total",
 			"Requests forwarded, by shard.", "shard", sh)
@@ -152,12 +163,10 @@ func New(shards []string, opts ...Option) (*Router, error) {
 			"Forwards that failed to reach their shard, by shard.", "shard", sh)
 		rt.retries[sh] = rt.reg.Counter("miras_router_retries_total",
 			"Forward attempts retried after a failure, by shard.", "shard", sh)
-		if rt.breakers != nil {
-			rt.breakers[sh] = newBreaker(rt.res.BreakerThreshold, rt.res.BreakerCooldown,
-				rt.now, rt.reg.Gauge("miras_router_breaker_state",
-					"Circuit breaker state, by shard (0 closed, 1 half-open, 2 open).",
-					"shard", sh))
-		}
+		rt.breakers[sh] = newBreaker(rt.res.BreakerThreshold, rt.res.BreakerCooldown,
+			rt.now, rt.reg.Gauge("miras_router_breaker_state",
+				"Circuit breaker state, by shard (0 closed, 1 half-open, 2 open).",
+				"shard", sh))
 	}
 	rt.failoverTotal = rt.reg.Counter("miras_router_failover_total",
 		"Shard failovers executed: a dead member's spilled sessions rehydrated on a fallback and its ids re-routed.")
@@ -221,16 +230,13 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 		}
 		body = b
 	}
-	// The whole-request budget: the caller's propagated deadline wins, else
-	// the configured default. Attempts, backoffs, and the downstream
-	// X-Miras-Deadline-Ms headers all derive from it.
+	// The whole-request budget is the caller's propagated deadline, if any.
+	// Attempts, backoffs, and the downstream X-Miras-Deadline-Ms headers all
+	// derive from it.
 	budget, ok := httpapi.RequestDeadline(w, r)
 	if !ok {
 		span.Bool("error", true).End()
 		return
-	}
-	if budget == 0 {
-		budget = rt.res.RequestTimeout
 	}
 	ctx := r.Context()
 	if budget > 0 {
@@ -240,7 +246,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 	}
 
 	maxAttempts := 1
-	if rt.res.MaxRetries > 0 && retryableRequest(r) {
+	if retryableRequest(r) {
 		maxAttempts = 1 + rt.res.MaxRetries
 	}
 
@@ -276,22 +282,19 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 			rt.retries[shard].Inc()
 		}
 
-		trial := false
-		if br := rt.breakers[shard]; br != nil {
-			ok, t := br.allow()
-			if !ok {
-				breakerHit = shard
-				lastErr = fmt.Errorf("shard %s circuit breaker open", shard)
-				continue
-			}
-			trial = t
+		br := rt.breakers[shard]
+		ok, trial := br.allow()
+		if !ok {
+			breakerHit = shard
+			lastErr = fmt.Errorf("shard %s circuit breaker open", shard)
+			continue
 		}
 		breakerHit = ""
 
 		req, err := http.NewRequestWithContext(ctx, r.Method,
 			shard+r.URL.RequestURI(), bytes.NewReader(body))
 		if err != nil {
-			rt.breakers[shard].abort(trial)
+			br.abort(trial)
 			span.Bool("error", true).End()
 			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 			return
@@ -315,19 +318,17 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 			if ctx.Err() != nil {
 				// The budget expired (or the caller went away) mid-attempt —
 				// the member is not to blame; release any trial slot unjudged.
-				rt.breakers[shard].abort(trial)
+				br.abort(trial)
 				lastErr = fmt.Errorf("shard %s unreachable: %v", shard, err)
 				break
 			}
-			if br := rt.breakers[shard]; br != nil && br.onFailure(trial) {
+			if br.onFailure(trial) {
 				rt.onBreakerTrip(shard)
 			}
 			lastErr = fmt.Errorf("shard %s unreachable: %v", shard, err)
 			continue
 		}
-		if br := rt.breakers[shard]; br != nil {
-			br.onSuccess(trial)
-		}
+		br.onSuccess(trial)
 		// Backpressure statuses are retried in place when attempts remain;
 		// the shard's Retry-After, if any, floors the next backoff.
 		if (resp.StatusCode == http.StatusTooManyRequests ||
@@ -484,11 +485,11 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports 200 only when every shard's /healthz answers 200,
-// with a per-shard breakdown either way. With breakers enabled each member
-// also reports its breaker-derived state — healthy, degraded (accumulating
-// failures), half-open, or open-breaker — and, when failed over, which
-// member now serves its ids; partial outages are diagnosable from this body
-// alone, without scraping metrics.
+// with a per-shard breakdown either way. Each member also reports its
+// breaker-derived state — healthy, degraded (accumulating failures),
+// half-open, or open-breaker — and, when failed over, which member now
+// serves its ids; partial outages are diagnosable from this body alone,
+// without scraping metrics.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	type health struct {
 		Shard      string `json:"shard"`
@@ -515,17 +516,15 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	table := rt.table.Load()
 	for i, sh := range rt.shards {
-		if br := rt.breakers[sh]; br != nil {
-			switch state, fails := br.snapshot(); {
-			case state == breakerOpen:
-				out[i].State = "open-breaker"
-			case state == breakerHalfOpen:
-				out[i].State = "half-open"
-			case fails > 0:
-				out[i].State = "degraded"
-			default:
-				out[i].State = "healthy"
-			}
+		switch state, fails := rt.breakers[sh].snapshot(); {
+		case state == breakerOpen:
+			out[i].State = "open-breaker"
+		case state == breakerHalfOpen:
+			out[i].State = "half-open"
+		case fails > 0:
+			out[i].State = "degraded"
+		default:
+			out[i].State = "healthy"
 		}
 		if m := table.ServingHome(sh); m != sh {
 			out[i].FailoverTo = m

@@ -21,7 +21,7 @@ import (
 )
 
 // startFleet boots n in-process shard "processes": each one a full
-// miras-server handler (API + /metrics + /healthz) bound to a real
+// `miras serve` handler (API + /metrics + /healthz) bound to a real
 // 127.0.0.1 port, configured with the fleet topology so it rejects ids it
 // does not own with 421.
 func startFleet(t *testing.T, n int) []string {
@@ -294,8 +294,10 @@ func TestRouterMergedMetrics(t *testing.T) {
 }
 
 func TestRouterUpstreamDown(t *testing.T) {
-	// A ring whose only member is a dead port: forwards must become clean
-	// 502 envelopes with the upstream_unreachable code.
+	// A ring whose only member is a dead port: a forward must become a clean
+	// 502 envelope with the upstream_unreachable code. The request is a bare
+	// POST, so its one attempt is all it gets — a retried GET would trip the
+	// breaker and end as 503 upstream_degraded instead.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +306,7 @@ func TestRouterUpstreamDown(t *testing.T) {
 	ln.Close()
 
 	routerURL := startRouter(t, []string{dead})
-	resp, err := http.Get(routerURL + "/v1/sessions/s1")
+	resp, err := http.Post(routerURL+"/v1/sessions/s1/step", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package shardring implements the consistent-hash ring that decides which
 // shard owns a session id. The same ring runs in two places: inside one
-// miras-server process it spreads sessions over the in-process shards, and
-// inside miras-router it picks the shard *process* a request must be
+// `miras serve` process it spreads sessions over the in-process shards, and
+// inside `miras route` it picks the shard *process* a request must be
 // forwarded to. Both sides compute ownership from nothing but the member
 // list and the id — there is no gossip, no coordination, and no state to
 // reconcile: any party holding the same member list derives the same owner.

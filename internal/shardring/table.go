@@ -3,8 +3,8 @@ package shardring
 // Table is the fleet's routing table: the ring, which fixes every session
 // id's home member, plus one reassignment row per member saying who serves
 // that member's ids right now. It is the only code that knows how placement
-// works — miras-router swaps one in an atomic pointer on failover, and a
-// shard process consults one (built from its -shard-peers list) to decide
+// works — `miras route` swaps one in an atomic pointer on failover, and a
+// shard process consults one (built from its -members list) to decide
 // whether a request belongs to it.
 //
 // A row "home → member" reads "ids whose ring home is home are served by

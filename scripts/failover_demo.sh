@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Serving-resilience gate: build miras-server, miras-router, and
-# miras-loadgen, stand up a 2-shard fleet (shared spill directory,
-# continuous snapshot sync) behind a resilient router (retries, circuit
-# breakers, active probes, automated failover), then SIGKILL one shard at
+# Serving-resilience gate: build miras, stand up a 2-shard fleet (shared
+# spill directory, continuous snapshot sync) behind `miras route -failover`
+# — retries, circuit breakers and active probes at their defaults, plus
+# automated failover — then SIGKILL one shard at
 # 40% of a seeded 2000-request Zipf trace. The replay must stay inside a
 # 1% client-visible error budget, the dead shard's sessions must keep
 # serving through the surviving shard, and the router's metrics must show
@@ -19,30 +19,25 @@ SHARD2_ADDR="${FAILOVER_DEMO_SHARD2:-127.0.0.1:18097}"
 
 . scripts/lib.sh
 
-echo "==> building miras-server, miras-router, miras-loadgen"
-go build -o "$WORK/miras-server" ./cmd/miras-server
-go build -o "$WORK/miras-router" ./cmd/miras-router
-go build -o "$WORK/miras-loadgen" ./cmd/miras-loadgen
+build_miras
 
 PEERS="http://$SHARD1_ADDR,http://$SHARD2_ADDR"
 SPILL="$WORK/spill"
 mkdir -p "$SPILL"
 
 echo "==> starting 2 shards (shared spill, 25ms snapshot sync) + resilient router"
-"$WORK/miras-server" -addr "$SHARD1_ADDR" -max-sessions 256 \
-    -shard-self "http://$SHARD1_ADDR" -shard-peers "$PEERS" \
+"$MIRAS" serve -addr "$SHARD1_ADDR" -max-sessions 256 \
+    -self "http://$SHARD1_ADDR" -members "$PEERS" \
     -spill-dir "$SPILL" -spill-sync-interval 25ms &
 PIDS+=($!)
-"$WORK/miras-server" -addr "$SHARD2_ADDR" -max-sessions 256 \
-    -shard-self "http://$SHARD2_ADDR" -shard-peers "$PEERS" \
+"$MIRAS" serve -addr "$SHARD2_ADDR" -max-sessions 256 \
+    -self "http://$SHARD2_ADDR" -members "$PEERS" \
     -spill-dir "$SPILL" -spill-sync-interval 25ms &
 SHARD2_PID=$!
 PIDS+=("$SHARD2_PID")
 wait_healthy "$SHARD1_ADDR"
 wait_healthy "$SHARD2_ADDR"
-"$WORK/miras-router" -addr "$ROUTER_ADDR" -shards "$PEERS" \
-    -retries 5 -breaker-threshold 3 -breaker-cooldown 1s \
-    -probe-interval 250ms -failover &
+"$MIRAS" route -addr "$ROUTER_ADDR" -members "$PEERS" -failover &
 PIDS+=($!)
 wait_healthy "$ROUTER_ADDR"
 
@@ -66,11 +61,11 @@ sleep 0.3 # several spill-sync ticks: the victim's snapshots reach shared disk
 SUMMARY="$WORK/failover_summary.json"
 
 echo "==> replaying 2000-request zipf trace; SIGKILL shard 2 at 40% (1% error budget)"
-"$WORK/miras-loadgen" -target "http://$ROUTER_ADDR" \
+"$MIRAS" load -target "http://$ROUTER_ADDR" \
     -requests 2000 -sessions 32 -concurrency 16 \
     -skew zipf -seed 7 -idempotency-keys \
     -chaos-kill-pid "$SHARD2_PID" -chaos-kill-at 0.4 \
-    -error-budget 0.01 -fail-on-error-budget \
+    -error-budget 0.01 \
     -out "$SUMMARY"
 
 grep -q '"within_error_budget": true' "$SUMMARY" || {

@@ -6,8 +6,9 @@
 # It creates the scratch directory $WORK, the background-process list PIDS
 # (append every server you start: PIDS+=($!)), and an EXIT trap that kills
 # those processes and removes $WORK, so a demo leaves nothing behind however
-# it exits. The HTTP helpers prefer curl and fall back to bash's /dev/tcp, so
-# the gates need nothing beyond the base image.
+# it exits. build_miras builds the one binary the demos drive. The HTTP
+# helpers prefer curl and fall back to bash's /dev/tcp, so the gates need
+# nothing beyond the base image.
 
 WORK="$(mktemp -d)"
 PIDS=()
@@ -19,6 +20,14 @@ cleanup() {
     rm -rf "$WORK"
 }
 trap cleanup EXIT
+
+# build_miras — build cmd/miras into $WORK and point MIRAS at it; the demos
+# run "$MIRAS" serve|route|load.
+build_miras() {
+    echo "==> building miras"
+    MIRAS="$WORK/miras"
+    go build -o "$MIRAS" ./cmd/miras
+}
 
 # http_get CURLFLAGS ADDR PATH — GET a URL and print the body. The /dev/tcp
 # fallback strips the status line and headers and prints the body whatever

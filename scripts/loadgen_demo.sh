@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Horizontal-scaling gate: build miras-server, miras-router, and
-# miras-loadgen, stand up a 2-shard fleet behind the router, replay a
+# Horizontal-scaling gate: build miras, stand up a 2-shard fleet
+# (`miras serve`) behind `miras route`, replay with `miras load` a
 # seeded Zipf-skewed 2000-request trace with zero tolerated 5xx, and then
 # prove drain→rehydrate round-trips snapshots byte-identically across two
 # server processes sharing a spill directory. `make loadgen-demo` runs
@@ -20,30 +20,27 @@ SPILL_B_ADDR="${LOADGEN_DEMO_SPILL_B:-127.0.0.1:18094}"
 
 . scripts/lib.sh
 
-echo "==> building miras-server, miras-router, miras-loadgen"
-go build -o "$WORK/miras-server" ./cmd/miras-server
-go build -o "$WORK/miras-router" ./cmd/miras-router
-go build -o "$WORK/miras-loadgen" ./cmd/miras-loadgen
+build_miras
 
 PEERS="http://$SHARD1_ADDR,http://$SHARD2_ADDR"
 
 echo "==> starting 2 shard processes + router"
-"$WORK/miras-server" -addr "$SHARD1_ADDR" -max-sessions 256 \
-    -shard-self "http://$SHARD1_ADDR" -shard-peers "$PEERS" &
+"$MIRAS" serve -addr "$SHARD1_ADDR" -max-sessions 256 \
+    -self "http://$SHARD1_ADDR" -members "$PEERS" &
 PIDS+=($!)
-"$WORK/miras-server" -addr "$SHARD2_ADDR" -max-sessions 256 \
-    -shard-self "http://$SHARD2_ADDR" -shard-peers "$PEERS" &
+"$MIRAS" serve -addr "$SHARD2_ADDR" -max-sessions 256 \
+    -self "http://$SHARD2_ADDR" -members "$PEERS" &
 PIDS+=($!)
 wait_healthy "$SHARD1_ADDR"
 wait_healthy "$SHARD2_ADDR"
-"$WORK/miras-router" -addr "$ROUTER_ADDR" -shards "$PEERS" &
+"$MIRAS" route -addr "$ROUTER_ADDR" -members "$PEERS" &
 PIDS+=($!)
 wait_healthy "$ROUTER_ADDR"
 
 SUMMARY="$WORK/loadgen_summary.json"
 
 echo "==> replaying 2000-request zipf trace through the router"
-"$WORK/miras-loadgen" -target "http://$ROUTER_ADDR" \
+"$MIRAS" load -target "http://$ROUTER_ADDR" \
     -requests 2000 -sessions 32 -concurrency 16 \
     -skew zipf -seed 7 -fail-on-5xx \
     -out "$SUMMARY"
@@ -71,7 +68,7 @@ done
 echo "==> drain/rehydrate round-trip across two processes"
 SPILL="$WORK/spill"
 mkdir -p "$SPILL"
-"$WORK/miras-server" -addr "$SPILL_A_ADDR" -spill-dir "$SPILL" &
+"$MIRAS" serve -addr "$SPILL_A_ADDR" -spill-dir "$SPILL" &
 PID_A=$!
 PIDS+=("$PID_A")
 wait_healthy "$SPILL_A_ADDR"
@@ -97,7 +94,7 @@ if [ -n "$after" ] && ! echo "$after" | grep -q session_expired; then
     exit 1
 fi
 
-"$WORK/miras-server" -addr "$SPILL_B_ADDR" -spill-dir "$SPILL" &
+"$MIRAS" serve -addr "$SPILL_B_ADDR" -spill-dir "$SPILL" &
 PIDS+=($!)
 wait_healthy "$SPILL_B_ADDR"
 rehydrated=$(post "$SPILL_B_ADDR" /v1/admin/rehydrate '{}')

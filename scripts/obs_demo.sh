@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Observability smoke test: build miras-server, start it on a local port,
+# Observability smoke test: build miras, start `miras serve` on a local port,
 # wait for /healthz, scrape /metrics, and fail unless the scrape contains
 # actual miras/process metrics. `make obs-demo` runs this.
 set -euo pipefail
@@ -13,13 +13,10 @@ export MIRAS_INVARIANTS=1
 ADDR="${OBS_DEMO_ADDR:-127.0.0.1:18080}"
 
 . scripts/lib.sh
-BIN="$WORK/miras-server"
+build_miras
 
-echo "==> building miras-server"
-go build -o "$BIN" ./cmd/miras-server
-
-echo "==> starting miras-server on $ADDR"
-"$BIN" -addr "$ADDR" -sample-interval 200ms &
+echo "==> starting miras serve on $ADDR"
+"$MIRAS" serve -addr "$ADDR" -sample-interval 200ms &
 PIDS+=($!)
 
 echo "==> waiting for /healthz"
