@@ -55,7 +55,8 @@ fmt:
 	gofmt -l -w .
 
 # Short fuzz runs over the untrusted input surfaces (workflow JSON, fault
-# plans, HTTP session creation, serialized networks and policy snapshots).
+# plans, HTTP session creation, session snapshots on restore, serialized
+# networks and policy snapshots).
 # Go allows one -fuzz pattern per invocation, hence one run each; each
 # extends the committed seed corpus in the package's testdata/fuzz/ only in
 # the local build cache.
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test ./internal/workflow/ -fuzz FuzzWorkflowJSON -fuzztime 10s
 	$(GO) test ./internal/faults/ -fuzz FuzzFaultPlanValidate -fuzztime 10s
 	$(GO) test ./internal/httpapi/ -fuzz FuzzHTTPCreateSession -fuzztime 10s
+	$(GO) test ./internal/httpapi/ -fuzz FuzzSessionRestore -fuzztime 10s
 	$(GO) test ./internal/nn/ -fuzz FuzzNetworkDecode -fuzztime 10s
 	$(GO) test ./internal/rl/ -fuzz FuzzPolicySnapshotDecode -fuzztime 10s
 

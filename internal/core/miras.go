@@ -83,13 +83,14 @@ type Config struct {
 	// inject randomly sized request bursts so the collected dataset covers
 	// the high-WIP regime that the evaluation bursts (§VI-D) drive the
 	// system into — without it, the model and policy would operate far out
-	// of distribution under bursts.
+	// of distribution under bursts. Resume replays the env, not the hook: a
+	// burst it injects must go through Env.InjectBurst to survive.
 	ResetHook func()
 	// EvalHook, when non-nil, runs after the reset that starts each policy
 	// evaluation. The harness injects a fixed, deterministic burst so the
 	// Fig. 6 metric (and the best-policy selection it drives) measures the
 	// burst-recovery capability that Figs. 7–8 test, not just steady-state
-	// behaviour.
+	// behaviour. Its bursts, too, must go through Env.InjectBurst.
 	EvalHook func()
 	// Seed drives all randomness.
 	Seed int64
@@ -201,11 +202,6 @@ type Agent struct {
 	// checkpoints so resumed runs draw the same sequence.
 	src *sim.SplitMix
 
-	// envLog records every real-environment reset and step so a resumed
-	// run can replay them against a freshly built environment, advancing
-	// its internal event streams to the exact positions of the
-	// interrupted run.
-	envLog []EnvOp
 	// resume, when non-nil, holds state restored by RestoreTraining that
 	// the next Train call consumes to continue mid-run.
 	resume    *resumeInfo
@@ -317,7 +313,6 @@ func (a *Agent) CollectReal(steps int, random bool) error {
 				state = e.State()
 			}
 			a.ddpg.BeginEpisode()
-			a.envLog = append(a.envLog, EnvOp{Kind: opResetCollect})
 		}
 		var simplex []float64
 		if random {
@@ -331,7 +326,6 @@ func (a *Agent) CollectReal(steps int, random bool) error {
 		if err != nil {
 			return fmt.Errorf("core: collection step %d: %w", i, err)
 		}
-		a.envLog = append(a.envLog, EnvOp{Kind: opStep, Alloc: m})
 		a.dataset.Add(state, frac, res.State)
 		state = res.State
 	}
@@ -428,7 +422,6 @@ func (a *Agent) Evaluate() (float64, error) {
 		a.cfg.EvalHook()
 		state = e.State()
 	}
-	a.envLog = append(a.envLog, EnvOp{Kind: opResetEval})
 	var total float64
 	for i := 0; i < a.cfg.EvalSteps; i++ {
 		simplex := a.ddpg.Act(state)
@@ -437,7 +430,6 @@ func (a *Agent) Evaluate() (float64, error) {
 		if err != nil {
 			return 0, fmt.Errorf("core: eval step %d: %w", i, err)
 		}
-		a.envLog = append(a.envLog, EnvOp{Kind: opStep, Alloc: m})
 		total += res.Reward
 		state = res.State
 	}

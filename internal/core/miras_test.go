@@ -15,6 +15,13 @@ import (
 // light Poisson background load.
 func newToyEnv(t *testing.T, seed int64) *env.Env {
 	t.Helper()
+	e, _ := newToyEnvGen(t, seed)
+	return e
+}
+
+// newToyEnvGen is newToyEnv that also returns the workload generator.
+func newToyEnvGen(t *testing.T, seed int64) (*env.Env, *workload.Generator) {
+	t.Helper()
 	engine := sim.NewEngine()
 	streams := sim.NewStreams(seed)
 	c, err := cluster.New(cluster.Config{
@@ -36,7 +43,7 @@ func newToyEnv(t *testing.T, seed int64) *env.Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	return e, gen
 }
 
 // tinyConfig is a heavily shrunk MIRAS configuration for fast tests.

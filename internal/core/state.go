@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"miras/internal/env"
 	"miras/internal/envmodel"
+	"miras/internal/invariant"
 	"miras/internal/nn"
 	"miras/internal/rl"
 )
@@ -13,25 +15,6 @@ import (
 // stop. The agent is left in a consistent, checkpointable state; callers
 // distinguish it from real failures to exit without reporting an error.
 var ErrStopped = errors.New("core: training stopped by request")
-
-// Environment-op kinds recorded in the replay log. Single letters keep the
-// serialized log small — it holds one entry per real-environment
-// interaction of the whole run.
-const (
-	opResetCollect = "rc" // collection-phase reset (runs ResetHook)
-	opResetEval    = "re" // evaluation reset (runs EvalHook)
-	opStep         = "s"  // step with the recorded allocation
-)
-
-// EnvOp is one replayable real-environment interaction. The environment's
-// discrete-event engine is not serialized; instead a resumed run rebuilds
-// it deterministically and replays the logged ops, which re-consumes the
-// engine's named random streams in the original order and leaves it in the
-// exact state the interrupted run saw.
-type EnvOp struct {
-	Kind  string `json:"k"`
-	Alloc []int  `json:"a,omitempty"`
-}
 
 // TrainState is the full serializable training state at an outer-iteration
 // boundary: everything needed to continue Train as if the process had
@@ -53,7 +36,9 @@ type TrainState struct {
 	Agent   *rl.AgentState       `json:"agent"`
 	Model   *envmodel.ModelState `json:"model"`
 	Dataset *envmodel.Dataset    `json:"dataset"`
-	EnvLog  []EnvOp              `json:"env_log"`
+	// EnvLog is replayed on resume; the result must match EnvDigest.
+	EnvLog    []env.Op `json:"env_log"`
+	EnvDigest uint64   `json:"env_digest"`
 }
 
 // resumeInfo stashes the parts of a restored TrainState that live in
@@ -68,8 +53,8 @@ type resumeInfo struct {
 
 // trainState captures the agent's full training state at the end of an
 // iteration. Learner and model state are deep copies; the dataset and env
-// log are shared with the live agent, so callers must serialize the state
-// before training continues.
+// log are shared with the live agent and environment, so callers must
+// serialize the state before training continues.
 func (a *Agent) trainState(nextIter int, stats []IterationStats, bestReturn float64, bestActor *nn.Network) *TrainState {
 	st := &TrainState{
 		Iter:      nextIter,
@@ -79,7 +64,8 @@ func (a *Agent) trainState(nextIter int, stats []IterationStats, bestReturn floa
 		Agent:     a.ddpg.State(),
 		Model:     a.model.State(),
 		Dataset:   a.dataset,
-		EnvLog:    a.envLog,
+		EnvLog:    a.cfg.Env.Ops(),
+		EnvDigest: envDigest(a.cfg.Env),
 	}
 	if bestActor != nil {
 		st.HasBest = true
@@ -92,8 +78,9 @@ func (a *Agent) trainState(nextIter int, stats []IterationStats, bestReturn floa
 // RestoreTraining primes a freshly constructed agent with a checkpointed
 // TrainState so the next Train call continues the interrupted run. It
 // restores the DDPG learner, the environment model, and the dataset,
-// replays the environment-op log against the (freshly built, identically
-// seeded) real environment, and repositions the agent's random stream.
+// replays the environment's op log onto the (freshly built, identically
+// seeded) real environment, checking the result against EnvDigest (hooks
+// are not rerun), and repositions the agent's random stream.
 //
 // The agent must have been built with the same Config as the checkpointed
 // run; shapes and values are validated, but on error the agent may be
@@ -131,10 +118,13 @@ func (a *Agent) RestoreTraining(st *TrainState) error {
 		return fmt.Errorf("core: restore: %w", err)
 	}
 	a.dataset = st.Dataset
-	if err := a.replayEnvLog(st.EnvLog); err != nil {
-		return err
+	if err := a.cfg.Env.Replay(st.EnvLog); err != nil {
+		return fmt.Errorf("core: restore: %w", err)
 	}
-	a.envLog = st.EnvLog
+	if got := envDigest(a.cfg.Env); got != st.EnvDigest {
+		return fmt.Errorf("core: restore: replayed environment digest %016x != checkpoint %016x "+
+			"(a hook changed the environment outside Env.InjectBurst?)", got, st.EnvDigest)
+	}
 	a.src.SetState(st.RNG)
 	a.rollbacks = st.Rollbacks
 	a.resume = &resumeInfo{
@@ -147,31 +137,10 @@ func (a *Agent) RestoreTraining(st *TrainState) error {
 	return nil
 }
 
-// replayEnvLog drives the real environment through the recorded
-// interaction sequence. Only the environment is touched: the learner's
-// state (including its episode bookkeeping) was restored separately, so
-// the replay must not call BeginEpisode or observe transitions.
-func (a *Agent) replayEnvLog(log []EnvOp) error {
-	e := a.cfg.Env
-	for i, op := range log {
-		switch op.Kind {
-		case opResetCollect:
-			e.Reset()
-			if a.cfg.ResetHook != nil {
-				a.cfg.ResetHook()
-			}
-		case opResetEval:
-			e.Reset()
-			if a.cfg.EvalHook != nil {
-				a.cfg.EvalHook()
-			}
-		case opStep:
-			if _, err := e.Step(op.Alloc); err != nil {
-				return fmt.Errorf("core: restore: replay op %d: %w", i, err)
-			}
-		default:
-			return fmt.Errorf("core: restore: replay op %d has unknown kind %q", i, op.Kind)
-		}
-	}
-	return nil
+// envDigest fingerprints the environment: window, time, state, conservation.
+func envDigest(e *env.Env) uint64 {
+	c := e.Cluster()
+	d := invariant.NewDigest().Int(e.Window()).Float64(float64(c.Now())).Floats(e.State())
+	d.Uint64(c.Submitted()).Uint64(c.CompletedInstances()).Int(c.InFlight())
+	return d.Uint64(c.Dropped()).Uint64(c.Abandoned()).Sum()
 }

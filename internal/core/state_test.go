@@ -6,7 +6,10 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"miras/internal/env"
 )
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -204,7 +207,8 @@ func TestRestoreTrainingRejectsCorruptState(t *testing.T) {
 		"nil dataset":    func(st *TrainState) { st.Dataset = nil },
 		"iter range":     func(st *TrainState) { st.Iter = 99 },
 		"missing best":   func(st *TrainState) { st.BestActor = nil },
-		"bad env op":     func(st *TrainState) { st.EnvLog[0].Kind = "zz" },
+		"bad env op":     func(st *TrainState) { st.EnvLog[0] = env.Op{Kind: "zz"} },
+		"env digest":     func(st *TrainState) { st.EnvDigest++ },
 		"nan rl weight":  func(st *TrainState) { st.Agent.Critic.Layers[0].W.Data[0] = math.NaN() },
 		"nan net weight": func(st *TrainState) { st.Model.Net.Layers[0].W.Data[0] = math.Inf(1) },
 	}
@@ -234,5 +238,57 @@ func TestRestoreTrainingRejectsCorruptState(t *testing.T) {
 	}
 	if err := fresh.RestoreTraining(&st); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
+	}
+}
+
+// TestRestoreVerifiesReplayedEnv pins the hook contract: replay does not
+// rerun ResetHook, so a burst the hook injects survives a resume only if it
+// goes through Env.InjectBurst. A hook that bursts through the Generator
+// directly leaves the replayed environment short of the checkpointed one,
+// and RestoreTraining must refuse instead of continuing a different run.
+func TestRestoreVerifiesReplayedEnv(t *testing.T) {
+	const seed = 44
+	for _, logged := range []bool{true, false} {
+		config := func() Config {
+			e, gen := newToyEnvGen(t, seed)
+			cfg := tinyConfig(e, seed)
+			cfg.Iterations = 1
+			cfg.ResetHook = func() {
+				if logged {
+					_ = e.InjectBurst([]int{7})
+				} else {
+					_ = gen.InjectBurst([]int{7})
+				}
+			}
+			return cfg
+		}
+		cfg := config()
+		var ckpt []byte
+		cfg.CheckpointFn = func(_ int, st *TrainState) error {
+			ckpt = mustJSON(t, st)
+			return nil
+		}
+		a, err := NewAgent(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Train(); err != nil {
+			t.Fatal(err)
+		}
+		var st TrainState
+		if err := json.Unmarshal(ckpt, &st); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewAgent(config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = fresh.RestoreTraining(&st)
+		switch {
+		case logged && err != nil:
+			t.Fatalf("hook bursting through Env.InjectBurst: restore failed: %v", err)
+		case !logged && (err == nil || !strings.Contains(err.Error(), "digest")):
+			t.Fatalf("hook bursting through the Generator: restore returned %v, want a digest mismatch", err)
+		}
 	}
 }

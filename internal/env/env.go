@@ -18,8 +18,10 @@ package env
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"miras/internal/cluster"
+	"miras/internal/faults"
 	"miras/internal/invariant"
 	"miras/internal/mat"
 	"miras/internal/obs"
@@ -34,7 +36,7 @@ type Config struct {
 	// Cluster is the emulated microservice system. Required.
 	Cluster *cluster.Cluster
 	// Generator optionally supplies background arrivals; it keeps running
-	// across Reset.
+	// across Reset. InjectBurst submits through it.
 	Generator *workload.Generator
 	// WindowSec is the control window length; defaults to DefaultWindowSec.
 	WindowSec float64
@@ -137,6 +139,26 @@ type Env struct {
 	lastSnap   cluster.Counters
 	violations int
 	inv        *invariant.Set
+	ops        []Op // the history Ops returns and Replay rebuilds from
+}
+
+// Op kinds, as they appear on the wire and in checkpoints.
+const (
+	opStep   = "step"
+	opReset  = "reset"
+	opBurst  = "burst"
+	opFaults = "faults"
+)
+
+// Op is one entry of an environment's history: "step" (Alloc), "reset",
+// "burst" (Counts) or "faults" (Plan). The emulator's math/rand streams
+// cannot be saved, so an environment is persisted as how it was built plus
+// its Ops, and rebuilt by replaying them onto a fresh, identical one.
+type Op struct {
+	Kind   string       `json:"kind"`
+	Alloc  []int        `json:"alloc,omitempty"`
+	Counts []int        `json:"counts,omitempty"`
+	Plan   *faults.Plan `json:"plan,omitempty"`
 }
 
 // New validates cfg and returns an Env.
@@ -153,7 +175,7 @@ func New(cfg Config) (*Env, error) {
 	if !(cfg.WindowSec > 0) { // rejects non-positive and NaN
 		return nil, fmt.Errorf("env: WindowSec must be positive, got %g", cfg.WindowSec)
 	}
-	e := &Env{cfg: cfg, lastSnap: cfg.Cluster.Snapshot()}
+	e := &Env{cfg: cfg, lastSnap: cfg.Cluster.Snapshot(), ops: []Op{}}
 	e.registerInvariants()
 	return e, nil
 }
@@ -230,10 +252,11 @@ func (e *Env) ConstraintViolations() int { return e.violations }
 
 // Reset implements the paper's environment reset (§VI-A3): WIP is brought
 // (here: instantly) to zero. Background arrivals keep running — and so do
-// any armed faults. It returns the fresh state observation.
+// any armed faults. It records a "reset" op and returns the new state.
 func (e *Env) Reset() []float64 {
 	e.cfg.Cluster.Clear()
 	e.lastSnap = e.cfg.Cluster.Snapshot()
+	e.ops = append(e.ops, Op{Kind: opReset})
 	return e.observe(e.cfg.Cluster.WIP())
 }
 
@@ -254,7 +277,7 @@ func (e *Env) observe(wip []float64) []float64 {
 // Step applies allocation m for the next window, advances one window of
 // virtual time, and returns the resulting state, reward, and stats. It
 // returns an error (without advancing) if m has the wrong arity, a negative
-// entry, or Σ m_j > Budget.
+// entry, or Σ m_j > Budget; only success records a "step" op (copying m).
 func (e *Env) Step(m []int) (StepResult, error) {
 	if len(m) != e.ActionDim() {
 		return StepResult{}, fmt.Errorf("env: action has %d entries for %d microservices", len(m), e.ActionDim())
@@ -289,6 +312,7 @@ func (e *Env) Step(m []int) (StepResult, error) {
 	c.AdvanceTo(start + e.cfg.WindowSec)
 	restoreParent()
 	e.window++
+	e.ops = append(e.ops, Op{Kind: opStep, Alloc: slices.Clone(m)})
 
 	// Window boundaries are the natural verification checkpoint: the engine
 	// is quiescent and every counter is settled. Both Run calls are no-ops
@@ -322,6 +346,66 @@ func (e *Env) Step(m []int) (StepResult, error) {
 			Emit()
 	}
 	return res, nil
+}
+
+// InjectBurst submits counts[i] requests of each workflow type i through
+// Config.Generator and records a "burst" op; a burst submitted to the
+// Generator directly is not recorded, so Replay loses it.
+func (e *Env) InjectBurst(counts []int) error {
+	if e.cfg.Generator == nil {
+		return fmt.Errorf("env: burst needs a Generator")
+	}
+	if err := e.cfg.Generator.InjectBurst(counts); err != nil {
+		return err
+	}
+	e.ops = append(e.ops, Op{Kind: opBurst, Counts: slices.Clone(counts)})
+	return nil
+}
+
+// ScheduleFaults arms plan on the cluster (cluster.ScheduleFaults) and
+// records a "faults" op.
+func (e *Env) ScheduleFaults(plan faults.Plan) error {
+	if err := e.cfg.Cluster.ScheduleFaults(plan); err != nil {
+		return err
+	}
+	plan.Specs = slices.Clone(plan.Specs)
+	e.ops = append(e.ops, Op{Kind: opFaults, Plan: &plan})
+	return nil
+}
+
+// Ops returns every successful Step, Reset, InjectBurst and ScheduleFaults
+// since construction, in order (empty, not nil, before the first). The log
+// is append-only; the returned slice shares it and must not be modified.
+func (e *Env) Ops() []Op { return e.ops[:len(e.ops):len(e.ops)] }
+
+// Replay applies ops through Step, Reset, InjectBurst and ScheduleFaults,
+// re-recording an identical log and, on a fresh env built like the one that
+// recorded them, reproducing its state. It refuses an env that has recorded
+// anything and stops at the first op that fails or is malformed (unknown
+// kind, missing plan, a field of another kind), naming its index and kind.
+func (e *Env) Replay(ops []Op) error {
+	if len(e.ops) > 0 {
+		return fmt.Errorf("env: replay onto an environment that has already recorded %d ops", len(e.ops))
+	}
+	for i, op := range ops {
+		var err error
+		switch {
+		case op.Kind == opStep && op.Counts == nil && op.Plan == nil:
+			_, err = e.Step(op.Alloc)
+		case op.Kind == opReset && op.Alloc == nil && op.Counts == nil && op.Plan == nil:
+			e.Reset()
+		case op.Kind == opBurst && op.Alloc == nil && op.Plan == nil:
+			err = e.InjectBurst(op.Counts)
+		case op.Kind == opFaults && op.Alloc == nil && op.Counts == nil && op.Plan != nil:
+			err = e.ScheduleFaults(*op.Plan)
+		default:
+			err = fmt.Errorf("malformed op")
+		}
+		if err != nil {
+			return fmt.Errorf("env: replay op %d (%q): %w", i, op.Kind, err)
+		}
+	}
+	return nil
 }
 
 // buildStats assembles window observables from counter deltas.

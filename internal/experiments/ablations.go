@@ -95,7 +95,7 @@ func NoiseAblation(s Setup) (*NoiseAblationResult, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		cfg := mirasConfig(s, h)
+		cfg := mirasConfig(s, h, newTrainBursts(s, h))
 		cfg.RL.Exploration = kind
 		agent, err := core.NewAgent(cfg)
 		if err != nil {
@@ -157,7 +157,7 @@ func RefinementAblation(s Setup) (*RefinementAblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := mirasConfig(s, h)
+		cfg := mirasConfig(s, h, newTrainBursts(s, h))
 		var agent *core.Agent
 		if refine {
 			agent, err = core.NewAgent(cfg)

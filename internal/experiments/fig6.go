@@ -19,10 +19,10 @@ type TrainingResult struct {
 }
 
 // mirasConfig assembles the core.Config for a setup over a built harness.
-func mirasConfig(s Setup, h *Harness) core.Config {
+func mirasConfig(s Setup, h *Harness, bursts *trainBursts) core.Config {
 	return core.Config{
 		Env:               h.Env,
-		ResetHook:         trainBurstHook(s, h),
+		ResetHook:         bursts.hook(h.Env),
 		EvalHook:          evalBurstHook(s, h),
 		ModelHidden:       s.ModelHidden,
 		ModelEpochs:       s.ModelEpochs,

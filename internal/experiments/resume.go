@@ -31,9 +31,11 @@ type TrainOptions struct {
 // trainCheckpoint is the on-disk payload: the core training state wrapped
 // with a digest of the Setup that produced it, so a checkpoint cannot be
 // silently resumed under a different configuration (which would desync the
-// replayed environment from the restored learner).
+// replayed environment from the restored learner), and the training-burst
+// draws so far (see trainBursts).
 type trainCheckpoint struct {
 	SetupDigest uint64           `json:"setup_digest"`
+	TrainBursts int              `json:"train_bursts"`
 	State       *core.TrainState `json:"state"`
 }
 
@@ -76,7 +78,8 @@ func TrainingTraceOpts(s Setup, opts TrainOptions) (*TrainingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := mirasConfig(s, h)
+	bursts := newTrainBursts(s, h)
+	cfg := mirasConfig(s, h, bursts)
 	cfg.StopFn = opts.Stop
 	digest := setupDigest(s)
 	var store *checkpoint.Store
@@ -86,7 +89,7 @@ func TrainingTraceOpts(s Setup, opts TrainOptions) (*TrainingResult, error) {
 			return nil, err
 		}
 		cfg.CheckpointFn = func(iter int, st *core.TrainState) error {
-			return store.Save(iter+1, trainCheckpoint{SetupDigest: digest, State: st})
+			return store.Save(iter+1, trainCheckpoint{SetupDigest: digest, TrainBursts: bursts.draws, State: st})
 		}
 	}
 	agent, err := core.NewAgent(cfg)
@@ -110,6 +113,9 @@ func TrainingTraceOpts(s Setup, opts TrainOptions) (*TrainingResult, error) {
 			}
 			if err := agent.RestoreTraining(ck.State); err != nil {
 				return nil, fmt.Errorf("experiments: resume: %w", err)
+			}
+			for bursts.draws < ck.TrainBursts {
+				bursts.draw()
 			}
 		}
 	}

@@ -15,6 +15,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 
 	"miras/internal/cluster"
 	"miras/internal/env"
@@ -185,25 +186,46 @@ func MediumSetup(ensemble string) (Setup, error) {
 	return s, nil
 }
 
-// trainBurstHook returns a function injecting a uniformly random burst
-// (half the time) bounded by s.TrainBurstMax, or nil when disabled.
-func trainBurstHook(s Setup, h *Harness) func() {
-	if len(s.TrainBurstMax) == 0 {
+// trainBursts draws the collection-reset bursts bounded by
+// Setup.TrainBurstMax and counts its draws: replay restores the bursts from
+// the env's op log, and a resumed run redraws that many to reposition rng.
+type trainBursts struct {
+	max   []int // empty disables training bursts
+	rng   *rand.Rand
+	draws int
+}
+
+func newTrainBursts(s Setup, h *Harness) *trainBursts {
+	return &trainBursts{max: s.TrainBurstMax, rng: h.Streams.Stream("experiments/train-bursts")}
+}
+
+// draw returns the next burst, or nil when this reset gets none.
+func (b *trainBursts) draw() []int {
+	b.draws++
+	if b.rng.Float64() < 0.5 {
 		return nil
 	}
-	rng := h.Streams.Stream("experiments/train-bursts")
+	counts := make([]int, len(b.max))
+	for i, m := range b.max {
+		counts[i] = b.rng.Intn(m + 1)
+	}
+	return counts
+}
+
+// hook returns the ResetHook bursting into e's op log, or nil if disabled.
+func (b *trainBursts) hook(e *env.Env) func() {
+	if len(b.max) == 0 {
+		return nil
+	}
 	return func() {
-		if rng.Float64() < 0.5 {
-			return
+		if counts := b.draw(); counts != nil {
+			_ = e.InjectBurst(counts) // arity fixed by the setup
 		}
-		counts := make([]int, len(s.TrainBurstMax))
-		for i, m := range s.TrainBurstMax {
-			counts[i] = rng.Intn(m + 1)
-		}
-		// Lengths were validated at setup time; Submit cannot fail here.
-		_ = h.Generator.InjectBurst(counts)
 	}
 }
+
+// trainBurstHook returns a fresh trainBursts' hook over h.
+func trainBurstHook(s Setup, h *Harness) func() { return newTrainBursts(s, h).hook(h.Env) }
 
 // evalBurstHook returns a function injecting a fixed burst of half the
 // training maxima — the deterministic benchmark scenario behind each
@@ -217,7 +239,7 @@ func evalBurstHook(s Setup, h *Harness) func() {
 		counts[i] = m / 2
 	}
 	return func() {
-		_ = h.Generator.InjectBurst(counts)
+		_ = h.Env.InjectBurst(counts)
 	}
 }
 

@@ -123,7 +123,7 @@ func TestConcurrentAutoStepsIsolated(t *testing.T) {
 	}
 	for _, sess := range sessions {
 		sess.mu.Lock()
-		windows, ops := sess.windows, len(sess.ops)
+		windows, ops := sess.env.Window(), len(sess.env.Ops())
 		sess.mu.Unlock()
 		if windows != stepsEach+1 || ops != stepsEach+1 {
 			t.Fatalf("session %s: windows=%d ops=%d, want %d", sess.id, windows, ops, stepsEach+1)
@@ -144,8 +144,9 @@ func TestAutoStepOpsLogIndependent(t *testing.T) {
 	sess := sessions[0]
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	for i := 1; i < len(sess.ops); i++ {
-		a, b := sess.ops[i-1].Alloc, sess.ops[i].Alloc
+	ops := sess.env.Ops()
+	for i := 1; i < len(ops); i++ {
+		a, b := ops[i-1].Alloc, ops[i].Alloc
 		if len(a) > 0 && len(b) > 0 && &a[0] == &b[0] {
 			t.Fatalf("ops %d and %d share an allocation buffer", i-1, i)
 		}

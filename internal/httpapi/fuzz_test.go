@@ -1,11 +1,18 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"miras/internal/env"
+	"miras/internal/faults"
 )
 
 // FuzzHTTPCreateSession throws arbitrary bodies at POST /v1/sessions — the
@@ -66,4 +73,129 @@ func FuzzHTTPCreateSession(f *testing.F) {
 			t.Fatalf("create returned %d (want 201 or 4xx): %q", rr.Code, rr.Body.Bytes())
 		}
 	})
+}
+
+// FuzzSessionRestore throws arbitrary snapshots at POST …/restore — the
+// untrusted input behind restore, drain → rehydrate and failover, which
+// read spill files back. The handler must never panic, and every body that
+// decodes as a SessionSnapshot must either be refused with 422 bad_snapshot
+// or restore so that GET …/snapshot re-encodes it (seed defaulted to 1, a
+// null op log as []).
+func FuzzSessionRestore(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "session_snapshot.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(fixture))
+	withPolicy, err := json.Marshal(SessionSnapshot{
+		Create: CreateRequest{Ensemble: "toy", Budget: 6, WindowSec: 10},
+		Ops:    []env.Op{{Kind: "burst", Counts: []int{9}}, {Kind: "step", Alloc: []int{3, 3}}},
+		Policy: testPolicy(2, 2),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(withPolicy))
+	f.Add(`{"create":{"ensemble":"msd","budget":14,"seed":3},"ops":[{"kind":"burst","counts":[5,0,2]},{"kind":"step","alloc":[4,4,3,3]},{"kind":"reset"}]}`)
+	f.Add(`{"create":{"ensemble":"toy","budget":4},"ops":null}`)
+
+	now := time.Unix(1000, 0) // a frozen clock: no TTL or idle bound can expire mid-input
+	f.Fuzz(func(t *testing.T, body string) {
+		var snap SessionSnapshot
+		if json.NewDecoder(strings.NewReader(body)).Decode(&snap) != nil {
+			t.Skip() // not a snapshot: decodeBody's 400 is exercised by FuzzHTTPCreateSession
+		}
+		if restoreTooCostly(snap) {
+			t.Skip()
+		}
+		h := NewServer(WithClock(func() time.Time { return now })).Handler()
+		serve := func(method, path, body string) *httptest.ResponseRecorder {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(method, path, strings.NewReader(body)))
+			return rr
+		}
+		var info SessionInfo
+		rr := serve("POST", "/v1/sessions", `{"ensemble":"toy","budget":4}`)
+		if rr.Code != http.StatusCreated || json.Unmarshal(rr.Body.Bytes(), &info) != nil {
+			t.Fatalf("create: %d %q", rr.Code, rr.Body.Bytes())
+		}
+		path := "/v1/sessions/" + info.ID
+		rr = serve("POST", path+"/restore", body)
+		switch rr.Code {
+		case http.StatusOK:
+			want := snap
+			if want.Create.Seed == 0 {
+				want.Create.Seed = 1
+			}
+			if want.Ops == nil {
+				want.Ops = []env.Op{}
+			}
+			var buf bytes.Buffer
+			if err := json.NewEncoder(&buf).Encode(want); err != nil {
+				t.Fatal(err)
+			}
+			got := serve("GET", path+"/snapshot", "")
+			if got.Code != http.StatusOK || got.Body.String() != buf.String() {
+				t.Fatalf("restored snapshot does not re-encode its input: %d\n got: %s\nwant: %s",
+					got.Code, got.Body.Bytes(), buf.Bytes())
+			}
+		case http.StatusUnprocessableEntity:
+			var e ErrorEnvelope
+			if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e.Error.Code != CodeBadSnapshot {
+				t.Fatalf("422 without a bad_snapshot envelope: %q", rr.Body.Bytes())
+			}
+		default:
+			t.Fatalf("restore returned %d (want 200 or 422): %q", rr.Code, rr.Body.Bytes())
+		}
+	})
+}
+
+// restoreTooCostly reports whether replaying snap would stall the fuzzer.
+// The emulator's work grows with the requests and fault events an input
+// asks for, and an input may ask for arbitrarily many; such inputs are
+// skipped, not judged. Capping them in the server is a separate question.
+func restoreTooCostly(snap SessionSnapshot) bool {
+	req := snap.Create
+	if req.Budget > 100 || len(snap.Ops) > 200 {
+		return true
+	}
+	window := req.WindowSec
+	if window == 0 {
+		window = env.DefaultWindowSec
+	}
+	rate := 1.0 // above every ensemble's default total rate
+	if req.Rates != nil {
+		rate = 0
+		for _, r := range req.Rates {
+			rate += r
+		}
+	}
+	var horizon, burst float64 // virtual seconds stepped, requests injected
+	plans := []*faults.Plan{req.Faults}
+	for _, op := range snap.Ops {
+		switch op.Kind {
+		case "step":
+			horizon += window
+		case "burst":
+			for _, n := range op.Counts {
+				burst += float64(max(n, 0))
+			}
+		}
+		plans = append(plans, op.Plan)
+	}
+	if burst > 1e4 || horizon*rate > 1e4 {
+		return true
+	}
+	// A crash process fails each consumer about once per MTTF.
+	for _, p := range plans {
+		if p == nil {
+			continue
+		}
+		for _, sp := range p.Specs {
+			if sp.Kind == faults.Crash && horizon*float64(req.Budget+10)/sp.MTTFSec > 1e4 {
+				return true
+			}
+		}
+	}
+	return false
 }

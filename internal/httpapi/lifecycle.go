@@ -118,9 +118,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Lock()
 		out.Sessions = append(out.Sessions, SessionSummary{
 			ID:                 sess.id,
-			Ensemble:           sess.ensemble,
+			Ensemble:           sess.create.Ensemble,
 			Shard:              sess.shardIdx,
-			Windows:            sess.windows,
+			Windows:            sess.env.Window(),
 			AgeSec:             now.Sub(sess.createdAt).Seconds(),
 			IdleSec:            now.Sub(time.Unix(0, sess.lastAccess.Load())).Seconds(),
 			TTLSeconds:         sess.ttl.Seconds(),
@@ -140,10 +140,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // under the server's spill directory.
 func (s *Server) spill(sess *session) error {
 	sess.mu.Lock()
-	snap := SessionSnapshot{Create: sess.create, Ops: sess.ops, Policy: sess.policy}
-	if snap.Ops == nil {
-		snap.Ops = []SessionOp{}
-	}
+	snap := SessionSnapshot{Create: sess.create, Ops: sess.env.Ops(), Policy: sess.policy}
 	sess.mu.Unlock()
 	st, err := checkpoint.NewStore(filepath.Join(s.spillDir, sess.id), spillKeep)
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 
 	"miras/internal/baselines"
 	"miras/internal/env"
-	"miras/internal/faults"
 	"miras/internal/obs"
 	"miras/internal/rl"
 )
@@ -29,34 +28,14 @@ import (
 // fallback.
 const recoveryProbes = 3
 
-// Operation kinds recorded in a session's replay log.
-const (
-	opKindStep   = "step"
-	opKindReset  = "reset"
-	opKindBurst  = "burst"
-	opKindFaults = "faults"
-)
-
-// SessionOp is one state-changing operation in a session's history. Steps
-// record the concrete applied allocation (auto-steps log what the
-// controller chose), so replay never depends on controller state.
-type SessionOp struct {
-	Kind string `json:"kind"`
-	// Alloc is set for "step" ops.
-	Alloc []int `json:"alloc,omitempty"`
-	// Counts is set for "burst" ops.
-	Counts []int `json:"counts,omitempty"`
-	// Plan is set for "faults" ops.
-	Plan *faults.Plan `json:"plan,omitempty"`
-}
-
 // SessionSnapshot is a session's portable state: the effective creation
-// request plus the ordered operation log, which together rebuild an
-// equivalent emulated system deterministically (same seed → same
-// trajectory), and the attached policy if any.
+// request plus the env's op log, which together rebuild an equivalent
+// emulated system deterministically (same seed → same trajectory), and the
+// attached policy if any. Steps record the applied allocation (auto-steps
+// log what the controller chose), so replay never depends on controllers.
 type SessionSnapshot struct {
 	Create CreateRequest      `json:"create"`
-	Ops    []SessionOp        `json:"ops"`
+	Ops    []env.Op           `json:"ops"`
 	Policy *rl.PolicySnapshot `json:"policy,omitempty"`
 }
 
@@ -222,66 +201,38 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	snap := SessionSnapshot{Create: sess.create, Ops: sess.ops, Policy: sess.policy}
-	if snap.Ops == nil {
-		snap.Ops = []SessionOp{}
-	}
-	writeJSON(w, http.StatusOK, snap)
+	writeJSON(w, http.StatusOK, SessionSnapshot{Create: sess.create, Ops: sess.env.Ops(), Policy: sess.policy})
 }
 
 // buildFromSnapshot rebuilds an emulated system from a snapshot: a fresh
-// system from the creation request, the operation log replayed in order,
+// system from the creation request, the op log replayed onto it (env.Replay),
 // the attached policy validated against the result. It returns the
-// snapshot-derived fields of a session (env, generator, windows, create
-// with the seed defaulted — so a later snapshot round-trips byte-
-// identically — ops, policy). Shared by POST …/restore and admin rehydrate
-// — both owe their byte-identical round-trip guarantee to this replay
-// being deterministic.
+// snapshot-derived fields of a session (env, create with the seed defaulted
+// — so a later snapshot round-trips byte-identically — and policy). Shared
+// by POST …/restore and admin rehydrate — both owe their byte-identical
+// round-trip guarantee to this replay being deterministic.
 func (s *Server) buildFromSnapshot(snap SessionSnapshot, faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
 	req := snap.Create
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	e, gen, _, err := s.buildSystem(req, faultsTotal, crashed)
+	e, _, err := s.buildSystem(req, faultsTotal, crashed)
 	if err != nil {
 		return nil, CodeBadSnapshot, fmt.Errorf("snapshot create request: %w", err)
 	}
-	windows := 0
-	for i, op := range snap.Ops {
-		switch op.Kind {
-		case opKindStep:
-			if _, err := e.Step(op.Alloc); err != nil {
-				return nil, CodeBadSnapshot, fmt.Errorf("replay op %d (step): %w", i, err)
-			}
-			windows++
-		case opKindReset:
-			e.Reset()
-		case opKindBurst:
-			if err := gen.InjectBurst(op.Counts); err != nil {
-				return nil, CodeBadSnapshot, fmt.Errorf("replay op %d (burst): %w", i, err)
-			}
-		case opKindFaults:
-			if op.Plan == nil {
-				return nil, CodeBadSnapshot, fmt.Errorf("replay op %d (faults): missing plan", i)
-			}
-			if err := e.Cluster().ScheduleFaults(*op.Plan); err != nil {
-				return nil, CodeBadSnapshot, fmt.Errorf("replay op %d (faults): %w", i, err)
-			}
-		default:
-			return nil, CodeBadSnapshot, fmt.Errorf("replay op %d: unknown kind %q", i, op.Kind)
-		}
+	if err := e.Replay(snap.Ops); err != nil {
+		return nil, CodeBadSnapshot, err
 	}
 	if snap.Policy != nil {
 		if err := validatePolicyFor(snap.Policy, e); err != nil {
 			return nil, CodeBadSnapshot, err
 		}
 	}
-	return &session{env: e, generator: gen, windows: windows, create: req,
-		ops: snap.Ops, policy: snap.Policy}, "", nil
+	return &session{env: e, create: req, policy: snap.Policy}, "", nil
 }
 
 // handleRestore rebuilds the session from a snapshot: a fresh emulated
-// system from the creation request, the operation log replayed in order.
+// system from the creation request, the op log replayed in order.
 // The swap is atomic from the client's view — any failure leaves the
 // current session untouched. Fault counters are cumulative across the
 // session's metric series, so replayed fault activations count again.
@@ -305,11 +256,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.env = built.env
-	sess.generator = built.generator
-	sess.ensemble = built.create.Ensemble
 	sess.create = built.create
-	sess.ops = built.ops
-	sess.windows = built.windows
 	sess.policy = built.policy
 	sess.fallback = nil
 	sess.healthyProbes = 0

@@ -281,12 +281,9 @@ func WithRequestTimeout(d time.Duration) Option {
 type session struct {
 	mu sync.Mutex
 
-	id        string
-	ensemble  string
-	shardIdx  int
-	env       *env.Env
-	generator *workload.Generator
-	windows   int
+	id       string
+	shardIdx int
+	env      *env.Env // records its own op log, which snapshots export
 
 	// Lifecycle: createdAt is immutable after insert; lastAccess holds the
 	// wall time (UnixNano) of the most recent request that resolved this
@@ -298,13 +295,9 @@ type session struct {
 	ttl        time.Duration
 	idle       time.Duration
 
-	// create is the effective creation request (defaults applied); the
-	// snapshot endpoint replays it to rebuild an equivalent session.
+	// create is the effective creation request (defaults applied); a
+	// snapshot rebuilds an equivalent session from it and env's op log.
 	create CreateRequest
-	// ops logs every state-changing operation since creation, in order,
-	// for snapshot/restore. It grows with session lifetime; long-lived
-	// training sessions that never snapshot pay only the memory.
-	ops []SessionOp
 
 	// policy is the attached serving policy (nil until POST …/policy).
 	policy *rl.PolicySnapshot
@@ -578,17 +571,17 @@ func (s *Server) handleEnsembles(w http.ResponseWriter, _ *http.Request) {
 // buildSystem constructs the emulated system (engine, cluster, workload,
 // env) for an effective create request. On failure it returns the error
 // code the caller should report.
-func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counter) (*env.Env, *workload.Generator, ErrorCode, error) {
+func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counter) (*env.Env, ErrorCode, error) {
 	ens, ok := workflow.ByName(req.Ensemble)
 	if !ok {
-		return nil, nil, CodeUnknownEnsemble, fmt.Errorf("unknown ensemble %q", req.Ensemble)
+		return nil, CodeUnknownEnsemble, fmt.Errorf("unknown ensemble %q", req.Ensemble)
 	}
 	if req.TTLSeconds < 0 {
-		return nil, nil, CodeBadSessionConfig,
+		return nil, CodeBadSessionConfig,
 			fmt.Errorf("ttl_seconds must be non-negative, got %g", req.TTLSeconds)
 	}
 	if req.IdleTimeoutSeconds < 0 {
-		return nil, nil, CodeBadSessionConfig,
+		return nil, CodeBadSessionConfig,
 			fmt.Errorf("idle_timeout_seconds must be non-negative, got %g", req.IdleTimeoutSeconds)
 	}
 	engine := sim.NewEngine()
@@ -605,7 +598,7 @@ func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counte
 		if req.Faults != nil && req.Faults.Validate(ens.NumTasks()) != nil {
 			code = CodeBadFaultPlan
 		}
-		return nil, nil, code, err
+		return nil, code, err
 	}
 	rates := req.Rates
 	if rates == nil {
@@ -613,7 +606,7 @@ func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counte
 	}
 	gen, err := workload.NewGenerator(c, streams, engine, rates)
 	if err != nil {
-		return nil, nil, CodeBadSessionConfig, err
+		return nil, CodeBadSessionConfig, err
 	}
 	gen.Start()
 	e, err := env.New(env.Config{
@@ -624,9 +617,9 @@ func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counte
 		FailureAware: req.FailureAware,
 	})
 	if err != nil {
-		return nil, nil, CodeBadSessionConfig, err
+		return nil, CodeBadSessionConfig, err
 	}
-	return e, gen, "", nil
+	return e, "", nil
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -650,8 +643,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sess, code, err := s.admit(id, func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
-		e, gen, code, err := s.buildSystem(req, faultsTotal, crashed)
-		return &session{env: e, generator: gen, create: req}, code, err
+		e, code, err := s.buildSystem(req, faultsTotal, crashed)
+		return &session{env: e, create: req}, code, err
 	})
 	if err != nil {
 		status := http.StatusBadRequest
@@ -681,13 +674,13 @@ func sessionInfo(sess *session) SessionInfo {
 	v := c.FaultView()
 	return SessionInfo{
 		ID:                 sess.id,
-		Ensemble:           sess.ensemble,
+		Ensemble:           sess.create.Ensemble,
 		Shard:              sess.shardIdx,
 		StateDim:           sess.env.StateDim(),
 		ActionDim:          sess.env.ActionDim(),
 		Budget:             sess.env.Budget(),
 		WindowSec:          sess.env.WindowSec(),
-		Windows:            sess.windows,
+		Windows:            sess.env.Window(),
 		TTLSeconds:         sess.ttl.Seconds(),
 		IdleTimeoutSeconds: sess.idle.Seconds(),
 		FailureAware:       sess.env.FailureAware(),
@@ -736,7 +729,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	stepSpan := root.Child("session.step").Str("session", sess.id).
-		Int("window", sess.windows)
+		Int("window", sess.env.Window())
 	res, err := sess.env.Step(alloc)
 	if err != nil {
 		stepSpan.Bool("error", true).End()
@@ -744,16 +737,8 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	stepSpan.F64("reward", res.Reward).End()
-	sess.windows++
 	sess.prev = res
 	sess.havePrev = true
-	// Auto-decided allocations alias the session's decide scratch, which the
-	// next decision overwrites; the replay log needs its own copy.
-	logged := alloc
-	if controller != "" {
-		logged = append([]int(nil), alloc...)
-	}
-	sess.ops = append(sess.ops, SessionOp{Kind: opKindStep, Alloc: logged})
 	s.windowsTotal.Inc()
 	sess.syncGauges()
 	writeJSON(w, http.StatusOK, StepResponse{
@@ -783,7 +768,6 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	if sess.fallback != nil {
 		sess.fallback.Reset()
 	}
-	sess.ops = append(sess.ops, SessionOp{Kind: opKindReset})
 	sess.syncGauges()
 	writeJSON(w, http.StatusOK, map[string][]float64{"state": state})
 }
@@ -799,11 +783,10 @@ func (s *Server) handleBurst(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if err := sess.generator.InjectBurst(req.Counts); err != nil {
+	if err := sess.env.InjectBurst(req.Counts); err != nil {
 		writeError(w, http.StatusUnprocessableEntity, CodeBadBurst, err)
 		return
 	}
-	sess.ops = append(sess.ops, SessionOp{Kind: opKindBurst, Counts: req.Counts})
 	sess.syncGauges()
 	writeJSON(w, http.StatusOK, map[string][]float64{"state": sess.env.State()})
 }
@@ -819,11 +802,10 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if err := sess.env.Cluster().ScheduleFaults(plan); err != nil {
+	if err := sess.env.ScheduleFaults(plan); err != nil {
 		writeError(w, http.StatusUnprocessableEntity, CodeBadFaultPlan, err)
 		return
 	}
-	sess.ops = append(sess.ops, SessionOp{Kind: opKindFaults, Plan: &plan})
 	writeJSON(w, http.StatusOK, sessionInfo(sess))
 }
 

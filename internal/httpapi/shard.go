@@ -120,10 +120,10 @@ func (s *Server) mintID() string {
 // so admissions on different shards never share a lock), mint the id when
 // none is given, register the per-session fault series build needs, build
 // the emulated system, and insert under the shard lock, enforcing id
-// uniqueness. build returns the session's
-// build-specific fields (env, generator, create, and for a rehydrate the
-// replayed windows/ops/policy); admit fills in the rest. Any failure rolls
-// the slot and the series back and reports the code to answer with.
+// uniqueness. build returns the session's build-specific fields (env,
+// create, and for a rehydrate the policy); admit fills in the rest. Any
+// failure rolls the slot and the series back and reports the code to answer
+// with.
 func (s *Server) admit(id string, build func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error)) (*session, ErrorCode, error) {
 	if n := s.live.Add(1); n > int64(s.maxSessions) {
 		s.live.Add(-1)
@@ -154,7 +154,6 @@ func (s *Server) admit(id string, build func(faultsTotal, crashed *obs.Counter) 
 		return nil, code, err
 	}
 	sess.id = id
-	sess.ensemble = sess.create.Ensemble
 	sess.createdAt = s.now()
 	sess.ttl = time.Duration(sess.create.TTLSeconds * float64(time.Second))
 	sess.idle = time.Duration(sess.create.IdleTimeoutSeconds * float64(time.Second))

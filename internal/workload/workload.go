@@ -7,6 +7,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"miras/internal/cluster"
 	"miras/internal/sim"
@@ -125,16 +126,16 @@ func (g *Generator) scheduleNext(i int, gen uint64) {
 }
 
 // InjectBurst submits counts[i] requests of each workflow type i at the
-// current virtual time.
+// current virtual time. A rejected burst submits nothing.
 func (g *Generator) InjectBurst(counts []int) error {
 	if len(counts) != len(g.rates) {
 		return fmt.Errorf("workload: burst has %d counts for %d workflow types",
 			len(counts), len(g.rates))
 	}
+	if i := slices.IndexFunc(counts, func(n int) bool { return n < 0 }); i >= 0 {
+		return fmt.Errorf("workload: negative burst count %d for workflow %d", counts[i], i)
+	}
 	for i, n := range counts {
-		if n < 0 {
-			return fmt.Errorf("workload: negative burst count %d for workflow %d", n, i)
-		}
 		for k := 0; k < n; k++ {
 			g.cluster.Submit(i)
 			g.submitted[i]++

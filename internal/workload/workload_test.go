@@ -149,6 +149,13 @@ func TestInjectBurst(t *testing.T) {
 	if err := g.InjectBurst([]int{-1, 0, 0}); err == nil {
 		t.Fatal("expected error for negative count")
 	}
+	// A rejected burst submits nothing, even for the counts before the bad one.
+	if err := g.InjectBurst([]int{500, -1, 0}); err == nil {
+		t.Fatal("expected error for negative count")
+	}
+	if c.InFlight() != 800 {
+		t.Fatalf("InFlight=%d after a rejected burst, want 800", c.InFlight())
+	}
 	engine.RunUntil(1) // burst shouldn't crash dispatch
 }
 
