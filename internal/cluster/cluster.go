@@ -16,6 +16,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"miras/internal/faults"
 	"miras/internal/invariant"
@@ -45,9 +46,6 @@ type Config struct {
 	// service times. Defaults to 0.3 when zero; the paper attributes
 	// service-time variation to "variant sizes of input data".
 	RequestSizeCV float64
-	// TDSReplicas is the simulated task-dependency-service replica count
-	// (the paper uses a 3-node ZooKeeper ensemble). Defaults to 3.
-	TDSReplicas int
 	// Nodes is the number of simulated machines consumers are placed on
 	// (the paper's testbed has 3 VMs). Defaults to 3.
 	Nodes int
@@ -67,9 +65,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestSizeCV == 0 {
 		c.RequestSizeCV = 0.3
-	}
-	if c.TDSReplicas == 0 {
-		c.TDSReplicas = 3
 	}
 	if c.Nodes == 0 {
 		c.Nodes = 3
@@ -106,7 +101,8 @@ type instance struct {
 }
 
 // taskRequest is one node of one workflow instance waiting in (or being
-// served from) a microservice queue.
+// served from) a microservice queue. Requests are values: queues and the
+// in-service ledger hold them directly.
 type taskRequest struct {
 	inst *instance
 	node int
@@ -114,7 +110,7 @@ type taskRequest struct {
 
 // microservice is one task type's queue plus consumer pool.
 type microservice struct {
-	queue []*taskRequest
+	queue ring[taskRequest]
 	// target is the controller-requested consumer count.
 	target int
 	// available is the number of consumers that have finished starting up.
@@ -123,12 +119,13 @@ type microservice struct {
 	// busy can exceed available transiently after a scale-down: running
 	// tasks finish, they are not preempted.
 	busy int
-	// pendingStarts are the scheduled container start events, cancellable
-	// if the controller scales down before start-up completes.
-	pendingStarts []*sim.Event
-	// inService pairs each in-flight completion event with its request so
-	// failure injection can withdraw and re-deliver work.
-	inService []inServiceEntry
+	// pendingStarts holds the tokens of scheduled container starts, oldest
+	// first; a scale-down before start-up completes withdraws a start by
+	// dropping its token.
+	pendingStarts []uint64
+	// inService pairs each in-flight request with its completion token, in
+	// dispatch order, so failure injection can withdraw and re-deliver work.
+	inService ring[inServiceEntry]
 
 	// Cumulative counters, snapshotted by callers to form window deltas.
 	arrivals    uint64
@@ -142,31 +139,11 @@ type microservice struct {
 	serviceCount uint64
 }
 
-// inServiceEntry tracks one request being processed and its scheduled
-// completion event.
+// inServiceEntry tracks one request being processed and the token of its
+// scheduled completion.
 type inServiceEntry struct {
-	ev  *sim.Event
-	req *taskRequest
-}
-
-// takeInService removes and returns the i-th in-service entry.
-func (svc *microservice) takeInService(i int) (*sim.Event, *taskRequest) {
-	if i < 0 || i >= len(svc.inService) {
-		return nil, nil
-	}
-	e := svc.inService[i]
-	svc.inService = append(svc.inService[:i], svc.inService[i+1:]...)
-	return e.ev, e.req
-}
-
-// dropInService removes the entry holding ev, if present.
-func (svc *microservice) dropInService(ev *sim.Event) {
-	for i, e := range svc.inService {
-		if e.ev == ev {
-			svc.inService = append(svc.inService[:i], svc.inService[i+1:]...)
-			return
-		}
-	}
+	token uint64
+	req   taskRequest
 }
 
 // Cluster is the emulated microservice workflow system.
@@ -195,8 +172,8 @@ type Cluster struct {
 	faultsTotal      *obs.Counter
 	crashed          *obs.Counter
 
-	// generation invalidates in-flight completion callbacks across resets.
-	generation uint64
+	// lastToken is the most recently issued event token (see clusterEvents).
+	lastToken uint64
 
 	inFlight    int // live workflow instances
 	completions []Completion
@@ -223,11 +200,14 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: invalid startup delay range [%g, %g]",
 			cfg.StartupDelayMin, cfg.StartupDelayMax)
 	}
-	tds, err := workflow.NewTDS(cfg.Ensemble, cfg.TDSReplicas)
+	tds, err := workflow.NewTDS(cfg.Ensemble)
 	if err != nil {
 		return nil, err
 	}
 	j := cfg.Ensemble.NumTasks()
+	if j > maxServices {
+		return nil, fmt.Errorf("cluster: %d task types, at most %d supported", j, maxServices)
+	}
 	if cfg.InitialConsumers != nil && len(cfg.InitialConsumers) != j {
 		return nil, fmt.Errorf("cluster: InitialConsumers length %d != %d task types",
 			len(cfg.InitialConsumers), j)
@@ -291,9 +271,9 @@ func (c *Cluster) registerInvariants() {
 				return fmt.Errorf("service %d: negative pool state available=%d busy=%d target=%d",
 					j, svc.available, svc.busy, svc.target)
 			}
-			if svc.busy != len(svc.inService) {
+			if svc.busy != svc.inService.len() {
 				return fmt.Errorf("service %d: busy=%d but %d requests in service",
-					j, svc.busy, len(svc.inService))
+					j, svc.busy, svc.inService.len())
 			}
 			if svc.completions > svc.arrivals {
 				return fmt.Errorf("service %d: completions %d exceed arrivals %d",
@@ -359,14 +339,14 @@ func (c *Cluster) Submit(wf int) {
 	c.inFlight++
 	c.submitted++
 	for _, root := range c.tds.InitialNodes(wf) {
-		c.enqueue(&taskRequest{inst: inst, node: root})
+		c.enqueue(taskRequest{inst: inst, node: root})
 	}
 }
 
 // enqueue places a task request on its microservice queue and dispatches.
 // During a queue-drop fault episode the request may be dropped instead,
 // failing its workflow instance.
-func (c *Cluster) enqueue(req *taskRequest) {
+func (c *Cluster) enqueue(req taskRequest) {
 	if req.inst.failed {
 		return
 	}
@@ -377,13 +357,13 @@ func (c *Cluster) enqueue(req *taskRequest) {
 		return
 	}
 	svc.arrivals++
-	svc.queue = append(svc.queue, req)
+	svc.queue.pushBack(req)
 	c.dispatch(j)
 }
 
 // dropRequest loses one task request to a queue-drop fault, failing the
 // whole workflow instance (it can never complete once a node is lost).
-func (c *Cluster) dropRequest(j int, req *taskRequest) {
+func (c *Cluster) dropRequest(j int, req taskRequest) {
 	inst := req.inst
 	inst.failed = true
 	c.inFlight--
@@ -405,18 +385,12 @@ func (c *Cluster) dropRequest(j int, req *taskRequest) {
 // dispatch starts idle consumers on queued requests for microservice j.
 func (c *Cluster) dispatch(j int) {
 	svc := c.services[j]
-	for svc.busy < svc.available && len(svc.queue) > 0 {
-		req := svc.queue[0]
-		// Shift rather than re-slice forever; queues are short-lived and
-		// this keeps the backing array from pinning completed requests.
-		copy(svc.queue, svc.queue[1:])
-		svc.queue = svc.queue[:len(svc.queue)-1]
-
+	task := &c.cfg.Ensemble.Tasks[j]
+	for svc.busy < svc.available && svc.queue.len() > 0 {
+		req := svc.queue.popFront()
 		c.touchBusy(svc)
 		svc.busy++
-		mean := c.cfg.Ensemble.Tasks[c.tds.TaskOf(req.inst.wf, req.node)].MeanServiceSec
-		cv := c.cfg.Ensemble.Tasks[c.tds.TaskOf(req.inst.wf, req.node)].ServiceCV
-		dur := sim.LogNormal(c.serviceRNG, mean*req.inst.sizeFactor, cv)
+		dur := sim.LogNormal(c.serviceRNG, task.MeanServiceSec*req.inst.sizeFactor, task.ServiceCV)
 		if c.slowdown != nil {
 			// Slowdown faults stretch the realised duration after the
 			// draw, so the underlying service-time stream is untouched
@@ -425,23 +399,14 @@ func (c *Cluster) dispatch(j int) {
 		}
 		svc.serviceSum += dur
 		svc.serviceCount++
-		gen := c.generation
-		var ev *sim.Event
-		ev = c.engine.Schedule(dur, func() {
-			if c.generation != gen {
-				return
-			}
-			svc.dropInService(ev)
-			c.complete(j, req)
-		})
-		svc.inService = append(svc.inService, inServiceEntry{ev: ev, req: req})
+		svc.inService.pushBack(inServiceEntry{token: c.schedule(dur, evComplete, j), req: req})
 	}
 }
 
 // complete finishes one task request: frees its consumer, publishes
 // successor tasks whose predecessors are all done (Figure 1 step 4), and
 // records workflow completion when the instance's last node finishes.
-func (c *Cluster) complete(j int, req *taskRequest) {
+func (c *Cluster) complete(j int, req taskRequest) {
 	svc := c.services[j]
 	c.touchBusy(svc)
 	svc.busy--
@@ -475,7 +440,7 @@ func (c *Cluster) complete(j int, req *taskRequest) {
 				inst.wf, succ, inst.remainingPreds[succ])
 		}
 		if inst.remainingPreds[succ] == 0 {
-			c.enqueue(&taskRequest{inst: inst, node: succ})
+			c.enqueue(taskRequest{inst: inst, node: succ})
 		}
 	}
 	if inst.nodesDone == wt.NumNodes() {
@@ -540,12 +505,11 @@ func (c *Cluster) setTarget(j, m int) {
 			c.startConsumer(j)
 		}
 	case m < committed:
-		// Cancel not-yet-started containers first, newest first.
+		// Withdraw not-yet-started containers first, newest first: a
+		// dropped token turns its start event into a no-op.
 		excess := committed - m
 		for excess > 0 && len(svc.pendingStarts) > 0 {
-			ev := svc.pendingStarts[len(svc.pendingStarts)-1]
 			svc.pendingStarts = svc.pendingStarts[:len(svc.pendingStarts)-1]
-			c.engine.Cancel(ev)
 			excess--
 		}
 		// Then retire running/idle consumers immediately (running tasks
@@ -579,30 +543,37 @@ func (c *Cluster) startConsumerAfter(j int, delay float64) {
 		Int("service", j).
 		F64("startup_delay", delay).
 		Emit()
-	gen := c.generation
-	var ev *sim.Event
-	ev = c.engine.Schedule(delay, func() {
-		if c.generation != gen {
-			return
-		}
-		svc.removePendingStart(ev)
-		svc.available++
-		c.nodes.place()
-		c.cfg.Tracer.Debug("consumer_up").
-			T(float64(c.engine.Now())).
-			Int("service", j).
-			Int("available", svc.available).
-			Emit()
-		c.dispatch(j)
-	})
-	svc.pendingStarts = append(svc.pendingStarts, ev)
+	svc.pendingStarts = append(svc.pendingStarts, c.schedule(delay, evStart, j))
 }
 
-// removePendingStart deletes ev from the pending-start list.
-func (svc *microservice) removePendingStart(ev *sim.Event) {
-	for i, e := range svc.pendingStarts {
-		if e == ev {
-			svc.pendingStarts = append(svc.pendingStarts[:i], svc.pendingStarts[i+1:]...)
+// consumerUp brings a started container of microservice j into the pool,
+// unless the start was withdrawn (its token dropped by a scale-down or a
+// Clear).
+func (c *Cluster) consumerUp(j int, tok uint64) {
+	svc := c.services[j]
+	i := slices.Index(svc.pendingStarts, tok)
+	if i < 0 {
+		return
+	}
+	svc.pendingStarts = slices.Delete(svc.pendingStarts, i, i+1)
+	svc.available++
+	c.nodes.place()
+	c.cfg.Tracer.Debug("consumer_up").
+		T(float64(c.engine.Now())).
+		Int("service", j).
+		Int("available", svc.available).
+		Emit()
+	c.dispatch(j)
+}
+
+// completed finishes the in-service request holding tok, unless a crash or
+// a Clear withdrew it.
+func (c *Cluster) completed(j int, tok uint64) {
+	svc := c.services[j]
+	for i := 0; i < svc.inService.len(); i++ {
+		if e := svc.inService.at(i); e.token == tok {
+			svc.inService.removeAt(i)
+			c.complete(j, e.req)
 			return
 		}
 	}
@@ -614,7 +585,7 @@ func (svc *microservice) removePendingStart(ev *sim.Event) {
 func (c *Cluster) WIP() []float64 {
 	wip := make([]float64, len(c.services))
 	for j, svc := range c.services {
-		wip[j] = float64(len(svc.queue) + svc.busy)
+		wip[j] = float64(svc.queue.len() + svc.busy)
 	}
 	return wip
 }
@@ -624,7 +595,7 @@ func (c *Cluster) WIP() []float64 {
 func (c *Cluster) QueueLengths() []int {
 	q := make([]int, len(c.services))
 	for j, svc := range c.services {
-		q[j] = len(svc.queue)
+		q[j] = svc.queue.len()
 	}
 	return q
 }
@@ -716,16 +687,16 @@ func (c *Cluster) Snapshot() Counters {
 // "provision sufficient consumers of each microservice to reduce WIP close
 // to 0"). Consumer pools and cumulative counters are preserved.
 func (c *Cluster) Clear() {
-	c.generation++
 	// Instances discarded here are accounted as abandoned so the
-	// conservation invariant holds across resets.
+	// conservation invariant holds across resets. Emptying the token lists
+	// turns every pending start and completion into a no-op.
 	c.abandoned += uint64(c.inFlight)
 	for _, svc := range c.services {
 		c.touchBusy(svc)
-		svc.queue = nil
+		svc.queue.clear()
 		svc.busy = 0
-		svc.pendingStarts = nil
-		svc.inService = nil
+		svc.pendingStarts = svc.pendingStarts[:0]
+		svc.inService.clear()
 	}
 	c.inFlight = 0
 	c.completions = nil
@@ -735,7 +706,7 @@ func (c *Cluster) Clear() {
 func (c *Cluster) TotalWIP() float64 {
 	var total float64
 	for _, svc := range c.services {
-		total += float64(len(svc.queue) + svc.busy)
+		total += float64(svc.queue.len() + svc.busy)
 	}
 	return total
 }

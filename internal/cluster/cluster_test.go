@@ -522,3 +522,48 @@ func TestTDSQueryLoadGrows(t *testing.T) {
 		t.Fatalf("TDS queries=%d, want at least one per node", got)
 	}
 }
+
+// TestAdvanceAllocsIndependentOfEvents pins the event loop's allocation
+// cost: once a cluster with a deep backlog is warm (rings and the heap at
+// their working size) and arrivals have stopped, AdvanceTo allocates at most
+// a small constant per window however many events the window fires. The
+// closure-per-event engine made about three allocations per event.
+func TestAdvanceAllocsIndependentOfEvents(t *testing.T) {
+	engine := sim.NewEngine()
+	c, err := New(Config{
+		Ensemble: workflow.NewMSD(),
+		Engine:   engine,
+		Streams:  sim.NewStreams(31),
+		// Downstream capacity exceeds Extract's, so only Extract's queue
+		// is deep and the others stay at their warmed-up size.
+		InitialConsumers: []int{16, 40, 30, 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		c.Submit(i % 3)
+	}
+	const window = 60.0
+	for k := 0; k < 3; k++ {
+		c.AdvanceTo(c.Now() + window)
+	}
+	const runs = 10
+	before := c.Snapshot()
+	allocs := testing.AllocsPerRun(runs, func() { c.AdvanceTo(c.Now() + window) })
+	after := c.Snapshot()
+	var events uint64
+	for j := range after.Completions {
+		events += after.Completions[j] - before.Completions[j]
+	}
+	// AllocsPerRun makes one extra, unmeasured run.
+	if perWindow := events / (runs + 1); perWindow < 1000 {
+		t.Fatalf("only %d completions per window; the test needs ≥ 1000", perWindow)
+	}
+	if c.QueueLengths()[0] == 0 {
+		t.Fatal("backlog drained; the windows must stay busy")
+	}
+	if allocs > 4 {
+		t.Fatalf("AdvanceTo allocated %g times per window of ≥ 1000 events, want ≤ 4", allocs)
+	}
+}

@@ -111,13 +111,12 @@ func (c *Cluster) crashConsumer(j int, restartDelay float64) error {
 
 	// Busy consumers are killed with probability busy/available+1 — i.e.
 	// uniformly over live consumers. When a busy one dies, its in-flight
-	// request is withdrawn and requeued at the head (re-delivery).
+	// request is withdrawn (dropping its token turns the scheduled
+	// completion into a no-op) and requeued at the head (re-delivery).
 	if svc.busy > 0 && c.failureRNG.Intn(svc.available+1) < svc.busy {
-		ev, req := svc.takeInService(c.failureRNG.Intn(svc.busy))
-		if ev != nil {
-			c.engine.Cancel(ev)
+		if i := c.failureRNG.Intn(svc.busy); i < svc.inService.len() {
 			svc.busy--
-			svc.queue = append([]*taskRequest{req}, svc.queue...)
+			svc.queue.pushFront(svc.inService.removeAt(i).req)
 			c.redeliveries++
 		}
 	}

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"miras/internal/invariant"
@@ -20,56 +19,47 @@ import (
 // Time is virtual time in seconds since the start of the simulation.
 type Time = float64
 
-// Event is a scheduled callback. Events are created by Engine.Schedule and
-// may be cancelled before they fire.
-type Event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	cancelled bool
-	index     int // position in the heap, -1 once popped
+// Handler receives the events an owner schedules with Engine.ScheduleCall.
+// arg is the owner's own payload, returned unchanged; an owner that needs to
+// cancel an event encodes a token in it and ignores the call once it has
+// dropped that token.
+type Handler interface {
+	Fire(arg uint64)
 }
 
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
+// funcHandler adapts a callback to Handler. A func value is pointer-shaped,
+// so storing one in a Handler allocates nothing.
+type funcHandler func()
 
-// eventHeap orders events by (time, sequence) so simultaneous events fire
-// in FIFO schedule order, keeping runs reproducible.
-type eventHeap []*Event
+func (f funcHandler) Fire(uint64) { f() }
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// record is one scheduled event. Records live by value in the engine's heap,
+// ordered by (at, seq) so simultaneous events fire in FIFO schedule order,
+// keeping runs reproducible.
+type record struct {
+	at  Time
+	seq uint64
+	h   Handler
+	arg uint64
+}
+
+func (r *record) before(o *record) bool {
+	if r.at != o.at {
+		return r.at < o.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	return r.seq < o.seq
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; in this repository each experiment owns one engine.
+//
+// There is no Cancel: an owner that withdraws events (the cluster, on a
+// scale-down or a crash) drops its own token and lets the record fire as a
+// no-op in its (at, seq) slot.
 type Engine struct {
-	now    Time
-	events eventHeap
-	seq    uint64
+	now  Time
+	heap []record // binary min-heap on (at, seq)
+	seq  uint64
 }
 
 // NewEngine returns an engine at time 0 with no pending events.
@@ -78,106 +68,128 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.events {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
-// Schedule registers fn to run after the given non-negative delay and
-// returns a handle that can be passed to Cancel.
-func (e *Engine) Schedule(delay Time, fn func()) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g", delay))
-	}
-	return e.ScheduleAt(e.now+delay, fn)
+// Schedule registers fn to run after the given non-negative delay.
+func (e *Engine) Schedule(delay Time, fn func()) {
+	e.ScheduleAt(e.after(delay), fn)
 }
 
 // ScheduleAt registers fn to run at absolute virtual time t, which must not
 // be in the past.
-func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
+func (e *Engine) ScheduleAt(t Time, fn func()) {
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	e.push(t, funcHandler(fn), 0)
+}
+
+// ScheduleCall registers h.Fire(arg) to run after the given non-negative
+// delay. It is the allocation-free entry point for owners that dispatch
+// their own events.
+func (e *Engine) ScheduleCall(delay Time, h Handler, arg uint64) {
+	if h == nil {
+		panic("sim: nil event handler")
+	}
+	e.push(e.after(delay), h, arg)
+}
+
+// after returns the virtual time delay from now; delay must not be negative.
+func (e *Engine) after(delay Time) Time {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %g", delay))
+	}
+	return e.now + delay
+}
+
+// push validates t and sifts a new record up from the heap's tail.
+func (e *Engine) push(t Time, h Handler, arg uint64) {
 	if t != t {
 		panic("sim: schedule at NaN")
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", t, e.now))
 	}
-	if fn == nil {
-		panic("sim: nil event callback")
-	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
+	r := record{at: t, seq: e.seq, h: h, arg: arg}
 	e.seq++
-	heap.Push(&e.events, ev)
-	return ev
+	e.heap = append(e.heap, r)
+	q := e.heap
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !r.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = r
 }
 
-// Cancel marks ev so it will not fire. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil {
-		return
+// pop removes and returns the earliest record, sifting the tail record down
+// from the root. The vacated slot is zeroed so the heap's spare capacity
+// does not keep a fired handler reachable.
+func (e *Engine) pop() record {
+	q := e.heap
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = record{}
+	q = q[:n]
+	e.heap = q
+	if n == 0 {
+		return top
 	}
-	ev.cancelled = true
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
+}
+
+// fire advances the clock to r and runs it.
+func (e *Engine) fire(r record) {
+	if invariant.Enabled() && r.at < e.now {
+		invariant.Fail("sim/monotonic-time",
+			"event scheduled at %g fired with clock already at %g", r.at, e.now)
+	}
+	e.now = r.at
+	r.h.Fire(r.arg)
 }
 
 // Step fires the single earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was fired (false when the queue is
-// empty).
+// empty). An event its owner has withdrawn counts: it fires as a no-op.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.cancelled {
-			continue
-		}
-		if invariant.Enabled() && ev.at < e.now {
-			invariant.Fail("sim/monotonic-time",
-				"event scheduled at %g fired with clock already at %g", ev.at, e.now)
-		}
-		e.now = ev.at
-		ev.fn()
-		return true
+	if len(e.heap) == 0 {
+		return false
 	}
-	return false
+	e.fire(e.pop())
+	return true
 }
 
 // RunUntil fires every event scheduled at or before t in timestamp order,
 // then advances the clock to exactly t. Events that callbacks schedule
 // within the horizon are fired too.
 func (e *Engine) RunUntil(t Time) {
+	if t != t {
+		panic("sim: RunUntil(NaN)")
+	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: RunUntil(%g) before now %g", t, e.now))
 	}
-	for len(e.events) > 0 {
-		next := e.events[0]
-		if next.cancelled {
-			heap.Pop(&e.events)
-			continue
-		}
-		if next.at > t {
-			break
-		}
-		heap.Pop(&e.events)
-		if invariant.Enabled() && next.at < e.now {
-			invariant.Fail("sim/monotonic-time",
-				"event scheduled at %g fired with clock already at %g", next.at, e.now)
-		}
-		e.now = next.at
-		next.fn()
+	for len(e.heap) > 0 && e.heap[0].at <= t {
+		e.fire(e.pop())
 	}
 	e.now = t
-}
-
-// Drain fires events until the queue is empty or maxEvents have fired,
-// returning the number fired. It is used by tests and by cluster reset.
-func (e *Engine) Drain(maxEvents int) int {
-	fired := 0
-	for fired < maxEvents && e.Step() {
-		fired++
-	}
-	return fired
 }

@@ -13,8 +13,8 @@ func TestEngineStartsAtZero(t *testing.T) {
 	if e.Now() != 0 {
 		t.Fatalf("Now=%g, want 0", e.Now())
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending=%d, want 0", e.Pending())
+	if e.Step() {
+		t.Fatal("Step fired an event on a new engine")
 	}
 }
 
@@ -85,18 +85,39 @@ func TestEventBeyondHorizonDoesNotFire(t *testing.T) {
 	}
 }
 
+// tokenOwner cancels the way the cluster does: it holds a token per live
+// event and ignores a call whose token it has dropped.
+type tokenOwner struct {
+	live  map[uint64]bool
+	fired []uint64
+}
+
+func (o *tokenOwner) Fire(tok uint64) {
+	if o.live[tok] {
+		delete(o.live, tok)
+		o.fired = append(o.fired, tok)
+	}
+}
+
 func TestCancelPreventsFiring(t *testing.T) {
 	e := NewEngine()
-	fired := false
-	ev := e.Schedule(1, func() { fired = true })
-	e.Cancel(ev)
+	o := &tokenOwner{live: map[uint64]bool{1: true, 2: true, 3: true}}
+	e.ScheduleCall(1, o, 1)
+	e.ScheduleCall(1, o, 2)
+	e.ScheduleCall(3, o, 3)
+	delete(o.live, 1) // cancel: the owner drops the token
 	e.RunUntil(2)
-	if fired {
-		t.Fatal("cancelled event fired")
+	if len(o.fired) != 1 || o.fired[0] != 2 {
+		t.Fatalf("fired %v, want [2]: the dropped token must not fire", o.fired)
 	}
-	// Cancel of nil and double cancel are no-ops.
-	e.Cancel(nil)
-	e.Cancel(ev)
+	delete(o.live, 3)
+	// The withdrawn record still pops in its slot, as a no-op.
+	if !e.Step() || e.Now() != 3 || len(o.fired) != 1 {
+		t.Fatalf("withdrawn record: now=%g fired=%v", e.Now(), o.fired)
+	}
+	if e.Step() {
+		t.Fatal("Step on empty queue returned true")
+	}
 }
 
 func TestStepFiresOneEvent(t *testing.T) {
@@ -161,15 +182,81 @@ func TestNilCallbackPanics(t *testing.T) {
 	e.Schedule(1, nil)
 }
 
+func TestNilHandlerPanics(t *testing.T) {
+	e := NewEngine()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	e.ScheduleCall(1, nil, 0)
+}
+
+// TestNaNTimesPanic: a NaN time compares false against everything, so
+// without a guard RunUntil(NaN) would fire every pending event and leave the
+// clock at NaN, after which no schedule-in-the-past check could trip.
+func TestNaNTimesPanic(t *testing.T) {
+	nan := math.NaN()
+	for name, op := range map[string]func(e *Engine){
+		"ScheduleAt":   func(e *Engine) { e.ScheduleAt(nan, func() {}) },
+		"Schedule":     func(e *Engine) { e.Schedule(nan, func() {}) },
+		"ScheduleCall": func(e *Engine) { e.ScheduleCall(nan, &tokenOwner{}, 0) },
+		"RunUntil":     func(e *Engine) { e.RunUntil(nan) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine()
+			fired := false
+			e.Schedule(1, func() { fired = true })
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(NaN) did not panic", name)
+					}
+				}()
+				op(e)
+			}()
+			if fired || e.Now() != 0 {
+				t.Fatalf("%s(NaN) fired=%v now=%g, want nothing fired at 0", name, fired, e.Now())
+			}
+		})
+	}
+}
+
+// TestScheduleZeroAlloc pins the engine's per-event cost: scheduling and
+// firing through ScheduleCall, or through Schedule with a prebuilt callback,
+// allocates nothing once the heap has grown.
+func TestScheduleZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	o := &tokenOwner{}
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(Time(i%7), fn)
+	}
+	for name, schedule := range map[string]func(){
+		"ScheduleCall": func() { e.ScheduleCall(0.5, o, 1) },
+		"Schedule":     func() { e.Schedule(0.5, fn) },
+	} {
+		if got := testing.AllocsPerRun(200, func() {
+			schedule()
+			e.Step()
+		}); got != 0 {
+			t.Errorf("%s + Step: %g allocs/op, want 0", name, got)
+		}
+	}
+}
+
 func TestDrainFiresEverything(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 10; i++ {
 		e.Schedule(Time(i), func() { count++ })
 	}
-	fired := e.Drain(100)
+	fired := 0
+	for e.Step() {
+		fired++
+	}
 	if fired != 10 || count != 10 {
-		t.Fatalf("Drain fired %d events, count=%d", fired, count)
+		t.Fatalf("Step fired %d events, count=%d", fired, count)
 	}
 }
 
@@ -306,41 +393,5 @@ func TestUniformRange(t *testing.T) {
 		if v < 5 || v >= 10 {
 			t.Fatalf("Uniform out of range: %g", v)
 		}
-	}
-}
-
-func TestPendingExcludesCancelled(t *testing.T) {
-	e := NewEngine()
-	ev1 := e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending=%d, want 2", e.Pending())
-	}
-	e.Cancel(ev1)
-	if e.Pending() != 1 {
-		t.Fatalf("Pending=%d after cancel, want 1", e.Pending())
-	}
-	e.RunUntil(3)
-	if e.Pending() != 0 {
-		t.Fatalf("Pending=%d after drain, want 0", e.Pending())
-	}
-}
-
-func TestEventAtAccessor(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(5, func() {})
-	if ev.At() != 5 {
-		t.Fatalf("At=%g, want 5", ev.At())
-	}
-}
-
-func TestDrainRespectsLimit(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i), func() { count++ })
-	}
-	if fired := e.Drain(4); fired != 4 || count != 4 {
-		t.Fatalf("Drain(4) fired %d, count %d", fired, count)
 	}
 }

@@ -9,27 +9,20 @@ import "fmt"
 // finished.
 //
 // In this reproduction the TDS is an in-process lookup over validated
-// workflow DAGs. The replication count is retained for interface fidelity —
-// queries are served by a (simulated) replica chosen round-robin — but
-// consistency concerns are out of scope, exactly as they are in the paper's
-// evaluation.
+// workflow DAGs; the paper's replicated ZooKeeper ensemble is not modelled,
+// since consistency concerns are out of scope exactly as they are in the
+// paper's evaluation.
 type TDS struct {
 	ensemble *Ensemble
-	replicas int
-	next     int
 	queries  uint64
 }
 
-// NewTDS returns a TDS over the given ensemble with the given replica count
-// (the paper uses 3 ZooKeeper nodes).
-func NewTDS(e *Ensemble, replicas int) (*TDS, error) {
+// NewTDS returns a TDS over the given ensemble.
+func NewTDS(e *Ensemble) (*TDS, error) {
 	if err := e.Validate(); err != nil {
 		return nil, fmt.Errorf("tds: %w", err)
 	}
-	if replicas < 1 {
-		return nil, fmt.Errorf("tds: need at least 1 replica, got %d", replicas)
-	}
-	return &TDS{ensemble: e, replicas: replicas}, nil
+	return &TDS{ensemble: e}, nil
 }
 
 // Ensemble returns the ensemble this TDS serves.
@@ -38,36 +31,30 @@ func (t *TDS) Ensemble() *Ensemble { return t.ensemble }
 // InitialNodes answers "which task(s) of workflow type wf should be
 // processed first" — step 1 in Figure 1 of the paper.
 func (t *TDS) InitialNodes(wf int) []int {
-	t.record()
+	t.queries++
 	return t.ensemble.Workflows[wf].Roots()
 }
 
 // SuccessorNodes answers "which task(s) follow node within workflow wf" —
 // the query a consumer issues after finishing a request (step 4).
 func (t *TDS) SuccessorNodes(wf, node int) []int {
-	t.record()
+	t.queries++
 	return t.ensemble.Workflows[wf].Successors(node)
 }
 
 // PredecessorCount returns how many predecessors node has within workflow
 // wf; the invoker uses it for join synchronisation.
 func (t *TDS) PredecessorCount(wf, node int) int {
-	t.record()
+	t.queries++
 	return len(t.ensemble.Workflows[wf].Predecessors(node))
 }
 
 // TaskOf returns the task type that node of workflow wf executes.
 func (t *TDS) TaskOf(wf, node int) TaskType {
-	t.record()
+	t.queries++
 	return t.ensemble.Workflows[wf].Nodes[node].Task
 }
 
 // Queries returns the total number of TDS lookups served, mirroring the
 // real system's observable query load.
 func (t *TDS) Queries() uint64 { return t.queries }
-
-// record advances the round-robin replica pointer and counts the query.
-func (t *TDS) record() {
-	t.next = (t.next + 1) % t.replicas
-	t.queries++
-}

@@ -215,7 +215,7 @@ func TestEnsembleValidateCatchesOutOfRangeTask(t *testing.T) {
 
 func TestTDSQueries(t *testing.T) {
 	e := NewMSD()
-	tds, err := NewTDS(e, 3)
+	tds, err := NewTDS(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +240,8 @@ func TestTDSQueries(t *testing.T) {
 }
 
 func TestTDSRejectsBadInput(t *testing.T) {
-	if _, err := NewTDS(NewMSD(), 0); err == nil {
-		t.Fatal("expected error for 0 replicas")
-	}
 	bad := &Ensemble{Name: "bad"}
-	if _, err := NewTDS(bad, 3); err == nil {
+	if _, err := NewTDS(bad); err == nil {
 		t.Fatal("expected error for invalid ensemble")
 	}
 }
