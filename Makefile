@@ -54,12 +54,13 @@ benchmark-smoke:
 fmt:
 	gofmt -l -w .
 
-# Short fuzz runs over six input surfaces plus one differential target: the
+# Short fuzz runs over six input surfaces plus two differential targets: the
 # untrusted inputs (workflow JSON, fault plans, HTTP session creation,
 # session snapshots on restore, serialized networks and policy snapshots),
-# and the event engine against its reference implementation
-# (FuzzEngineOracle: decoded operation sequences must fire the same callbacks
-# in the same order on both).
+# the event engine against its reference implementation (FuzzEngineOracle:
+# decoded operation sequences must fire the same callbacks in the same order
+# on both), and the aux-only backward pass against the full one
+# (FuzzAuxGradBatch: decoded networks must give bit-identical dAux).
 # Go allows one -fuzz pattern per invocation, hence one run each; each
 # extends the committed seed corpus in the package's testdata/fuzz/ only in
 # the local build cache.
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test ./internal/httpapi/ -fuzz FuzzHTTPCreateSession -fuzztime 10s
 	$(GO) test ./internal/httpapi/ -fuzz FuzzSessionRestore -fuzztime 10s
 	$(GO) test ./internal/nn/ -fuzz FuzzNetworkDecode -fuzztime 10s
+	$(GO) test ./internal/nn/ -fuzz FuzzAuxGradBatch -fuzztime 10s
 	$(GO) test ./internal/rl/ -fuzz FuzzPolicySnapshotDecode -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzEngineOracle -fuzztime 10s
 

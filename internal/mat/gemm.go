@@ -81,14 +81,38 @@ func (dst *Matrix) mulPacked(a, b *Matrix, bt []float64, ep Epilogue) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTo destination %dx%d != %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	k, n := b.Rows, b.Cols
+	packCols(bt, b, 0, b.Cols)
+	gemm(dst, a, bt, b.Cols, ep)
+}
+
+// MulColsToBuf computes dst = a · b[:, c0:c0+dst.Cols] — the product with
+// a window of b's columns — packing only that window into *buf (grown as
+// needed). Each entry is the same ascending dot product MulTo computes for
+// that column of the full product, so the result equals the matching
+// columns of MulTo's bit for bit at a fraction of the work when the window
+// is narrow. dst must not alias a or b.
+func (dst *Matrix) MulColsToBuf(a, b *Matrix, c0 int, buf *[]float64) {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("mat: MulColsToBuf inner dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if dst.Rows != a.Rows || c0 < 0 || c0+dst.Cols > b.Cols {
+		panic(fmt.Sprintf("mat: MulColsToBuf destination %dx%d at column %d outside %dx%d", dst.Rows, dst.Cols, c0, a.Rows, b.Cols))
+	}
+	bt := growBuf(buf, b.Rows*dst.Cols)
+	packCols(bt, b, c0, dst.Cols)
+	gemm(dst, a, bt, dst.Cols, nil)
+}
+
+// packCols writes columns [c0, c0+n) of b transposed into bt, so bt holds
+// n rows of length b.Rows — the layout mulPackedTransRows streams.
+func packCols(bt []float64, b *Matrix, c0, n int) {
+	k := b.Rows
 	for i := 0; i < k; i++ {
-		row := b.Data[i*n : (i+1)*n]
+		row := b.Data[i*b.Cols+c0:][:n]
 		for j, v := range row {
 			bt[j*k+i] = v
 		}
 	}
-	gemm(dst, a, bt, n, ep)
 }
 
 // MulTransTo computes dst = a · bᵀ, where a is m×k, b is n×k, and dst is

@@ -23,9 +23,12 @@ import (
 // pins bit-identity across worker counts.
 
 // minParallelFlops gates parallel dispatch on problem size (counted as
-// 2·m·n·k multiply-adds). At ~10 GFLOP/s per core the threshold is ~13 µs
-// of work — several times the fork-join round trip.
-const minParallelFlops = 1 << 17
+// 2·m·n·k flops). It is the measured crossover, not an estimate: at m = 64
+// on two workers a 2¹⁹-flop product (64³, every hidden product of a
+// 64-wide network) runs ≈ 82 µs serial — ≈ 6.5 GFLOP/s — and the pooled
+// launch loses on wall time and CPU alike, while from 2²⁰ up the pool wins
+// 1.2–1.8× wall. DESIGN.md §4g has the table.
+const minParallelFlops = 1 << 20
 
 // rowTileSpan returns the per-tile row count for fanning m destination
 // rows across w workers: ~2 tiles per worker, rounded up to an even span

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -47,10 +48,14 @@ func requireBitIdentical(t *testing.T, results map[int]*Matrix, context string) 
 // TestGemmBitIdenticalAcrossWorkers pins the tentpole determinism claim:
 // the tiled parallel kernels produce byte-for-byte the serial result for
 // any worker count, on shapes spanning both sides of the parallel
-// threshold and odd row counts that leave ragged final tiles.
+// threshold and odd row counts that leave ragged final tiles. Against the
+// 2²⁰-flop threshold, 2·m·k·n is 2⁵·⁹ for {3,5,2} and 2¹⁹ for {64,64,64}
+// (strictly below; the second is every train-msd hidden product), and
+// 2²¹ for {256,64,64}, ≈ 2²¹·¹ for {67,130,129} and {129,257,33}, and 2²³
+// for {64,256,256} (strictly above).
 func TestGemmBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	shapes := [][3]int{{3, 5, 2}, {64, 256, 256}, {67, 130, 129}, {256, 64, 64}, {129, 257, 33}}
+	shapes := [][3]int{{3, 5, 2}, {64, 64, 64}, {64, 256, 256}, {67, 130, 129}, {256, 64, 64}, {129, 257, 33}}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randMat(m, k, rng), randMat(k, n, rng)
@@ -136,5 +141,48 @@ func TestMulToBufReusesBuffer(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { dst.MulToBuf(a, b, &buf, nil) }); allocs != 0 {
 		t.Fatalf("MulToBuf with warm buffer: %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestMulColsToBufMatchesMulTo checks a column-window product equals the
+// matching columns of the full product bit for bit — windows at the left
+// edge, in the middle and at the right edge, narrower and wider than the
+// 4-column micro-kernel group — and is allocation-free once its buffer is
+// warm.
+func TestMulColsToBufMatchesMulTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	a, b := randMat(33, 70, rng), randMat(70, 67, rng)
+	full := New(33, 67)
+	full.MulTo(a, b)
+	var buf []float64
+	for _, w := range [][2]int{{0, 4}, {0, 67}, {63, 4}, {30, 7}, {66, 1}} {
+		c0, n := w[0], w[1]
+		dst := New(33, n)
+		dst.MulColsToBuf(a, b, c0, &buf)
+		for i := 0; i < dst.Rows; i++ {
+			for j, v := range dst.Row(i) {
+				if want := full.At(i, c0+j); math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("window [%d,%d) entry (%d,%d): %v, want %v", c0, c0+n, i, j, v, want)
+				}
+			}
+		}
+	}
+	dst := New(33, 4)
+	if allocs := testing.AllocsPerRun(20, func() { dst.MulColsToBuf(a, b, 63, &buf) }); allocs != 0 {
+		t.Fatalf("MulColsToBuf with warm buffer: %v allocs/run, want 0", allocs)
+	}
+	for name, fn := range map[string]func(){
+		"window past the edge": func() { New(33, 5).MulColsToBuf(a, b, 63, &buf) },
+		"negative offset":      func() { New(33, 2).MulColsToBuf(a, b, -1, &buf) },
+		"inner mismatch":       func() { New(33, 2).MulColsToBuf(a, a, 0, &buf) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }

@@ -32,8 +32,9 @@ type BatchCache struct {
 	// ForwardBatch, so a cache works with any same-shaped network.
 	eps []biasActEpilogue
 	// wPack[l] is the persistent packing buffer for layer l's weight
-	// matrix in BackwardBatch's input-gradient GEMM, keeping the backward
-	// pass off the shared scratch pool (and allocation-free).
+	// matrix in the backward passes' input-gradient GEMMs (all of W in
+	// BackwardBatch, the aux columns at AuxLayer in AuxGradBatch), keeping
+	// them off the shared scratch pool (and allocation-free).
 	wPack [][]float64
 }
 
@@ -134,20 +135,13 @@ func (n *Network) ForwardBatch(c *BatchCache, x, aux *mat.Matrix) *mat.Matrix {
 // accumulated gradients match batch sequential Backward calls entry for
 // entry. It returns the batched gradients with respect to the primary and
 // auxiliary inputs (dAux is nil without an aux input); both alias cache
-// storage and are valid until the next BackwardBatch through c.
+// storage and are valid until the next backward pass through c. Callers
+// that need only dAux use AuxGradBatch.
 func (n *Network) BackwardBatch(c *BatchCache, dOut *mat.Matrix, g *Grads) (dX, dAux *mat.Matrix) {
-	last := len(n.Layers) - 1
-	if dOut.Rows != c.batch || dOut.Cols != n.Layers[last].OutDim() {
-		panic(fmt.Sprintf("nn: batch dOut %dx%d != %dx%d", dOut.Rows, dOut.Cols, c.batch, n.Layers[last].OutDim()))
-	}
-	dCur := c.dGrad
-	dCur.CopyFrom(dOut)
-	for l := last; l >= 0; l-- {
+	dCur := n.startBackward(c, dOut)
+	for l := len(n.Layers) - 1; l >= 0; l-- {
 		layer := n.Layers[l]
-		dPre := c.dPre[l]
-		for r := 0; r < c.batch; r++ {
-			layer.Act.Backprop(dPre.Row(r), c.outputs[l].Row(r), dCur.Row(r))
-		}
+		dPre := c.actBackprop(l, layer.Act, dCur)
 		// Parameter gradients: dW += dPreᵀ · inputs (batched rank-k
 		// update), dB += column sums of dPre.
 		g.W[l].AddMulATBScaled(dPre, c.inputs[l], 1)
@@ -170,4 +164,49 @@ func (n *Network) BackwardBatch(c *BatchCache, dOut *mat.Matrix, g *Grads) (dX, 
 		}
 	}
 	return dCur, dAux
+}
+
+// AuxGradBatch backpropagates dOut from the output down to the auxiliary
+// input only and returns the batch×AuxDim gradient with respect to aux —
+// the critic's ∂Q/∂a in the DDPG actor pass. It accumulates no parameter
+// gradients, stops at AuxLayer, and there forms only the AuxDim columns of
+// dPre · W. Every entry is the same ascending dot product BackwardBatch
+// computes, so the result equals BackwardBatch's dAux bit for bit. The
+// matrix aliases cache storage and is valid until the next backward pass
+// through c.
+func (n *Network) AuxGradBatch(c *BatchCache, dOut *mat.Matrix) *mat.Matrix {
+	if n.AuxLayer < 0 {
+		panic("nn: AuxGradBatch on network without AuxLayer")
+	}
+	dCur := n.startBackward(c, dOut)
+	for l := len(n.Layers) - 1; l > n.AuxLayer; l-- {
+		layer := n.Layers[l]
+		dIn := c.dIn[l]
+		dIn.MulToBuf(c.actBackprop(l, layer.Act, dCur), layer.W, &c.wPack[l], nil)
+		dCur = dIn
+	}
+	layer := n.Layers[n.AuxLayer]
+	dPre := c.actBackprop(n.AuxLayer, layer.Act, dCur)
+	c.dAux.MulColsToBuf(dPre, layer.W, layer.InDim()-n.AuxDim, &c.wPack[n.AuxLayer])
+	return c.dAux
+}
+
+// startBackward checks dOut against the cache and copies it into the
+// cache's output-gradient scratch, where a backward pass begins.
+func (n *Network) startBackward(c *BatchCache, dOut *mat.Matrix) *mat.Matrix {
+	if dOut.Rows != c.batch || dOut.Cols != n.OutDim() {
+		panic(fmt.Sprintf("nn: batch dOut %dx%d != %dx%d", dOut.Rows, dOut.Cols, c.batch, n.OutDim()))
+	}
+	c.dGrad.CopyFrom(dOut)
+	return c.dGrad
+}
+
+// actBackprop writes layer l's pre-activation gradient for the batch, given
+// the gradient dCur with respect to its output, and returns it.
+func (c *BatchCache) actBackprop(l int, act Activation, dCur *mat.Matrix) *mat.Matrix {
+	dPre := c.dPre[l]
+	for r := 0; r < c.batch; r++ {
+		act.Backprop(dPre.Row(r), c.outputs[l].Row(r), dCur.Row(r))
+	}
+	return dPre
 }

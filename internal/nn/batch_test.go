@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -149,6 +150,68 @@ func TestBatchCacheReuse(t *testing.T) {
 	}
 }
 
+// auxGradMismatch runs net forward on (x, aux) through two fresh caches and
+// describes the first dAux entry where AuxGradBatch and BackwardBatch
+// differ in any bit, or returns "" when they agree everywhere.
+func auxGradMismatch(net *Network, x, aux, dOut *mat.Matrix) string {
+	ref := NewBatchCache(net, x.Rows)
+	net.ForwardBatch(ref, x, aux)
+	_, want := net.BackwardBatch(ref, dOut, NewGrads(net))
+	c := NewBatchCache(net, x.Rows)
+	net.ForwardBatch(c, x, aux)
+	got := net.AuxGradBatch(c, dOut)
+	for i, v := range got.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+			return fmt.Sprintf("dAux entry %d: AuxGradBatch %v, BackwardBatch %v", i, v, want.Data[i])
+		}
+	}
+	return ""
+}
+
+// TestAuxGradBatchMatchesBackward is the differential referee for the
+// aux-only backward pass: on random three-layer networks with the aux input
+// at the first, middle and last layer, every output activation and odd
+// batch sizes, AuxGradBatch must equal BackwardBatch's dAux bit for bit. It
+// then pins the pass allocation-free on a warm cache at the DDPG critic's
+// shape.
+func TestAuxGradBatchMatchesBackward(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	hiddens := []Activation{Tanh{}, ReLU{}}
+	for auxLayer := 0; auxLayer < 3; auxLayer++ {
+		for _, out := range []Activation{Tanh{}, ReLU{}, Softmax{}, Identity{}} {
+			for _, batch := range []int{1, 3, 7, 33} {
+				sizes := []int{1 + rng.Intn(8), 1 + rng.Intn(70), 1 + rng.Intn(70), 1 + rng.Intn(6)}
+				auxDim := 1 + rng.Intn(5)
+				net := NewNetwork(Config{
+					Sizes: sizes, Hidden: hiddens[rng.Intn(2)], Output: out,
+					AuxLayer: auxLayer, AuxDim: auxDim,
+				}, rng)
+				x := mat.NewRandn(batch, sizes[0], 1, rng)
+				aux := mat.NewRandn(batch, auxDim, 1, rng)
+				dOut := mat.NewRandn(batch, net.OutDim(), 1, rng)
+				if msg := auxGradMismatch(net, x, aux, dOut); msg != "" {
+					t.Fatalf("sizes %v aux layer %d dim %d, %s output, batch %d: %s",
+						sizes, auxLayer, auxDim, out.Name(), batch, msg)
+				}
+			}
+		}
+	}
+
+	critic := NewNetwork(Config{
+		Sizes: []int{4, 64, 64, 64, 1}, Hidden: Tanh{}, Output: Identity{},
+		AuxLayer: 1, AuxDim: 4,
+	}, rng)
+	const batch = 64
+	c := NewBatchCache(critic, batch)
+	critic.ForwardBatch(c, mat.NewRandn(batch, 4, 1, rng), mat.NewRandn(batch, 4, 1, rng))
+	dOut := mat.New(batch, 1)
+	dOut.Fill(1)
+	critic.AuxGradBatch(c, dOut)
+	if allocs := testing.AllocsPerRun(20, func() { critic.AuxGradBatch(c, dOut) }); allocs != 0 {
+		t.Fatalf("AuxGradBatch with a warm cache: %v allocs/run, want 0", allocs)
+	}
+}
+
 func TestBatchShapePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	net := NewNetwork(Config{Sizes: []int{3, 5, 2}, AuxLayer: -1}, rng)
@@ -158,6 +221,7 @@ func TestBatchShapePanics(t *testing.T) {
 		"wrong batch rows": func() { net.ForwardBatch(bc, mat.New(3, 3), nil) },
 		"unexpected aux":   func() { net.ForwardBatch(bc, mat.New(4, 3), mat.New(4, 1)) },
 		"wrong dOut":       func() { net.BackwardBatch(bc, mat.New(4, 3), NewGrads(net)) },
+		"aux grad, no aux": func() { net.AuxGradBatch(bc, mat.New(4, 2)) },
 		"zero batch":       func() { NewBatchCache(net, 0) },
 	} {
 		func() {

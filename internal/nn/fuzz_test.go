@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math/rand"
 	"testing"
+
+	"miras/internal/mat"
 )
 
 // FuzzNetworkDecode hammers the network JSON codec — the input surface of
@@ -62,4 +64,76 @@ func FuzzNetworkDecode(f *testing.F) {
 			t.Fatalf("round-trip unstable:\nfirst:  %q\nsecond: %q", out, out2)
 		}
 	})
+}
+
+// FuzzAuxGradBatch is the differential target for the aux-only backward
+// pass: the network shape, the aux layer's position, the batch size and
+// then the inputs, output gradient and parameters are decoded from the fuzz
+// input, and AuxGradBatch must equal BackwardBatch's dAux bit for bit.
+func FuzzAuxGradBatch(f *testing.F) {
+	f.Add([]byte{0, 3, 2, 0, 0, 0, 2, 4})                         // one layer, aux at 0
+	f.Add([]byte{1, 4, 9, 1, 1, 3, 1, 2, 4, 0x80, 0x7f, 0, 0x10}) // aux at the last of two
+	f.Add([]byte{2, 5, 33, 7, 3, 1, 2, 4, 3, 6, 8, 0xff, 0xfe})   // aux mid-network, ReLU
+	f.Add([]byte{2, 1, 39, 39, 1, 0, 3, 0, 5, 8})                 // 40-wide, aux at 0, Softmax
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			data = data[:4096]
+		}
+		net, x, aux, dOut := decodeAuxCase(data)
+		if msg := auxGradMismatch(net, x, aux, dOut); msg != "" {
+			t.Fatalf("%s\ninput: %v", msg, data)
+		}
+	})
+}
+
+// decodeAuxCase builds one AuxGradBatch case from fuzz bytes. Everything
+// starts from a fixed-seed random network and random matrices, and the
+// bytes left after the shape overwrite values in order — inputs, aux,
+// output gradient, then parameters — so a short input still yields a
+// nontrivial case.
+func decodeAuxCase(data []byte) (net *Network, x, aux, dOut *mat.Matrix) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	fill := func(vs []float64) {
+		for i := range vs {
+			if len(data) == 0 {
+				return
+			}
+			vs[i] = float64(int8(next())) / 32
+		}
+	}
+	layers := 1 + next()%3
+	sizes := make([]int, layers+1)
+	for i := range sizes {
+		sizes[i] = 1 + next()%40
+	}
+	hiddens := []Activation{Tanh{}, ReLU{}, Sigmoid{}}
+	outputs := []Activation{Identity{}, Tanh{}, ReLU{}, Softmax{}}
+	cfg := Config{
+		Sizes:    sizes,
+		Hidden:   hiddens[next()%len(hiddens)],
+		Output:   outputs[next()%len(outputs)],
+		AuxLayer: next() % layers,
+		AuxDim:   1 + next()%6,
+	}
+	batch := 1 + next()%9
+	rng := rand.New(rand.NewSource(1))
+	net = NewNetwork(cfg, rng)
+	x = mat.NewRandn(batch, net.InDim(), 1, rng)
+	aux = mat.NewRandn(batch, cfg.AuxDim, 1, rng)
+	dOut = mat.NewRandn(batch, net.OutDim(), 1, rng)
+	for _, m := range []*mat.Matrix{x, aux, dOut} {
+		fill(m.Data)
+	}
+	for _, layer := range net.Layers {
+		fill(layer.W.Data)
+		fill(layer.B)
+	}
+	return net, x, aux, dOut
 }

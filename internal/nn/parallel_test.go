@@ -10,61 +10,61 @@ import (
 )
 
 // TestBatchPassesBitIdenticalAcrossWorkers runs a full forward+backward
-// minibatch pass under several parallel worker bounds and requires the
-// outputs and accumulated gradients to be byte-for-byte identical — the
-// end-to-end version of the mat package's kernel-level determinism test,
-// covering the fused bias+activation epilogue on pool workers.
+// minibatch pass, and for the critic-shaped network the aux-only backward
+// too, under several parallel worker bounds and requires every output and
+// accumulated gradient to be byte-for-byte identical — the end-to-end
+// version of the mat package's kernel-level determinism test, covering the
+// fused bias+activation epilogue on pool workers. At batch 48 the 256×256
+// products (2·48·256·256 ≈ 2²²·⁶ flops, including the critic's layer-2
+// input gradient inside AuxGradBatch) reach the pool, and the 12-, 5-, 4-
+// and 1-wide ones (≤ 2¹⁸·²) stay below the 2²⁰ dispatch threshold.
 func TestBatchPassesBitIdenticalAcrossWorkers(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	rng := rand.New(rand.NewSource(31))
-	net := NewNetwork(Config{Sizes: []int{12, 64, 64, 5}, Hidden: Tanh{}, Output: Softmax{}, AuxLayer: -1}, rng)
 	const batch = 48
-	x := mat.New(batch, 12)
-	dOut := mat.New(batch, 5)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range dOut.Data {
-		dOut.Data[i] = rng.NormFloat64()
-	}
-
-	type result struct {
-		out   []float64
-		grads *Grads
-	}
-	results := map[int]result{}
-	for _, w := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
-		parallel.SetMaxWorkers(w)
-		c := NewBatchCache(net, batch)
-		g := NewGrads(net)
-		out := net.ForwardBatch(c, x, nil)
-		net.BackwardBatch(c, dOut, g)
-		results[w] = result{out: append([]float64(nil), out.Data...), grads: g}
-	}
-
-	var ref result
-	refW := 0
-	for w, res := range results {
-		if ref.out == nil {
-			ref, refW = res, w
-			continue
+	for _, cfg := range []Config{
+		{Sizes: []int{12, 256, 256, 5}, Hidden: Tanh{}, Output: Softmax{}, AuxLayer: -1},
+		{Sizes: []int{12, 256, 256, 256, 1}, Hidden: Tanh{}, Output: Identity{}, AuxLayer: 1, AuxDim: 4},
+	} {
+		net := NewNetwork(cfg, rng)
+		x := mat.NewRandn(batch, net.InDim(), 1, rng)
+		dOut := mat.NewRandn(batch, net.OutDim(), 1, rng)
+		var aux *mat.Matrix
+		if cfg.AuxLayer >= 0 {
+			aux = mat.NewRandn(batch, cfg.AuxDim, 1, rng)
 		}
-		for i, v := range res.out {
-			if v != ref.out[i] {
-				t.Fatalf("output entry %d differs between %d and %d workers", i, refW, w)
+
+		// Each worker count's results, flattened in a fixed order: the
+		// output, every dW and dB, dX, then (with an aux input) the
+		// BackwardBatch and AuxGradBatch dAux.
+		results := map[int][][]float64{}
+		for _, w := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
+			parallel.SetMaxWorkers(w)
+			c := NewBatchCache(net, batch)
+			g := NewGrads(net)
+			res := [][]float64{clone(net.ForwardBatch(c, x, aux).Data)}
+			dX, dAux := net.BackwardBatch(c, dOut, g)
+			for l := range g.W {
+				res = append(res, g.W[l].Data, g.B[l])
 			}
+			res = append(res, clone(dX.Data))
+			if aux != nil {
+				res = append(res, clone(dAux.Data), clone(net.AuxGradBatch(c, dOut).Data))
+			}
+			results[w] = res
 		}
-		for l := range ref.grads.W {
-			for i, v := range res.grads.W[l].Data {
-				if v != ref.grads.W[l].Data[i] {
-					t.Fatalf("dW[%d] entry %d differs between %d and %d workers", l, i, refW, w)
-				}
-			}
-			for i, v := range res.grads.B[l] {
-				if v != ref.grads.B[l][i] {
-					t.Fatalf("dB[%d] entry %d differs between %d and %d workers", l, i, refW, w)
+
+		ref := results[1]
+		for w, res := range results {
+			for i := range ref {
+				for j, v := range res[i] {
+					if v != ref[i][j] {
+						t.Fatalf("sizes %v: result %d entry %d differs between 1 and %d workers", cfg.Sizes, i, j, w)
+					}
 				}
 			}
 		}
 	}
 }
+
+func clone(vs []float64) []float64 { return append([]float64(nil), vs...) }

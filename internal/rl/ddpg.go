@@ -56,7 +56,7 @@ type Config struct {
 	// ActorLR and CriticLR are Adam learning rates (defaults 1e-4, 1e-3).
 	ActorLR  float64
 	CriticLR float64
-	// Gamma is the discount factor (default 0.99).
+	// Gamma is the discount factor (default 0.95).
 	Gamma float64
 	// Tau is the target-network soft-update rate (default 0.01).
 	Tau float64
@@ -80,7 +80,7 @@ type Config struct {
 	// EntropyBonus weights an entropy term added to the actor objective
 	// (maximise Q + β·H(π(s))). The softmax actor otherwise saturates to a
 	// one-hot allocation early in training and its gradients vanish —
-	// starving all but one microservice permanently (default 0.01; 0.001
+	// starving all but one microservice permanently (default 0.05; 0.001
 	// effectively disables it, negative values panic).
 	EntropyBonus float64
 	// HuberDelta is the critic loss transition point between quadratic and
@@ -181,6 +181,12 @@ type DDPG struct {
 	logBuf         []float64
 	updates        uint64
 
+	// actCache, plainActs and noisyActs are adaptParamNoise's scratch: one
+	// per-sample cache shared by the actor and its perturbed copy (same
+	// shape), and one action row per minibatch slot for each policy.
+	actCache             *nn.Cache
+	plainActs, noisyActs [][]float64
+
 	// lastCriticLoss and lastMeanQ record the most recent Update's outputs
 	// for the divergence health check.
 	lastCriticLoss float64
@@ -258,6 +264,12 @@ func NewDDPG(cfg Config) (*DDPG, error) {
 	case ParamSpaceNoise:
 		d.pnoise = NewParamNoise(cfg.NoiseSigma, cfg.NoiseTargetDelta)
 		d.perturbed.PerturbFrom(d.actor, d.pnoise.Sigma, rng)
+		d.actCache = nn.NewCache(d.actor)
+		plain, noisy := mat.New(cfg.BatchSize, cfg.ActionDim), mat.New(cfg.BatchSize, cfg.ActionDim)
+		for i := 0; i < cfg.BatchSize; i++ {
+			d.plainActs = append(d.plainActs, plain.Row(i))
+			d.noisyActs = append(d.noisyActs, noisy.Row(i))
+		}
 	case ActionSpaceNoise:
 		d.ounoise = NewOUNoise(cfg.ActionDim, cfg.NoiseSigma, rng)
 	case NoNoise:
@@ -349,16 +361,14 @@ func (d *DDPG) adaptParamNoise() {
 	if n > d.replay.Len() {
 		n = d.replay.Len()
 	}
-	sample := make([]Experience, n)
+	sample := d.batch[:n]
 	d.replay.Sample(d.rng, sample)
-	plain := make([][]float64, n)
-	noisy := make([][]float64, n)
 	for i, e := range sample {
 		ns := d.normalize(e.State)
-		plain[i] = d.actor.Forward(ns, nil)
-		noisy[i] = d.perturbed.Forward(ns, nil)
+		copy(d.plainActs[i], d.actor.ForwardCache(d.actCache, ns, nil))
+		copy(d.noisyActs[i], d.perturbed.ForwardCache(d.actCache, ns, nil))
 	}
-	d.pnoise.Adapt(ActionDistance(plain, noisy))
+	d.pnoise.Adapt(ActionDistance(d.plainActs[:n], d.noisyActs[:n]))
 }
 
 // Observe stores a transition in the replay buffer and updates state
@@ -419,11 +429,9 @@ func (d *DDPG) Update() (criticLoss, meanQ float64) {
 	for i := 0; i < actorQ.Rows; i++ {
 		qSum += actorQ.Row(i)[0]
 	}
-	// ∂Q/∂a via the critic's aux-input gradient; critic params get
-	// throwaway gradients (criticGrads is scratch here, zeroed before its
-	// next real use above).
-	d.criticGrads.Zero()
-	_, dAction := d.critic.BackwardBatch(d.criticBC, d.bOnes, d.criticGrads)
+	// ∂Q/∂a via the critic's aux-input gradient alone: no critic parameter
+	// gradients and nothing below the action-injection layer.
+	dAction := d.critic.AuxGradBatch(d.criticBC, d.bOnes)
 	// Minimise −(Q + β·H(π)) ⇒ dOut_i = (−∂Q/∂a_i + β(log a_i + 1))/N.
 	// The entropy term's gradient ∂H/∂a_i = −(log a_i + 1).
 	//

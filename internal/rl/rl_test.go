@@ -3,10 +3,13 @@ package rl
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"miras/internal/invariant"
 	"miras/internal/mat"
+	"miras/internal/nn"
 )
 
 func TestReplayBufferBasics(t *testing.T) {
@@ -413,5 +416,72 @@ func TestDDPGUpdateZeroAlloc(t *testing.T) {
 	agent.Update() // warm up: size the batch scratch
 	if allocs := testing.AllocsPerRun(20, func() { agent.Update() }); allocs != 0 {
 		t.Fatalf("DDPG.Update: %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestBeginEpisodeZeroAlloc pins that parameter-noise adaptation — a
+// replay sample pushed through the actor and its perturbed copy — and the
+// re-perturbation allocate nothing once the agent's scratch is warm.
+func TestBeginEpisodeZeroAlloc(t *testing.T) {
+	agent, err := NewDDPG(Config{
+		StateDim: 4, ActionDim: 4, Hidden: []int{64, 64, 64},
+		BatchSize: 64, Seed: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 100; i++ {
+		s := []float64{rng.Float64() * 50, rng.Float64() * 50, rng.Float64() * 50, rng.Float64() * 50}
+		agent.Observe(Experience{State: s, Action: agent.Act(s), Next: s, Reward: -rng.Float64() * 100})
+	}
+	agent.BeginEpisode()
+	if allocs := testing.AllocsPerRun(20, agent.BeginEpisode); allocs != 0 {
+		t.Fatalf("DDPG.BeginEpisode: %v allocs/run, want 0", allocs)
+	}
+}
+
+// updateTrajectoryDigest pins TestUpdateTrajectoryPinned. It was captured
+// while the actor pass still ran the critic's full BackwardBatch and every
+// 64-wide product still reached the kernel pool; the value must never be
+// refreshed to make a change pass. It holds on linux/amd64 only, where
+// math.Tanh, math.Exp and math.Log have the assembly it was captured with.
+const updateTrajectoryDigest = 0xd9e61aad1c0c4140
+
+// TestUpdateTrajectoryPinned runs a seeded agent at train-msd's shapes (4
+// services, 64×64×64 actor and critic, batch 64) through 60 updates with a
+// BeginEpisode before each, and folds every critic loss, mean Q and noise σ
+// plus the final actor and critic parameters into one digest — the
+// bit-identity referee for the update path at the widths the benchmark runs.
+func TestUpdateTrajectoryPinned(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("update digest is pinned for linux/amd64, not %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	agent, err := NewDDPG(Config{
+		StateDim: 4, ActionDim: 4, Hidden: []int{64, 64, 64},
+		BatchSize: 64, Seed: 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 300; i++ {
+		s := []float64{rng.Float64() * 50, rng.Float64() * 20, rng.Float64() * 5, rng.Float64()}
+		next := []float64{s[0] * 0.9, s[1] + 1, s[2], rng.Float64()}
+		agent.Observe(Experience{State: s, Action: agent.ActExplore(s), Next: next, Reward: -(s[0] + s[1])})
+	}
+	dig := invariant.NewDigest()
+	for k := 0; k < 60; k++ {
+		agent.BeginEpisode()
+		loss, q := agent.Update()
+		dig.Float64(loss).Float64(q).Float64(agent.NoiseSigma())
+	}
+	for _, n := range []*nn.Network{agent.Actor(), agent.Critic()} {
+		for _, layer := range n.Layers {
+			dig.Floats(layer.W.Data).Floats(layer.B)
+		}
+	}
+	if got := dig.Sum(); got != updateTrajectoryDigest {
+		t.Fatalf("update trajectory digest %#x, want %#x", got, uint64(updateTrajectoryDigest))
 	}
 }
