@@ -54,13 +54,15 @@ benchmark-smoke:
 fmt:
 	gofmt -l -w .
 
-# Short fuzz runs over six input surfaces plus two differential targets: the
-# untrusted inputs (workflow JSON, fault plans, HTTP session creation,
+# Short fuzz runs over six input surfaces plus three differential targets:
+# the untrusted inputs (workflow JSON, fault plans, HTTP session creation,
 # session snapshots on restore, serialized networks and policy snapshots),
 # the event engine against its reference implementation (FuzzEngineOracle:
 # decoded operation sequences must fire the same callbacks in the same order
-# on both), and the aux-only backward pass against the full one
-# (FuzzAuxGradBatch: decoded networks must give bit-identical dAux).
+# on both), the aux-only backward pass against the full one
+# (FuzzAuxGradBatch: decoded networks must give bit-identical dAux), and the
+# row-blocked mat-vec kernel against a plain ascending dot product
+# (FuzzMulVecTo: decoded matrices must give bit-identical outputs).
 # Go allows one -fuzz pattern per invocation, hence one run each; each
 # extends the committed seed corpus in the package's testdata/fuzz/ only in
 # the local build cache.
@@ -73,6 +75,7 @@ fuzz-smoke:
 	$(GO) test ./internal/nn/ -fuzz FuzzAuxGradBatch -fuzztime 10s
 	$(GO) test ./internal/rl/ -fuzz FuzzPolicySnapshotDecode -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzEngineOracle -fuzztime 10s
+	$(GO) test ./internal/mat/ -fuzz FuzzMulVecTo -fuzztime 10s
 
 # Smoke-test the observability surface: start `miras serve`, scrape
 # /metrics, and fail unless it serves non-empty Prometheus output.

@@ -155,6 +155,11 @@ func (m *Matrix) Add(other *Matrix) { m.AddScaled(other, 1) }
 
 // MulVecTo computes dst = m * x, where x has length m.Cols and dst has
 // length m.Rows. dst must not alias x.
+//
+// Rows are taken four at a time, so each loaded x[j] feeds four
+// independent accumulator chains. Every output is still its own plain
+// ascending-order dot product, so results are bit-identical to a one-row
+// loop and to the batched kernels (mulPackedTransRows).
 func (m *Matrix) MulVecTo(dst, x []float64) {
 	if len(x) != m.Cols {
 		panic(fmt.Sprintf("mat: MulVec input length %d != cols %d", len(x), m.Cols))
@@ -162,8 +167,26 @@ func (m *Matrix) MulVecTo(dst, x []float64) {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("mat: MulVec output length %d != rows %d", len(dst), m.Rows))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	n := m.Cols
+	i := 0
+	for ; i+3 < m.Rows; i += 4 {
+		// Reslicing every row to an explicit length n lets the compiler
+		// drop the bounds checks in the inner loop.
+		r0 := m.Data[i*n:][:n]
+		r1 := m.Data[(i+1)*n:][:n]
+		r2 := m.Data[(i+2)*n:][:n]
+		r3 := m.Data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, xv := range x {
+			s0 += r0[j] * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Data[i*n:][:n]
 		var sum float64
 		for j, w := range row {
 			sum += w * x[j]

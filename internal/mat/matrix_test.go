@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -317,6 +318,156 @@ func TestMulVecPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// ascendingDots is the reference MulVecTo must reproduce: for each row one
+// plain left-to-right chain 0 + w₀x₀ + w₁x₁ + ….
+func ascendingDots(m *Matrix, x []float64) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		sum := 0.0
+		for j := 0; j < m.Cols; j++ {
+			sum = sum + m.Data[i*m.Cols+j]*x[j]
+		}
+		out[i] = sum
+	}
+	return out
+}
+
+// mulVecMismatch reports the first output where MulVecTo and the ascending
+// reference differ in their bits, or "". Any two NaNs match: which payload
+// a NaN sum carries depends on operand order in a commutative add, which
+// the compiler may pick either way, and no caller reads NaN payloads.
+func mulVecMismatch(m *Matrix, x []float64) string {
+	got := make([]float64, m.Rows)
+	m.MulVecTo(got, x)
+	for i, want := range ascendingDots(m, x) {
+		if math.IsNaN(got[i]) && math.IsNaN(want) {
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want) {
+			return fmt.Sprintf("%dx%d row %d: MulVecTo %v (%#x), ascending dot %v (%#x)",
+				m.Rows, m.Cols, i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+		}
+	}
+	return ""
+}
+
+// TestMulVecToMatchesAscendingDot pins the row-blocked kernel to the plain
+// ascending dot product bit for bit: row counts in every residue mod 4
+// (the block's tail), the serving shapes, signed zeros (a +0 start keeps an
+// all-(-0) row at +0), and Inf/NaN propagation.
+func TestMulVecToMatchesAscendingDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	negZero := math.Copysign(0, -1)
+	shapes := [][2]int{{1, 1}, {2, 3}, {3, 0}, {4, 7}, {5, 7}, {6, 7}, {7, 7}, {64, 4}, {4, 64}, {256, 256}}
+	for _, s := range shapes {
+		m := NewRandn(s[0], s[1], 1, rng)
+		x := make([]float64, s[1])
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		if msg := mulVecMismatch(m, x); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+
+	// Rows 0–3 fill one block, rows 4–6 its tail; both paths get every case.
+	m := New(7, 3)
+	x := []float64{negZero, 2, 1}
+	for _, i := range []int{0, 4} {
+		copy(m.Row(i), []float64{1, negZero, negZero})           // every product -0: sum must be +0
+		copy(m.Row(i+1), []float64{math.Inf(1), 1, 1})           // Inf·(-0) = NaN
+		copy(m.Row(i+2), []float64{1, math.Inf(-1), math.NaN()}) // -Inf then NaN
+	}
+	copy(m.Row(3), []float64{1, math.MaxFloat64, math.MaxFloat64}) // overflow to +Inf
+	if msg := mulVecMismatch(m, x); msg != "" {
+		t.Fatal(msg)
+	}
+	got := make([]float64, m.Rows)
+	m.MulVecTo(got, x)
+	if math.Signbit(got[0]) || math.Signbit(got[4]) {
+		t.Fatalf("all-(-0) rows gave %v and %v, want +0", got[0], got[4])
+	}
+	if !math.IsNaN(got[1]) || !math.IsNaN(got[2]) || !math.IsInf(got[3], 1) {
+		t.Fatalf("Inf/NaN rows gave %v", got[1:4])
+	}
+}
+
+// FuzzMulVecTo is the differential target for the row-blocked mat-vec
+// kernel: the shape, then matrix and vector entries are decoded from the
+// fuzz input, and MulVecTo must equal the ascending reference bit for bit.
+func FuzzMulVecTo(f *testing.F) {
+	f.Add([]byte{3, 5})
+	f.Add([]byte{4, 4, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{63, 64, 1, 1, 1, 1, 0x80, 0x7f})
+	f.Add([]byte{6, 2, 5, 1, 5, 6, 7, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, x := decodeMulVecCase(data)
+		if msg := mulVecMismatch(m, x); msg != "" {
+			t.Fatalf("%s\ninput: %v", msg, data)
+		}
+	})
+}
+
+// mulVecSpecials are the values a fuzz byte below len(mulVecSpecials)
+// stands for: signed zeros, infinities, NaN, and magnitudes that overflow
+// or underflow in a product.
+var mulVecSpecials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1, -1}
+
+// decodeMulVecCase builds one MulVecTo case from fuzz bytes: 1–64 rows and
+// 0–64 columns, entries from a fixed-seed random matrix and vector, and the
+// bytes left after the shape overwrite matrix entries then vector entries
+// in order.
+func decodeMulVecCase(data []byte) (*Matrix, []float64) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	rows, cols := 1+next()%64, next()%65
+	rng := rand.New(rand.NewSource(1))
+	m := NewRandn(rows, cols, 1, rng)
+	x := make([]float64, cols)
+	for j := range x {
+		x[j] = rng.NormFloat64()
+	}
+	for _, vs := range [][]float64{m.Data, x} {
+		for i := range vs {
+			if len(data) == 0 {
+				break
+			}
+			if b := next(); b < len(mulVecSpecials) {
+				vs[i] = mulVecSpecials[b]
+			} else {
+				vs[i] = float64(int8(b)) / 16
+			}
+		}
+	}
+	return m, x
+}
+
+// BenchmarkMulVecTo times the serving decide's kernel at the benchmark's
+// actor width (64) and the paper's (256, 512).
+func BenchmarkMulVecTo(b *testing.B) {
+	for _, n := range []int{64, 256, 512} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			m := NewRandn(n, n, 1, rng)
+			x := make([]float64, n)
+			for j := range x {
+				x[j] = rng.NormFloat64()
+			}
+			dst := make([]float64, n)
+			for b.Loop() {
+				m.MulVecTo(dst, x)
+			}
+		})
 	}
 }
 

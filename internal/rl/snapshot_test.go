@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -152,5 +153,32 @@ func TestActToMatchesActZeroAlloc(t *testing.T) {
 	state := states[1]
 	if allocs := testing.AllocsPerRun(100, func() { snap.ActTo(sc, state) }); allocs != 0 {
 		t.Fatalf("ActTo: %v allocs/run, want 0", allocs)
+	}
+}
+
+// BenchmarkSnapshotActTo times one served decision's forward pass on an
+// untrained three-hidden-layer actor: the benchmark's serving width (64)
+// and the paper's MSD (256) and LIGO (512) widths, with each ensemble's
+// service count as the state and action width.
+func BenchmarkSnapshotActTo(b *testing.B) {
+	for _, c := range []struct{ width, services int }{{64, 4}, {256, 4}, {512, 9}} {
+		b.Run(fmt.Sprintf("%dwide", c.width), func(b *testing.B) {
+			d, err := NewDDPG(Config{
+				StateDim: c.services, ActionDim: c.services,
+				Hidden: []int{c.width, c.width, c.width}, ReplayCapacity: 1, Seed: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			snap := d.Snapshot()
+			sc := snap.NewScratch()
+			state := make([]float64, c.services)
+			for i := range state {
+				state[i] = float64(3 * i)
+			}
+			for b.Loop() {
+				snap.ActTo(sc, state)
+			}
+		})
 	}
 }
