@@ -98,16 +98,23 @@ func writeError(w http.ResponseWriter, status int, code ErrorCode, err error) {
 // short). It returns false when the response has already been written.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+		writeBodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// writeBodyError answers a request body that could not be read or decoded:
+// 413 body_too_large when the body-size middleware cut the read short, 400
+// bad_request otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

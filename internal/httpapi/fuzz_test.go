@@ -77,10 +77,11 @@ func FuzzHTTPCreateSession(f *testing.F) {
 
 // FuzzSessionRestore throws arbitrary snapshots at POST …/restore — the
 // untrusted input behind restore, drain → rehydrate and failover, which
-// read spill files back. The handler must never panic, and every body that
-// decodes as a SessionSnapshot must either be refused with 422 bad_snapshot
-// or restore so that GET …/snapshot re-encodes it (seed defaulted to 1, a
-// null op log as []).
+// read spill files back. The handler must never panic. A body that does not
+// decode as a SessionSnapshot — its embedded policy included — must be
+// refused with 400 bad_request; every other body must either be refused
+// with 422 bad_snapshot or restore so that GET …/snapshot re-encodes it
+// (seed defaulted to 1, a null op log as []).
 func FuzzSessionRestore(f *testing.F) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "session_snapshot.json"))
 	if err != nil {
@@ -102,10 +103,8 @@ func FuzzSessionRestore(f *testing.F) {
 	now := time.Unix(1000, 0) // a frozen clock: no TTL or idle bound can expire mid-input
 	f.Fuzz(func(t *testing.T, body string) {
 		var snap SessionSnapshot
-		if json.NewDecoder(strings.NewReader(body)).Decode(&snap) != nil {
-			t.Skip() // not a snapshot: decodeBody's 400 is exercised by FuzzHTTPCreateSession
-		}
-		if restoreTooCostly(snap) {
+		decodeErr := json.NewDecoder(strings.NewReader(body)).Decode(&snap)
+		if decodeErr == nil && restoreTooCostly(snap) {
 			t.Skip()
 		}
 		h := NewServer(WithClock(func() time.Time { return now })).Handler()
@@ -121,6 +120,13 @@ func FuzzSessionRestore(f *testing.F) {
 		}
 		path := "/v1/sessions/" + info.ID
 		rr = serve("POST", path+"/restore", body)
+		if decodeErr != nil {
+			var e ErrorEnvelope
+			if rr.Code != http.StatusBadRequest || json.Unmarshal(rr.Body.Bytes(), &e) != nil || e.Error.Code != CodeBadRequest {
+				t.Fatalf("undecodable snapshot (%v) answered %d, want 400 bad_request: %q", decodeErr, rr.Code, rr.Body.Bytes())
+			}
+			return
+		}
 		switch rr.Code {
 		case http.StatusOK:
 			want := snap

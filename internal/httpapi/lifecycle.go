@@ -295,9 +295,13 @@ func (s *Server) rehydrateOne(id string) error {
 	if err != nil {
 		return err
 	}
-	var snap SessionSnapshot
-	if _, err := st.LoadLatest(&snap); err != nil {
+	var in snapshotJSON
+	if _, err := st.LoadLatest(&in); err != nil {
 		return err
+	}
+	snap, err := s.policies.snapshot(in)
+	if err != nil {
+		return fmt.Errorf("%s: %w", CodeBadRequest, err)
 	}
 
 	_, _, err = s.admit(id, func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {

@@ -199,13 +199,13 @@ func TestFallbackTriggersProfile(t *testing.T) {
 	}
 	c, srv, _, _ := obsClient(t, prof)
 	sess := c.createSession(6)
-	if status := c.do("POST", "/v1/sessions/"+sess.ID+"/policy", testPolicy(2, 2), nil); status != http.StatusOK {
-		t.Fatalf("policy attach status %d", status)
+	sibling := c.createSession(6)
+	for _, id := range []string{sess.ID, sibling.ID} {
+		if status := c.do("POST", "/v1/sessions/"+id+"/policy", testPolicy(2, 2), nil); status != http.StatusOK {
+			t.Fatalf("policy attach status %d", status)
+		}
 	}
-	poisoned := srv.sessionByID(sess.ID)
-	poisoned.mu.Lock()
-	poisoned.policy.Actor.Layers[0].W.Data[0] = math.NaN()
-	poisoned.mu.Unlock()
+	poisonPolicy(srv, sess.ID, math.NaN())
 
 	var step StepResponse
 	if status := c.do("POST", "/v1/sessions/"+sess.ID+"/step", StepRequest{}, &step); status != http.StatusOK {
@@ -213,6 +213,12 @@ func TestFallbackTriggersProfile(t *testing.T) {
 	}
 	if step.Controller != "hpa" {
 		t.Fatalf("controller %q, want hpa", step.Controller)
+	}
+	if status := c.do("POST", "/v1/sessions/"+sibling.ID+"/step", StepRequest{}, &step); status != http.StatusOK {
+		t.Fatalf("sibling step status %d", status)
+	}
+	if step.Controller != "policy" {
+		t.Fatalf("sibling controller %q after its neighbour's poisoning, want policy", step.Controller)
 	}
 	prof.Wait()
 	if prof.Captures() != 1 {

@@ -170,8 +170,16 @@ func validatePolicyFor(p *rl.PolicySnapshot, e *env.Env) error {
 }
 
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
-	var snap rl.PolicySnapshot
-	if !decodeBody(w, r, &snap) {
+	// Sizing the buffer from Content-Length (within the body cap) reads a
+	// multi-megabyte policy without a chain of growing copies.
+	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), s.maxBodyBytes)+bytes.MinRead))
+	if _, err := body.ReadFrom(r.Body); err != nil {
+		writeBodyError(w, err)
+		return
+	}
+	snap, err := s.policies.intern(body.Bytes())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	sess, ok := s.lookup(w, r)
@@ -180,14 +188,14 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if err := validatePolicyFor(&snap, sess.env); err != nil {
+	if err := validatePolicyFor(snap, sess.env); err != nil {
 		writeError(w, http.StatusUnprocessableEntity, CodeBadPolicy, err)
 		return
 	}
 	// A freshly attached policy starts trusted: clear any degradation left
 	// over from its predecessor. The decide scratch belongs to the old
 	// policy; drop it so the first auto-step rebuilds it for this one.
-	sess.policy = &snap
+	sess.policy = snap
 	sess.fallback = nil
 	sess.healthyProbes = 0
 	sess.scratch = nil
@@ -237,8 +245,13 @@ func (s *Server) buildFromSnapshot(snap SessionSnapshot, faultsTotal, crashed *o
 // current session untouched. Fault counters are cumulative across the
 // session's metric series, so replayed fault activations count again.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	var snap SessionSnapshot
-	if !decodeBody(w, r, &snap) {
+	var in snapshotJSON
+	if !decodeBody(w, r, &in) {
+		return
+	}
+	snap, err := s.policies.snapshot(in)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	sess, ok := s.lookup(w, r)

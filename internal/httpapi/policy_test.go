@@ -66,27 +66,38 @@ func TestPolicyAttachAndAutoStep(t *testing.T) {
 	}
 }
 
-// TestPolicyFallbackAndRecovery poisons an attached policy's weights in
-// place (in-package, under the server lock) and checks the full
-// self-healing cycle: degrade to HPA with the fallback counter bumped,
-// shadow-probe the repaired policy, promote it back with the recovered
-// counter bumped.
+// poisonPolicy swaps session id's policy for a private clone whose first
+// weight is v (in-package, under the session lock). The attached snapshot
+// may be shared with other sessions, so it is never edited in place.
+func poisonPolicy(srv *Server, id string, v float64) {
+	s := srv.sessionByID(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clone := *s.policy
+	clone.Actor = s.policy.Actor.Clone()
+	clone.Actor.Layers[0].W.Data[0] = v
+	s.policy = &clone
+}
+
+// TestPolicyFallbackAndRecovery poisons an attached policy's weights and
+// checks the full self-healing cycle: degrade to HPA with the fallback
+// counter bumped, shadow-probe the repaired policy, promote it back with
+// the recovered counter bumped. A sibling session attached with the same
+// policy keeps serving from it throughout.
 func TestPolicyFallbackAndRecovery(t *testing.T) {
 	srv := NewServer()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := &client{t: t, srv: ts}
 	sess := c.createSession(6)
+	sibling := c.createSession(6)
 
-	if status := c.do("POST", "/v1/sessions/"+sess.ID+"/policy", testPolicy(2, 2), nil); status != http.StatusOK {
-		t.Fatalf("policy attach status %d", status)
+	for _, id := range []string{sess.ID, sibling.ID} {
+		if status := c.do("POST", "/v1/sessions/"+id+"/policy", testPolicy(2, 2), nil); status != http.StatusOK {
+			t.Fatalf("policy attach status %d", status)
+		}
 	}
-	poison := func(v float64) {
-		s := srv.sessionByID(sess.ID)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.policy.Actor.Layers[0].W.Data[0] = v
-	}
+	poison := func(v float64) { poisonPolicy(srv, sess.ID, v) }
 	poison(math.NaN())
 
 	var step StepResponse
@@ -95,6 +106,12 @@ func TestPolicyFallbackAndRecovery(t *testing.T) {
 	}
 	if step.Controller != "hpa" {
 		t.Fatalf("controller %q after NaN poisoning, want hpa", step.Controller)
+	}
+	if status := c.do("POST", "/v1/sessions/"+sibling.ID+"/step", StepRequest{}, &step); status != http.StatusOK {
+		t.Fatalf("sibling auto-step status %d", status)
+	}
+	if step.Controller != "policy" {
+		t.Fatalf("sibling controller %q after its neighbour's poisoning, want policy", step.Controller)
 	}
 	var info SessionInfo
 	if status := c.do("GET", "/v1/sessions/"+sess.ID, nil, &info); status != http.StatusOK {
@@ -159,7 +176,7 @@ func TestPolicyFallbackAndRecovery(t *testing.T) {
 	if err := srv.Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "miras_controller_fallback_total") {
+	if strings.Contains(buf.String(), fmt.Sprintf("miras_controller_fallback_total{session=%q}", sess.ID)) {
 		t.Fatal("controller metrics survived DELETE")
 	}
 }
@@ -271,7 +288,12 @@ func TestBodyLimit(t *testing.T) {
 		t.Fatalf("envelope %q, want %q", body, want)
 	}
 	// Small bodies still work.
-	c.createSession(4)
+	sess := c.createSession(4)
+	// The policy attach reads its body whole; the cap answers the same.
+	status, body = c.rawDo("POST", "/v1/sessions/"+sess.ID+"/policy", big)
+	if status != http.StatusRequestEntityTooLarge || body != want {
+		t.Fatalf("oversized policy body: status %d envelope %q, want 413 %q", status, body, want)
+	}
 }
 
 func TestTimeoutMiddleware(t *testing.T) {

@@ -173,6 +173,10 @@ type Server struct {
 	spillDir string
 	spillSeq atomic.Int64
 
+	// policies interns every policy this server attaches, restores or
+	// rehydrates, so sessions sent the same policy share one copy.
+	policies policyTable
+
 	// reg collects server metrics: per-endpoint request counters and
 	// latency histograms (added by instrument) plus per-session env/cluster
 	// gauges, per-shard occupancy gauges, and fault counters. Scrape it via
