@@ -417,15 +417,17 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		"HTTP responses with status >= 400, by endpoint.", "endpoint", endpoint)
 	dur := s.reg.Histogram("miras_http_request_duration_seconds",
 		"HTTP request latency, by endpoint.", nil, "endpoint", endpoint)
+	spanName := "http." + endpoint
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		span := s.tracer.StartRemote("http."+endpoint, r.Header.Get("traceparent")).
-			Str("endpoint", endpoint)
-		if tp := span.Traceparent(); tp != "" {
+		var span *obs.Span
+		if s.tracer != nil {
+			span = s.tracer.StartRemote(spanName, r.Header.Get("traceparent")).
+				Str("endpoint", endpoint)
 			// The response header must land before the handler writes the
 			// status line; spans carry ids from birth, so this is safe.
-			sw.Header().Set("traceparent", tp)
+			sw.Header().Set("traceparent", span.Traceparent())
 			r = r.WithContext(obs.ContextWithSpan(r.Context(), span))
 		}
 		h(sw, r)

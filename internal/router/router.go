@@ -53,6 +53,9 @@ type Router struct {
 	// a reassigned copy. shards is the member list, fixed at startup.
 	table  atomic.Pointer[shardring.Table]
 	shards []string
+	// bases holds each member's parsed base URL, so a forward copies one
+	// instead of parsing a URL per attempt.
+	bases  map[string]*url.URL
 	client *http.Client
 	// adminClient shares the forwarding client's transport but carries no
 	// per-attempt timeout: probes bound themselves with contexts, and a
@@ -109,7 +112,15 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	}
 	rt := &Router{
 		shards: append([]string(nil), shards...),
+		bases:  make(map[string]*url.URL, len(shards)),
 		reg:    obs.NewRegistry(),
+	}
+	for _, sh := range shards {
+		u, err := url.Parse(sh)
+		if err != nil {
+			return nil, fmt.Errorf("router: member %q: %w", sh, err)
+		}
+		rt.bases[sh] = u
 	}
 	for _, o := range opts {
 		o(rt)
@@ -262,14 +273,12 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 		}
 		breakerHit = ""
 
-		req, err := http.NewRequestWithContext(ctx, r.Method,
-			shard+r.URL.RequestURI(), bytes.NewReader(body))
+		req, err := rt.upstream(ctx, shard, r, body)
 		if err != nil {
 			br.abort(trial)
 			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 			return
 		}
-		req.Header = r.Header.Clone()
 		if dl, ok := ctx.Deadline(); ok {
 			remaining := time.Until(dl).Milliseconds()
 			if remaining < 1 {
@@ -335,6 +344,29 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 	default:
 		writeError(w, http.StatusBadGateway, httpapi.CodeUpstreamUnreachable, lastErr)
 	}
+}
+
+// upstream builds one attempt's request to member shard: r's method, path,
+// query and headers under the member's base URL, with body as the payload.
+// http.NewRequestWithContext sets ContentLength and GetBody from the
+// reader, so the transport can resend the body on a stale keep-alive
+// connection; only the URL is swapped for a copy of the parsed base.
+func (rt *Router) upstream(ctx context.Context, shard string, r *http.Request, body []byte) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, r.Method, "", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	base := rt.bases[shard]
+	u := *base
+	u.Path = base.Path + r.URL.Path
+	u.RawPath = ""
+	if base.RawPath != "" || r.URL.RawPath != "" {
+		u.RawPath = base.EscapedPath() + r.URL.EscapedPath()
+	}
+	u.RawQuery = r.URL.RawQuery
+	req.URL, req.Host = &u, u.Host
+	req.Header = r.Header.Clone()
+	return req, nil
 }
 
 // handleCreate mints the session id and forwards the create with the id in

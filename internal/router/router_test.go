@@ -446,3 +446,50 @@ func TestRouterFanOutFollowsRequestContext(t *testing.T) {
 		}
 	}
 }
+
+// TestUpstreamMatchesParsedURL pins the forward's request building against
+// parsing member+RequestURI, as forwards did before member URLs were parsed
+// once: same URL, Host, ContentLength and a rewindable body, for escaped
+// paths, queries and members with a path of their own.
+func TestUpstreamMatchesParsedURL(t *testing.T) {
+	members := []string{"http://a:1", "http://b:2/prefix", "http://c:3/p%2Fq"}
+	rt, err := New(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := []string{
+		"/v1/sessions/s1/step",
+		"/v1/sessions/a%2Fb/info?x=1&y=%20z",
+		"/v1/sessions?limit=5&page_token=r%26",
+	}
+	body := []byte(`{"allocation":[1,2]}`)
+	for _, shard := range members {
+		for _, target := range targets {
+			in := httptest.NewRequest("POST", target, nil)
+			in.Header.Set("X-Probe", "1")
+			got, err := rt.upstream(context.Background(), shard, in, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := http.NewRequest("POST", shard+in.URL.RequestURI(), bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.URL.String() != want.URL.String() || got.URL.RequestURI() != want.URL.RequestURI() ||
+				got.Host != want.Host || got.ContentLength != want.ContentLength {
+				t.Fatalf("%s + %s: upstream %s (host %q, length %d), want %s (host %q, length %d)",
+					shard, target, got.URL, got.Host, got.ContentLength, want.URL, want.Host, want.ContentLength)
+			}
+			if got.Header.Get("X-Probe") != "1" {
+				t.Fatalf("%s + %s: inbound headers not carried", shard, target)
+			}
+			rewound, err := got.GetBody()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, _ := io.ReadAll(rewound); !bytes.Equal(b, body) {
+				t.Fatalf("%s + %s: GetBody gave %q, want %q", shard, target, b, body)
+			}
+		}
+	}
+}
