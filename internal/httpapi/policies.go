@@ -22,10 +22,11 @@ import (
 //
 // Entries are weak pointers, so the table never keeps a policy alive; a
 // runtime cleanup deletes an entry once its snapshot has been collected.
-// Validation stays with the callers (validatePolicyFor), at the same point
-// in each handler as before, so a policy that decodes but is invalid
-// answers the same code in the same order; such a snapshot is entered too,
-// and leaves the table when the failed request lets go of it.
+// Validation is left to the callers (validatePolicyFor), after the session
+// lookup and, for a snapshot, its create request and op log, so a policy
+// that decodes but is invalid is reported only when nothing earlier fails;
+// such a snapshot is entered too, and leaves the table once the failed
+// request lets go of it.
 type policyTable struct {
 	mu sync.Mutex
 	m  map[[sha256.Size]byte]weak.Pointer[rl.PolicySnapshot]
@@ -112,8 +113,8 @@ type snapshotJSON struct {
 }
 
 // snapshot resolves in's policy through the table. A policy that does not
-// decode is an error the caller answers 400 bad_request, as it was when
-// the whole snapshot decoded in one pass.
+// decode is an error the caller answers 400 bad_request, like any other
+// part of a snapshot body that does not decode.
 func (t *policyTable) snapshot(in snapshotJSON) (SessionSnapshot, error) {
 	snap := SessionSnapshot{Create: in.Create, Ops: in.Ops}
 	if len(in.Policy) > 0 {

@@ -164,10 +164,9 @@ func TestRestoreAndRehydrateSharePolicy(t *testing.T) {
 }
 
 // TestPolicyIngestErrorOrder pins the answers attach and restore give a bad
-// policy, as they were before policies were interned: a policy that does
-// not decode is 400 bad_request before the session is looked up, a policy
-// that decodes but fails validation is 422 after it, and a snapshot's own
-// faults outrank its policy's.
+// policy: a policy that does not decode is 400 bad_request before the
+// session is looked up, a policy that decodes but fails validation is 422
+// after it, and a snapshot's own faults outrank its policy's.
 func TestPolicyIngestErrorOrder(t *testing.T) {
 	c := newClient(t)
 	sess := c.createSession(6)

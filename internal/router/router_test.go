@@ -448,9 +448,9 @@ func TestRouterFanOutFollowsRequestContext(t *testing.T) {
 }
 
 // TestUpstreamMatchesParsedURL pins the forward's request building against
-// parsing member+RequestURI, as forwards did before member URLs were parsed
-// once: same URL, Host, ContentLength and a rewindable body, for escaped
-// paths, queries and members with a path of their own.
+// the reference of parsing member+RequestURI: same URL, Host, ContentLength
+// and a rewindable body, for escaped paths, queries and members with a path
+// of their own.
 func TestUpstreamMatchesParsedURL(t *testing.T) {
 	members := []string{"http://a:1", "http://b:2/prefix", "http://c:3/p%2Fq"}
 	rt, err := New(members)
