@@ -54,15 +54,18 @@ benchmark-smoke:
 fmt:
 	gofmt -l -w .
 
-# Short fuzz runs over six input surfaces plus three differential targets:
+# Short fuzz runs over six input surfaces plus four differential targets:
 # the untrusted inputs (workflow JSON, fault plans, HTTP session creation,
 # session snapshots on restore, serialized networks and policy snapshots),
 # the event engine against its reference implementation (FuzzEngineOracle:
 # decoded operation sequences must fire the same callbacks in the same order
 # on both), the aux-only backward pass against the full one
-# (FuzzAuxGradBatch: decoded networks must give bit-identical dAux), and the
+# (FuzzAuxGradBatch: decoded networks must give bit-identical dAux), the
 # row-blocked mat-vec kernel against a plain ascending dot product
-# (FuzzMulVecTo: decoded matrices must give bit-identical outputs).
+# (FuzzMulVecTo: decoded matrices must give bit-identical outputs), and the
+# AVX2 lane kernels against the pure-Go ones (FuzzGemmLanes: decoded shapes
+# and raw float64 bits must give bit-identical products and rank-k updates;
+# it skips on a CPU without AVX2).
 # Go allows one -fuzz pattern per invocation, hence one run each; each
 # extends the committed seed corpus in the package's testdata/fuzz/ only in
 # the local build cache.
@@ -76,6 +79,7 @@ fuzz-smoke:
 	$(GO) test ./internal/rl/ -fuzz FuzzPolicySnapshotDecode -fuzztime 10s
 	$(GO) test ./internal/sim/ -fuzz FuzzEngineOracle -fuzztime 10s
 	$(GO) test ./internal/mat/ -fuzz FuzzMulVecTo -fuzztime 10s
+	$(GO) test ./internal/mat/ -fuzz FuzzGemmLanes -fuzztime 10s
 
 # Smoke-test the observability surface: start `miras serve`, scrape
 # /metrics, and fail unless it serves non-empty Prometheus output.

@@ -1,17 +1,15 @@
 package mat
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // This file contains the batched (matrix-matrix) kernels behind the
 // minibatch training path. They are destination-passing and allocation-free
-// in steady state: MulTo packs its right operand into a transposed scratch
-// buffer (caller-owned via MulToBuf, or drawn from a pool), so every inner
-// loop is a contiguous dot product of two row-major rows. Large products
-// are tiled over rows and fanned across the parallel kernel pool — see
-// pgemm.go — without changing any per-entry arithmetic.
+// in steady state: MulTo packs its right operand into a scratch buffer
+// (caller-owned via MulToBuf, or drawn from gemmScratch) — transposed for the
+// pure-Go kernel, as 8-column panels for the AVX2 lane kernel (lanes.go) —
+// so every inner loop streams unit-stride memory. Large products are tiled
+// over rows and fanned across the parallel kernel pool — see pgemm.go —
+// without changing any per-entry arithmetic.
 //
 // Numerically, every kernel accumulates along the shared dimension in
 // ascending order — the same order the per-sample kernels (MulVecTo,
@@ -19,8 +17,9 @@ import (
 // of per-sample calls to within floating-point noise at the -0.0 edge
 // cases, and typically bit-for-bit.
 
-// gemmBlock is the row-block size for the packed right operand: one block
-// of Bᵀ rows is kept hot in cache while every row of A streams past it.
+// gemmBlock is the column-block size for the packed right operand: one
+// block of B's columns (Bᵀ rows, or eight lane panels) is kept hot in cache
+// while every row of A streams past it.
 const gemmBlock = 64
 
 // Epilogue post-processes completed output rows inside a GEMM — the fused
@@ -32,17 +31,32 @@ type Epilogue interface {
 	ApplyRow(i int, row []float64)
 }
 
-var gemmScratch = sync.Pool{
-	New: func() any { s := make([]float64, 0, 4096); return &s },
+// gemmScratch keeps packing buffers between products. It is a bounded free
+// list rather than a sync.Pool because the lane path packs a forward pass's
+// weights on every MulTransTo: a pool drops buffers at GC (and, under the
+// race detector, at random on Put), which would put an allocation back into
+// every training step. The capacity bounds what is kept for good, not how
+// many products may run at once.
+var gemmScratch = make(chan *[]float64, 8)
+
+// getScratch returns a buffer of length n from gemmScratch, or a new one;
+// putScratch hands it back.
+func getScratch(n int) *[]float64 {
+	var sp *[]float64
+	select {
+	case sp = <-gemmScratch:
+	default:
+		sp = new([]float64)
+	}
+	growBuf(sp, n)
+	return sp
 }
 
-func getScratch(n int) *[]float64 {
-	sp := gemmScratch.Get().(*[]float64)
-	if cap(*sp) < n {
-		*sp = make([]float64, n)
+func putScratch(sp *[]float64) {
+	select {
+	case gemmScratch <- sp:
+	default:
 	}
-	*sp = (*sp)[:n]
-	return sp
 }
 
 // growBuf resizes *buf to length n, reusing its backing array when large
@@ -56,33 +70,32 @@ func growBuf(buf *[]float64, n int) []float64 {
 }
 
 // MulTo computes dst = a · b, where a is m×k, b is k×n, and dst is m×n.
-// dst must not alias a or b. The implementation packs b into a transposed
-// scratch layout once and then performs blocked row-by-row dot products,
-// which keeps all three operands on unit-stride access.
+// dst must not alias a or b. The implementation packs b into a scratch
+// layout once and then performs blocked row-by-row dot products, which
+// keeps all three operands on unit-stride access.
 func (dst *Matrix) MulTo(a, b *Matrix) {
 	k, n := b.Rows, b.Cols
 	sp := getScratch(k * n)
 	dst.mulPacked(a, b, *sp, nil)
-	gemmScratch.Put(sp)
+	putScratch(sp)
 }
 
 // MulToBuf is MulTo packing b into the caller-owned buffer *buf (grown as
-// needed) instead of pool scratch, so steady-state callers that hold a
+// needed) instead of shared scratch, so steady-state callers that hold a
 // buffer per product shape stay allocation-free. The optional epilogue is
 // fused into the kernel (nil for none).
 func (dst *Matrix) MulToBuf(a, b *Matrix, buf *[]float64, ep Epilogue) {
 	dst.mulPacked(a, b, growBuf(buf, b.Rows*b.Cols), ep)
 }
 
-func (dst *Matrix) mulPacked(a, b *Matrix, bt []float64, ep Epilogue) {
+func (dst *Matrix) mulPacked(a, b *Matrix, buf []float64, ep Epilogue) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulTo inner dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulTo destination %dx%d != %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	packCols(bt, b, 0, b.Cols)
-	gemm(dst, a, bt, b.Cols, ep)
+	gemm(dst, a, packCols(buf, b, 0, b.Cols, a.Rows), ep)
 }
 
 // MulColsToBuf computes dst = a · b[:, c0:c0+dst.Cols] — the product with
@@ -98,26 +111,44 @@ func (dst *Matrix) MulColsToBuf(a, b *Matrix, c0 int, buf *[]float64) {
 	if dst.Rows != a.Rows || c0 < 0 || c0+dst.Cols > b.Cols {
 		panic(fmt.Sprintf("mat: MulColsToBuf destination %dx%d at column %d outside %dx%d", dst.Rows, dst.Cols, c0, a.Rows, b.Cols))
 	}
-	bt := growBuf(buf, b.Rows*dst.Cols)
-	packCols(bt, b, c0, dst.Cols)
-	gemm(dst, a, bt, dst.Cols, nil)
+	gemm(dst, a, packCols(growBuf(buf, b.Rows*dst.Cols), b, c0, dst.Cols, a.Rows), nil)
 }
 
-// packCols writes columns [c0, c0+n) of b transposed into bt, so bt holds
-// n rows of length b.Rows — the layout mulPackedTransRows streams.
-func packCols(bt []float64, b *Matrix, c0, n int) {
+// packedB is a product's right operand as the row kernels read it:
+// columns [0, lanes) as k×8 panels for the lane kernel (panel g/8 of
+// column group g at panels[g*k:], see packPanel), and columns [lanes, n)
+// transposed, column j at bt[j*k:][:k], for the pure-Go kernel.
+type packedB struct {
+	panels, bt []float64
+	lanes, n   int
+}
+
+// packCols packs columns [c0, c0+n) of b into buf for an m-row product:
+// as many whole 8-column panels as the lane kernel takes, then the rest
+// transposed. Column j of either part starts at buf[j*k], so one buffer
+// of k·n holds both.
+func packCols(buf []float64, b *Matrix, c0, n, m int) packedB {
 	k := b.Rows
-	for i := 0; i < k; i++ {
-		row := b.Data[i*b.Cols+c0:][:n]
-		for j, v := range row {
-			bt[j*k+i] = v
+	lanes := 0
+	if lanesFor(m, k) {
+		lanes = n &^ (panelWidth - 1)
+		for g := 0; g < lanes; g += panelWidth {
+			packPanel(buf[g*k:][:panelWidth*k], b, c0+g)
 		}
 	}
+	for i := 0; i < k; i++ {
+		row := b.Data[i*b.Cols+c0:][lanes:n]
+		for j, v := range row {
+			buf[(lanes+j)*k+i] = v
+		}
+	}
+	return packedB{panels: buf, bt: buf, lanes: lanes, n: n}
 }
 
 // MulTransTo computes dst = a · bᵀ, where a is m×k, b is n×k, and dst is
 // m×n. dst must not alias a or b. b is already in the transposed layout the
-// kernel wants, so no packing is needed; this is the forward-pass shape
+// pure-Go kernel wants, so it packs nothing (the lane kernel repacks b's
+// rows into panels in shared scratch); this is the forward-pass shape
 // (inputs · weightsᵀ) and the reason layer weights are stored out×in.
 func (dst *Matrix) MulTransTo(a, b *Matrix) {
 	dst.MulTransEpilogueTo(a, b, nil)
@@ -134,20 +165,34 @@ func (dst *Matrix) MulTransEpilogueTo(a, b *Matrix, ep Epilogue) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulTransTo destination %dx%d != %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	gemm(dst, a, b.Data, b.Rows, ep)
+	pb := packedB{bt: b.Data, n: b.Rows}
+	k := b.Cols
+	if !lanesFor(a.Rows, k) || b.Rows < panelWidth {
+		gemm(dst, a, pb, ep)
+		return
+	}
+	pb.lanes = b.Rows &^ (panelWidth - 1)
+	sp := getScratch(pb.lanes * k)
+	pb.panels = *sp
+	for g := 0; g < pb.lanes; g += panelWidth {
+		packPanelRows(pb.panels[g*k:][:panelWidth*k], b.Data[g*k:][:panelWidth*k], k)
+	}
+	gemm(dst, a, pb, ep)
+	putScratch(sp)
 }
 
-// mulPackedTransRows computes rows [r0, r1) of dst = a · btᵀ, where bt
-// holds n rows of length a.Cols (i.e. the right operand already
-// transposed). Rows of bt are processed in blocks so a block stays
-// cache-resident while the tile's rows of a stream through it; within a
-// block a 2×4 register micro-kernel shares each loaded element across up
-// to eight accumulator chains. Every output entry is one plain
-// ascending-order dot product, so results are bit-identical to the
-// per-sample kernels — and independent of how the row range is tiled.
-func mulPackedTransRows(dst, a *Matrix, bt []float64, n, r0, r1 int) {
+// mulPackedTransRows computes rows [r0, r1) and columns [c0, n) of dst =
+// a · btᵀ, where bt holds column j as the row bt[j*k:][:k] of length
+// a.Cols (i.e. the right operand already transposed). Rows of bt are
+// processed in blocks so a block stays cache-resident while the tile's
+// rows of a stream through it; within a block a 2×4 register micro-kernel
+// shares each loaded element across up to eight accumulator chains. Every
+// output entry is one plain ascending-order dot product, so results are
+// bit-identical to the per-sample kernels — and independent of how the row
+// range is tiled.
+func mulPackedTransRows(dst, a *Matrix, bt []float64, c0, n, r0, r1 int) {
 	k := a.Cols
-	for j0 := 0; j0 < n; j0 += gemmBlock {
+	for j0 := c0; j0 < n; j0 += gemmBlock {
 		j1 := j0 + gemmBlock
 		if j1 > n {
 			j1 = n
@@ -237,8 +282,10 @@ func (dst *Matrix) AddMulATBScaled(a, b *Matrix, s float64) {
 // adds are explicitly left-associated with samples folded two at a time,
 // so each dst entry sees the samples in exactly the ascending order
 // sequential AddOuterScaled calls would apply them — for any row tiling.
+// The lane kernel computes the same expression four entries at a time.
 func addMulATBScaledRows(dst, a, b *Matrix, s float64, i0, i1 int) {
 	m, n := a.Cols, b.Cols
+	useLanes := useAVX2 && n > 0
 	// Two samples per pass halves the read/write traffic on dst.
 	r := 0
 	for ; r+1 < a.Rows; r += 2 {
@@ -252,6 +299,10 @@ func addMulATBScaledRows(dst, a, b *Matrix, s float64, i0, i1 int) {
 				continue
 			}
 			drow := dst.Data[i*n:][:n]
+			if useLanes {
+				axpy2(n, &drow[0], &b0[0], &b1[0], f0, f1)
+				continue
+			}
 			for j := 0; j < n; j++ {
 				drow[j] = (drow[j] + f0*b0[j]) + f1*b1[j]
 			}

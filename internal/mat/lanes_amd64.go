@@ -1,0 +1,35 @@
+//go:build amd64 && !purego
+
+package mat
+
+// haveAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
+// registers across context switches (OSXSAVE set and XCR0 enabling both
+// the XMM and YMM state components).
+var haveAVX2 = detectAVX2()
+
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+//go:noescape
+func gemm4x8(k int, a *float64, lda int, panels *float64, npanels int, dst *float64, ldd int)
+
+//go:noescape
+func axpy2(n int, drow, b0, b1 *float64, f0, f1 float64)

@@ -1,0 +1,228 @@
+package mat
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"miras/internal/parallel"
+)
+
+// withLanes runs fn with the lane kernels switched on or off, restoring
+// the start-up choice afterwards.
+func withLanes(on bool, fn func()) {
+	defer func(prev bool) { useAVX2 = prev }(useAVX2)
+	useAVX2 = on
+	fn()
+}
+
+func requireAVX2(tb testing.TB) {
+	tb.Helper()
+	if !haveAVX2 {
+		tb.Skip("lane kernels not available: no AVX2 on this CPU, or a non-amd64 or purego build")
+	}
+}
+
+// sameBits reports whether x and y are the same float64 bit pattern; any
+// two NaNs count as equal, since a NaN's payload may come from either
+// operand.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
+}
+
+// laneKernelOps are the four entry points the lane path serves, each
+// computing its product of a (m×k) and b (k×n) into a fresh matrix. The
+// rank-k update folds the k samples aᵀ·b into a destination seeded from
+// a and b, so accumulation onto existing entries is covered too.
+var laneKernelOps = []struct {
+	name string
+	run  func(a, b *Matrix) *Matrix
+}{
+	{"MulTransTo", func(a, b *Matrix) *Matrix {
+		dst := New(a.Rows, b.Cols)
+		dst.MulTransTo(a, b.Transpose())
+		return dst
+	}},
+	{"MulTo", func(a, b *Matrix) *Matrix {
+		dst := New(a.Rows, b.Cols)
+		dst.MulTo(a, b)
+		return dst
+	}},
+	{"MulColsToBuf", func(a, b *Matrix) *Matrix {
+		c0 := b.Cols / 3
+		dst := New(a.Rows, b.Cols-c0)
+		var buf []float64
+		dst.MulColsToBuf(a, b, c0, &buf)
+		return dst
+	}},
+	{"AddMulATBScaled", func(a, b *Matrix) *Matrix {
+		dst := New(a.Rows, b.Cols)
+		for i := range dst.Data {
+			dst.Data[i] = 0.25
+			if len(b.Data) > 0 {
+				dst.Data[i] = b.Data[i%len(b.Data)]
+			}
+		}
+		dst.AddMulATBScaled(a.Transpose(), b, 0.75)
+		return dst
+	}},
+}
+
+// laneMismatch runs every lane-served kernel on a and b with the lane
+// kernels on and off and describes the first entry whose bits differ ("" if
+// none).
+func laneMismatch(a, b *Matrix) string {
+	for _, op := range laneKernelOps {
+		var lanes, generic *Matrix
+		withLanes(true, func() { lanes = op.run(a, b) })
+		withLanes(false, func() { generic = op.run(a, b) })
+		for i, v := range lanes.Data {
+			if w := generic.Data[i]; !sameBits(v, w) {
+				return fmt.Sprintf("%s, a %dx%d, b %dx%d: entry (%d,%d) lanes %v (%#x) != pure Go %v (%#x)",
+					op.name, a.Rows, a.Cols, b.Rows, b.Cols, i/lanes.Cols, i%lanes.Cols,
+					v, math.Float64bits(v), w, math.Float64bits(w))
+			}
+		}
+	}
+	return ""
+}
+
+// laneSpecials are the edge values the deterministic table mixes into
+// normal entries: signed zeros, subnormals and 1e300-scale magnitudes,
+// whose products underflow or overflow.
+var laneSpecials = []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+	-math.SmallestNonzeroFloat64, 3e-310, -1e-315, 1e300, -1e300, 4e299}
+
+func laneRandMat(rows, cols int, rng *rand.Rand) *Matrix {
+	m := New(rows, cols)
+	for i := range m.Data {
+		if rng.Intn(8) == 0 {
+			m.Data[i] = laneSpecials[rng.Intn(len(laneSpecials))]
+		} else {
+			m.Data[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
+// laneResidueShapes covers every row residue mod 4 and column residue
+// mod 8, an empty dot product (k = 0), and shapes below one tile.
+func laneResidueShapes() [][3]int {
+	var shapes [][3]int
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 8; c++ {
+			shapes = append(shapes, [3]int{8 + r, 5 + 3*c, 16 + c}, [3]int{r + 1, 7, c + 1})
+		}
+	}
+	return append(shapes, [3]int{4, 0, 8}, [3]int{7, 0, 13}, [3]int{0, 3, 8}, [3]int{12, 1, 1}, [3]int{33, 40, 39})
+}
+
+// TestLaneKernelsMatchGeneric referees the AVX2 lane kernels against the
+// pure-Go ones, bit for bit, on the residue shapes plus the training and
+// paper widths and ragged multi-block shapes; 64·256² is large enough to
+// fan out over the pool.
+func TestLaneKernelsMatchGeneric(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(21))
+	shapes := append(laneResidueShapes(), [3]int{64, 64, 64}, [3]int{64, 256, 256}, [3]int{67, 130, 129}, [3]int{129, 257, 33})
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		if msg := laneMismatch(laneRandMat(m, k, rng), laneRandMat(k, n, rng)); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+}
+
+// FuzzGemmLanes is the differential target for the lane kernels: the
+// shape (each of m, k, n in 0–40), then entries of a and b as raw float64
+// bits — so signed zeros, subnormals, infinities and NaNs all occur — are
+// decoded from the fuzz input, and every lane-served kernel must equal its
+// pure-Go twin bit for bit (NaNs equal to any NaN).
+func FuzzGemmLanes(f *testing.F) {
+	requireAVX2(f)
+	f.Add([]byte{4, 3, 8})
+	f.Add([]byte{7, 0, 13})
+	f.Add([]byte{9, 5, 17, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add([]byte{40, 40, 40})
+	f.Add([]byte{2, 1, 31, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if msg := laneMismatch(decodeLaneCase(data)); msg != "" {
+			t.Fatalf("%s\ninput: %v", msg, data)
+		}
+	})
+}
+
+// decodeLaneCase builds one case from fuzz bytes: three shape bytes, then
+// eight-byte little-endian float64 bit patterns overwriting entries of a
+// fixed-seed random a then b in order.
+func decodeLaneCase(data []byte) (a, b *Matrix) {
+	dim := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		v := int(data[0]) % 41
+		data = data[1:]
+		return v
+	}
+	m, k, n := dim(), dim(), dim()
+	rng := rand.New(rand.NewSource(1))
+	a, b = randMat(m, k, rng), randMat(k, n, rng)
+	for _, vs := range [][]float64{a.Data, b.Data} {
+		for i := range vs {
+			if len(data) < 8 {
+				return a, b
+			}
+			vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data))
+			data = data[8:]
+		}
+	}
+	return a, b
+}
+
+// BenchmarkMulTransTo times the forward-pass product at m = 64 from the
+// benchmark's width (64³) through the paper's MSD and LIGO widths, in
+// GFLOP/s: serial, and pooled on two workers with the size gate lowered so
+// every shape fans out. DESIGN.md §4g's crossover table, which places
+// minParallelFlops, comes from this benchmark and the next.
+func BenchmarkMulTransTo(b *testing.B) {
+	gemmBench(b, func(dst, x, y *Matrix) { dst.MulTransTo(x, y) }, func(m, k, n int) (*Matrix, *Matrix, *Matrix) {
+		rng := rand.New(rand.NewSource(1))
+		return New(m, n), randMat(m, k, rng), randMat(n, k, rng)
+	})
+}
+
+// BenchmarkAddMulATBScaled times the rank-k weight-gradient update — m
+// samples folded into a k×n gradient — at the same shapes.
+func BenchmarkAddMulATBScaled(b *testing.B) {
+	gemmBench(b, func(dst, x, y *Matrix) { dst.AddMulATBScaled(x, y, 0.5) }, func(m, k, n int) (*Matrix, *Matrix, *Matrix) {
+		rng := rand.New(rand.NewSource(1))
+		return New(k, n), randMat(m, k, rng), randMat(m, n, rng)
+	})
+}
+
+func gemmBench(b *testing.B, op func(dst, x, y *Matrix), setup func(m, k, n int) (*Matrix, *Matrix, *Matrix)) {
+	defer func(gate int) {
+		parallel.SetMaxWorkers(0)
+		minParallelFlops = gate
+	}(minParallelFlops)
+	shapes := [][3]int{{64, 64, 64}, {64, 128, 64}, {64, 128, 128}, {64, 256, 128}, {64, 256, 256}, {64, 512, 512}}
+	for _, s := range shapes {
+		for _, mode := range []struct {
+			name    string
+			workers int
+		}{{"serial", 1}, {"pooled", 2}} {
+			m, k, n := s[0], s[1], s[2]
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, mode.name), func(b *testing.B) {
+				parallel.SetMaxWorkers(mode.workers)
+				minParallelFlops = 0
+				dst, x, y := setup(m, k, n)
+				for b.Loop() {
+					op(dst, x, y)
+				}
+				b.ReportMetric(float64(2*m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}

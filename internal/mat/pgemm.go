@@ -24,30 +24,27 @@ import (
 
 // minParallelFlops gates parallel dispatch on problem size (counted as
 // 2·m·n·k flops). It is the measured crossover, not an estimate: at m = 64
-// on two workers a 2¹⁹-flop product (64³, every hidden product of a
-// 64-wide network) runs ≈ 82 µs serial — ≈ 6.5 GFLOP/s — and the pooled
-// launch loses on wall time and CPU alike, while from 2²⁰ up the pool wins
-// 1.2–1.8× wall. DESIGN.md §4g has the table.
-const minParallelFlops = 1 << 20
+// on two workers the serial lane kernel runs a 2²¹-flop product (64·128·128)
+// in ≈ 130 µs, and the pooled launch only ties it on wall time for ≈ 20 %
+// more CPU, while from 2²² up the pool wins the product ≈ 1.2× wall (1.5×
+// at 2²³). DESIGN.md §4g has the table; BenchmarkMulTransTo and
+// BenchmarkAddMulATBScaled reproduce it. A var only so those benchmarks can
+// lower it to time the pool at every shape.
+var minParallelFlops = 1 << 22
 
 // rowTileSpan returns the per-tile row count for fanning m destination
-// rows across w workers: ~2 tiles per worker, rounded up to an even span
-// so the 2-row micro-kernel never loses its pairing except at the final
-// short tile.
+// rows across w workers: ~2 tiles per worker, rounded up to a multiple of
+// 4 so the 4-row micro-kernel never hands rows to the scalar edge loop
+// except at the final short tile.
 func rowTileSpan(m, w int) int {
 	span := (m + 2*w - 1) / (2 * w)
-	span = (span + 1) &^ 1
-	if span < 2 {
-		span = 2
-	}
-	return span
+	return max((span+laneRows-1)&^(laneRows-1), laneRows)
 }
 
-// gemmTask is a reusable launch descriptor for dst = a · btᵀ (+ epilogue).
+// gemmTask is a reusable launch descriptor for dst = a · B (+ epilogue).
 type gemmTask struct {
 	dst, a *Matrix
-	bt     []float64
-	n      int
+	pb     packedB
 	ep     Epilogue
 	span   int
 }
@@ -58,25 +55,25 @@ func (t *gemmTask) RunTile(tile int) {
 	if r1 > t.a.Rows {
 		r1 = t.a.Rows
 	}
-	mulPackedTransRows(t.dst, t.a, t.bt, t.n, r0, r1)
+	gemmRows(t.dst, t.a, &t.pb, r0, r1)
 	applyEpilogueRows(t.ep, t.dst, r0, r1)
 }
 
 var gemmTasks = sync.Pool{New: func() any { return new(gemmTask) }}
 
-// gemm computes dst = a · btᵀ then applies ep row-wise, tiling over dst
-// rows when the product is large enough to pay for the fan-out and more
-// than one worker is available.
-func gemm(dst, a *Matrix, bt []float64, n int, ep Epilogue) {
-	m, k := a.Rows, a.Cols
+// gemm computes dst = a · B for B packed as pb, then applies ep row-wise,
+// tiling over dst rows when the product is large enough to pay for the
+// fan-out and more than one worker is available.
+func gemm(dst, a *Matrix, pb packedB, ep Epilogue) {
+	m, k, n := a.Rows, a.Cols, pb.n
 	w := parallel.MaxWorkers()
 	if w <= 1 || m < 4 || 2*m*n*k < minParallelFlops {
-		mulPackedTransRows(dst, a, bt, n, 0, m)
+		gemmRows(dst, a, &pb, 0, m)
 		applyEpilogueRows(ep, dst, 0, m)
 		return
 	}
 	t := gemmTasks.Get().(*gemmTask)
-	t.dst, t.a, t.bt, t.n, t.ep = dst, a, bt, n, ep
+	t.dst, t.a, t.pb, t.ep = dst, a, pb, ep
 	t.span = rowTileSpan(m, w)
 	parallel.Kernel((m+t.span-1)/t.span, t)
 	*t = gemmTask{}

@@ -49,13 +49,13 @@ func requireBitIdentical(t *testing.T, results map[int]*Matrix, context string) 
 // the tiled parallel kernels produce byte-for-byte the serial result for
 // any worker count, on shapes spanning both sides of the parallel
 // threshold and odd row counts that leave ragged final tiles. Against the
-// 2²⁰-flop threshold, 2·m·k·n is 2⁵·⁹ for {3,5,2} and 2¹⁹ for {64,64,64}
-// (strictly below; the second is every train-msd hidden product), and
-// 2²¹ for {256,64,64}, ≈ 2²¹·¹ for {67,130,129} and {129,257,33}, and 2²³
-// for {64,256,256} (strictly above).
+// 2²²-flop threshold, 2·m·k·n is 2⁵·⁹ for {3,5,2}, 2¹⁹ for {64,64,64}
+// (every train-msd hidden product), 2²¹ for {256,64,64} and ≈ 2²¹·¹ for
+// {67,130,129} and {129,257,33} (strictly below), and ≈ 2²²·¹ for
+// {67,130,257} and {129,257,67} and 2²³ for {64,256,256} (strictly above).
 func TestGemmBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	shapes := [][3]int{{3, 5, 2}, {64, 64, 64}, {64, 256, 256}, {67, 130, 129}, {256, 64, 64}, {129, 257, 33}}
+	shapes := [][3]int{{3, 5, 2}, {64, 64, 64}, {64, 256, 256}, {67, 130, 129}, {256, 64, 64}, {129, 257, 33}, {67, 130, 257}, {129, 257, 67}}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a, b := randMat(m, k, rng), randMat(k, n, rng)

@@ -17,7 +17,7 @@ import (
 // fused bias+activation epilogue on pool workers. At batch 48 the 256×256
 // products (2·48·256·256 ≈ 2²²·⁶ flops, including the critic's layer-2
 // input gradient inside AuxGradBatch) reach the pool, and the 12-, 5-, 4-
-// and 1-wide ones (≤ 2¹⁸·²) stay below the 2²⁰ dispatch threshold.
+// and 1-wide ones (≤ 2¹⁸·²) stay below the 2²² dispatch threshold.
 func TestBatchPassesBitIdenticalAcrossWorkers(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	rng := rand.New(rand.NewSource(31))
