@@ -54,7 +54,7 @@ benchmark-smoke:
 fmt:
 	gofmt -l -w .
 
-# Short fuzz runs over six input surfaces plus four differential targets:
+# Short fuzz runs over six input surfaces plus five differential targets:
 # the untrusted inputs (workflow JSON, fault plans, HTTP session creation,
 # session snapshots on restore, serialized networks and policy snapshots),
 # the event engine against its reference implementation (FuzzEngineOracle:
@@ -65,7 +65,9 @@ fmt:
 # (FuzzMulVecTo: decoded matrices must give bit-identical outputs), and the
 # AVX2 lane kernels against the pure-Go ones (FuzzGemmLanes: decoded shapes
 # and raw float64 bits must give bit-identical products and rank-k updates;
-# it skips on a CPU without AVX2).
+# it skips on a CPU without AVX2), and the lane tanh against math.Tanh
+# (FuzzTanhLanes: raw float64 bits must give bit-identical results; it skips
+# where the lanes are not chosen at start-up).
 # Go allows one -fuzz pattern per invocation, hence one run each; each
 # extends the committed seed corpus in the package's testdata/fuzz/ only in
 # the local build cache.
@@ -80,6 +82,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -fuzz FuzzEngineOracle -fuzztime 10s
 	$(GO) test ./internal/mat/ -fuzz FuzzMulVecTo -fuzztime 10s
 	$(GO) test ./internal/mat/ -fuzz FuzzGemmLanes -fuzztime 10s
+	$(GO) test ./internal/mat/ -fuzz FuzzTanhLanes -fuzztime 10s
 
 # Smoke-test the observability surface: start `miras serve`, scrape
 # /metrics, and fail unless it serves non-empty Prometheus output.

@@ -7,6 +7,9 @@ package mat
 // the XMM and YMM state components).
 var haveAVX2 = detectAVX2()
 
+// haveTanhLanes reports whether tanhLanes can run: AVX2 plus FMA3.
+var haveTanhLanes = haveAVX2 && detectFMA()
+
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
@@ -24,6 +27,12 @@ func detectAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+func detectFMA() bool {
+	const fma = 1 << 12
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&fma != 0
+}
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -33,3 +42,6 @@ func gemm4x8(k int, a *float64, lda int, panels *float64, npanels int, dst *floa
 
 //go:noescape
 func axpy2(n int, drow, b0, b1 *float64, f0, f1 float64)
+
+//go:noescape
+func tanhLanes(n int, out, pre *float64)

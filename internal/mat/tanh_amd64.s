@@ -1,0 +1,206 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// tanhLanes replays math.tanh (src/math/tanh.go) one element per YMM lane.
+// Every lane computes both of tanh's branches and keeps the one tanh would
+// take: the rational branch with separate multiplies and adds in Go's
+// order, and 1 − 2/(e+1) with e = exp(2|x|) as the avxfma path of
+// math.archExp (src/math/exp_amd64.s) computes it, op for op. For
+// 0.625 ≤ |x| ≤ 0.5·MAXLOG that path is straight-line: 2|x| is at most 89,
+// so archExp's overflow, underflow and denormal exits are never taken.
+
+// Each constant is repeated in four lanes so it can be a memory operand.
+#define LANES(off, v) \
+	DATA tanhconst<>+(off)(SB)/8, v; \
+	DATA tanhconst<>+(off+8)(SB)/8, v; \
+	DATA tanhconst<>+(off+16)(SB)/8, v; \
+	DATA tanhconst<>+(off+24)(SB)/8, v
+
+LANES(0, $0x7fffffffffffffff)
+LANES(32, $0x8000000000000000)
+LANES(64, $1.4426950408889634073599246810018920)                   // LOG2E
+LANES(96, $0.69314718055966295651160180568695068359375)            // LN2U
+LANES(128, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+LANES(160, $0.0625)
+LANES(192, $2.4801587301587301587e-5)
+LANES(224, $1.9841269841269841270e-4)
+LANES(256, $1.3888888888888888889e-3)
+LANES(288, $8.3333333333333333333e-3)
+LANES(320, $4.1666666666666666667e-2)
+LANES(352, $1.6666666666666666667e-1)
+LANES(384, $0.5)
+LANES(416, $1.0)
+LANES(448, $2.0)
+LANES(480, $1023)
+LANES(512, $-9.64399179425052238628e-1) // tanhP
+LANES(544, $-9.92877231001918586564e1)
+LANES(576, $-1.61468768441708447952e3)
+LANES(608, $1.12811678491632931402e2)   // tanhQ
+LANES(640, $2.23548839060100448583e3)
+LANES(672, $4.84406305325125486048e3)
+LANES(704, $0.625)
+LANES(736, $44.014845965556527147994)   // 0.5·MAXLOG
+GLOBL tanhconst<>(SB), RODATA, $768
+
+#define ABS tanhconst<>+0(SB)
+#define SIGN tanhconst<>+32(SB)
+#define LOG2E tanhconst<>+64(SB)
+#define LN2U tanhconst<>+96(SB)
+#define LN2L tanhconst<>+128(SB)
+#define SIXTEENTH tanhconst<>+160(SB)
+#define EXP7 tanhconst<>+192(SB)
+#define EXP6 tanhconst<>+224(SB)
+#define EXP5 tanhconst<>+256(SB)
+#define EXP4 tanhconst<>+288(SB)
+#define EXP3 tanhconst<>+320(SB)
+#define EXP2 tanhconst<>+352(SB)
+#define HALF tanhconst<>+384(SB)
+#define ONE tanhconst<>+416(SB)
+#define TWO tanhconst<>+448(SB)
+#define BIAS tanhconst<>+480(SB)
+#define P0 tanhconst<>+512(SB)
+#define P1 tanhconst<>+544(SB)
+#define P2 tanhconst<>+576(SB)
+#define Q0 tanhconst<>+608(SB)
+#define Q1 tanhconst<>+640(SB)
+#define Q2 tanhconst<>+672(SB)
+#define EXPMIN tanhconst<>+704(SB)
+#define SATURATE tanhconst<>+736(SB)
+
+// The stages of one four-lane step, for x in X. Y12 holds 1.0, Y13 2.0 and
+// Y15 zero throughout; the other arguments are scratch registers, KX being
+// K's lower half.
+
+// EXPA: R = (2z − k·LN2U − k·LN2L)·0.0625 with k = round(2z·LOG2E),
+// converted to int32 in KX and back to float64 in KF.
+#define EXPA(X, R, KF, KX) \
+	VANDPD       ABS, X, R; \
+	VADDPD       R, R, R; \
+	VMULPD       LOG2E, R, KF; \
+	VCVTPD2DQY   KF, KX; \
+	VCVTDQ2PD    KX, KF; \
+	VFNMADD231PD LN2U, KF, R; \
+	VFNMADD231PD LN2L, KF, R; \
+	VMULPD       SIXTEENTH, R, R
+
+// EXPB: P = the seven-term Horner chain in R, one VFMADD213PD per term.
+#define EXPB(R, P) \
+	VMOVUPD     EXP7, P; \
+	VFMADD213PD EXP6, R, P; \
+	VFMADD213PD EXP5, R, P; \
+	VFMADD213PD EXP4, R, P; \
+	VFMADD213PD EXP3, R, P; \
+	VFMADD213PD EXP2, R, P; \
+	VFMADD213PD HALF, R, P; \
+	VFMADD213PD Y12, R, P
+
+// EXPC: R·P, then three (R+2)·R steps and a fused (R+2)·R + 1.
+#define EXPC(R, P) \
+	VMULPD      P, R, R; \
+	VADDPD      Y13, R, P; \
+	VMULPD      P, R, R; \
+	VADDPD      Y13, R, P; \
+	VMULPD      P, R, R; \
+	VADDPD      Y13, R, P; \
+	VMULPD      P, R, R; \
+	VADDPD      Y13, R, P; \
+	VFMADD213PD Y12, P, R
+
+// EXPD: e = R·2^k with 2^k = (k+1023)<<52, then R = ±(1 − 2/(e+1)) with
+// the sign of x.
+#define EXPD(X, R, K, KX, P) \
+	VPMOVSXDQ KX, K; \
+	VPADDQ    BIAS, K, K; \
+	VPSLLQ    $52, K, K; \
+	VMULPD    K, R, R; \
+	VADDPD    Y12, R, R; \
+	VDIVPD    R, Y13, R; \
+	VSUBPD    R, Y12, R; \
+	VANDPD    SIGN, X, P; \
+	VXORPD    P, R, R
+
+// RAT: A = x + ((x·s)·P(s))/Q(s), s = x².
+#define RAT(X, S, A, P, Q) \
+	VMULPD X, X, S; \
+	VMULPD S, X, A; \
+	VMULPD P0, S, P; \
+	VADDPD P1, P, P; \
+	VMULPD S, P, P; \
+	VADDPD P2, P, P; \
+	VMULPD P, A, A; \
+	VADDPD Q0, S, Q; \
+	VMULPD S, Q, Q; \
+	VADDPD Q1, Q, Q; \
+	VMULPD S, Q, Q; \
+	VADDPD Q2, Q, Q; \
+	VDIVPD Q, A, A; \
+	VADDPD A, X, A
+
+// PICK: keep in A the branch tanh takes: E for z ≥ 0.625, ±1 for
+// z > 0.5·MAXLOG, x itself for ±0. NaN fails every compare and keeps A.
+#define PICK(X, E, A, Z, M) \
+	VANDPD    ABS, X, Z; \
+	VCMPPD    $0x1d, EXPMIN, Z, M; \
+	VBLENDVPD M, E, A, A; \
+	VCMPPD    $0x1e, SATURATE, Z, M; \
+	VANDPD    SIGN, X, Z; \
+	VORPD     Y12, Z, Z; \
+	VBLENDVPD M, Z, A, A; \
+	VCMPPD    $0x00, Y15, X, M; \
+	VBLENDVPD M, X, A, A
+
+// func tanhLanes(n int, out, pre *float64)
+//
+// out[i] = math.Tanh(pre[i]) for i < n; n must be a multiple of 4. Eight
+// elements per step as two interleaved four-lane chains (the exp chain is
+// latency-bound), then one four-lane step if n mod 8 = 4. out may equal
+// pre: each step loads its inputs before storing.
+TEXT ·tanhLanes(SB), NOSPLIT, $0-24
+	MOVQ    n+0(FP), CX
+	MOVQ    out+8(FP), DI
+	MOVQ    pre+16(FP), SI
+	VXORPD  Y15, Y15, Y15
+	VMOVUPD ONE, Y12
+	VMOVUPD TWO, Y13
+	MOVQ    CX, BX
+	SHRQ    $3, BX
+	JZ      four
+
+eight:
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y5
+	EXPA(Y0, Y1, Y2, X3)
+	EXPA(Y5, Y6, Y7, X8)
+	EXPB(Y1, Y4)
+	EXPB(Y6, Y9)
+	EXPC(Y1, Y4)
+	EXPC(Y6, Y9)
+	EXPD(Y0, Y1, Y3, X3, Y4)
+	EXPD(Y5, Y6, Y8, X8, Y9)
+	RAT(Y0, Y2, Y3, Y4, Y10)
+	RAT(Y5, Y7, Y8, Y9, Y11)
+	PICK(Y0, Y1, Y3, Y2, Y4)
+	PICK(Y5, Y6, Y8, Y7, Y9)
+	VMOVUPD Y3, (DI)
+	VMOVUPD Y8, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	DECQ    BX
+	JNZ     eight
+
+four:
+	TESTQ   $4, CX
+	JZ      done
+	VMOVUPD (SI), Y0
+	EXPA(Y0, Y1, Y2, X3)
+	EXPB(Y1, Y4)
+	EXPC(Y1, Y4)
+	EXPD(Y0, Y1, Y3, X3, Y4)
+	RAT(Y0, Y2, Y3, Y4, Y10)
+	PICK(Y0, Y1, Y3, Y2, Y4)
+	VMOVUPD Y3, (DI)
+
+done:
+	VZEROUPPER
+	RET

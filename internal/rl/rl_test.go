@@ -444,8 +444,9 @@ func TestBeginEpisodeZeroAlloc(t *testing.T) {
 // updateTrajectoryDigest pins TestUpdateTrajectoryPinned. It was captured
 // while the actor pass still ran the critic's full BackwardBatch and every
 // 64-wide product still reached the kernel pool; the value must never be
-// refreshed to make a change pass. It holds on linux/amd64 only, where
-// math.Tanh, math.Exp and math.Log have the assembly it was captured with.
+// refreshed to make a change pass. It holds with the lane tanh on or off,
+// since mat.TanhTo equals math.Tanh bit for bit, but only on linux/amd64
+// with math.Exp on its FMA path, the assembly it was captured with.
 const updateTrajectoryDigest = 0xd9e61aad1c0c4140
 
 // TestUpdateTrajectoryPinned runs a seeded agent at train-msd's shapes (4
@@ -456,6 +457,12 @@ const updateTrajectoryDigest = 0xd9e61aad1c0c4140
 func TestUpdateTrajectoryPinned(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skipf("update digest is pinned for linux/amd64, not %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	// 0x404759a28795660f is math.Exp(3.84375) on the FMA path; without FMA,
+	// or under GODEBUG=cpu.fma=off, math.Exp rounds it and others one ulp
+	// apart, and every tanh layer moves with it.
+	if math.Float64bits(math.Exp(3.84375)) != 0x404759a28795660f {
+		t.Skip("update digest is pinned for math.Exp's FMA path, which this process does not take")
 	}
 	agent, err := NewDDPG(Config{
 		StateDim: 4, ActionDim: 4, Hidden: []int{64, 64, 64},
