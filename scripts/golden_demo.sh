@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Golden end-to-end regression gate: build the offline CLI (cmd/miras), run
-# seeded short-horizon train / compare / chaos pipelines with runtime
+# seeded short-horizon train / compare / chaos pipelines and examples with runtime
 # invariants enabled and debug-level -trace-out on, and fail unless every
 # produced CSV and JSONL trace matches the sha256 manifest pinned in
 # scripts/testdata/golden_demo.sha256. Any behavioural drift — an RNG draw
 # reordered, a reward term changed, a float expression reassociated — changes
 # the CSV bytes; any telemetry drift — an event or span added, dropped,
-# reordered or re-tagged — changes the trace bytes. Either trips the gate. `make golden-demo`
+# reordered or re-tagged — changes the trace bytes. Either trips the gate. The
+# stdout of the seeded examples is pinned the same way. `make golden-demo`
 # runs this; refresh deliberately with `scripts/golden_demo.sh --update`.
 set -euo pipefail
 
@@ -50,14 +51,21 @@ echo "==> seeded chaos run (non-learning algorithms)"
 "$WORK/miras" chaos -algorithms stream,heft,monad -windows 8 \
     -out "$OUT" -trace-out "$OUT/chaos.jsonl" -log-level debug >"$WORK/chaos.log"
 
+# http-agent is left out: it prints the random port its server listens on.
+echo "==> seeded examples"
+for ex in quickstart msd-autoscale ligo-burst custom-workflow failure-recovery; do
+    go build -o "$WORK/$ex" "./examples/$ex"
+    "$WORK/$ex" >"$OUT/example-$ex.txt"
+done
+
 manifest="$WORK/manifest.sha256"
-(cd "$OUT" && sha256sum -- *.csv *.jsonl | LC_ALL=C sort -k2) >"$manifest"
+(cd "$OUT" && sha256sum -- *.csv *.jsonl *.txt | LC_ALL=C sort -k2) >"$manifest"
 
 case "$MODE" in
 --update)
     mkdir -p "$(dirname "$PINNED")"
     cp "$manifest" "$PINNED"
-    echo "==> pinned $(wc -l <"$PINNED") CSV and trace digests to $PINNED"
+    echo "==> pinned $(wc -l <"$PINNED") CSV, trace and example-output digests to $PINNED"
     ;;
 check)
     if [ ! -f "$PINNED" ]; then
@@ -69,7 +77,7 @@ check)
         echo "If the change is intentional, refresh with scripts/golden_demo.sh --update" >&2
         exit 1
     fi
-    echo "==> $(wc -l <"$manifest") CSVs and traces match the pinned manifest"
+    echo "==> $(wc -l <"$manifest") CSVs, traces and example outputs match the pinned manifest"
     ;;
 *)
     echo "usage: scripts/golden_demo.sh [--update]" >&2
