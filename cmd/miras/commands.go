@@ -483,7 +483,7 @@ func replay(fs *flag.FlagSet) body {
 			if err != nil {
 				return err
 			}
-			if err := h.Generator.InjectBurst(burst); err != nil {
+			if err := h.Env.InjectBurst(burst); err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "injected burst %v\n", burst)

@@ -1,7 +1,7 @@
 // custom-workflow: define your own workflow ensemble — a genomics-style
 // pipeline with a fork-join — validate it, and run it under the DRS and
 // HEFT allocators. Demonstrates the API surface a new deployment needs:
-// workflow.NewType / Ensemble, cluster.New, workload.NewGenerator, env.New.
+// workflow.NewType / Ensemble and env.New.
 //
 //	go run ./examples/custom-workflow
 package main
@@ -13,10 +13,8 @@ import (
 	"miras/internal/baselines"
 	"miras/internal/cluster"
 	"miras/internal/env"
-	"miras/internal/sim"
 	"miras/internal/trace"
 	"miras/internal/workflow"
-	"miras/internal/workload"
 )
 
 func main() {
@@ -82,22 +80,16 @@ func run() error {
 	// 3. Wire the emulated cluster, traffic, and control environment.
 	const budget = 12
 	runAllocator := func(mk func() env.Controller) ([]float64, error) {
-		engine := sim.NewEngine()
-		streams := sim.NewStreams(7)
-		c, err := cluster.New(cluster.Config{Ensemble: ensemble, Engine: engine, Streams: streams})
+		e, err := env.New(env.Config{
+			Cluster: cluster.Config{Ensemble: ensemble},
+			Seed:    7,
+			Rates:   []float64{0.08, 0.15},
+			Budget:  budget,
+		})
 		if err != nil {
 			return nil, err
 		}
-		gen, err := workload.NewGenerator(c, streams, engine, []float64{0.08, 0.15})
-		if err != nil {
-			return nil, err
-		}
-		gen.Start()
-		if err := gen.InjectBurst([]int{60, 40}); err != nil {
-			return nil, err
-		}
-		e, err := env.New(env.Config{Cluster: c, Generator: gen, Budget: budget})
-		if err != nil {
+		if err := e.InjectBurst([]int{60, 40}); err != nil {
 			return nil, err
 		}
 		results, err := env.Run(e, mk(), 15)

@@ -13,9 +13,7 @@ import (
 	"miras/internal/baselines"
 	"miras/internal/cluster"
 	"miras/internal/env"
-	"miras/internal/sim"
 	"miras/internal/workflow"
-	"miras/internal/workload"
 )
 
 func main() {
@@ -27,31 +25,22 @@ func main() {
 
 func run() error {
 	ensemble := workflow.NewMSD()
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(99)
-	c, err := cluster.New(cluster.Config{
-		Ensemble: ensemble,
-		Engine:   engine,
-		Streams:  streams,
+	e, err := env.New(env.Config{
+		Cluster: cluster.Config{Ensemble: ensemble},
+		Seed:    99,
+		Rates:   []float64{0.05, 0.05, 0.05},
+		Budget:  14,
 	})
 	if err != nil {
 		return err
 	}
-	gen, err := workload.NewGenerator(c, streams, engine, []float64{0.05, 0.05, 0.05})
-	if err != nil {
+	if err := e.InjectBurst([]int{80, 50, 80}); err != nil {
 		return err
 	}
-	gen.Start()
-	if err := gen.InjectBurst([]int{80, 50, 80}); err != nil {
-		return err
-	}
-	e, err := env.New(env.Config{Cluster: c, Generator: gen, Budget: 14})
-	if err != nil {
-		return err
-	}
+	c, engine, gen := e.Cluster(), e.Engine(), e.Generator()
 
 	// Chaos: kill one random live consumer every 45 virtual seconds.
-	chaosRNG := streams.Stream("example/chaos")
+	chaosRNG := e.Streams().Stream("example/chaos")
 	var chaos func()
 	chaos = func() {
 		alive := c.Consumers()

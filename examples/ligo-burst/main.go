@@ -54,7 +54,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := h.Generator.InjectBurst(burst); err != nil {
+		if err := h.Env.InjectBurst(burst); err != nil {
 			return err
 		}
 		ctrl.Reset()

@@ -52,7 +52,7 @@ func run() error {
 		if err != nil {
 			return nil, 0, err
 		}
-		if err := h.Generator.InjectBurst(burst); err != nil {
+		if err := h.Env.InjectBurst(burst); err != nil {
 			return nil, 0, err
 		}
 		ctrl.Reset()

@@ -11,7 +11,6 @@ import (
 	"miras/internal/baselines"
 	"miras/internal/cluster"
 	"miras/internal/env"
-	"miras/internal/sim"
 	"miras/internal/workflow"
 	"miras/internal/workload"
 )
@@ -30,37 +29,27 @@ func run() error {
 	fmt.Printf("ensemble %q: %d workflows over %d microservices\n",
 		ensemble.Name, ensemble.NumWorkflows(), ensemble.NumTasks())
 
-	// 2. A deterministic discrete-event cluster with container start-up
-	// delays, driven by one seed.
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(42)
-	c, err := cluster.New(cluster.Config{
-		Ensemble: ensemble,
-		Engine:   engine,
-		Streams:  streams,
+	// 2. The emulated system, driven by one seed: a deterministic
+	// discrete-event cluster with container start-up delays, background
+	// Poisson arrivals, and the windowed control environment over them —
+	// 30-second windows, a budget of 14 consumers (the paper's MSD
+	// constraint).
+	e, err := env.New(env.Config{
+		Cluster: cluster.Config{Ensemble: ensemble},
+		Seed:    42,
+		Rates:   []float64{0.1, 0.1, 0.1},
+		Budget:  14,
 	})
 	if err != nil {
 		return err
 	}
 
-	// 3. Background Poisson arrivals plus one burst at t=60s.
-	gen, err := workload.NewGenerator(c, streams, engine, []float64{0.1, 0.1, 0.1})
-	if err != nil {
-		return err
-	}
-	gen.Start()
-	if err := gen.ScheduleBursts([]workload.Burst{{At: 60, Counts: []int{50, 30, 50}}}); err != nil {
+	// 3. One burst at t=60s on top of the background load.
+	if err := e.Generator().ScheduleBursts([]workload.Burst{{At: 60, Counts: []int{50, 30, 50}}}); err != nil {
 		return err
 	}
 
-	// 4. The windowed control environment: 30-second windows, a budget of
-	// 14 consumers (the paper's MSD constraint).
-	e, err := env.New(env.Config{Cluster: c, Generator: gen, Budget: 14})
-	if err != nil {
-		return err
-	}
-
-	// 5. Drive it with the MONAD baseline controller for 12 windows.
+	// 4. Drive it with the MONAD baseline controller for 12 windows.
 	ctrl := baselines.NewMONAD(e.Budget(), e.WindowSec())
 	fmt.Println("\nwindow  allocation      ΣWIP   completed  mean-delay(s)")
 	results, err := env.Run(e, ctrl, 12)

@@ -9,7 +9,6 @@ import (
 	"miras/internal/cluster"
 	"miras/internal/env"
 	"miras/internal/rl"
-	"miras/internal/sim"
 	"miras/internal/workflow"
 )
 
@@ -194,19 +193,12 @@ func TestStaticAllocation(t *testing.T) {
 }
 
 func TestTrainModelFree(t *testing.T) {
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(31)
-	c, err := cluster.New(cluster.Config{
-		Ensemble:        workflow.Toy(),
-		Engine:          engine,
-		Streams:         streams,
-		StartupDelayMin: 1,
-		StartupDelayMax: 2,
+	e, err := env.New(env.Config{
+		Cluster: cluster.Config{Ensemble: workflow.Toy(), StartupDelayMin: 1, StartupDelayMax: 2},
+		Seed:    31,
+		Rates:   []float64{0},
+		Budget:  6, WindowSec: 10,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := env.New(env.Config{Cluster: c, Budget: 6, WindowSec: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,44 +6,29 @@ import (
 	"miras/internal/cluster"
 	"miras/internal/env"
 	"miras/internal/rl"
-	"miras/internal/sim"
 	"miras/internal/workflow"
-	"miras/internal/workload"
 )
 
 // newToyEnv builds a fast real environment over the toy ensemble with
 // light Poisson background load.
 func newToyEnv(t *testing.T, seed int64) *env.Env {
 	t.Helper()
-	e, _ := newToyEnvGen(t, seed)
+	e, err := env.New(toyEnvConfig(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return e
 }
 
-// newToyEnvGen is newToyEnv that also returns the workload generator.
-func newToyEnvGen(t *testing.T, seed int64) (*env.Env, *workload.Generator) {
-	t.Helper()
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(seed)
-	c, err := cluster.New(cluster.Config{
-		Ensemble:        workflow.Toy(),
-		Engine:          engine,
-		Streams:         streams,
-		StartupDelayMin: 1,
-		StartupDelayMax: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
+// toyEnvConfig is newToyEnv's configuration: the toy ensemble with fast
+// start-ups and Poisson background load at 0.3 requests/s.
+func toyEnvConfig(seed int64) env.Config {
+	return env.Config{
+		Cluster: cluster.Config{Ensemble: workflow.Toy(), StartupDelayMin: 1, StartupDelayMax: 2},
+		Seed:    seed,
+		Rates:   []float64{0.3},
+		Budget:  6, WindowSec: 10,
 	}
-	gen, err := workload.NewGenerator(c, streams, engine, []float64{0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	e, err := env.New(env.Config{Cluster: c, Generator: gen, Budget: 6, WindowSec: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, gen
 }
 
 // tinyConfig is a heavily shrunk MIRAS configuration for fast tests.

@@ -7,44 +7,21 @@ import (
 	"testing"
 	"time"
 
-	"miras/internal/cluster"
 	"miras/internal/env"
 	"miras/internal/obs"
-	"miras/internal/sim"
-	"miras/internal/workflow"
-	"miras/internal/workload"
 )
 
-// newSpannedToyEnv is newToyEnv with a tracer threaded into the cluster and
-// env layers and its clock pointed at the engine, the way
-// experiments.BuildHarness wires a Setup.Tracer.
+// newSpannedToyEnv is newTracedToyEnv with the tracer's clock pointed at the
+// engine, the way experiments.BuildHarness wires a Setup.Tracer.
 func newSpannedToyEnv(t *testing.T, seed int64, tracer *obs.Tracer) *env.Env {
 	t.Helper()
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(seed)
-	c, err := cluster.New(cluster.Config{
-		Ensemble:        workflow.Toy(),
-		Engine:          engine,
-		Streams:         streams,
-		StartupDelayMin: 1,
-		StartupDelayMax: 2,
-		Tracer:          tracer,
-	})
+	cfg := toyEnvConfig(seed)
+	cfg.Tracer = tracer
+	e, err := env.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := workload.NewGenerator(c, streams, engine, []float64{0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	e, err := env.New(env.Config{
-		Cluster: c, Generator: gen, Budget: 6, WindowSec: 10, Tracer: tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracer.SetClock(func() float64 { return float64(engine.Now()) })
+	tracer.SetClock(func() float64 { return float64(e.Engine().Now()) })
 	return e
 }
 

@@ -250,14 +250,14 @@ func TestRestoreVerifiesReplayedEnv(t *testing.T) {
 	const seed = 44
 	for _, logged := range []bool{true, false} {
 		config := func() Config {
-			e, gen := newToyEnvGen(t, seed)
+			e := newToyEnv(t, seed)
 			cfg := tinyConfig(e, seed)
 			cfg.Iterations = 1
 			cfg.ResetHook = func() {
 				if logged {
 					_ = e.InjectBurst([]int{7})
 				} else {
-					_ = gen.InjectBurst([]int{7})
+					_ = e.Generator().InjectBurst([]int{7})
 				}
 			}
 			return cfg

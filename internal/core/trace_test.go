@@ -7,39 +7,17 @@ import (
 	"log/slog"
 	"testing"
 
-	"miras/internal/cluster"
 	"miras/internal/env"
 	"miras/internal/obs"
-	"miras/internal/sim"
-	"miras/internal/workflow"
-	"miras/internal/workload"
 )
 
-// newTracedToyEnv is newToyEnv with a tracer threaded into the cluster and
-// env layers, the way experiments.BuildHarness wires a Setup.Tracer.
+// newTracedToyEnv is newToyEnv with a tracer, which env.New threads into the
+// cluster and env layers.
 func newTracedToyEnv(t *testing.T, seed int64, tracer *obs.Tracer) *env.Env {
 	t.Helper()
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(seed)
-	c, err := cluster.New(cluster.Config{
-		Ensemble:        workflow.Toy(),
-		Engine:          engine,
-		Streams:         streams,
-		StartupDelayMin: 1,
-		StartupDelayMax: 2,
-		Tracer:          tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workload.NewGenerator(c, streams, engine, []float64{0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	e, err := env.New(env.Config{
-		Cluster: c, Generator: gen, Budget: 6, WindowSec: 10, Tracer: tracer,
-	})
+	cfg := toyEnvConfig(seed)
+	cfg.Tracer = tracer
+	e, err := env.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,33 +25,39 @@ import (
 	"miras/internal/invariant"
 	"miras/internal/mat"
 	"miras/internal/obs"
+	"miras/internal/sim"
 	"miras/internal/workload"
 )
 
 // DefaultWindowSec is the paper's chosen control interval (§VI-A2).
 const DefaultWindowSec = 30.0
 
-// Config parameterises an Env.
+// Config describes the emulated system New builds and the Env over it.
 type Config struct {
-	// Cluster is the emulated microservice system. Required.
-	Cluster *cluster.Cluster
-	// Generator optionally supplies background arrivals; it keeps running
-	// across Reset. InjectBurst submits through it.
-	Generator *workload.Generator
+	// Cluster configures the emulated microservice system. Its Ensemble is
+	// required. Engine, Streams and Tracer must be left nil: New fills them,
+	// the tracer from Config.Tracer.
+	Cluster cluster.Config
+	// Seed roots every random stream of the system.
+	Seed int64
+	// Rates are the background Poisson rates per workflow type: nil means
+	// workload.DefaultRates, zeros mean no background load. Arrivals keep
+	// running across Reset.
+	Rates []float64
 	// WindowSec is the control window length; defaults to DefaultWindowSec.
 	WindowSec float64
 	// Budget is the total consumer constraint C (14 for MSD, 30 for LIGO
 	// in the paper, §VI-A4). Required, positive.
 	Budget int
-	// Tracer, when non-nil, emits one "env.window" span per Step covering
-	// the virtual control window, with the cluster's scale actuation and
-	// any fault episodes activated inside the window parented under it,
-	// plus one event per control window (action, end-of-window WIP,
-	// reward) and one per rejected action. Step installs the span as the
-	// tracer's ambient parent for the window's duration, so a Tracer must
-	// not be shared by envs stepping concurrently (the HTTP server leaves
-	// session envs untraced for this reason). Nil disables telemetry at
-	// zero cost.
+	// Tracer, when non-nil, is also the cluster's tracer (cluster.Config).
+	// The env emits one "env.window" span per Step covering the virtual
+	// control window, with the cluster's scale actuation and any fault
+	// episodes activated inside the window parented under it, plus one
+	// event per control window (action, end-of-window WIP, reward) and one
+	// per rejected action. Step installs the span as the tracer's ambient
+	// parent for the window's duration, so a Tracer must not be shared by
+	// envs stepping concurrently (the HTTP server leaves session envs
+	// untraced for this reason). Nil disables telemetry at zero cost.
 	Tracer *obs.Tracer
 	// FailureAware appends the cluster's per-microservice effective
 	// capacity (started consumers divided by any active slowdown factor)
@@ -135,6 +141,10 @@ type StepResult struct {
 // like the engine beneath it.
 type Env struct {
 	cfg        Config
+	engine     *sim.Engine
+	streams    *sim.Streams
+	c          *cluster.Cluster
+	gen        *workload.Generator
 	window     int
 	lastSnap   cluster.Counters
 	violations int
@@ -161,11 +171,31 @@ type Op struct {
 	Plan   *faults.Plan `json:"plan,omitempty"`
 }
 
-// New validates cfg and returns an Env.
-func New(cfg Config) (*Env, error) {
-	if cfg.Cluster == nil {
-		return nil, fmt.Errorf("env: Cluster is required")
+// New builds the emulated system cfg describes — a fresh engine, the random
+// streams rooted at Seed, the cluster (with copts), and the background
+// generator, already started — and returns the Env over it. Equal (cfg,
+// copts) build systems with identical trajectories.
+func New(cfg Config, copts ...cluster.Option) (*Env, error) {
+	cc := cfg.Cluster
+	if cc.Engine != nil || cc.Streams != nil || cc.Tracer != nil {
+		return nil, fmt.Errorf("env: Cluster.Engine, Streams and Tracer are New's to fill")
 	}
+	engine := sim.NewEngine()
+	streams := sim.NewStreams(cfg.Seed)
+	cc.Engine, cc.Streams, cc.Tracer = engine, streams, cfg.Tracer
+	c, err := cluster.New(cc, copts...)
+	if err != nil {
+		return nil, err
+	}
+	rates := cfg.Rates
+	if rates == nil {
+		rates = workload.DefaultRates(cc.Ensemble)
+	}
+	gen, err := workload.NewGenerator(c, streams, engine, rates)
+	if err != nil {
+		return nil, err
+	}
+	gen.Start()
 	if cfg.Budget <= 0 {
 		return nil, fmt.Errorf("env: Budget must be positive, got %d", cfg.Budget)
 	}
@@ -175,7 +205,8 @@ func New(cfg Config) (*Env, error) {
 	if !(cfg.WindowSec > 0) { // rejects non-positive and NaN
 		return nil, fmt.Errorf("env: WindowSec must be positive, got %g", cfg.WindowSec)
 	}
-	e := &Env{cfg: cfg, lastSnap: cfg.Cluster.Snapshot(), ops: []Op{}}
+	e := &Env{cfg: cfg, engine: engine, streams: streams, c: c, gen: gen,
+		lastSnap: c.Snapshot(), ops: []Op{}}
 	e.registerInvariants()
 	return e, nil
 }
@@ -189,7 +220,7 @@ func (e *Env) registerInvariants() {
 	// entry a finite non-negative count. NaN here would poison the replay
 	// buffer and every model fitted from it.
 	inv.Register("state-valid", func() error {
-		state := e.observe(e.cfg.Cluster.WIP())
+		state := e.observe(e.c.WIP())
 		if len(state) != e.StateDim() {
 			return fmt.Errorf("state has %d entries, want StateDim %d", len(state), e.StateDim())
 		}
@@ -205,7 +236,7 @@ func (e *Env) registerInvariants() {
 	// cluster behind the environment's back.
 	inv.Register("budget", func() error {
 		total := 0
-		for _, m := range e.cfg.Cluster.Targets() {
+		for _, m := range e.c.Targets() {
 			total += m
 		}
 		if total > e.cfg.Budget {
@@ -220,14 +251,14 @@ func (e *Env) registerInvariants() {
 // normally, 2J when the environment is failure-aware.
 func (e *Env) StateDim() int {
 	if e.cfg.FailureAware {
-		return 2 * e.cfg.Cluster.NumTasks()
+		return 2 * e.c.NumTasks()
 	}
-	return e.cfg.Cluster.NumTasks()
+	return e.c.NumTasks()
 }
 
 // ActionDim returns the action width: always J, one consumer count per
 // microservice, regardless of how wide the observation is.
-func (e *Env) ActionDim() int { return e.cfg.Cluster.NumTasks() }
+func (e *Env) ActionDim() int { return e.c.NumTasks() }
 
 // FailureAware reports whether the state vector carries failure
 // observables.
@@ -239,8 +270,18 @@ func (e *Env) Budget() int { return e.cfg.Budget }
 // WindowSec returns the control window length.
 func (e *Env) WindowSec() float64 { return e.cfg.WindowSec }
 
+// Engine returns the discrete-event engine driving the system.
+func (e *Env) Engine() *sim.Engine { return e.engine }
+
+// Streams returns the random-stream factory rooted at Config.Seed.
+func (e *Env) Streams() *sim.Streams { return e.streams }
+
 // Cluster returns the underlying cluster (read-only use intended).
-func (e *Env) Cluster() *cluster.Cluster { return e.cfg.Cluster }
+func (e *Env) Cluster() *cluster.Cluster { return e.c }
+
+// Generator returns the background workload generator. A burst submitted
+// through it directly is not recorded in Ops; use InjectBurst.
+func (e *Env) Generator() *workload.Generator { return e.gen }
 
 // Window returns the number of completed control windows.
 func (e *Env) Window() int { return e.window }
@@ -254,14 +295,14 @@ func (e *Env) ConstraintViolations() int { return e.violations }
 // (here: instantly) to zero. Background arrivals keep running — and so do
 // any armed faults. It records a "reset" op and returns the new state.
 func (e *Env) Reset() []float64 {
-	e.cfg.Cluster.Clear()
-	e.lastSnap = e.cfg.Cluster.Snapshot()
+	e.c.Clear()
+	e.lastSnap = e.c.Snapshot()
 	e.ops = append(e.ops, Op{Kind: opReset})
-	return e.observe(e.cfg.Cluster.WIP())
+	return e.observe(e.c.WIP())
 }
 
 // State returns the current observation without advancing time.
-func (e *Env) State() []float64 { return e.observe(e.cfg.Cluster.WIP()) }
+func (e *Env) State() []float64 { return e.observe(e.c.WIP()) }
 
 // observe extends the WIP vector with the failure observables when the
 // environment is failure-aware; otherwise it returns wip unchanged.
@@ -271,7 +312,7 @@ func (e *Env) observe(wip []float64) []float64 {
 	}
 	out := make([]float64, 0, 2*len(wip))
 	out = append(out, wip...)
-	return append(out, e.cfg.Cluster.EffectiveCapacity()...)
+	return append(out, e.c.EffectiveCapacity()...)
 }
 
 // Step applies allocation m for the next window, advances one window of
@@ -292,7 +333,7 @@ func (e *Env) Step(m []int) (StepResult, error) {
 	if total > e.cfg.Budget {
 		e.violations++
 		if ev := e.cfg.Tracer.Event("constraint_violation"); ev != nil {
-			ev.T(e.cfg.Cluster.Now()).
+			ev.T(e.c.Now()).
 				Int("window", e.window).
 				Ints("action", m).
 				Int("total", total).
@@ -301,7 +342,7 @@ func (e *Env) Step(m []int) (StepResult, error) {
 		}
 		return StepResult{}, fmt.Errorf("env: allocation total %d exceeds budget %d", total, e.cfg.Budget)
 	}
-	c := e.cfg.Cluster
+	c := e.c
 	winSpan := e.cfg.Tracer.Start("env.window").T0(c.Now()).Int("window", e.window)
 	restoreParent := e.cfg.Tracer.SetParent(winSpan)
 	if err := c.SetConsumers(m); err != nil {
@@ -348,14 +389,24 @@ func (e *Env) Step(m []int) (StepResult, error) {
 	return res, nil
 }
 
-// InjectBurst submits counts[i] requests of each workflow type i through
-// Config.Generator and records a "burst" op; a burst submitted to the
-// Generator directly is not recorded, so Replay loses it.
+// maxBurst bounds the requests one InjectBurst may submit. Each becomes a
+// live workflow instance at once, so an unbounded count from a client (or a
+// client-supplied op log) could exhaust memory; the largest paper burst
+// (§VI-D) is 1 700.
+const maxBurst = 1 << 16
+
+// InjectBurst submits counts[i] requests of each workflow type i through the
+// generator and records a "burst" op. A burst of more than maxBurst requests
+// in total is rejected; a rejected burst submits and records nothing.
 func (e *Env) InjectBurst(counts []int) error {
-	if e.cfg.Generator == nil {
-		return fmt.Errorf("env: burst needs a Generator")
+	total := 0
+	for _, n := range counts {
+		if n > maxBurst-total { // entry by entry, so the sum cannot overflow
+			return fmt.Errorf("env: burst exceeds %d requests", maxBurst)
+		}
+		total += max(n, 0) // negative counts are the generator's to reject
 	}
-	if err := e.cfg.Generator.InjectBurst(counts); err != nil {
+	if err := e.gen.InjectBurst(counts); err != nil {
 		return err
 	}
 	e.ops = append(e.ops, Op{Kind: opBurst, Counts: slices.Clone(counts)})
@@ -365,7 +416,7 @@ func (e *Env) InjectBurst(counts []int) error {
 // ScheduleFaults arms plan on the cluster (cluster.ScheduleFaults) and
 // records a "faults" op.
 func (e *Env) ScheduleFaults(plan faults.Plan) error {
-	if err := e.cfg.Cluster.ScheduleFaults(plan); err != nil {
+	if err := e.c.ScheduleFaults(plan); err != nil {
 		return err
 	}
 	plan.Specs = slices.Clone(plan.Specs)
@@ -410,7 +461,7 @@ func (e *Env) Replay(ops []Op) error {
 
 // buildStats assembles window observables from counter deltas.
 func (e *Env) buildStats(state []float64, snap cluster.Counters) Stats {
-	c := e.cfg.Cluster
+	c := e.c
 	j := e.ActionDim()
 	st := Stats{
 		Window:         e.window,

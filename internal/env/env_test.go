@@ -11,43 +11,40 @@ import (
 	"miras/internal/workflow"
 )
 
-// harness bundles an env over the toy ensemble with a fast startup delay.
-func newTestEnv(t *testing.T, e *workflow.Ensemble, budget int, seed int64) *Env {
+// testConfig describes an env over ens with near-instant start-ups and no
+// background load.
+func testConfig(ens *workflow.Ensemble, budget int, seed int64) Config {
+	return Config{
+		Cluster: cluster.Config{Ensemble: ens, StartupDelayMin: 1e-9, StartupDelayMax: 2e-9},
+		Seed:    seed,
+		Rates:   make([]float64, ens.NumWorkflows()),
+		Budget:  budget, WindowSec: 30,
+	}
+}
+
+func newTestEnv(t *testing.T, ens *workflow.Ensemble, budget int, seed int64) *Env {
 	t.Helper()
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(seed)
-	c, err := cluster.New(cluster.Config{
-		Ensemble:        e,
-		Engine:          engine,
-		Streams:         streams,
-		StartupDelayMin: 1e-9,
-		StartupDelayMax: 2e-9,
-	})
+	e, err := New(testConfig(ens, budget, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := New(Config{Cluster: c, Budget: budget, WindowSec: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return en
+	return e
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Budget: 10}); err == nil {
-		t.Fatal("expected error without cluster")
-	}
-	e := newTestEnv(t, workflow.Toy(), 4, 1) // valid baseline
-	_ = e
-	engine := sim.NewEngine()
-	c, _ := cluster.New(cluster.Config{
-		Ensemble: workflow.Toy(), Engine: engine, Streams: sim.NewStreams(2),
-	})
-	if _, err := New(Config{Cluster: c}); err == nil {
-		t.Fatal("expected error for missing budget")
-	}
-	if _, err := New(Config{Cluster: c, Budget: 4, WindowSec: -1}); err == nil {
-		t.Fatal("expected error for negative window")
+	newTestEnv(t, workflow.Toy(), 4, 1) // valid baseline
+	for name, edit := range map[string]func(*Config){
+		"no ensemble":      func(c *Config) { c.Cluster.Ensemble = nil },
+		"engine filled in": func(c *Config) { c.Cluster.Engine = sim.NewEngine() },
+		"wrong rate arity": func(c *Config) { c.Rates = []float64{0.1, 0.1} },
+		"missing budget":   func(c *Config) { c.Budget = 0 },
+		"negative window":  func(c *Config) { c.WindowSec = -1 },
+	} {
+		cfg := testConfig(workflow.Toy(), 4, 2)
+		edit(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

@@ -4,26 +4,15 @@ import (
 	"fmt"
 	"testing"
 
-	"miras/internal/cluster"
-	"miras/internal/sim"
 	"miras/internal/workflow"
 )
 
 // newFailureAwareEnv builds a failure-aware env over the toy ensemble.
 func newFailureAwareEnv(t *testing.T, seed int64) *Env {
 	t.Helper()
-	engine := sim.NewEngine()
-	c, err := cluster.New(cluster.Config{
-		Ensemble:        workflow.Toy(),
-		Engine:          engine,
-		Streams:         sim.NewStreams(seed),
-		StartupDelayMin: 1e-9,
-		StartupDelayMax: 2e-9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	en, err := New(Config{Cluster: c, Budget: 4, WindowSec: 30, FailureAware: true})
+	cfg := testConfig(workflow.Toy(), 4, seed)
+	cfg.FailureAware = true
+	en, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,21 +67,13 @@ func TestFailureAwareStateCarriesEffectiveCapacity(t *testing.T) {
 // reward sequences for identical actions.
 func TestFailureAwareRewardUnchanged(t *testing.T) {
 	run := func(aware bool) string {
-		engine := sim.NewEngine()
-		c, err := cluster.New(cluster.Config{
-			Ensemble:        workflow.Toy(),
-			Engine:          engine,
-			Streams:         sim.NewStreams(37),
-			StartupDelayMin: 1e-9,
-			StartupDelayMax: 2e-9,
-		})
+		cfg := testConfig(workflow.Toy(), 4, 37)
+		cfg.FailureAware = aware
+		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(Config{Cluster: c, Budget: 4, WindowSec: 30, FailureAware: aware})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := e.Cluster()
 		var rewards []float64
 		for i := 0; i < 5; i++ {
 			for k := 0; k < 3; k++ {

@@ -3,6 +3,7 @@ package env
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -12,31 +13,19 @@ import (
 	"miras/internal/faults"
 	"miras/internal/sim"
 	"miras/internal/workflow"
-	"miras/internal/workload"
 )
 
-// newLoggedEnv builds a failure-aware toy env with Poisson background load
-// and a Generator, so every op kind applies.
+// newLoggedEnv builds a failure-aware toy env with Poisson background load.
 func newLoggedEnv(t *testing.T, seed int64) *Env {
 	t.Helper()
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(seed)
-	c, err := cluster.New(cluster.Config{
-		Ensemble:        workflow.Toy(),
-		Engine:          engine,
-		Streams:         streams,
-		StartupDelayMin: 1,
-		StartupDelayMax: 3,
+	e, err := New(Config{
+		Cluster:      cluster.Config{Ensemble: workflow.Toy(), StartupDelayMin: 1, StartupDelayMax: 3},
+		Seed:         seed,
+		Rates:        []float64{0.3},
+		Budget:       6,
+		WindowSec:    10,
+		FailureAware: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workload.NewGenerator(c, streams, engine, []float64{0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	e, err := New(Config{Cluster: c, Generator: gen, Budget: 6, WindowSec: 10, FailureAware: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +193,29 @@ func TestReplayNamesFailingOp(t *testing.T) {
 	}
 }
 
-func TestInjectBurstNeedsGenerator(t *testing.T) {
-	e := newTestEnv(t, workflow.Toy(), 4, 5)
-	if err := e.InjectBurst([]int{3}); err == nil {
-		t.Fatal("burst without a Generator accepted")
+// TestInjectBurstBounded pins the burst bound: a burst of more than maxBurst
+// requests in total is rejected however its entries would sum (a wrapping
+// sum included) and leaves no trace, while one of exactly maxBurst goes in.
+func TestInjectBurstBounded(t *testing.T) {
+	e := newTestEnv(t, workflow.NewMSD(), 14, 5)
+	for _, counts := range [][]int{
+		{maxBurst + 1, 0, 0},
+		{maxBurst / 2, maxBurst / 2, 1},
+		{2_000_000_000, 0, 0},
+		{math.MaxInt, math.MaxInt, 2}, // sums to 0 in int arithmetic
+		{-1, maxBurst, 0},
+	} {
+		if err := e.InjectBurst(counts); err == nil {
+			t.Errorf("burst %v accepted", counts)
+		}
 	}
-	if len(e.Ops()) != 0 {
-		t.Fatal("failed burst was recorded")
+	if len(e.Ops()) != 0 || e.Cluster().InFlight() != 0 {
+		t.Fatalf("rejected bursts left %d ops and %d requests in flight", len(e.Ops()), e.Cluster().InFlight())
+	}
+	if err := e.InjectBurst([]int{maxBurst - 2, 1, 1}); err != nil {
+		t.Fatalf("burst of exactly %d rejected: %v", maxBurst, err)
+	}
+	if len(e.Ops()) != 1 || e.Cluster().InFlight() != maxBurst {
+		t.Fatalf("accepted burst left %d ops and %d requests in flight", len(e.Ops()), e.Cluster().InFlight())
 	}
 }

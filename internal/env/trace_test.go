@@ -9,7 +9,6 @@ import (
 
 	"miras/internal/cluster"
 	"miras/internal/obs"
-	"miras/internal/sim"
 	"miras/internal/workflow"
 )
 
@@ -46,23 +45,18 @@ func TestStepEmitsWindowEvents(t *testing.T) {
 	var buf bytes.Buffer
 	tracer := obs.NewTracer(obs.TracerConfig{Recorder: obs.NewRecorder(&buf, slog.LevelDebug), SimTime: true})
 
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(11)
-	c, err := cluster.New(cluster.Config{
-		Ensemble:        workflow.Toy(),
-		Engine:          engine,
-		Streams:         streams,
-		StartupDelayMin: 1,
-		StartupDelayMax: 2,
-		Tracer:          tracer,
+	e, err := New(Config{
+		Cluster:   cluster.Config{Ensemble: workflow.Toy(), StartupDelayMin: 1, StartupDelayMax: 2},
+		Seed:      11,
+		Rates:     []float64{0},
+		Budget:    6,
+		WindowSec: 30,
+		Tracer:    tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{Cluster: c, Budget: 6, WindowSec: 30, Tracer: tracer})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := e.Cluster()
 	for i := 0; i < 10; i++ {
 		c.Submit(0)
 	}

@@ -391,7 +391,7 @@ func Chaos(s Setup, algorithms []string, trained *Trained, killEverySec float64)
 		if err != nil {
 			return nil, err
 		}
-		if err := h.Generator.InjectBurst(bursts[0]); err != nil {
+		if err := h.Env.InjectBurst(bursts[0]); err != nil {
 			return nil, err
 		}
 		chaosRNG := h.Streams.Stream("experiments/chaos")

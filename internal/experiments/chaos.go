@@ -154,7 +154,7 @@ func ChaosCompare(s Setup, regime ChaosRegime, algorithms []string, trained *Tra
 		if err != nil {
 			return nil, err
 		}
-		if err := h.Generator.InjectBurst(bursts[0]); err != nil {
+		if err := h.Env.InjectBurst(bursts[0]); err != nil {
 			return nil, err
 		}
 		ctrl.Reset()

@@ -130,7 +130,7 @@ func runPlainScenario(t *testing.T, s Setup, burst []int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := h.Generator.InjectBurst(burst); err != nil {
+	if err := h.Env.InjectBurst(burst); err != nil {
 		return nil, err
 	}
 	ctrl, err := controllerByName("stream", s, h.Cluster.Ensemble(), nil)

@@ -198,7 +198,7 @@ func runScenarioDetailed(s Setup, burst []int, ctrl env.Controller, ens *workflo
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	if err := h.Generator.InjectBurst(burst); err != nil {
+	if err := h.Env.InjectBurst(burst); err != nil {
 		return nil, nil, 0, 0, err
 	}
 	ctrl.Reset()

@@ -272,7 +272,7 @@ func TestControllersOnlineBudgetIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Generator.InjectBurst([]int{10, 10, 5, 3}); err != nil {
+	if err := h.Env.InjectBurst([]int{10, 10, 5, 3}); err != nil {
 		t.Fatal(err)
 	}
 	ctrl, err := controllerByName("stream", s, h.Cluster.Ensemble(), nil)

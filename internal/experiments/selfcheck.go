@@ -57,7 +57,7 @@ func selfCheckDigest(s Setup, windows int, copts ...cluster.Option) (uint64, err
 	if err != nil {
 		return 0, err
 	}
-	if err := h.Generator.InjectBurst(bursts[0]); err != nil {
+	if err := h.Env.InjectBurst(bursts[0]); err != nil {
 		return 0, err
 	}
 	alloc := uniformAllocation(h.Env.ActionDim(), s.Budget)

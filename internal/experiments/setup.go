@@ -244,7 +244,7 @@ func evalBurstHook(s Setup, h *Harness) func() {
 }
 
 // Harness is one fully wired real environment: engine, cluster, background
-// workload, and windowed env.
+// workload, and windowed env. Every field but Env is one of Env's accessors.
 type Harness struct {
 	Engine    *sim.Engine
 	Streams   *sim.Streams
@@ -265,39 +265,21 @@ func BuildHarness(s Setup, seedOffset int64, copts ...cluster.Option) (*Harness,
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
 	}
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(s.Seed + seedOffset)
-	c, err := cluster.New(cluster.Config{
-		Ensemble: ens,
-		Engine:   engine,
-		Streams:  streams,
-		Tracer:   s.Tracer,
-	}, copts...)
-	if err != nil {
-		return nil, err
-	}
-	rates := s.Rates
-	if rates == nil {
-		rates = workload.DefaultRates(ens)
-	}
-	gen, err := workload.NewGenerator(c, streams, engine, rates)
-	if err != nil {
-		return nil, err
-	}
-	gen.Start()
 	e, err := env.New(env.Config{
-		Cluster:   c,
-		Generator: gen,
+		Cluster:   cluster.Config{Ensemble: ens},
+		Seed:      s.Seed + seedOffset,
+		Rates:     s.Rates,
 		WindowSec: s.WindowSec,
 		Budget:    s.Budget,
 		Tracer:    s.Tracer,
-	})
+	}, copts...)
 	if err != nil {
 		return nil, err
 	}
 	// Spans minted while this harness runs carry its virtual time. Setups
 	// build harnesses sequentially (training, then evaluation), so pointing
 	// the shared tracer at the newest engine is safe.
+	engine := e.Engine()
 	s.Tracer.SetClock(func() float64 { return float64(engine.Now()) })
-	return &Harness{Engine: engine, Streams: streams, Cluster: c, Generator: gen, Env: e}, nil
+	return &Harness{Engine: engine, Streams: e.Streams(), Cluster: e.Cluster(), Generator: e.Generator(), Env: e}, nil
 }

@@ -102,9 +102,7 @@ import (
 	"miras/internal/obs"
 	"miras/internal/rl"
 	"miras/internal/shardring"
-	"miras/internal/sim"
 	"miras/internal/workflow"
-	"miras/internal/workload"
 )
 
 // SessionIDHeader carries a pre-minted session id on POST /v1/sessions.
@@ -574,9 +572,8 @@ func (s *Server) handleEnsembles(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// buildSystem constructs the emulated system (engine, cluster, workload,
-// env) for an effective create request. On failure it returns the error
-// code the caller should report.
+// buildSystem builds the emulated system (env.New) for an effective create
+// request. On failure it returns the error code the caller should report.
 func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counter) (*env.Env, ErrorCode, error) {
 	ens, ok := workflow.ByName(req.Ensemble)
 	if !ok {
@@ -590,39 +587,22 @@ func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counte
 		return nil, CodeBadSessionConfig,
 			fmt.Errorf("idle_timeout_seconds must be non-negative, got %g", req.IdleTimeoutSeconds)
 	}
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(req.Seed)
 	copts := []cluster.Option{cluster.WithFaultMetrics(faultsTotal, crashed)}
 	if req.Faults != nil {
 		copts = append(copts, cluster.WithFaultPlan(*req.Faults))
 	}
-	c, err := cluster.New(cluster.Config{
-		Ensemble: ens, Engine: engine, Streams: streams,
-	}, copts...)
-	if err != nil {
-		code := CodeBadSessionConfig
-		if req.Faults != nil && req.Faults.Validate(ens.NumTasks()) != nil {
-			code = CodeBadFaultPlan
-		}
-		return nil, code, err
-	}
-	rates := req.Rates
-	if rates == nil {
-		rates = workload.DefaultRates(ens)
-	}
-	gen, err := workload.NewGenerator(c, streams, engine, rates)
-	if err != nil {
-		return nil, CodeBadSessionConfig, err
-	}
-	gen.Start()
 	e, err := env.New(env.Config{
-		Cluster:      c,
-		Generator:    gen,
+		Cluster:      cluster.Config{Ensemble: ens},
+		Seed:         req.Seed,
+		Rates:        req.Rates,
 		Budget:       req.Budget,
 		WindowSec:    req.WindowSec,
 		FailureAware: req.FailureAware,
-	})
+	}, copts...)
 	if err != nil {
+		if req.Faults != nil && req.Faults.Validate(ens.NumTasks()) != nil {
+			return nil, CodeBadFaultPlan, err
+		}
 		return nil, CodeBadSessionConfig, err
 	}
 	return e, "", nil

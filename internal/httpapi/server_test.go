@@ -6,8 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
+
+	"miras/internal/cluster"
+	"miras/internal/env"
+	"miras/internal/workflow"
 )
 
 // client wraps an httptest server with JSON helpers.
@@ -138,6 +143,63 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if status := c.do("GET", "/v1/sessions/"+info.ID, nil, nil); status != http.StatusNotFound {
 		t.Fatalf("deleted session still answers: %d", status)
+	}
+}
+
+// TestServedSessionMatchesLibraryEnv pins the mapping from a create request
+// to env.Config: a session created over the wire, sent the same burst and
+// the same allocations as env.New built from the Config the request stands
+// for, walks the same states and rewards. The second case leaves seed, rates
+// and window to the server's defaults (seed 1, the ensemble's default rates,
+// 30 s windows).
+func TestServedSessionMatchesLibraryEnv(t *testing.T) {
+	msd := func() cluster.Config { return cluster.Config{Ensemble: workflow.NewMSD()} }
+	cases := []struct {
+		req CreateRequest
+		cfg env.Config
+	}{
+		{
+			CreateRequest{Ensemble: "msd", Budget: 14, WindowSec: 20, Rates: []float64{0.3, 0.2, 0.1}, Seed: 9},
+			env.Config{Cluster: msd(), Seed: 9, Rates: []float64{0.3, 0.2, 0.1}, Budget: 14, WindowSec: 20},
+		},
+		{
+			CreateRequest{Ensemble: "msd", Budget: 14},
+			env.Config{Cluster: msd(), Seed: 1, Budget: 14},
+		},
+	}
+	burst := []int{40, 20, 30}
+	alloc := []int{4, 4, 3, 3}
+	for i, tc := range cases {
+		c := newClient(t)
+		var info SessionInfo
+		if status := c.do("POST", "/v1/sessions", tc.req, &info); status != http.StatusCreated {
+			t.Fatalf("case %d: create status %d", i, status)
+		}
+		path := "/v1/sessions/" + info.ID
+		lib, err := env.New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status := c.do("POST", path+"/burst", BurstRequest{Counts: burst}, nil); status != http.StatusOK {
+			t.Fatalf("case %d: burst status %d", i, status)
+		}
+		if err := lib.InjectBurst(burst); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 8; k++ {
+			var got StepResponse
+			if status := c.do("POST", path+"/step", StepRequest{Allocation: alloc}, &got); status != http.StatusOK {
+				t.Fatalf("case %d window %d: step status %d", i, k, status)
+			}
+			want, err := lib.Step(alloc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.State, want.State) || got.Reward != want.Reward {
+				t.Fatalf("case %d window %d: served state %v reward %g, library state %v reward %g",
+					i, k, got.State, got.Reward, want.State, want.Reward)
+			}
+		}
 	}
 }
 

@@ -27,31 +27,55 @@ func restoreInto(t *testing.T, c *client, raw string) SessionInfo {
 // nothing: the live state stays where it was, and so equals what a snapshot
 // of the session rebuilds. A burst that submitted the counts before the bad
 // one used to leave the live session ahead of its own op log, so drain →
-// rehydrate and failover silently dropped those requests.
+// rehydrate and failover silently dropped those requests. A burst over the
+// burst bound is refused the same way.
 func TestRejectedBurstLeavesSessionUnchanged(t *testing.T) {
-	c := newClient(t)
-	var before SessionInfo
-	if status := c.do("POST", "/v1/sessions", CreateRequest{Ensemble: "msd", Budget: 14}, &before); status != http.StatusCreated {
-		t.Fatalf("create status %d", status)
+	for _, burst := range []string{`{"counts":[500,-1,0]}`, `{"counts":[2000000000,0,0]}`} {
+		c := newClient(t)
+		var before SessionInfo
+		if status := c.do("POST", "/v1/sessions", CreateRequest{Ensemble: "msd", Budget: 14}, &before); status != http.StatusCreated {
+			t.Fatalf("create status %d", status)
+		}
+		path := "/v1/sessions/" + before.ID
+		status, body := c.rawDo("POST", path+"/burst", burst)
+		if status != http.StatusUnprocessableEntity || !strings.Contains(body, string(CodeBadBurst)) {
+			t.Fatalf("burst %s: status %d body %q", burst, status, body)
+		}
+		var after SessionInfo
+		if status := c.do("GET", path, nil, &after); status != http.StatusOK {
+			t.Fatalf("info status %d", status)
+		}
+		if !reflect.DeepEqual(after.State, before.State) {
+			t.Fatalf("rejected burst %s changed the state: %v → %v", burst, before.State, after.State)
+		}
+		status, snap := c.rawDo("GET", path+"/snapshot", "")
+		if status != http.StatusOK {
+			t.Fatalf("snapshot status %d", status)
+		}
+		if restored := restoreInto(t, c, snap); !reflect.DeepEqual(restored.State, after.State) {
+			t.Fatalf("live state %v, but its snapshot restores to %v", after.State, restored.State)
+		}
 	}
-	path := "/v1/sessions/" + before.ID
-	status, body := c.rawDo("POST", path+"/burst", `{"counts":[500,-1,0]}`)
-	if status != http.StatusUnprocessableEntity || !strings.Contains(body, string(CodeBadBurst)) {
-		t.Fatalf("negative burst count: status %d body %q", status, body)
+}
+
+// TestRestoreRefusesOversizedBurst pins the burst bound on the other wire
+// path to Env.InjectBurst: a client-supplied op log holding a burst over the
+// bound is refused with 422 bad_snapshot, and the session is untouched.
+func TestRestoreRefusesOversizedBurst(t *testing.T) {
+	c := newClient(t)
+	target := c.createSession(4)
+	path := "/v1/sessions/" + target.ID
+	snap := `{"create":{"ensemble":"toy","budget":4},"ops":[{"kind":"burst","counts":[2000000000]}]}`
+	status, body := c.rawDo("POST", path+"/restore", snap)
+	if status != http.StatusUnprocessableEntity || !strings.Contains(body, string(CodeBadSnapshot)) {
+		t.Fatalf("restore of an oversized burst: status %d body %q", status, body)
 	}
 	var after SessionInfo
 	if status := c.do("GET", path, nil, &after); status != http.StatusOK {
 		t.Fatalf("info status %d", status)
 	}
-	if !reflect.DeepEqual(after.State, before.State) {
-		t.Fatalf("rejected burst changed the state: %v → %v", before.State, after.State)
-	}
-	status, snap := c.rawDo("GET", path+"/snapshot", "")
-	if status != http.StatusOK {
-		t.Fatalf("snapshot status %d", status)
-	}
-	if restored := restoreInto(t, c, snap); !reflect.DeepEqual(restored.State, after.State) {
-		t.Fatalf("live state %v, but its snapshot restores to %v", after.State, restored.State)
+	if !reflect.DeepEqual(after, target) {
+		t.Fatalf("refused restore changed the session:\nbefore %+v\nafter  %+v", target, after)
 	}
 }
 

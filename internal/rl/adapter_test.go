@@ -6,25 +6,17 @@ import (
 
 	"miras/internal/cluster"
 	"miras/internal/env"
-	"miras/internal/sim"
 	"miras/internal/workflow"
 )
 
 func newAdapterEnv(t *testing.T, seed int64) *env.Env {
 	t.Helper()
-	engine := sim.NewEngine()
-	streams := sim.NewStreams(seed)
-	c, err := cluster.New(cluster.Config{
-		Ensemble:        workflow.Toy(),
-		Engine:          engine,
-		Streams:         streams,
-		StartupDelayMin: 1,
-		StartupDelayMax: 2,
+	e, err := env.New(env.Config{
+		Cluster: cluster.Config{Ensemble: workflow.Toy(), StartupDelayMin: 1, StartupDelayMax: 2},
+		Seed:    seed,
+		Rates:   []float64{0},
+		Budget:  6, WindowSec: 10,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := env.New(env.Config{Cluster: c, Budget: 6, WindowSec: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
