@@ -10,12 +10,17 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"testing"
+
+	"miras/internal/trace"
 )
 
-// The golden end-to-end gate: seeded short-horizon runs of the three CLI
-// pipelines (train, compare, chaos) whose CSV output digests are pinned in
-// testdata/golden.json. Any behavioural drift — a reordered RNG draw, a
+// The golden end-to-end gate: seeded short-horizon runs of the CLI
+// pipelines (train, compare, chaos) and of every other experiment driver,
+// whose output digests are pinned in testdata/golden.json. A gate digests
+// its CSV bytes and, where the driver reports numbers beside its tables,
+// those numbers printed in algorithm order (see writeNums). Any behavioural drift — a reordered RNG draw, a
 // changed reward term, a float reassociation — changes the bytes and fails
 // the gate. Refresh deliberately with:
 //
@@ -59,10 +64,124 @@ func goldenCSV(t *testing.T, gate string) []byte {
 		if err := WriteChaosSummary(&buf, results); err != nil {
 			t.Fatal(err)
 		}
+	case "compare-detail":
+		algs := []string{"stream", "heft", "monad"}
+		res, err := Compare(s, []int{40, 20, 20}, algs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range algs {
+			writeCSV(t, &buf, res.WorkflowTables[name])
+			writeNums(&buf, name, res.AUC[name], res.TailMean[name],
+				float64(res.Completed[name]), res.OverallMeanDelay[name])
+		}
+	case "dynamic":
+		algs := []string{"stream", "heft", "monad", "hpa", "static"}
+		res, err := DynamicLoad(s, algs, nil, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeCSV(t, &buf, &res.Table)
+		for _, name := range algs {
+			writeNums(&buf, name, float64(res.Completed[name]), res.MeanDelay[name])
+		}
+	case "kill":
+		algs := []string{"stream", "heft", "monad", "hpa"}
+		res, err := Chaos(s, algs, nil, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeCSV(t, &buf, &res.Table)
+		for _, name := range algs {
+			// Each algorithm's own kill count: one run per algorithm.
+			alone, err := Chaos(s, []string{name}, nil, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeNums(&buf, name, float64(res.Completed[name]), res.MeanDelay[name], float64(alone.Failures))
+		}
+	case "window":
+		res, err := WindowLengthAblation(s, []float64{10, 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeCSV(t, &buf, &res.Table)
+		writeNums(&buf, "monad", res.MeanDelay...)
+		writeNums(&buf, "stream", res.MeanDelayDRS...)
+	case "budget":
+		algs := []string{"heft", "monad"}
+		res, err := BudgetSweep(s, algs, []int{6, 14, 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeCSV(t, &buf, &res.Table)
+		for _, name := range algs {
+			var done []float64
+			for _, d := range res.Completed[name] {
+				done = append(done, float64(d))
+			}
+			writeNums(&buf, name, done...)
+		}
+	case "sample-efficiency":
+		trained, err := TrainControllers(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := SampleEfficiency(s, trained, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeNums(&buf, "sample-efficiency", float64(res.Interactions),
+			res.MIRASReturn, res.ModelFreeReturn, float64(res.Episodes))
+	case "refine":
+		res, err := RefinementAblation(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeCSV(t, &buf, &res.Table)
+		writeNums(&buf, "refine", res.FinalRefined, res.FinalRaw, res.BestRefined, res.BestRaw)
+	case "fig5":
+		res, err := ModelAccuracy(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeCSV(t, &buf, &res.RewardTable)
+		writeCSV(t, &buf, &res.WIPTable)
+		writeNums(&buf, "fig5", res.OneStepRMSE, res.IterRMSE,
+			float64(res.TrainPoints), float64(res.TestPoints), res.FinalTrainLoss)
+	case "ensemble":
+		res, err := EnsembleModelAblation(s, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeNums(&buf, "ensemble", float64(res.Members), res.SingleOneStep, res.SingleIter,
+			res.EnsembleOneStep, res.EnsembleIter, res.MeanDisagreementTest)
 	default:
 		t.Fatalf("unknown golden gate %q", gate)
 	}
 	return buf.Bytes()
+}
+
+func writeCSV(t *testing.T, buf *bytes.Buffer, table *trace.Table) {
+	t.Helper()
+	if table == nil {
+		t.Fatal("missing table")
+	}
+	if err := table.WriteCSV(buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeNums prints one labelled row of exact numbers. Gates print rows in
+// algorithm order rather than ranging over a result map, so a missing entry
+// and a zero one digest differently.
+func writeNums(buf *bytes.Buffer, label string, vals ...float64) {
+	buf.WriteString(label)
+	for _, v := range vals {
+		buf.WriteByte(',')
+		buf.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+	}
+	buf.WriteByte('\n')
 }
 
 func readGolden(t *testing.T) map[string]string {
@@ -85,7 +204,8 @@ func TestGoldenEndToEnd(t *testing.T) {
 	if testing.Short() && !*updateGolden {
 		t.Skip("golden gate trains a policy; skipped in -short mode")
 	}
-	gates := []string{"train", "compare", "chaos"}
+	gates := []string{"train", "compare", "chaos", "compare-detail", "dynamic", "kill",
+		"window", "budget", "sample-efficiency", "refine", "fig5", "ensemble"}
 
 	if *updateGolden {
 		pinned := make(map[string]string)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Golden end-to-end regression gate: build the offline CLI (cmd/miras), run
-# seeded short-horizon train / compare / chaos pipelines and examples with runtime
-# invariants enabled and debug-level -trace-out on, and fail unless every
+# seeded short-horizon train / compare / chaos pipelines, the quick budget /
+# dynamic-load / kill-timer sweeps and the examples with runtime invariants
+# enabled and debug-level -trace-out on, and fail unless every
 # produced CSV and JSONL trace matches the sha256 manifest pinned in
 # scripts/testdata/golden_demo.sha256. Any behavioural drift — an RNG draw
 # reordered, a reward term changed, a float expression reassociated — changes
@@ -50,6 +51,11 @@ echo "==> seeded compare run (shrunk training)"
 echo "==> seeded chaos run (non-learning algorithms)"
 "$WORK/miras" chaos -algorithms stream,heft,monad -windows 8 \
     -out "$OUT" -trace-out "$OUT/chaos.jsonl" -log-level debug >"$WORK/chaos.log"
+
+echo "==> seeded quick sweeps (budget, dynamic load, kill timer)"
+for study in budget dynamic chaos; do
+    "$WORK/miras" sweep -study "$study" -scale quick -out "$OUT" >"$WORK/sweep-$study.log"
+done
 
 # http-agent is left out: it prints the random port its server listens on.
 echo "==> seeded examples"
