@@ -145,20 +145,22 @@ func compare(*flag.FlagSet) body {
 			if err := c.show(w, &res.Table); err != nil {
 				return err
 			}
-			names := make([]string, 0, len(res.AUC))
-			for name := range res.AUC {
-				names = append(names, name)
+			names := make([]string, 0, len(res.Table.Series))
+			for _, series := range res.Table.Series {
+				names = append(names, series.Name)
 			}
-			sort.Slice(names, func(a, b int) bool {
-				if res.Completed[names[a]] != res.Completed[names[b]] {
-					return res.Completed[names[a]] > res.Completed[names[b]]
+			sort.SliceStable(names, func(a, b int) bool {
+				oa, ob := res.Outcomes[names[a]], res.Outcomes[names[b]]
+				if oa.Completed != ob.Completed {
+					return oa.Completed > ob.Completed
 				}
-				return res.OverallMeanDelay[names[a]] < res.OverallMeanDelay[names[b]]
+				return oa.MeanDelay < ob.MeanDelay
 			})
 			fmt.Fprintln(w, "algorithm   completed  mean-delay(s)  tail-mean(s)  AUC")
 			for _, name := range names {
+				o := res.Outcomes[name]
 				fmt.Fprintf(w, "%-11s %-10d %-14.1f %-13.1f %.1f\n",
-					name, res.Completed[name], res.OverallMeanDelay[name], res.TailMean[name], res.AUC[name])
+					name, o.Completed, o.MeanDelay, o.TailMean(), o.AUC())
 			}
 			fmt.Fprintf(w, "best (≥90%% completions, lowest mean delay): %s\n", res.Best())
 		}
@@ -234,17 +236,18 @@ func figuresFor(c *common, w io.Writer, s experiments.Setup, skipAblations bool,
 		}
 		// The per-workflow breakdown of the MIRAS run documents the §VI-D
 		// deferral behaviour (saved for the first burst panel only).
-		if byWF := cmp.WorkflowTables["miras"]; byWF != nil && i == 0 {
+		if byWF := cmp.Outcomes["miras"].ByWorkflow; byWF != nil && i == 0 {
 			byWF.Title = cmp.Table.Title + "-byworkflow"
 			if err := c.save(w, byWF); err != nil {
 				return err
 			}
 		}
 		best := cmp.Best()
+		b, m := cmp.Outcomes[best], cmp.Outcomes["miras"]
 		fmt.Fprintf(report,
 			"- **%s** burst %v: best = %s (%.1fs mean delay, %d completed); miras %.1fs mean delay, %d completed, tail %.1fs\n",
-			cmp.Table.Title, cmp.Burst, best, cmp.OverallMeanDelay[best], cmp.Completed[best],
-			cmp.OverallMeanDelay["miras"], cmp.Completed["miras"], cmp.TailMean["miras"])
+			cmp.Table.Title, cmp.Burst, best, b.MeanDelay, b.Completed,
+			m.MeanDelay, m.Completed, m.TailMean())
 	}
 	// Extension experiments are cheap: no extra training.
 	fmt.Fprintln(w, "[4/5] extension experiments...")
@@ -255,9 +258,10 @@ func figuresFor(c *common, w io.Writer, s experiments.Setup, skipAblations bool,
 	if err := c.save(w, &dyn.Table); err != nil {
 		return err
 	}
+	d := dyn.Outcomes
 	fmt.Fprintf(report, "- **Dynamic load (±50%% sine)**: completions miras %d, stream %d, heft %d, monad %d, hpa %d; mean delay miras %.1fs vs heft %.1fs\n",
-		dyn.Completed["miras"], dyn.Completed["stream"], dyn.Completed["heft"],
-		dyn.Completed["monad"], dyn.Completed["hpa"], dyn.MeanDelay["miras"], dyn.MeanDelay["heft"])
+		d["miras"].Completed, d["stream"].Completed, d["heft"].Completed,
+		d["monad"].Completed, d["hpa"].Completed, d["miras"].MeanDelay, d["heft"].MeanDelay)
 	kill, err := experiments.Chaos(s, []string{"miras", "stream", "heft", "hpa"}, trained, 60)
 	if err != nil {
 		return err
@@ -265,9 +269,10 @@ func figuresFor(c *common, w io.Writer, s experiments.Setup, skipAblations bool,
 	if err := c.save(w, &kill.Table); err != nil {
 		return err
 	}
-	fmt.Fprintf(report, "- **Chaos (consumer kill every 60s, %d failures)**: completions miras %d, stream %d, heft %d, hpa %d — no request lost\n",
-		kill.Failures, kill.Completed["miras"], kill.Completed["stream"],
-		kill.Completed["heft"], kill.Completed["hpa"])
+	k := kill.Outcomes
+	fmt.Fprintf(report, "- **Chaos (consumer kill every 60s)**: completions (kills) miras %d (%d), stream %d (%d), heft %d (%d), hpa %d (%d) — no request lost\n",
+		k["miras"].Completed, k["miras"].Crashed, k["stream"].Completed, k["stream"].Crashed,
+		k["heft"].Completed, k["heft"].Crashed, k["hpa"].Completed, k["hpa"].Crashed)
 	if skipAblations {
 		fmt.Fprintln(w, "[5/5] ablations skipped")
 	} else if err := ablations(c, w, s, trained, report); err != nil {
@@ -358,7 +363,8 @@ func sweep(fs *flag.FlagSet) body {
 				return err
 			}
 			for _, name := range nonLearning {
-				fmt.Fprintf(w, "%-8s completed %d, mean delay %.1fs\n", name, res.Completed[name], res.MeanDelay[name])
+				o := res.Outcomes[name]
+				fmt.Fprintf(w, "%-8s completed %d, mean delay %.1fs\n", name, o.Completed, o.MeanDelay)
 			}
 			return c.show(w, &res.Table)
 		case "chaos":
@@ -366,9 +372,10 @@ func sweep(fs *flag.FlagSet) body {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%d consumer failures injected per run; completions:\n", res.Failures)
+			fmt.Fprintln(w, "completions and consumers killed per run:")
 			for _, name := range nonLearning {
-				fmt.Fprintf(w, "%-8s %d (mean delay %.1fs)\n", name, res.Completed[name], res.MeanDelay[name])
+				o := res.Outcomes[name]
+				fmt.Fprintf(w, "%-8s %d (mean delay %.1fs), %d killed\n", name, o.Completed, o.MeanDelay, o.Crashed)
 			}
 			return c.show(w, &res.Table)
 		case "multiseed":
@@ -433,10 +440,9 @@ func chaos(fs *flag.FlagSet) body {
 			}
 			fmt.Fprintln(w, "algorithm   completed  mean-delay(s)  crashed  redelivered  dropped")
 			for _, series := range res.Table.Series {
-				name := series.Name
+				o := res.Outcomes[series.Name]
 				fmt.Fprintf(w, "%-11s %-10d %-14.1f %-8d %-12d %d\n",
-					name, res.Completed[name], res.OverallMeanDelay[name],
-					res.Crashed[name], res.Redelivered[name], res.Dropped[name])
+					series.Name, o.Completed, o.MeanDelay, o.Crashed, o.Redelivered, o.Dropped)
 			}
 		}
 		summaryPath := filepath.Join(c.out, fmt.Sprintf("chaos-%s-summary.csv", s.EnsembleName))

@@ -72,12 +72,12 @@ type Config struct {
 	// critic must rank.
 	RandomActionFrac float64
 	// RefinePercentile is Algorithm 1's p (default
-	// envmodel.DefaultPercentile). Set Refine to false to bypass
-	// refinement entirely (ablation).
+	// envmodel.DefaultPercentile).
 	RefinePercentile float64
-	// Refine enables the Lend–Giveback model refinement (default true via
-	// NewAgent; the ablation switches it off).
-	Refine bool
+	// RawModel rolls policy episodes out on the raw model: the §IV-C2
+	// refinement ablation. The zero value applies the Lend–Giveback
+	// refinement, as the paper does.
+	RawModel bool
 	// ResetHook, when non-nil, runs immediately after every environment
 	// reset during real-data collection. The experiment harness uses it to
 	// inject randomly sized request bursts so the collected dataset covers
@@ -215,24 +215,6 @@ func NewAgent(cfg Config) (*Agent, error) {
 	if cfg.Env == nil {
 		return nil, fmt.Errorf("core: Env is required")
 	}
-	// Refine defaults to on: a zero-valued Config field can't express
-	// "default true", so NewAgent flips it unless the caller used
-	// NewAgentNoRefine.
-	cfg.Refine = true
-	return newAgent(cfg)
-}
-
-// NewAgentNoRefine builds an agent whose synthetic environment uses the raw
-// model without Lend–Giveback refinement — the §IV-C2 ablation.
-func NewAgentNoRefine(cfg Config) (*Agent, error) {
-	if cfg.Env == nil {
-		return nil, fmt.Errorf("core: Env is required")
-	}
-	cfg.Refine = false
-	return newAgent(cfg)
-}
-
-func newAgent(cfg Config) (*Agent, error) {
 	// Zero means "use the default"; a negative count has no meaning and
 	// would otherwise surface as a panic deep inside Train.
 	for _, f := range []struct {
@@ -342,10 +324,9 @@ func (a *Agent) FitModel() (float64, error) {
 	return losses[len(losses)-1], nil
 }
 
-// predictor returns the rollout dynamics: refined when cfg.Refine, raw
-// otherwise.
+// predictor returns the rollout dynamics: refined unless cfg.RawModel.
 func (a *Agent) predictor() (envmodel.Predictor, error) {
-	if !a.cfg.Refine {
+	if a.cfg.RawModel {
 		return a.model, nil
 	}
 	return envmodel.NewRefiner(a.model, a.dataset, a.cfg.RefinePercentile, a.rng)

@@ -53,8 +53,8 @@ func TestNewAgentValidation(t *testing.T) {
 	if _, err := NewAgent(Config{}); err == nil {
 		t.Fatal("expected error without Env")
 	}
-	if _, err := NewAgentNoRefine(Config{}); err == nil {
-		t.Fatal("expected error without Env (no-refine)")
+	if _, err := NewAgent(Config{RawModel: true}); err == nil {
+		t.Fatal("expected error without Env (raw model)")
 	}
 }
 
@@ -79,8 +79,9 @@ func TestNewAgentRejectsNegativeCounts(t *testing.T) {
 			if _, err := NewAgent(cfg); err == nil {
 				t.Fatalf("NewAgent accepted %s = -1", tc.field)
 			}
-			if _, err := NewAgentNoRefine(cfg); err == nil {
-				t.Fatalf("NewAgentNoRefine accepted %s = -1", tc.field)
+			cfg.RawModel = true
+			if _, err := NewAgent(cfg); err == nil {
+				t.Fatalf("NewAgent accepted %s = -1 with RawModel", tc.field)
 			}
 		})
 	}
@@ -196,7 +197,9 @@ func TestTrainFullLoop(t *testing.T) {
 
 func TestTrainNoRefineVariant(t *testing.T) {
 	e := newToyEnv(t, 6)
-	a, err := NewAgentNoRefine(tinyConfig(e, 6))
+	cfg := tinyConfig(e, 6)
+	cfg.RawModel = true
+	a, err := NewAgent(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"miras/internal/core"
 	"miras/internal/env"
 	"miras/internal/envmodel"
-	"miras/internal/mat"
 	"miras/internal/metrics"
 	"miras/internal/rl"
 	"miras/internal/trace"
@@ -48,16 +47,24 @@ func WindowLengthAblation(s Setup, windows []float64) (*WindowLengthResult, erro
 		sw.WindowSec = w
 		// Equal total virtual time across window lengths.
 		sw.CompareWindows = int(float64(s.CompareWindows) * s.WindowSec / w)
-		series, err := runScenario(sw, bursts[0], baselines.NewMONAD(sw.Budget, sw.WindowSec))
+		meanDelay := func(ctrl env.Controller) (float64, error) {
+			h, err := scenario(sw, 300, bursts[0])
+			if err != nil {
+				return 0, err
+			}
+			o, err := play(h, ctrl, sw.CompareWindows)
+			return metrics.Mean(o.Delays), err
+		}
+		monad, err := meanDelay(baselines.NewMONAD(sw.Budget, sw.WindowSec))
 		if err != nil {
 			return nil, err
 		}
-		res.MeanDelay = append(res.MeanDelay, metrics.Mean(series))
-		drsSeries, err := runScenario(sw, bursts[0], baselines.NewDRS(sw.Budget, sw.WindowSec))
+		drs, err := meanDelay(baselines.NewDRS(sw.Budget, sw.WindowSec))
 		if err != nil {
 			return nil, err
 		}
-		res.MeanDelayDRS = append(res.MeanDelayDRS, metrics.Mean(drsSeries))
+		res.MeanDelay = append(res.MeanDelay, monad)
+		res.MeanDelayDRS = append(res.MeanDelayDRS, drs)
 	}
 	res.Table = trace.Table{
 		Title:  fmt.Sprintf("ablation-window-%s", s.EnsembleName),
@@ -152,18 +159,14 @@ type RefinementAblationResult struct {
 // RefinementAblation trains MIRAS with the refined model and with the raw
 // model and reports both traces.
 func RefinementAblation(s Setup) (*RefinementAblationResult, error) {
-	run := func(refine bool) ([]float64, error) {
+	run := func(rawModel bool) ([]float64, error) {
 		h, err := BuildHarness(s, 500)
 		if err != nil {
 			return nil, err
 		}
 		cfg := mirasConfig(s, h, newTrainBursts(s, h))
-		var agent *core.Agent
-		if refine {
-			agent, err = core.NewAgent(cfg)
-		} else {
-			agent, err = core.NewAgentNoRefine(cfg)
-		}
+		cfg.RawModel = rawModel
+		agent, err := core.NewAgent(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -177,11 +180,11 @@ func RefinementAblation(s Setup) (*RefinementAblationResult, error) {
 		}
 		return out, nil
 	}
-	refined, err := run(true)
+	refined, err := run(false) // Lend–Giveback refinement on, as in the paper
 	if err != nil {
 		return nil, fmt.Errorf("experiments: refined run: %w", err)
 	}
-	raw, err := run(false)
+	raw, err := run(true)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: raw run: %w", err)
 	}
@@ -223,29 +226,31 @@ func SampleEfficiency(s Setup, trained *Trained, episodes int) (*SampleEfficienc
 	if episodes <= 0 {
 		episodes = 3
 	}
-	evalReturn := func(ctrl env.Controller, offset int64) (float64, error) {
+	// Both controllers see the same harness seeds: paired episodes.
+	evalReturn := func(ctrl env.Controller) (float64, error) {
 		var total float64
 		for ep := 0; ep < episodes; ep++ {
-			h, err := BuildHarness(s, 600+offset+int64(ep))
+			h, err := scenario(s, 600+int64(ep), nil)
 			if err != nil {
 				return 0, err
 			}
-			ctrl.Reset()
-			results, err := env.Run(h.Env, ctrl, s.EvalSteps)
+			o, err := play(h, ctrl, s.EvalSteps)
 			if err != nil {
 				return 0, err
 			}
-			for _, r := range results {
-				total += r.Reward
+			// One running sum over every window of every episode, not a
+			// sum of per-episode returns: the rounding of a single pass.
+			for _, r := range o.Rewards {
+				total += r
 			}
 		}
 		return total / float64(episodes), nil
 	}
-	mirasRet, err := evalReturn(trained.MIRAS, 0)
+	mirasRet, err := evalReturn(trained.MIRAS)
 	if err != nil {
 		return nil, err
 	}
-	mfRet, err := evalReturn(trained.ModelFree, 0) // same harness seeds: paired
+	mfRet, err := evalReturn(trained.ModelFree)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +266,7 @@ func SampleEfficiency(s Setup, trained *Trained, episodes int) (*SampleEfficienc
 // synthetic burst for other ensembles (tests).
 func paperOrFallbackBursts(s Setup) ([][]int, error) {
 	if s.EnsembleName == "msd" || s.EnsembleName == "ligo" {
-		return workloadPaperBursts(s.EnsembleName)
+		return workload.PaperBursts(s.EnsembleName)
 	}
 	ens, ok := workflow.ByName(s.EnsembleName)
 	if !ok {
@@ -274,165 +279,61 @@ func paperOrFallbackBursts(s Setup) ([][]int, error) {
 	return [][]int{burst}, nil
 }
 
-// workloadPaperBursts is a thin indirection over workload.PaperBursts kept
-// separate for testability.
-func workloadPaperBursts(ensemble string) ([][]int, error) {
-	return workload.PaperBursts(ensemble)
-}
-
-// DynamicLoadResult compares controllers under sinusoidally modulated
-// arrival rates — the "dynamic workloads" stressor beyond one-shot bursts.
-type DynamicLoadResult struct {
-	Table trace.Table
-	// MeanDelay maps controller name to its overall mean response time.
-	MeanDelay map[string]float64
-	// Completed maps controller name to total completions.
-	Completed map[string]int
-}
-
-// DynamicLoad runs the named non-learning controllers (plus any trained
-// ones) for s.CompareWindows windows under sine-modulated background load
-// with the given relative depth, no bursts.
-func DynamicLoad(s Setup, algorithms []string, trained *Trained, depth float64) (*DynamicLoadResult, error) {
-	ens, ok := workflow.ByName(s.EnsembleName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
-	}
-	res := &DynamicLoadResult{
-		MeanDelay: make(map[string]float64),
-		Completed: make(map[string]int),
-	}
-	res.Table = trace.Table{
-		Title:  fmt.Sprintf("dynamic-load-%s", s.EnsembleName),
-		XLabel: "window",
-		YLabel: "mean response time (s)",
-	}
-	for _, name := range algorithms {
-		ctrl, err := controllerByName(name, s, ens, trained)
-		if err != nil {
-			return nil, err
-		}
-		h, err := BuildHarness(s, 700)
-		if err != nil {
-			return nil, err
-		}
+// DynamicLoad runs the named controllers for s.CompareWindows windows under
+// sine-modulated background load with the given relative depth and no
+// burst — the "dynamic workloads" stressor beyond one-shot bursts.
+func DynamicLoad(s Setup, algorithms []string, trained *Trained, depth float64) (*Comparison, error) {
+	c, err := compareOn(s, algorithms, trained, 700, nil, func(h *Harness) error {
 		mod, err := workload.NewModulator(h.Generator, h.Engine, workload.Sine,
 			10*s.WindowSec, depth, s.WindowSec/3)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mod.Start()
-		ctrl.Reset()
-		results, err := env.Run(h.Env, ctrl, s.CompareWindows)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: dynamic load %s: %w", name, err)
-		}
-		series := make([]float64, len(results))
-		var delaySum float64
-		completed := 0
-		for i, r := range results {
-			series[i] = r.Stats.MeanDelay()
-			for _, c := range r.Stats.Completions {
-				delaySum += c.Delay()
-				completed++
-			}
-		}
-		res.Table.AddSeries(name, series)
-		res.Completed[name] = completed
-		if completed > 0 {
-			res.MeanDelay[name] = delaySum / float64(completed)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	c.Table.Title = fmt.Sprintf("dynamic-load-%s", s.EnsembleName)
+	return c, nil
 }
 
-// ChaosResult compares controllers while consumers are being killed at a
-// fixed rate — the infrastructure-reliability stressor the emulation's
-// acknowledgement/replication machinery exists for. No workflow request may
-// be lost regardless of controller.
-type ChaosResult struct {
-	Table trace.Table
-	// Completed and MeanDelay summarise each controller's run.
-	Completed map[string]int
-	MeanDelay map[string]float64
-	// Failures is the number of consumer kills injected per run.
-	Failures uint64
-}
-
-// Chaos runs the named controllers under a moderate burst while killing
-// one random live consumer every killEverySec of virtual time.
-func Chaos(s Setup, algorithms []string, trained *Trained, killEverySec float64) (*ChaosResult, error) {
+// Chaos runs the named controllers under the first paper burst while
+// killing one random live consumer every killEverySec of virtual time. No
+// workflow request may be lost regardless of controller; each Outcome's
+// Crashed counts that run's kills.
+func Chaos(s Setup, algorithms []string, trained *Trained, killEverySec float64) (*Comparison, error) {
 	if killEverySec <= 0 {
 		return nil, fmt.Errorf("experiments: killEverySec %g must be positive", killEverySec)
-	}
-	ens, ok := workflow.ByName(s.EnsembleName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
 	}
 	bursts, err := paperOrFallbackBursts(s)
 	if err != nil {
 		return nil, err
 	}
-	res := &ChaosResult{
-		Completed: make(map[string]int),
-		MeanDelay: make(map[string]float64),
-	}
-	res.Table = trace.Table{
-		Title:  fmt.Sprintf("chaos-%s", s.EnsembleName),
-		XLabel: "window",
-		YLabel: "mean response time (s)",
-	}
-	for _, name := range algorithms {
-		ctrl, err := controllerByName(name, s, ens, trained)
-		if err != nil {
-			return nil, err
-		}
-		h, err := BuildHarness(s, 800)
-		if err != nil {
-			return nil, err
-		}
-		if err := h.Env.InjectBurst(bursts[0]); err != nil {
-			return nil, err
-		}
-		chaosRNG := h.Streams.Stream("experiments/chaos")
-		var chaos func()
-		chaos = func() {
+	c, err := compareOn(s, algorithms, trained, 800, bursts[0], func(h *Harness) error {
+		rng := h.Streams.Stream("experiments/chaos")
+		var kill func()
+		kill = func() {
 			alive := h.Cluster.Consumers()
 			for attempt := 0; attempt < 4; attempt++ {
-				j := chaosRNG.Intn(len(alive))
+				j := rng.Intn(len(alive))
 				if alive[j] > 0 {
 					if err := h.Cluster.InjectFailure(j); err == nil {
 						break
 					}
 				}
 			}
-			h.Engine.Schedule(killEverySec, chaos)
+			h.Engine.Schedule(killEverySec, kill)
 		}
-		h.Engine.Schedule(killEverySec, chaos)
-
-		ctrl.Reset()
-		results, err := env.Run(h.Env, ctrl, s.CompareWindows)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos %s: %w", name, err)
-		}
-		series := make([]float64, len(results))
-		var delaySum float64
-		completed := 0
-		for i, r := range results {
-			series[i] = r.Stats.MeanDelay()
-			for _, c := range r.Stats.Completions {
-				delaySum += c.Delay()
-				completed++
-			}
-		}
-		res.Table.AddSeries(name, series)
-		res.Completed[name] = completed
-		if completed > 0 {
-			res.MeanDelay[name] = delaySum / float64(completed)
-		}
-		res.Failures = h.Cluster.Failures()
+		h.Engine.Schedule(killEverySec, kill)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	c.Table.Title = fmt.Sprintf("chaos-%s", s.EnsembleName)
+	return c, nil
 }
 
 // EnsembleModelResult compares the single environment model against a
@@ -491,35 +392,11 @@ func EnsembleModelAblation(s Setup, members int) (*EnsembleModelResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	evalRMSE := func(p envmodel.Predictor) (oneStep, iter float64, err error) {
-		n := len(actions)
-		truth := make([]float64, n)
-		one := make([]float64, n)
-		pred := make([]float64, h.Env.StateDim())
-		for k := 0; k < n; k++ {
-			truth[k] = mat.VecMean(states[k+1])
-			p.PredictTo(pred, states[k], actions[k])
-			clampNonNegative(pred)
-			one[k] = mat.VecMean(pred)
-		}
-		traj := envmodel.Rollout(p, states[0], actions)
-		iterSeries := make([]float64, n)
-		for k, st := range traj {
-			iterSeries[k] = mat.VecMean(st)
-		}
-		if oneStep, err = metrics.RMSE(truth, one); err != nil {
-			return 0, 0, err
-		}
-		if iter, err = metrics.RMSE(truth, iterSeries); err != nil {
-			return 0, 0, err
-		}
-		return oneStep, iter, nil
-	}
 	res := &EnsembleModelResult{Members: members}
-	if res.SingleOneStep, res.SingleIter, err = evalRMSE(single); err != nil {
+	if res.SingleOneStep, res.SingleIter, err = predictionRMSE(single, states, actions); err != nil {
 		return nil, err
 	}
-	if res.EnsembleOneStep, res.EnsembleIter, err = evalRMSE(ens); err != nil {
+	if res.EnsembleOneStep, res.EnsembleIter, err = predictionRMSE(ens, states, actions); err != nil {
 		return nil, err
 	}
 	var disagreement float64

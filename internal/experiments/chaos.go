@@ -8,18 +8,26 @@ import (
 	"strconv"
 
 	"miras/internal/cluster"
-	"miras/internal/env"
 	"miras/internal/faults"
-	"miras/internal/trace"
-	"miras/internal/workflow"
 )
 
 // This file is the declarative chaos-experiment driver built on
 // internal/faults: every algorithm is evaluated under identical seeded
 // fault regimes (paired arrival traces AND paired fault processes), giving
-// a Fig. 6-style comparison of burst response under failures. The older
-// kill-timer Chaos ablation (ablations.go) predates fault plans and is kept
-// for its callers.
+// a Fig. 6-style comparison of burst response under failures.
+//
+// The kill-timer Chaos driver (ablations.go) is the other chaos
+// experiment, and the two answer different questions. The kill timer
+// strikes on a fixed period and tries up to four random services for a live
+// consumer, so nearly every tick kills one and the kill count is set by the
+// horizon, not by chance: it asks how each controller recovers from a known
+// number of evenly spaced losses with the cluster's normal restart delay.
+// The "crash" regime below is a renewal process (exponential gaps,
+// exponential repair times, a random service that may have nobody to kill)
+// beside slowdown, start-up and queue-drop episodes: it asks how the
+// controllers fare under a realistic, declarative fault model that selfcheck
+// and the trace also see. Both run through compareOn and differ only in how
+// the harness is armed.
 
 // ChaosRegime is one named fault scenario.
 type ChaosRegime struct {
@@ -101,21 +109,11 @@ func ChaosRegimes(s Setup) []ChaosRegime {
 	}
 }
 
-// ChaosRegimeResult is one regime's comparison across algorithms.
+// ChaosRegimeResult is one regime's comparison across algorithms. Each
+// Outcome carries that run's crashed, redelivered and dropped counters.
 type ChaosRegimeResult struct {
+	Comparison
 	Regime ChaosRegime
-	// Table holds one per-window mean-response-time series per algorithm,
-	// in run order.
-	Table trace.Table
-	// Completed, OverallMeanDelay summarise each algorithm's run (see
-	// CompareResult for the reading order: completions first).
-	Completed        map[string]int
-	OverallMeanDelay map[string]float64
-	// Crashed, Redelivered, and Dropped are the cluster's cumulative
-	// failure counters at the end of each algorithm's run.
-	Crashed     map[string]uint64
-	Redelivered map[string]uint64
-	Dropped     map[string]uint64
 }
 
 // ChaosCompare evaluates the algorithms under one regime: every algorithm
@@ -124,64 +122,16 @@ type ChaosRegimeResult struct {
 // trajectory), the paper burst is injected at time zero, and the controller
 // runs for s.CompareWindows windows.
 func ChaosCompare(s Setup, regime ChaosRegime, algorithms []string, trained *Trained) (*ChaosRegimeResult, error) {
-	ens, ok := workflow.ByName(s.EnsembleName)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
-	}
 	bursts, err := paperOrFallbackBursts(s)
 	if err != nil {
 		return nil, err
 	}
-	res := &ChaosRegimeResult{
-		Regime:           regime,
-		Completed:        make(map[string]int),
-		OverallMeanDelay: make(map[string]float64),
-		Crashed:          make(map[string]uint64),
-		Redelivered:      make(map[string]uint64),
-		Dropped:          make(map[string]uint64),
+	c, err := compareOn(s, algorithms, trained, 900, bursts[0], nil, cluster.WithFaultPlan(regime.Plan))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: chaos regime %s: %w", regime.Name, err)
 	}
-	res.Table = trace.Table{
-		Title:  fmt.Sprintf("chaos-%s-%s", s.EnsembleName, regime.Name),
-		XLabel: "window",
-		YLabel: "mean response time (s)",
-	}
-	for _, name := range algorithms {
-		ctrl, err := controllerByName(name, s, ens, trained)
-		if err != nil {
-			return nil, err
-		}
-		h, err := BuildHarness(s, 900, cluster.WithFaultPlan(regime.Plan))
-		if err != nil {
-			return nil, err
-		}
-		if err := h.Env.InjectBurst(bursts[0]); err != nil {
-			return nil, err
-		}
-		ctrl.Reset()
-		results, err := env.Run(h.Env, ctrl, s.CompareWindows)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos %s/%s: %w", regime.Name, name, err)
-		}
-		series := make([]float64, len(results))
-		var delaySum float64
-		completed := 0
-		for i, r := range results {
-			series[i] = r.Stats.MeanDelay()
-			for _, c := range r.Stats.Completions {
-				delaySum += c.Delay()
-				completed++
-			}
-		}
-		res.Table.AddSeries(name, series)
-		res.Completed[name] = completed
-		if completed > 0 {
-			res.OverallMeanDelay[name] = delaySum / float64(completed)
-		}
-		res.Crashed[name] = h.Cluster.Failures()
-		res.Redelivered[name] = h.Cluster.Redeliveries()
-		res.Dropped[name] = h.Cluster.Dropped()
-	}
-	return res, nil
+	c.Table.Title = fmt.Sprintf("chaos-%s-%s", s.EnsembleName, regime.Name)
+	return &ChaosRegimeResult{Comparison: *c, Regime: regime}, nil
 }
 
 // ChaosCompareAll evaluates the algorithms under every standard regime.
@@ -206,12 +156,11 @@ func WriteChaosSummary(w io.Writer, results []*ChaosRegimeResult) error {
 	}
 	for _, res := range results {
 		for _, series := range res.Table.Series {
-			name := series.Name
+			o := res.Outcomes[series.Name]
 			_, err := fmt.Fprintf(w, "%s,%s,%d,%s,%d,%d,%d\n",
-				res.Regime.Name, name,
-				res.Completed[name],
-				strconv.FormatFloat(res.OverallMeanDelay[name], 'g', -1, 64),
-				res.Crashed[name], res.Redelivered[name], res.Dropped[name])
+				res.Regime.Name, series.Name, o.Completed,
+				strconv.FormatFloat(o.MeanDelay, 'g', -1, 64),
+				o.Crashed, o.Redelivered, o.Dropped)
 			if err != nil {
 				return err
 			}

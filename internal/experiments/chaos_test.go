@@ -47,7 +47,7 @@ func TestChaosCompareNonLearning(t *testing.T) {
 			// startup_spike at this micro scale (240 s horizon, 100–200 s
 			// spiked restarts) can legitimately starve a whole run; its
 			// effect is asserted through the crash counter below.
-			if r.Regime.Name != "startup_spike" && r.Completed[alg] == 0 {
+			if r.Regime.Name != "startup_spike" && r.Outcomes[alg].Completed == 0 {
 				t.Fatalf("regime %s: %s completed nothing", r.Regime.Name, alg)
 			}
 		}
@@ -55,16 +55,16 @@ func TestChaosCompareNonLearning(t *testing.T) {
 	// The fault counters must reflect each regime's mechanism — and stay
 	// zero under the healthy reference.
 	for _, alg := range algs {
-		if byName["healthy"].Crashed[alg] != 0 || byName["healthy"].Dropped[alg] != 0 {
+		if h := byName["healthy"].Outcomes[alg]; h.Crashed != 0 || h.Dropped != 0 {
 			t.Fatalf("healthy regime injected faults for %s", alg)
 		}
-		if byName["crash"].Crashed[alg] == 0 {
+		if byName["crash"].Outcomes[alg].Crashed == 0 {
 			t.Fatalf("crash regime killed nothing for %s", alg)
 		}
-		if byName["startup_spike"].Crashed[alg] == 0 {
+		if byName["startup_spike"].Outcomes[alg].Crashed == 0 {
 			t.Fatalf("startup_spike regime (with churn crashes) killed nothing for %s", alg)
 		}
-		if byName["queue_drop"].Dropped[alg] == 0 {
+		if byName["queue_drop"].Outcomes[alg].Dropped == 0 {
 			t.Fatalf("queue_drop regime dropped nothing for %s", alg)
 		}
 	}

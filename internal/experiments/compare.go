@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"miras/internal/baselines"
+	"miras/internal/cluster"
 	"miras/internal/env"
 	"miras/internal/metrics"
 	"miras/internal/rl"
@@ -84,163 +85,199 @@ func controllerByName(name string, s Setup, ens *workflow.Ensemble, trained *Tra
 	}
 }
 
-// CompareResult is one Figs. 7/8 panel: per-algorithm response-time traces
-// under one burst scenario, with summary statistics.
-type CompareResult struct {
-	// Table holds one response-time series per algorithm.
+// Outcome is what one controller run under the Figs. 7–8 protocol leaves
+// behind, folded once by play.
+type Outcome struct {
+	// Delays is the mean response time of the workflow requests completed
+	// in each window — the y-axis of Figs. 7–8.
+	Delays []float64
+	// Rewards is each window's Eq. 1 reward.
+	Rewards []float64
+	// ByWorkflow breaks Delays down by workflow type — the per-workflow
+	// view behind §VI-D's observation that MIRAS defers Coire-terminated
+	// workflows under large LIGO bursts and recovers later. One series per
+	// workflow type.
+	ByWorkflow *trace.Table
+	// Completed counts the workflow requests finished during the run. A
+	// per-window mean delay of 0 is meaningless when nothing completed, so
+	// rankings must read Completed first.
+	Completed int
+	// MeanDelay is the completion-weighted mean response time over the
+	// whole run (0 if nothing completed).
+	MeanDelay float64
+	// Crashed, Redelivered and Dropped are the cluster's cumulative failure
+	// counters at the end of the run.
+	Crashed, Redelivered, Dropped uint64
+}
+
+// Reward is the run's return: Σ Eq. 1 reward over its windows.
+func (o Outcome) Reward() float64 {
+	var total float64
+	for _, r := range o.Rewards {
+		total += r
+	}
+	return total
+}
+
+// AUC sums the response-time trace (lower = faster recovery overall,
+// *given comparable completion counts*).
+func (o Outcome) AUC() float64 { return metrics.AUC(o.Delays) }
+
+// TailMean averages the last quarter of the trace (the paper's "long-term
+// returns" comparison).
+func (o Outcome) TailMean() float64 { return metrics.TailMean(o.Delays, 0.25) }
+
+// Comparison is several controllers run under one protocol: a response-time
+// series per algorithm in run order, and each run's Outcome.
+type Comparison struct {
+	// Table holds one per-window mean-response-time series per algorithm.
 	Table trace.Table
-	// Burst is the injected request counts per workflow type.
-	Burst []int
-	// AUC sums each algorithm's response-time trace (lower = faster
-	// recovery overall, *given comparable completion counts*).
-	AUC map[string]float64
-	// TailMean averages the last quarter of each trace (the paper's
-	// "long-term returns" comparison).
-	TailMean map[string]float64
-	// Completed counts workflow requests each algorithm finished during
-	// the run. A per-window mean delay of 0 is meaningless when nothing
-	// completed, so rankings must read Completed first.
-	Completed map[string]int
-	// OverallMeanDelay is the completion-weighted mean response time over
-	// the whole run (0 if nothing completed).
-	OverallMeanDelay map[string]float64
-	// WorkflowTables breaks each algorithm's trace down by workflow type —
-	// the per-workflow view behind §VI-D's observation that MIRAS defers
-	// Coire-terminated workflows under large LIGO bursts and recovers
-	// later. One table per algorithm; one series per workflow type.
-	WorkflowTables map[string]*trace.Table
+	// Outcomes maps algorithm name to its run.
+	Outcomes map[string]Outcome
 }
 
 // Best returns the winning algorithm: among those that completed at least
 // 90% of the maximum completion count, the one with the lowest overall
-// mean delay. This guards against declaring a starving policy "fast".
-func (r *CompareResult) Best() string {
+// mean delay, ties going to the earlier algorithm in run order. This guards
+// against declaring a starving policy "fast".
+func (c *Comparison) Best() string {
 	maxDone := 0
-	for _, done := range r.Completed {
-		if done > maxDone {
-			maxDone = done
-		}
+	for _, o := range c.Outcomes {
+		maxDone = max(maxDone, o.Completed)
 	}
 	best, bestDelay := "", 0.0
-	for name, done := range r.Completed {
-		if maxDone > 0 && done*10 < maxDone*9 {
+	for _, series := range c.Table.Series {
+		o := c.Outcomes[series.Name]
+		if maxDone > 0 && o.Completed*10 < maxDone*9 {
 			continue
 		}
-		d := r.OverallMeanDelay[name]
-		if best == "" || d < bestDelay {
-			best, bestDelay = name, d
+		if best == "" || o.MeanDelay < bestDelay {
+			best, bestDelay = series.Name, o.MeanDelay
 		}
 	}
 	return best
 }
 
+// CompareResult is one Figs. 7/8 panel: per-algorithm response-time traces
+// under one burst scenario.
+type CompareResult struct {
+	Comparison
+	// Burst is the injected request counts per workflow type.
+	Burst []int
+}
+
 // Compare runs one burst scenario: every algorithm gets a fresh environment
 // built from the same seed (identical background arrival trace), the burst
 // is injected at time zero, and the controller runs for s.CompareWindows
-// windows. The recorded series is the mean response time of workflow
-// requests completed in each window — the y-axis of Figs. 7–8.
+// windows.
 func Compare(s Setup, burst []int, algorithms []string, trained *Trained) (*CompareResult, error) {
+	c, err := compareOn(s, algorithms, trained, 300, burst, nil)
+	if err != nil {
+		return nil, err
+	}
+	c.Table.Title = fmt.Sprintf("compare-%s", s.EnsembleName)
+	return &CompareResult{Comparison: *c, Burst: append([]int(nil), burst...)}, nil
+}
+
+// compareOn runs each algorithm through the Figs. 7–8 protocol: a fresh
+// controller, a fresh harness at seedOffset (identical for every algorithm:
+// paired arrival traces, and paired fault processes under a fault plan)
+// with burst injected at time zero, arm(h) when arm is non-nil (periodic
+// stressors that schedule themselves on the engine), then s.CompareWindows
+// windows of control.
+func compareOn(s Setup, algorithms []string, trained *Trained, seedOffset int64, burst []int,
+	arm func(*Harness) error, copts ...cluster.Option) (*Comparison, error) {
 	ens, ok := workflow.ByName(s.EnsembleName)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
 	}
-	res := &CompareResult{
-		Burst:            append([]int(nil), burst...),
-		AUC:              make(map[string]float64),
-		TailMean:         make(map[string]float64),
-		Completed:        make(map[string]int),
-		OverallMeanDelay: make(map[string]float64),
-		WorkflowTables:   make(map[string]*trace.Table),
-	}
-	res.Table = trace.Table{
-		Title:  fmt.Sprintf("compare-%s", s.EnsembleName),
-		XLabel: "window",
-		YLabel: "mean response time (s)",
+	c := &Comparison{
+		Table:    trace.Table{XLabel: "window", YLabel: "mean response time (s)"},
+		Outcomes: make(map[string]Outcome, len(algorithms)),
 	}
 	for _, name := range algorithms {
 		ctrl, err := controllerByName(name, s, ens, trained)
 		if err != nil {
 			return nil, err
 		}
-		series, byWF, completed, overall, err := runScenarioDetailed(s, burst, ctrl, ens)
+		h, err := scenario(s, seedOffset, burst, copts...)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %s/%s: %w", s.EnsembleName, name, err)
+			return nil, err
 		}
-		res.Table.AddSeries(name, series)
-		res.AUC[name] = metrics.AUC(series)
-		res.TailMean[name] = metrics.TailMean(series, 0.25)
-		res.Completed[name] = completed
-		res.OverallMeanDelay[name] = overall
-		res.WorkflowTables[name] = byWF
+		if arm != nil {
+			if err := arm(h); err != nil {
+				return nil, err
+			}
+		}
+		o, err := play(h, ctrl, s.CompareWindows)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s on %s: %w", name, s.EnsembleName, err)
+		}
+		c.Table.AddSeries(name, o.Delays)
+		c.Outcomes[name] = o
 	}
-	return res, nil
+	return c, nil
 }
 
-// runScenario executes one (algorithm, burst) run and returns the
-// per-window mean response-time series.
-func runScenario(s Setup, burst []int, ctrl env.Controller) ([]float64, error) {
-	series, _, _, err := runScenarioFull(s, burst, ctrl)
-	return series, err
-}
-
-// runScenarioFull also reports the total completion count and the
-// completion-weighted mean delay over the run.
-func runScenarioFull(s Setup, burst []int, ctrl env.Controller) (series []float64, completed int, overallMeanDelay float64, err error) {
-	series, _, completed, overallMeanDelay, err = runScenarioDetailed(s, burst, ctrl, nil)
-	return series, completed, overallMeanDelay, err
-}
-
-// runScenarioDetailed additionally produces the per-workflow-type delay
-// table when ens is non-nil.
-func runScenarioDetailed(s Setup, burst []int, ctrl env.Controller, ens *workflow.Ensemble) (series []float64, byWF *trace.Table, completed int, overallMeanDelay float64, err error) {
-	// Identical seed offset for every algorithm: paired arrival traces.
-	h, err := BuildHarness(s, 300)
+// scenario builds a fresh harness at seedOffset and injects burst at time
+// zero when it is non-nil.
+func scenario(s Setup, seedOffset int64, burst []int, copts ...cluster.Option) (*Harness, error) {
+	h, err := BuildHarness(s, seedOffset, copts...)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, err
 	}
-	if err := h.Env.InjectBurst(burst); err != nil {
-		return nil, nil, 0, 0, err
+	if burst != nil {
+		if err := h.Env.InjectBurst(burst); err != nil {
+			return nil, err
+		}
 	}
+	return h, nil
+}
+
+// play resets ctrl, runs it on h for the given number of windows, and folds
+// the window results into an Outcome.
+func play(h *Harness, ctrl env.Controller, windows int) (Outcome, error) {
 	ctrl.Reset()
-	results, err := env.Run(h.Env, ctrl, s.CompareWindows)
+	results, err := env.Run(h.Env, ctrl, windows)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return Outcome{}, err
 	}
-	series = make([]float64, len(results))
-	var wfSeries [][]float64
-	if ens != nil {
-		wfSeries = make([][]float64, ens.NumWorkflows())
-		for i := range wfSeries {
-			wfSeries[i] = make([]float64, len(results))
-		}
+	ens := h.Cluster.Ensemble()
+	o := Outcome{
+		Delays:  make([]float64, len(results)),
+		Rewards: make([]float64, len(results)),
+	}
+	byWF := make([][]float64, ens.NumWorkflows())
+	for i := range byWF {
+		byWF[i] = make([]float64, len(results))
 	}
 	var delaySum float64
 	for i, r := range results {
-		series[i] = r.Stats.MeanDelay()
-		if ens != nil {
-			for wi, d := range r.Stats.MeanDelayByWorkflow(ens.NumWorkflows()) {
-				wfSeries[wi][i] = d
-			}
+		o.Delays[i] = r.Stats.MeanDelay()
+		o.Rewards[i] = r.Reward
+		for wi, d := range r.Stats.MeanDelayByWorkflow(ens.NumWorkflows()) {
+			byWF[wi][i] = d
 		}
 		for _, c := range r.Stats.Completions {
 			delaySum += c.Delay()
-			completed++
+			o.Completed++
 		}
 	}
-	if completed > 0 {
-		overallMeanDelay = delaySum / float64(completed)
+	if o.Completed > 0 {
+		o.MeanDelay = delaySum / float64(o.Completed)
 	}
-	if ens != nil {
-		byWF = &trace.Table{
-			Title:  fmt.Sprintf("%s-%s-byworkflow", s.EnsembleName, ctrl.Name()),
-			XLabel: "window",
-			YLabel: "mean response time (s)",
-		}
-		for wi, name := range ens.WorkflowNames() {
-			byWF.AddSeries(name, wfSeries[wi])
-		}
+	o.ByWorkflow = &trace.Table{
+		Title:  fmt.Sprintf("%s-%s-byworkflow", ens.Name, ctrl.Name()),
+		XLabel: "window",
+		YLabel: "mean response time (s)",
 	}
-	return series, byWF, completed, overallMeanDelay, nil
+	for wi, name := range ens.WorkflowNames() {
+		o.ByWorkflow.AddSeries(name, byWF[wi])
+	}
+	o.Crashed = h.Cluster.Failures()
+	o.Redelivered = h.Cluster.Redeliveries()
+	o.Dropped = h.Cluster.Dropped()
+	return o, nil
 }
 
 // CompareAll runs every paper burst scenario for the ensemble (Fig. 7 has

@@ -72,56 +72,71 @@ func ModelAccuracy(s Setup) (*ModelAccuracyResult, error) {
 	}
 
 	// Ground truth, one-step, and iterative series.
-	n := len(actions) // = TestPoints; states has n+1 entries
-	truthReward := make([]float64, n)
-	truthWIP := make([]float64, n)
-	oneReward := make([]float64, n)
-	oneWIP := make([]float64, n)
-	pred := make([]float64, h.Env.StateDim())
-	for k := 0; k < n; k++ {
-		next := states[k+1]
-		truthReward[k] = mat.VecMean(next)
-		truthWIP[k] = next[0]
-		model.PredictTo(pred, states[k], actions[k])
-		clampNonNegative(pred)
-		oneReward[k] = mat.VecMean(pred)
-		oneWIP[k] = pred[0]
-	}
-	iterTraj := envmodel.Rollout(model, states[0], actions)
-	iterReward := make([]float64, n)
-	iterWIP := make([]float64, n)
-	for k, st := range iterTraj {
-		iterReward[k] = mat.VecMean(st)
-		iterWIP[k] = st[0]
-	}
-
+	truth := states[1:]
+	one, iter := predictTrace(model, states, actions)
+	wip0 := func(x []float64) float64 { return x[0] }
 	res := &ModelAccuracyResult{
 		TrainPoints:    dataset.Len(),
-		TestPoints:     n,
+		TestPoints:     len(actions),
 		FinalTrainLoss: losses[len(losses)-1],
 	}
 	res.RewardTable = trace.Table{
 		Title:  fmt.Sprintf("fig5-%s-reward", s.EnsembleName),
 		XLabel: "step", YLabel: "mean next WIP",
 	}
-	res.RewardTable.AddSeries("ground-truth", truthReward)
-	res.RewardTable.AddSeries("one-step", oneReward)
-	res.RewardTable.AddSeries("iterative", iterReward)
+	res.RewardTable.AddSeries("ground-truth", project(truth, mat.VecMean))
+	res.RewardTable.AddSeries("one-step", project(one, mat.VecMean))
+	res.RewardTable.AddSeries("iterative", project(iter, mat.VecMean))
 	res.WIPTable = trace.Table{
 		Title:  fmt.Sprintf("fig5-%s-wip0", s.EnsembleName),
 		XLabel: "step", YLabel: "WIP[0]",
 	}
-	res.WIPTable.AddSeries("ground-truth", truthWIP)
-	res.WIPTable.AddSeries("one-step", oneWIP)
-	res.WIPTable.AddSeries("iterative", iterWIP)
+	res.WIPTable.AddSeries("ground-truth", project(truth, wip0))
+	res.WIPTable.AddSeries("one-step", project(one, wip0))
+	res.WIPTable.AddSeries("iterative", project(iter, wip0))
 
-	if res.OneStepRMSE, err = metrics.RMSE(truthReward, oneReward); err != nil {
-		return nil, err
-	}
-	if res.IterRMSE, err = metrics.RMSE(truthReward, iterReward); err != nil {
+	if res.OneStepRMSE, res.IterRMSE, err = predictionRMSE(model, states, actions); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// predictTrace replays p over a held-out trace (states has one more entry
+// than actions): the one-step prediction of each next state from the true
+// state (the paper's "fixed input", clamped non-negative like the real
+// WIP), and the iterative rollout from states[0] on p's own predictions.
+func predictTrace(p envmodel.Predictor, states, actions [][]float64) (oneStep, iterative [][]float64) {
+	oneStep = make([][]float64, len(actions))
+	for k, a := range actions {
+		oneStep[k] = make([]float64, p.StateDim())
+		p.PredictTo(oneStep[k], states[k], a)
+		clampNonNegative(oneStep[k])
+	}
+	return oneStep, envmodel.Rollout(p, states[0], actions)
+}
+
+// predictionRMSE scores p on a held-out trace: the RMSE of the one-step and
+// of the iterative prediction of the mean next-state WIP (Fig. 5's reward
+// panel) against the truth.
+func predictionRMSE(p envmodel.Predictor, states, actions [][]float64) (oneStep, iterative float64, err error) {
+	truth := project(states[1:], mat.VecMean)
+	one, iter := predictTrace(p, states, actions)
+	if oneStep, err = metrics.RMSE(truth, project(one, mat.VecMean)); err != nil {
+		return 0, 0, err
+	}
+	if iterative, err = metrics.RMSE(truth, project(iter, mat.VecMean)); err != nil {
+		return 0, 0, err
+	}
+	return oneStep, iterative, nil
+}
+
+// project maps each state through f.
+func project(states [][]float64, f func([]float64) float64) []float64 {
+	out := make([]float64, len(states))
+	for k, st := range states {
+		out[k] = f(st)
+	}
+	return out
 }
 
 // collectRandom fills dataset with steps random-action transitions,

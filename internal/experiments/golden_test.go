@@ -71,9 +71,9 @@ func goldenCSV(t *testing.T, gate string) []byte {
 			t.Fatal(err)
 		}
 		for _, name := range algs {
-			writeCSV(t, &buf, res.WorkflowTables[name])
-			writeNums(&buf, name, res.AUC[name], res.TailMean[name],
-				float64(res.Completed[name]), res.OverallMeanDelay[name])
+			o := res.Outcomes[name]
+			writeCSV(t, &buf, o.ByWorkflow)
+			writeNums(&buf, name, o.AUC(), o.TailMean(), float64(o.Completed), o.MeanDelay)
 		}
 	case "dynamic":
 		algs := []string{"stream", "heft", "monad", "hpa", "static"}
@@ -83,7 +83,8 @@ func goldenCSV(t *testing.T, gate string) []byte {
 		}
 		writeCSV(t, &buf, &res.Table)
 		for _, name := range algs {
-			writeNums(&buf, name, float64(res.Completed[name]), res.MeanDelay[name])
+			o := res.Outcomes[name]
+			writeNums(&buf, name, float64(o.Completed), o.MeanDelay)
 		}
 	case "kill":
 		algs := []string{"stream", "heft", "monad", "hpa"}
@@ -93,12 +94,8 @@ func goldenCSV(t *testing.T, gate string) []byte {
 		}
 		writeCSV(t, &buf, &res.Table)
 		for _, name := range algs {
-			// Each algorithm's own kill count: one run per algorithm.
-			alone, err := Chaos(s, []string{name}, nil, 30)
-			if err != nil {
-				t.Fatal(err)
-			}
-			writeNums(&buf, name, float64(res.Completed[name]), res.MeanDelay[name], float64(alone.Failures))
+			o := res.Outcomes[name]
+			writeNums(&buf, name, float64(o.Completed), o.MeanDelay, float64(o.Crashed))
 		}
 	case "window":
 		res, err := WindowLengthAblation(s, []float64{10, 30})

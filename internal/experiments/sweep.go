@@ -73,11 +73,15 @@ func BudgetSweep(s Setup, algorithms []string, budgets []int) (*BudgetSweepResul
 		if err != nil {
 			return err
 		}
-		series, done, _, err := runScenarioFull(sb, bursts[0], ctrl)
+		h, err := scenario(sb, 300, bursts[0])
+		if err != nil {
+			return err
+		}
+		o, err := play(h, ctrl, sb.CompareWindows)
 		if err != nil {
 			return fmt.Errorf("experiments: sweep %s@%d: %w", name, b, err)
 		}
-		points[idx] = point{delay: metrics.Mean(series), done: done}
+		points[idx] = point{delay: metrics.Mean(o.Delays), done: o.Completed}
 		return nil
 	})
 	if err != nil {
