@@ -153,6 +153,14 @@ func goldenCSV(t *testing.T, gate string) []byte {
 		}
 		writeNums(&buf, "ensemble", float64(res.Members), res.SingleOneStep, res.SingleIter,
 			res.EnsembleOneStep, res.EnsembleIter, res.MeanDisagreementTest)
+	case "noise":
+		res, err := NoiseAblation(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeCSV(t, &buf, &res.Table)
+		writeNums(&buf, "noise", res.FinalParam, res.FinalAction, res.BestParam, res.BestAction,
+			res.RawViolationRate)
 	default:
 		t.Fatalf("unknown golden gate %q", gate)
 	}
@@ -202,7 +210,7 @@ func TestGoldenEndToEnd(t *testing.T) {
 		t.Skip("golden gate trains a policy; skipped in -short mode")
 	}
 	gates := []string{"train", "compare", "chaos", "compare-detail", "dynamic", "kill",
-		"window", "budget", "sample-efficiency", "refine", "fig5", "ensemble"}
+		"window", "budget", "sample-efficiency", "refine", "fig5", "ensemble", "noise"}
 
 	if *updateGolden {
 		pinned := make(map[string]string)
