@@ -6,10 +6,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"testing"
 
@@ -20,9 +20,10 @@ import (
 // pipelines (train, compare, chaos) and of every other experiment driver,
 // whose output digests are pinned in testdata/golden.json. A gate digests
 // its CSV bytes and, where the driver reports numbers beside its tables,
-// those numbers printed in algorithm order (see writeNums). Any behavioural drift — a reordered RNG draw, a
-// changed reward term, a float reassociation — changes the bytes and fails
-// the gate. Refresh deliberately with:
+// those numbers printed in algorithm order (see writeNums). Any behavioural
+// drift — a reordered RNG draw, a changed reward term, a float
+// reassociation — changes the bytes and fails the gate. Refresh
+// deliberately with:
 //
 //	go test ./internal/experiments/ -run TestGolden -update
 //
@@ -30,9 +31,29 @@ import (
 // per-architecture assembly, so other platforms may legitimately produce
 // different low bits. The gate skips elsewhere rather than pinning per-arch
 // tables nobody regenerates.
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json with the digests this run produces")
+//
+// Even on linux/amd64, math.Exp and math.Log take a non-FMA path on a CPU
+// without FMA or under GODEBUG=cpu.fma=off, and round some results one ulp
+// apart (sim.LogNormal's draws, rand's ziggurat sampler). A gate that prints
+// full-precision numbers, or whose decisions those low bits can flip, then
+// has a second digest in testdata/golden_nofma.json, which holds only the
+// gates that differ there. The process picks the file with expOnFMAPath;
+// refresh the second one with
+//
+//	GODEBUG=cpu.fma=off go test ./internal/experiments/ -run TestGolden -update
+var updateGolden = flag.Bool("update", false, "rewrite the digest file this process's math.Exp path selects")
 
-const goldenPath = "testdata/golden.json"
+const (
+	goldenPath      = "testdata/golden.json"
+	goldenNoFMAPath = "testdata/golden_nofma.json"
+)
+
+// expOnFMAPath reports whether math.Exp takes its FMA path in this process:
+// 0x404759a28795660f is math.Exp(3.84375) there, and the non-FMA path
+// rounds it one ulp higher.
+func expOnFMAPath() bool {
+	return math.Float64bits(math.Exp(3.84375)) == 0x404759a28795660f
+}
 
 // goldenCSV produces the named pipeline's CSV bytes at micro scale.
 func goldenCSV(t *testing.T, gate string) []byte {
@@ -189,17 +210,39 @@ func writeNums(buf *bytes.Buffer, label string, vals ...float64) {
 	buf.WriteByte('\n')
 }
 
-func readGolden(t *testing.T) map[string]string {
+func readGolden(t *testing.T, path string) map[string]string {
 	t.Helper()
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read pinned digests (run with -update to create them): %v", err)
 	}
 	pinned := make(map[string]string)
 	if err := json.Unmarshal(data, &pinned); err != nil {
-		t.Fatalf("parse %s: %v", goldenPath, err)
+		t.Fatalf("parse %s: %v", path, err)
 	}
 	return pinned
+}
+
+// writeGolden writes digests as indented JSON; encoding/json sorts the keys.
+func writeGolden(t *testing.T, path string, digests map[string]string) {
+	t.Helper()
+	data, err := json.MarshalIndent(digests, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("updated %s: %v", path, digests)
+}
+
+func goldenDigest(t *testing.T, gate string) string {
+	t.Helper()
+	sum := sha256.Sum256(goldenCSV(t, gate))
+	return hex.EncodeToString(sum[:])
 }
 
 func TestGoldenEndToEnd(t *testing.T) {
@@ -211,37 +254,34 @@ func TestGoldenEndToEnd(t *testing.T) {
 	}
 	gates := []string{"train", "compare", "chaos", "compare-detail", "dynamic", "kill",
 		"window", "budget", "sample-efficiency", "refine", "fig5", "ensemble", "noise"}
+	fma := expOnFMAPath()
 
 	if *updateGolden {
-		pinned := make(map[string]string)
+		digests := make(map[string]string)
+		if fma {
+			for _, gate := range gates {
+				digests[gate] = goldenDigest(t, gate)
+			}
+			writeGolden(t, goldenPath, digests)
+			return
+		}
+		// Off the FMA path, pin only the gates whose digest differs.
+		fmaDigests := readGolden(t, goldenPath)
 		for _, gate := range gates {
-			sum := sha256.Sum256(goldenCSV(t, gate))
-			pinned[gate] = hex.EncodeToString(sum[:])
+			if d := goldenDigest(t, gate); d != fmaDigests[gate] {
+				digests[gate] = d
+			}
 		}
-		keys := make([]string, 0, len(pinned))
-		for k := range pinned {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		ordered := make(map[string]string, len(pinned))
-		for _, k := range keys {
-			ordered[k] = pinned[k]
-		}
-		data, err := json.MarshalIndent(ordered, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s: %v", goldenPath, ordered)
+		writeGolden(t, goldenNoFMAPath, digests)
 		return
 	}
 
-	pinned := readGolden(t)
+	pinned := readGolden(t, goldenPath)
+	if !fma {
+		for gate, d := range readGolden(t, goldenNoFMAPath) {
+			pinned[gate] = d
+		}
+	}
 	for _, gate := range gates {
 		gate := gate
 		t.Run(gate, func(t *testing.T) {
@@ -253,8 +293,8 @@ func TestGoldenEndToEnd(t *testing.T) {
 			sum := sha256.Sum256(csv)
 			got := hex.EncodeToString(sum[:])
 			if got != want {
-				t.Errorf("gate %q drifted: sha256 %s, pinned %s\nfirst lines:\n%s",
-					gate, got, want, firstLines(csv, 4))
+				t.Errorf("gate %q drifted (math.Exp FMA path: %v): sha256 %s, pinned %s\nfirst lines:\n%s",
+					gate, fma, got, want, firstLines(csv, 4))
 			}
 		})
 	}
