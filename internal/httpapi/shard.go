@@ -32,32 +32,38 @@ func newShard(idx int, reg *obs.Registry) *shard {
 	return &shard{
 		idx:      idx,
 		sessions: make(map[string]*session),
-		tombs:    tombstones{set: make(map[string]struct{}, tombstoneCap)},
+		tombs:    tombstones{set: make(map[string]int, tombstoneCap)},
 		liveGauge: reg.Gauge("miras_shard_sessions",
 			"Live sessions, by in-process shard.", "shard", strconv.Itoa(idx)),
 	}
 }
 
 // tombstones is a bounded FIFO memory of evicted session ids, guarded by
-// the owning shard's lock.
+// the owning shard's lock. set maps each remembered id to the ring slot of
+// its latest eviction: an id evicted, rehydrated and evicted again also sits
+// in a stale earlier slot, whose overwrite must not forget it.
 type tombstones struct {
 	ring []string
 	next int
-	set  map[string]struct{}
+	set  map[string]int
 }
 
 func (t *tombstones) add(id string) {
 	if _, ok := t.set[id]; ok {
 		return
 	}
-	if len(t.ring) < tombstoneCap {
+	slot := len(t.ring)
+	if slot < tombstoneCap {
 		t.ring = append(t.ring, id)
 	} else {
-		delete(t.set, t.ring[t.next])
-		t.ring[t.next] = id
+		slot = t.next
+		if old := t.ring[slot]; t.set[old] == slot {
+			delete(t.set, old)
+		}
+		t.ring[slot] = id
 		t.next = (t.next + 1) % tombstoneCap
 	}
-	t.set[id] = struct{}{}
+	t.set[id] = slot
 }
 
 func (t *tombstones) has(id string) bool {
