@@ -74,7 +74,6 @@ func train(fs *flag.FlagSet) body {
 			if err != nil {
 				return err
 			}
-			defer prof.Wait()
 			// Without -trace-out this tracer has no sink: it only carries
 			// the capturer, so a rollback is still profiled.
 			s.Tracer = c.newTracer(prof)

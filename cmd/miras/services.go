@@ -189,7 +189,6 @@ func serve(fs *flag.FlagSet) func(io.Writer) error {
 			if prof, err = obs.NewProfileCapturer(obs.ProfileConfig{Dir: *profileDir}); err != nil {
 				return err
 			}
-			defer prof.Wait()
 		}
 		// Requests are real events, so the serving tracer runs in wall-clock
 		// mode (unlike the sim-time experiment tracers). Spans land in the

@@ -25,6 +25,12 @@ import (
 	"miras/internal/workflow"
 )
 
+// requestSizeCV is the coefficient of variation of the per-request
+// input-size factor that scales all of a workflow request's task service
+// times; the paper attributes service-time variation to "variant sizes of
+// input data".
+const requestSizeCV = 0.3
+
 // Config parameterises a Cluster.
 type Config struct {
 	// Ensemble is the workflow ensemble the cluster serves. Required.
@@ -41,14 +47,6 @@ type Config struct {
 	// InitialConsumers sets the starting consumer count per task type.
 	// Defaults to 1 per microservice when nil.
 	InitialConsumers []int
-	// RequestSizeCV is the coefficient of variation of the per-request
-	// input-size factor that scales all of a workflow request's task
-	// service times. Defaults to 0.3 when zero; the paper attributes
-	// service-time variation to "variant sizes of input data".
-	RequestSizeCV float64
-	// Nodes is the number of simulated machines consumers are placed on
-	// (the paper's testbed has 3 VMs). Defaults to 3.
-	Nodes int
 	// Tracer, when non-nil, emits one "cluster.scale" marker span per
 	// SetConsumers actuation and one "fault.episode" span per injected
 	// fault window (opened at activation, closed at deactivation), plus
@@ -62,12 +60,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.StartupDelayMin == 0 && c.StartupDelayMax == 0 {
 		c.StartupDelayMin, c.StartupDelayMax = 5, 10
-	}
-	if c.RequestSizeCV == 0 {
-		c.RequestSizeCV = 0.3
-	}
-	if c.Nodes == 0 {
-		c.Nodes = 3
 	}
 	return c
 }
@@ -216,7 +208,7 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 		cfg:        cfg,
 		engine:     cfg.Engine,
 		tds:        tds,
-		nodes:      newNodePool(cfg.Nodes),
+		nodes:      newNodePool(numNodes),
 		serviceRNG: cfg.Streams.Stream("cluster/service"),
 		sizeRNG:    cfg.Streams.Stream("cluster/size"),
 		startupRNG: cfg.Streams.Stream("cluster/startup"),
@@ -330,7 +322,7 @@ func (c *Cluster) Submit(wf int) {
 	inst := &instance{
 		wf:             wf,
 		arrivedAt:      c.engine.Now(),
-		sizeFactor:     sim.LogNormal(c.sizeRNG, 1, c.cfg.RequestSizeCV),
+		sizeFactor:     sim.LogNormal(c.sizeRNG, 1, requestSizeCV),
 		remainingPreds: make([]int, wt.NumNodes()),
 	}
 	for i := 0; i < wt.NumNodes(); i++ {

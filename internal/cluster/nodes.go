@@ -11,6 +11,10 @@ import (
 // replication controller replaces failed containers and unacknowledged
 // requests return to their queue.
 
+// numNodes is the number of simulated machines consumers are placed on:
+// the paper's testbed has 3 VMs.
+const numNodes = 3
+
 // nodePool tracks how many consumers each machine hosts. Placement policy
 // is least-loaded-first, the effect of Kubernetes' default spreading.
 type nodePool struct {

@@ -163,27 +163,14 @@ func TestDefaultsApplied(t *testing.T) {
 	cfg := a.cfg
 	if cfg.Iterations != 12 || cfg.StepsPerIteration != 1000 || cfg.ResetEvery != 25 ||
 		cfg.RolloutLen != 25 || cfg.EvalSteps != 25 || cfg.PolicyEpisodes != 60 ||
-		cfg.PlateauPatience != 15 || cfg.ModelEpochs != 20 {
+		cfg.ModelEpochs != 20 {
 		t.Fatalf("defaults wrong: %+v", cfg)
-	}
-	if cfg.RandomActionFrac != 0.2 {
-		t.Fatalf("RandomActionFrac default=%g", cfg.RandomActionFrac)
 	}
 	if len(cfg.ModelHidden) != 3 {
 		t.Fatalf("model hidden default=%v", cfg.ModelHidden)
 	}
 	if a.Model() == nil {
 		t.Fatal("Model accessor nil")
-	}
-	// Negative RandomActionFrac clamps to 0 (pure policy rollouts).
-	cfg2 := tinyConfig(e, 26)
-	cfg2.RandomActionFrac = -1
-	b, err := NewAgent(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.cfg.RandomActionFrac != 0 {
-		t.Fatalf("negative frac not clamped: %g", b.cfg.RandomActionFrac)
 	}
 }
 

@@ -25,6 +25,25 @@ import (
 	"miras/internal/sim"
 )
 
+// Fixed settings of the Algorithm 2 loop: no experiment varies them.
+const (
+	// plateauPatience stops the inner loop early when the best smoothed
+	// synthetic return has not improved for this many episodes.
+	plateauPatience = 15
+	// randomActionFrac is the fraction of synthetic-rollout steps that take
+	// a uniformly random simplex action instead of the exploratory policy
+	// action. Model rollouts are free, so broad off-policy coverage is
+	// cheap — and necessary: parameter noise alone explores a narrow tube
+	// around the current policy, and a briefly saturated actor would
+	// otherwise never generate the spread-allocation actions the critic
+	// must rank.
+	randomActionFrac = 0.2
+	// maxAbsQ bounds the critic's mean minibatch Q value in the divergence
+	// guard: |Q| beyond it counts as divergence and triggers a rollback to
+	// the last healthy iteration (NaN/Inf weights are always caught).
+	maxAbsQ = 1e6
+)
+
 // Config parameterises a MIRAS agent. Paper values (§VI-A3): MSD uses
 // StepsPerIteration 1000, ResetEvery 25, RolloutLen 25, EvalSteps 25, model
 // hidden {20,20,20}, RL hidden {256,...}; LIGO uses 2000 / 25 / 10 / 100,
@@ -38,8 +57,6 @@ type Config struct {
 	// ModelEpochs is the number of training epochs over the dataset after
 	// each collection phase (default 20).
 	ModelEpochs int
-	// ModelLR is the model's Adam learning rate (0 → envmodel default).
-	ModelLR float64
 	// RL configures the DDPG agent; StateDim/ActionDim/Seed are filled in.
 	RL rl.Config
 	// Iterations is the number of outer Algorithm 2 iterations (default 12;
@@ -59,24 +76,10 @@ type Config struct {
 	// PolicyEpisodes caps the inner policy-optimisation loop per
 	// iteration (default 60).
 	PolicyEpisodes int
-	// PlateauPatience stops the inner loop early when the best smoothed
-	// synthetic return has not improved for this many episodes
-	// (default 15; 0 disables plateau detection).
-	PlateauPatience int
-	// RandomActionFrac is the fraction of synthetic-rollout steps that take
-	// a uniformly random simplex action instead of the exploratory policy
-	// action (default 0.2). Model rollouts are free, so broad off-policy
-	// coverage is cheap — and necessary: parameter noise alone explores a
-	// narrow tube around the current policy, and a briefly saturated actor
-	// would otherwise never generate the spread-allocation actions the
-	// critic must rank.
-	RandomActionFrac float64
-	// RefinePercentile is Algorithm 1's p (default
-	// envmodel.DefaultPercentile).
-	RefinePercentile float64
 	// RawModel rolls policy episodes out on the raw model: the §IV-C2
 	// refinement ablation. The zero value applies the Lend–Giveback
-	// refinement, as the paper does.
+	// refinement (Algorithm 1 at envmodel.DefaultPercentile), as the paper
+	// does.
 	RawModel bool
 	// ResetHook, when non-nil, runs immediately after every environment
 	// reset during real-data collection. The experiment harness uses it to
@@ -104,11 +107,6 @@ type Config struct {
 	// with CheckpointFn this turns SIGTERM into "finish the iteration,
 	// write a final checkpoint, exit".
 	StopFn func() bool
-	// MaxAbsQ bounds the critic's mean minibatch Q value in the divergence
-	// guard: |Q| beyond it counts as divergence and triggers a rollback to
-	// the last healthy iteration (default 1e6; negative disables the
-	// bound; NaN/Inf weights are always caught).
-	MaxAbsQ float64
 	// Tracer, when non-nil, is the training stack's one telemetry handle.
 	// It emits one span per outer iteration with child spans for the
 	// collect / model-fit / policy-improvement / health-guard / evaluate /
@@ -146,24 +144,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PolicyEpisodes == 0 {
 		c.PolicyEpisodes = 60
-	}
-	if c.PlateauPatience == 0 {
-		c.PlateauPatience = 15
-	}
-	if c.RandomActionFrac == 0 {
-		c.RandomActionFrac = 0.2
-	}
-	if c.RandomActionFrac < 0 {
-		c.RandomActionFrac = 0
-	}
-	if c.RefinePercentile == 0 {
-		c.RefinePercentile = envmodel.DefaultPercentile
-	}
-	if c.MaxAbsQ == 0 {
-		c.MaxAbsQ = 1e6
-	}
-	if c.MaxAbsQ < 0 {
-		c.MaxAbsQ = 0
 	}
 	return c
 }
@@ -240,7 +220,6 @@ func NewAgent(cfg Config) (*Agent, error) {
 		StateDim:  j,
 		ActionDim: ad,
 		Hidden:    cfg.ModelHidden,
-		LR:        cfg.ModelLR,
 		Seed:      cfg.Seed + 1,
 	})
 	if err != nil {
@@ -329,7 +308,7 @@ func (a *Agent) predictor() (envmodel.Predictor, error) {
 	if a.cfg.RawModel {
 		return a.model, nil
 	}
-	return envmodel.NewRefiner(a.model, a.dataset, a.cfg.RefinePercentile, a.rng)
+	return envmodel.NewRefiner(a.model, a.dataset, envmodel.DefaultPercentile, a.rng)
 }
 
 // ImprovePolicy runs the inner policy-optimisation loop (Algorithm 2 lines
@@ -358,7 +337,7 @@ func (a *Agent) ImprovePolicy() (episodes int, bestReturn float64, err error) {
 		var epReturn float64
 		for {
 			var action []float64
-			if a.rng.Float64() < a.cfg.RandomActionFrac {
+			if a.rng.Float64() < randomActionFrac {
 				action = env.RandomSimplex(synth.ActionDim(), a.rng)
 			} else {
 				action = a.ddpg.ActExplore(state)
@@ -385,7 +364,7 @@ func (a *Agent) ImprovePolicy() (episodes int, bestReturn float64, err error) {
 			sinceBest = 0
 		} else {
 			sinceBest++
-			if a.cfg.PlateauPatience > 0 && ep >= warmup && sinceBest >= a.cfg.PlateauPatience {
+			if ep >= warmup && sinceBest >= plateauPatience {
 				break // performance of the policy stopped improving
 			}
 		}
@@ -429,7 +408,7 @@ type healthyState struct {
 // policy improvement and before evaluation, so a diverged actor never
 // emits NaN allocations into the real environment.
 func (a *Agent) checkHealth() error {
-	if err := a.ddpg.CheckHealth(a.cfg.MaxAbsQ); err != nil {
+	if err := a.ddpg.CheckHealth(maxAbsQ); err != nil {
 		return err
 	}
 	return a.model.CheckHealth()
@@ -452,7 +431,7 @@ func (a *Agent) Rollbacks() int { return a.rollbacks }
 // performs well in real environment", so the deployed policy is the one
 // that did.
 //
-// Each iteration the divergence guard (Config.MaxAbsQ) checks the learner
+// Each iteration the divergence guard (maxAbsQ) checks the learner
 // after policy improvement; on divergence the DDPG agent and the
 // environment model are restored from the last healthy iteration and the
 // loop continues, so one blown update does not destroy a long run.

@@ -44,7 +44,6 @@ func tinyConfig(e *env.Env, seed int64) Config {
 		RolloutLen:        8,
 		EvalSteps:         8,
 		PolicyEpisodes:    10,
-		PlateauPatience:   5,
 		Seed:              seed,
 	}
 }

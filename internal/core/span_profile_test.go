@@ -58,7 +58,6 @@ func TestTrainRollbackTriggersProfile(t *testing.T) {
 	if !stats[1].RolledBack {
 		t.Fatal("poisoned iteration not rolled back")
 	}
-	prof.Wait()
 	if prof.Captures() != 1 {
 		t.Fatalf("captures=%d, want 1", prof.Captures())
 	}

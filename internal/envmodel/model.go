@@ -10,7 +10,19 @@ import (
 	"miras/internal/sim"
 )
 
-// Config parameterises the environment model.
+// The model's Adam learning rate and minibatch size: no experiment varies
+// them.
+const (
+	learningRate = 1e-3
+	batchSize    = 64
+)
+
+// Config parameterises the environment model. The network regresses the
+// state *delta* s(k+1) − s(k) and adds it back — the reparameterisation of
+// Nagabandi et al. (the paper's ref. [25]) that removes the dominant
+// identity component from the learning problem. Deltas are what carry the
+// inter-service coupling (completions at one microservice filling the next
+// queue), which regressing s(k+1) directly would drown in state magnitude.
 type Config struct {
 	// StateDim is J, the WIP vector width. Required.
 	StateDim int
@@ -21,18 +33,6 @@ type Config struct {
 	// for MSD and {20} for LIGO (§VI-A3; the smaller LIGO network avoids
 	// overfitting). Defaults to {20, 20, 20}.
 	Hidden []int
-	// LR is the Adam learning rate (default 1e-3).
-	LR float64
-	// Batch is the minibatch size (default 64).
-	Batch int
-	// PredictAbsolute makes the network regress s(k+1) directly, as the
-	// paper's formulation states. The default (false) regresses the state
-	// *delta* s(k+1) − s(k) and adds it back — the reparameterisation of
-	// Nagabandi et al. (the paper's ref. [25]) that removes the dominant
-	// identity component from the learning problem. Deltas are what carry
-	// the inter-service coupling (completions at one microservice filling
-	// the next queue), which absolute regression drowns in state magnitude.
-	PredictAbsolute bool
 	// Seed seeds weight initialisation and batch sampling.
 	Seed int64
 }
@@ -40,12 +40,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Hidden == nil {
 		c.Hidden = []int{20, 20, 20}
-	}
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
-	if c.Batch == 0 {
-		c.Batch = 64
 	}
 	return c
 }
@@ -106,18 +100,18 @@ func New(cfg Config) (*Model, error) {
 	m := &Model{
 		cfg:      cfg,
 		net:      net,
-		opt:      nn.NewAdam(net, nn.AdamConfig{LR: cfg.LR}),
+		opt:      nn.NewAdam(net, learningRate),
 		rng:      rng,
 		src:      src,
 		inBuf:    make([]float64, cfg.StateDim+cfg.ActionDim),
 		outBuf:   make([]float64, cfg.StateDim),
 		cache:    nn.NewCache(net),
 		grads:    nn.NewGrads(net),
-		bcache:   nn.NewBatchCache(net, cfg.Batch),
-		batchX:   mat.New(cfg.Batch, cfg.StateDim+cfg.ActionDim),
-		batchT:   mat.New(cfg.Batch, cfg.StateDim),
-		batchD:   mat.New(cfg.Batch, cfg.StateDim),
-		fitBatch: make([]Transition, cfg.Batch),
+		bcache:   nn.NewBatchCache(net, batchSize),
+		batchX:   mat.New(batchSize, cfg.StateDim+cfg.ActionDim),
+		batchT:   mat.New(batchSize, cfg.StateDim),
+		batchD:   mat.New(batchSize, cfg.StateDim),
+		fitBatch: make([]Transition, batchSize),
 		fitIn: &Normalizer{
 			Mean: make([]float64, cfg.StateDim+cfg.ActionDim),
 			Std:  make([]float64, cfg.StateDim+cfg.ActionDim),
@@ -173,7 +167,7 @@ func (m *Model) Fit(d *Dataset, epochs int) ([]float64, error) {
 	// outBuf doubles as the raw-target scratch: it is only live inside
 	// PredictTo and fitNormalizers, never across the staging loop.
 	raw := m.outBuf
-	stepsPerEpoch := (d.Len() + m.cfg.Batch - 1) / m.cfg.Batch
+	stepsPerEpoch := (d.Len() + batchSize - 1) / batchSize
 
 	if cap(m.lossBuf) < epochs {
 		m.lossBuf = make([]float64, 0, epochs)
@@ -241,27 +235,11 @@ func (m *Model) PredictTo(dst, state, action []float64) {
 	m.inNorm.Apply(m.inBuf, m.inBuf)
 	pred := m.net.ForwardCache(m.cache, m.inBuf, nil)
 	m.outNorm.Invert(dst, pred)
-	if !m.cfg.PredictAbsolute {
-		mat.VecAddScaled(dst, state, 1)
-	}
+	mat.VecAddScaled(dst, state, 1)
 }
 
-// target returns the regression target for one transition under the
-// configured parameterisation.
-func (m *Model) target(t Transition) []float64 {
-	if m.cfg.PredictAbsolute {
-		return t.Next
-	}
-	return mat.VecSub(t.Next, t.State)
-}
-
-// targetTo writes the regression target into dst without allocating — the
-// hot-path variant of target for the Fit staging loop.
+// targetTo writes the regression target, the state delta, into dst.
 func (m *Model) targetTo(dst []float64, t Transition) {
-	if m.cfg.PredictAbsolute {
-		copy(dst, t.Next)
-		return
-	}
 	for i := range dst {
 		dst[i] = t.Next[i] - t.State[i]
 	}

@@ -22,7 +22,7 @@ func syntheticDataset(rng *rand.Rand, n int) *Dataset {
 // restores into a fresh model, and verifies continued fitting and
 // prediction are bit-identical.
 func TestModelStateRoundTrip(t *testing.T) {
-	cfg := Config{StateDim: 2, ActionDim: 2, Hidden: []int{12}, Batch: 8, Seed: 31}
+	cfg := Config{StateDim: 2, ActionDim: 2, Hidden: []int{12}, Seed: 31}
 	data := syntheticDataset(rand.New(rand.NewSource(17)), 60)
 
 	a, err := New(cfg)
@@ -75,7 +75,7 @@ func TestModelStateRoundTrip(t *testing.T) {
 }
 
 func TestModelRestoreRejectsCorruptState(t *testing.T) {
-	cfg := Config{StateDim: 2, ActionDim: 2, Hidden: []int{12}, Batch: 8, Seed: 32}
+	cfg := Config{StateDim: 2, ActionDim: 2, Hidden: []int{12}, Seed: 32}
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestModelRestoreRejectsCorruptState(t *testing.T) {
 }
 
 func TestModelCheckHealth(t *testing.T) {
-	cfg := Config{StateDim: 2, ActionDim: 2, Hidden: []int{12}, Batch: 8, Seed: 33}
+	cfg := Config{StateDim: 2, ActionDim: 2, Hidden: []int{12}, Seed: 33}
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -220,7 +220,6 @@ func TestFallbackTriggersProfile(t *testing.T) {
 	if step.Controller != "policy" {
 		t.Fatalf("sibling controller %q after its neighbour's poisoning, want policy", step.Controller)
 	}
-	prof.Wait()
 	if prof.Captures() != 1 {
 		t.Fatalf("captures=%d, want 1", prof.Captures())
 	}

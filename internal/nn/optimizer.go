@@ -59,68 +59,50 @@ func (s *SGD) Step(g *Grads) {
 	}
 }
 
-// AdamConfig parameterises an Adam optimizer. Zero-valued fields take the
-// conventional defaults from Kingma & Ba (2015).
-type AdamConfig struct {
-	// LR is the learning rate (default 1e-3).
-	LR float64
-	// Beta1 is the first-moment decay (default 0.9).
-	Beta1 float64
-	// Beta2 is the second-moment decay (default 0.999).
-	Beta2 float64
-	// Eps is the denominator fuzz (default 1e-8).
-	Eps float64
-}
-
-func (c AdamConfig) withDefaults() AdamConfig {
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
-	if c.Beta1 == 0 {
-		c.Beta1 = 0.9
-	}
-	if c.Beta2 == 0 {
-		c.Beta2 = 0.999
-	}
-	if c.Eps == 0 {
-		c.Eps = 1e-8
-	}
-	return c
-}
+// Adam's moment decays and denominator fuzz: the conventional values from
+// Kingma & Ba (2015).
+const (
+	adamBeta1 = 0.9
+	adamBeta2 = 0.999
+	adamEps   = 1e-8
+)
 
 // Adam is the Adam optimizer (Kingma & Ba, 2015) with bias-corrected
 // first and second moment estimates.
 type Adam struct {
 	net  *Network
-	cfg  AdamConfig
+	lr   float64
 	m, v *Grads
 	t    int
 }
 
-// NewAdam returns an Adam optimizer for net.
-func NewAdam(net *Network, cfg AdamConfig) *Adam {
-	return &Adam{net: net, cfg: cfg.withDefaults(), m: NewGrads(net), v: NewGrads(net)}
+// NewAdam returns an Adam optimizer for net with learning rate lr.
+func NewAdam(net *Network, lr float64) *Adam {
+	return &Adam{net: net, lr: lr, m: NewGrads(net), v: NewGrads(net)}
 }
 
 // Step implements Optimizer.
 func (a *Adam) Step(g *Grads) {
 	a.t++
-	c := a.cfg
-	corr1 := 1 - math.Pow(c.Beta1, float64(a.t))
-	corr2 := 1 - math.Pow(c.Beta2, float64(a.t))
+	// The decays are copied into float64 variables so 1−β is float64
+	// arithmetic (0.09999999999999998 for β1), not the exact constant 0.1
+	// that Go would fold from the untyped constants.
+	beta1, beta2, eps, lr := adamBeta1, adamBeta2, adamEps, a.lr
+	corr1 := 1 - math.Pow(beta1, float64(a.t))
+	corr2 := 1 - math.Pow(beta2, float64(a.t))
 	for l, layer := range a.net.Layers {
 		mw, vw, gw := a.m.W[l].Data, a.v.W[l].Data, g.W[l].Data
 		w := layer.W.Data
 		for i, gi := range gw {
-			mw[i] = c.Beta1*mw[i] + (1-c.Beta1)*gi
-			vw[i] = c.Beta2*vw[i] + (1-c.Beta2)*gi*gi
-			w[i] -= c.LR * (mw[i] / corr1) / (math.Sqrt(vw[i]/corr2) + c.Eps)
+			mw[i] = beta1*mw[i] + (1-beta1)*gi
+			vw[i] = beta2*vw[i] + (1-beta2)*gi*gi
+			w[i] -= lr * (mw[i] / corr1) / (math.Sqrt(vw[i]/corr2) + eps)
 		}
 		mb, vb, gb := a.m.B[l], a.v.B[l], g.B[l]
 		for i, gi := range gb {
-			mb[i] = c.Beta1*mb[i] + (1-c.Beta1)*gi
-			vb[i] = c.Beta2*vb[i] + (1-c.Beta2)*gi*gi
-			layer.B[i] -= c.LR * (mb[i] / corr1) / (math.Sqrt(vb[i]/corr2) + c.Eps)
+			mb[i] = beta1*mb[i] + (1-beta1)*gi
+			vb[i] = beta2*vb[i] + (1-beta2)*gi*gi
+			layer.B[i] -= lr * (mb[i] / corr1) / (math.Sqrt(vb[i]/corr2) + eps)
 		}
 	}
 }

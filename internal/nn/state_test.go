@@ -17,7 +17,7 @@ func TestAdamStateRoundTrip(t *testing.T) {
 	build := func() (*Network, *Adam) {
 		rng := rand.New(rand.NewSource(3))
 		net := NewNetwork(Config{Sizes: []int{4, 8, 2}, AuxLayer: -1}, rng)
-		return net, NewAdam(net, AdamConfig{})
+		return net, NewAdam(net, 1e-3)
 	}
 	netA, optA := build()
 	netB, optB := build()
@@ -50,7 +50,7 @@ func TestAdamStateRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
 	}
-	optB2 := NewAdam(netB, AdamConfig{})
+	optB2 := NewAdam(netB, 1e-3)
 	if err := optB2.SetState(st); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAdamStateRoundTrip(t *testing.T) {
 func TestAdamSetStateRejectsBadState(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	net := NewNetwork(Config{Sizes: []int{2, 3, 1}, AuxLayer: -1}, rng)
-	opt := NewAdam(net, AdamConfig{})
+	opt := NewAdam(net, 1e-3)
 	good := opt.State()
 
 	cases := map[string]func(s AdamState) AdamState{

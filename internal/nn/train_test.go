@@ -11,7 +11,7 @@ import (
 // trainRegression fits net to the given dataset with Adam for the given
 // number of epochs and returns the final mean loss.
 func trainRegression(net *Network, xs, ys [][]float64, epochs int, lr float64) float64 {
-	opt := NewAdam(net, AdamConfig{LR: lr})
+	opt := NewAdam(net, lr)
 	cache := NewCache(net)
 	g := NewGrads(net)
 	dOut := make([]float64, net.OutDim())

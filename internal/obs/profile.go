@@ -1,7 +1,7 @@
 // Anomaly-triggered profiling: when something goes wrong — a divergence
 // rollback, an HPA fallback, a span blowing past its latency threshold —
-// the ProfileCapturer writes pprof heap (and optionally CPU) profiles into
-// a size-capped directory, so the evidence exists before anyone tries to
+// the ProfileCapturer writes a pprof heap profile into a size-capped
+// directory, so the evidence exists before anyone tries to
 // reproduce the incident. Captures are rate-limited and bounded; a nil
 // capturer is a no-op, mirroring the nil Recorder/Tracer discipline. The
 // capturer rides on a Tracer (TracerConfig.Profiler), whose Trigger and slow
@@ -31,10 +31,6 @@ type ProfileConfig struct {
 	// MaxDirBytes caps the total size of capture files in Dir; the oldest
 	// captures are deleted to make room. Default 32 MiB.
 	MaxDirBytes int64
-	// CPUDuration is how long to run the CPU profiler per capture.
-	// Zero disables CPU capture (heap only) — tests use this to stay fast
-	// and to avoid fighting over the process-wide CPU profiler.
-	CPUDuration time.Duration
 }
 
 // ProfileCapturer writes rate-limited pprof captures on anomaly triggers.
@@ -48,7 +44,6 @@ type ProfileCapturer struct {
 	seq      uint64
 	captures uint64
 	dropped  uint64
-	cpuWG    sync.WaitGroup
 }
 
 // NewProfileCapturer returns a capturer writing into cfg.Dir, creating the
@@ -93,11 +88,10 @@ func (p *ProfileCapturer) Dropped() uint64 {
 	return p.dropped
 }
 
-// capture writes profiles for the named anomaly (see Tracer.Trigger) and
-// reports each capture as a "profile_capture" event on rec (nil: none). The
-// heap profile is written synchronously; the CPU profile (if configured)
-// runs in a background goroutine for cfg.CPUDuration. Returns true if a
-// capture started, false if it was rate-limited or the receiver is nil.
+// capture writes a heap profile for the named anomaly (see Tracer.Trigger)
+// and reports it as a "profile_capture" event on rec (nil: none). Returns
+// true if a capture was taken, false if it was rate-limited or the receiver
+// is nil.
 func (p *ProfileCapturer) capture(reason string, rec *Recorder) bool {
 	if p == nil {
 		return false
@@ -118,33 +112,14 @@ func (p *ProfileCapturer) capture(reason string, rec *Recorder) bool {
 	base := fmt.Sprintf("%s-%04d-%s", now.UTC().Format("20060102T150405"), seq, sanitizeReason(reason))
 	heapPath := filepath.Join(p.cfg.Dir, base+".heap.pprof")
 	heapErr := p.writeHeap(heapPath)
-
-	cpu := p.cfg.CPUDuration > 0
-	if cpu {
-		cpuPath := filepath.Join(p.cfg.Dir, base+".cpu.pprof")
-		p.cpuWG.Add(1)
-		go func() {
-			defer p.cpuWG.Done()
-			p.writeCPU(cpuPath)
-			p.enforceCap()
-		}()
-	}
 	p.enforceCap()
 
-	ev := rec.Event("profile_capture").Str("reason", reason).Str("file", base).Bool("cpu", cpu)
+	ev := rec.Event("profile_capture").Str("reason", reason).Str("file", base)
 	if heapErr != nil {
 		ev = ev.Str("heap_error", heapErr.Error())
 	}
 	ev.Emit()
 	return true
-}
-
-// Wait blocks until in-flight CPU captures finish (tests, shutdown).
-func (p *ProfileCapturer) Wait() {
-	if p == nil {
-		return
-	}
-	p.cpuWG.Wait()
 }
 
 func (p *ProfileCapturer) writeHeap(path string) error {
@@ -158,22 +133,6 @@ func (p *ProfileCapturer) writeHeap(path string) error {
 		err = cerr
 	}
 	return err
-}
-
-func (p *ProfileCapturer) writeCPU(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	// StartCPUProfile fails if another CPU profile is running (e.g. a
-	// concurrent capture or the pprof HTTP endpoint); drop the file.
-	if err := pprof.StartCPUProfile(f); err != nil {
-		_ = os.Remove(path)
-		return
-	}
-	time.Sleep(p.cfg.CPUDuration)
-	pprof.StopCPUProfile()
 }
 
 // enforceCap deletes the oldest capture files until the directory fits the

@@ -43,11 +43,8 @@ type TracerConfig struct {
 	Ring *SpanRing
 	// SimTime strips wall-clock fields from exported spans so seeded
 	// traces are byte-identical across runs. Virtual timestamps come from
-	// Clock or the explicit T0/EndT calls.
+	// the clock installed by SetClock or the explicit T0/EndT calls.
 	SimTime bool
-	// Clock, when non-nil, supplies virtual (simulation) time for spans
-	// that do not set it explicitly. See also (*Tracer).SetClock.
-	Clock func() float64
 	// Debug enables the debug-granularity spans (per DDPG minibatch
 	// update); by default StartDebug is a no-op.
 	Debug bool
@@ -65,6 +62,9 @@ type TracerConfig struct {
 // is valid and fully disabled.
 type Tracer struct {
 	cfg TracerConfig
+	// clock, when non-nil, supplies virtual (simulation) time for spans
+	// that do not set it explicitly; see SetClock.
+	clock func() float64
 	// ids is the trace/span id allocator. Sequential ids keep seeded
 	// single-threaded traces deterministic; concurrent servers only need
 	// uniqueness, which the atomic provides.
@@ -95,7 +95,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 // harness calls it once per built harness. Safe on a nil tracer.
 func (t *Tracer) SetClock(fn func() float64) {
 	if t != nil {
-		t.cfg.Clock = fn
+		t.clock = fn
 	}
 }
 
@@ -202,8 +202,8 @@ func (t *Tracer) start(name string, level slog.Level) *Span {
 	// Wall time is always measured (the slow-span anomaly check needs it)
 	// but only exported when the tracer is not in sim-time mode.
 	sp.wallStart = time.Now()
-	if t.cfg.Clock != nil {
-		sp.t0, sp.hasT0 = t.cfg.Clock(), true
+	if t.clock != nil {
+		sp.t0, sp.hasT0 = t.clock(), true
 	} else {
 		sp.t0, sp.hasT0 = 0, false
 	}
@@ -237,8 +237,8 @@ func (s *Span) Child(name string) *Span {
 	c.traceHi, c.traceLo, c.parent = s.traceHi, s.traceLo, s.id
 	c.id = s.tr.ids.Add(1)
 	c.wallStart = time.Now()
-	if s.tr.cfg.Clock != nil {
-		c.t0, c.hasT0 = s.tr.cfg.Clock(), true
+	if s.tr.clock != nil {
+		c.t0, c.hasT0 = s.tr.clock(), true
 	} else {
 		c.t0, c.hasT0 = 0, false
 	}
@@ -322,8 +322,8 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	if s.tr.cfg.Clock != nil {
-		s.finish(s.tr.cfg.Clock(), true)
+	if s.tr.clock != nil {
+		s.finish(s.tr.clock(), true)
 		return
 	}
 	s.finish(0, false)

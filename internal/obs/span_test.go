@@ -367,7 +367,6 @@ func TestSpanOnAnomaly(t *testing.T) {
 	sp := tr.Start("slow")
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
-	p.Wait()
 
 	files := captureFiles(t, dir)
 	if p.Captures() != 1 || len(files) != 1 || !strings.Contains(files[0], "slow_span_slow") {

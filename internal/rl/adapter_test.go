@@ -111,7 +111,7 @@ func TestDDPGAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Config().StateDim != 2 || d.Config().Gamma == 0 {
+	if d.Config().StateDim != 2 || d.Config().ActorLR == 0 {
 		t.Fatal("Config not resolved")
 	}
 	if d.ReplayLen() != 0 {
@@ -120,12 +120,12 @@ func TestDDPGAccessors(t *testing.T) {
 	if d.NoiseSigma() <= 0 {
 		t.Fatal("param-noise agent should report sigma")
 	}
-	noNoise, err := NewDDPG(Config{StateDim: 2, ActionDim: 2, Hidden: []int{8, 8}, Exploration: NoNoise, Seed: 74})
+	actionNoise, err := NewDDPG(Config{StateDim: 2, ActionDim: 2, Hidden: []int{8, 8}, Exploration: ActionSpaceNoise, Seed: 74})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if noNoise.NoiseSigma() != 0 {
-		t.Fatal("NoNoise agent should report sigma 0")
+	if actionNoise.NoiseSigma() != 0 {
+		t.Fatal("action-noise agent should report parameter-noise sigma 0")
 	}
 	if d.Actor() == nil {
 		t.Fatal("Actor nil")

@@ -39,8 +39,27 @@ const (
 	// and renormalised to stay on the simplex (without which most of them
 	// would violate the constraint, the paper's stated failure mode).
 	ActionSpaceNoise
-	// NoNoise disables exploration (pure exploitation; evaluation mode).
-	NoNoise
+)
+
+// Fixed DDPG hyperparameters: no experiment varies them.
+const (
+	// gamma is the discount factor.
+	gamma = 0.95
+	// tau is the target-network soft-update rate.
+	tau = 0.01
+	// noiseTargetDelta is the action-space distance target δ for adaptive
+	// parameter noise.
+	noiseTargetDelta = 0.05
+	// entropyBonus weights an entropy term added to the actor objective
+	// (maximise Q + β·H(π(s))). The softmax actor otherwise saturates to a
+	// one-hot allocation early in training and its gradients vanish —
+	// starving all but one microservice permanently.
+	entropyBonus = 0.05
+	// huberDelta is the critic loss transition point between quadratic and
+	// linear regimes. Burst states produce rewards two orders of magnitude
+	// larger than calm states; Huber keeps those targets from dominating
+	// the critic fit.
+	huberDelta = 1.0
 )
 
 // Config parameterises a DDPG agent. Zero values take the listed defaults.
@@ -56,10 +75,6 @@ type Config struct {
 	// ActorLR and CriticLR are Adam learning rates (defaults 1e-4, 1e-3).
 	ActorLR  float64
 	CriticLR float64
-	// Gamma is the discount factor (default 0.95).
-	Gamma float64
-	// Tau is the target-network soft-update rate (default 0.01).
-	Tau float64
 	// BatchSize is the update minibatch size (default 64).
 	BatchSize int
 	// ReplayCapacity bounds the replay buffer (default 100000).
@@ -74,20 +89,6 @@ type Config struct {
 	// NoiseSigma is the initial parameter-noise σ or the OU σ
 	// (default 0.05).
 	NoiseSigma float64
-	// NoiseTargetDelta is the action-space distance target δ for adaptive
-	// parameter noise (default 0.05).
-	NoiseTargetDelta float64
-	// EntropyBonus weights an entropy term added to the actor objective
-	// (maximise Q + β·H(π(s))). The softmax actor otherwise saturates to a
-	// one-hot allocation early in training and its gradients vanish —
-	// starving all but one microservice permanently (default 0.05; 0.001
-	// effectively disables it, negative values panic).
-	EntropyBonus float64
-	// HuberDelta is the critic loss transition point between quadratic and
-	// linear regimes. Burst states produce rewards two orders of magnitude
-	// larger than calm states; Huber keeps those targets from dominating
-	// the critic fit (default 1; set very large to approximate MSE).
-	HuberDelta float64
 	// Seed seeds network initialisation, sampling, and noise.
 	Seed int64
 }
@@ -102,12 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.CriticLR == 0 {
 		c.CriticLR = 1e-3
 	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.95
-	}
-	if c.Tau == 0 {
-		c.Tau = 0.01
-	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 64
 	}
@@ -119,18 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NoiseSigma == 0 {
 		c.NoiseSigma = 0.05
-	}
-	if c.NoiseTargetDelta == 0 {
-		c.NoiseTargetDelta = 0.05
-	}
-	if c.EntropyBonus == 0 {
-		c.EntropyBonus = 0.05
-	}
-	if c.EntropyBonus < 0 {
-		panic("rl: negative entropy bonus")
-	}
-	if c.HuberDelta == 0 {
-		c.HuberDelta = 1
 	}
 	return c
 }
@@ -229,8 +212,8 @@ func NewDDPG(cfg Config) (*DDPG, error) {
 		critic:       critic,
 		criticTarget: critic.Clone(),
 		perturbed:    actor.Clone(),
-		actorOpt:     nn.NewAdam(actor, nn.AdamConfig{LR: cfg.ActorLR}),
-		criticOpt:    nn.NewAdam(critic, nn.AdamConfig{LR: cfg.CriticLR}),
+		actorOpt:     nn.NewAdam(actor, cfg.ActorLR),
+		criticOpt:    nn.NewAdam(critic, cfg.CriticLR),
 		replay:       NewReplayBuffer(cfg.ReplayCapacity),
 		rng:          rng,
 		src:          src,
@@ -262,7 +245,7 @@ func NewDDPG(cfg Config) (*DDPG, error) {
 	d.yBuf = make([]float64, 1)
 	switch cfg.Exploration {
 	case ParamSpaceNoise:
-		d.pnoise = NewParamNoise(cfg.NoiseSigma, cfg.NoiseTargetDelta)
+		d.pnoise = NewParamNoise(cfg.NoiseSigma, noiseTargetDelta)
 		d.perturbed.PerturbFrom(d.actor, d.pnoise.Sigma, rng)
 		d.actCache = nn.NewCache(d.actor)
 		plain, noisy := mat.New(cfg.BatchSize, cfg.ActionDim), mat.New(cfg.BatchSize, cfg.ActionDim)
@@ -272,7 +255,6 @@ func NewDDPG(cfg Config) (*DDPG, error) {
 		}
 	case ActionSpaceNoise:
 		d.ounoise = NewOUNoise(cfg.ActionDim, cfg.NoiseSigma, rng)
-	case NoNoise:
 	default:
 		return nil, fmt.Errorf("rl: unknown exploration kind %d", cfg.Exploration)
 	}
@@ -310,33 +292,29 @@ func (d *DDPG) Act(state []float64) []float64 {
 // to 1).
 func (d *DDPG) ActExplore(state []float64) []float64 {
 	ns := d.normalize(state)
-	switch d.cfg.Exploration {
-	case ParamSpaceNoise:
+	if d.cfg.Exploration == ParamSpaceNoise {
 		return d.perturbed.Forward(ns, nil)
-	case ActionSpaceNoise:
-		a := d.actor.Forward(ns, nil)
-		noise := d.ounoise.Sample()
-		violated := false
-		var sum float64
-		for i := range a {
-			a[i] += noise[i]
-			if a[i] < 0 {
-				violated = true
-			}
-			sum += a[i]
-		}
-		if sum > 1+1e-9 {
+	}
+	a := d.actor.Forward(ns, nil)
+	noise := d.ounoise.Sample()
+	violated := false
+	var sum float64
+	for i := range a {
+		a[i] += noise[i]
+		if a[i] < 0 {
 			violated = true
 		}
-		d.rawNoiseTotal++
-		if violated {
-			d.rawNoiseViolations++
-		}
-		projectSimplex(a)
-		return a
-	default:
-		return d.actor.Forward(ns, nil)
+		sum += a[i]
 	}
+	if sum > 1+1e-9 {
+		violated = true
+	}
+	d.rawNoiseTotal++
+	if violated {
+		d.rawNoiseViolations++
+	}
+	projectSimplex(a)
+	return a
 }
 
 // BeginEpisode re-perturbs the exploration policy (parameter noise is
@@ -412,8 +390,8 @@ func (d *DDPG) Update() (criticLoss, meanQ float64) {
 	q := d.critic.ForwardBatch(d.criticBC, d.bState, d.bAction)
 	var loss float64
 	for i, e := range d.batch {
-		d.yBuf[0] = e.Reward*cfg.RewardScale + cfg.Gamma*nextQ.Row(i)[0]
-		loss += nn.HuberLoss(d.bDOut.Row(i), q.Row(i), d.yBuf, cfg.HuberDelta)
+		d.yBuf[0] = e.Reward*cfg.RewardScale + gamma*nextQ.Row(i)[0]
+		loss += nn.HuberLoss(d.bDOut.Row(i), q.Row(i), d.yBuf, huberDelta)
 	}
 	d.criticGrads.Zero()
 	d.critic.BackwardBatch(d.criticBC, d.bDOut, d.criticGrads)
@@ -449,13 +427,11 @@ func (d *DDPG) Update() (criticLoss, meanQ float64) {
 			mat.VecScale(dA, 1/n)
 		}
 		mat.VecScale(dA, -1)
-		if cfg.EntropyBonus > 0 {
-			for j, aj := range action.Row(i) {
-				if aj < 1e-8 {
-					aj = 1e-8
-				}
-				dA[j] += cfg.EntropyBonus * (math.Log(aj) + 1)
+		for j, aj := range action.Row(i) {
+			if aj < 1e-8 {
+				aj = 1e-8
 			}
+			dA[j] += entropyBonus * (math.Log(aj) + 1)
 		}
 		mat.VecScale(dA, invB)
 	}
@@ -466,8 +442,8 @@ func (d *DDPG) Update() (criticLoss, meanQ float64) {
 	meanQ = qSum * invB
 
 	// ---- Target soft updates.
-	d.actorTarget.SoftUpdateFrom(d.actor, cfg.Tau)
-	d.criticTarget.SoftUpdateFrom(d.critic, cfg.Tau)
+	d.actorTarget.SoftUpdateFrom(d.actor, tau)
+	d.criticTarget.SoftUpdateFrom(d.critic, tau)
 	d.updates++
 	d.lastCriticLoss, d.lastMeanQ = criticLoss, meanQ
 	d.tracer.Debug("ddpg_update").

@@ -151,7 +151,7 @@ func TestActReturnsSimplex(t *testing.T) {
 // Property: exploratory actions remain valid simplexes for every
 // exploration mechanism — the constraint-satisfaction claim of §IV-D.
 func TestActExploreAlwaysSimplex(t *testing.T) {
-	for _, kind := range []ExplorationKind{ParamSpaceNoise, ActionSpaceNoise, NoNoise} {
+	for _, kind := range []ExplorationKind{ParamSpaceNoise, ActionSpaceNoise} {
 		kind := kind
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
@@ -256,7 +256,7 @@ func TestDDPGLearnsToyAllocation(t *testing.T) {
 	d, err := NewDDPG(Config{
 		StateDim: 2, ActionDim: 2, Hidden: []int{32, 32},
 		ActorLR: 3e-4, CriticLR: 3e-3, BatchSize: 32, RewardScale: 0.05,
-		Exploration: ParamSpaceNoise, NoiseSigma: 0.2, NoiseTargetDelta: 0.1,
+		Exploration: ParamSpaceNoise, NoiseSigma: 0.2,
 		Seed: 9,
 	})
 	if err != nil {
