@@ -1,11 +1,10 @@
 // Anomaly-triggered profiling: when something goes wrong — a divergence
 // rollback, an HPA fallback, a span blowing past its latency threshold —
 // the ProfileCapturer writes a pprof heap profile into a size-capped
-// directory, so the evidence exists before anyone tries to
-// reproduce the incident. Captures are rate-limited and bounded; a nil
-// capturer is a no-op, mirroring the nil Recorder/Tracer discipline. The
-// capturer rides on a Tracer (TracerConfig.Profiler), whose Trigger and slow
-// spans fire it.
+// directory, so the evidence exists before anyone tries to reproduce the
+// incident. Captures are rate-limited and bounded; a nil capturer is a
+// no-op, mirroring the nil Recorder/Tracer discipline. The capturer rides on
+// a Tracer (TracerConfig.Profiler), whose Trigger and slow spans fire it.
 
 package obs
 
