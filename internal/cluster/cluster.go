@@ -31,6 +31,17 @@ import (
 // input data".
 const requestSizeCV = 0.3
 
+// requestSize is the distribution of that factor, whose mean is 1.
+var requestSize = sim.NewLogNormal(requestSizeCV)
+
+// Submit carves instances, and their predecessor counts, from chunks of
+// these lengths. Nothing carved is reused, so a chunk lives until its last
+// instance is unreachable.
+const (
+	instanceChunk = 256
+	predChunk     = 2048
+)
+
 // Config parameterises a Cluster.
 type Config struct {
 	// Ensemble is the workflow ensemble the cluster serves. Required.
@@ -83,7 +94,7 @@ type instance struct {
 	wf             int
 	arrivedAt      sim.Time
 	sizeFactor     float64
-	remainingPreds []int
+	remainingPreds []int32
 	nodesDone      int
 	// failed marks an instance lost to a queue-drop fault: no further
 	// tasks are enqueued and no completion is recorded. Tasks already in
@@ -103,6 +114,10 @@ type taskRequest struct {
 // microservice is one task type's queue plus consumer pool.
 type microservice struct {
 	queue ring[taskRequest]
+	// mean and service are the task type's mean service time and its
+	// log-normal shape, built once in New.
+	mean    float64
+	service sim.LogNormal
 	// target is the controller-requested consumer count.
 	target int
 	// available is the number of consumers that have finished starting up.
@@ -164,8 +179,17 @@ type Cluster struct {
 	faultsTotal      *obs.Counter
 	crashed          *obs.Counter
 
-	// lastToken is the most recently issued event token (see clusterEvents).
+	// events is the cluster's handler ID on the engine and lastToken the
+	// most recently issued event token (see clusterEvents).
+	events    sim.HandlerID
 	lastToken uint64
+
+	// preds[wf] holds workflow type wf's predecessor count per node, the
+	// initial join countdown each instance copies. instances and predSlab
+	// are the unused tails of the chunks Submit carves from.
+	preds     [][]int32
+	instances []instance
+	predSlab  []int32
 
 	inFlight    int // live workflow instances
 	completions []Completion
@@ -214,6 +238,14 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 		startupRNG: cfg.Streams.Stream("cluster/startup"),
 		failureRNG: cfg.Streams.Stream("cluster/failure"),
 	}
+	c.events = cfg.Engine.Register((*clusterEvents)(c))
+	for _, wt := range cfg.Ensemble.Workflows {
+		preds := make([]int32, wt.NumNodes())
+		for i := range preds {
+			preds[i] = int32(len(wt.Predecessors(i)))
+		}
+		c.preds = append(c.preds, preds)
+	}
 	for i := 0; i < j; i++ {
 		n := 1
 		if cfg.InitialConsumers != nil {
@@ -222,7 +254,9 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 		if n < 0 {
 			return nil, fmt.Errorf("cluster: negative initial consumers for task %d", i)
 		}
-		c.services = append(c.services, &microservice{target: n, available: n})
+		task := cfg.Ensemble.Tasks[i]
+		c.services = append(c.services, &microservice{target: n, available: n,
+			mean: task.MeanServiceSec, service: sim.NewLogNormal(task.ServiceCV)})
 		for k := 0; k < n; k++ {
 			c.nodes.place()
 		}
@@ -313,21 +347,28 @@ func (c *Cluster) Now() sim.Time { return c.engine.Now() }
 func (c *Cluster) NumTasks() int { return len(c.services) }
 
 // Submit enqueues a new request of the given workflow type at the current
-// virtual time (the workflow invoker's role in Figure 1 steps 1–2).
+// virtual time (the workflow invoker's role in Figure 1 steps 1–2). It
+// allocates only when a chunk runs out.
 func (c *Cluster) Submit(wf int) {
-	if wf < 0 || wf >= c.cfg.Ensemble.NumWorkflows() {
+	if wf < 0 || wf >= len(c.preds) {
 		panic(fmt.Sprintf("cluster: workflow type %d out of range", wf))
 	}
-	wt := c.cfg.Ensemble.Workflows[wf]
-	inst := &instance{
-		wf:             wf,
-		arrivedAt:      c.engine.Now(),
-		sizeFactor:     sim.LogNormal(c.sizeRNG, 1, requestSizeCV),
-		remainingPreds: make([]int, wt.NumNodes()),
+	if len(c.instances) == 0 {
+		c.instances = make([]instance, instanceChunk)
 	}
-	for i := 0; i < wt.NumNodes(); i++ {
-		inst.remainingPreds[i] = len(wt.Predecessors(i))
+	inst := &c.instances[0]
+	c.instances = c.instances[1:]
+	preds := c.preds[wf]
+	n := len(preds)
+	if len(c.predSlab) < n {
+		c.predSlab = make([]int32, max(predChunk, n))
 	}
+	inst.remainingPreds = c.predSlab[:n:n]
+	c.predSlab = c.predSlab[n:]
+	copy(inst.remainingPreds, preds)
+	inst.wf = wf
+	inst.arrivedAt = c.engine.Now()
+	inst.sizeFactor = requestSize.Draw(c.sizeRNG, 1)
 	c.inFlight++
 	c.submitted++
 	for _, root := range c.tds.InitialNodes(wf) {
@@ -377,12 +418,11 @@ func (c *Cluster) dropRequest(j int, req taskRequest) {
 // dispatch starts idle consumers on queued requests for microservice j.
 func (c *Cluster) dispatch(j int) {
 	svc := c.services[j]
-	task := &c.cfg.Ensemble.Tasks[j]
 	for svc.busy < svc.available && svc.queue.len() > 0 {
 		req := svc.queue.popFront()
 		c.touchBusy(svc)
 		svc.busy++
-		dur := sim.LogNormal(c.serviceRNG, task.MeanServiceSec*req.inst.sizeFactor, task.ServiceCV)
+		dur := svc.service.Draw(c.serviceRNG, svc.mean*req.inst.sizeFactor)
 		if c.slowdown != nil {
 			// Slowdown faults stretch the realised duration after the
 			// draw, so the underlying service-time stream is untouched

@@ -567,3 +567,23 @@ func TestAdvanceAllocsIndependentOfEvents(t *testing.T) {
 		t.Fatalf("AdvanceTo allocated %g times per window of ≥ 1000 events, want ≤ 4", allocs)
 	}
 }
+
+// TestSubmitZeroAlloc pins Submit's allocation cost: an instance and its
+// join countdown are carved from chunks, so 1 000 Submits into a warm cluster
+// (queue rings at their working size) share a handful of chunk allocations
+// and average under one per Submit. An instance and a countdown allocated
+// per Submit made two.
+func TestSubmitZeroAlloc(t *testing.T) {
+	c, _ := newTestCluster(t, workflow.NewMSD(), 41, nil)
+	for i := 0; i < 3000; i++ {
+		c.Submit(i % 3)
+	}
+	c.Clear()
+	i := 0
+	if got := testing.AllocsPerRun(1000, func() { c.Submit(i % 3); i++ }); got != 0 {
+		t.Fatalf("Submit: %g allocs/op, want 0", got)
+	}
+	if c.InFlight() != i {
+		t.Fatalf("in flight %d after %d Submits", c.InFlight(), i)
+	}
+}

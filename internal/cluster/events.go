@@ -1,8 +1,9 @@
 package cluster
 
 // The cluster schedules its two hot events — a task completion and a
-// container start — through sim.Engine.ScheduleCall with itself as the
-// handler, so the engine stores no closure and allocates nothing per event.
+// container start — through sim.Engine.ScheduleCall under the handler ID it
+// registered in New, so the engine stores no closure and allocates nothing
+// per event.
 // The event's uint64 argument packs
 //
 //	bit 0           kind (evComplete or evStart)
@@ -43,7 +44,6 @@ func (h *clusterEvents) Fire(arg uint64) {
 // delay and returns its token.
 func (c *Cluster) schedule(delay float64, kind uint64, j int) uint64 {
 	c.lastToken++
-	c.engine.ScheduleCall(delay, (*clusterEvents)(c),
-		c.lastToken<<(1+serviceBits)|uint64(j)<<1|kind)
+	c.engine.ScheduleCall(delay, c.events, c.lastToken<<(1+serviceBits)|uint64(j)<<1|kind)
 	return c.lastToken
 }

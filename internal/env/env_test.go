@@ -48,6 +48,42 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUndrawableServiceTimes: each of these msd edits once built
+// an env whose first Step panicked (an event scheduled at NaN, or a draw
+// with a non-positive mean); New must refuse them. Extreme but drawable
+// service times must step.
+func TestNewRejectsUndrawableServiceTimes(t *testing.T) {
+	for name, edit := range map[string]func(*workflow.TaskDef){
+		"cv 1e200":  func(d *workflow.TaskDef) { d.ServiceCV = 1e200 },
+		"cv NaN":    func(d *workflow.TaskDef) { d.ServiceCV = math.NaN() },
+		"mean 0":    func(d *workflow.TaskDef) { d.MeanServiceSec = 0 },
+		"mean -1":   func(d *workflow.TaskDef) { d.MeanServiceSec = -1 },
+		"mean NaN":  func(d *workflow.TaskDef) { d.MeanServiceSec = math.NaN() },
+		"mean +Inf": func(d *workflow.TaskDef) { d.MeanServiceSec = math.Inf(1) },
+	} {
+		ens := workflow.NewMSD()
+		edit(&ens.Tasks[1])
+		if _, err := New(Config{Cluster: cluster.Config{Ensemble: ens}, Seed: 1, Budget: 14}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	ens := workflow.NewMSD()
+	for j := range ens.Tasks {
+		ens.Tasks[j].MeanServiceSec = 1e-300
+		ens.Tasks[j].ServiceCV = 1e150
+	}
+	e, err := New(Config{Cluster: cluster.Config{Ensemble: ens}, Seed: 1, Budget: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.InjectBurst([]int{30, 30, 30}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Step([]int{3, 3, 3, 3}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestStepAdvancesOneWindow(t *testing.T) {
 	e := newTestEnv(t, workflow.Toy(), 4, 3)
 	before := e.Cluster().Now()

@@ -27,20 +27,25 @@ type Handler interface {
 	Fire(arg uint64)
 }
 
-// funcHandler adapts a callback to Handler. A func value is pointer-shaped,
-// so storing one in a Handler allocates nothing.
-type funcHandler func()
+// HandlerID names a Handler registered with Engine.Register. IDs are dense,
+// from 1; the zero ID is reserved for the callbacks Schedule and ScheduleAt
+// park in the engine's slot table.
+type HandlerID uint32
 
-func (f funcHandler) Fire(uint64) { f() }
+// callID is the reserved HandlerID of a slot-table callback; its record's arg
+// is the slot.
+const callID HandlerID = 0
 
 // record is one scheduled event. Records live by value in the engine's heap,
 // ordered by (at, seq) so simultaneous events fire in FIFO schedule order,
-// keeping runs reproducible.
+// keeping runs reproducible. A record holds no pointer: the garbage collector
+// never scans the heap, and sifting it moves plain words, with no write
+// barriers.
 type record struct {
 	at  Time
 	seq uint64
-	h   Handler
 	arg uint64
+	h   HandlerID
 }
 
 func (r *record) before(o *record) bool {
@@ -50,16 +55,29 @@ func (r *record) before(o *record) bool {
 	return r.seq < o.seq
 }
 
+// arity is the heap's fan-out. A 4-ary heap is half as deep as a binary one,
+// and a node's four children are 128 contiguous bytes. Every (at, seq) is
+// distinct, so any heap shape pops the same order.
+const arity = 4
+
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
-// concurrent use; in this repository each experiment owns one engine.
+// concurrent use; in this repository each experiment owns one engine. The
+// zero Engine is ready to use.
 //
 // There is no Cancel: an owner that withdraws events (the cluster, on a
 // scale-down or a crash) drops its own token and lets the record fire as a
 // no-op in its (at, seq) slot.
 type Engine struct {
 	now  Time
-	heap []record // binary min-heap on (at, seq)
+	heap []record // 4-ary min-heap on (at, seq)
 	seq  uint64
+
+	// handlers holds the registered handlers; HandlerID i is handlers[i-1].
+	handlers []Handler
+	// calls holds the pending Schedule/ScheduleAt callbacks by slot, and
+	// free the vacated slots, reused last-in first-out.
+	calls []func()
+	free  []uint64
 }
 
 // NewEngine returns an engine at time 0 with no pending events.
@@ -68,28 +86,52 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
+// Register adds h to the engine's handlers and returns the ID that
+// ScheduleCall takes. An owner registers once, typically when it is built,
+// and the registration lasts as long as the engine.
+func (e *Engine) Register(h Handler) HandlerID {
+	if h == nil {
+		panic("sim: nil event handler")
+	}
+	e.handlers = append(e.handlers, h)
+	return HandlerID(len(e.handlers))
+}
+
 // Schedule registers fn to run after the given non-negative delay.
 func (e *Engine) Schedule(delay Time, fn func()) {
 	e.ScheduleAt(e.after(delay), fn)
 }
 
 // ScheduleAt registers fn to run at absolute virtual time t, which must not
-// be in the past.
+// be in the past. fn waits in a slot of the engine's table, and its record
+// carries the slot.
 func (e *Engine) ScheduleAt(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	e.push(t, funcHandler(fn), 0)
+	e.check(t)
+	var slot uint64
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.calls[slot] = fn
+	} else {
+		slot = uint64(len(e.calls))
+		e.calls = append(e.calls, fn)
+	}
+	e.push(t, callID, slot)
 }
 
-// ScheduleCall registers h.Fire(arg) to run after the given non-negative
-// delay. It is the allocation-free entry point for owners that dispatch
-// their own events.
-func (e *Engine) ScheduleCall(delay Time, h Handler, arg uint64) {
-	if h == nil {
-		panic("sim: nil event handler")
+// ScheduleCall arranges for the handler registered as id to Fire(arg) after
+// the given non-negative delay. It is the allocation-free entry point for
+// owners that dispatch their own events.
+func (e *Engine) ScheduleCall(delay Time, id HandlerID, arg uint64) {
+	if id == callID || int(id) > len(e.handlers) {
+		panic(fmt.Sprintf("sim: unregistered handler %d", id))
 	}
-	e.push(e.after(delay), h, arg)
+	t := e.after(delay)
+	e.check(t)
+	e.push(t, id, arg)
 }
 
 // after returns the virtual time delay from now; delay must not be negative.
@@ -100,21 +142,25 @@ func (e *Engine) after(delay Time) Time {
 	return e.now + delay
 }
 
-// push validates t and sifts a new record up from the heap's tail.
-func (e *Engine) push(t Time, h Handler, arg uint64) {
+// check panics unless t is a valid event time: not NaN, not in the past.
+func (e *Engine) check(t Time) {
 	if t != t {
 		panic("sim: schedule at NaN")
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", t, e.now))
 	}
-	r := record{at: t, seq: e.seq, h: h, arg: arg}
+}
+
+// push sifts a new record up from the heap's tail.
+func (e *Engine) push(t Time, h HandlerID, arg uint64) {
+	r := record{at: t, seq: e.seq, arg: arg, h: h}
 	e.seq++
 	e.heap = append(e.heap, r)
 	q := e.heap
 	i := len(q) - 1
 	for i > 0 {
-		p := (i - 1) / 2
+		p := (i - 1) / arity
 		if !r.before(&q[p]) {
 			break
 		}
@@ -125,14 +171,12 @@ func (e *Engine) push(t Time, h Handler, arg uint64) {
 }
 
 // pop removes and returns the earliest record, sifting the tail record down
-// from the root. The vacated slot is zeroed so the heap's spare capacity
-// does not keep a fired handler reachable.
+// from the root.
 func (e *Engine) pop() record {
 	q := e.heap
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = record{}
 	q = q[:n]
 	e.heap = q
 	if n == 0 {
@@ -140,12 +184,15 @@ func (e *Engine) pop() record {
 	}
 	i := 0
 	for {
-		c := 2*i + 1
+		c := arity*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && q[r].before(&q[c]) {
-			c = r
+		end := min(c+arity, n)
+		for k := c + 1; k < end; k++ {
+			if q[k].before(&q[c]) {
+				c = k
+			}
 		}
 		if !q[c].before(&last) {
 			break
@@ -157,14 +204,23 @@ func (e *Engine) pop() record {
 	return top
 }
 
-// fire advances the clock to r and runs it.
+// fire advances the clock to r and runs it. A slot-table callback's slot is
+// vacated before the callback runs, so whatever the callback schedules may
+// reuse it.
 func (e *Engine) fire(r record) {
 	if invariant.Enabled() && r.at < e.now {
 		invariant.Fail("sim/monotonic-time",
 			"event scheduled at %g fired with clock already at %g", r.at, e.now)
 	}
 	e.now = r.at
-	r.h.Fire(r.arg)
+	if r.h != callID {
+		e.handlers[r.h-1].Fire(r.arg)
+		return
+	}
+	fn := e.calls[r.arg]
+	e.calls[r.arg] = nil
+	e.free = append(e.free, r.arg)
+	fn()
 }
 
 // Step fires the single earliest pending event, advancing the clock to its

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -102,9 +103,10 @@ func (o *tokenOwner) Fire(tok uint64) {
 func TestCancelPreventsFiring(t *testing.T) {
 	e := NewEngine()
 	o := &tokenOwner{live: map[uint64]bool{1: true, 2: true, 3: true}}
-	e.ScheduleCall(1, o, 1)
-	e.ScheduleCall(1, o, 2)
-	e.ScheduleCall(3, o, 3)
+	id := e.Register(o)
+	e.ScheduleCall(1, id, 1)
+	e.ScheduleCall(1, id, 2)
+	e.ScheduleCall(3, id, 3)
 	delete(o.live, 1) // cancel: the owner drops the token
 	e.RunUntil(2)
 	if len(o.fired) != 1 || o.fired[0] != 2 {
@@ -189,7 +191,53 @@ func TestNilHandlerPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	e.ScheduleCall(1, nil, 0)
+	e.Register(nil)
+}
+
+// TestUnregisteredHandlerPanics: ScheduleCall takes only an ID that Register
+// returned; the reserved zero ID and an ID past the last registration panic
+// and schedule nothing.
+func TestUnregisteredHandlerPanics(t *testing.T) {
+	e := NewEngine()
+	id := e.Register(&tokenOwner{})
+	for _, bad := range []HandlerID{0, id + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ScheduleCall(id %d) did not panic", bad)
+				}
+			}()
+			e.ScheduleCall(1, bad, 0)
+		}()
+	}
+	if e.Step() {
+		t.Fatal("a refused ScheduleCall left an event behind")
+	}
+}
+
+// TestRecordHoldsNoPointer walks record's fields and fails on any that holds
+// a pointer, directly or inside an array or struct: a pointer-free heap is
+// one the garbage collector never scans and whose sifts need no write
+// barriers.
+func TestRecordHoldsNoPointer(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		default:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ)
+		}
+	}
+	walk("record", reflect.TypeOf(record{}))
 }
 
 // TestNaNTimesPanic: a NaN time compares false against everything, so
@@ -200,7 +248,7 @@ func TestNaNTimesPanic(t *testing.T) {
 	for name, op := range map[string]func(e *Engine){
 		"ScheduleAt":   func(e *Engine) { e.ScheduleAt(nan, func() {}) },
 		"Schedule":     func(e *Engine) { e.Schedule(nan, func() {}) },
-		"ScheduleCall": func(e *Engine) { e.ScheduleCall(nan, &tokenOwner{}, 0) },
+		"ScheduleCall": func(e *Engine) { e.ScheduleCall(nan, e.Register(&tokenOwner{}), 0) },
 		"RunUntil":     func(e *Engine) { e.RunUntil(nan) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -224,16 +272,16 @@ func TestNaNTimesPanic(t *testing.T) {
 
 // TestScheduleZeroAlloc pins the engine's per-event cost: scheduling and
 // firing through ScheduleCall, or through Schedule with a prebuilt callback,
-// allocates nothing once the heap has grown.
+// allocates nothing once the heap and the slot table have grown.
 func TestScheduleZeroAlloc(t *testing.T) {
 	e := NewEngine()
-	o := &tokenOwner{}
+	id := e.Register(&tokenOwner{})
 	fn := func() {}
 	for i := 0; i < 64; i++ {
 		e.Schedule(Time(i%7), fn)
 	}
 	for name, schedule := range map[string]func(){
-		"ScheduleCall": func() { e.ScheduleCall(0.5, o, 1) },
+		"ScheduleCall": func() { e.ScheduleCall(0.5, id, 1) },
 		"Schedule":     func() { e.Schedule(0.5, fn) },
 	} {
 		if got := testing.AllocsPerRun(200, func() {
@@ -327,10 +375,11 @@ func TestStreamsDifferentSeedsDiffer(t *testing.T) {
 func TestLogNormalMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const mean, cv = 10.0, 0.5
+	d := NewLogNormal(cv)
 	n := 200000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
-		v := LogNormal(rng, mean, cv)
+		v := d.Draw(rng, mean)
 		if v <= 0 {
 			t.Fatal("LogNormal produced non-positive value")
 		}
@@ -349,8 +398,47 @@ func TestLogNormalMoments(t *testing.T) {
 
 func TestLogNormalZeroCVDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	if got := LogNormal(rng, 7, 0); got != 7 {
-		t.Fatalf("LogNormal cv=0 gave %g, want 7", got)
+	for _, d := range []LogNormal{NewLogNormal(0), {}} {
+		if got := d.Draw(rng, 7); got != 7 {
+			t.Fatalf("LogNormal cv=0 gave %g, want 7", got)
+		}
+	}
+	if rng.Int63() != rand.New(rand.NewSource(4)).Int63() {
+		t.Fatal("a cv=0 draw consumed randomness")
+	}
+}
+
+// TestLogNormalMatchesFormula: a draw equals exp(ln(mean) − σ²/2 + σ·z) with
+// σ² = ln(1 + cv²), computed inline from the same normal variate, bit for
+// bit; it includes a cv whose square underflows, which still draws.
+func TestLogNormalMatchesFormula(t *testing.T) {
+	for _, cv := range []float64{1e-200, 0.1, 0.3, 0.5, 1, 3, 1e100} {
+		d := NewLogNormal(cv)
+		rng, ref := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
+		for i := 0; i < 1000; i++ {
+			mean := 0.01 + float64(i)*0.37
+			sigma2 := math.Log(1 + cv*cv)
+			mu := math.Log(mean) - sigma2/2
+			want := math.Exp(mu + math.Sqrt(sigma2)*ref.NormFloat64())
+			if got := d.Draw(rng, mean); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cv %g mean %g: Draw %v, formula %v", cv, mean, got, want)
+			}
+		}
+	}
+}
+
+// TestNewLogNormalRejectsBadCV: a negative or NaN cv, or one whose square
+// overflows, would turn every draw into NaN.
+func TestNewLogNormalRejectsBadCV(t *testing.T) {
+	for _, cv := range []float64{-0.1, math.NaN(), math.Inf(1), 1e200} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewLogNormal(%g) did not panic", cv)
+				}
+			}()
+			NewLogNormal(cv)
+		}()
 	}
 }
 

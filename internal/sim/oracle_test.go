@@ -210,13 +210,30 @@ func (s *oracleSide) fire(id int) {
 
 // engineSide drives the engine under test the way the cluster does: it
 // holds one token per live event and cancels by dropping it, so a withdrawn
-// record fires as a no-op. Events go in through all three entry points.
+// record fires as a no-op. Events go in through all three entry points, and
+// ScheduleCall's through two registered handlers.
 type engineSide struct {
 	e     Engine
-	live  []bool // by id
+	ids   [2]HandlerID // engineSide itself, then complemented
+	live  []bool       // by id
 	nLive int
 	fired []firing
 	salt  uint64
+	// reused counts closures that took a vacated slot of the engine's
+	// table while another closure was pending.
+	reused int
+}
+
+// complemented is engineSide's second handler: its events carry the
+// complement of the id, so one dispatched to the wrong handler fires an
+// id that does not exist.
+type complemented engineSide
+
+// Fire implements Handler.
+func (h *complemented) Fire(arg uint64) { (*engineSide)(h).Fire(^arg) }
+
+func (s *engineSide) register() {
+	s.ids = [2]HandlerID{s.e.Register(s), s.e.Register((*complemented)(s))}
 }
 
 func (s *engineSide) schedule(delay Time, absolute bool) {
@@ -224,12 +241,20 @@ func (s *engineSide) schedule(delay Time, absolute bool) {
 	s.live = append(s.live, true)
 	s.nLive++
 	switch {
-	case absolute:
-		s.e.ScheduleAt(s.e.Now()+delay, func() { s.Fire(uint64(id)) })
-	case id%2 == 0:
-		s.e.ScheduleCall(delay, s, uint64(id))
+	case id%4 == 0:
+		s.e.ScheduleCall(delay, s.ids[0], uint64(id))
+	case id%4 == 1:
+		s.e.ScheduleCall(delay, s.ids[1], ^uint64(id))
 	default:
-		s.e.Schedule(delay, func() { s.Fire(uint64(id)) })
+		if len(s.e.free) > 0 && len(s.e.calls) > len(s.e.free) {
+			s.reused++
+		}
+		fn := func() { s.Fire(uint64(id)) }
+		if absolute {
+			s.e.ScheduleAt(s.e.Now()+delay, fn)
+		} else {
+			s.e.Schedule(delay, fn)
+		}
 	}
 }
 
@@ -273,15 +298,17 @@ func (s *engineSide) step() bool {
 // to both engines, and fails at the first divergence in fired callbacks,
 // their order, their Now(), or the clock after the operation. The first
 // byte salts the callbacks' reactions; then each operation is an opcode
-// byte and one operand byte.
-func runOracle(t *testing.T, data []byte) {
+// byte and one operand byte. It returns how many closures reused a slot
+// while another was pending.
+func runOracle(t *testing.T, data []byte) (reused int) {
 	t.Helper()
 	if len(data) == 0 {
-		return
+		return 0
 	}
 	salt := uint64(data[0])
 	ref := &oracleSide{salt: salt}
 	got := &engineSide{salt: salt}
+	got.register()
 	for i := 1; i+1 < len(data); i += 2 {
 		op, arg := data[i]%5, data[i+1]
 		var desc string
@@ -329,19 +356,27 @@ func runOracle(t *testing.T, data []byte) {
 			t.Fatalf("op %d %s: Now()=%g, oracle %g", i/2, desc, got.e.Now(), ref.e.Now())
 		}
 	}
+	return got.reused
 }
 
 // TestEngineMatchesOracle runs 256 seeded random operation sequences —
-// schedules at tied and distinct times, schedules and cancellations from
-// inside callbacks, owner-side cancellations, RunUntil horizons and Step —
-// on the engine and on the reference engine.
+// schedules at tied and distinct times through two registered handlers and
+// the slot table, schedules and cancellations from inside callbacks,
+// owner-side cancellations, RunUntil horizons and Step — on the engine and
+// on the reference engine. The sequences must reuse slots of the table
+// while other closures are pending, or the slot bookkeeping goes unrefereed.
 func TestEngineMatchesOracle(t *testing.T) {
+	reused := 0
 	for seed := int64(0); seed < 256; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 1+2*(20+rng.Intn(300)))
 		rng.Read(data)
-		t.Run(fmt.Sprint(seed), func(t *testing.T) { runOracle(t, data) })
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { reused += runOracle(t, data) })
 	}
+	if reused == 0 {
+		t.Fatal("no closure reused a slot while another was pending")
+	}
+	t.Logf("%d closures reused a slot while another was pending", reused)
 }
 
 // FuzzEngineOracle decodes the same operation sequences from fuzz input.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -32,21 +33,42 @@ func (s *Streams) Stream(name string) *rand.Rand {
 // Seed returns the root seed the factory was built from.
 func (s *Streams) Seed() int64 { return s.seed }
 
-// LogNormal draws a log-normal variate with the given mean and coefficient
-// of variation (stddev/mean) of the *resulting* distribution. A cv of 0
-// returns mean deterministically. Service times in the cluster emulation
-// are log-normal: strictly positive and right-skewed, matching the paper's
-// observation that task processing time varies with input data size.
-func LogNormal(rng *rand.Rand, mean, cv float64) float64 {
-	if mean <= 0 {
-		panic("sim: LogNormal mean must be positive")
+// LogNormal is a log-normal distribution with a fixed coefficient of
+// variation (stddev/mean) of the *resulting* distribution; each draw names
+// its mean. Service times in the cluster emulation are log-normal: strictly
+// positive and right-skewed, matching the paper's observation that task
+// processing time varies with input data size. NewLogNormal computes the
+// shape terms once, so a draw costs one log, one exp and one normal variate.
+// The zero LogNormal has cv 0: every draw returns its mean and consumes no
+// randomness.
+type LogNormal struct {
+	sigma      float64 // σ of the underlying normal
+	halfSigma2 float64 // σ²/2
+	random     bool    // cv > 0, even where σ rounds to 0: such a draw still consumes z
+}
+
+// NewLogNormal returns the log-normal distribution with coefficient of
+// variation cv, which must be non-negative and small enough that cv² is
+// finite.
+func NewLogNormal(cv float64) LogNormal {
+	if !(cv >= 0) || math.IsInf(cv*cv, 1) {
+		panic(fmt.Sprintf("sim: LogNormal cv %g must be non-negative with a finite square", cv))
 	}
-	if cv <= 0 {
-		return mean
+	if cv == 0 {
+		return LogNormal{}
 	}
 	sigma2 := math.Log(1 + cv*cv)
-	mu := math.Log(mean) - sigma2/2
-	return math.Exp(mu + math.Sqrt(sigma2)*rng.NormFloat64())
+	return LogNormal{sigma: math.Sqrt(sigma2), halfSigma2: sigma2 / 2, random: true}
+}
+
+// Draw returns a variate with the given positive mean: exp(μ + σ·z) with
+// μ = ln(mean) − σ²/2 and z one standard normal draw from rng.
+func (d LogNormal) Draw(rng *rand.Rand, mean float64) float64 {
+	if !d.random {
+		return mean
+	}
+	mu := math.Log(mean) - d.halfSigma2
+	return math.Exp(mu + d.sigma*rng.NormFloat64())
 }
 
 // Exponential draws an exponential variate with the given mean.

@@ -77,13 +77,6 @@ func (e *Ensemble) UnmarshalJSON(data []byte) error {
 		if _, dup := byName[t.Name]; dup {
 			return fmt.Errorf("workflow: duplicate task name %q", t.Name)
 		}
-		if t.MeanServiceSec <= 0 {
-			return fmt.Errorf("workflow: task %q mean service time %g must be positive",
-				t.Name, t.MeanServiceSec)
-		}
-		if t.ServiceCV < 0 {
-			return fmt.Errorf("workflow: task %q negative service CV", t.Name)
-		}
 		byName[t.Name] = TaskType(i)
 		tasks = append(tasks, TaskDef{
 			Name:           t.Name,

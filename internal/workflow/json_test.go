@@ -56,8 +56,9 @@ func TestLoadEnsembleRejectsInvalid(t *testing.T) {
 		"no name":      `{"tasks":[{"name":"a","mean_service_sec":1}],"workflows":[{"name":"w","nodes":["a"],"edges":[[]]}]}`,
 		"unnamed task": `{"name":"x","tasks":[{"mean_service_sec":1}],"workflows":[{"name":"w","nodes":[],"edges":[]}]}`,
 		"dup task":     `{"name":"x","tasks":[{"name":"a","mean_service_sec":1},{"name":"a","mean_service_sec":1}],"workflows":[]}`,
-		"bad service":  `{"name":"x","tasks":[{"name":"a","mean_service_sec":0}],"workflows":[]}`,
-		"negative cv":  `{"name":"x","tasks":[{"name":"a","mean_service_sec":1,"service_cv":-1}],"workflows":[]}`,
+		"bad service":  `{"name":"x","tasks":[{"name":"a","mean_service_sec":0}],"workflows":[{"name":"w","nodes":["a"],"edges":[[]]}]}`,
+		"negative cv":  `{"name":"x","tasks":[{"name":"a","mean_service_sec":1,"service_cv":-1}],"workflows":[{"name":"w","nodes":["a"],"edges":[[]]}]}`,
+		"cv overflow":  `{"name":"x","tasks":[{"name":"a","mean_service_sec":1,"service_cv":1e200}],"workflows":[{"name":"w","nodes":["a"],"edges":[[]]}]}`,
 		"unknown task": `{"name":"x","tasks":[{"name":"a","mean_service_sec":1}],"workflows":[{"name":"w","nodes":["b"],"edges":[[]]}]}`,
 		"cyclic":       `{"name":"x","tasks":[{"name":"a","mean_service_sec":1}],"workflows":[{"name":"w","nodes":["a","a"],"edges":[[1],[0]]}]}`,
 		"unused task":  `{"name":"x","tasks":[{"name":"a","mean_service_sec":1},{"name":"b","mean_service_sec":1}],"workflows":[{"name":"w","nodes":["a"],"edges":[[]]}]}`,

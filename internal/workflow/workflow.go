@@ -13,6 +13,7 @@ package workflow
 
 import (
 	"fmt"
+	"math"
 )
 
 // TaskType identifies one microservice (task) type within an ensemble,
@@ -253,11 +254,23 @@ type Ensemble struct {
 	Workflows []*Type
 }
 
-// Validate checks internal consistency: every node's task type must be in
-// range and every task type must be used by at least one workflow.
+// Validate checks internal consistency: every task type's service time must
+// be one the emulator can draw, every node's task type must be in range and
+// every task type must be used by at least one workflow.
 func (e *Ensemble) Validate() error {
 	if len(e.Tasks) == 0 || len(e.Workflows) == 0 {
 		return fmt.Errorf("ensemble %q: empty tasks or workflows", e.Name)
+	}
+	for _, t := range e.Tasks {
+		if !(t.MeanServiceSec > 0) || math.IsInf(t.MeanServiceSec, 1) {
+			return fmt.Errorf("ensemble %q: task %q mean service time %g must be finite and positive",
+				e.Name, t.Name, t.MeanServiceSec)
+		}
+		// A cv whose square overflows makes every log-normal draw NaN.
+		if !(t.ServiceCV >= 0) || math.IsInf(t.ServiceCV*t.ServiceCV, 1) {
+			return fmt.Errorf("ensemble %q: task %q service CV %g must be non-negative with a finite square",
+				e.Name, t.Name, t.ServiceCV)
+		}
 	}
 	used := make([]bool, len(e.Tasks))
 	for _, wf := range e.Workflows {

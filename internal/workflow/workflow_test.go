@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -194,7 +195,7 @@ func TestByName(t *testing.T) {
 func TestEnsembleValidateCatchesUnusedTask(t *testing.T) {
 	e := &Ensemble{
 		Name:      "bad",
-		Tasks:     []TaskDef{{Name: "a"}, {Name: "unused"}},
+		Tasks:     []TaskDef{{Name: "a", MeanServiceSec: 1}, {Name: "unused", MeanServiceSec: 1}},
 		Workflows: []*Type{MustType("w", []Node{{Task: 0}}, [][]int{{}})},
 	}
 	if err := e.Validate(); err == nil {
@@ -205,11 +206,45 @@ func TestEnsembleValidateCatchesUnusedTask(t *testing.T) {
 func TestEnsembleValidateCatchesOutOfRangeTask(t *testing.T) {
 	e := &Ensemble{
 		Name:      "bad",
-		Tasks:     []TaskDef{{Name: "a"}},
+		Tasks:     []TaskDef{{Name: "a", MeanServiceSec: 1}},
 		Workflows: []*Type{MustType("w", []Node{{Task: 7}}, [][]int{{}})},
 	}
 	if err := e.Validate(); err == nil {
 		t.Fatal("expected error for out-of-range task type")
+	}
+}
+
+// TestEnsembleValidateCatchesBadServiceTimes: each of these passed
+// validation once and then panicked the emulator's first window, either
+// scheduling an event at NaN or drawing with a non-positive mean.
+func TestEnsembleValidateCatchesBadServiceTimes(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, task := range []TaskDef{
+		{Name: "zero mean", MeanServiceSec: 0},
+		{Name: "negative mean", MeanServiceSec: -1},
+		{Name: "NaN mean", MeanServiceSec: nan},
+		{Name: "infinite mean", MeanServiceSec: inf},
+		{Name: "negative cv", MeanServiceSec: 1, ServiceCV: -0.5},
+		{Name: "NaN cv", MeanServiceSec: 1, ServiceCV: nan},
+		{Name: "infinite cv", MeanServiceSec: 1, ServiceCV: inf},
+		{Name: "cv squared overflows", MeanServiceSec: 1, ServiceCV: 1e200},
+	} {
+		e := &Ensemble{
+			Name:      "bad",
+			Tasks:     []TaskDef{task},
+			Workflows: []*Type{MustType("w", []Node{{Task: 0}}, [][]int{{}})},
+		}
+		if err := e.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted mean %g cv %g", task.Name, task.MeanServiceSec, task.ServiceCV)
+		}
+	}
+	ok := &Ensemble{
+		Name:      "ok",
+		Tasks:     []TaskDef{{Name: "a", MeanServiceSec: 1e-3, ServiceCV: 1e150}},
+		Workflows: []*Type{MustType("w", []Node{{Task: 0}}, [][]int{{}})},
+	}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("a large but drawable cv: %v", err)
 	}
 }
 

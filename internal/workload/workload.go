@@ -28,12 +28,45 @@ type Burst struct {
 type Generator struct {
 	cluster *cluster.Cluster
 	engine  *sim.Engine
+	events  sim.HandlerID
 	rng     *rand.Rand
 	rates   []float64
 	running bool
 	stopGen uint64 // invalidates self-rescheduling arrival chains
 
 	submitted []uint64
+}
+
+// Each workflow type's Poisson arrivals form a chain of events, each
+// scheduling the next, through sim.Engine.ScheduleCall under the handler ID
+// the generator registers, so an arrival stores no closure. The event's
+// uint64 argument packs
+//
+//	bits 0–15    workflow type
+//	bits 16–63   the chain's generation, stopGen when it was started
+//
+// Stop bumps stopGen, which turns every pending arrival of the older
+// generation into a no-op that draws no RNG.
+const (
+	typeBits = 16
+	maxTypes = 1 << typeBits
+	genMask  = 1<<(64-typeBits) - 1
+)
+
+// arrivalEvents is the generator's sim.Handler: the same struct under a
+// second method set, so Fire stays off the Generator API.
+type arrivalEvents Generator
+
+// Fire implements sim.Handler: one Poisson arrival, which schedules the next.
+func (h *arrivalEvents) Fire(arg uint64) {
+	g := (*Generator)(h)
+	i, gen := int(arg&(maxTypes-1)), arg>>typeBits
+	if gen != g.stopGen&genMask {
+		return
+	}
+	g.cluster.Submit(i)
+	g.submitted[i]++
+	g.scheduleNext(i, gen)
 }
 
 // NewGenerator returns a generator over c with the given per-workflow-type
@@ -44,18 +77,23 @@ func NewGenerator(c *cluster.Cluster, streams *sim.Streams, engine *sim.Engine, 
 		return nil, fmt.Errorf("workload: %d rates for %d workflow types",
 			len(rates), c.Ensemble().NumWorkflows())
 	}
+	if len(rates) > maxTypes {
+		return nil, fmt.Errorf("workload: %d workflow types, at most %d supported", len(rates), maxTypes)
+	}
 	for i, r := range rates {
 		if r < 0 {
 			return nil, fmt.Errorf("workload: negative rate %g for workflow %d", r, i)
 		}
 	}
-	return &Generator{
+	g := &Generator{
 		cluster:   c,
 		engine:    engine,
 		rng:       streams.Stream("workload/arrivals"),
 		rates:     append([]float64(nil), rates...),
 		submitted: make([]uint64, len(rates)),
-	}, nil
+	}
+	g.events = engine.Register((*arrivalEvents)(g))
+	return g, nil
 }
 
 // Start begins Poisson arrivals for every workflow type with positive rate.
@@ -108,21 +146,15 @@ func (g *Generator) SetRates(rates []float64) error {
 	return nil
 }
 
-// scheduleNext arranges workflow type i's next Poisson arrival.
+// scheduleNext arranges workflow type i's next Poisson arrival in chain
+// generation gen.
 func (g *Generator) scheduleNext(i int, gen uint64) {
 	rate := g.rates[i]
 	if rate <= 0 {
 		return
 	}
 	gap := sim.Exponential(g.rng, 1/rate)
-	g.engine.Schedule(gap, func() {
-		if gen != g.stopGen {
-			return
-		}
-		g.cluster.Submit(i)
-		g.submitted[i]++
-		g.scheduleNext(i, gen)
-	})
+	g.engine.ScheduleCall(gap, g.events, (gen&genMask)<<typeBits|uint64(i))
 }
 
 // InjectBurst submits counts[i] requests of each workflow type i at the

@@ -36,6 +36,40 @@ func TestNewGeneratorValidation(t *testing.T) {
 	}
 }
 
+// TestArrivalsZeroAlloc pins the steady-state Poisson arrival: it fires
+// through the generator's registered handler with no closure, and its Submit
+// carves from chunks, so 1 000 arrivals into a warm cluster average under one
+// allocation each. A closure per arrival, plus Submit's instance and
+// countdown, made three.
+func TestArrivalsZeroAlloc(t *testing.T) {
+	engine := sim.NewEngine()
+	streams := sim.NewStreams(9)
+	// No consumers: arrivals are the only events, and every task waits in
+	// its queue.
+	c, err := cluster.New(cluster.Config{Ensemble: workflow.NewMSD(), Engine: engine,
+		Streams: streams, InitialConsumers: make([]int, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenerator(c, streams, engine, []float64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	for i := 0; i < 3000; i++ {
+		engine.Step()
+	}
+	c.Clear() // empties the queues and keeps their rings
+	before := c.Submitted()
+	if got := testing.AllocsPerRun(1000, func() { engine.Step() }); got != 0 {
+		t.Fatalf("arrival: %g allocs/op, want 0", got)
+	}
+	// AllocsPerRun makes one extra, unmeasured run.
+	if n := c.Submitted() - before; n != 1001 {
+		t.Fatalf("%d arrivals in 1001 steps", n)
+	}
+}
+
 func TestPoissonArrivalRate(t *testing.T) {
 	c, engine, streams := newHarness(t, workflow.Toy(), 2)
 	g, err := NewGenerator(c, streams, engine, []float64{0.5})
@@ -85,6 +119,48 @@ func TestStopHaltsArrivals(t *testing.T) {
 	}
 	if g.Running() {
 		t.Fatal("Running() true after Stop")
+	}
+}
+
+// TestRestartDropsStaleChains: each Stop leaves its chains' next arrivals
+// pending in the engine, and a Start at the same instant begins new chains;
+// the stale arrivals must fire as no-ops, or the rates would multiply. Each
+// type's arrivals must also reach that type.
+func TestRestartDropsStaleChains(t *testing.T) {
+	c, engine, streams := newHarness(t, workflow.NewMSD(), 6)
+	rates := []float64{1, 0, 2}
+	g, err := NewGenerator(c, streams, engine, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start()
+	engine.RunUntil(10)
+	for k := 0; k < 3; k++ {
+		g.Stop()
+		g.Start()
+	}
+	before := g.Submitted()
+	engine.RunUntil(2010)
+	after := g.Submitted()
+	for i, r := range rates {
+		got, want := float64(after[i]-before[i]), r*2000
+		if math.Abs(got-want) > 0.1*want+0.5 {
+			t.Errorf("type %d: %g arrivals in 2000s at rate %g", i, got, r)
+		}
+	}
+}
+
+// TestNewGeneratorRefusesTypesBeyondPacking: an arrival event packs its
+// workflow type in 16 bits, so a 65 537th type is refused.
+func TestNewGeneratorRefusesTypesBeyondPacking(t *testing.T) {
+	wf := workflow.MustType("w", []workflow.Node{{Task: 0}}, [][]int{{}})
+	ens := &workflow.Ensemble{Name: "wide", Tasks: []workflow.TaskDef{{Name: "a", MeanServiceSec: 1}}}
+	for i := 0; i <= maxTypes; i++ {
+		ens.Workflows = append(ens.Workflows, wf)
+	}
+	c, engine, streams := newHarness(t, ens, 7)
+	if _, err := NewGenerator(c, streams, engine, make([]float64, maxTypes+1)); err == nil {
+		t.Fatal("accepted more workflow types than an arrival event can name")
 	}
 }
 
