@@ -21,14 +21,12 @@ import (
 // matters for forensics.
 const spillKeep = 3
 
-// SessionSummary is one row of GET /v1/sessions: placement and lifecycle
-// at a glance, without the full state vector.
+// SessionSummary is one row of GET /v1/sessions: lifecycle at a glance,
+// without the full state vector.
 type SessionSummary struct {
 	ID       string `json:"id"`
 	Ensemble string `json:"ensemble"`
-	// Shard is the in-process shard index holding the session.
-	Shard   int `json:"shard"`
-	Windows int `json:"windows"`
+	Windows  int    `json:"windows"`
 	// AgeSec and IdleSec are wall-clock seconds since creation and since
 	// the last request that touched the session.
 	AgeSec  float64 `json:"age_sec"`
@@ -94,16 +92,14 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 	now := s.now()
 	var live []*session
-	for _, sh := range s.shards {
-		for _, sess := range sh.snapshot() {
-			if sess.id <= token && token != "" {
-				continue
-			}
-			if _, exp := sess.expired(now); exp {
-				continue // lazy eviction or the sweeper will reap it
-			}
-			live = append(live, sess)
+	for _, sess := range s.registry.snapshot() {
+		if sess.id <= token && token != "" {
+			continue
 		}
+		if _, exp := sess.expired(now); exp {
+			continue // lazy eviction or the sweeper will reap it
+		}
+		live = append(live, sess)
 	}
 	sort.Slice(live, func(a, b int) bool { return live[a].id < live[b].id })
 
@@ -119,7 +115,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		out.Sessions = append(out.Sessions, SessionSummary{
 			ID:                 sess.id,
 			Ensemble:           sess.create.Ensemble,
-			Shard:              sess.shardIdx,
 			Windows:            sess.env.Window(),
 			AgeSec:             now.Sub(sess.createdAt).Seconds(),
 			IdleSec:            now.Sub(time.Unix(0, sess.lastAccess.Load())).Seconds(),
@@ -161,17 +156,15 @@ func (s *Server) SpillAll() (int, error) {
 	}
 	n := 0
 	var firstErr error
-	for _, sh := range s.shards {
-		for _, sess := range sh.snapshot() {
-			if err := s.spill(sess); err != nil {
-				s.spillErrors.Inc()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("spill session %q: %w", sess.id, err)
-				}
-				continue
+	for _, sess := range s.registry.snapshot() {
+		if err := s.spill(sess); err != nil {
+			s.spillErrors.Inc()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("spill session %q: %w", sess.id, err)
 			}
-			n++
+			continue
 		}
+		n++
 	}
 	return n, firstErr
 }
@@ -199,19 +192,17 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := DrainResponse{Spilled: []string{}}
-	for _, sh := range s.shards {
-		for _, sess := range sh.snapshot() {
-			// Spill before removing (evict spills after): the session must
-			// not leave the registry until its snapshot is durable.
-			if err := s.spill(sess); err != nil {
-				s.spillErrors.Inc()
-				writeError(w, http.StatusInternalServerError, CodeInternal,
-					fmt.Errorf("drain: spill session %q: %w", sess.id, err))
-				return
-			}
-			if s.remove(sh, sess.id, sess, "drain") {
-				resp.Spilled = append(resp.Spilled, sess.id)
-			}
+	for _, sess := range s.registry.snapshot() {
+		// Spill before removing (evict spills after): the session must not
+		// leave the registry until its snapshot is durable.
+		if err := s.spill(sess); err != nil {
+			s.spillErrors.Inc()
+			writeError(w, http.StatusInternalServerError, CodeInternal,
+				fmt.Errorf("drain: spill session %q: %w", sess.id, err))
+			return
+		}
+		if s.remove(sess.id, sess, "drain") {
+			resp.Spilled = append(resp.Spilled, sess.id)
 		}
 	}
 	sort.Strings(resp.Spilled)

@@ -184,8 +184,8 @@ func TestListPagination(t *testing.T) {
 	}
 }
 
-func TestListReportsShardAndLifecycle(t *testing.T) {
-	c, srv, clock := lifecycleClient(t)
+func TestListReportsLifecycle(t *testing.T) {
+	c, _, clock := lifecycleClient(t)
 	var info SessionInfo
 	if status := c.do("POST", "/v1/sessions", CreateRequest{
 		Ensemble: "toy", Budget: 4, TTLSeconds: 120, IdleTimeoutSeconds: 90,
@@ -206,12 +206,6 @@ func TestListReportsShardAndLifecycle(t *testing.T) {
 	}
 	if s.AgeSec != 40 || s.IdleSec != 40 {
 		t.Fatalf("age/idle %+v, want 40/40", s)
-	}
-	if s.Shard != info.Shard {
-		t.Fatalf("list shard %d != create shard %d", s.Shard, info.Shard)
-	}
-	if srv.sessionByID(info.ID).shardIdx != info.Shard {
-		t.Fatalf("reported shard %d is not where the session lives", info.Shard)
 	}
 	// Listing must not have touched the idle clock.
 	clock.Advance(60 * time.Second)
@@ -353,10 +347,10 @@ func TestEvictionSpillsSnapshot(t *testing.T) {
 	}
 }
 
-// TestConcurrentAcrossShards hammers create/step/info/list/delete from
-// many goroutines against a many-shard server; under -race this validates
-// the sharded registry's locking discipline end to end.
-func TestConcurrentAcrossShards(t *testing.T) {
+// TestConcurrentRegistry hammers create/step/info/list/delete from many
+// goroutines against one server; under -race this validates the registry's
+// locking discipline end to end.
+func TestConcurrentRegistry(t *testing.T) {
 	srv := NewServer(WithMaxSessions(256))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -364,7 +358,6 @@ func TestConcurrentAcrossShards(t *testing.T) {
 	const workers = 12
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
-	shardSeen := make(chan int, workers*6)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -378,7 +371,6 @@ func TestConcurrentAcrossShards(t *testing.T) {
 					errs <- fmt.Errorf("worker %d: create status %d", w, status)
 					return
 				}
-				shardSeen <- info.Shard
 				for k := 0; k < 3; k++ {
 					if status := c.do("POST", "/v1/sessions/"+info.ID+"/step",
 						StepRequest{Allocation: []int{3, 3}}, nil); status != http.StatusOK {
@@ -403,21 +395,11 @@ func TestConcurrentAcrossShards(t *testing.T) {
 	}
 	wg.Wait()
 	close(errs)
-	close(shardSeen)
 	for err := range errs {
 		t.Error(err)
 	}
 	if n := srv.SessionCount(); n != 0 {
 		t.Fatalf("SessionCount=%d after all deletes, want 0", n)
-	}
-	// The hammer must actually have exercised multiple shards: 72
-	// sequential ids over 8 shards should land on at least 3 of them.
-	distinct := map[int]bool{}
-	for idx := range shardSeen {
-		distinct[idx] = true
-	}
-	if len(distinct) < 3 {
-		t.Fatalf("sessions landed on only %d shard(s): %v", len(distinct), distinct)
 	}
 }
 

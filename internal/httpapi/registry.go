@@ -10,38 +10,39 @@ import (
 	"miras/internal/obs"
 )
 
-// tombstoneCap bounds each shard's memory of evicted session ids. A ring
-// this size remembers the last 1024 evictions per shard — enough that any
-// client still holding an evicted id sees 410 session_expired rather than
-// 404, without letting a churny workload grow the set forever.
-const tombstoneCap = 1024
+// tombstoneCap bounds the process's memory of evicted session ids. A ring
+// this size remembers the last 8192 evictions — enough that any client
+// still holding an evicted id sees 410 session_expired rather than 404,
+// without letting a churny workload grow the set forever.
+const tombstoneCap = 8192
 
-// shard is one partition of the session registry: its own map, its own
-// lock, its own occupancy gauge, its own tombstone ring. A session id's
-// shard is fixed by consistent hashing, so two requests contend on a shard
-// lock only when their sessions hash together.
-type shard struct {
-	idx       int
-	mu        sync.RWMutex
-	sessions  map[string]*session
-	tombs     tombstones
-	liveGauge *obs.Gauge
+// registry is the process's session table. sessions maps id → *session and
+// is read without a lock, so requests resolving unrelated (or the same)
+// sessions never contend on it; mu serialises every insert and delete
+// together with the tombstone ring, so an id is never live and tombstoned
+// at once.
+type registry struct {
+	sessions sync.Map // id → *session
+	mu       sync.Mutex
+	tombs    tombstones
 }
 
-func newShard(idx int, reg *obs.Registry) *shard {
-	return &shard{
-		idx:      idx,
-		sessions: make(map[string]*session),
-		tombs:    tombstones{set: make(map[string]int, tombstoneCap)},
-		liveGauge: reg.Gauge("miras_shard_sessions",
-			"Live sessions, by in-process shard.", "shard", strconv.Itoa(idx)),
-	}
+// snapshot returns the live sessions as of now. Sweeps (expiry, listing,
+// spill-sync, drain) walk the copy so no lock is held while they work on a
+// session.
+func (r *registry) snapshot() []*session {
+	var out []*session
+	r.sessions.Range(func(_, v any) bool {
+		out = append(out, v.(*session))
+		return true
+	})
+	return out
 }
 
 // tombstones is a bounded FIFO memory of evicted session ids, guarded by
-// the owning shard's lock. set maps each remembered id to the ring slot of
-// its latest eviction: an id evicted, rehydrated and evicted again also sits
-// in a stale earlier slot, whose overwrite must not forget it.
+// the registry's lock. set maps each remembered id to the ring slot of its
+// latest eviction: an id evicted, rehydrated and evicted again also sits in
+// a stale earlier slot, whose overwrite must not forget it.
 type tombstones struct {
 	ring []string
 	next int
@@ -51,6 +52,9 @@ type tombstones struct {
 func (t *tombstones) add(id string) {
 	if _, ok := t.set[id]; ok {
 		return
+	}
+	if t.set == nil {
+		t.set = make(map[string]int)
 	}
 	slot := len(t.ring)
 	if slot < tombstoneCap {
@@ -76,24 +80,6 @@ func (t *tombstones) has(id string) bool {
 // when it is eventually overwritten.
 func (t *tombstones) remove(id string) {
 	delete(t.set, id)
-}
-
-// shardFor returns the in-process shard owning id.
-func (s *Server) shardFor(id string) *shard {
-	return s.shards[s.localRing.OwnerIndex(id)]
-}
-
-// snapshot returns the shard's live sessions as of now. Sweeps (expiry,
-// spill-sync, drain) walk the copy so no registry lock is held while they
-// work on a session.
-func (sh *shard) snapshot() []*session {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	out := make([]*session, 0, len(sh.sessions))
-	for _, sess := range sh.sessions {
-		out = append(out, sess)
-	}
-	return out
 }
 
 // accepts reports whether this process may serve id for r, asking the
@@ -122,14 +108,13 @@ func (s *Server) mintID() string {
 }
 
 // admit is the one way into the registry, shared by create and rehydrate:
-// reserve a slot against the global bound (an atomic reserve-then-rollback,
-// so admissions on different shards never share a lock), mint the id when
-// none is given, register the per-session fault series build needs, build
-// the emulated system, and insert under the shard lock, enforcing id
-// uniqueness. build returns the session's build-specific fields (env,
-// create, and for a rehydrate the policy); admit fills in the rest. Any
-// failure rolls the slot and the series back and reports the code to answer
-// with.
+// reserve a slot against the session bound (an atomic reserve-then-rollback,
+// so the slow build runs under no lock), mint the id when none is given,
+// register the per-session fault series build needs, build the emulated
+// system, and insert under the registry lock, enforcing id uniqueness.
+// build returns the session's build-specific fields (env, create, and for a
+// rehydrate the policy); admit fills in the rest. Any failure rolls the
+// slot and the series back and reports the code to answer with.
 func (s *Server) admit(id string, build func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error)) (*session, ErrorCode, error) {
 	if n := s.live.Add(1); n > int64(s.maxSessions) {
 		s.live.Add(-1)
@@ -146,7 +131,6 @@ func (s *Server) admit(id string, build func(faultsTotal, crashed *obs.Counter) 
 			s.reg.Remove("miras_consumers_crashed", "session", id)
 		}
 		s.live.Add(-1)
-		s.sessionsLive.Set(float64(s.live.Load()))
 	}
 	faultsTotal := s.reg.Counter("miras_faults_total",
 		"Fault events injected (episode activations and consumer crashes), by session.",
@@ -166,11 +150,9 @@ func (s *Server) admit(id string, build func(faultsTotal, crashed *obs.Counter) 
 	sess.faultsTotal, sess.crashed = faultsTotal, crashed
 	sess.touch(sess.createdAt)
 
-	sh := s.shardFor(id)
-	sess.shardIdx = sh.idx
-	sh.mu.Lock()
-	if _, exists := sh.sessions[id]; exists {
-		sh.mu.Unlock()
+	s.registry.mu.Lock()
+	if s.sessionByID(id) != nil {
+		s.registry.mu.Unlock()
 		rollback(false)
 		return nil, CodeBadRequest, fmt.Errorf("session %q already exists", id)
 	}
@@ -186,37 +168,33 @@ func (s *Server) admit(id string, build func(faultsTotal, crashed *obs.Counter) 
 	sess.recoveredTotal = s.reg.Counter("miras_controller_recovered_total",
 		"Policies restored to control after passing health probes, by session.",
 		"session", id)
-	sh.tombs.remove(id)
-	sh.sessions[id] = sess
-	sh.liveGauge.Set(float64(len(sh.sessions)))
-	sh.mu.Unlock()
+	s.registry.tombs.remove(id)
+	s.registry.sessions.Store(id, sess)
+	s.registry.mu.Unlock()
 	sess.syncGauges()
-	s.sessionsLive.Set(float64(s.live.Load()))
 	return sess, "", nil
 }
 
 // remove is the one way out of the registry, shared by DELETE, expiry and
-// drain: take id out of its shard — only if it is still sess, when sess is
-// given, so a concurrent remove or a re-created id is left alone — release
+// drain: take id out of the registry — only if it is still sess, when sess
+// is given, so a concurrent remove or a re-created id is left alone — release
 // its slot, and drop its metric series and trace spans. A reason (ttl,
 // idle, drain) marks an eviction: the id is tombstoned so later requests
 // answer 410, and the eviction is counted; a client DELETE passes "".
 // Reports whether this call removed the session.
-func (s *Server) remove(sh *shard, id string, sess *session, reason string) bool {
-	sh.mu.Lock()
-	cur, ok := sh.sessions[id]
-	if !ok || (sess != nil && cur != sess) {
-		sh.mu.Unlock()
+func (s *Server) remove(id string, sess *session, reason string) bool {
+	s.registry.mu.Lock()
+	cur := s.sessionByID(id)
+	if cur == nil || (sess != nil && cur != sess) {
+		s.registry.mu.Unlock()
 		return false
 	}
-	delete(sh.sessions, id)
+	s.registry.sessions.Delete(id)
 	if reason != "" {
-		sh.tombs.add(id)
+		s.registry.tombs.add(id)
 	}
-	sh.liveGauge.Set(float64(len(sh.sessions)))
-	sh.mu.Unlock()
+	s.registry.mu.Unlock()
 	s.live.Add(-1)
-	s.sessionsLive.Set(float64(s.live.Load()))
 	for _, series := range []string{"miras_env_wip", "miras_cluster_inflight",
 		"miras_faults_total", "miras_consumers_crashed",
 		"miras_controller_fallback_total", "miras_controller_recovered_total"} {
@@ -227,30 +205,26 @@ func (s *Server) remove(sh *shard, id string, sess *session, reason string) bool
 	s.tracer.Ring().DropSession(id)
 	if reason != "" {
 		s.reg.Counter("miras_sessions_evicted_total",
-			"Sessions evicted, by shard and reason (ttl, idle, drain).",
-			"shard", strconv.Itoa(sh.idx), "reason", reason).Inc()
+			"Sessions evicted, by reason (ttl, idle, drain).",
+			"reason", reason).Inc()
 	}
 	return true
 }
 
 // lookup resolves the request's {id} to a live session, handling the full
 // miss ladder (expired → tombstoned → wrong shard → not found) and
-// touching the session's idle clock. The shard lock is released before
-// returning; callers take the session's own lock before touching its
-// state.
+// touching the session's idle clock. A hit takes no registry lock; callers
+// take the session's own lock before touching its state.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*session, bool) {
 	id := r.PathValue("id")
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	sess, ok := sh.sessions[id]
-	sh.mu.RUnlock()
-	if !ok {
-		s.writeMiss(w, r, sh, id)
+	sess := s.sessionByID(id)
+	if sess == nil {
+		s.writeMiss(w, r, id)
 		return nil, false
 	}
 	now := s.now()
 	if reason, exp := sess.expired(now); exp {
-		s.evict(sh, sess, reason)
+		s.evict(sess, reason)
 		writeError(w, http.StatusGone, CodeSessionExpired,
 			fmt.Errorf("session %q expired", id))
 		return nil, false
@@ -266,10 +240,10 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*session, bool)
 // sessions must stay reachable wherever they were adopted. A failover
 // re-route is accepted, so its miss is an honest 404: this process is the
 // id's home while the owner is down.
-func (s *Server) writeMiss(w http.ResponseWriter, r *http.Request, sh *shard, id string) {
-	sh.mu.RLock()
-	tomb := sh.tombs.has(id)
-	sh.mu.RUnlock()
+func (s *Server) writeMiss(w http.ResponseWriter, r *http.Request, id string) {
+	s.registry.mu.Lock()
+	tomb := s.registry.tombs.has(id)
+	s.registry.mu.Unlock()
 	if tomb {
 		writeError(w, http.StatusGone, CodeSessionExpired,
 			fmt.Errorf("session %q expired", id))
@@ -286,8 +260,8 @@ func (s *Server) writeMiss(w http.ResponseWriter, r *http.Request, sh *shard, id
 // is configured (best-effort — failures increment miras_spill_errors_total).
 // Reports whether this call performed the eviction (false when a concurrent
 // evict/delete got there first).
-func (s *Server) evict(sh *shard, sess *session, reason string) bool {
-	if !s.remove(sh, sess.id, sess, reason) {
+func (s *Server) evict(sess *session, reason string) bool {
+	if !s.remove(sess.id, sess, reason) {
 		return false
 	}
 	if s.spillDir != "" {
@@ -304,22 +278,20 @@ func (s *Server) evict(sh *shard, sess *session, reason string) bool {
 func (s *Server) SweepExpired() int {
 	now := s.now()
 	n := 0
-	for _, sh := range s.shards {
-		for _, sess := range sh.snapshot() {
-			if reason, exp := sess.expired(now); exp && s.evict(sh, sess, reason) {
-				n++
-			}
+	for _, sess := range s.registry.snapshot() {
+		if reason, exp := sess.expired(now); exp && s.evict(sess, reason) {
+			n++
 		}
 	}
 	return n
 }
 
-// sessionByID returns the live session for id, or nil. It does not touch
-// the idle clock and skips the miss ladder — registry access for tests and
-// the rehydrate duplicate check.
+// sessionByID returns the live session for id, or nil, without taking a
+// lock. It does not touch the idle clock and skips the miss ladder.
 func (s *Server) sessionByID(id string) *session {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.sessions[id]
+	v, ok := s.registry.sessions.Load(id)
+	if !ok {
+		return nil
+	}
+	return v.(*session)
 }

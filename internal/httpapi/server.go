@@ -40,31 +40,27 @@
 //
 // # Sharding
 //
-// The session registry is split into localShards in-process shards, each
-// with its own lock and map; a session id's shard is picked by consistent
-// hashing (internal/shardring), so requests against unrelated sessions
-// never touch the same mutex — that is lock striping, not placement. Which
-// *process* serves an id is decided by one shardring.Table
-// (WithShardTopology): a request for an id the table does not let this
-// process accept is refused with HTTP 421 wrong_shard, naming the id's home
-// so routers and clients can follow. POST /v1/sessions accepts a pre-minted
-// id via the X-Miras-Session-Id header (set by `miras route`); without it
-// the process mints ids from the shared sequence, skipping ids homed
-// elsewhere.
+// Which process serves a session id is decided by one shardring.Table
+// (WithShardTopology); inside the process every session lives in one
+// registry. A request for an id the table does not let this process accept
+// is refused with HTTP 421 wrong_shard, naming the id's home so routers and
+// clients can follow. POST /v1/sessions accepts a pre-minted id via the
+// X-Miras-Session-Id header (set by `miras route`); without it the process
+// mints ids from the shared sequence, skipping ids homed elsewhere.
 //
 // # Session lifecycle
 //
 // CreateRequest.TTLSeconds bounds a session's wall-clock lifetime and
 // IdleTimeoutSeconds bounds the gap between requests; an expired session is
 // evicted lazily on access and by Server.SweepExpired (`miras serve` runs a
-// sweeper goroutine). Evicted ids are remembered in a per-shard tombstone
-// ring and answer 410 session_expired, distinguishing "expired" from
-// "never existed". When a spill store is configured (WithSpillDir),
-// eviction writes the session's SessionSnapshot to a crash-safe
-// checkpoint store; POST /v1/admin/drain spills and evicts every session
-// so the process can be retired, and POST /v1/admin/rehydrate on another
-// process sharing the directory rebuilds them byte-identically through the
-// restore path.
+// sweeper goroutine). The ids of the process's last 8192 evictions are
+// remembered in one tombstone ring and answer 410 session_expired,
+// distinguishing "expired" from "never existed". When a spill store is
+// configured (WithSpillDir), eviction writes the session's SessionSnapshot
+// to a crash-safe checkpoint store; POST /v1/admin/drain spills and evicts
+// every session so the process can be retired, and POST /v1/admin/rehydrate
+// on another process sharing the directory rebuilds them byte-identically
+// through the restore path.
 //
 // # Self-healing serving
 //
@@ -90,7 +86,6 @@ package httpapi
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,19 +126,14 @@ const FailoverHeader = "X-Miras-Failover-From"
 // declaration that a duplicate apply is acceptable or deduplicated.
 const IdempotencyKeyHeader = "X-Miras-Idempotency-Key"
 
-// Server is the HTTP handler. It is safe for concurrent use: the session
-// registry is split across in-process shards, each guarding its own map
-// with its own lock (reads take the shared side), and each session carries
-// its own lock serialising its emulated system (the discrete-event engine
-// is not concurrent). Requests against different sessions therefore
-// proceed fully in parallel — the serving hot path never touches a
-// server-wide mutex, and sessions on different shards never even share a
-// registry lock.
+// Server is the HTTP handler. It is safe for concurrent use: resolving a
+// session id reads the registry without a lock (only inserts, deletes and
+// misses take the registry mutex), and each session carries its own lock
+// serialising its emulated system (the discrete-event engine is not
+// concurrent). Requests against different sessions therefore proceed fully
+// in parallel — the serving hot path never touches a server-wide mutex.
 type Server struct {
-	// shards holds the in-process session shards; localRing maps a session
-	// id to its shard. Both are immutable after NewServer.
-	shards    []*shard
-	localRing *shardring.Ring
+	registry registry
 
 	// table, when non-nil, is the fleet routing table this process
 	// consults and self its own member name (see WithShardTopology).
@@ -154,11 +144,12 @@ type Server struct {
 	// With a routing table every process walks the same sequence and keeps
 	// only the ids it owns, so processes never collide.
 	nextID atomic.Int64
-	// live counts sessions across all shards; the total session bound is
-	// enforced with a reserve-then-rollback on this counter, not a lock.
+	// live counts sessions, including admissions still building; the
+	// session bound is enforced with a reserve-then-rollback on this
+	// counter, not a lock.
 	live atomic.Int64
 
-	// maxSessions bounds live sessions across all shards (default 64).
+	// maxSessions bounds live sessions (default 64).
 	maxSessions int
 
 	// now is the server's clock (default time.Now); tests inject a fake to
@@ -177,7 +168,7 @@ type Server struct {
 
 	// reg collects server metrics: per-endpoint request counters and
 	// latency histograms (added by instrument) plus per-session env/cluster
-	// gauges, per-shard occupancy gauges, and fault counters. Scrape it via
+	// gauges, the live-session gauge, and fault counters. Scrape it via
 	// Registry().Handler() or obs.MountDebug.
 	reg *obs.Registry
 	// tracer, when set, emits one root span per request — joining an
@@ -192,7 +183,6 @@ type Server struct {
 	// GET /debug/dash (HTML sparklines). The server does not sample into
 	// it; run obs.TimeSeriesRing.Run against Registry() for that.
 	tsRing       *obs.TimeSeriesRing
-	sessionsLive *obs.Gauge
 	windowsTotal *obs.Counter
 	spillErrors  *obs.Counter
 
@@ -204,15 +194,10 @@ type Server struct {
 	reqTimeout time.Duration
 }
 
-// localShards is the in-process shard (lock stripe) count. More shards mean
-// less lock sharing between unrelated sessions.
-const localShards = 8
-
 // Option configures a Server at construction.
 type Option func(*Server)
 
-// WithMaxSessions bounds the number of live sessions across all shards
-// (default 64).
+// WithMaxSessions bounds the number of live sessions (default 64).
 func WithMaxSessions(n int) Option {
 	return func(s *Server) { s.maxSessions = n }
 }
@@ -278,20 +263,18 @@ func WithRequestTimeout(d time.Duration) Option {
 }
 
 // session is one live environment. mu serialises every operation touching
-// the session's state; handlers lock it after resolving the id through its
-// shard's registry lock, so sessions never contend with each other.
+// the session's state; handlers lock it after resolving the id through the
+// registry, so sessions never contend with each other.
 type session struct {
 	mu sync.Mutex
 
-	id       string
-	shardIdx int
-	env      *env.Env // records its own op log, which snapshots export
+	id  string
+	env *env.Env // records its own op log, which snapshots export
 
 	// Lifecycle: createdAt is immutable after insert; lastAccess holds the
 	// wall time (UnixNano) of the most recent request that resolved this
-	// session, updated without the session lock so reads stay on the
-	// registry's shared path. ttl and idle are the create request's bounds
-	// (0 = unbounded).
+	// session, updated without the session lock so lookups take no lock
+	// at all. ttl and idle are the create request's bounds (0 = unbounded).
 	createdAt  time.Time
 	lastAccess atomic.Int64
 	ttl        time.Duration
@@ -339,9 +322,8 @@ func (sess *session) expired(now time.Time) (string, bool) {
 	return "", false
 }
 
-// NewServer returns an empty server with a fresh metrics registry and
-// localShards in-process shards. With no options it allows 64 concurrent
-// sessions.
+// NewServer returns an empty server with a fresh metrics registry. With no
+// options it allows 64 concurrent sessions.
 func NewServer(opts ...Option) *Server {
 	s := &Server{
 		maxSessions:  64,
@@ -352,21 +334,8 @@ func NewServer(opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	members := make([]string, localShards)
-	for i := range members {
-		members[i] = "shard-" + strconv.Itoa(i)
-	}
-	ring, err := shardring.New(members, 0)
-	if err != nil {
-		panic("httpapi: local shard ring: " + err.Error())
-	}
-	s.localRing = ring
-	s.shards = make([]*shard, localShards)
-	for i := range s.shards {
-		s.shards[i] = newShard(i, s.reg)
-	}
-	s.sessionsLive = s.reg.Gauge("miras_sessions_live",
-		"Live environment sessions.")
+	s.reg.GaugeFunc("miras_sessions_live", "Live environment sessions.",
+		func() float64 { return float64(s.live.Load()) })
 	s.windowsTotal = s.reg.Counter("miras_env_windows_total",
 		"Control windows stepped, across all sessions.")
 	s.spillErrors = s.reg.Counter("miras_spill_errors_total",
@@ -492,7 +461,6 @@ type CreateRequest struct {
 type SessionInfo struct {
 	ID        string  `json:"id"`
 	Ensemble  string  `json:"ensemble"`
-	Shard     int     `json:"shard"`
 	StateDim  int     `json:"state_dim"`
 	ActionDim int     `json:"action_dim"`
 	Budget    int     `json:"budget"`
@@ -661,7 +629,6 @@ func sessionInfo(sess *session) SessionInfo {
 	return SessionInfo{
 		ID:                 sess.id,
 		Ensemble:           sess.create.Ensemble,
-		Shard:              sess.shardIdx,
 		StateDim:           sess.env.StateDim(),
 		ActionDim:          sess.env.ActionDim(),
 		Budget:             sess.env.Budget(),
@@ -797,9 +764,8 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sh := s.shardFor(id)
-	if !s.remove(sh, id, nil, "") {
-		s.writeMiss(w, r, sh, id)
+	if !s.remove(id, nil, "") {
+		s.writeMiss(w, r, id)
 		return
 	}
 	// A deleted session must stay deleted: drop any spilled snapshot so a
@@ -816,7 +782,7 @@ func (sess *session) syncGauges() {
 	sess.inflight.Set(float64(c.InFlight()))
 }
 
-// SessionCount returns the number of live sessions across all shards.
+// SessionCount returns the number of live sessions.
 func (s *Server) SessionCount() int {
 	return int(s.live.Load())
 }

@@ -291,6 +291,52 @@ func TestRouterMergedMetrics(t *testing.T) {
 	if !strings.Contains(text, `miras_sessions_live{shard=`) {
 		t.Fatal("shard label not injected into shard samples")
 	}
+	// Valid exposition names each label at most once per sample, so no
+	// shard series may carry a label the router's injected shard="<url>"
+	// collides with.
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		seen := map[string]bool{}
+		for _, name := range sampleLabelNames(t, line) {
+			if seen[name] {
+				t.Fatalf("sample repeats label %q: %s", name, line)
+			}
+			seen[name] = true
+		}
+	}
+}
+
+// sampleLabelNames returns the label names of one exposition sample line in
+// order: `m{a="x",b="y"} 1` gives [a b], `m 1` gives none. Quoted values may
+// hold commas, braces and escaped quotes.
+func sampleLabelNames(t *testing.T, line string) []string {
+	t.Helper()
+	open := strings.IndexByte(line, '{')
+	if open < 0 || open > strings.IndexByte(line, ' ') {
+		return nil
+	}
+	var names []string
+	rest := line[open+1:]
+	for !strings.HasPrefix(rest, "}") {
+		eq := strings.IndexByte(rest, '=')
+		if eq <= 0 || eq+1 >= len(rest) || rest[eq+1] != '"' {
+			t.Fatalf("malformed label set: %s", line)
+		}
+		names = append(names, rest[:eq])
+		i := eq + 2
+		for ; i < len(rest) && rest[i] != '"'; i++ {
+			if rest[i] == '\\' {
+				i++
+			}
+		}
+		if i >= len(rest) {
+			t.Fatalf("unterminated label value: %s", line)
+		}
+		rest = strings.TrimPrefix(rest[i+1:], ",")
+	}
+	return names
 }
 
 func TestRouterUpstreamDown(t *testing.T) {

@@ -1,10 +1,10 @@
 // Package shardring implements the consistent-hash ring that decides which
-// shard owns a session id. The same ring runs in two places: inside one
-// `miras serve` process it spreads sessions over the in-process shards, and
-// inside `miras route` it picks the shard *process* a request must be
-// forwarded to. Both sides compute ownership from nothing but the member
-// list and the id — there is no gossip, no coordination, and no state to
-// reconcile: any party holding the same member list derives the same owner.
+// shard process owns a session id. `miras route` consults it to pick the
+// process a request must be forwarded to, and every `miras serve` process
+// consults it to refuse ids it does not own. Both sides compute ownership
+// from nothing but the member list and the id — there is no gossip, no
+// coordination, and no state to reconcile: any party holding the same
+// member list derives the same owner.
 //
 // The ring is the classic Karger construction: every member is hashed onto
 // a 64-bit circle at V virtual points (FNV-1a over "member#v"), a key is
@@ -105,9 +105,9 @@ func Hash(key string) uint64 {
 	return x
 }
 
-// OwnerIndex returns the index (into the construction member list) of the
+// ownerIndex returns the index (into the construction member list) of the
 // member owning key.
-func (r *Ring) OwnerIndex(key string) int {
+func (r *Ring) ownerIndex(key string) int {
 	h := Hash(key)
 	// First point clockwise from h, wrapping to points[0].
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
@@ -119,13 +119,5 @@ func (r *Ring) OwnerIndex(key string) int {
 
 // Owner returns the member name owning key.
 func (r *Ring) Owner(key string) string {
-	return r.members[r.OwnerIndex(key)]
+	return r.members[r.ownerIndex(key)]
 }
-
-// Members returns the construction member list (a copy).
-func (r *Ring) Members() []string {
-	return append([]string(nil), r.members...)
-}
-
-// Size returns the number of members.
-func (r *Ring) Size() int { return len(r.members) }

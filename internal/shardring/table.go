@@ -52,7 +52,7 @@ func (t *Table) Home(id string) string { return t.ring.Owner(id) }
 // Serving returns the member serving id right now and id's ring home; the
 // two differ exactly when a reassignment row is in force for the home.
 func (t *Table) Serving(id string) (member, home string) {
-	h := t.ring.OwnerIndex(id)
+	h := t.ring.ownerIndex(id)
 	return t.ring.members[t.serving[h]], t.ring.members[h]
 }
 

@@ -64,6 +64,15 @@ for shard in "http://$SHARD1_ADDR" "http://$SHARD2_ADDR"; do
         exit 1
     }
 done
+# The router injects shard="<url>" into every shard sample; a shard series
+# that already carries a shard label would repeat it, which is invalid
+# exposition.
+dup=$(echo "$metrics" | grep -v '^#' | grep -E 'shard="[^"]*".*shard="' || true)
+if [ -n "$dup" ]; then
+    echo "merged /metrics repeats the shard label:" >&2
+    echo "$dup" | head -5 >&2
+    exit 1
+fi
 
 echo "==> drain/rehydrate round-trip across two processes"
 SPILL="$WORK/spill"
