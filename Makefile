@@ -54,10 +54,12 @@ benchmark-smoke:
 fmt:
 	gofmt -l -w .
 
-# Short fuzz runs over six input surfaces plus five differential targets:
-# the untrusted inputs (workflow JSON, fault plans, HTTP session creation,
-# session snapshots on restore, serialized networks and policy snapshots),
-# the event engine against its reference implementation (FuzzEngineOracle:
+# Short fuzz runs over five input surfaces, one property target and five
+# differential targets: the untrusted inputs (fault plans, HTTP session
+# creation, session snapshots on restore, serialized networks and policy
+# snapshots), ensemble validation (FuzzEnsembleSteps: any service times
+# Ensemble.Validate accepts must build an env that steps a window), the
+# event engine against its reference implementation (FuzzEngineOracle:
 # decoded operation sequences must fire the same callbacks in the same order
 # on both), the aux-only backward pass against the full one
 # (FuzzAuxGradBatch: decoded networks must give bit-identical dAux), the
@@ -72,7 +74,7 @@ fmt:
 # extends the committed seed corpus in the package's testdata/fuzz/ only in
 # the local build cache.
 fuzz-smoke:
-	$(GO) test ./internal/workflow/ -fuzz FuzzWorkflowJSON -fuzztime 10s
+	$(GO) test ./internal/workflow/ -fuzz FuzzEnsembleSteps -fuzztime 10s
 	$(GO) test ./internal/faults/ -fuzz FuzzFaultPlanValidate -fuzztime 10s
 	$(GO) test ./internal/httpapi/ -fuzz FuzzHTTPCreateSession -fuzztime 10s
 	$(GO) test ./internal/httpapi/ -fuzz FuzzSessionRestore -fuzztime 10s

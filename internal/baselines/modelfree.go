@@ -36,7 +36,7 @@ func TrainModelFree(e *env.Env, cfg rl.Config, totalSteps, episodeLen int, onRes
 	if err != nil {
 		return nil, err
 	}
-	wrapped, err := rl.NewWindowedEnv(e, episodeLen, true)
+	wrapped, err := rl.NewWindowedEnv(e, episodeLen)
 	if err != nil {
 		return nil, err
 	}

@@ -28,6 +28,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 )
 
@@ -187,8 +188,13 @@ func (s *Store) prune() {
 // files are skipped (newest first) so a crash during the last Save falls
 // back to the previous snapshot. It returns ErrNoCheckpoint when the
 // directory has no checkpoint files, or an error describing the corruption
-// when files exist but none is loadable.
+// when files exist but none is loadable. payload is assigned only from
+// the checkpoint returned.
 func (s *Store) LoadLatest(payload any) (int, error) {
+	dst := reflect.ValueOf(payload)
+	if dst.Kind() != reflect.Pointer || dst.IsNil() {
+		return 0, fmt.Errorf("checkpoint: LoadLatest needs a non-nil pointer, got %T", payload)
+	}
 	seqs := s.seqs()
 	if len(seqs) == 0 {
 		return 0, fmt.Errorf("%w in %s", ErrNoCheckpoint, s.dir)
@@ -196,10 +202,16 @@ func (s *Store) LoadLatest(payload any) (int, error) {
 	var lastErr error
 	for i := len(seqs) - 1; i >= 0; i-- {
 		seq := seqs[i]
-		if err := loadFile(s.path(seq), seq, payload); err != nil {
+		// Each candidate decodes into a fresh value: json.Unmarshal does
+		// not zero its target, so one that passes its CRC but fails to
+		// decode would leave the fields it had read in the older
+		// checkpoint returned after it.
+		fresh := reflect.New(dst.Elem().Type())
+		if err := loadFile(s.path(seq), seq, fresh.Interface()); err != nil {
 			lastErr = err
 			continue
 		}
+		dst.Elem().Set(fresh.Elem())
 		return seq, nil
 	}
 	return 0, fmt.Errorf("checkpoint: all %d checkpoints in %s are corrupt, last error: %w",

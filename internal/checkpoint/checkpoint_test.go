@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -215,5 +217,50 @@ func TestAllCorrupt(t *testing.T) {
 	_, err = st.LoadLatest(&got)
 	if err == nil || errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("err = %v, want corruption error", err)
+	}
+}
+
+// part stands in for a payload field whose UnmarshalJSON validates what it
+// reads: it rejects a negative N.
+type part struct{ N int }
+
+func (p *part) UnmarshalJSON(data []byte) error {
+	var raw struct{ N int }
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	if raw.N < 0 {
+		return fmt.Errorf("negative N %d", raw.N)
+	}
+	p.N = raw.N
+	return nil
+}
+
+type taggedPayload struct {
+	Tag  string `json:"tag,omitempty"`
+	Part part   `json:"part"`
+}
+
+// TestLoadLatestDiscardsRejectedCandidate: a newest checkpoint that passes
+// its CRC but fails to decode must not leave the fields it had already
+// decoded (here the omitempty tag) in the older checkpoint returned.
+func TestLoadLatestDiscardsRejectedCandidate(t *testing.T) {
+	st, err := NewStore(t.TempDir(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(1, taggedPayload{Part: part{N: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(2, taggedPayload{Tag: "from-2", Part: part{N: -1}}); err != nil {
+		t.Fatal(err)
+	}
+	var got taggedPayload
+	seq, err := st.LoadLatest(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != 1 || got != (taggedPayload{Part: part{N: 1}}) {
+		t.Fatalf("LoadLatest = seq %d %+v, want seq 1 {Part:{N:1}}", seq, got)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"miras/internal/cluster"
 	"miras/internal/faults"
 	"miras/internal/invariant"
-	"miras/internal/mat"
 	"miras/internal/obs"
 	"miras/internal/sim"
 	"miras/internal/workload"
@@ -140,16 +139,15 @@ type StepResult struct {
 // Env is the real-environment control interface. It is single-threaded,
 // like the engine beneath it.
 type Env struct {
-	cfg        Config
-	engine     *sim.Engine
-	streams    *sim.Streams
-	c          *cluster.Cluster
-	gen        *workload.Generator
-	window     int
-	lastSnap   cluster.Counters
-	violations int
-	inv        *invariant.Set
-	ops        []Op // the history Ops returns and Replay rebuilds from
+	cfg      Config
+	engine   *sim.Engine
+	streams  *sim.Streams
+	c        *cluster.Cluster
+	gen      *workload.Generator
+	window   int
+	lastSnap cluster.Counters
+	inv      *invariant.Set
+	ops      []Op // the history Ops returns and Replay rebuilds from
 }
 
 // Op kinds, as they appear on the wire and in checkpoints.
@@ -286,11 +284,6 @@ func (e *Env) Generator() *workload.Generator { return e.gen }
 // Window returns the number of completed control windows.
 func (e *Env) Window() int { return e.window }
 
-// ConstraintViolations counts Step calls rejected for exceeding the budget;
-// the paper reports that naive action-space exploration frequently violates
-// the constraint (§IV-D), so the env keeps score.
-func (e *Env) ConstraintViolations() int { return e.violations }
-
 // Reset implements the paper's environment reset (§VI-A3): WIP is brought
 // (here: instantly) to zero. Background arrivals keep running — and so do
 // any armed faults. It records a "reset" op and returns the new state.
@@ -331,7 +324,6 @@ func (e *Env) Step(m []int) (StepResult, error) {
 		total += v
 	}
 	if total > e.cfg.Budget {
-		e.violations++
 		if ev := e.cfg.Tracer.Event("constraint_violation"); ev != nil {
 			ev.T(e.c.Now()).
 				Int("window", e.window).
@@ -521,18 +513,4 @@ func Run(e *Env, ctrl Controller, windows int) ([]StepResult, error) {
 		prev = res
 	}
 	return results, nil
-}
-
-// DelayPercentile returns the p-th percentile of the window's completion
-// delays, or 0 when nothing completed. Response-time SLOs are usually
-// stated as p95/p99, so the stats expose percentiles alongside the mean.
-func (s Stats) DelayPercentile(p float64) float64 {
-	if len(s.Completions) == 0 {
-		return 0
-	}
-	delays := make([]float64, len(s.Completions))
-	for i, c := range s.Completions {
-		delays[i] = c.Delay()
-	}
-	return mat.Percentile(delays, p)
 }

@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 
-	"miras/internal/checkpoint"
 	"miras/internal/mat"
 )
 
@@ -182,8 +180,8 @@ func (n *Normalizer) Invert(dst, x []float64) {
 // Dim returns the normalizer's coordinate count.
 func (n *Normalizer) Dim() int { return len(n.Mean) }
 
-// datasetJSON is the on-disk schema for collected transitions, so training
-// data can be archived and model fitting reproduced without re-running the
+// datasetJSON is the serialised form of collected transitions, so a
+// training checkpoint can resume model fitting without re-running the
 // (slow, in the paper's world) environment interactions.
 type datasetJSON struct {
 	StateDim    int          `json:"state_dim"`
@@ -220,30 +218,4 @@ func (d *Dataset) UnmarshalJSON(data []byte) error {
 	d.actionDim = in.ActionDim
 	d.transitions = in.Transitions
 	return nil
-}
-
-// Save writes the dataset to path as JSON. The write is atomic (temp file
-// + rename), so a crash mid-save leaves any previous archive intact.
-func (d *Dataset) Save(path string) error {
-	data, err := json.Marshal(d)
-	if err != nil {
-		return fmt.Errorf("envmodel: marshal dataset: %w", err)
-	}
-	if err := checkpoint.WriteFileAtomic(path, data, 0o644); err != nil {
-		return fmt.Errorf("envmodel: save dataset: %w", err)
-	}
-	return nil
-}
-
-// LoadDataset reads a dataset written by Save.
-func LoadDataset(path string) (*Dataset, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("envmodel: load dataset: %w", err)
-	}
-	var d Dataset
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }

@@ -1,9 +1,9 @@
 package envmodel
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -446,12 +446,12 @@ func TestSyntheticEnvValidation(t *testing.T) {
 
 func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	d := linearDynamics(50, 3, 60)
-	path := filepath.Join(t.TempDir(), "data.json")
-	if err := d.Save(path); err != nil {
+	data, err := json.Marshal(d)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDataset(path)
-	if err != nil {
+	loaded := new(Dataset)
+	if err := json.Unmarshal(data, loaded); err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Len() != 50 || loaded.StateDim() != 3 || loaded.ActionDim() != 3 {
@@ -475,7 +475,7 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadDatasetRejectsCorrupt(t *testing.T) {
+func TestDatasetUnmarshalRejectsCorrupt(t *testing.T) {
 	var d Dataset
 	cases := []string{
 		`{broken`,
@@ -486,9 +486,6 @@ func TestLoadDatasetRejectsCorrupt(t *testing.T) {
 		if err := d.UnmarshalJSON([]byte(blob)); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
-	}
-	if _, err := LoadDataset(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("expected error for missing file")
 	}
 }
 

@@ -38,6 +38,9 @@ const (
 	OpInfo = "info"
 )
 
+// requestTimeout bounds each request.
+const requestTimeout = 30 * time.Second
+
 // Op is one trace entry: an operation against one session of the
 // population (sessions are numbered 0..Sessions-1; Run maps them to real
 // ids at replay time).
@@ -76,8 +79,6 @@ type Config struct {
 	Ensemble  string
 	Budget    int
 	WindowSec float64
-	// Timeout bounds each request (default 30s).
-	Timeout time.Duration
 	// ChaosKillAt, in (0,1), arms chaos mode: when the dispatch loop
 	// reaches that fraction of the trace, KillHook runs once — typically
 	// SIGKILLing a shard process or killing a FleetTransport member — and
@@ -143,9 +144,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.WindowSec == 0 {
 		c.WindowSec = 10
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
 	}
 	if c.ChaosKillAt < 0 || c.ChaosKillAt >= 1 {
 		if c.ChaosKillAt != 0 {
@@ -238,7 +236,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	client := &http.Client{Timeout: cfg.Timeout, Transport: cfg.Transport}
+	client := &http.Client{Timeout: requestTimeout, Transport: cfg.Transport}
 
 	// Population setup (unmeasured).
 	ids := make([]string, cfg.Sessions)

@@ -278,15 +278,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var sum float64
-	for _, v := range m.Data {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
 // Equal reports whether m and other have identical dimensions and entries
 // within the given absolute tolerance.
 func (m *Matrix) Equal(other *Matrix, tol float64) bool {

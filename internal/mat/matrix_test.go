@@ -169,13 +169,6 @@ func TestAddOuterScaled(t *testing.T) {
 	}
 }
 
-func TestFrobeniusNorm(t *testing.T) {
-	m := NewFromSlice(1, 2, []float64{3, 4})
-	if got := m.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("FrobeniusNorm=%g, want 5", got)
-	}
-}
-
 func TestScaleAndZeroAndFill(t *testing.T) {
 	m := NewFromSlice(1, 2, []float64{2, -4})
 	m.Scale(0.5)

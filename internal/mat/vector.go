@@ -153,17 +153,6 @@ func VecArgmax(x []float64) int {
 	return best
 }
 
-// VecClamp clamps each entry of x into [lo, hi] in place.
-func VecClamp(x []float64, lo, hi float64) {
-	for i, v := range x {
-		if v < lo {
-			x[i] = lo
-		} else if v > hi {
-			x[i] = hi
-		}
-	}
-}
-
 // Softmax writes the softmax of x into dst (which may alias x). It uses the
 // max-subtraction trick for numerical stability.
 func Softmax(dst, x []float64) {

@@ -64,14 +64,6 @@ func TestVecMeanEmptyIsZero(t *testing.T) {
 	}
 }
 
-func TestVecClamp(t *testing.T) {
-	x := []float64{-5, 0.5, 10}
-	VecClamp(x, 0, 1)
-	if x[0] != 0 || x[1] != 0.5 || x[2] != 1 {
-		t.Fatalf("VecClamp=%v", x)
-	}
-}
-
 func TestVecCloneIndependence(t *testing.T) {
 	x := []float64{1, 2}
 	c := VecClone(x)

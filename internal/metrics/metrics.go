@@ -66,28 +66,6 @@ func MAE(a, b []float64) (float64, error) {
 	return sum / float64(len(a)), nil
 }
 
-// MovingAverage returns the k-point trailing moving average of xs (the
-// first k−1 points average what is available).
-func MovingAverage(xs []float64, k int) []float64 {
-	if k <= 0 {
-		panic(fmt.Sprintf("metrics: window %d must be positive", k))
-	}
-	out := make([]float64, len(xs))
-	var sum float64
-	for i, v := range xs {
-		sum += v
-		if i >= k {
-			sum -= xs[i-k]
-		}
-		n := k
-		if i+1 < k {
-			n = i + 1
-		}
-		out[i] = sum / float64(n)
-	}
-	return out
-}
-
 // AUC returns the sum of the series — for response-time traces, lower
 // total area means faster burst recovery, the headline comparison of
 // Figs. 7–8.
@@ -128,21 +106,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return best
-}
-
-// ArgCrossBelow returns the first index at which xs drops to or below
-// threshold and stays there for the remainder of the series, or -1 if it
-// never settles. Used to measure burst-recovery time.
-func ArgCrossBelow(xs []float64, threshold float64) int {
-	settled := -1
-	for i, v := range xs {
-		if v <= threshold {
-			if settled < 0 {
-				settled = i
-			}
-		} else {
-			settled = -1
-		}
-	}
-	return settled
 }

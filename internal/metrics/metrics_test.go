@@ -46,22 +46,6 @@ func TestRMSEAndMAE(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	got := MovingAverage([]float64{1, 2, 3, 4}, 2)
-	want := []float64{1, 1.5, 2.5, 3.5}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("MovingAverage=%v, want %v", got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero window")
-		}
-	}()
-	MovingAverage([]float64{1}, 0)
-}
-
 func TestAUCAndMax(t *testing.T) {
 	if AUC([]float64{1, 2, 3}) != 6 {
 		t.Fatal("AUC wrong")
@@ -80,19 +64,5 @@ func TestTailMean(t *testing.T) {
 	}
 	if TailMean(nil, 0.5) != 0 {
 		t.Fatal("TailMean(nil) != 0")
-	}
-}
-
-func TestArgCrossBelow(t *testing.T) {
-	// Settles below 5 from index 3 onward.
-	xs := []float64{10, 3, 8, 4, 2, 1}
-	if got := ArgCrossBelow(xs, 5); got != 3 {
-		t.Fatalf("ArgCrossBelow=%d, want 3", got)
-	}
-	if got := ArgCrossBelow([]float64{9, 9}, 5); got != -1 {
-		t.Fatalf("never-settling series gave %d", got)
-	}
-	if got := ArgCrossBelow([]float64{1}, 5); got != 0 {
-		t.Fatalf("immediately-settled series gave %d", got)
 	}
 }

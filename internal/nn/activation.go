@@ -3,7 +3,7 @@
 //
 // It is a from-scratch, stdlib-only replacement for the TensorFlow models in
 // the paper. Networks are multilayer perceptrons with per-layer activations,
-// trained by backpropagation with SGD or Adam. Two features beyond a plain
+// trained by backpropagation with Adam. Two features beyond a plain
 // MLP are needed by the paper and supported here:
 //
 //   - an auxiliary input injected at an arbitrary layer (the DDPG critic in

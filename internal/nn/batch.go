@@ -81,9 +81,6 @@ func NewBatchCache(n *Network, batch int) *BatchCache {
 	return c
 }
 
-// Batch returns the fixed batch size the cache was built for.
-func (c *BatchCache) Batch() int { return c.batch }
-
 // Output returns the final layer's batch×OutDim output from the most
 // recent ForwardBatch through this cache. The matrix aliases cache storage.
 func (c *BatchCache) Output() *mat.Matrix { return c.outputs[len(c.outputs)-1] }

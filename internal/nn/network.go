@@ -350,15 +350,6 @@ func (n *Network) PerturbFrom(src *Network, sigma float64, rng *rand.Rand) {
 	}
 }
 
-// NumParams returns the total number of scalar parameters.
-func (n *Network) NumParams() int {
-	var total int
-	for _, layer := range n.Layers {
-		total += len(layer.W.Data) + len(layer.B)
-	}
-	return total
-}
-
 func (n *Network) mustMatch(src *Network) {
 	if len(n.Layers) != len(src.Layers) {
 		panic(fmt.Sprintf("nn: network layer count mismatch %d vs %d", len(n.Layers), len(src.Layers)))

@@ -278,14 +278,6 @@ func TestPerturbFromChangesOutput(t *testing.T) {
 	}
 }
 
-func TestNumParams(t *testing.T) {
-	net := newTestNet(t, Config{Sizes: []int{3, 5, 2}, AuxLayer: -1}, 14)
-	// (5*3+5) + (2*5+2) = 20 + 12 = 32.
-	if got := net.NumParams(); got != 32 {
-		t.Fatalf("NumParams=%d, want 32", got)
-	}
-}
-
 func TestMismatchedArchitecturesPanic(t *testing.T) {
 	a := newTestNet(t, Config{Sizes: []int{2, 3, 1}, AuxLayer: -1}, 15)
 	b := newTestNet(t, Config{Sizes: []int{2, 4, 1}, AuxLayer: -1}, 16)

@@ -1,63 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"miras/internal/mat"
-)
-
-// Optimizer applies accumulated gradients to a network's parameters.
-// Implementations own per-parameter state (momenta) and must be constructed
-// against the specific network they will update.
-type Optimizer interface {
-	// Step applies the gradients in g to the optimizer's network,
-	// interpreting g as the gradient of a loss to MINIMISE.
-	Step(g *Grads)
-}
-
-// Compile-time interface checks.
-var (
-	_ Optimizer = (*SGD)(nil)
-	_ Optimizer = (*Adam)(nil)
-)
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	net      *Network
-	lr       float64
-	momentum float64
-	velocity *Grads
-}
-
-// NewSGD returns an SGD optimizer for net with the given learning rate and
-// momentum coefficient (0 disables momentum).
-func NewSGD(net *Network, lr, momentum float64) *SGD {
-	s := &SGD{net: net, lr: lr, momentum: momentum}
-	if momentum != 0 {
-		s.velocity = NewGrads(net)
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(g *Grads) {
-	for l, layer := range s.net.Layers {
-		if s.velocity != nil {
-			vw := s.velocity.W[l]
-			vw.Scale(s.momentum)
-			vw.AddScaled(g.W[l], 1)
-			layer.W.AddScaled(vw, -s.lr)
-			vb := s.velocity.B[l]
-			for i := range vb {
-				vb[i] = s.momentum*vb[i] + g.B[l][i]
-				layer.B[i] -= s.lr * vb[i]
-			}
-		} else {
-			layer.W.AddScaled(g.W[l], -s.lr)
-			mat.VecAddScaled(layer.B, g.B[l], -s.lr)
-		}
-	}
-}
+import "math"
 
 // Adam's moment decays and denominator fuzz: the conventional values from
 // Kingma & Ba (2015).
@@ -81,7 +24,8 @@ func NewAdam(net *Network, lr float64) *Adam {
 	return &Adam{net: net, lr: lr, m: NewGrads(net), v: NewGrads(net)}
 }
 
-// Step implements Optimizer.
+// Step applies the gradients in g to the optimizer's network,
+// interpreting g as the gradient of a loss to minimise.
 func (a *Adam) Step(g *Grads) {
 	a.t++
 	// The decays are copied into float64 variables so 1−β is float64

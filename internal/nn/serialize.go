@@ -3,9 +3,7 @@ package nn
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
-	"miras/internal/checkpoint"
 	"miras/internal/mat"
 )
 
@@ -80,31 +78,4 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	return nil
-}
-
-// Save writes the network to path as JSON. The write is atomic (temp file
-// + rename): a crash mid-save leaves the previous file intact instead of a
-// torn one.
-func (n *Network) Save(path string) error {
-	data, err := json.Marshal(n)
-	if err != nil {
-		return fmt.Errorf("nn: marshal network: %w", err)
-	}
-	if err := checkpoint.WriteFileAtomic(path, data, 0o644); err != nil {
-		return fmt.Errorf("nn: save network: %w", err)
-	}
-	return nil
-}
-
-// Load reads a network previously written by Save.
-func Load(path string) (*Network, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("nn: load network: %w", err)
-	}
-	var n Network
-	if err := json.Unmarshal(data, &n); err != nil {
-		return nil, err
-	}
-	return &n, nil
 }

@@ -1,9 +1,9 @@
 package nn
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -65,39 +65,6 @@ func TestAdamLearnsNonlinearFunction(t *testing.T) {
 	}
 }
 
-// TestSGDMomentumLearns: SGD with momentum must also reduce loss.
-func TestSGDMomentumLearns(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	net := NewNetwork(Config{Sizes: []int{2, 8, 1}, Hidden: Tanh{}, AuxLayer: -1}, rng)
-	opt := NewSGD(net, 0.05, 0.9)
-	cache := NewCache(net)
-	g := NewGrads(net)
-	dOut := make([]float64, 1)
-	sample := func() ([]float64, []float64) {
-		x := []float64{rng.Float64(), rng.Float64()}
-		return x, []float64{x[0] + x[1]}
-	}
-	var first, last float64
-	for step := 0; step < 2000; step++ {
-		x, y := sample()
-		g.Zero()
-		pred := net.ForwardCache(cache, x, nil)
-		loss := MSE(dOut, pred, y)
-		if step == 0 {
-			first = loss
-		}
-		last = loss
-		net.Backward(cache, dOut, g)
-		opt.Step(g)
-	}
-	if last >= first {
-		t.Fatalf("SGD momentum did not reduce loss: first %g, last %g", first, last)
-	}
-	if last > 0.01 {
-		t.Fatalf("SGD momentum final loss %g too high", last)
-	}
-}
-
 func TestMSEHandComputed(t *testing.T) {
 	d := make([]float64, 2)
 	loss := MSE(d, []float64{1, 3}, []float64{0, 1})
@@ -135,20 +102,28 @@ func TestHuberLinearTails(t *testing.T) {
 	}
 }
 
+// roundTrip encodes net with its JSON codec and decodes the bytes into a
+// fresh Network, the path policy snapshots and checkpoints restore through.
+func roundTrip(t *testing.T, net *Network) *Network {
+	t.Helper()
+	data, err := json.Marshal(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Network
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	return &out
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	net := NewNetwork(Config{
 		Sizes: []int{4, 8, 3}, Hidden: ReLU{}, Output: Softmax{},
 		AuxLayer: -1,
 	}, rng)
-	path := filepath.Join(t.TempDir(), "net.json")
-	if err := net.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := roundTrip(t, net)
 	x := []float64{0.1, 0.2, 0.3, 0.4}
 	a, b := net.Forward(x, nil), loaded.Forward(x, nil)
 	for i := range a {
@@ -167,14 +142,7 @@ func TestSaveLoadAuxNetwork(t *testing.T) {
 		Sizes: []int{4, 8, 8, 1}, Hidden: Tanh{},
 		AuxLayer: 1, AuxDim: 3,
 	}, rng)
-	path := filepath.Join(t.TempDir(), "critic.json")
-	if err := net.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := roundTrip(t, net)
 	if loaded.AuxLayer != 1 || loaded.AuxDim != 3 {
 		t.Fatalf("aux metadata lost: layer=%d dim=%d", loaded.AuxLayer, loaded.AuxDim)
 	}
@@ -213,7 +181,7 @@ func TestActivationByNameRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: Save/Load round-trips arbitrary random architectures exactly.
+// Property: the JSON codec round-trips arbitrary random architectures exactly.
 func TestSaveLoadArbitraryArchitectures(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -235,14 +203,7 @@ func TestSaveLoadArbitraryArchitectures(t *testing.T) {
 			cfg.AuxDim = 1 + rng.Intn(4)
 		}
 		net := NewNetwork(cfg, rng)
-		path := filepath.Join(t.TempDir(), "net.json")
-		if err := net.Save(path); err != nil {
-			return false
-		}
-		loaded, err := Load(path)
-		if err != nil {
-			return false
-		}
+		loaded := roundTrip(t, net)
 		x := make([]float64, net.InDim())
 		for i := range x {
 			x[i] = rng.NormFloat64()

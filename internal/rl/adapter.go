@@ -16,28 +16,21 @@ type WindowedEnv struct {
 	inner      *env.Env
 	episodeLen int
 	steps      int
-	// clearOnReset controls whether Reset clears cluster WIP (the paper's
-	// reset provisions consumers until WIP ≈ 0; our Clear is the
-	// instantaneous equivalent).
-	clearOnReset bool
 }
 
 // Compile-time interface check.
 var _ Environment = (*WindowedEnv)(nil)
 
 // NewWindowedEnv wraps e with the given episode length.
-func NewWindowedEnv(e *env.Env, episodeLen int, clearOnReset bool) (*WindowedEnv, error) {
+func NewWindowedEnv(e *env.Env, episodeLen int) (*WindowedEnv, error) {
 	if e == nil {
 		return nil, fmt.Errorf("rl: env is required")
 	}
 	if episodeLen <= 0 {
 		return nil, fmt.Errorf("rl: episode length must be positive, got %d", episodeLen)
 	}
-	return &WindowedEnv{inner: e, episodeLen: episodeLen, clearOnReset: clearOnReset}, nil
+	return &WindowedEnv{inner: e, episodeLen: episodeLen}, nil
 }
-
-// Inner returns the wrapped environment.
-func (w *WindowedEnv) Inner() *env.Env { return w.inner }
 
 // StateDim implements Environment.
 func (w *WindowedEnv) StateDim() int { return w.inner.StateDim() }
@@ -47,13 +40,12 @@ func (w *WindowedEnv) StateDim() int { return w.inner.StateDim() }
 // failure-aware.
 func (w *WindowedEnv) ActionDim() int { return w.inner.ActionDim() }
 
-// Reset implements Environment.
+// Reset implements Environment. It clears cluster WIP: the paper's reset
+// provisions consumers until WIP ≈ 0, and env.Reset is the instantaneous
+// equivalent.
 func (w *WindowedEnv) Reset() []float64 {
 	w.steps = 0
-	if w.clearOnReset {
-		return w.inner.Reset()
-	}
-	return w.inner.State()
+	return w.inner.Reset()
 }
 
 // Step implements Environment. A panic on Step is impossible for simplex

@@ -24,23 +24,20 @@ func newAdapterEnv(t *testing.T, seed int64) *env.Env {
 }
 
 func TestNewWindowedEnvValidation(t *testing.T) {
-	if _, err := NewWindowedEnv(nil, 5, true); err == nil {
+	if _, err := NewWindowedEnv(nil, 5); err == nil {
 		t.Fatal("expected error for nil env")
 	}
 	e := newAdapterEnv(t, 70)
-	if _, err := NewWindowedEnv(e, 0, true); err == nil {
+	if _, err := NewWindowedEnv(e, 0); err == nil {
 		t.Fatal("expected error for zero episode length")
 	}
 }
 
 func TestWindowedEnvEpisodeLifecycle(t *testing.T) {
 	e := newAdapterEnv(t, 71)
-	w, err := NewWindowedEnv(e, 3, true)
+	w, err := NewWindowedEnv(e, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if w.Inner() != e {
-		t.Fatal("Inner lost")
 	}
 	if w.StateDim() != 2 || w.ActionDim() != 2 {
 		t.Fatalf("dims %d/%d", w.StateDim(), w.ActionDim())
@@ -85,24 +82,12 @@ func TestWindowedEnvResetSemantics(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.Cluster().Submit(0)
 	}
-	clearing, err := NewWindowedEnv(e, 3, true)
+	w, err := NewWindowedEnv(e, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := clearing.Reset()
-	if state[0] != 0 {
-		t.Fatalf("clearOnReset=true left WIP: %v", state)
-	}
-	for i := 0; i < 5; i++ {
-		e.Cluster().Submit(0)
-	}
-	keeping, err := NewWindowedEnv(e, 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state = keeping.Reset()
-	if state[0] != 5 {
-		t.Fatalf("clearOnReset=false cleared WIP: %v", state)
+	if state := w.Reset(); state[0] != 0 {
+		t.Fatalf("Reset left WIP: %v", state)
 	}
 }
 

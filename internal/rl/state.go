@@ -224,12 +224,6 @@ func (d *DDPG) CheckHealth(maxAbsQ float64) error {
 	return nil
 }
 
-// LastUpdateStats returns the critic loss and mean Q of the most recent
-// minibatch update (zeros before the first update).
-func (d *DDPG) LastUpdateStats() (criticLoss, meanQ float64) {
-	return d.lastCriticLoss, d.lastMeanQ
-}
-
 func finiteAll(xs []float64) bool {
 	for _, v := range xs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

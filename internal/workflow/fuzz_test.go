@@ -1,8 +1,6 @@
 package workflow_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
 	"miras/internal/cluster"
@@ -10,82 +8,40 @@ import (
 	"miras/internal/workflow"
 )
 
-// FuzzWorkflowJSON hammers the ensemble JSON codec — the one external input
-// surface of this package (custom ensemble files, the HTTP API). Decoding
-// must never panic; a successful decode must yield an internally consistent
-// ensemble that round-trips to stable bytes, and that the emulator can run:
-// an env over it builds and steps one window, with a burst of one request
-// per workflow type, without panicking.
-func FuzzWorkflowJSON(f *testing.F) {
-	for _, ens := range []*workflow.Ensemble{workflow.Toy(), workflow.NewMSD(), workflow.NewLIGO()} {
-		data, err := json.Marshal(ens)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"name":"x","tasks":[{"name":"a","mean_service_sec":1}],"workflows":[{"name":"w","nodes":["a"],"edges":[[]]}]}`))
-	f.Add([]byte(`{"name":"x","tasks":[{"name":"a","mean_service_sec":1}],"workflows":[{"name":"w","nodes":["a"],"edges":[[0]]}]}`))
-	f.Add([]byte(`{"name":"x","tasks":[{"name":"a","mean_service_sec":-1}],"workflows":[]}`))
-	f.Add([]byte(`{"name":"x","tasks":[{"name":"a","mean_service_sec":1}],"workflows":[{"name":"w","nodes":["b"],"edges":[[]]}]}`))
-	f.Add([]byte(`{"name":"c","tasks":[{"name":"a","mean_service_sec":1},{"name":"b","mean_service_sec":2}],"workflows":[{"name":"w","nodes":["a","b"],"edges":[[1],[0]]}]}`))
-	f.Add([]byte(`{"name":"x","tasks":[{"name":"a","mean_service_sec":1,"service_cv":1e200}],"workflows":[{"name":"w","nodes":["a"],"edges":[[]]}]}`))
-	f.Add([]byte(`{"name":"x","tasks":[{"name":"a","mean_service_sec":1e-300,"service_cv":1e150}],"workflows":[{"name":"w","nodes":["a"],"edges":[[]]}]}`))
+// FuzzEnsembleSteps holds Validate to its promise: any service-time
+// parameters it accepts are ones the emulator can draw. A two-task chain
+// built from the fuzzed (mean, cv) pairs either fails Validate, or an env
+// over it builds and steps one window, with a one-request burst, without
+// panicking.
+func FuzzEnsembleSteps(f *testing.F) {
+	f.Add(1.0, 0.5, 2.0, 0.0)
+	f.Add(1.0, 1e200, 1.0, 0.0)
+	f.Add(1e-300, 1e150, 1.0, 0.0)
+	f.Add(0.0, 0.0, -1.0, -1.0)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var e workflow.Ensemble
-		if err := json.Unmarshal(data, &e); err != nil {
-			return // rejected input: fine, as long as it didn't panic
+	f.Fuzz(func(t *testing.T, mean0, cv0, mean1, cv1 float64) {
+		e := &workflow.Ensemble{
+			Name: "fuzz",
+			Tasks: []workflow.TaskDef{
+				{Name: "a", MeanServiceSec: mean0, ServiceCV: cv0},
+				{Name: "b", MeanServiceSec: mean1, ServiceCV: cv1},
+			},
+			Workflows: []*workflow.Type{
+				workflow.MustType("chain", []workflow.Node{{Task: 0}, {Task: 1}}, [][]int{{1}, {}}),
+			},
 		}
-		if err := e.Validate(); err != nil {
-			t.Fatalf("decoded ensemble fails validation: %v\ninput: %q", err, data)
+		if e.Validate() != nil {
+			return
 		}
-		for _, wf := range e.Workflows {
-			if err := wf.CheckConsistency(); err != nil {
-				t.Fatalf("decoded workflow inconsistent: %v\ninput: %q", err, data)
-			}
-		}
-		out, err := json.Marshal(&e)
+		ev, err := env.New(env.Config{Cluster: cluster.Config{Ensemble: e}, Seed: 1, Rates: []float64{0.05}, Budget: 2})
 		if err != nil {
-			t.Fatalf("re-encode failed: %v\ninput: %q", err, data)
+			t.Fatalf("validated ensemble builds no env: %v\ntasks: %+v", err, e.Tasks)
 		}
-		var e2 workflow.Ensemble
-		if err := json.Unmarshal(out, &e2); err != nil {
-			t.Fatalf("round-trip decode failed: %v\nencoded: %q", err, out)
+		if err := ev.InjectBurst([]int{1}); err != nil {
+			t.Fatalf("burst: %v\ntasks: %+v", err, e.Tasks)
 		}
-		out2, err := json.Marshal(&e2)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := ev.Step([]int{1, 1}); err != nil {
+			t.Fatalf("step: %v\ntasks: %+v", err, e.Tasks)
 		}
-		if !bytes.Equal(out, out2) {
-			t.Fatalf("round-trip unstable:\nfirst:  %q\nsecond: %q", out, out2)
-		}
-		stepOneWindow(t, &e, data)
 	})
-}
-
-// stepOneWindow builds an env over e with light background load and one
-// consumer per task type, injects one request per workflow type and steps
-// one window.
-func stepOneWindow(t *testing.T, e *workflow.Ensemble, data []byte) {
-	rates := make([]float64, e.NumWorkflows())
-	burst := make([]int, e.NumWorkflows())
-	for i := range rates {
-		rates[i], burst[i] = 0.05, 1
-	}
-	action := make([]int, e.NumTasks())
-	for j := range action {
-		action[j] = 1
-	}
-	ev, err := env.New(env.Config{Cluster: cluster.Config{Ensemble: e}, Seed: 1, Rates: rates, Budget: len(action)})
-	if err != nil {
-		t.Fatalf("decoded ensemble builds no env: %v\ninput: %q", err, data)
-	}
-	if err := ev.InjectBurst(burst); err != nil {
-		t.Fatalf("burst: %v\ninput: %q", err, data)
-	}
-	if _, err := ev.Step(action); err != nil {
-		t.Fatalf("step: %v\ninput: %q", err, data)
-	}
 }

@@ -42,13 +42,6 @@ func (t *TDS) SuccessorNodes(wf, node int) []int {
 	return t.ensemble.Workflows[wf].Successors(node)
 }
 
-// PredecessorCount returns how many predecessors node has within workflow
-// wf; the invoker uses it for join synchronisation.
-func (t *TDS) PredecessorCount(wf, node int) int {
-	t.queries++
-	return len(t.ensemble.Workflows[wf].Predecessors(node))
-}
-
 // TaskOf returns the task type that node of workflow wf executes.
 func (t *TDS) TaskOf(wf, node int) TaskType {
 	t.queries++

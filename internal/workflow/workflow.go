@@ -220,29 +220,6 @@ func (t *Type) UsesTask(j TaskType) bool {
 	return false
 }
 
-// CriticalPathLength returns the length of the longest path through the DAG
-// weighted by the given per-task-type costs. Baseline schedulers (HEFT) use
-// this for ranking.
-func (t *Type) CriticalPathLength(cost func(TaskType) float64) float64 {
-	longest := make([]float64, len(t.Nodes))
-	var max float64
-	// Traverse in reverse topological order so successors are done first.
-	for i := len(t.order) - 1; i >= 0; i-- {
-		n := t.order[i]
-		var best float64
-		for _, succ := range t.Edges[n] {
-			if longest[succ] > best {
-				best = longest[succ]
-			}
-		}
-		longest[n] = cost(t.Nodes[n].Task) + best
-		if longest[n] > max {
-			max = longest[n]
-		}
-	}
-	return max
-}
-
 // Ensemble is a family of workflow types over a shared set of task types —
 // the unit the paper calls a "workflow computing ensemble" (MSD, LIGO).
 type Ensemble struct {

@@ -90,27 +90,6 @@ func TestMultiRootGraph(t *testing.T) {
 	}
 }
 
-func TestCriticalPathLength(t *testing.T) {
-	// 0 → (1, 2) → 3 with unit costs: longest path is 3 nodes.
-	wf := MustType("diamond",
-		[]Node{{Task: 0}, {Task: 1}, {Task: 2}, {Task: 3}},
-		[][]int{{1, 2}, {3}, {3}, {}})
-	got := wf.CriticalPathLength(func(TaskType) float64 { return 1 })
-	if got != 3 {
-		t.Fatalf("critical path=%g, want 3", got)
-	}
-	// Weighted: task 2 is expensive, path through it dominates.
-	got = wf.CriticalPathLength(func(tt TaskType) float64 {
-		if tt == 2 {
-			return 10
-		}
-		return 1
-	})
-	if got != 12 {
-		t.Fatalf("weighted critical path=%g, want 12", got)
-	}
-}
-
 func TestUsesTask(t *testing.T) {
 	wf := MustType("p", []Node{{Task: 3}}, [][]int{{}})
 	if !wf.UsesTask(3) || wf.UsesTask(0) {
@@ -262,9 +241,6 @@ func TestTDSQueries(t *testing.T) {
 	succ := tds.SuccessorNodes(2, 0)
 	if len(succ) != 2 {
 		t.Fatalf("SuccessorNodes=%v, want 2 successors", succ)
-	}
-	if got := tds.PredecessorCount(2, 3); got != 2 {
-		t.Fatalf("PredecessorCount=%d, want 2", got)
 	}
 	if got := tds.TaskOf(2, 3); got != MSDRender {
 		t.Fatalf("TaskOf=%d, want Render", got)
