@@ -54,7 +54,7 @@ benchmark-smoke:
 fmt:
 	gofmt -l -w .
 
-# Short fuzz runs over five input surfaces, one property target and five
+# Short fuzz runs over five input surfaces, one property target and six
 # differential targets: the untrusted inputs (fault plans, HTTP session
 # creation, session snapshots on restore, serialized networks and policy
 # snapshots), ensemble validation (FuzzEnsembleSteps: any service times
@@ -67,9 +67,12 @@ fmt:
 # (FuzzMulVecTo: decoded matrices must give bit-identical outputs), and the
 # AVX2 lane kernels against the pure-Go ones (FuzzGemmLanes: decoded shapes
 # and raw float64 bits must give bit-identical products and rank-k updates;
-# it skips on a CPU without AVX2), and the lane tanh against math.Tanh
-# (FuzzTanhLanes: raw float64 bits must give bit-identical results; it skips
-# where the lanes are not chosen at start-up).
+# it skips on a CPU without AVX2), the Adam and soft-update lanes against
+# their pure-Go loops (FuzzUpdateLanes: raw float64 bits and step counts
+# must give bit-identical parameters and moments; it skips likewise), and
+# the lane tanh against math.Tanh (FuzzTanhLanes: raw float64 bits must give
+# bit-identical results; it skips where the lanes are not chosen at
+# start-up).
 # Go allows one -fuzz pattern per invocation, hence one run each; each
 # extends the committed seed corpus in the package's testdata/fuzz/ only in
 # the local build cache.
@@ -84,6 +87,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -fuzz FuzzEngineOracle -fuzztime 10s
 	$(GO) test ./internal/mat/ -fuzz FuzzMulVecTo -fuzztime 10s
 	$(GO) test ./internal/mat/ -fuzz FuzzGemmLanes -fuzztime 10s
+	$(GO) test ./internal/mat/ -fuzz FuzzUpdateLanes -fuzztime 10s
 	$(GO) test ./internal/mat/ -fuzz FuzzTanhLanes -fuzztime 10s
 
 # Smoke-test the observability surface: start `miras serve`, scrape

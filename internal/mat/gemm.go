@@ -282,10 +282,10 @@ func (dst *Matrix) AddMulATBScaled(a, b *Matrix, s float64) {
 // adds are explicitly left-associated with samples folded two at a time,
 // so each dst entry sees the samples in exactly the ascending order
 // sequential AddOuterScaled calls would apply them — for any row tiling.
-// The lane kernel computes the same expression four entries at a time.
+// The lane tile (rank4x8) computes the same expression, with the same
+// skips, 4×8 entries at a time.
 func addMulATBScaledRows(dst, a, b *Matrix, s float64, i0, i1 int) {
 	m, n := a.Cols, b.Cols
-	useLanes := useAVX2 && n > 0
 	// Two samples per pass halves the read/write traffic on dst.
 	r := 0
 	for ; r+1 < a.Rows; r += 2 {
@@ -299,10 +299,6 @@ func addMulATBScaledRows(dst, a, b *Matrix, s float64, i0, i1 int) {
 				continue
 			}
 			drow := dst.Data[i*n:][:n]
-			if useLanes {
-				axpy2(n, &drow[0], &b0[0], &b1[0], f0, f1)
-				continue
-			}
 			for j := 0; j < n; j++ {
 				drow[j] = (drow[j] + f0*b0[j]) + f1*b1[j]
 			}

@@ -31,7 +31,12 @@ func lanesFor(m, k int) bool {
 // panel[p*8+q] = b[p][c+q].
 func packPanel(panel []float64, b *Matrix, c int) {
 	for p := 0; p < b.Rows; p++ {
-		*(*[panelWidth]float64)(panel[p*panelWidth:]) = *(*[panelWidth]float64)(b.Data[p*b.Cols+c:])
+		// Element-wise rather than as one [8]float64 copy, which the
+		// compiler turns into a memmove call per row.
+		src := b.Data[p*b.Cols+c:][:panelWidth]
+		dst := panel[p*panelWidth:][:panelWidth]
+		dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
+		dst[4], dst[5], dst[6], dst[7] = src[4], src[5], src[6], src[7]
 	}
 }
 
@@ -95,4 +100,86 @@ func mulLanesRows(dst, a *Matrix, panels []float64, lanes, r0, r1 int) {
 			}
 		}
 	}
+}
+
+// rankPacked is a rank-k update dst += s·aᵀ·b (a p×m, b p×n) as the lane
+// tile reads it: f = s·a in a's p×m layout (a itself when s is 1, which
+// leaves every product unchanged), and b's columns as p×8 panels, panel
+// g/8 at panels[g*p:] as packPanel writes them, the last one padded with
+// zeros when 8 does not divide n. f is nil when the update runs on the
+// pure-Go kernel alone.
+type rankPacked struct {
+	f, panels []float64
+}
+
+// packRank packs a and b for the lane tile into shared scratch, which the
+// caller hands back with putScratch once the update is done (sp is nil
+// when nothing was packed).
+func packRank(a, b *Matrix, s float64) (rp rankPacked, sp *[]float64) {
+	p, m, n := a.Rows, a.Cols, b.Cols
+	if !lanesFor(m, p) || n == 0 {
+		return rankPacked{}, nil
+	}
+	lanes := n &^ (panelWidth - 1)
+	cols := (n + panelWidth - 1) &^ (panelWidth - 1)
+	size := p * cols
+	if s != 1 {
+		size += p * m
+	}
+	sp = getScratch(size)
+	rp.panels = (*sp)[:p*cols]
+	for g := 0; g < lanes; g += panelWidth {
+		packPanel(rp.panels[g*p:][:panelWidth*p], b, g)
+	}
+	if lanes < n {
+		last := rp.panels[lanes*p:]
+		for r := 0; r < p; r++ {
+			row := last[r*panelWidth:][:panelWidth]
+			clear(row[copy(row, b.Data[r*n+lanes:(r+1)*n]):])
+		}
+	}
+	rp.f = a.Data
+	if s != 1 {
+		rp.f = (*sp)[p*cols:]
+		for i, v := range a.Data {
+			rp.f[i] = s * v
+		}
+	}
+	return rp, sp
+}
+
+// rankRows accumulates rows [i0, i1) of dst += s·aᵀ·b packed as rp. Each
+// group of four rows runs the 4×8 lane tile over the whole panels, block
+// by block as mulLanesRows does, and over the padded last panel through a
+// 4×8 copy of its tile; the rows left over run the pure-Go kernel.
+func rankRows(dst, a, b *Matrix, s float64, rp *rankPacked, i0, i1 int) {
+	g1 := i0
+	if rp.f != nil {
+		g1 = i0 + (i1-i0)&^(laneRows-1)
+		p, m, ld := a.Rows, a.Cols, dst.Cols
+		lanes := ld &^ (panelWidth - 1)
+		tail := a.Data[(p-1)*m:]
+		for j0 := 0; j0 < lanes; j0 += gemmBlock {
+			j1 := min(j0+gemmBlock, lanes)
+			blk := rp.panels[j0*p : j1*p]
+			for i := i0; i < g1; i += laneRows {
+				di := dst.Data[i*ld+j0 : (i+laneRows-1)*ld+j1]
+				rank4x8(p, &rp.f[i], m, &tail[i], &blk[0], (j1-j0)/panelWidth, &di[0], ld)
+			}
+		}
+		if rem := ld - lanes; rem > 0 {
+			last := rp.panels[lanes*p:]
+			var tile [laneRows * panelWidth]float64
+			for i := i0; i < g1; i += laneRows {
+				for r := 0; r < laneRows; r++ {
+					copy(tile[r*panelWidth:], dst.Data[(i+r)*ld+lanes:][:rem])
+				}
+				rank4x8(p, &rp.f[i], m, &tail[i], &last[0], 1, &tile[0], panelWidth)
+				for r := 0; r < laneRows; r++ {
+					copy(dst.Data[(i+r)*ld+lanes:][:rem], tile[r*panelWidth:])
+				}
+			}
+		}
+	}
+	addMulATBScaledRows(dst, a, b, s, g1, i1)
 }

@@ -13,7 +13,15 @@ func gemm4x8(k int, a *float64, lda int, panels *float64, npanels int, dst *floa
 	panic("mat: lane kernels need amd64")
 }
 
-func axpy2(n int, drow, b0, b1 *float64, f0, f1 float64) {
+func rank4x8(k int, f *float64, ldf int, atail *float64, panels *float64, npanels int, dst *float64, ldd int) {
+	panic("mat: lane kernels need amd64")
+}
+
+func adamLanes(n int, w, m, v, grad *float64, c *[8]float64) {
+	panic("mat: lane kernels need amd64")
+}
+
+func softLanes(n int, w, src *float64, keep, tau float64) {
 	panic("mat: lane kernels need amd64")
 }
 

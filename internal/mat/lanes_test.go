@@ -78,12 +78,20 @@ func laneMismatch(a, b *Matrix) string {
 		var lanes, generic *Matrix
 		withLanes(true, func() { lanes = op.run(a, b) })
 		withLanes(false, func() { generic = op.run(a, b) })
-		for i, v := range lanes.Data {
-			if w := generic.Data[i]; !sameBits(v, w) {
-				return fmt.Sprintf("%s, a %dx%d, b %dx%d: entry (%d,%d) lanes %v (%#x) != pure Go %v (%#x)",
-					op.name, a.Rows, a.Cols, b.Rows, b.Cols, i/lanes.Cols, i%lanes.Cols,
-					v, math.Float64bits(v), w, math.Float64bits(w))
-			}
+		if msg := entryMismatch(lanes, generic); msg != "" {
+			return fmt.Sprintf("%s, a %dx%d, b %dx%d: %s", op.name, a.Rows, a.Cols, b.Rows, b.Cols, msg)
+		}
+	}
+	return ""
+}
+
+// entryMismatch describes the first entry whose bits differ between the
+// lane and pure-Go results ("" if none).
+func entryMismatch(lanes, generic *Matrix) string {
+	for i, v := range lanes.Data {
+		if w := generic.Data[i]; !sameBits(v, w) {
+			return fmt.Sprintf("entry (%d,%d) lanes %v (%#x) != pure Go %v (%#x)",
+				i/lanes.Cols, i%lanes.Cols, v, math.Float64bits(v), w, math.Float64bits(w))
 		}
 	}
 	return ""
@@ -133,6 +141,73 @@ func TestLaneKernelsMatchGeneric(t *testing.T) {
 			t.Fatal(msg)
 		}
 	}
+	// The rank-k update's skips, made certain rather than rare: even and
+	// odd sample counts, every residue of rows mod 4 and columns mod 8, and
+	// the scaled (s = 0.5, where 5e-324 scales to 0) and unscaled copies.
+	for _, s := range [][3]int{{64, 64, 64}, {65, 64, 68}, {7, 12, 4}, {33, 13, 21}, {1, 4, 8}, {2, 6, 3}, {9, 7, 15}} {
+		for _, scale := range []float64{1, 0.5} {
+			if msg := rankSkipMismatch(s[0], s[1], s[2], scale, rng); msg != "" {
+				t.Fatal(msg)
+			}
+		}
+	}
+}
+
+// rankSkipMismatch runs dst += scale·aᵀ·b with the lane kernels on and off
+// on ReLU-shaped inputs and describes the first entry whose bits differ
+// ("" if none). Half of a's entries are ±0 and a few are 5e-324; row 0 of
+// dst sees only zeros, rows 1 mod 3 see whole zero sample pairs, and even
+// rows a zero odd last sample. dst starts at −0 with a few ±Inf, and one
+// column of b is +Inf, so a skipped add that ran would show as +0 or NaN.
+func rankSkipMismatch(p, m, n int, scale float64, rng *rand.Rand) string {
+	negZero := math.Copysign(0, -1)
+	a := New(p, m)
+	for r := 0; r < p; r++ {
+		for i := 0; i < m; i++ {
+			v := rng.NormFloat64()
+			switch {
+			case i == 0, i%3 == 1 && r/2%2 == 0, i%2 == 0 && r == p-1 && p%2 == 1:
+				v = 0
+			case rng.Intn(8) == 0:
+				v = math.SmallestNonzeroFloat64
+			case rng.Intn(2) == 0:
+				v = 0
+			}
+			if v == 0 && rng.Intn(2) == 0 {
+				v = negZero
+			}
+			a.Data[r*m+i] = v
+		}
+	}
+	b := laneRandMat(p, n, rng)
+	for r := 0; r < p; r++ {
+		b.Data[r*n+n/2] = math.Inf(1)
+	}
+	seed := New(m, n)
+	for i := range seed.Data {
+		seed.Data[i] = negZero
+		if rng.Intn(8) == 0 {
+			seed.Data[i] = math.Inf(1 - 2*rng.Intn(2))
+		}
+	}
+	run := func() *Matrix {
+		dst := seed.Clone()
+		dst.AddMulATBScaled(a, b, scale)
+		return dst
+	}
+	var lanes, generic *Matrix
+	withLanes(true, func() { lanes = run() })
+	withLanes(false, func() { generic = run() })
+	msg := entryMismatch(lanes, generic)
+	for j := 0; j < n && msg == ""; j++ {
+		if !sameBits(generic.Data[j], seed.Data[j]) {
+			msg = fmt.Sprintf("all-zero row 0 moved at column %d", j)
+		}
+	}
+	if msg != "" {
+		return fmt.Sprintf("AddMulATBScaled skips, a %dx%d, b %dx%d, s %v: %s", p, m, p, n, scale, msg)
+	}
+	return ""
 }
 
 // FuzzGemmLanes is the differential target for the lane kernels: the

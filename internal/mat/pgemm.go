@@ -84,6 +84,7 @@ func gemm(dst, a *Matrix, pb packedB, ep Epilogue) {
 type rankTask struct {
 	dst, a, b *Matrix
 	s         float64
+	rp        rankPacked
 	span      int
 }
 
@@ -93,7 +94,7 @@ func (t *rankTask) RunTile(tile int) {
 	if i1 > t.dst.Rows {
 		i1 = t.dst.Rows
 	}
-	addMulATBScaledRows(t.dst, t.a, t.b, t.s, i0, i1)
+	rankRows(t.dst, t.a, t.b, t.s, &t.rp, i0, i1)
 }
 
 var rankTasks = sync.Pool{New: func() any { return new(rankTask) }}
@@ -102,18 +103,23 @@ var rankTasks = sync.Pool{New: func() any { return new(rankTask) }}
 // update is large enough and more than one worker is available. Each dst
 // row is owned by one tile and folds the minibatch in ascending sample
 // order, so accumulation is bit-identical to the serial kernel for any
-// worker count.
+// worker count. The operands are packed for the lane tile once, before
+// the fan-out, and every tile reads the one packing.
 func rankUpdate(dst, a, b *Matrix, s float64) {
 	m, n := a.Cols, b.Cols
+	rp, sp := packRank(a, b, s)
 	w := parallel.MaxWorkers()
 	if w <= 1 || m < 4 || 2*a.Rows*m*n < minParallelFlops {
-		addMulATBScaledRows(dst, a, b, s, 0, m)
-		return
+		rankRows(dst, a, b, s, &rp, 0, m)
+	} else {
+		t := rankTasks.Get().(*rankTask)
+		t.dst, t.a, t.b, t.s, t.rp = dst, a, b, s, rp
+		t.span = rowTileSpan(m, w)
+		parallel.Kernel((m+t.span-1)/t.span, t)
+		*t = rankTask{}
+		rankTasks.Put(t)
 	}
-	t := rankTasks.Get().(*rankTask)
-	t.dst, t.a, t.b, t.s = dst, a, b, s
-	t.span = rowTileSpan(m, w)
-	parallel.Kernel((m+t.span-1)/t.span, t)
-	*t = rankTask{}
-	rankTasks.Put(t)
+	if sp != nil {
+		putScratch(sp)
+	}
 }

@@ -326,11 +326,8 @@ func (n *Network) CopyParamsFrom(src *Network) {
 func (n *Network) SoftUpdateFrom(src *Network, tau float64) {
 	n.mustMatch(src)
 	for l, layer := range n.Layers {
-		layer.W.Scale(1 - tau)
-		layer.W.AddScaled(src.Layers[l].W, tau)
-		for i := range layer.B {
-			layer.B[i] = (1-tau)*layer.B[i] + tau*src.Layers[l].B[i]
-		}
+		mat.SoftUpdate(layer.W.Data, src.Layers[l].W.Data, tau)
+		mat.SoftUpdate(layer.B, src.Layers[l].B, tau)
 	}
 }
 

@@ -1,6 +1,10 @@
 package nn
 
-import "math"
+import (
+	"math"
+
+	"miras/internal/mat"
+)
 
 // Adam's moment decays and denominator fuzz: the conventional values from
 // Kingma & Ba (2015).
@@ -28,25 +32,14 @@ func NewAdam(net *Network, lr float64) *Adam {
 // interpreting g as the gradient of a loss to minimise.
 func (a *Adam) Step(g *Grads) {
 	a.t++
-	// The decays are copied into float64 variables so 1−β is float64
-	// arithmetic (0.09999999999999998 for β1), not the exact constant 0.1
-	// that Go would fold from the untyped constants.
-	beta1, beta2, eps, lr := adamBeta1, adamBeta2, adamEps, a.lr
-	corr1 := 1 - math.Pow(beta1, float64(a.t))
-	corr2 := 1 - math.Pow(beta2, float64(a.t))
+	// The decays travel as float64 fields, so 1−β is float64 arithmetic
+	// (0.09999999999999998 for β1), not the exact constant 0.1 that Go
+	// would fold from the untyped constants.
+	p := mat.AdamParams{Beta1: adamBeta1, Beta2: adamBeta2, LR: a.lr, Eps: adamEps}
+	p.Corr1 = 1 - math.Pow(p.Beta1, float64(a.t))
+	p.Corr2 = 1 - math.Pow(p.Beta2, float64(a.t))
 	for l, layer := range a.net.Layers {
-		mw, vw, gw := a.m.W[l].Data, a.v.W[l].Data, g.W[l].Data
-		w := layer.W.Data
-		for i, gi := range gw {
-			mw[i] = beta1*mw[i] + (1-beta1)*gi
-			vw[i] = beta2*vw[i] + (1-beta2)*gi*gi
-			w[i] -= lr * (mw[i] / corr1) / (math.Sqrt(vw[i]/corr2) + eps)
-		}
-		mb, vb, gb := a.m.B[l], a.v.B[l], g.B[l]
-		for i, gi := range gb {
-			mb[i] = beta1*mb[i] + (1-beta1)*gi
-			vb[i] = beta2*vb[i] + (1-beta2)*gi*gi
-			layer.B[i] -= lr * (mb[i] / corr1) / (math.Sqrt(vb[i]/corr2) + eps)
-		}
+		mat.AdamStep(layer.W.Data, a.m.W[l].Data, a.v.W[l].Data, g.W[l].Data, &p)
+		mat.AdamStep(layer.B, a.m.B[l], a.v.B[l], g.B[l], &p)
 	}
 }

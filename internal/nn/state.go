@@ -32,7 +32,8 @@ func (a *Adam) State() AdamState {
 }
 
 // SetState restores state captured by State. It validates shapes against
-// the optimizer's network and rejects non-finite moments so a corrupted
+// the optimizer's network and rejects non-finite moments and negative
+// second moments (whose square root is NaN; −0 is allowed) so a corrupted
 // checkpoint cannot poison subsequent updates.
 func (a *Adam) SetState(s AdamState) error {
 	if s.T < 0 {
@@ -57,6 +58,13 @@ func (a *Adam) SetState(s AdamState) error {
 			for _, v := range vals {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					return fmt.Errorf("nn: adam state: non-finite moment in layer %d", l)
+				}
+			}
+		}
+		for _, vals := range [][]float64{s.VW[l], s.VB[l]} {
+			for _, v := range vals {
+				if v < 0 {
+					return fmt.Errorf("nn: adam state: negative second moment in layer %d", l)
 				}
 			}
 		}

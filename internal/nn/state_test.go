@@ -86,6 +86,18 @@ func TestAdamSetStateRejectsBadState(t *testing.T) {
 			s.MW[0][0] = math.NaN()
 			return s
 		},
+		"negative weight second moment": func(s AdamState) AdamState {
+			s.VW = append([][]float64(nil), s.VW...)
+			s.VW[0] = append([]float64(nil), s.VW[0]...)
+			s.VW[0][0] = -1
+			return s
+		},
+		"negative bias second moment": func(s AdamState) AdamState {
+			s.VB = append([][]float64(nil), s.VB...)
+			s.VB[1] = append([]float64(nil), s.VB[1]...)
+			s.VB[1][0] = -math.SmallestNonzeroFloat64
+			return s
+		},
 	}
 	for name, mut := range cases {
 		if err := opt.SetState(mut(good)); err == nil {
@@ -132,5 +144,31 @@ func TestLoadRejectsCorruptNetwork(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &n); err == nil {
 			t.Errorf("%s: decode accepted corrupt network", name)
 		}
+	}
+}
+
+// TestAdamSetStateNegativeZeroMoment restores second moments of −0, which
+// sqrt maps to −0 like +0, and checks that a zero-gradient Step from them
+// leaves every weight finite.
+func TestAdamSetStateNegativeZeroMoment(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	net := NewNetwork(Config{Sizes: []int{2, 3, 1}, AuxLayer: -1}, rng)
+	opt := NewAdam(net, 1e-3)
+	s := opt.State()
+	negZero := math.Copysign(0, -1)
+	for l := range s.VW {
+		for i := range s.VW[l] {
+			s.VW[l][i] = negZero
+		}
+		for i := range s.VB[l] {
+			s.VB[l][i] = negZero
+		}
+	}
+	if err := opt.SetState(s); err != nil {
+		t.Fatalf("second moments of -0 rejected: %v", err)
+	}
+	opt.Step(NewGrads(net))
+	if err := net.CheckFinite(); err != nil {
+		t.Fatalf("zero-gradient step from -0 moments: %v", err)
 	}
 }

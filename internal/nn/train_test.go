@@ -2,6 +2,7 @@ package nn
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -225,5 +226,33 @@ func TestSaveLoadArbitraryArchitectures(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkAdamStep times one Adam step over a three-hidden-layer actor at
+// the benchmark's width (64) and the paper's MSD (256) and LIGO (512)
+// widths, the widths gemmBench uses, with a fixed random gradient.
+func BenchmarkAdamStep(b *testing.B) {
+	for _, width := range []int{64, 256, 512} {
+		b.Run(fmt.Sprintf("%dwide", width), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			net := NewNetwork(Config{Sizes: []int{4, width, width, width, 4}, Hidden: Tanh{}, Output: Softmax{}, AuxLayer: -1}, rng)
+			g := NewGrads(net)
+			params := 0
+			for l := range g.W {
+				for i := range g.W[l].Data {
+					g.W[l].Data[i] = rng.NormFloat64()
+				}
+				for i := range g.B[l] {
+					g.B[l][i] = rng.NormFloat64()
+				}
+				params += len(g.W[l].Data) + len(g.B[l])
+			}
+			opt := NewAdam(net, 1e-3)
+			for b.Loop() {
+				opt.Step(g)
+			}
+			b.ReportMetric(float64(params), "params")
+		})
 	}
 }
