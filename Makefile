@@ -1,11 +1,12 @@
-# Developer entry points. `make check` is the pre-commit gate; `make bench`
-# measures this tree with the repository's one performance instrument
-# (benchmark/, declared in BENCHMARK.json) and compares it with the committed
-# baseline.
+# Developer entry points. `make test` is the whole verify: the end-to-end
+# checks (golden manifest, resume, fleet, failover) are tests in cmd/miras.
+# `make check` is the pre-commit gate; `make bench` measures this tree with
+# the repository's one performance instrument (benchmark/, declared in
+# BENCHMARK.json) and compares it with the committed baseline.
 
 GO ?= go
 
-.PHONY: build test vet race check bench benchmark-smoke fmt fuzz-smoke obs-demo chaos-demo golden-demo resume-demo loadgen-demo failover-demo
+.PHONY: build test vet race check bench benchmark-smoke fmt fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -89,41 +90,3 @@ fuzz-smoke:
 	$(GO) test ./internal/mat/ -fuzz FuzzGemmLanes -fuzztime 10s
 	$(GO) test ./internal/mat/ -fuzz FuzzUpdateLanes -fuzztime 10s
 	$(GO) test ./internal/mat/ -fuzz FuzzTanhLanes -fuzztime 10s
-
-# Smoke-test the observability surface: start `miras serve`, scrape
-# /metrics, and fail unless it serves non-empty Prometheus output.
-obs-demo:
-	./scripts/obs_demo.sh
-
-# Determinism smoke test for the fault-injection layer: run a short seeded
-# chaos experiment twice and fail unless the CSVs are byte-identical.
-chaos-demo:
-	./scripts/chaos_demo.sh
-
-# Golden end-to-end regression gate: seeded short-horizon train / compare /
-# chaos runs (invariants live, debug -trace-out on) whose CSV and JSONL trace
-# sha256s are pinned in scripts/testdata/golden_demo.sha256. Refresh with
-# scripts/golden_demo.sh --update.
-golden-demo:
-	./scripts/golden_demo.sh
-
-# Crash-safety gate: train, SIGTERM mid-run after a checkpoint lands, resume
-# from the checkpoint directory, and fail unless the stitched-together run's
-# CSVs are byte-identical to an uninterrupted run's (invariants live).
-resume-demo:
-	./scripts/resume_demo.sh
-
-# Horizontal-scaling gate: 2 `miras serve` shards behind `miras route`, a
-# seeded 2000-request Zipf trace from `miras load` with zero tolerated 5xx,
-# and a drain→rehydrate byte-identity round-trip across two processes
-# sharing a spill directory.
-loadgen-demo:
-	./scripts/loadgen_demo.sh
-
-# Serving-resilience gate: `miras route -failover` (retries, breakers and
-# probes at their defaults, plus automated failover) over 2 shards sharing
-# a spill directory; one shard is SIGKILLed at 40% of a seeded Zipf trace
-# and the replay must stay inside a 1% error budget with the dead shard's
-# sessions still serving.
-failover-demo:
-	./scripts/failover_demo.sh

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -42,13 +43,20 @@ func (l *listener) declare(fs *flag.FlagSet) {
 		"grace period for draining in-flight requests on SIGINT/SIGTERM")
 }
 
-// run serves h on -addr until SIGINT/SIGTERM, then drains in-flight
-// requests for up to -shutdown-timeout. Each background loop runs under a
-// context that ends with the signal (or a failed listen), and run returns
-// only after every loop has.
+// listen binds -addr; the end-to-end tests hand a fleet's shards sockets
+// bound before start instead, so the shards can name each other in -members.
+var listen = net.Listen
+
+// run binds -addr, announces the bound address (the real port for host:0)
+// and serves h until SIGINT/SIGTERM, then drains in-flight requests for up to
+// -shutdown-timeout. Each background loop runs under a context that ends with
+// the signal (or a failed accept), and run returns only after every loop has.
 func (l *listener) run(w io.Writer, name string, h http.Handler, background ...func(context.Context)) error {
+	ln, err := listen("tcp", l.addr)
+	if err != nil {
+		return err
+	}
 	srv := &http.Server{
-		Addr:              l.addr,
 		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       10 * time.Second,
@@ -70,10 +78,10 @@ func (l *listener) run(w io.Writer, name string, h http.Handler, background ...f
 	}
 
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Fprintf(w, "miras %s listening on %s\n", name, l.addr)
+	go func() { errc <- srv.Serve(ln) }()
+	fmt.Fprintf(w, "miras %s listening on %s\n", name, ln.Addr())
 	select {
-	case err := <-errc: // ListenAndServe never returns nil: a bind failure
+	case err := <-errc: // Serve never returns nil: an accept failure
 		return err
 	case <-ctx.Done():
 	}
@@ -155,7 +163,7 @@ func serve(fs *flag.FlagSet) func(io.Writer) error {
 	spillDir := fs.String("spill-dir", "",
 		"directory for eviction/drain snapshot spill, shared by a fleet that fails over; enables POST /v1/admin/drain and /v1/admin/rehydrate")
 	spillSync := fs.Duration("spill-sync-interval", 0,
-		"how often to snapshot every live session to -spill-dir without evicting (0 disables); bounds what a crash loses to one interval")
+		"how often to snapshot every live session to -spill-dir without evicting (0 disables); a crash then loses at most one interval of steps, and no session, since a create is spilled before its 201")
 	return func(w io.Writer) (err error) {
 		opts := []httpapi.Option{httpapi.WithMaxSessions(*maxSessions), httpapi.WithRequestTimeout(requestTimeout)}
 		if (*self == "") != (*list == "") {
@@ -205,6 +213,9 @@ func serve(fs *flag.FlagSet) func(io.Writer) error {
 		opts = append(opts, httpapi.WithTracer(tracer), httpapi.WithTimeSeries(tsRing))
 		if *spillDir != "" {
 			opts = append(opts, httpapi.WithSpillDir(*spillDir))
+		}
+		if *spillSync > 0 {
+			opts = append(opts, httpapi.WithDurableSessions())
 		}
 		srv := httpapi.NewServer(opts...)
 		obs.RegisterProcessMetrics(srv.Registry())

@@ -95,7 +95,8 @@ func TestServiceUsageErrors(t *testing.T) {
 }
 
 // TestLoadAgainstServer runs `miras load` end to end against an in-process
-// server and checks the summary fields the demo scripts grep.
+// server and checks the summary fields TestFleetLoad and TestFleetFailover
+// read.
 func TestLoadAgainstServer(t *testing.T) {
 	ts := httptest.NewServer(httpapi.NewServer().Handler())
 	defer ts.Close()

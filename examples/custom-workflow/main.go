@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"miras/internal/baselines"
@@ -18,13 +19,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "custom-workflow:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// 1. Declare task types with their service-time characteristics.
 	const (
 		align   workflow.TaskType = iota // read alignment
@@ -70,11 +71,11 @@ func run() error {
 	if err := ensemble.Validate(); err != nil {
 		return err
 	}
-	fmt.Printf("ensemble %q validated: %d workflows, %d task types\n",
+	fmt.Fprintf(w, "ensemble %q validated: %d workflows, %d task types\n",
 		ensemble.Name, ensemble.NumWorkflows(), ensemble.NumTasks())
 	ranks := baselines.UpwardRanks(ensemble)
 	for j, r := range ranks {
-		fmt.Printf("  %-13s upward rank %.1f\n", tasks[j].Name, r)
+		fmt.Fprintf(w, "  %-13s upward rank %.1f\n", tasks[j].Name, r)
 	}
 
 	// 3. Wire the emulated cluster, traffic, and control environment.
@@ -114,5 +115,5 @@ func run() error {
 		return err
 	}
 	table.AddSeries("heft", heft)
-	return table.Render(os.Stdout, 10)
+	return table.Render(w, 10)
 }

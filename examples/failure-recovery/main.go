@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"miras/internal/baselines"
@@ -17,13 +18,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "failure-recovery:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	ensemble := workflow.NewMSD()
 	e, err := env.New(env.Config{
 		Cluster: cluster.Config{Ensemble: ensemble},
@@ -63,7 +64,7 @@ func run() error {
 		return err
 	}
 
-	fmt.Println("window  consumers         ΣWIP   done  failures  redeliveries")
+	fmt.Fprintln(w, "window  consumers         ΣWIP   done  failures  redeliveries")
 	completed := 0
 	for i, r := range results {
 		var wip float64
@@ -71,7 +72,7 @@ func run() error {
 			wip += w
 		}
 		completed += len(r.Stats.Completions)
-		fmt.Printf("%6d  %-17s %-6.0f %-5d %-9d %d\n",
+		fmt.Fprintf(w, "%6d  %-17s %-6.0f %-5d %-9d %d\n",
 			i, fmt.Sprint(r.Stats.Consumers), wip, len(r.Stats.Completions),
 			c.Failures(), c.Redeliveries())
 	}
@@ -84,12 +85,12 @@ func run() error {
 	for _, v := range submittedBefore {
 		before += v
 	}
-	fmt.Printf("\n%d consumers killed, %d requests re-delivered — %d workflows completed, %d still in flight, 0 lost\n",
+	fmt.Fprintf(w, "\n%d consumers killed, %d requests re-delivered — %d workflows completed, %d still in flight, 0 lost\n",
 		c.Failures(), c.Redeliveries(), completed, c.InFlight())
 	if uint64(completed+c.InFlight()) != submitted {
 		return fmt.Errorf("CONSERVATION VIOLATED: %d completed + %d in flight != %d submitted",
 			completed, c.InFlight(), submitted)
 	}
-	fmt.Println("conservation check passed: completed + in-flight == submitted ✓")
+	fmt.Fprintln(w, "conservation check passed: completed + in-flight == submitted ✓")
 	return nil
 }

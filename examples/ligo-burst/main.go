@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"miras/internal/baselines"
@@ -18,13 +19,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ligo-burst:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	s, err := experiments.QuickSetup("ligo")
 	if err != nil {
 		return err
@@ -37,7 +38,7 @@ func run() error {
 	}
 	burst := bursts[0] // (100, 100, 50, 30) over DataFind/CAT/Full/Injection
 	ensemble := workflow.NewLIGO()
-	fmt.Printf("LIGO burst 1: %v requests over %v\n", burst, ensemble.WorkflowNames())
+	fmt.Fprintf(w, "LIGO burst 1: %v requests over %v\n", burst, ensemble.WorkflowNames())
 
 	table := trace.Table{
 		Title:  "ligo-burst1",
@@ -68,9 +69,9 @@ func run() error {
 		}
 		table.AddSeries(ctrl.Name(), series)
 	}
-	if err := table.Render(os.Stdout, 12); err != nil {
+	if err := table.Render(w, 12); err != nil {
 		return err
 	}
-	fmt.Println("\nfor the full five-algorithm comparison (incl. trained MIRAS): go run ./cmd/miras compare -ensemble ligo")
+	fmt.Fprintln(w, "\nfor the full five-algorithm comparison (incl. trained MIRAS): go run ./cmd/miras compare -ensemble ligo")
 	return nil
 }

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"miras/internal/baselines"
@@ -16,13 +17,13 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "msd-autoscale:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	s, err := experiments.QuickSetup("msd")
 	if err != nil {
 		return err
@@ -31,21 +32,21 @@ func run() error {
 	s.StepsPerIteration = 200
 	s.PolicyEpisodes = 25
 
-	fmt.Printf("training MIRAS on %s: %d iterations × %d real interactions...\n",
+	fmt.Fprintf(w, "training MIRAS on %s: %d iterations × %d real interactions...\n",
 		s.EnsembleName, s.Iterations, s.StepsPerIteration)
 	tr, err := experiments.TrainingTrace(s)
 	if err != nil {
 		return err
 	}
 	for _, st := range tr.Stats {
-		fmt.Printf("  iteration %d: |D|=%d  eval return %.1f\n",
+		fmt.Fprintf(w, "  iteration %d: |D|=%d  eval return %.1f\n",
 			st.Iteration, st.DatasetSize, st.EvalReturn)
 	}
 
 	// Face both controllers with the same burst on identically seeded
 	// environments.
 	burst := []int{150, 100, 150}
-	fmt.Printf("\ninjecting burst %v and running 20 windows...\n", burst)
+	fmt.Fprintf(w, "\ninjecting burst %v and running 20 windows...\n", burst)
 
 	runCtrl := func(ctrl env.Controller) ([]float64, int, error) {
 		h, err := experiments.BuildHarness(s, 777)
@@ -78,11 +79,11 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("\n%-8s %-11s %-14s %s\n", "policy", "completed", "mean delay(s)", "tail delay(s)")
-	fmt.Printf("%-8s %-11d %-14.1f %.1f\n", "miras", mirasDone,
+	fmt.Fprintf(w, "\n%-8s %-11s %-14s %s\n", "policy", "completed", "mean delay(s)", "tail delay(s)")
+	fmt.Fprintf(w, "%-8s %-11d %-14.1f %.1f\n", "miras", mirasDone,
 		metrics.Mean(mirasSeries), metrics.TailMean(mirasSeries, 0.25))
-	fmt.Printf("%-8s %-11d %-14.1f %.1f\n", "static", staticDone,
+	fmt.Fprintf(w, "%-8s %-11d %-14.1f %.1f\n", "static", staticDone,
 		metrics.Mean(staticSeries), metrics.TailMean(staticSeries, 0.25))
-	fmt.Println("\n(larger training scales — `go run ./cmd/miras train -scale medium` — widen the gap)")
+	fmt.Fprintln(w, "\n(larger training scales — `go run ./cmd/miras train -scale medium` — widen the gap)")
 	return nil
 }

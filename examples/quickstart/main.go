@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"miras/internal/baselines"
@@ -16,17 +17,17 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// 1. The MSD ensemble from the paper: 3 workflow types over 4 task
 	// types (Extract, Align, Segment, Render).
 	ensemble := workflow.NewMSD()
-	fmt.Printf("ensemble %q: %d workflows over %d microservices\n",
+	fmt.Fprintf(w, "ensemble %q: %d workflows over %d microservices\n",
 		ensemble.Name, ensemble.NumWorkflows(), ensemble.NumTasks())
 
 	// 2. The emulated system, driven by one seed: a deterministic
@@ -51,7 +52,7 @@ func run() error {
 
 	// 4. Drive it with the MONAD baseline controller for 12 windows.
 	ctrl := baselines.NewMONAD(e.Budget(), e.WindowSec())
-	fmt.Println("\nwindow  allocation      ΣWIP   completed  mean-delay(s)")
+	fmt.Fprintln(w, "\nwindow  allocation      ΣWIP   completed  mean-delay(s)")
 	results, err := env.Run(e, ctrl, 12)
 	if err != nil {
 		return err
@@ -61,9 +62,9 @@ func run() error {
 		for _, w := range r.State {
 			wip += w
 		}
-		fmt.Printf("%6d  %-15s %-6.0f %-10d %.1f\n",
+		fmt.Fprintf(w, "%6d  %-15s %-6.0f %-10d %.1f\n",
 			i, fmt.Sprint(r.Stats.Consumers), wip, len(r.Stats.Completions), r.Stats.MeanDelay())
 	}
-	fmt.Println("\nNext: examples/msd-autoscale trains the MIRAS agent on this system.")
+	fmt.Fprintln(w, "\nNext: examples/msd-autoscale trains the MIRAS agent on this system.")
 	return nil
 }

@@ -279,7 +279,8 @@ func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request) {
 
 // rehydrateOne loads id's latest spill checkpoint and rebuilds the session
 // under its original id. The spill store is removed only after the session
-// is live again.
+// is live again, and kept under WithDurableSessions: it already holds the
+// session's current state, its crash copy until the next SpillAll.
 func (s *Server) rehydrateOne(id string) error {
 	dir := filepath.Join(s.spillDir, id)
 	st, err := checkpoint.NewStore(dir, spillKeep)
@@ -304,6 +305,9 @@ func (s *Server) rehydrateOne(id string) error {
 	})
 	if err != nil {
 		return err
+	}
+	if s.durable {
+		return nil
 	}
 	// The session is live again; its spill store has served its purpose.
 	if err := os.RemoveAll(dir); err != nil {

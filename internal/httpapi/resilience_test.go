@@ -312,6 +312,36 @@ func TestDeleteRemovesSpill(t *testing.T) {
 	}
 }
 
+// TestDurableSessions: under WithDurableSessions a created session is on
+// disk before its 201 and a rehydrated one keeps its store; a create whose
+// spill fails answers 500 and leaves no session behind.
+func TestDurableSessions(t *testing.T) {
+	durable := func(dir string) (*Server, *client) {
+		srv := NewServer(WithSpillDir(dir), WithDurableSessions())
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return srv, &client{t: t, srv: ts}
+	}
+	spill := t.TempDir()
+	_, a := durable(spill)
+	store := filepath.Join(spill, a.createSession(6).ID)
+	_, b := durable(spill) // adopts the session as if a had died
+	var rr RehydrateResponse
+	b.do("POST", "/v1/admin/rehydrate", nil, &rr)
+	if m, _ := filepath.Glob(filepath.Join(store, "ckpt-*.json")); len(rr.Rehydrated) != 1 || len(m) == 0 {
+		t.Errorf("rehydrated %v, spill files left %v; want the session and its store", rr.Rehydrated, m)
+	}
+
+	file := filepath.Join(t.TempDir(), "file") // a spill directory no write can enter
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, c := durable(file)
+	if status := c.do("POST", "/v1/sessions", CreateRequest{Ensemble: "toy", Budget: 6, WindowSec: 10}, nil); status != http.StatusInternalServerError || srv.SessionCount() != 0 {
+		t.Errorf("create with a failing spill: status %d, %d sessions; want 500 and none", status, srv.SessionCount())
+	}
+}
+
 // TestSpillAllRequiresSpillDir mirrors the drain contract.
 func TestSpillAllRequiresSpillDir(t *testing.T) {
 	if _, err := NewServer().SpillAll(); err == nil {

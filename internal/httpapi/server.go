@@ -161,6 +161,7 @@ type Server struct {
 	// spill writes monotonically.
 	spillDir string
 	spillSeq atomic.Int64
+	durable  bool // see WithDurableSessions
 
 	// policies interns every policy this server attaches, restores or
 	// rehydrates, so sessions sent the same policy share one copy.
@@ -237,6 +238,17 @@ func WithClock(now func() time.Time) Option {
 // restore path. Empty disables spill.
 func WithSpillDir(dir string) Option {
 	return func(s *Server) { s.spillDir = dir }
+}
+
+// WithDurableSessions makes the spill store the live sessions' crash copy,
+// for a caller that runs SpillAll periodically: a created session is
+// spilled before POST /v1/sessions answers 201 (a failed write answers 500
+// and creates nothing), and a rehydrated session keeps the store it was
+// loaded from. A process that dies between SpillAll passes then loses at
+// most the steps since the last pass, never a session a client was told
+// exists. `miras serve -spill-sync-interval` sets it. Needs WithSpillDir.
+func WithDurableSessions() Option {
+	return func(s *Server) { s.durable = true }
 }
 
 // WithTracer emits request-scoped spans: a root span per request (joining
@@ -607,6 +619,16 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		writeError(w, status, code, err)
 		return
+	}
+	if s.durable && s.spillDir != "" {
+		if err := s.spill(sess); err != nil {
+			s.spillErrors.Inc()
+			s.remove(sess.id, sess, "")
+			s.removeSpill(sess.id)
+			writeError(w, http.StatusInternalServerError, CodeInternal,
+				fmt.Errorf("spill session %q: %w", sess.id, err))
+			return
+		}
 	}
 	writeJSON(w, http.StatusCreated, sessionInfo(sess))
 }

@@ -24,9 +24,9 @@
 //
 // Checks are enabled programmatically (Enable) or by setting the
 // MIRAS_INVARIANTS environment variable to 1/true/on before process start —
-// the `make *-demo` scripts do exactly that. A violation calls the installed
-// handler; the default handler panics so violating runs fail loudly. Tests
-// swap in a collecting handler via SetHandler.
+// cmd/miras' end-to-end tests start their processes so. A violation calls the
+// installed handler; the default handler panics so violating runs fail
+// loudly. Tests swap in a collecting handler via SetHandler.
 package invariant
 
 import (

@@ -10,7 +10,7 @@
 // variable, and the measured throughput is the tier's capacity at that
 // concurrency.
 //
-// It is the driver behind `miras load` and the demo gates: zero 5xx under
+// It is the engine behind `miras load` and its end-to-end tests: zero 5xx under
 // skew, availability and error budgets across a mid-trace shard kill. Its
 // latency and throughput figures describe one run; committed performance
 // numbers come from the repository's benchmark (go run ./benchmark), which
@@ -237,6 +237,10 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	client := &http.Client{Timeout: requestTimeout, Transport: cfg.Transport}
+	// A connection dialled for a request another one served sits idle with
+	// nothing sent, and http.Server.Shutdown waits up to 5 s for such a
+	// connection: close them all, so the target can drain at once.
+	defer client.CloseIdleConnections()
 
 	// Population setup (unmeasured).
 	ids := make([]string, cfg.Sessions)

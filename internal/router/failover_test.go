@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -317,6 +318,33 @@ func TestRouterProbeClosesBreaker(t *testing.T) {
 	}
 	if status := jdo(t, routerURL, "GET", "/v1/sessions", nil, nil); status != http.StatusOK {
 		t.Fatalf("post-recovery list status %d", status)
+	}
+}
+
+// TestRouterChargesRetriesToFailedMember: a GET for a dead member's id trips
+// its breaker, the failover re-routes the id, and the retry that succeeds is
+// sent to the fallback. The retries are charged to the member that failed.
+func TestRouterChargesRetriesToFailedMember(t *testing.T) {
+	fallback := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{}`)) // a rehydrate answer and a session alike
+	}))
+	defer fallback.Close()
+	members := []string{deadAddr(t), fallback.URL}
+	rt, routerURL := startRouterWith(t, members, WithResilience(Resilience{
+		RetryBase: 20 * time.Millisecond, BreakerThreshold: 1, Failover: true}))
+	ring, _ := shardring.New(members, 0)
+	id := 1
+	for ring.Owner("s"+strconv.Itoa(id)) != members[0] {
+		id++
+	}
+	if status := jdo(t, routerURL, "GET", "/v1/sessions/s"+strconv.Itoa(id), nil, nil); status != http.StatusOK {
+		t.Fatalf("status %d, want 200 from the fallback", status)
+	}
+	retries := func(m string) uint64 {
+		return rt.Registry().Counter("miras_router_retries_total", "", "shard", m).Value()
+	}
+	if retries(members[0]) == 0 || retries(fallback.URL) != 0 {
+		t.Errorf("retries: dead member %d, fallback %d; want > 0 and 0", retries(members[0]), retries(fallback.URL))
 	}
 }
 

@@ -27,9 +27,9 @@ import (
 )
 
 // Resilience tunes the router's failure handling. A zero or negative field
-// takes its default — the values the failover gate (scripts/failover_demo.sh)
-// holds its 1% error budget with — so the zero value is a resilient router;
-// Failover alone is off until set.
+// takes its default — the values the failover gate (cmd/miras'
+// TestFleetFailover) holds its 1% error budget with — so the zero value is a
+// resilient router; Failover alone is off until set.
 type Resilience struct {
 	// MaxRetries is how many extra attempts a retryable request gets after
 	// its first failure (default 5). Only idempotent requests are retried:

@@ -151,7 +151,7 @@ func New(shards []string, opts ...Option) (*Router, error) {
 		rt.upErrs[sh] = rt.reg.Counter("miras_router_upstream_errors_total",
 			"Forwards that failed to reach their shard, by shard.", "shard", sh)
 		rt.retries[sh] = rt.reg.Counter("miras_router_retries_total",
-			"Forward attempts retried after a failure, by shard.", "shard", sh)
+			"Forward attempts retried after a failure, by the shard that failed.", "shard", sh)
 		rt.breakers[sh] = newBreaker(rt.res.BreakerThreshold, rt.res.BreakerCooldown,
 			time.Now, rt.reg.Gauge("miras_router_breaker_state",
 				"Circuit breaker state, by shard (0 closed, 1 half-open, 2 open).",
@@ -237,6 +237,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 		breakerHit  string        // member whose open breaker rejected the last attempt
 		retryIn     time.Duration // Retry-After from the last retryable response
 		lastAttempt int
+		failed      string // member of the last attempt
 	)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		lastAttempt = attempt
@@ -261,8 +262,11 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 		}
 		shard, home := rt.table.Load().Serving(id)
 		if attempt > 0 {
-			rt.retries[shard].Inc()
+			// Charged to the member that failed, wherever the retry goes: a
+			// failover may re-route it before it is sent.
+			rt.retries[failed].Inc()
 		}
+		failed = shard
 
 		br := rt.breakers[shard]
 		ok, trial := br.allow()
