@@ -399,7 +399,7 @@ func TestFleetFailover(t *testing.T) {
 
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"load", "-target", router, "-requests", "2000", "-sessions", "32", "-concurrency", "16",
-		"-skew", "zipf", "-seed", "7", "-idempotency-keys", "-error-budget", "0.01",
+		"-skew", "zipf", "-seed", "7", "-error-budget", "0.01",
 		"-chaos-kill-pid", strconv.Itoa(shards[dead].cmd.Process.Pid), "-chaos-kill-at", "0.4"}, &stdout, &stderr)
 	var res loadgen.Result
 	if err := json.Unmarshal(stdout.Bytes(), &res); code != 0 || err != nil || res.WithinErrorBudget == nil || !*res.WithinErrorBudget {

@@ -277,15 +277,17 @@ func load(fs *flag.FlagSet) func(io.Writer) error {
 	failOn5xx := fs.Bool("fail-on-5xx", false, "exit 1 if any request answered 5xx")
 	killPid := fs.Int("chaos-kill-pid", 0, "chaos mode: SIGKILL this process when the dispatch reaches -chaos-kill-at")
 	killAt := fs.Float64("chaos-kill-at", 0, "chaos trigger point as a fraction of the trace in (0,1)")
-	idempotencyKeys := fs.Bool("idempotency-keys", false,
-		"tag step POSTs with unique X-Miras-Idempotency-Key headers so the router may retry them")
 	errorBudget := fs.Float64("error-budget", 0, "exit 1 if the client-visible error rate exceeds this bound (e.g. 0.01; 0 disables)")
 	return func(w io.Writer) error {
 		if *target == "" {
 			return usagef("-target is required")
 		}
-		if (*killPid != 0 || *killAt != 0) && (*killPid <= 0 || *killAt <= 0 || *killAt >= 1) {
+		// Negated so that a NaN, which fails every comparison, is refused.
+		if (*killPid != 0 || *killAt != 0) && (*killPid <= 0 || !(*killAt > 0 && *killAt < 1)) {
 			return usagef("chaos mode takes both -chaos-kill-pid > 0 and -chaos-kill-at in (0,1)")
+		}
+		if !(*errorBudget >= 0 && *errorBudget <= 1) {
+			return usagef("-error-budget must be in [0,1], got %g", *errorBudget)
 		}
 		var killHook func()
 		if *killPid > 0 {
@@ -295,16 +297,15 @@ func load(fs *flag.FlagSet) func(io.Writer) error {
 			}
 		}
 		res, err := loadgen.Run(loadgen.Config{
-			Target:          *target,
-			Requests:        int(requests),
-			Sessions:        int(sessions),
-			Concurrency:     int(concurrency),
-			Skew:            *skew,
-			Seed:            *seed,
-			ChaosKillAt:     *killAt,
-			KillHook:        killHook,
-			IdempotencyKeys: *idempotencyKeys,
-			ErrorBudget:     *errorBudget,
+			Target:      *target,
+			Requests:    int(requests),
+			Sessions:    int(sessions),
+			Concurrency: int(concurrency),
+			Skew:        *skew,
+			Seed:        *seed,
+			ChaosKillAt: *killAt,
+			KillHook:    killHook,
+			ErrorBudget: *errorBudget,
 		})
 		if err != nil {
 			return err

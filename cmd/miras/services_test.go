@@ -20,7 +20,7 @@ var serviceFlags = map[string][]string{
 		"self", "shutdown-timeout", "spill-dir", "spill-sync-interval", "trace-out"},
 	"route": {"addr", "failover", "members", "shutdown-timeout"},
 	"load": {"chaos-kill-at", "chaos-kill-pid", "concurrency", "error-budget", "fail-on-5xx",
-		"idempotency-keys", "out", "requests", "seed", "sessions", "skew", "target"},
+		"out", "requests", "seed", "sessions", "skew", "target"},
 }
 
 // TestServiceFlags: each service declares exactly its flags, and -h lists
@@ -75,6 +75,9 @@ func TestServiceUsageErrors(t *testing.T) {
 		{append(load, "-chaos-kill-at", "0.4"), "chaos mode takes both"},
 		{append(load, "-chaos-kill-pid", pid, "-chaos-kill-at", "1"), "chaos mode takes both"},
 		{append(load, "-chaos-kill-pid", pid, "-chaos-kill-at", "-0.2"), "chaos mode takes both"},
+		{append(load, "-chaos-kill-pid", pid, "-chaos-kill-at", "NaN"), "chaos mode takes both"},
+		{append(load, "-error-budget", "NaN"), "-error-budget must be in [0,1]"},
+		{append(load, "-error-budget", "1.5"), "-error-budget must be in [0,1]"},
 		{[]string{"load", "-target", "http://127.0.0.1:1", "-requests", "-5"}, "must be >= 0"},
 	} {
 		t.Run(strings.ReplaceAll(strings.Join(tc.args, " "), dir, "$TMP"), func(t *testing.T) {
@@ -103,7 +106,7 @@ func TestLoadAgainstServer(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "summary.json")
 	var stdout, stderr bytes.Buffer
 	args := []string{"load", "-target", ts.URL, "-requests", "60", "-sessions", "4", "-concurrency", "2",
-		"-skew", "zipf", "-seed", "7", "-idempotency-keys", "-fail-on-5xx", "-error-budget", "0.01", "-out", out}
+		"-skew", "zipf", "-seed", "7", "-fail-on-5xx", "-error-budget", "0.01", "-out", out}
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
 	}

@@ -125,6 +125,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeRawJSON emits body, a JSON value encoded as writeJSON encodes one
+// (newline included), with writeJSON's header.
+func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
 // validateID checks strings that arrive in URLs. Session ids also name
 // spill-store directories, so path-walking names are rejected outright.
 func validateID(id string) error {

@@ -81,7 +81,9 @@ func FuzzHTTPCreateSession(f *testing.F) {
 // decode as a SessionSnapshot — its embedded policy included — must be
 // refused with 400 bad_request; every other body must either be refused
 // with 422 bad_snapshot or restore so that GET …/snapshot re-encodes it
-// (seed defaulted to 1, a null op log as []).
+// (seed defaulted to 1, a null op log as []), its last_step included, and a
+// step repeating that record's key is answered with the recorded response
+// without stepping.
 func FuzzSessionRestore(f *testing.F) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "session_snapshot.json"))
 	if err != nil {
@@ -97,6 +99,15 @@ func FuzzSessionRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(string(withPolicy))
+	withLastStep, err := json.Marshal(SessionSnapshot{
+		Create:   CreateRequest{Ensemble: "toy", Budget: 6, WindowSec: 10},
+		Ops:      []env.Op{{Kind: "step", Alloc: []int{3, 3}}},
+		LastStep: &StepRecord{Key: "k1", Response: json.RawMessage(`{"window":1,"reward":-2}`)},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(withLastStep))
 	f.Add(`{"create":{"ensemble":"msd","budget":14,"seed":3},"ops":[{"kind":"burst","counts":[5,0,2]},{"kind":"step","alloc":[4,4,3,3]},{"kind":"reset"}]}`)
 	f.Add(`{"create":{"ensemble":"toy","budget":4},"ops":null}`)
 
@@ -108,9 +119,14 @@ func FuzzSessionRestore(f *testing.F) {
 			t.Skip()
 		}
 		h := NewServer(WithClock(func() time.Time { return now })).Handler()
+		key := "" // the IdempotencyKeyHeader serve sends, if any
 		serve := func(method, path, body string) *httptest.ResponseRecorder {
 			rr := httptest.NewRecorder()
-			h.ServeHTTP(rr, httptest.NewRequest(method, path, strings.NewReader(body)))
+			req := httptest.NewRequest(method, path, strings.NewReader(body))
+			if key != "" {
+				req.Header.Set(IdempotencyKeyHeader, key)
+			}
+			h.ServeHTTP(rr, req)
 			return rr
 		}
 		var info SessionInfo
@@ -144,6 +160,16 @@ func FuzzSessionRestore(f *testing.F) {
 			if got.Code != http.StatusOK || got.Body.String() != buf.String() {
 				t.Fatalf("restored snapshot does not re-encode its input: %d\n got: %s\nwant: %s",
 					got.Code, got.Body.Bytes(), buf.Bytes())
+			}
+			if rec := snap.LastStep; rec != nil {
+				key = rec.Key
+				replay := serve("POST", path+"/step", `{"allocation":[0,0]}`)
+				if replay.Code != http.StatusOK || replay.Body.String() != string(rec.Response)+"\n" {
+					t.Fatalf("repeated key %q answered %d %q, want the recorded %q", key, replay.Code, replay.Body.Bytes(), rec.Response)
+				}
+				if again := serve("GET", path+"/snapshot", ""); again.Body.String() != got.Body.String() {
+					t.Fatalf("repeated key stepped: snapshot\n got: %s\nwant: %s", again.Body.Bytes(), got.Body.Bytes())
+				}
 			}
 		case http.StatusUnprocessableEntity:
 			var e ErrorEnvelope

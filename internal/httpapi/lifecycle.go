@@ -132,24 +132,37 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // spill writes sess's replayable snapshot to its per-id checkpoint store
-// under the server's spill directory.
-func (s *Server) spill(sess *session) error {
+// under the server's spill directory. With dirtyOnly it skips a session
+// whose store already holds its state and reports false; otherwise it
+// reports true. A failed write leaves the session dirty.
+func (s *Server) spill(sess *session, dirtyOnly bool) (bool, error) {
 	sess.mu.Lock()
-	snap := SessionSnapshot{Create: sess.create, Ops: sess.env.Ops(), Policy: sess.policy}
+	if dirtyOnly && sess.spilled {
+		sess.mu.Unlock()
+		return false, nil
+	}
+	snap := sess.snapshot()
+	sess.spilled = true // a request from here on marks it dirty again
 	sess.mu.Unlock()
 	st, err := checkpoint.NewStore(filepath.Join(s.spillDir, sess.id), spillKeep)
-	if err != nil {
-		return err
+	if err == nil {
+		err = st.Save(int(s.spillSeq.Add(1)), snap)
 	}
-	return st.Save(int(s.spillSeq.Add(1)), snap)
+	if err != nil {
+		sess.mu.Lock()
+		sess.spilled = false
+		sess.mu.Unlock()
+	}
+	return true, err
 }
 
-// SpillAll writes every live session's snapshot to the spill store without
-// evicting anything — the periodic spill-sync behind crash recovery: a
-// process that dies without draining (SIGKILL, OOM) leaves snapshots no
-// older than the sync interval for a fallback to rehydrate. It returns the
-// number of sessions spilled and the first error encountered (the sweep
-// continues past failures, counting them in miras_spill_errors_total).
+// SpillAll writes the snapshot of every live session changed since its last
+// spill to the spill store, without evicting anything — the periodic
+// spill-sync behind crash recovery: a process that dies without draining
+// (SIGKILL, OOM) leaves snapshots no older than the sync interval for a
+// fallback to rehydrate. It returns the number of sessions written and the
+// first error encountered (the sweep continues past failures, counting them
+// in miras_spill_errors_total).
 func (s *Server) SpillAll() (int, error) {
 	if s.spillDir == "" {
 		return 0, fmt.Errorf("spill-all requires a spill directory (start the server with -spill-dir)")
@@ -157,14 +170,17 @@ func (s *Server) SpillAll() (int, error) {
 	n := 0
 	var firstErr error
 	for _, sess := range s.registry.snapshot() {
-		if err := s.spill(sess); err != nil {
+		wrote, err := s.spill(sess, true)
+		if err != nil {
 			s.spillErrors.Inc()
 			if firstErr == nil {
 				firstErr = fmt.Errorf("spill session %q: %w", sess.id, err)
 			}
 			continue
 		}
-		n++
+		if wrote {
+			n++
+		}
 	}
 	return n, firstErr
 }
@@ -195,7 +211,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	for _, sess := range s.registry.snapshot() {
 		// Spill before removing (evict spills after): the session must not
 		// leave the registry until its snapshot is durable.
-		if err := s.spill(sess); err != nil {
+		if _, err := s.spill(sess, false); err != nil {
 			s.spillErrors.Inc()
 			writeError(w, http.StatusInternalServerError, CodeInternal,
 				fmt.Errorf("drain: spill session %q: %w", sess.id, err))
@@ -299,9 +315,10 @@ func (s *Server) rehydrateOne(id string) error {
 	_, _, err = s.admit(id, func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
 		sess, code, err := s.buildFromSnapshot(snap, faultsTotal, crashed)
 		if err != nil {
-			err = fmt.Errorf("%s: %w", code, err) // the "failed" map shows why the replay broke
+			return nil, code, fmt.Errorf("%s: %w", code, err) // the "failed" map shows why the replay broke
 		}
-		return sess, code, err
+		sess.spilled = s.durable // otherwise the store is deleted below
+		return sess, "", nil
 	})
 	if err != nil {
 		return err

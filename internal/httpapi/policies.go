@@ -107,16 +107,17 @@ func (p *policyJSON) UnmarshalJSON(b []byte) error {
 // snapshotJSON is SessionSnapshot as restore and rehydrate decode it, with
 // the policy left as raw JSON for the server's policyTable.
 type snapshotJSON struct {
-	Create CreateRequest `json:"create"`
-	Ops    []env.Op      `json:"ops"`
-	Policy policyJSON    `json:"policy"`
+	Create   CreateRequest `json:"create"`
+	Ops      []env.Op      `json:"ops"`
+	Policy   policyJSON    `json:"policy"`
+	LastStep *StepRecord   `json:"last_step"`
 }
 
 // snapshot resolves in's policy through the table. A policy that does not
 // decode is an error the caller answers 400 bad_request, like any other
 // part of a snapshot body that does not decode.
 func (t *policyTable) snapshot(in snapshotJSON) (SessionSnapshot, error) {
-	snap := SessionSnapshot{Create: in.Create, Ops: in.Ops}
+	snap := SessionSnapshot{Create: in.Create, Ops: in.Ops, LastStep: in.LastStep}
 	if len(in.Policy) > 0 {
 		p, err := t.intern(in.Policy...)
 		if err != nil {

@@ -11,6 +11,7 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -37,6 +38,53 @@ type SessionSnapshot struct {
 	Create CreateRequest      `json:"create"`
 	Ops    []env.Op           `json:"ops"`
 	Policy *rl.PolicySnapshot `json:"policy,omitempty"`
+	// LastStep is the session's record of its last keyed step, so a retry
+	// of that step stays a retry across spill, rehydrate and restore.
+	LastStep *StepRecord `json:"last_step,omitempty"`
+}
+
+// StepRecord is the last successful step of a session, when that step
+// carried an IdempotencyKeyHeader: the key and the JSON object the step
+// answered (see IdempotencyKeyHeader).
+type StepRecord struct {
+	Key      string          `json:"key"`
+	Response json.RawMessage `json:"response"`
+}
+
+// validate checks a record read from a snapshot: a key a step could have
+// carried and a response that is a JSON object.
+func (rec *StepRecord) validate() error {
+	if rec.Key == "" || len(rec.Key) > maxIdempotencyKeyBytes {
+		return fmt.Errorf("last_step key must be 1 to %d bytes, got %d", maxIdempotencyKeyBytes, len(rec.Key))
+	}
+	if !bytes.HasPrefix(bytes.TrimLeft(rec.Response, " \t\r\n"), []byte("{")) {
+		return fmt.Errorf("last_step response is not a JSON object")
+	}
+	return nil
+}
+
+// snapshot returns the session's portable state. Callers hold the session
+// lock. The result shares the op log, which is only ever appended to, and
+// copies the last step's response, since the next step overwrites it.
+func (sess *session) snapshot() SessionSnapshot {
+	snap := SessionSnapshot{Create: sess.create, Ops: sess.env.Ops(), Policy: sess.policy}
+	if sess.lastKey != "" {
+		resp := sess.stepBuf.Bytes()
+		snap.LastStep = &StepRecord{Key: sess.lastKey, Response: bytes.Clone(resp[:len(resp)-1])}
+	}
+	return snap
+}
+
+// setLastStep makes rec, read from a snapshot, the record of a session
+// that has none. Callers hold the session lock.
+func (sess *session) setLastStep(rec *StepRecord) {
+	if rec == nil {
+		return
+	}
+	sess.lastKey = rec.Key
+	sess.stepBuf.Reset()
+	sess.stepBuf.Write(rec.Response)
+	sess.stepBuf.WriteByte('\n')
 }
 
 // decideScratch is a session's preallocated working memory for policy
@@ -195,6 +243,7 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	// A freshly attached policy starts trusted: clear any degradation left
 	// over from its predecessor. The decide scratch belongs to the old
 	// policy; drop it so the first auto-step rebuilds it for this one.
+	sess.mutated()
 	sess.policy = snap
 	sess.fallback = nil
 	sess.healthyProbes = 0
@@ -209,16 +258,16 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, SessionSnapshot{Create: sess.create, Ops: sess.env.Ops(), Policy: sess.policy})
+	writeJSON(w, http.StatusOK, sess.snapshot())
 }
 
 // buildFromSnapshot rebuilds an emulated system from a snapshot: a fresh
 // system from the creation request, the op log replayed onto it (env.Replay),
-// the attached policy validated against the result. It returns the
+// the attached policy and the last step's record validated. It returns the
 // snapshot-derived fields of a session (env, create with the seed defaulted
-// — so a later snapshot round-trips byte-identically — and policy). Shared
-// by POST …/restore and admin rehydrate — both owe their byte-identical
-// round-trip guarantee to this replay being deterministic.
+// — so a later snapshot round-trips byte-identically — policy and record).
+// Shared by POST …/restore and admin rehydrate — both owe their
+// byte-identical round-trip guarantee to this replay being deterministic.
 func (s *Server) buildFromSnapshot(snap SessionSnapshot, faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
 	req := snap.Create
 	if req.Seed == 0 {
@@ -236,7 +285,14 @@ func (s *Server) buildFromSnapshot(snap SessionSnapshot, faultsTotal, crashed *o
 			return nil, CodeBadSnapshot, err
 		}
 	}
-	return &session{env: e, create: req, policy: snap.Policy}, "", nil
+	if snap.LastStep != nil {
+		if err := snap.LastStep.validate(); err != nil {
+			return nil, CodeBadSnapshot, err
+		}
+	}
+	sess := &session{env: e, create: req, policy: snap.Policy}
+	sess.setLastStep(snap.LastStep)
+	return sess, "", nil
 }
 
 // handleRestore rebuilds the session from a snapshot: a fresh emulated
@@ -268,9 +324,11 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, code, err)
 		return
 	}
+	sess.mutated()
 	sess.env = built.env
 	sess.create = built.create
 	sess.policy = built.policy
+	sess.setLastStep(snap.LastStep)
 	sess.fallback = nil
 	sess.healthyProbes = 0
 	sess.scratch = nil

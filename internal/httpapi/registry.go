@@ -265,7 +265,7 @@ func (s *Server) evict(sess *session, reason string) bool {
 		return false
 	}
 	if s.spillDir != "" {
-		if err := s.spill(sess); err != nil {
+		if _, err := s.spill(sess, false); err != nil {
 			s.spillErrors.Inc()
 		}
 	}

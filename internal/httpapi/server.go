@@ -84,6 +84,8 @@
 package httpapi
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -120,11 +122,20 @@ const DeadlineHeader = "X-Miras-Deadline-Ms"
 // wrong_shard (shardring.Table.Accepts).
 const FailoverHeader = "X-Miras-Failover-From"
 
-// IdempotencyKeyHeader marks a POST as safe to retry. The serving stack's
-// POSTs are not idempotent in general (a step advances the environment), so
-// `miras route` only retries POSTs that carry this header — the caller's
-// declaration that a duplicate apply is acceptable or deduplicated.
+// IdempotencyKeyHeader names a step POST, so that a retry of it is answered
+// and not applied again. A session records the key and the response of its
+// last successful step; a step repeating that key gets the recorded bytes
+// back and does not step, and any other mutating request clears the record.
+// `miras route` mints a key for every step that arrives without one, so
+// every routed step may be retried. A step is therefore applied exactly once
+// for a client that waits for each step's answer before sending the next;
+// two clients stepping one session at once get at-least-once. Keys longer
+// than 128 bytes are refused with 400 bad_request.
 const IdempotencyKeyHeader = "X-Miras-Idempotency-Key"
+
+// maxIdempotencyKeyBytes bounds an IdempotencyKeyHeader value and the key a
+// snapshot's last_step may carry.
+const maxIdempotencyKeyBytes = 128
 
 // Server is the HTTP handler. It is safe for concurrent use: resolving a
 // session id reads the registry without a lock (only inserts, deletes and
@@ -309,6 +320,15 @@ type session struct {
 	// prev is the last step result, feeding controller decisions.
 	prev     env.StepResult
 	havePrev bool
+	// lastKey is the idempotency key of the last successful step and
+	// stepBuf that step's encoded response, newline included; lastKey is ""
+	// when the step carried no key or a later mutation cleared the record
+	// (see IdempotencyKeyHeader). stepBuf is reused from step to step.
+	lastKey string
+	stepBuf bytes.Buffer
+	// spilled reports that the spill store holds the session's current
+	// state, so SpillAll may skip it; every mutating request clears it.
+	spilled bool
 
 	// Per-session metrics, removed from the registry on DELETE/eviction.
 	wip            *obs.Gauge
@@ -317,6 +337,14 @@ type session struct {
 	crashed        *obs.Counter
 	fallbackTotal  *obs.Counter
 	recoveredTotal *obs.Counter
+}
+
+// mutated records a change of the session's state: its spill copy is stale
+// and its last step's record no longer answers a retry. Callers hold the
+// session lock.
+func (sess *session) mutated() {
+	sess.spilled = false
+	sess.lastKey = ""
 }
 
 // touch records an access at now for idle-timeout accounting.
@@ -621,7 +649,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.durable && s.spillDir != "" {
-		if err := s.spill(sess); err != nil {
+		if _, err := s.spill(sess, false); err != nil {
 			s.spillErrors.Inc()
 			s.remove(sess.id, sess, "")
 			s.removeSpill(sess.id)
@@ -672,6 +700,12 @@ func sessionInfo(sess *session) SessionInfo {
 }
 
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
+	key := r.Header.Get(IdempotencyKeyHeader)
+	if len(key) > maxIdempotencyKeyBytes {
+		writeError(w, http.StatusBadRequest, CodeBadRequest,
+			fmt.Errorf("%s is %d bytes, over the %d-byte limit", IdempotencyKeyHeader, len(key), maxIdempotencyKeyBytes))
+		return
+	}
 	var req StepRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -682,6 +716,12 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	// A repeat of the last step's key is a retry whose answer was lost:
+	// answer it again without stepping.
+	if key != "" && key == sess.lastKey {
+		writeRawJSON(w, http.StatusOK, sess.stepBuf.Bytes())
+		return
+	}
 	// The session lock can be a queue under contention; if the client's
 	// deadline expired while waiting, abandon the step before doing the
 	// simulation work (the bound middleware owns the timeout response).
@@ -712,11 +752,13 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	stepSpan.F64("reward", res.Reward).End()
+	sess.mutated()
 	sess.prev = res
 	sess.havePrev = true
 	s.windowsTotal.Inc()
 	sess.syncGauges()
-	writeJSON(w, http.StatusOK, StepResponse{
+	sess.stepBuf.Reset()
+	err = json.NewEncoder(&sess.stepBuf).Encode(StepResponse{
 		State:          res.State,
 		Reward:         res.Reward,
 		Window:         res.Stats.Window,
@@ -729,6 +771,12 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		Allocation:     alloc,
 		Controller:     controller,
 	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, err)
+		return
+	}
+	sess.lastKey = key
+	writeRawJSON(w, http.StatusOK, sess.stepBuf.Bytes())
 }
 
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
@@ -739,6 +787,7 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	state := sess.env.Reset()
+	sess.mutated()
 	sess.havePrev = false
 	if sess.fallback != nil {
 		sess.fallback.Reset()
@@ -762,6 +811,7 @@ func (s *Server) handleBurst(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, CodeBadBurst, err)
 		return
 	}
+	sess.mutated()
 	sess.syncGauges()
 	writeJSON(w, http.StatusOK, map[string][]float64{"state": sess.env.State()})
 }
@@ -781,6 +831,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, CodeBadFaultPlan, err)
 		return
 	}
+	sess.mutated()
 	writeJSON(w, http.StatusOK, sessionInfo(sess))
 }
 

@@ -92,8 +92,7 @@ func TestChaosRunMeasuresOutage(t *testing.T) {
 			kills.Add(1)
 			fleet.Kill("http://shard-0")
 		},
-		IdempotencyKeys: true,
-		ErrorBudget:     0.8,
+		ErrorBudget: 0.8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -175,14 +174,13 @@ func TestChaosRunThroughResilientRouter(t *testing.T) {
 	}
 
 	res, err := Run(Config{
-		Transport:       NewHandlerTransport(rt.Handler()),
-		Requests:        800,
-		Sessions:        16,
-		Concurrency:     8,
-		Skew:            "zipf",
-		Seed:            1,
-		IdempotencyKeys: true,
-		ChaosKillAt:     0.4,
+		Transport:   NewHandlerTransport(rt.Handler()),
+		Requests:    800,
+		Sessions:    16,
+		Concurrency: 8,
+		Skew:        "zipf",
+		Seed:        1,
+		ChaosKillAt: 0.4,
 		KillHook: func() {
 			_, _ = servers[1].SpillAll()
 			fleet.Kill(members[1])
@@ -418,44 +416,5 @@ func TestChainedFailoverKeepsFirstVictimSessions(t *testing.T) {
 	}
 	if n := servers[2].SessionCount(); n == 0 {
 		t.Fatal("C serves nothing after two failovers")
-	}
-}
-
-// TestIdempotencyKeysAreUnique: every step POST carries its own key (the
-// trace index), so a router can safely retry any one of them.
-func TestIdempotencyKeysAreUnique(t *testing.T) {
-	seen := make(map[string]int)
-	var mu chan struct{} = make(chan struct{}, 1)
-	mu <- struct{}{}
-	inner := httpapi.NewServer(httpapi.WithMaxSessions(16)).Handler()
-	fleet := NewFleetTransport()
-	fleet.Register("http://shard-0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if key := r.Header.Get(httpapi.IdempotencyKeyHeader); key != "" {
-			<-mu
-			seen[key]++
-			mu <- struct{}{}
-		}
-		inner.ServeHTTP(w, r)
-	}))
-
-	if _, err := Run(Config{
-		Target:          "http://shard-0",
-		Transport:       fleet,
-		Requests:        150,
-		Sessions:        4,
-		Concurrency:     4,
-		Seed:            5,
-		StepShare:       1,
-		IdempotencyKeys: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 150 {
-		t.Fatalf("saw %d distinct keys for 150 steps", len(seen))
-	}
-	for key, n := range seen {
-		if n != 1 {
-			t.Fatalf("key %q reused %d times", key, n)
-		}
 	}
 }

@@ -88,10 +88,6 @@ type Config struct {
 	ChaosKillAt float64
 	// KillHook is the chaos action (required when ChaosKillAt > 0).
 	KillHook func()
-	// IdempotencyKeys tags every step POST with a unique
-	// X-Miras-Idempotency-Key so a resilient router may retry it; without
-	// the key, step POSTs are not idempotent and are never retried.
-	IdempotencyKeys bool
 	// ErrorBudget, when positive, is the client-visible error-rate bound
 	// the run is judged against (e.g. 0.01 = 99% availability target); the
 	// summary reports whether the run stayed within it.
@@ -121,16 +117,18 @@ func (c *Config) withDefaults() error {
 	default:
 		return fmt.Errorf("loadgen: unknown skew %q (want uniform or zipf)", c.Skew)
 	}
+	// A NaN fails every comparison, so each range check below is written to
+	// refuse one: negated, or for ZipfS explicitly.
 	if c.ZipfS == 0 {
 		c.ZipfS = 1.2
 	}
-	if c.Skew == "zipf" && c.ZipfS <= 1 {
-		return fmt.Errorf("loadgen: ZipfS must be > 1, got %g", c.ZipfS)
+	if math.IsNaN(c.ZipfS) || math.IsInf(c.ZipfS, 0) || c.Skew == "zipf" && c.ZipfS <= 1 {
+		return fmt.Errorf("loadgen: ZipfS must be finite and, for zipf, > 1, got %g", c.ZipfS)
 	}
 	if c.StepShare == 0 {
 		c.StepShare = 0.92
 	}
-	if c.StepShare < 0 || c.StepShare > 1 {
+	if !(c.StepShare >= 0 && c.StepShare <= 1) {
 		return fmt.Errorf("loadgen: StepShare must be in [0,1], got %g", c.StepShare)
 	}
 	if c.Seed == 0 {
@@ -145,15 +143,13 @@ func (c *Config) withDefaults() error {
 	if c.WindowSec == 0 {
 		c.WindowSec = 10
 	}
-	if c.ChaosKillAt < 0 || c.ChaosKillAt >= 1 {
-		if c.ChaosKillAt != 0 {
-			return fmt.Errorf("loadgen: ChaosKillAt must be in (0,1), got %g", c.ChaosKillAt)
-		}
+	if c.ChaosKillAt != 0 && !(c.ChaosKillAt > 0 && c.ChaosKillAt < 1) {
+		return fmt.Errorf("loadgen: ChaosKillAt must be in (0,1), got %g", c.ChaosKillAt)
 	}
 	if c.ChaosKillAt > 0 && c.KillHook == nil {
 		return fmt.Errorf("loadgen: ChaosKillAt requires a KillHook")
 	}
-	if c.ErrorBudget < 0 || c.ErrorBudget > 1 {
+	if !(c.ErrorBudget >= 0 && c.ErrorBudget <= 1) {
 		return fmt.Errorf("loadgen: ErrorBudget must be in [0,1], got %g", c.ErrorBudget)
 	}
 	return nil
@@ -292,10 +288,6 @@ func Run(cfg Config) (Result, error) {
 					req, err = http.NewRequest("POST",
 						cfg.Target+"/v1/sessions/"+ids[op.Session]+"/step",
 						bytes.NewReader(stepBody))
-					if err == nil && cfg.IdempotencyKeys {
-						req.Header.Set(httpapi.IdempotencyKeyHeader,
-							fmt.Sprintf("lg-%d-%d", cfg.Seed, i))
-					}
 				} else {
 					req, err = http.NewRequest("GET",
 						cfg.Target+"/v1/sessions/"+ids[op.Session], nil)

@@ -3,7 +3,9 @@ package loadgen
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"miras/internal/httpapi"
@@ -86,6 +88,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := GenTrace(Config{Target: "http://x", Skew: "zipf", ZipfS: 0.5}); err == nil {
 		t.Fatal("zipf s <= 1 accepted")
+	}
+}
+
+// TestConfigRejectsNonFinite: a NaN or an infinity in any float field is
+// refused. A NaN fails every ordered comparison, so a range check alone
+// lets it through: a NaN ErrorBudget switched the budget verdict off, and a
+// NaN ChaosKillAt never fired the kill.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	for _, field := range []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"ZipfS", func(c *Config, v float64) { c.ZipfS = v }},
+		{"StepShare", func(c *Config, v float64) { c.StepShare = v }},
+		{"ChaosKillAt", func(c *Config, v float64) { c.ChaosKillAt = v }},
+		{"ErrorBudget", func(c *Config, v float64) { c.ErrorBudget = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := Config{Target: "http://x", KillHook: func() {}}
+			field.set(&cfg, v)
+			if _, err := GenTrace(cfg); err == nil || !strings.Contains(err.Error(), field.name) {
+				t.Errorf("%s = %g: error %v, want one naming the field", field.name, v, err)
+			}
+		}
 	}
 }
 

@@ -1,19 +1,23 @@
 package router
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"miras/internal/httpapi"
+	"miras/internal/loadgen"
 	"miras/internal/obs"
 	"miras/internal/shardring"
 )
@@ -84,23 +88,33 @@ func TestRouterRetriesTransientFailures(t *testing.T) {
 	}
 }
 
-// TestRouterNeverRetriesBarePOST: a POST without an idempotency key gets
-// exactly one attempt no matter how the shard answers; the same POST with
-// a key is retried to the attempt cap.
-func TestRouterNeverRetriesBarePOST(t *testing.T) {
-	var hits atomic.Int32
+// TestRouterRetriesOnlyStepPOSTs: a step POST is retried to the attempt
+// cap under one key — the client's, or one the router minted — and no
+// other POST is retried, keyed or not. Minted keys differ from step to
+// step and from one router to another.
+func TestRouterRetriesOnlyStepPOSTs(t *testing.T) {
+	var mu sync.Mutex
+	var keys []string
 	always503 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
+		mu.Lock()
+		keys = append(keys, r.Header.Get(httpapi.IdempotencyKeyHeader))
+		mu.Unlock()
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}))
 	defer always503.Close()
 
-	_, routerURL := startRouterWith(t, []string{always503.URL},
-		WithResilience(Resilience{MaxRetries: 2, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond}))
+	res := WithResilience(Resilience{MaxRetries: 2, RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond})
+	_, routerURL := startRouterWith(t, []string{always503.URL}, res)
+	_, otherURL := startRouterWith(t, []string{always503.URL}, res)
 
-	post := func(key string) int {
+	// post sends one POST and returns the keys the shard saw, one per attempt.
+	post := func(base, op, key string) []string {
+		t.Helper()
+		mu.Lock()
+		keys = nil
+		mu.Unlock()
 		req, err := http.NewRequest(http.MethodPost,
-			routerURL+"/v1/sessions/s1/step", strings.NewReader(`{"allocation":[1]}`))
+			base+"/v1/sessions/s1/"+op, strings.NewReader(`{"allocation":[1]}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,22 +127,99 @@ func TestRouterNeverRetriesBarePOST(t *testing.T) {
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		return resp.StatusCode
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s (key %q): status %d, want the shard's 503 relayed", op, key, resp.StatusCode)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), keys...)
+	}
+	oneKey := func(attempts []string) string {
+		t.Helper()
+		if len(attempts) != 3 || attempts[0] == "" || attempts[1] != attempts[0] || attempts[2] != attempts[0] {
+			t.Fatalf("step attempts carried keys %q, want 3 attempts (1 + 2 retries) under one key", attempts)
+		}
+		return attempts[0]
 	}
 
-	if status := post(""); status != http.StatusServiceUnavailable {
-		t.Fatalf("bare POST status %d, want the shard's 503 relayed", status)
+	for _, key := range []string{"", "op-1"} {
+		if got := post(routerURL, "reset", key); len(got) != 1 || got[0] != key {
+			t.Fatalf("reset POST (key %q) reached the shard as %q, want exactly 1 attempt carrying the client's key", key, got)
+		}
 	}
-	if n := hits.Load(); n != 1 {
-		t.Fatalf("bare POST hit the shard %d times, want exactly 1", n)
+	if k := oneKey(post(routerURL, "step", "op-1")); k != "op-1" {
+		t.Fatalf("client key %q replaced by %q", "op-1", k)
 	}
+	minted := []string{oneKey(post(routerURL, "step", "")), oneKey(post(routerURL, "step", "")), oneKey(post(otherURL, "step", ""))}
+	if minted[0] == minted[1] || minted[0] == minted[2] || minted[1] == minted[2] {
+		t.Fatalf("minted keys repeat: %q", minted)
+	}
+}
 
-	hits.Store(0)
-	if status := post("op-1"); status != http.StatusServiceUnavailable {
-		t.Fatalf("keyed POST final status %d, want 503", status)
+// loseFirstStepAnswer lets the shard serve the first step POST, keeps its
+// answer and returns a transport error in its place: a response lost on the
+// way back, after the step was applied.
+type loseFirstStepAnswer struct {
+	next http.RoundTripper
+	lost []byte // the answer withheld; nil until a step is served
+}
+
+func (l *loseFirstStepAnswer) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := l.next.RoundTrip(req)
+	if err != nil || l.lost != nil || !strings.HasSuffix(req.URL.Path, "/step") {
+		return resp, err
 	}
-	if n := hits.Load(); n != 3 {
-		t.Fatalf("keyed POST hit the shard %d times, want 3 (1 + 2 retries)", n)
+	defer resp.Body.Close()
+	if l.lost, err = io.ReadAll(resp.Body); err != nil {
+		return nil, err
+	}
+	return nil, errors.New("connection reset by peer")
+}
+
+// TestRouterRetriesLostStepAnswer: a step whose answer is lost after the
+// shard applied it is retried by the router, and the shard answers the
+// retry with the same bytes instead of stepping again.
+func TestRouterRetriesLostStepAnswer(t *testing.T) {
+	const shard = "http://shard-0"
+	fleet := loadgen.NewFleetTransport()
+	fleet.Register(shard, httpapi.NewServer().Handler())
+	lose := &loseFirstStepAnswer{next: fleet}
+	_, routerURL := startRouterWith(t, []string{shard}, WithClient(&http.Client{Transport: lose}),
+		WithResilience(Resilience{RetryBase: time.Millisecond, RetryCap: 2 * time.Millisecond}))
+
+	call := func(method, path, body string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, routerURL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+	status, raw := call("POST", "/v1/sessions", `{"ensemble":"toy","budget":6,"window_sec":10}`)
+	var info httpapi.SessionInfo
+	if status != http.StatusCreated || json.Unmarshal(raw, &info) != nil {
+		t.Fatalf("create: status %d %s", status, raw)
+	}
+	status, raw = call("POST", "/v1/sessions/"+info.ID+"/step", `{"allocation":[3,3]}`)
+	if status != http.StatusOK || lose.lost == nil || !bytes.Equal(raw, lose.lost) {
+		t.Fatalf("step with a lost answer: status %d\n got: %s\nwant: %s", status, raw, lose.lost)
+	}
+	status, raw = call("GET", "/v1/sessions/"+info.ID+"/snapshot", "")
+	var snap httpapi.SessionSnapshot
+	if status != http.StatusOK || json.Unmarshal(raw, &snap) != nil {
+		t.Fatalf("snapshot: status %d %s", status, raw)
+	}
+	if len(snap.Ops) != 1 || snap.Ops[0].Kind != "step" {
+		t.Fatalf("op log %+v, want the step once", snap.Ops)
 	}
 }
 
@@ -255,14 +346,14 @@ func TestRouterRetriesRespectDeadline(t *testing.T) {
 // TestRouterBreakerFailsFast: consecutive transport failures trip the
 // member's breaker; the next request is rejected without touching the
 // network — 503 upstream_degraded with a Retry-After — and the breaker
-// gauge reads open. The failures are bare POSTs, one attempt each.
+// gauge reads open. The failures are reset POSTs, one attempt each.
 func TestRouterBreakerFailsFast(t *testing.T) {
 	dead := deadAddr(t)
 	rt, routerURL := startRouterWith(t, []string{dead},
 		WithResilience(Resilience{BreakerThreshold: 2, BreakerCooldown: time.Hour}))
 
 	for i := 0; i < 2; i++ {
-		resp, err := http.Post(routerURL+"/v1/sessions/s1/step", "application/json", strings.NewReader(`{}`))
+		resp, err := http.Post(routerURL+"/v1/sessions/s1/reset", "application/json", strings.NewReader(`{}`))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,11 @@
 // Serving resilience: the router's failure-handling layer. A per-member
 // circuit breaker (closed → open → half-open) is fed by passive transport-
 // failure accounting and an active /healthz probe loop; idempotent requests
-// are retried with exponential backoff + full jitter under the caller's
-// propagated deadline; and when a member's breaker trips with failover
-// enabled, the router asks a healthy fallback to rehydrate the spilled
-// sessions of every home the dead member was serving and then swaps in a
-// routing table that reassigns those homes to the fallback. Retries,
+// and steps are retried with exponential backoff + full jitter under the
+// caller's propagated deadline; and when a member's breaker trips with
+// failover enabled, the router asks a healthy fallback to rehydrate the
+// spilled sessions of every home the dead member was serving and then swaps
+// in a routing table that reassigns those homes to the fallback. Retries,
 // breakers and probes are always on; only failover, which needs a spill
 // directory shared across the fleet, waits for its switch.
 
@@ -32,9 +32,9 @@ import (
 // resilient router; Failover alone is off until set.
 type Resilience struct {
 	// MaxRetries is how many extra attempts a retryable request gets after
-	// its first failure (default 5). Only idempotent requests are retried:
-	// GET/HEAD/DELETE, plus POSTs carrying the X-Miras-Idempotency-Key
-	// header.
+	// its first failure (default 5). GET/HEAD/DELETE and step POSTs are
+	// retryable; a shard answers a repeated step key without stepping
+	// again (httpapi.IdempotencyKeyHeader), and the router keys every step.
 	MaxRetries int
 	// RetryBase and RetryCap bound the backoff between attempts: attempt n
 	// waits a uniformly random duration in [0, min(RetryCap, RetryBase·2ⁿ))
@@ -276,16 +276,20 @@ func retryAfter(resp *http.Response) (time.Duration, bool) {
 }
 
 // retryableRequest reports whether r may be transparently retried: GET,
-// HEAD, and DELETE are idempotent by the API's contract, and a POST only
-// when the caller marked it safe with an idempotency key.
+// HEAD, and DELETE are idempotent by the API's contract, and a step POST
+// because the shard deduplicates its key. No other POST is retried: no
+// shard deduplicates a create, reset, burst, fault plan or policy.
 func retryableRequest(r *http.Request) bool {
 	switch r.Method {
 	case http.MethodGet, http.MethodHead, http.MethodDelete:
 		return true
-	case http.MethodPost:
-		return r.Header.Get(httpapi.IdempotencyKeyHeader) != ""
 	}
-	return false
+	return isStep(r)
+}
+
+// isStep reports whether r is a POST /v1/sessions/{id}/step.
+func isStep(r *http.Request) bool {
+	return r.Method == http.MethodPost && r.PathValue("op") == "step"
 }
 
 // --- active probing ---

@@ -258,30 +258,31 @@ func TestRetryAfterHeader(t *testing.T) {
 	}
 }
 
-// TestRetryableRequest pins the idempotency contract: GET/HEAD/DELETE may
-// be replayed, a bare POST never may, and a POST becomes retryable only
-// when the caller vouches for it with an idempotency key.
+// TestRetryableRequest pins the retry contract: GET/HEAD/DELETE and step
+// POSTs may be replayed, keyed or not, and no other POST or method may.
 func TestRetryableRequest(t *testing.T) {
 	cases := []struct {
-		method string
-		key    string
-		want   bool
+		method, op, key string
+		want            bool
 	}{
-		{http.MethodGet, "", true},
-		{http.MethodHead, "", true},
-		{http.MethodDelete, "", true},
-		{http.MethodPost, "", false},
-		{http.MethodPost, "op-42", true},
-		{http.MethodPut, "", false},
-		{http.MethodPatch, "op-42", false},
+		{http.MethodGet, "", "", true},
+		{http.MethodHead, "", "", true},
+		{http.MethodDelete, "", "", true},
+		{http.MethodPost, "step", "", true},
+		{http.MethodPost, "step", "op-42", true},
+		{http.MethodPost, "reset", "op-42", false},
+		{http.MethodPost, "", "", false},
+		{http.MethodPut, "step", "", false},
+		{http.MethodPatch, "", "op-42", false},
 	}
 	for _, tc := range cases {
-		r := httptest.NewRequest(tc.method, "http://x/v1/sessions/s1", nil)
+		r := httptest.NewRequest(tc.method, "http://x/v1/sessions/s1/"+tc.op, nil)
+		r.SetPathValue("op", tc.op)
 		if tc.key != "" {
 			r.Header.Set(httpapi.IdempotencyKeyHeader, tc.key)
 		}
 		if got := retryableRequest(r); got != tc.want {
-			t.Fatalf("retryableRequest(%s, key=%q) = %v, want %v", tc.method, tc.key, got, tc.want)
+			t.Fatalf("retryableRequest(%s %s, key=%q) = %v, want %v", tc.method, tc.op, tc.key, got, tc.want)
 		}
 	}
 }

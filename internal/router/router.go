@@ -7,20 +7,24 @@
 // shard and merges the pages, and merges every shard's /metrics into one
 // exposition page with a shard label.
 //
-// The router is deliberately dumb: it holds no session state, so any
-// number of router replicas can front the same fleet, and a router restart
-// loses nothing. Shard membership is fixed at startup — resizing the fleet
-// is a drain/rehydrate operation on the shards, not a router concern.
+// The router is deliberately dumb: it holds no session state. It mints
+// session ids from a counter that starts at r1 in every process, though, so
+// a second replica, or a router restarted while its sessions live, mints
+// ids that are still live, and the shard answers those creates 400. Shard
+// membership is fixed at startup — resizing the fleet is a drain/rehydrate
+// operation on the shards, not a router concern.
 //
 // Placement is one value: a shardring.Table (ring + reassignment rows)
 // held in an atomic pointer, so a forwarded request reads it without a
 // lock. The resilience layer (see resilience.go), on by default and tuned
 // with WithResilience, adds per-member circuit breakers fed by passive
 // failure accounting and an active probe loop, bounded retries with
-// jittered backoff for idempotent requests, deadline propagation via the
-// X-Miras-Deadline-Ms header, and, once switched on, automated shard
-// failover: a tripped breaker triggers a rehydrate of the homes the dead
-// member was serving on a fallback, then a table swap that reassigns them.
+// jittered backoff for idempotent requests and steps (every step is keyed,
+// so its shard answers a retry without stepping twice), deadline
+// propagation via the X-Miras-Deadline-Ms header, and, once switched on,
+// automated shard failover: a tripped breaker triggers a rehydrate of the
+// homes the dead member was serving on a fallback, then a table swap that
+// reassigns them.
 // The table is the only state this adds — a router restart merely
 // re-detects the outage and fails over again.
 package router
@@ -28,9 +32,11 @@ package router
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/url"
@@ -63,6 +69,11 @@ type Router struct {
 	adminClient *http.Client
 	reg         *obs.Registry
 	nextID      atomic.Int64
+	// keyPrefix and nextKey mint the idempotency key of every step that
+	// arrives without one; the random prefix keeps a restarted router or a
+	// second replica from reusing a key.
+	keyPrefix string
+	nextKey   atomic.Uint64
 
 	// res is the resilience configuration with defaults applied; breakers
 	// maps each member to its circuit breaker and rnd is the shared seeded
@@ -139,6 +150,7 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	rt.res = rt.res.withDefaults()
 	rt.adminClient = &http.Client{Transport: rt.client.Transport}
 	rt.rnd = newLockedRand(1)
+	rt.keyPrefix = rand.Text() + "-"
 	rt.table.Store(table)
 	rt.pending = make(map[string]bool)
 	rt.reqs = make(map[string]*obs.Counter, len(shards))
@@ -203,9 +215,19 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 	start := time.Now()
 	// Buffer the body so retries and failover re-routes can resend it. The
 	// shard-side body cap (64 MiB) bounds what a well-behaved client sends.
+	// A small body of known length is read into a slice of exactly that
+	// length: io.ReadAll starts every read with a 512-byte buffer, more than
+	// a step body's twenty-odd bytes.
 	var body []byte
 	if r.Body != nil {
-		b, err := io.ReadAll(r.Body)
+		var b []byte
+		var err error
+		if n := r.ContentLength; n > 0 && n <= 1<<16 {
+			b = make([]byte, n)
+			_, err = io.ReadFull(r.Body, b)
+		} else {
+			b, err = io.ReadAll(r.Body)
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
 				fmt.Errorf("read request body: %v", err))
@@ -230,6 +252,13 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 	maxAttempts := 1
 	if retryableRequest(r) {
 		maxAttempts = 1 + rt.res.MaxRetries
+	}
+	// A step without a key gets one, the same on every attempt, so that its
+	// shard answers a retry instead of stepping again.
+	var stepKey string
+	if isStep(r) && r.Header.Get(httpapi.IdempotencyKeyHeader) == "" {
+		var buf [64]byte
+		stepKey = string(strconv.AppendUint(append(buf[:0], rt.keyPrefix...), rt.nextKey.Add(1), 10))
 	}
 
 	var (
@@ -293,6 +322,9 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 		if shard != home {
 			req.Header.Set(httpapi.FailoverHeader, home)
 		}
+		if stepKey != "" {
+			req.Header.Set(httpapi.IdempotencyKeyHeader, stepKey)
+		}
 
 		resp, err := rt.client.Do(req)
 		rt.reqs[shard].Inc()
@@ -354,22 +386,25 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 // query and headers under the member's base URL, with body as the payload.
 // http.NewRequestWithContext sets ContentLength and GetBody from the
 // reader, so the transport can resend the body on a stale keep-alive
-// connection; only the URL is swapped for a copy of the parsed base.
+// connection; the URL becomes a copy of the parsed base, and r's
+// headers are copied into the request's own map (values shared: a forward
+// replaces a header, never appends to one).
 func (rt *Router) upstream(ctx context.Context, shard string, r *http.Request, body []byte) (*http.Request, error) {
 	req, err := http.NewRequestWithContext(ctx, r.Method, "", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	base := rt.bases[shard]
-	u := *base
+	u := req.URL // parsed from "", so the request's own; overwrite it in place
+	*u = *base
 	u.Path = base.Path + r.URL.Path
 	u.RawPath = ""
 	if base.RawPath != "" || r.URL.RawPath != "" {
 		u.RawPath = base.EscapedPath() + r.URL.EscapedPath()
 	}
 	u.RawQuery = r.URL.RawQuery
-	req.URL, req.Host = &u, u.Host
-	req.Header = r.Header.Clone()
+	req.Host = u.Host
+	maps.Copy(req.Header, r.Header)
 	return req, nil
 }
 

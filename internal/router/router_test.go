@@ -341,9 +341,9 @@ func sampleLabelNames(t *testing.T, line string) []string {
 
 func TestRouterUpstreamDown(t *testing.T) {
 	// A ring whose only member is a dead port: a forward must become a clean
-	// 502 envelope with the upstream_unreachable code. The request is a bare
-	// POST, so its one attempt is all it gets — a retried GET would trip the
-	// breaker and end as 503 upstream_degraded instead.
+	// 502 envelope with the upstream_unreachable code. The request is a
+	// reset POST, so its one attempt is all it gets — a retried GET or step
+	// would trip the breaker and end as 503 upstream_degraded instead.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +352,7 @@ func TestRouterUpstreamDown(t *testing.T) {
 	ln.Close()
 
 	routerURL := startRouter(t, []string{dead})
-	resp, err := http.Post(routerURL+"/v1/sessions/s1/step", "application/json", strings.NewReader(`{}`))
+	resp, err := http.Post(routerURL+"/v1/sessions/s1/reset", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
