@@ -24,8 +24,20 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# The pre-commit gate, stopping at the first failure: a format check that
+# fails on any file gofmt would change, vet, build, the full test suite
+# (the end-to-end checks and the fuzz seed corpora included), the race
+# detector over every package, and the benchmark's smoke run. Timing
+# verdicts are `make bench`'s job, not a pre-commit gate's.
 check:
-	./scripts/check.sh
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
+	$(GO) vet ./...
+	$(GO) build ./...
+	$(GO) test ./...
+	$(GO) test -race ./...
+	$(GO) run ./benchmark -smoke
 
 # Every workload untraced then traced, three times, into bench-result.json
 # (git-ignored), then the end-to-end medians against the committed baseline

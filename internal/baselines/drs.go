@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"miras/internal/env"
-	"miras/internal/queueing"
 )
 
 // DRS is the Jackson-network allocator ("stream" in Figs. 7–8). Each
@@ -117,7 +116,7 @@ func allocateGreedySojourn(lambda, mu []float64, budget int) []int {
 
 	// Pass 2: greedy marginal sojourn-cost reduction.
 	cost := func(i, mi int) float64 {
-		q := queueing.MMc{Lambda: lambda[i], Mu: mu[i], Servers: mi}
+		q := MMc{Lambda: lambda[i], Mu: mu[i], Servers: mi}
 		s := q.Sojourn()
 		if math.IsInf(s, 1) {
 			// Unstable: cost proxy proportional to deficit keeps the

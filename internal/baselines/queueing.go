@@ -1,8 +1,9 @@
-// Package queueing provides the queueing-theoretic machinery the DRS
-// baseline is built on (Jackson open networks of M/M/c stations, per Fu et
-// al., ICDCS 2015) and that the test suite uses to validate the cluster
-// emulation against closed-form steady-state results.
-package queueing
+package baselines
+
+// The queueing-theoretic machinery the DRS baseline is built on (Jackson
+// open networks of M/M/c stations, per Fu et al., ICDCS 2015), which the
+// test suite also uses to validate the cluster emulation against
+// closed-form steady-state results.
 
 import (
 	"fmt"

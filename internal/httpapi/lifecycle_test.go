@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"miras/internal/obs"
 )
 
 // fakeClock is an atomic fake wall clock for driving TTL/idle eviction
@@ -403,44 +404,6 @@ func TestConcurrentRegistry(t *testing.T) {
 	}
 }
 
-// TestCreateWithHeaderID covers the router contract: a pre-minted id in
-// X-Miras-Session-Id is adopted verbatim, and re-using it is rejected.
-func TestCreateWithHeaderID(t *testing.T) {
-	c := newClient(t)
-	createWithID := func(id string) int {
-		req, err := http.NewRequest("POST", c.srv.URL+"/v1/sessions",
-			strings.NewReader(`{"ensemble":"toy","budget":4}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(SessionIDHeader, id)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if status := createWithID("r42"); status != http.StatusCreated {
-		t.Fatalf("header-id create status %d", status)
-	}
-	if status := c.do("GET", "/v1/sessions/r42", nil, nil); status != http.StatusOK {
-		t.Fatal("router-minted id not adopted")
-	}
-	if status := createWithID("r42"); status != http.StatusBadRequest {
-		t.Fatalf("duplicate header-id create status %d, want 400", status)
-	}
-	if status := createWithID("../escape"); status != http.StatusBadRequest {
-		t.Fatalf("path-walking header id status %d, want 400", status)
-	}
-	// The duplicate rejection must not have broken the live session.
-	if status := c.do("POST", "/v1/sessions/r42/step",
-		StepRequest{Allocation: []int{2, 2}}, nil); status != http.StatusOK {
-		t.Fatal("live session broken by duplicate create")
-	}
-}
-
 // sessionSeries lists the metric series labelled with session id, values
 // stripped — the per-session footprint a session leaves in the registry.
 func sessionSeries(t *testing.T, srv *Server, id string) []string {
@@ -458,23 +421,29 @@ func sessionSeries(t *testing.T, srv *Server, id string) []string {
 // TestRegistryOneWayInOneWayOut pins the registry's single admit and single
 // remove through the per-session metric series: a session that came in
 // through rehydrate carries exactly the series a created one does, a
-// refused duplicate create leaves the live session's series alone, and
+// refused duplicate admit leaves the live session's series alone, and
 // every exit — drain, DELETE, expiry — leaves none behind.
 func TestRegistryOneWayInOneWayOut(t *testing.T) {
 	c, srv, clock := lifecycleClient(t, WithSpillDir(t.TempDir()))
-	const id = "adopted-1"
-	if status := createWithID(t, c, id, ""); status != http.StatusCreated {
-		t.Fatalf("create status %d", status)
-	}
+	id := c.createSession(6).ID
 	created := sessionSeries(t, srv, id)
 	if len(created) != 6 {
 		t.Fatalf("a created session registered %d series, want 6: %v", len(created), created)
 	}
-	if status := createWithID(t, c, id, ""); status != http.StatusBadRequest {
-		t.Fatalf("duplicate create status %d, want 400", status)
+	// No request names the id of a create; a live id reaches admit again
+	// only when a rehydrate races it, so admit is driven directly.
+	live := srv.sessionByID(id)
+	if _, code, err := srv.admit(id, func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
+		e, code, err := srv.buildSystem(live.create, faultsTotal, crashed)
+		return &session{env: e, create: live.create}, code, err
+	}); err == nil || code != CodeBadRequest {
+		t.Fatalf("duplicate admit = (%q, %v), want bad_request", code, err)
 	}
 	if got := sessionSeries(t, srv, id); !reflect.DeepEqual(got, created) {
-		t.Fatalf("refused duplicate create changed the live session's series:\n got %v\nwant %v", got, created)
+		t.Fatalf("refused duplicate admit changed the live session's series:\n got %v\nwant %v", got, created)
+	}
+	if srv.sessionByID(id) != live {
+		t.Fatal("refused duplicate admit replaced the live session")
 	}
 
 	if status := c.do("POST", "/v1/admin/drain", nil, nil); status != http.StatusOK {
@@ -512,5 +481,57 @@ func TestRegistryOneWayInOneWayOut(t *testing.T) {
 	}
 	if n := srv.SessionCount(); n != 0 {
 		t.Fatalf("SessionCount=%d after every session left, want 0", n)
+	}
+}
+
+// TestRestartMintsAroundSpilledAndLiveIDs: a process restarted over the
+// spill directory of a drained session mints a different id, and the next
+// rehydrate adopts the drained session with its windows intact; a process
+// that rehydrated first mints around the ids now live in its registry.
+func TestRestartMintsAroundSpilledAndLiveIDs(t *testing.T) {
+	spill := t.TempDir()
+	first, _, _ := lifecycleClient(t, WithSpillDir(spill))
+	drained := first.createSession(6).ID
+	for range 3 {
+		if status := first.do("POST", "/v1/sessions/"+drained+"/step",
+			StepRequest{Allocation: []int{3, 3}}, nil); status != http.StatusOK {
+			t.Fatalf("step status %d", status)
+		}
+	}
+	if status := first.do("POST", "/v1/admin/drain", nil, nil); status != http.StatusOK {
+		t.Fatalf("drain status %d", status)
+	}
+
+	second, _, _ := lifecycleClient(t, WithSpillDir(spill))
+	fresh := second.createSession(6).ID
+	if fresh == drained {
+		t.Fatalf("restarted process re-minted the drained id %q", drained)
+	}
+	var rr RehydrateResponse
+	if status := second.do("POST", "/v1/admin/rehydrate", nil, &rr); status != http.StatusOK {
+		t.Fatalf("rehydrate status %d", status)
+	}
+	if !reflect.DeepEqual(rr.Rehydrated, []string{drained}) || len(rr.Failed) != 0 {
+		t.Fatalf("rehydrate = %+v, want exactly %q adopted", rr, drained)
+	}
+	if n := second.windows(drained); n != 3 {
+		t.Fatalf("adopted %s has %d windows, want the 3 stepped before the drain", drained, n)
+	}
+	if n := second.windows(fresh); n != 0 {
+		t.Fatalf("fresh %s has %d windows, want 0", fresh, n)
+	}
+
+	if status := second.do("POST", "/v1/admin/drain", nil, nil); status != http.StatusOK {
+		t.Fatalf("second drain status %d", status)
+	}
+	third, _, _ := lifecycleClient(t, WithSpillDir(spill))
+	if status := third.do("POST", "/v1/admin/rehydrate", nil, &rr); status != http.StatusOK {
+		t.Fatalf("third rehydrate status %d", status)
+	}
+	if len(rr.Rehydrated) != 2 {
+		t.Fatalf("third rehydrate adopted %v, want both drained sessions", rr.Rehydrated)
+	}
+	if id := third.createSession(6).ID; id == drained || id == fresh {
+		t.Fatalf("process re-minted the live id %q", id)
 	}
 }

@@ -3,6 +3,8 @@ package httpapi
 import (
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -95,23 +97,31 @@ func (s *Server) accepts(w http.ResponseWriter, r *http.Request, id string) bool
 	return false
 }
 
-// mintID draws the next session id from the shared sequence, skipping ids
+// mintID draws the next session id from the shared sequence. It skips ids
 // the routing table homes on other processes, so every process walking the
-// same sequence mints from disjoint namespaces without coordination.
+// sequence mints from a disjoint namespace without coordination, and ids
+// live here or holding a spill store, so a process restarted over its spill
+// directory does not re-mint a drained session's id.
 func (s *Server) mintID() string {
 	for {
 		id := "s" + strconv.FormatInt(s.nextID.Add(1), 10)
-		if s.table == nil || s.table.Accepts(s.self, id, "") {
-			return id
+		if s.table != nil && !s.table.Accepts(s.self, id, "") || s.sessionByID(id) != nil {
+			continue
 		}
+		if s.spillDir != "" {
+			if _, err := os.Lstat(filepath.Join(s.spillDir, id)); err == nil {
+				continue
+			}
+		}
+		return id
 	}
 }
 
 // admit is the one way into the registry, shared by create and rehydrate:
 // reserve a slot against the session bound (an atomic reserve-then-rollback,
-// so the slow build runs under no lock), mint the id when none is given,
-// register the per-session fault series build needs, build the emulated
-// system, and insert under the registry lock, enforcing id uniqueness.
+// so the slow build runs under no lock), register the per-session fault
+// series build needs, build the emulated system, and insert under the
+// registry lock, enforcing id uniqueness.
 // build returns the session's build-specific fields (env, create, and for a
 // rehydrate the policy); admit fills in the rest. Any failure rolls the
 // slot and the series back and reports the code to answer with.
@@ -119,9 +129,6 @@ func (s *Server) admit(id string, build func(faultsTotal, crashed *obs.Counter) 
 	if n := s.live.Add(1); n > int64(s.maxSessions) {
 		s.live.Add(-1)
 		return nil, CodeSessionLimit, fmt.Errorf("session limit %d reached", s.maxSessions)
-	}
-	if id == "" {
-		id = s.mintID()
 	}
 	// rollback undoes the reservation; the series are dropped too unless a
 	// live session under the same id turned out to own them.

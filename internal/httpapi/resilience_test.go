@@ -150,42 +150,18 @@ func fleetPair(t *testing.T) (servers [2]*Server, clients [2]*client, members []
 	return servers, clients, members, idOwnedBy
 }
 
-// createWithID creates a session under a caller-chosen id (the router's
-// minted-id path), optionally carrying a failover re-route header.
-func createWithID(t *testing.T, c *client, id, failoverFrom string) int {
-	t.Helper()
-	body := strings.NewReader(`{"ensemble":"toy","budget":6,"window_sec":10}`)
-	req, err := http.NewRequest("POST", c.srv.URL+"/v1/sessions", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(SessionIDHeader, id)
-	if failoverFrom != "" {
-		req.Header.Set(FailoverHeader, failoverFrom)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
 // TestRehydrateTakeOver is the shard-side half of router failover: a
 // fallback process adopts a dead peer's spilled sessions only when the
 // rehydrate request names that peer in take_over, and the adopted ids then
 // serve from the fallback.
 func TestRehydrateTakeOver(t *testing.T) {
-	servers, clients, members, idOwnedBy := fleetPair(t)
+	servers, clients, members, _ := fleetPair(t)
 	a, b := clients[0], clients[1]
 
-	// Two sessions living on B, spill-synced as a crashed process would
-	// have left them.
-	idOne, idTwo := idOwnedBy(members[1]), idOwnedBy(members[1])
+	// Two sessions living on B (B mints ids it homes), spill-synced as a
+	// crashed process would have left them.
+	idOne, idTwo := b.createSession(6).ID, b.createSession(6).ID
 	for _, id := range []string{idOne, idTwo} {
-		if status := createWithID(t, b, id, ""); status != http.StatusCreated {
-			t.Fatalf("create %s status %d", id, status)
-		}
 		if status := b.do("POST", "/v1/sessions/"+id+"/step",
 			StepRequest{Allocation: []int{3, 3}}, nil); status != http.StatusOK {
 			t.Fatalf("step %s status %d", id, status)
@@ -238,7 +214,8 @@ func TestRehydrateTakeOver(t *testing.T) {
 
 // TestFailoverHeaderBypassesWrongShard: while a peer is down, requests
 // re-routed with X-Miras-Failover-From naming that peer must not bounce
-// 421 — a missing id is an honest 404 and a re-routed create is accepted.
+// 421 — a missing id is an honest 404 — and a re-routed create is accepted
+// under an id the fallback homes itself.
 func TestFailoverHeaderBypassesWrongShard(t *testing.T) {
 	_, clients, members, idOwnedBy := fleetPair(t)
 	a := clients[0]
@@ -267,11 +244,24 @@ func TestFailoverHeaderBypassesWrongShard(t *testing.T) {
 		t.Fatalf("wrong failover header: status %d, want 421", resp.StatusCode)
 	}
 
-	if status := createWithID(t, a, foreign, ""); status != http.StatusMisdirectedRequest {
-		t.Fatalf("foreign create without header: status %d, want 421", status)
+	req, err := http.NewRequest("POST", a.srv.URL+"/v1/sessions",
+		strings.NewReader(`{"ensemble":"toy","budget":6,"window_sec":10}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if status := createWithID(t, a, foreign, members[1]); status != http.StatusCreated {
-		t.Fatalf("foreign create with failover header: status %d, want 201", status)
+	req.Header.Set(FailoverHeader, members[1])
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info SessionInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated || err != nil {
+		t.Fatalf("re-routed create: status %d (%v), want 201", resp.StatusCode, err)
+	}
+	if status := a.do("GET", "/v1/sessions/"+info.ID, nil, nil); status != http.StatusOK {
+		t.Fatalf("re-routed create minted %q, which A serves only under the header (status %d)", info.ID, status)
 	}
 }
 

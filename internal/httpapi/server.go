@@ -44,9 +44,12 @@
 // (WithShardTopology); inside the process every session lives in one
 // registry. A request for an id the table does not let this process accept
 // is refused with HTTP 421 wrong_shard, naming the id's home so routers and
-// clients can follow. POST /v1/sessions accepts a pre-minted id via the
-// X-Miras-Session-Id header (set by `miras route`); without it the process
-// mints ids from the shared sequence, skipping ids homed elsewhere.
+// clients can follow. Every session id is minted by the process that
+// creates the session (POST /v1/sessions takes no id): it walks the shared
+// "s" sequence, skipping ids homed elsewhere, ids live here and ids with a
+// spill store, so processes mint disjoint ids without coordination and a
+// restarted process never re-mints an id it left in the spill directory.
+// `miras route` only picks which member gets a create.
 //
 // # Session lifecycle
 //
@@ -101,12 +104,6 @@ import (
 	"miras/internal/shardring"
 	"miras/internal/workflow"
 )
-
-// SessionIDHeader carries a pre-minted session id on POST /v1/sessions.
-// `miras route` mints the id, picks the owning shard process from its hash
-// ring, and forwards the create with this header so the shard adopts the
-// router's id instead of minting its own.
-const SessionIDHeader = "X-Miras-Session-Id"
 
 // DeadlineHeader carries the caller's remaining request budget in whole
 // milliseconds. `miras route` recomputes it per upstream attempt; a server
@@ -624,19 +621,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	// A router-minted id arrives in the header and must be one this process
-	// accepts; without it admit mints from the shared sequence.
-	id := r.Header.Get(SessionIDHeader)
-	if id != "" {
-		if err := validateID(id); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, err)
-			return
-		}
-		if !s.accepts(w, r, id) {
-			return
-		}
-	}
-	sess, code, err := s.admit(id, func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
+	sess, code, err := s.admit(s.mintID(), func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
 		e, code, err := s.buildSystem(req, faultsTotal, crashed)
 		return &session{env: e, create: req}, code, err
 	})

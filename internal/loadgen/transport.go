@@ -120,17 +120,5 @@ func (t *FleetTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if dead {
 		return nil, fmt.Errorf("fleet transport: dial %s: connection refused", key)
 	}
-	rec := &responseRecorder{header: make(http.Header), status: http.StatusOK}
-	h.ServeHTTP(rec, req)
-	return &http.Response{
-		Status:        http.StatusText(rec.status),
-		StatusCode:    rec.status,
-		Proto:         req.Proto,
-		ProtoMajor:    req.ProtoMajor,
-		ProtoMinor:    req.ProtoMinor,
-		Header:        rec.header,
-		Body:          io.NopCloser(bytes.NewReader(rec.body.Bytes())),
-		ContentLength: int64(rec.body.Len()),
-		Request:       req,
-	}, nil
+	return handlerTransport{h}.RoundTrip(req)
 }

@@ -2,17 +2,17 @@
 // a fleet of `miras serve` shard processes. The router owns nothing but the
 // consistent-hash ring (shared derivation with the shards — no gossip, no
 // state): it forwards every /v1/sessions/{id}/* request to the process the
-// ring assigns the id to, mints ids for POST /v1/sessions and forwards the
-// create to the minted id's owner, fans GET /v1/sessions out to every
-// shard and merges the pages, and merges every shard's /metrics into one
-// exposition page with a shard label.
+// ring assigns the id to, spreads POST /v1/sessions over the members, fans
+// GET /v1/sessions out to every shard and merges the pages, and merges
+// every shard's /metrics into one exposition page with a shard label.
 //
-// The router is deliberately dumb: it holds no session state. It mints
-// session ids from a counter that starts at r1 in every process, though, so
-// a second replica, or a router restarted while its sessions live, mints
-// ids that are still live, and the shard answers those creates 400. Shard
-// membership is fixed at startup — resizing the fleet is a drain/rehydrate
-// operation on the shards, not a router concern.
+// The router is deliberately dumb: it holds no session state and mints no
+// session id. Its n-th create goes to the member serving ring key r<n>, and
+// that shard mints the id (see httpapi's Sharding section). The counter is
+// only a spread key, so router replicas, and a router restarted while its
+// sessions live, create without colliding. Shard membership is fixed at
+// startup — resizing the fleet is a drain/rehydrate operation on the
+// shards, not a router concern.
 //
 // Placement is one value: a shardring.Table (ring + reassignment rows)
 // held in an atomic pointer, so a forwarded request reads it without a
@@ -68,7 +68,9 @@ type Router struct {
 	// failover rehydrate may legitimately run long.
 	adminClient *http.Client
 	reg         *obs.Registry
-	nextID      atomic.Int64
+	// creates counts this router's creates: the n-th is spread to the
+	// member serving ring key r<n>.
+	creates atomic.Int64
 	// keyPrefix and nextKey mint the idempotency key of every step that
 	// arrives without one; the random prefix keeps a restarted router or a
 	// second replica from reusing a key.
@@ -408,14 +410,10 @@ func (rt *Router) upstream(ctx context.Context, shard string, r *http.Request, b
 	return req, nil
 }
 
-// handleCreate mints the session id and forwards the create with the id in
-// the X-Miras-Session-Id header so the owning shard adopts it. Router-
-// minted ids use the "r" namespace, disjoint from the shards' own "s"
-// sequence.
+// handleCreate forwards the create to the member serving ring key r<n>, n
+// counting this router's creates; that shard mints the session id.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	id := "r" + strconv.FormatInt(rt.nextID.Add(1), 10)
-	r.Header.Set(httpapi.SessionIDHeader, id)
-	rt.proxy(w, r, id)
+	rt.proxy(w, r, "r"+strconv.FormatInt(rt.creates.Add(1), 10))
 }
 
 // handleByID forwards any /v1/sessions/{id} or /v1/sessions/{id}/{op}

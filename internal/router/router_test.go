@@ -10,12 +10,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"miras/internal/checkpoint"
 	"miras/internal/faults"
 	"miras/internal/httpapi"
+	"miras/internal/loadgen"
 	"miras/internal/obs"
 	"miras/internal/shardring"
 )
@@ -24,7 +27,7 @@ import (
 // `miras serve` handler (API + /metrics + /healthz) bound to a real
 // 127.0.0.1 port, configured with the fleet topology so it rejects ids it
 // does not own with 421.
-func startFleet(t *testing.T, n int) []string {
+func startFleet(t *testing.T, n int, opts ...httpapi.Option) []string {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	members := make([]string, n)
@@ -37,7 +40,7 @@ func startFleet(t *testing.T, n int) []string {
 		members[i] = "http://" + ln.Addr().String()
 	}
 	for i, ln := range listeners {
-		srv := httpapi.NewServer(httpapi.WithShardTopology(members[i], members))
+		srv := httpapi.NewServer(append([]httpapi.Option{httpapi.WithShardTopology(members[i], members)}, opts...)...)
 		mux := http.NewServeMux()
 		mux.Handle("/", srv.Handler())
 		obs.MountDebug(mux, srv.Registry())
@@ -109,8 +112,8 @@ func TestRouterRoutesEveryVerbToOwningShard(t *testing.T) {
 		}, &info); status != http.StatusCreated {
 			t.Fatalf("create %d status %d", i, status)
 		}
-		if !strings.HasPrefix(info.ID, "r") {
-			t.Fatalf("router-minted id %q not in the r namespace", info.ID)
+		if !strings.HasPrefix(info.ID, "s") {
+			t.Fatalf("shard-minted id %q not in the s namespace", info.ID)
 		}
 		owner := ring.Owner(info.ID)
 		shardsHit[owner] = true
@@ -388,38 +391,38 @@ func TestRouterHealthz(t *testing.T) {
 	}
 }
 
-// TestRouterListEncodesPageToken: session ids are client-chosen
-// (X-Miras-Session-Id) and may hold query metacharacters, and the page token
-// is the last id of a page. The router must hand the shards the token it was
-// given, not a re-parse of it: a limit=1 walk across such ids lists each
-// exactly once.
+// TestRouterListEncodesPageToken: session ids a shard adopts from a spill
+// store need not be minted ones and may hold query metacharacters, and the
+// page token is the last id of a page. The router must hand the shards the
+// token it was given, not a re-parse of it: a limit=1 walk across such ids
+// lists each exactly once.
 func TestRouterListEncodesPageToken(t *testing.T) {
-	members := startFleet(t, 2)
+	spill := t.TempDir()
+	members := startFleet(t, 2, httpapi.WithSpillDir(spill))
 	routerURL := startRouter(t, members)
-	ring, err := shardring.New(members, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	ids := []string{"a+b", "a&limit=1", "a%41"}
 	for _, id := range ids {
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(httpapi.CreateRequest{Ensemble: "toy", Budget: 4}); err != nil {
-			t.Fatal(err)
-		}
-		req, err := http.NewRequest("POST", ring.Owner(id)+"/v1/sessions", &buf)
+		st, err := checkpoint.NewStore(filepath.Join(spill, id), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set(httpapi.SessionIDHeader, id)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
+		if err := st.Save(1, httpapi.SessionSnapshot{
+			Create: httpapi.CreateRequest{Ensemble: "toy", Budget: 4, Seed: 1},
+		}); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("create %q status %d", id, resp.StatusCode)
+	}
+	var adopted []string
+	for _, m := range members {
+		var rr httpapi.RehydrateResponse
+		if status := jdo(t, m, "POST", "/v1/admin/rehydrate", nil, &rr); status != http.StatusOK || len(rr.Failed) != 0 {
+			t.Fatalf("rehydrate on %s: status %d, failed %v", m, status, rr.Failed)
 		}
+		adopted = append(adopted, rr.Rehydrated...)
+	}
+	if len(adopted) != len(ids) {
+		t.Fatalf("rehydrate adopted %v, want %v", adopted, ids)
 	}
 
 	listed := map[string]int{}
@@ -536,6 +539,136 @@ func TestUpstreamMatchesParsedURL(t *testing.T) {
 			if b, _ := io.ReadAll(rewound); !bytes.Equal(b, body) {
 				t.Fatalf("%s + %s: GetBody gave %q, want %q", shard, target, b, body)
 			}
+		}
+	}
+}
+
+// transportFleet serves n shards from one in-process loadgen.FleetTransport
+// and returns the members, their servers and a client over the transport.
+func transportFleet(t *testing.T, n int) ([]string, []*httpapi.Server, *http.Client) {
+	t.Helper()
+	members := make([]string, n)
+	for i := range members {
+		members[i] = fmt.Sprintf("http://shard-%d", i)
+	}
+	fleet := loadgen.NewFleetTransport()
+	servers := make([]*httpapi.Server, n)
+	for i, m := range members {
+		servers[i] = httpapi.NewServer(httpapi.WithShardTopology(m, members))
+		fleet.Register(m, servers[i].Handler())
+	}
+	return members, servers, &http.Client{Transport: fleet}
+}
+
+// createVia posts one create to rt's handler and returns the status and
+// the answered session.
+func createVia(t *testing.T, rt *Router) (int, httpapi.SessionInfo) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions",
+		strings.NewReader(`{"ensemble":"toy","budget":4}`)))
+	var info httpapi.SessionInfo
+	if rec.Code == http.StatusCreated {
+		if err := json.NewDecoder(rec.Body).Decode(&info); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rec.Code, info
+}
+
+// TestRouterReplicasCreateWithoutCollision: two routers over one fleet
+// count their creates from the same start, and their creates interleave;
+// every create still answers 201 with an id no other create got.
+func TestRouterReplicasCreateWithoutCollision(t *testing.T) {
+	members, servers, client := transportFleet(t, 2)
+	var replicas [2]*Router
+	for i := range replicas {
+		rt, err := New(members, WithClient(client))
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas[i] = rt
+	}
+	seen := map[string]bool{}
+	for n := 0; n < 16; n++ {
+		for i, rt := range replicas {
+			status, info := createVia(t, rt)
+			if status != http.StatusCreated {
+				t.Fatalf("replica %d create %d: status %d, want 201", i, n+1, status)
+			}
+			if seen[info.ID] {
+				t.Fatalf("replica %d create %d: id %q answered twice", i, n+1, info.ID)
+			}
+			seen[info.ID] = true
+		}
+	}
+	if n := servers[0].SessionCount() + servers[1].SessionCount(); n != 32 {
+		t.Fatalf("fleet holds %d sessions, want 32", n)
+	}
+}
+
+// TestRouterRestartCreatesWithoutCollision: a router rebuilt over a fleet
+// whose sessions are live creates new ones without colliding, and still
+// reaches the sessions its predecessor created.
+func TestRouterRestartCreatesWithoutCollision(t *testing.T) {
+	members, _, client := transportFleet(t, 2)
+	seen := map[string]bool{}
+	var routers []*Router
+	for life := 0; life < 2; life++ {
+		rt, err := New(members, WithClient(client))
+		if err != nil {
+			t.Fatal(err)
+		}
+		routers = append(routers, rt)
+		for n := 0; n < 8; n++ {
+			status, info := createVia(t, rt)
+			if status != http.StatusCreated || seen[info.ID] {
+				t.Fatalf("router %d create %d: status %d id %q, want 201 and a new id", life, n+1, status, info.ID)
+			}
+			seen[info.ID] = true
+		}
+	}
+	for id := range seen {
+		rec := httptest.NewRecorder()
+		routers[1].Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/sessions/"+id, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("session %s through the rebuilt router: status %d", id, rec.Code)
+		}
+	}
+}
+
+// TestRouterCreatePlacementPinned: a fresh router's n-th create lands on the
+// member serving ring key r<n>, and that member mints an id it homes, so
+// where a fleet's sessions live depends only on the order of the creates.
+func TestRouterCreatePlacementPinned(t *testing.T) {
+	members, servers, client := transportFleet(t, 2)
+	rt, err := New(members, WithClient(client))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := shardring.NewTable(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 32; n++ {
+		before := []int{servers[0].SessionCount(), servers[1].SessionCount()}
+		status, info := createVia(t, rt)
+		if status != http.StatusCreated {
+			t.Fatalf("create %d: status %d", n, status)
+		}
+		want, _ := table.Serving(fmt.Sprintf("r%d", n))
+		for i, m := range members {
+			grew := servers[i].SessionCount() - before[i]
+			wantGrew := 0
+			if m == want {
+				wantGrew = 1
+			}
+			if grew != wantGrew {
+				t.Fatalf("create %d: %s gained %d sessions, want %d (r%d is served by %s)", n, m, grew, wantGrew, n, want)
+			}
+		}
+		if home := table.Home(info.ID); home != want {
+			t.Fatalf("create %d: id %q homed on %s, want %s", n, info.ID, home, want)
 		}
 	}
 }
