@@ -1,13 +1,17 @@
 package router
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"miras/internal/httpapi"
+	"miras/internal/loadgen"
 )
 
 // testClock is a mutex-guarded fake wall clock for driving breaker
@@ -316,5 +320,82 @@ func TestResilienceDefaults(t *testing.T) {
 	}
 	if got := explicit.withDefaults(); got != explicit {
 		t.Fatalf("explicit values overwritten: %+v", got)
+	}
+}
+
+// ctxErrTransport reports a request whose context ended while its member
+// answered as a failed round trip, the way net/http's transport drops a
+// connection whose request context is cancelled.
+type ctxErrTransport struct{ next http.RoundTripper }
+
+func (t ctxErrTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := t.next.RoundTrip(req)
+	if err == nil && req.Context().Err() != nil {
+		resp.Body.Close()
+		return nil, req.Context().Err()
+	}
+	return resp, err
+}
+
+// TestRouterClientTimeoutBoundsEachAttempt: WithClient's Timeout bounds
+// every upstream attempt. A member that blocks until its request's context
+// ends must see that context expire, and the router must answer with the
+// attempt failure's status and code instead of waiting for the member.
+func TestRouterClientTimeoutBoundsEachAttempt(t *testing.T) {
+	const member = "http://shard-0"
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	var attempts atomic.Int64
+	fleet := loadgen.NewFleetTransport()
+	fleet.Register(member, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts.Add(1)
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	rt, err := New([]string{member}, WithClient(&http.Client{
+		Transport: ctxErrTransport{fleet},
+		Timeout:   30 * time.Millisecond,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method, path string
+		attempts     int64
+		status       int
+		code         httpapi.ErrorCode
+	}{
+		// One attempt: a reset is not retried.
+		{http.MethodPost, "/v1/sessions/s1/reset", 1, http.StatusBadGateway, httpapi.CodeUpstreamUnreachable},
+		// A step is retried until the member's breaker opens after the
+		// default three failures; the later attempts fail fast.
+		{http.MethodPost, "/v1/sessions/s1/step", 3, http.StatusServiceUnavailable, httpapi.CodeUpstreamDegraded},
+	} {
+		attempts.Store(0)
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader("{}")))
+			done <- rec
+		}()
+		select {
+		case rec := <-done:
+			var env httpapi.ErrorEnvelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+				t.Fatalf("%s %s: %d %q: %v", tc.method, tc.path, rec.Code, rec.Body, err)
+			}
+			if rec.Code != tc.status || env.Error.Code != tc.code {
+				t.Fatalf("%s %s: %d %s, want %d %s", tc.method, tc.path, rec.Code, env.Error.Code, tc.status, tc.code)
+			}
+			if n := attempts.Load(); n != tc.attempts {
+				t.Fatalf("%s %s: %d attempts reached the member, want %d", tc.method, tc.path, n, tc.attempts)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s %s: no answer after 10s: the client timeout did not bound the attempt", tc.method, tc.path)
+		}
+		// The open breaker would fail the next case fast; start it closed.
+		rt.breakers[member].recordProbe(true)
 	}
 }
