@@ -670,10 +670,15 @@ func (c *Cluster) Abandoned() uint64 { return c.abandoned }
 func (c *Cluster) AdvanceTo(t sim.Time) { c.engine.RunUntil(t) }
 
 // DrainCompletions returns the workflow completions recorded since the last
-// call and clears the internal buffer.
+// call (nil when there were none) and hands the slice to the caller. The
+// next window's buffer starts at the drained length, so a steady load
+// appends without growing it.
 func (c *Cluster) DrainCompletions() []Completion {
 	out := c.completions
-	c.completions = nil
+	if len(out) == 0 {
+		return nil
+	}
+	c.completions = make([]Completion, 0, len(out))
 	return out
 }
 
@@ -693,16 +698,22 @@ type Counters struct {
 	ServiceCount []uint64
 }
 
-// Snapshot returns the current cumulative counters.
+// Snapshot returns the current cumulative counters in fresh slices.
 func (c *Cluster) Snapshot() Counters {
+	var s Counters
+	c.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto fills s with the current cumulative counters, reusing its
+// slices where they are large enough.
+func (c *Cluster) SnapshotInto(s *Counters) {
 	n := len(c.services)
-	s := Counters{
-		Arrivals:     make([]uint64, n),
-		Completions:  make([]uint64, n),
-		BusySeconds:  make([]float64, n),
-		ServiceSum:   make([]float64, n),
-		ServiceCount: make([]uint64, n),
-	}
+	s.Arrivals = resize(s.Arrivals, n)
+	s.Completions = resize(s.Completions, n)
+	s.BusySeconds = resize(s.BusySeconds, n)
+	s.ServiceSum = resize(s.ServiceSum, n)
+	s.ServiceCount = resize(s.ServiceCount, n)
 	for j, svc := range c.services {
 		c.touchBusy(svc)
 		s.Arrivals[j] = svc.arrivals
@@ -711,7 +722,15 @@ func (c *Cluster) Snapshot() Counters {
 		s.ServiceSum[j] = svc.serviceSum
 		s.ServiceCount[j] = svc.serviceCount
 	}
-	return s
+}
+
+// resize returns v with length n, reusing its array when it is large
+// enough. Entries are left for the caller to overwrite.
+func resize[T any](v []T, n int) []T {
+	if cap(v) >= n {
+		return v[:n]
+	}
+	return make([]T, n)
 }
 
 // Clear empties every queue and abandons all in-flight work, implementing

@@ -139,15 +139,17 @@ type StepResult struct {
 // Env is the real-environment control interface. It is single-threaded,
 // like the engine beneath it.
 type Env struct {
-	cfg      Config
-	engine   *sim.Engine
-	streams  *sim.Streams
-	c        *cluster.Cluster
-	gen      *workload.Generator
-	window   int
-	lastSnap cluster.Counters
-	inv      *invariant.Set
-	ops      []Op // the history Ops returns and Replay rebuilds from
+	cfg     Config
+	engine  *sim.Engine
+	streams *sim.Streams
+	c       *cluster.Cluster
+	gen     *workload.Generator
+	window  int
+	// lastSnap holds the counters at the last window boundary; Step fills
+	// spare with the new ones and swaps the two.
+	lastSnap, spare cluster.Counters
+	inv             *invariant.Set
+	ops             []Op // the history Ops returns and Replay rebuilds from
 }
 
 // Op kinds, as they appear on the wire and in checkpoints.
@@ -289,7 +291,7 @@ func (e *Env) Window() int { return e.window }
 // any armed faults. It records a "reset" op and returns the new state.
 func (e *Env) Reset() []float64 {
 	e.c.Clear()
-	e.lastSnap = e.c.Snapshot()
+	e.c.SnapshotInto(&e.lastSnap)
 	e.ops = append(e.ops, Op{Kind: opReset})
 	return e.observe(e.c.WIP())
 }
@@ -353,10 +355,10 @@ func (e *Env) Step(m []int) (StepResult, error) {
 	c.CheckInvariants()
 	e.inv.Run()
 
-	snap := c.Snapshot()
+	c.SnapshotInto(&e.spare)
 	wip := c.WIP()
-	stats := e.buildStats(wip, snap)
-	e.lastSnap = snap
+	stats := e.buildStats(wip, e.spare)
+	e.lastSnap, e.spare = e.spare, e.lastSnap
 
 	// Eq. 1 reward is defined on WIP alone; failure observables extend
 	// the state but never the reward.
@@ -451,18 +453,20 @@ func (e *Env) Replay(ops []Op) error {
 	return nil
 }
 
-// buildStats assembles window observables from counter deltas.
+// buildStats assembles window observables from counter deltas. The four
+// rate vectors share one array, each capped at its own length.
 func (e *Env) buildStats(state []float64, snap cluster.Counters) Stats {
 	c := e.c
 	j := e.ActionDim()
+	rates := make([]float64, 4*j)
 	st := Stats{
 		Window:         e.window,
 		WIP:            state,
 		Consumers:      c.Consumers(),
-		ArrivalRate:    make([]float64, j),
-		CompletionRate: make([]float64, j),
-		ServiceMean:    make([]float64, j),
-		Utilization:    make([]float64, j),
+		ArrivalRate:    rates[:j:j],
+		CompletionRate: rates[j : 2*j : 2*j],
+		ServiceMean:    rates[2*j : 3*j : 3*j],
+		Utilization:    rates[3*j : 4*j : 4*j],
 		Completions:    c.DrainCompletions(),
 	}
 	w := e.cfg.WindowSec

@@ -1,6 +1,7 @@
 package env
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -367,5 +368,47 @@ func TestUtilizationCanExceedOneAfterScaleDown(t *testing.T) {
 	}
 	if res.Stats.Utilization[0] <= 0 {
 		t.Fatal("utilization should be positive under load")
+	}
+}
+
+// TestStepAllocs pins the steady-state allocation cost of one msd window
+// under its background load: the op log's copy of the action, the WIP
+// vector, the consumer counts, one array for the four rate vectors and the
+// window's completions. Counters are filled in place, so the cost does not
+// grow with the ensemble's size. Every StepResult stays its caller's: a
+// later window leaves an earlier one's values alone.
+func TestStepAllocs(t *testing.T) {
+	ens := workflow.NewMSD()
+	e, err := New(Config{Cluster: cluster.Config{Ensemble: ens}, Seed: 3, Budget: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := []int{5, 5, 5, 5}
+	for k := 0; k < 50; k++ {
+		if _, err := e.Step(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept, err := e.Step(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(kept)
+	completed := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		res, err := e.Step(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		completed += len(res.Stats.Completions)
+	})
+	if completed == 0 {
+		t.Fatal("no workflow completed; the windows must carry load")
+	}
+	if got := fmt.Sprint(kept); got != want {
+		t.Fatalf("a later window changed an earlier result:\n got %s\nwant %s", got, want)
+	}
+	if allocs > 5 {
+		t.Fatalf("Step: %g allocs per window, want ≤ 5", allocs)
 	}
 }
