@@ -217,7 +217,7 @@ func validatePolicyFor(p *rl.PolicySnapshot, e *env.Env) error {
 	return nil
 }
 
-func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request, id string) {
 	// Sizing the buffer from Content-Length (within the body cap) reads a
 	// multi-megabyte policy without a chain of growing copies.
 	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), s.maxBodyBytes)+bytes.MinRead))
@@ -230,7 +230,7 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	sess, ok := s.lookup(w, r)
+	sess, ok := s.lookup(w, r, id)
 	if !ok {
 		return
 	}
@@ -251,8 +251,8 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sessionInfo(sess))
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(w, r)
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, id string) {
+	sess, ok := s.lookup(w, r, id)
 	if !ok {
 		return
 	}
@@ -300,7 +300,7 @@ func (s *Server) buildFromSnapshot(snap SessionSnapshot, faultsTotal, crashed *o
 // The swap is atomic from the client's view — any failure leaves the
 // current session untouched. Fault counters are cumulative across the
 // session's metric series, so replayed fault activations count again.
-func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, id string) {
 	var in snapshotJSON
 	if !decodeBody(w, r, &in) {
 		return
@@ -310,7 +310,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	sess, ok := s.lookup(w, r)
+	sess, ok := s.lookup(w, r, id)
 	if !ok {
 		return
 	}

@@ -218,12 +218,11 @@ func (s *Server) remove(id string, sess *session, reason string) bool {
 	return true
 }
 
-// lookup resolves the request's {id} to a live session, handling the full
+// lookup resolves the session id the request's path names to a live session, handling the full
 // miss ladder (expired → tombstoned → wrong shard → not found) and
 // touching the session's idle clock. A hit takes no registry lock; callers
 // take the session's own lock before touching its state.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*session, bool) {
-	id := r.PathValue("id")
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, id string) (*session, bool) {
 	sess := s.sessionByID(id)
 	if sess == nil {
 		s.writeMiss(w, r, id)

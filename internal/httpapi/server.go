@@ -91,6 +91,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -385,23 +387,17 @@ func NewServer(opts ...Option) *Server {
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Handler returns the routed http.Handler. Every endpoint is wrapped with
-// request-count and latency instrumentation.
+// request-count and latency instrumentation. The per-session paths are cut
+// by SessionPath and dispatched on (method, op) without a ServeMux pattern;
+// every other path, and a session path the mux would clean first, goes to
+// the mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /v1/ensembles", s.instrument("ensembles", s.handleEnsembles))
-	mux.Handle("POST /v1/sessions", s.instrument("create", s.handleCreate))
-	mux.Handle("GET /v1/sessions", s.instrument("list", s.handleList))
-	mux.Handle("GET /v1/sessions/{id}", s.instrument("info", s.handleInfo))
-	mux.Handle("POST /v1/sessions/{id}/step", s.instrument("step", s.handleStep))
-	mux.Handle("POST /v1/sessions/{id}/reset", s.instrument("reset", s.handleReset))
-	mux.Handle("POST /v1/sessions/{id}/burst", s.instrument("burst", s.handleBurst))
-	mux.Handle("POST /v1/sessions/{id}/faults", s.instrument("faults", s.handleFaults))
-	mux.Handle("POST /v1/sessions/{id}/policy", s.instrument("policy", s.handlePolicy))
-	mux.Handle("GET /v1/sessions/{id}/snapshot", s.instrument("snapshot", s.handleSnapshot))
-	mux.Handle("POST /v1/sessions/{id}/restore", s.instrument("restore", s.handleRestore))
-	mux.Handle("DELETE /v1/sessions/{id}", s.instrument("delete", s.handleDelete))
-	mux.Handle("POST /v1/admin/drain", s.instrument("drain", s.handleDrain))
-	mux.Handle("POST /v1/admin/rehydrate", s.instrument("rehydrate", s.handleRehydrate))
+	mux.Handle("GET /v1/ensembles", s.instrument("ensembles", noID(s.handleEnsembles)))
+	mux.Handle("POST /v1/sessions", s.instrument("create", noID(s.handleCreate)))
+	mux.Handle("GET /v1/sessions", s.instrument("list", noID(s.handleList)))
+	mux.Handle("POST /v1/admin/drain", s.instrument("drain", noID(s.handleDrain)))
+	mux.Handle("POST /v1/admin/rehydrate", s.instrument("rehydrate", noID(s.handleRehydrate)))
 	if ring := s.tracer.Ring(); ring != nil {
 		mux.Handle("GET /v1/debug/traces", ring.Handler())
 	}
@@ -409,12 +405,114 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("GET /v1/debug/timeseries", s.tsRing.Handler())
 		mux.Handle("GET /debug/dash", s.tsRing.DashHandler())
 	}
-	return boundMiddleware(s.reqTimeout, maxBodyMiddleware(s.maxBodyBytes, mux))
+	routes := map[string]sessionRoute{
+		"":         {allow: "DELETE, GET, HEAD", get: s.instrument("info", s.handleInfo), del: s.instrument("delete", s.handleDelete)},
+		"step":     {allow: "POST", post: s.instrument("step", s.handleStep)},
+		"reset":    {allow: "POST", post: s.instrument("reset", s.handleReset)},
+		"burst":    {allow: "POST", post: s.instrument("burst", s.handleBurst)},
+		"faults":   {allow: "POST", post: s.instrument("faults", s.handleFaults)},
+		"policy":   {allow: "POST", post: s.instrument("policy", s.handlePolicy)},
+		"snapshot": {allow: "GET, HEAD", get: s.instrument("snapshot", s.handleSnapshot)},
+		"restore":  {allow: "POST", post: s.instrument("restore", s.handleRestore)},
+	}
+	return boundMiddleware(s.reqTimeout, maxBodyMiddleware(s.maxBodyBytes,
+		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			id, op, ok := SessionPath(r)
+			if !ok {
+				mux.ServeHTTP(w, r)
+				return
+			}
+			route, known := routes[op]
+			if !known {
+				http.NotFound(w, r)
+				return
+			}
+			route.serve(w, r, id)
+		})))
+}
+
+// sessionsPrefix begins every per-session path.
+const sessionsPrefix = "/v1/sessions/"
+
+// SessionPath cuts a /v1/sessions/{id} or /v1/sessions/{id}/{op} request
+// into its id and op ("" for the first shape), unescaping each segment of
+// the escaped path as http.ServeMux does. ok is false for every other path,
+// and for one the mux would clean before matching (an empty, "." or ".."
+// segment) so that the mux still answers it with its redirect or 404. The
+// mux does not clean a CONNECT request's path, so there only an empty last
+// segment is refused.
+func SessionPath(r *http.Request) (id, op string, ok bool) {
+	rest, found := strings.CutPrefix(r.URL.EscapedPath(), sessionsPrefix)
+	if !found {
+		return "", "", false
+	}
+	idSeg, opSeg, hasOp := strings.Cut(rest, "/")
+	if strings.Contains(opSeg, "/") {
+		return "", "", false
+	}
+	if hasOp && opSeg == "" || !hasOp && idSeg == "" {
+		return "", "", false // a trailing slash, which no session path has
+	}
+	if r.Method != http.MethodConnect && (cleanable(idSeg) || hasOp && cleanable(opSeg)) {
+		return "", "", false
+	}
+	return pathUnescape(idSeg), pathUnescape(opSeg), true
+}
+
+// cleanable reports whether a path segment is one http.ServeMux's path
+// cleaning removes or resolves.
+func cleanable(seg string) bool { return seg == "" || seg == "." || seg == ".." }
+
+// pathUnescape unescapes one path segment, keeping a malformed one as it
+// is, as http.ServeMux does.
+func pathUnescape(seg string) string {
+	if u, err := url.PathUnescape(seg); err == nil {
+		return u
+	}
+	return seg
+}
+
+// endpoint is an instrumented handler; id is the session id its path names,
+// "" for a path that names none.
+type endpoint func(w http.ResponseWriter, r *http.Request, id string)
+
+// ServeHTTP serves a path that names no session.
+func (h endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) { h(w, r, "") }
+
+// noID adapts a handler whose path names no session.
+func noID(h http.HandlerFunc) endpoint {
+	return func(w http.ResponseWriter, r *http.Request, _ string) { h(w, r) }
+}
+
+// sessionRoute is one per-session path shape: its endpoint for each method
+// it serves (get also serves HEAD) and, for any other method, the Allow
+// header of the 405 answer, listed as http.ServeMux lists it.
+type sessionRoute struct {
+	allow          string
+	get, post, del endpoint
+}
+
+func (rt sessionRoute) serve(w http.ResponseWriter, r *http.Request, id string) {
+	var h endpoint
+	switch r.Method {
+	case http.MethodGet, http.MethodHead:
+		h = rt.get
+	case http.MethodPost:
+		h = rt.post
+	case http.MethodDelete:
+		h = rt.del
+	}
+	if h == nil {
+		w.Header().Set("Allow", rt.allow)
+		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+		return
+	}
+	h(w, r, id)
 }
 
 // instrument wraps h with a per-endpoint request counter, error counter,
 // and latency histogram.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
+func (s *Server) instrument(endpoint string, h endpoint) endpoint {
 	reqs := s.reg.Counter("miras_http_requests_total",
 		"HTTP requests served, by endpoint.", "endpoint", endpoint)
 	errs := s.reg.Counter("miras_http_errors_total",
@@ -422,7 +520,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	dur := s.reg.Histogram("miras_http_request_duration_seconds",
 		"HTTP request latency, by endpoint.", nil, "endpoint", endpoint)
 	spanName := "http." + endpoint
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request, id string) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		var span *obs.Span
@@ -434,14 +532,14 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 			sw.Header().Set("traceparent", span.Traceparent())
 			r = r.WithContext(obs.ContextWithSpan(r.Context(), span))
 		}
-		h(sw, r)
+		h(sw, r, id)
 		span.Int("status", sw.status).End()
 		reqs.Inc()
 		if sw.status >= 400 {
 			errs.Inc()
 		}
 		dur.Observe(time.Since(start).Seconds())
-	})
+	}
 }
 
 // statusWriter captures the response status for the error counter.
@@ -646,8 +744,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, sessionInfo(sess))
 }
 
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(w, r)
+func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request, id string) {
+	sess, ok := s.lookup(w, r, id)
 	if !ok {
 		return
 	}
@@ -684,7 +782,7 @@ func sessionInfo(sess *session) SessionInfo {
 	}
 }
 
-func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id string) {
 	key := r.Header.Get(IdempotencyKeyHeader)
 	if len(key) > maxIdempotencyKeyBytes {
 		writeError(w, http.StatusBadRequest, CodeBadRequest,
@@ -695,7 +793,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	sess, ok := s.lookup(w, r)
+	sess, ok := s.lookup(w, r, id)
 	if !ok {
 		return
 	}
@@ -764,8 +862,8 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	writeRawJSON(w, http.StatusOK, sess.stepBuf.Bytes())
 }
 
-func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(w, r)
+func (s *Server) handleReset(w http.ResponseWriter, r *http.Request, id string) {
+	sess, ok := s.lookup(w, r, id)
 	if !ok {
 		return
 	}
@@ -781,12 +879,12 @@ func (s *Server) handleReset(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]float64{"state": state})
 }
 
-func (s *Server) handleBurst(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBurst(w http.ResponseWriter, r *http.Request, id string) {
 	var req BurstRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	sess, ok := s.lookup(w, r)
+	sess, ok := s.lookup(w, r, id)
 	if !ok {
 		return
 	}
@@ -801,12 +899,12 @@ func (s *Server) handleBurst(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]float64{"state": sess.env.State()})
 }
 
-func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request, id string) {
 	var plan faults.Plan
 	if !decodeBody(w, r, &plan) {
 		return
 	}
-	sess, ok := s.lookup(w, r)
+	sess, ok := s.lookup(w, r, id)
 	if !ok {
 		return
 	}
@@ -820,8 +918,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sessionInfo(sess))
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, id string) {
 	if !s.remove(id, nil, "") {
 		s.writeMiss(w, r, id)
 		return

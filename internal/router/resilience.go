@@ -275,21 +275,22 @@ func retryAfter(resp *http.Response) (time.Duration, bool) {
 	return time.Duration(secs) * time.Second, true
 }
 
-// retryableRequest reports whether r may be transparently retried: GET,
-// HEAD, and DELETE are idempotent by the API's contract, and a step POST
-// because the shard deduplicates its key. No other POST is retried: no
+// retryableRequest reports whether a request with this method, on a
+// session path with this op ("" for none), may be transparently retried:
+// GET, HEAD, and DELETE are idempotent by the API's contract, and a step
+// POST because the shard deduplicates its key. No other POST is retried: no
 // shard deduplicates a create, reset, burst, fault plan or policy.
-func retryableRequest(r *http.Request) bool {
-	switch r.Method {
+func retryableRequest(method, op string) bool {
+	switch method {
 	case http.MethodGet, http.MethodHead, http.MethodDelete:
 		return true
 	}
-	return isStep(r)
+	return isStep(method, op)
 }
 
-// isStep reports whether r is a POST /v1/sessions/{id}/step.
-func isStep(r *http.Request) bool {
-	return r.Method == http.MethodPost && r.PathValue("op") == "step"
+// isStep reports whether method and op name a POST /v1/sessions/{id}/step.
+func isStep(method, op string) bool {
+	return method == http.MethodPost && op == "step"
 }
 
 // --- active probing ---

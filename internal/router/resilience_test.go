@@ -263,30 +263,27 @@ func TestRetryAfterHeader(t *testing.T) {
 }
 
 // TestRetryableRequest pins the retry contract: GET/HEAD/DELETE and step
-// POSTs may be replayed, keyed or not, and no other POST or method may.
+// POSTs may be replayed, and no other POST or method may. A key does not
+// enter the decision (TestRouterRetriesOnlyStepPOSTs sends keyed and bare
+// requests through the router).
 func TestRetryableRequest(t *testing.T) {
 	cases := []struct {
-		method, op, key string
-		want            bool
+		method, op string
+		want       bool
 	}{
-		{http.MethodGet, "", "", true},
-		{http.MethodHead, "", "", true},
-		{http.MethodDelete, "", "", true},
-		{http.MethodPost, "step", "", true},
-		{http.MethodPost, "step", "op-42", true},
-		{http.MethodPost, "reset", "op-42", false},
-		{http.MethodPost, "", "", false},
-		{http.MethodPut, "step", "", false},
-		{http.MethodPatch, "", "op-42", false},
+		{http.MethodGet, "", true},
+		{http.MethodGet, "snapshot", true},
+		{http.MethodHead, "", true},
+		{http.MethodDelete, "", true},
+		{http.MethodPost, "step", true},
+		{http.MethodPost, "reset", false},
+		{http.MethodPost, "", false},
+		{http.MethodPut, "step", false},
+		{http.MethodPatch, "", false},
 	}
 	for _, tc := range cases {
-		r := httptest.NewRequest(tc.method, "http://x/v1/sessions/s1/"+tc.op, nil)
-		r.SetPathValue("op", tc.op)
-		if tc.key != "" {
-			r.Header.Set(httpapi.IdempotencyKeyHeader, tc.key)
-		}
-		if got := retryableRequest(r); got != tc.want {
-			t.Fatalf("retryableRequest(%s %s, key=%q) = %v, want %v", tc.method, tc.op, tc.key, got, tc.want)
+		if got := retryableRequest(tc.method, tc.op); got != tc.want {
+			t.Fatalf("retryableRequest(%s, %q) = %v, want %v", tc.method, tc.op, got, tc.want)
 		}
 	}
 }
@@ -397,5 +394,30 @@ func TestRouterClientTimeoutBoundsEachAttempt(t *testing.T) {
 		}
 		// The open breaker would fail the next case fast; start it closed.
 		rt.breakers[member].recordProbe(true)
+	}
+}
+
+// TestRouterPassesShardRedirectThrough: a forward is one round trip, so a
+// shard's redirect reaches the client as the shard sent it, as
+// httputil.ReverseProxy passes it, and the router does not follow it.
+func TestRouterPassesShardRedirectThrough(t *testing.T) {
+	const member = "http://shard-0"
+	var hits atomic.Int64
+	fleet := loadgen.NewFleetTransport()
+	fleet.Register(member, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Redirect(w, r, "/v1/sessions/s2/step", http.StatusTemporaryRedirect)
+	}))
+	rt, err := New([]string{member}, WithClient(&http.Client{Transport: fleet}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions/s1/step", strings.NewReader("{}")))
+	if rec.Code != http.StatusTemporaryRedirect || rec.Header().Get("Location") != "/v1/sessions/s2/step" {
+		t.Fatalf("answer %d Location %q, want 307 to /v1/sessions/s2/step", rec.Code, rec.Header().Get("Location"))
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("the shard saw %d requests, want 1", n)
 	}
 }

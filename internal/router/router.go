@@ -63,6 +63,11 @@ type Router struct {
 	// instead of parsing a URL per attempt.
 	bases  map[string]*url.URL
 	client *http.Client
+	// transport sends every forward attempt: the client's transport, or
+	// http.DefaultTransport when it sets none. attemptTimeout is the
+	// client's Timeout, applied to each attempt through its context.
+	transport      http.RoundTripper
+	attemptTimeout time.Duration
 	// adminClient shares the forwarding client's transport but carries no
 	// per-attempt timeout: probes bound themselves with contexts, and a
 	// failover rehydrate may legitimately run long.
@@ -101,8 +106,10 @@ type Option func(*Router)
 
 // WithClient overrides the HTTP client used to reach shards (default: a
 // 30s per-attempt timeout, 5s dials, 32 idle connections per member). Its
-// Timeout bounds each upstream attempt; the whole-request budget is the
-// caller's propagated deadline.
+// Timeout bounds each upstream attempt, body included; the whole-request
+// budget is the caller's propagated deadline. A forward is sent through the
+// client's Transport directly, so the client never follows a shard's
+// redirect: a 3xx reaches the caller as the shard sent it.
 func WithClient(c *http.Client) Option {
 	return func(rt *Router) { rt.client = c }
 }
@@ -149,6 +156,10 @@ func New(shards []string, opts ...Option) (*Router, error) {
 			},
 		}
 	}
+	rt.transport, rt.attemptTimeout = rt.client.Transport, rt.client.Timeout
+	if rt.transport == nil {
+		rt.transport = http.DefaultTransport
+	}
 	rt.res = rt.res.withDefaults()
 	rt.adminClient = &http.Client{Transport: rt.client.Transport}
 	rt.rnd = newLockedRand(1)
@@ -181,17 +192,25 @@ func New(shards []string, opts ...Option) (*Router, error) {
 // Registry exposes the router's own metric registry.
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
-// Handler returns the routed http.Handler.
+// Handler returns the routed http.Handler. Every /v1/sessions/{id} and
+// /v1/sessions/{id}/{op} request, whatever its method, is forwarded to the
+// id's owner (or the fallback serving it after a failover), which answers
+// an unknown op or a wrong method itself; httpapi.SessionPath cuts the
+// path, and every other path goes to the mux.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", rt.handleCreate)
 	mux.HandleFunc("GET /v1/sessions", rt.handleList)
-	mux.HandleFunc("/v1/sessions/{id}", rt.handleByID)
-	mux.HandleFunc("/v1/sessions/{id}/{op}", rt.handleByID)
 	mux.HandleFunc("GET /v1/ensembles", rt.handleEnsembles)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if id, op, ok := httpapi.SessionPath(r); ok {
+			rt.proxy(w, r, id, op)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
 func writeError(w http.ResponseWriter, status int, code httpapi.ErrorCode, err error) {
@@ -205,7 +224,8 @@ func writeError(w http.ResponseWriter, status int, code httpapi.ErrorCode, err e
 // proxy forwards the request to the member serving id, preserving method,
 // path, query, body, and headers both ways. id is the routing key: a
 // session id, or "" for a request any member can answer (the ensemble
-// catalog), which rides the same path under the empty key. Every attempt
+// catalog), which rides the same path under the empty key; op is the
+// session path's op ("" for none), which decides whether it is retried. Every attempt
 // re-reads the routing table, so a failover landing mid-retry redirects
 // the next attempt, and an attempt that leaves the id's ring home carries
 // the reassignment row as X-Miras-Failover-From. Retryable requests get
@@ -213,7 +233,7 @@ func writeError(w http.ResponseWriter, status int, code httpapi.ErrorCode, err e
 // by the member's circuit breaker and bounded by the caller's propagated
 // deadline; the final failure is classified as 504 deadline_exceeded, 503
 // upstream_degraded (breaker open), or 502 upstream_unreachable.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
+func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id, op string) {
 	start := time.Now()
 	// Buffer the body so retries and failover re-routes can resend it. The
 	// shard-side body cap (64 MiB) bounds what a well-behaved client sends.
@@ -252,13 +272,13 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 	}
 
 	maxAttempts := 1
-	if retryableRequest(r) {
+	if retryableRequest(r.Method, op) {
 		maxAttempts = 1 + rt.res.MaxRetries
 	}
 	// A step without a key gets one, the same on every attempt, so that its
 	// shard answers a retry instead of stepping again.
 	var stepKey string
-	if isStep(r) && r.Header.Get(httpapi.IdempotencyKeyHeader) == "" {
+	if isStep(r.Method, op) && r.Header.Get(httpapi.IdempotencyKeyHeader) == "" {
 		var buf [64]byte
 		stepKey = string(strconv.AppendUint(append(buf[:0], rt.keyPrefix...), rt.nextKey.Add(1), 10))
 	}
@@ -308,8 +328,15 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 		}
 		breakerHit = ""
 
-		req, err := rt.upstream(ctx, shard, r, body)
+		// The client's Timeout bounds this attempt, reading the answer
+		// included; cancel ends it once the answer is copied or dropped.
+		actx, cancel := ctx, context.CancelFunc(func() {})
+		if rt.attemptTimeout > 0 {
+			actx, cancel = context.WithTimeout(ctx, rt.attemptTimeout)
+		}
+		req, err := rt.upstream(actx, shard, r, body)
 		if err != nil {
+			cancel()
 			br.abort(trial)
 			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 			return
@@ -328,9 +355,10 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 			req.Header.Set(httpapi.IdempotencyKeyHeader, stepKey)
 		}
 
-		resp, err := rt.client.Do(req)
+		resp, err := rt.transport.RoundTrip(req)
 		rt.reqs[shard].Inc()
 		if err != nil {
+			cancel()
 			rt.upErrs[shard].Inc()
 			if ctx.Err() != nil {
 				// The budget expired (or the caller went away) mid-attempt —
@@ -355,6 +383,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 			}
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
+			cancel()
 			lastErr = fmt.Errorf("shard %s answered status %d", shard, resp.StatusCode)
 			continue
 		}
@@ -365,6 +394,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id string) {
 		w.WriteHeader(resp.StatusCode)
 		_, _ = io.Copy(w, resp.Body)
 		resp.Body.Close()
+		cancel()
 		rt.duration.Observe(time.Since(start).Seconds())
 		return
 	}
@@ -413,19 +443,13 @@ func (rt *Router) upstream(ctx context.Context, shard string, r *http.Request, b
 // handleCreate forwards the create to the member serving ring key r<n>, n
 // counting this router's creates; that shard mints the session id.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	rt.proxy(w, r, "r"+strconv.FormatInt(rt.creates.Add(1), 10))
-}
-
-// handleByID forwards any /v1/sessions/{id} or /v1/sessions/{id}/{op}
-// request to the id's owner (or the fallback serving it after a failover).
-func (rt *Router) handleByID(w http.ResponseWriter, r *http.Request) {
-	rt.proxy(w, r, r.PathValue("id"))
+	rt.proxy(w, r, "r"+strconv.FormatInt(rt.creates.Add(1), 10), "")
 }
 
 // handleEnsembles serves the static ensemble catalog from whichever member
 // serves the empty key (the catalog is identical everywhere).
 func (rt *Router) handleEnsembles(w http.ResponseWriter, r *http.Request) {
-	rt.proxy(w, r, "")
+	rt.proxy(w, r, "", "")
 }
 
 // get issues one fan-out GET bound to the inbound request's context, so a
