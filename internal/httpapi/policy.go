@@ -69,8 +69,7 @@ func (rec *StepRecord) validate() error {
 func (sess *session) snapshot() SessionSnapshot {
 	snap := SessionSnapshot{Create: sess.create, Ops: sess.env.Ops(), Policy: sess.policy}
 	if sess.lastKey != "" {
-		resp := sess.stepBuf.Bytes()
-		snap.LastStep = &StepRecord{Key: sess.lastKey, Response: bytes.Clone(resp[:len(resp)-1])}
+		snap.LastStep = &StepRecord{Key: sess.lastKey, Response: bytes.Clone(sess.stepBuf[:len(sess.stepBuf)-1])}
 	}
 	return snap
 }
@@ -82,9 +81,7 @@ func (sess *session) setLastStep(rec *StepRecord) {
 		return
 	}
 	sess.lastKey = rec.Key
-	sess.stepBuf.Reset()
-	sess.stepBuf.Write(rec.Response)
-	sess.stepBuf.WriteByte('\n')
+	sess.stepBuf = append(append(sess.stepBuf[:0], rec.Response...), '\n')
 }
 
 // decideScratch is a session's preallocated working memory for policy

@@ -87,8 +87,6 @@
 package httpapi
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -322,9 +320,10 @@ type session struct {
 	// lastKey is the idempotency key of the last successful step and
 	// stepBuf that step's encoded response, newline included; lastKey is ""
 	// when the step carried no key or a later mutation cleared the record
-	// (see IdempotencyKeyHeader). stepBuf is reused from step to step.
+	// (see IdempotencyKeyHeader). stepBuf's array is reused from step to
+	// step.
 	lastKey string
-	stepBuf bytes.Buffer
+	stepBuf []byte
 	// spilled reports that the spill store holds the session's current
 	// state, so SpillAll may skip it; every mutating request clears it.
 	spilled bool
@@ -802,7 +801,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id string) {
 	// A repeat of the last step's key is a retry whose answer was lost:
 	// answer it again without stepping.
 	if key != "" && key == sess.lastKey {
-		writeRawJSON(w, http.StatusOK, sess.stepBuf.Bytes())
+		writeRawJSON(w, http.StatusOK, sess.stepBuf)
 		return
 	}
 	// The session lock can be a queue under contention; if the client's
@@ -840,8 +839,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id string) {
 	sess.havePrev = true
 	s.windowsTotal.Inc()
 	sess.syncGauges()
-	sess.stepBuf.Reset()
-	err = json.NewEncoder(&sess.stepBuf).Encode(StepResponse{
+	sess.stepBuf, err = appendStepResponse(sess.stepBuf[:0], StepResponse{
 		State:          res.State,
 		Reward:         res.Reward,
 		Window:         res.Stats.Window,
@@ -859,7 +857,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id string) {
 		return
 	}
 	sess.lastKey = key
-	writeRawJSON(w, http.StatusOK, sess.stepBuf.Bytes())
+	writeRawJSON(w, http.StatusOK, sess.stepBuf)
 }
 
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request, id string) {
