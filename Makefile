@@ -67,7 +67,7 @@ benchmark-smoke:
 fmt:
 	gofmt -l -w .
 
-# Short fuzz runs over five input surfaces, one property target and six
+# Short fuzz runs over five input surfaces, one property target and seven
 # differential targets: the untrusted inputs (fault plans, HTTP session
 # creation, session snapshots on restore, serialized networks and policy
 # snapshots), ensemble validation (FuzzEnsembleSteps: any service times
@@ -82,10 +82,12 @@ fmt:
 # and raw float64 bits must give bit-identical products and rank-k updates;
 # it skips on a CPU without AVX2), the Adam and soft-update lanes against
 # their pure-Go loops (FuzzUpdateLanes: raw float64 bits and step counts
-# must give bit-identical parameters and moments; it skips likewise), and
-# the lane tanh against math.Tanh (FuzzTanhLanes: raw float64 bits must give
+# must give bit-identical parameters and moments; it skips likewise), the
+# lane tanh against math.Tanh (FuzzTanhLanes: raw float64 bits must give
 # bit-identical results; it skips where the lanes are not chosen at
-# start-up).
+# start-up), and the appended step answer against encoding/json
+# (FuzzStepResponseEncoding: raw float64 bits, nil and empty slices and any
+# controller string must give json.Encoder's bytes, or its error).
 # Go allows one -fuzz pattern per invocation, hence one run each; each
 # extends the committed seed corpus in the package's testdata/fuzz/ only in
 # the local build cache.
@@ -94,6 +96,7 @@ fuzz-smoke:
 	$(GO) test ./internal/faults/ -fuzz FuzzFaultPlanValidate -fuzztime 10s
 	$(GO) test ./internal/httpapi/ -fuzz FuzzHTTPCreateSession -fuzztime 10s
 	$(GO) test ./internal/httpapi/ -fuzz FuzzSessionRestore -fuzztime 10s
+	$(GO) test ./internal/httpapi/ -fuzz FuzzStepResponseEncoding -fuzztime 10s
 	$(GO) test ./internal/nn/ -fuzz FuzzNetworkDecode -fuzztime 10s
 	$(GO) test ./internal/nn/ -fuzz FuzzAuxGradBatch -fuzztime 10s
 	$(GO) test ./internal/rl/ -fuzz FuzzPolicySnapshotDecode -fuzztime 10s

@@ -139,17 +139,16 @@ type StepResult struct {
 // Env is the real-environment control interface. It is single-threaded,
 // like the engine beneath it.
 type Env struct {
-	cfg     Config
-	engine  *sim.Engine
-	streams *sim.Streams
-	c       *cluster.Cluster
-	gen     *workload.Generator
-	window  int
-	// lastSnap holds the counters at the last window boundary; Step fills
-	// spare with the new ones and swaps the two.
-	lastSnap, spare cluster.Counters
-	inv             *invariant.Set
-	ops             []Op // the history Ops returns and Replay rebuilds from
+	cfg      Config
+	engine   *sim.Engine
+	streams  *sim.Streams
+	c        *cluster.Cluster
+	gen      *workload.Generator
+	window   int
+	lastSnap cluster.Counters // the counters at the last window boundary
+	spare    cluster.Counters // Step fills it, then swaps it with lastSnap
+	inv      *invariant.Set
+	ops      []Op // the history Ops returns and Replay rebuilds from
 }
 
 // Op kinds, as they appear on the wire and in checkpoints.

@@ -405,7 +405,8 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("GET /debug/dash", s.tsRing.DashHandler())
 	}
 	routes := map[string]sessionRoute{
-		"":         {allow: "DELETE, GET, HEAD", get: s.instrument("info", s.handleInfo), del: s.instrument("delete", s.handleDelete)},
+		"": {allow: "DELETE, GET, HEAD",
+			get: s.instrument("info", s.handleInfo), del: s.instrument("delete", s.handleDelete)},
 		"step":     {allow: "POST", post: s.instrument("step", s.handleStep)},
 		"reset":    {allow: "POST", post: s.instrument("reset", s.handleReset)},
 		"burst":    {allow: "POST", post: s.instrument("burst", s.handleBurst)},
@@ -445,12 +446,12 @@ func SessionPath(r *http.Request) (id, op string, ok bool) {
 	if !found {
 		return "", "", false
 	}
+	if rest == "" || strings.HasSuffix(rest, "/") {
+		return "", "", false // a trailing slash, which no session path has
+	}
 	idSeg, opSeg, hasOp := strings.Cut(rest, "/")
 	if strings.Contains(opSeg, "/") {
 		return "", "", false
-	}
-	if hasOp && opSeg == "" || !hasOp && idSeg == "" {
-		return "", "", false // a trailing slash, which no session path has
 	}
 	if r.Method != http.MethodConnect && (cleanable(idSeg) || hasOp && cleanable(opSeg)) {
 		return "", "", false

@@ -225,14 +225,15 @@ func writeError(w http.ResponseWriter, status int, code httpapi.ErrorCode, err e
 // path, query, body, and headers both ways. id is the routing key: a
 // session id, or "" for a request any member can answer (the ensemble
 // catalog), which rides the same path under the empty key; op is the
-// session path's op ("" for none), which decides whether it is retried. Every attempt
-// re-reads the routing table, so a failover landing mid-retry redirects
-// the next attempt, and an attempt that leaves the id's ring home carries
-// the reassignment row as X-Miras-Failover-From. Retryable requests get
-// Resilience.MaxRetries extra attempts with jittered backoff, each gated
-// by the member's circuit breaker and bounded by the caller's propagated
-// deadline; the final failure is classified as 504 deadline_exceeded, 503
-// upstream_degraded (breaker open), or 502 upstream_unreachable.
+// session path's op ("" for none), which decides whether it is retried.
+// Every attempt re-reads the routing table, so a failover landing mid-retry
+// redirects the next attempt, and an attempt that leaves the id's ring home
+// carries the reassignment row as X-Miras-Failover-From. Retryable
+// requests get Resilience.MaxRetries extra attempts with jittered backoff,
+// each gated by the member's circuit breaker and bounded by the caller's
+// propagated deadline; the final failure is classified as 504
+// deadline_exceeded, 503 upstream_degraded (breaker open), or 502
+// upstream_unreachable.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id, op string) {
 	start := time.Now()
 	// Buffer the body so retries and failover re-routes can resend it. The

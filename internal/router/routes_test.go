@@ -3,6 +3,7 @@ package router
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -75,16 +76,12 @@ func routeAnswers(t *testing.T, newHandler func(t *testing.T) http.Handler) stri
 			if rec.Code != http.StatusCreated || !strings.Contains(rec.Body.String(), `"id":"s1"`) {
 				t.Fatalf("create: %d %s", rec.Code, rec.Body)
 			}
-			var body *strings.Reader
+			var body io.Reader
 			if method == http.MethodPost || method == http.MethodPut {
 				body = strings.NewReader("{}")
 			}
-			req := httptest.NewRequest(method, path, nil)
-			if body != nil {
-				req = httptest.NewRequest(method, path, body)
-			}
 			rec = httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, body))
 			fmt.Fprintf(&b, "%s %s -> %d allow=%q location=%q type=%q body=%q\n",
 				method, path, rec.Code, rec.Header().Get("Allow"), rec.Header().Get("Location"),
 				rec.Header().Get("Content-Type"), rec.Body.String())
