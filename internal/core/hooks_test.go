@@ -138,6 +138,10 @@ func TestSnapshotControllerMatchesLiveController(t *testing.T) {
 			t.Fatalf("snapshot controller %v != live %v", a2, a1)
 		}
 	}
+	// Each decision is a fresh slice: a caller may keep it past the next.
+	if a3 := snapCtrl.Decide(env.StepResult{State: []float64{0, 40}}); &a3[0] == &a2[0] {
+		t.Fatal("snapshot controller reused its previous allocation slice")
+	}
 	if snapCtrl.Name() != "miras" {
 		t.Fatal("name wrong")
 	}

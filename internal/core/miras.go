@@ -586,9 +586,12 @@ func (p *policyController) Reset() {}
 func (a *Agent) Snapshot() *rl.PolicySnapshot { return a.ddpg.Snapshot() }
 
 // SnapshotController wraps a frozen policy snapshot as an env.Controller,
-// so a policy trained in one process can control a system in another.
+// so a policy trained in one process can control a system in another. It
+// evaluates the policy in one scratch kept for its lifetime, so like every
+// env.Controller it serves one caller at a time.
 type SnapshotController struct {
 	snapshot *rl.PolicySnapshot
+	scratch  *rl.PolicyScratch
 	budget   int
 }
 
@@ -604,15 +607,16 @@ func NewSnapshotController(s *rl.PolicySnapshot, budget int) (*SnapshotControlle
 	if budget <= 0 {
 		return nil, fmt.Errorf("core: budget %d must be positive", budget)
 	}
-	return &SnapshotController{snapshot: s, budget: budget}, nil
+	return &SnapshotController{snapshot: s, scratch: s.NewScratch(), budget: budget}, nil
 }
 
 // Name implements env.Controller.
 func (s *SnapshotController) Name() string { return "miras" }
 
-// Decide implements env.Controller.
+// Decide implements env.Controller. The allocation is freshly allocated;
+// the simplex it comes from stays in the controller's scratch.
 func (s *SnapshotController) Decide(prev env.StepResult) []int {
-	return env.SimplexToAllocation(s.snapshot.Act(prev.State), s.budget)
+	return env.SimplexToAllocation(s.snapshot.ActTo(s.scratch, prev.State), s.budget)
 }
 
 // Reset implements env.Controller.

@@ -68,15 +68,17 @@ func TestPolicyAttachAndAutoStep(t *testing.T) {
 
 // poisonPolicy swaps session id's policy for a private clone whose first
 // weight is v (in-package, under the session lock). The attached snapshot
-// may be shared with other sessions, so it is never edited in place.
+// may be shared with other sessions, so it is never edited in place, and
+// the clone is a new snapshot rather than a copy of it, which would carry
+// its packed weights along.
 func poisonPolicy(srv *Server, id string, v float64) {
 	s := srv.sessionByID(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	clone := *s.policy
-	clone.Actor = s.policy.Actor.Clone()
-	clone.Actor.Layers[0].W.Data[0] = v
-	s.policy = &clone
+	p := s.policy
+	actor := p.Actor.Clone()
+	actor.Layers[0].W.Data[0] = v
+	s.policy = &rl.PolicySnapshot{Actor: actor, NormCount: p.NormCount, NormMean: p.NormMean, NormM2: p.NormM2}
 }
 
 // TestPolicyFallbackAndRecovery poisons an attached policy's weights and

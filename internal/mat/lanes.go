@@ -1,13 +1,16 @@
 package mat
 
-// The AVX2 lane path under the training GEMM and the rank-k update. SIMD
-// lanes here never split a dot product: each lane holds a different output
-// entry, and every step is a separate multiply then add, so each entry is
-// still the one ascending chain 0 + a₀b₀ + a₁b₁ + … the pure-Go kernels
-// compute, rounded the same way at every step. Results are bit-identical
-// to the pure-Go kernels (FuzzGemmLanes, TestLaneKernelsMatchGeneric),
-// which remain the fallback on every other platform, under the purego
-// build tag, and on CPUs without AVX2.
+import "fmt"
+
+// The AVX2 lane path under the training GEMM, the rank-k update and the
+// serving decide's mat-vec (VecPanels). SIMD lanes here never split a dot
+// product: each lane holds a different output entry, and every step is a
+// separate multiply then add, so each entry is still the one ascending
+// chain 0 + a₀b₀ + a₁b₁ + … the pure-Go kernels compute, rounded the same
+// way at every step. Results are bit-identical to the pure-Go kernels
+// (FuzzGemmLanes, TestLaneKernelsMatchGeneric, FuzzMulVecTo), which remain
+// the fallback on every other platform, under the purego build tag, and on
+// CPUs without AVX2.
 
 // useAVX2 selects the lane kernels. It is chosen once at start-up from
 // CPUID; tests flip it to referee the lane path against the pure-Go one.
@@ -182,4 +185,62 @@ func rankRows(dst, a, b *Matrix, s float64, rp *rankPacked, i0, i1 int) {
 		}
 	}
 	addMulATBScaledRows(dst, a, b, s, g1, i1)
+}
+
+// VecPanels is a matrix packed for the lane mat-vec kernel: its rows in
+// groups of 8, group g stored as a k×8 panel, p-major — panel[p*8+q] =
+// m[8g+q][p], packPanelRows' layout — and the last group padded with zero
+// rows. A kernel step broadcasts one x[p] against a panel row, so each
+// lane keeps one output's chain 0 + w₀x₀ + w₁x₁ + … in ascending p, and
+// VecPanels.MulVecTo equals Matrix.MulVecTo bit for bit. The panels are a
+// copy: they are packed once for weights that no longer change.
+type VecPanels struct {
+	rows, cols int
+	data       []float64
+}
+
+// PackVecPanels packs m for VecPanels.MulVecTo, or returns nil when the
+// lane kernels are off; Matrix.MulVecTo is the kernel then.
+func PackVecPanels(m *Matrix) *VecPanels {
+	if !useAVX2 {
+		return nil
+	}
+	k, full := m.Cols, m.Rows/panelWidth
+	p := &VecPanels{rows: m.Rows, cols: k, data: make([]float64, (m.Rows+panelWidth-1)/panelWidth*panelWidth*k)}
+	for g := 0; g < full; g++ {
+		packPanelRows(p.data[g*panelWidth*k:], m.Data[g*panelWidth*k:], k)
+	}
+	if full*panelWidth < m.Rows {
+		last := make([]float64, panelWidth*k)
+		copy(last, m.Data[full*panelWidth*k:])
+		packPanelRows(p.data[full*panelWidth*k:], last, k)
+	}
+	return p
+}
+
+// MulVecTo computes dst = m·x for the packed matrix m, where x has length
+// m.Cols and dst has length m.Rows, bit-identical to Matrix.MulVecTo. dst
+// must not alias x. The full panels go through the kernel four at a time
+// and singly after; a padded last panel goes through a local 8-entry tile.
+func (p *VecPanels) MulVecTo(dst, x []float64) {
+	if len(x) != p.cols {
+		panic(fmt.Sprintf("mat: MulVec input length %d != cols %d", len(x), p.cols))
+	}
+	if len(dst) != p.rows {
+		panic(fmt.Sprintf("mat: MulVec output length %d != rows %d", len(dst), p.rows))
+	}
+	k := p.cols
+	if k == 0 {
+		clear(dst)
+		return
+	}
+	full := p.rows / panelWidth
+	if full > 0 {
+		mulVecPanels(k, &p.data[0], full, &x[0], &dst[0])
+	}
+	if rem := p.rows - full*panelWidth; rem > 0 {
+		var tile [panelWidth]float64
+		mulVecPanels(k, &p.data[full*panelWidth*k], 1, &x[0], &tile[0])
+		copy(dst[full*panelWidth:], tile[:rem])
+	}
 }

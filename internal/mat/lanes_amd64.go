@@ -41,6 +41,9 @@ func xgetbv() (eax, edx uint32)
 func gemm4x8(k int, a *float64, lda int, panels *float64, npanels int, dst *float64, ldd int)
 
 //go:noescape
+func mulVecPanels(k int, panels *float64, npanels int, x *float64, dst *float64)
+
+//go:noescape
 func rank4x8(k int, f *float64, ldf int, atail *float64, panels *float64, npanels int, dst *float64, ldd int)
 
 //go:noescape

@@ -111,6 +111,106 @@ store:
 	VZEROUPPER
 	RET
 
+// func mulVecPanels(k int, panels *float64, npanels int, x *float64, dst *float64)
+//
+// For each of npanels consecutive k×8 panels (p-major), writes the eight
+// entries dst[q] = Σ_p panel[p][q]·x[p], accumulated in ascending p, then
+// moves dst 8 entries right. Panels go four per pass — 32 outputs in
+// Y0–Y7 against one broadcast x[p] — and the rest one per pass. k must be
+// at least 1.
+TEXT ·mulVecPanels(SB), NOSPLIT, $0-40
+	MOVQ k+0(FP), CX
+	MOVQ panels+8(FP), DI
+	MOVQ npanels+16(FP), R9
+	MOVQ x+24(FP), SI
+	MOVQ dst+32(FP), DX
+	MOVQ CX, R10
+	SHLQ $6, R10
+
+vquad:
+	CMPQ R9, $4
+	JLT vsingle
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ DI, BX
+	LEAQ (DI)(R10*1), R11
+	LEAQ (R11)(R10*1), R12
+	LEAQ (R12)(R10*1), R13
+	XORQ AX, AX
+	MOVQ CX, R8
+
+vqstep:
+	VBROADCASTSD (SI)(AX*1), Y8
+	VMULPD (BX), Y8, Y9
+	VMULPD 32(BX), Y8, Y10
+	VMULPD (R11), Y8, Y11
+	VMULPD 32(R11), Y8, Y12
+	VADDPD Y9, Y0, Y0
+	VADDPD Y10, Y1, Y1
+	VADDPD Y11, Y2, Y2
+	VADDPD Y12, Y3, Y3
+	VMULPD (R12), Y8, Y13
+	VMULPD 32(R12), Y8, Y14
+	VMULPD (R13), Y8, Y15
+	VMULPD 32(R13), Y8, Y9
+	VADDPD Y13, Y4, Y4
+	VADDPD Y14, Y5, Y5
+	VADDPD Y15, Y6, Y6
+	VADDPD Y9, Y7, Y7
+	ADDQ $64, BX
+	ADDQ $64, R11
+	ADDQ $64, R12
+	ADDQ $64, R13
+	ADDQ $8, AX
+	DECQ R8
+	JNZ vqstep
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	ADDQ $256, DX
+	MOVQ R13, DI
+	SUBQ $4, R9
+	JMP vquad
+
+vsingle:
+	TESTQ R9, R9
+	JZ vdone
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ AX, AX
+	MOVQ CX, R8
+
+vsstep:
+	VBROADCASTSD (SI)(AX*1), Y8
+	VMULPD (DI), Y8, Y9
+	VMULPD 32(DI), Y8, Y10
+	VADDPD Y9, Y0, Y0
+	VADDPD Y10, Y1, Y1
+	ADDQ $64, DI
+	ADDQ $8, AX
+	DECQ R8
+	JNZ vsstep
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	ADDQ $64, DX
+	DECQ R9
+	JMP vsingle
+
+vdone:
+	VZEROUPPER
+	RET
+
 // ROW folds one sample into one tile row: acc0:acc1 += f·b, with f
 // broadcast from off(R12) and the sample's eight b entries in Y8:Y9;
 // t0 and t1 are scratch.

@@ -13,6 +13,10 @@ func gemm4x8(k int, a *float64, lda int, panels *float64, npanels int, dst *floa
 	panic("mat: lane kernels need amd64")
 }
 
+func mulVecPanels(k int, panels *float64, npanels int, x *float64, dst *float64) {
+	panic("mat: lane kernels need amd64")
+}
+
 func rank4x8(k int, f *float64, ldf int, atail *float64, panels *float64, npanels int, dst *float64, ldd int) {
 	panic("mat: lane kernels need amd64")
 }

@@ -328,33 +328,67 @@ func ascendingDots(m *Matrix, x []float64) []float64 {
 	return out
 }
 
-// mulVecMismatch reports the first output where MulVecTo and the ascending
-// reference differ in their bits, or "". Any two NaNs match: which payload
-// a NaN sum carries depends on operand order in a commutative add, which
-// the compiler may pick either way, and no caller reads NaN payloads.
+// packedMulVecTo is the serving decide's mat-vec: through m's panels when
+// PackVecPanels packs them (the lane kernels are on), through
+// Matrix.MulVecTo otherwise.
+func packedMulVecTo(m *Matrix, dst, x []float64) {
+	if p := PackVecPanels(m); p != nil {
+		p.MulVecTo(dst, x)
+		return
+	}
+	m.MulVecTo(dst, x)
+}
+
+// mulVecMismatch reports the first output where MulVecTo or the packed
+// path, each with the lane kernels on (where the CPU has them) and off,
+// differs in its bits from the ascending reference, or "". Any two NaNs
+// match: which payload a NaN sum carries depends on operand order in a
+// commutative add, which the compiler may pick either way, and no caller
+// reads NaN payloads.
 func mulVecMismatch(m *Matrix, x []float64) string {
+	want := ascendingDots(m, x)
 	got := make([]float64, m.Rows)
-	m.MulVecTo(got, x)
-	for i, want := range ascendingDots(m, x) {
-		if math.IsNaN(got[i]) && math.IsNaN(want) {
+	for _, lanes := range []bool{false, true} {
+		if lanes && !haveAVX2 {
 			continue
 		}
-		if math.Float64bits(got[i]) != math.Float64bits(want) {
-			return fmt.Sprintf("%dx%d row %d: MulVecTo %v (%#x), ascending dot %v (%#x)",
-				m.Rows, m.Cols, i, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+		for _, path := range []struct {
+			name string
+			run  func()
+		}{
+			{"MulVecTo", func() { m.MulVecTo(got, x) }},
+			{"packed MulVecTo", func() { packedMulVecTo(m, got, x) }},
+		} {
+			for i := range got {
+				got[i] = 42
+			}
+			withLanes(lanes, path.run)
+			for i, w := range want {
+				if !sameBits(got[i], w) {
+					return fmt.Sprintf("%dx%d row %d, lanes %v: %s %v (%#x), ascending dot %v (%#x)",
+						m.Rows, m.Cols, i, lanes, path.name, got[i], math.Float64bits(got[i]), w, math.Float64bits(w))
+				}
+			}
 		}
 	}
 	return ""
 }
 
-// TestMulVecToMatchesAscendingDot pins the row-blocked kernel to the plain
-// ascending dot product bit for bit: row counts in every residue mod 4
-// (the block's tail), the serving shapes, signed zeros (a +0 start keeps an
-// all-(-0) row at +0), and Inf/NaN propagation.
+// TestMulVecToMatchesAscendingDot pins the row-blocked kernel and the
+// packed lane path to the plain ascending dot product bit for bit: row
+// counts in every residue mod 8 (the packed path's padded last panel) and
+// so mod 4 (the row block's tail), rows below one panel, one and two
+// four-panel passes, empty and one-column rows, the serving shapes, signed
+// zeros (a +0 start keeps an all-(-0) row at +0), Inf/NaN propagation and
+// overflow.
 func TestMulVecToMatchesAscendingDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	negZero := math.Copysign(0, -1)
-	shapes := [][2]int{{1, 1}, {2, 3}, {3, 0}, {4, 7}, {5, 7}, {6, 7}, {7, 7}, {64, 4}, {4, 64}, {256, 256}}
+	shapes := [][2]int{{1, 1}, {2, 3}, {3, 0}, {4, 7}, {5, 7}, {6, 7}, {7, 7}, {64, 4}, {4, 64}, {256, 256},
+		{8, 0}, {13, 0}, {8, 1}, {37, 1}, {32, 5}, {40, 9}, {64, 64}, {65, 3}, {100, 17}}
+	for r := 8; r < 16; r++ {
+		shapes = append(shapes, [2]int{r, 11}, [2]int{r + 32, 6})
+	}
 	for _, s := range shapes {
 		m := NewRandn(s[0], s[1], 1, rng)
 		x := make([]float64, s[1])
@@ -366,31 +400,47 @@ func TestMulVecToMatchesAscendingDot(t *testing.T) {
 		}
 	}
 
-	// Rows 0–3 fill one block, rows 4–6 its tail; both paths get every case.
-	m := New(7, 3)
+	// Each special row block sits in MulVecTo's four-row blocks and their
+	// tail (7 rows), and in the packed path's four-panel pass, its
+	// one-panel pass and its padded last panel (45 rows).
 	x := []float64{negZero, 2, 1}
-	for _, i := range []int{0, 4} {
-		copy(m.Row(i), []float64{1, negZero, negZero})           // every product -0: sum must be +0
-		copy(m.Row(i+1), []float64{math.Inf(1), 1, 1})           // Inf·(-0) = NaN
-		copy(m.Row(i+2), []float64{1, math.Inf(-1), math.NaN()}) // -Inf then NaN
-	}
-	copy(m.Row(3), []float64{1, math.MaxFloat64, math.MaxFloat64}) // overflow to +Inf
-	if msg := mulVecMismatch(m, x); msg != "" {
-		t.Fatal(msg)
-	}
-	got := make([]float64, m.Rows)
-	m.MulVecTo(got, x)
-	if math.Signbit(got[0]) || math.Signbit(got[4]) {
-		t.Fatalf("all-(-0) rows gave %v and %v, want +0", got[0], got[4])
-	}
-	if !math.IsNaN(got[1]) || !math.IsNaN(got[2]) || !math.IsInf(got[3], 1) {
-		t.Fatalf("Inf/NaN rows gave %v", got[1:4])
+	for _, c := range []struct {
+		rows  int
+		bases []int
+	}{{7, []int{0, 4}}, {45, []int{0, 5, 29, 33, 41}}} {
+		m := NewRandn(c.rows, 3, 1, rng)
+		for _, i := range c.bases {
+			copy(m.Row(i), []float64{1, negZero, negZero}) // every product -0: sum must be +0
+			if i+1 < c.rows {
+				copy(m.Row(i+1), []float64{math.Inf(1), 1, 1}) // Inf·(-0) = NaN
+			}
+			if i+2 < c.rows {
+				copy(m.Row(i+2), []float64{1, math.Inf(-1), math.NaN()}) // -Inf then NaN
+			}
+			if i+3 < c.rows {
+				copy(m.Row(i+3), []float64{1, math.MaxFloat64, math.MaxFloat64}) // overflow to +Inf
+			}
+		}
+		if msg := mulVecMismatch(m, x); msg != "" {
+			t.Fatal(msg)
+		}
+		got := make([]float64, m.Rows)
+		m.MulVecTo(got, x)
+		for _, i := range c.bases {
+			if math.Signbit(got[i]) {
+				t.Fatalf("%d rows: all-(-0) row %d gave %v, want +0", c.rows, i, got[i])
+			}
+			if i+3 < c.rows && (!math.IsNaN(got[i+1]) || !math.IsNaN(got[i+2]) || !math.IsInf(got[i+3], 1)) {
+				t.Fatalf("%d rows: Inf/NaN rows %d–%d gave %v", c.rows, i+1, i+3, got[i+1:i+4])
+			}
+		}
 	}
 }
 
-// FuzzMulVecTo is the differential target for the row-blocked mat-vec
-// kernel: the shape, then matrix and vector entries are decoded from the
-// fuzz input, and MulVecTo must equal the ascending reference bit for bit.
+// FuzzMulVecTo is the differential target for the mat-vec kernels: the
+// shape, then matrix and vector entries are decoded from the fuzz input,
+// and MulVecTo and the packed path, with the lane kernels on and off, must
+// equal the ascending reference bit for bit.
 func FuzzMulVecTo(f *testing.F) {
 	f.Add([]byte{3, 5})
 	f.Add([]byte{4, 4, 0, 1, 2, 3, 4, 5, 6, 7})
@@ -446,19 +496,29 @@ func decodeMulVecCase(data []byte) (*Matrix, []float64) {
 }
 
 // BenchmarkMulVecTo times the serving decide's kernel at the benchmark's
-// actor width (64) and the paper's (256, 512).
+// actor width (64) and the paper's (256, 512): Matrix.MulVecTo, and the
+// packed lane path where the CPU has AVX2.
 func BenchmarkMulVecTo(b *testing.B) {
 	for _, n := range []int{64, 256, 512} {
-		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			m := NewRandn(n, n, 1, rng)
-			x := make([]float64, n)
-			for j := range x {
-				x[j] = rng.NormFloat64()
-			}
-			dst := make([]float64, n)
+		rng := rand.New(rand.NewSource(1))
+		m := NewRandn(n, n, 1, rng)
+		x := make([]float64, n)
+		for j := range x {
+			x[j] = rng.NormFloat64()
+		}
+		dst := make([]float64, n)
+		b.Run(fmt.Sprintf("%dx%d/generic", n, n), func(b *testing.B) {
 			for b.Loop() {
 				m.MulVecTo(dst, x)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d/packed", n, n), func(b *testing.B) {
+			p := PackVecPanels(m)
+			if p == nil {
+				b.Skip("lane kernels off: nothing is packed")
+			}
+			for b.Loop() {
+				p.MulVecTo(dst, x)
 			}
 		})
 	}

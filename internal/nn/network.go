@@ -134,6 +134,10 @@ type Cache struct {
 	dIn [][]float64
 	// dGrad is scratch for the incoming output gradient.
 	dGrad []float64
+	// panels, when non-nil, holds every layer's weights packed for the
+	// lane mat-vec kernel (PackVecPanels); forward passes multiply
+	// through them instead of the layers' matrices.
+	panels []*mat.VecPanels
 }
 
 // NewCache allocates a cache sized for network n.
@@ -153,6 +157,35 @@ func NewCache(n *Network) *Cache {
 	c.dGrad = make([]float64, n.OutDim())
 	return c
 }
+
+// PackVecPanels packs every layer's weights for the lane mat-vec kernel
+// (mat.PackVecPanels), or returns nil when the lane kernels are off. The
+// panels copy the weights as they are now, so only a network that no
+// longer changes — a frozen policy — may be run through them.
+func (n *Network) PackVecPanels() []*mat.VecPanels {
+	var panels []*mat.VecPanels
+	for _, layer := range n.Layers {
+		p := mat.PackVecPanels(layer.W)
+		if p == nil {
+			return nil
+		}
+		panels = append(panels, p)
+	}
+	return panels
+}
+
+// NewPanelCache is NewCache for forward passes through panels, which
+// n.PackVecPanels packed (nil leaves the layers' matrices as the kernel).
+// Caches may share one set of panels: passes only read them.
+func NewPanelCache(n *Network, panels []*mat.VecPanels) *Cache {
+	c := NewCache(n)
+	c.panels = panels
+	return c
+}
+
+// Panels returns the packed weights this cache's forward passes multiply
+// through, or nil.
+func (c *Cache) Panels() []*mat.VecPanels { return c.panels }
 
 // Output returns the final layer's output from the most recent forward pass
 // through this cache. The slice aliases cache storage.
@@ -192,7 +225,11 @@ func (n *Network) ForwardCache(c *Cache, x, aux []float64) []float64 {
 			copy(in, cur)
 		}
 		out := c.outputs[l]
-		layer.W.MulVecTo(out, in)
+		if c.panels != nil {
+			c.panels[l].MulVecTo(out, in)
+		} else {
+			layer.W.MulVecTo(out, in)
+		}
 		mat.VecAddScaled(out, layer.B, 1)
 		layer.Act.Apply(out, out)
 		cur = out

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sync"
 
 	"miras/internal/checkpoint"
 	"miras/internal/mat"
@@ -24,6 +25,12 @@ type PolicySnapshot struct {
 	NormCount float64   `json:"norm_count"`
 	NormMean  []float64 `json:"norm_mean"`
 	NormM2    []float64 `json:"norm_m2"`
+
+	// panels is Actor packed for the lane mat-vec kernel, built by the
+	// first NewScratch and shared by every scratch of the snapshot (nil
+	// when the lane kernels are off).
+	panelsOnce sync.Once
+	panels     []*mat.VecPanels
 }
 
 // Snapshot freezes the agent's current deterministic policy.
@@ -112,11 +119,14 @@ type PolicyScratch struct {
 }
 
 // NewScratch allocates working memory for evaluating this snapshot via
-// ActTo.
+// ActTo. The first call packs the actor's weights for the lane mat-vec
+// kernel, once per snapshot however many goroutines ask, and every
+// scratch shares that one copy; the actor must not change after it.
 func (s *PolicySnapshot) NewScratch() *PolicyScratch {
+	s.panelsOnce.Do(func() { s.panels = s.Actor.PackVecPanels() })
 	return &PolicyScratch{
 		x:     make([]float64, s.Actor.InDim()),
-		cache: nn.NewCache(s.Actor),
+		cache: nn.NewPanelCache(s.Actor, s.panels),
 	}
 }
 

@@ -5,7 +5,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
+
+	"miras/internal/mat"
 )
 
 func trainedAgentForSnapshot(t *testing.T) *DDPG {
@@ -153,6 +157,53 @@ func TestActToMatchesActZeroAlloc(t *testing.T) {
 	state := states[1]
 	if allocs := testing.AllocsPerRun(100, func() { snap.ActTo(sc, state) }); allocs != 0 {
 		t.Fatalf("ActTo: %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestScratchesShareOnePacking makes the first scratches of a snapshot on
+// two goroutines at once and runs ActTo on each: both must equal Act, and
+// every scratch — those two and a later one — must multiply through the
+// snapshot's one set of packed panels. Under -race it also shows the
+// packing is race-free.
+func TestScratchesShareOnePacking(t *testing.T) {
+	d := trainedAgentForSnapshot(t)
+	ref, snap := d.Snapshot(), d.Snapshot()
+	states := [][]float64{{0, 0, 0}, {50, 5, 0.5}, {1000, 100, 10}}
+	want := make([][]float64, len(states))
+	for i, s := range states {
+		want[i] = ref.Act(s)
+	}
+	scratches := make([]*PolicyScratch, 2)
+	errs := make(chan error, len(scratches))
+	var wg sync.WaitGroup
+	for g := range scratches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := snap.NewScratch()
+			scratches[g] = sc
+			for round := 0; round < 50; round++ {
+				for i, s := range states {
+					if got := snap.ActTo(sc, s); !slices.Equal(got, want[i]) {
+						errs <- fmt.Errorf("goroutine %d: ActTo(%v) = %v, Act %v", g, s, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if lanes := mat.PackVecPanels(snap.Actor.Layers[0].W) != nil; lanes != (snap.panels != nil) {
+		t.Fatalf("lane kernels on: %v, but snapshot panels packed: %v", lanes, snap.panels != nil)
+	}
+	for _, sc := range append(scratches, snap.NewScratch()) {
+		if got := sc.cache.Panels(); len(got) != len(snap.panels) || (got != nil && &got[0] != &snap.panels[0]) {
+			t.Fatal("a scratch multiplies through panels other than the snapshot's one set")
+		}
 	}
 }
 

@@ -95,7 +95,8 @@ func jdo(t *testing.T, base, method, path string, body, out any) int {
 // two shard processes behind a router, every /v1/sessions/{id} verb issued
 // through the router succeeds, the session lives only on the ring's owner
 // (the owner serves it directly; the other shard answers 421 wrong_shard),
-// and both shards end up holding sessions.
+// each create lands on the ring owner of its placement key, and creates
+// reach both shards.
 func TestRouterRoutesEveryVerbToOwningShard(t *testing.T) {
 	members := startFleet(t, 2)
 	routerURL := startRouter(t, members)
@@ -104,8 +105,13 @@ func TestRouterRoutesEveryVerbToOwningShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The members are random loopback ports, so where the ring puts the
+	// router's placement keys r1, r2, … changes run to run: create at
+	// least eight sessions, and on until the ring has placed one on every
+	// member.
+	const minCreates, maxCreates = 8, 64
 	shardsHit := map[string]bool{}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < maxCreates && (i < minCreates || len(shardsHit) < len(members)); i++ {
 		var info httpapi.SessionInfo
 		if status := jdo(t, routerURL, "POST", "/v1/sessions", httpapi.CreateRequest{
 			Ensemble: "toy", Budget: 6, WindowSec: 10, Seed: int64(i + 1),
@@ -116,6 +122,9 @@ func TestRouterRoutesEveryVerbToOwningShard(t *testing.T) {
 			t.Fatalf("shard-minted id %q not in the s namespace", info.ID)
 		}
 		owner := ring.Owner(info.ID)
+		if want := ring.Owner(fmt.Sprintf("r%d", i+1)); owner != want {
+			t.Fatalf("create %d: id %q homed on %s, want %s (the owner of r%d)", i, info.ID, owner, want, i+1)
+		}
 		shardsHit[owner] = true
 
 		// Every verb through the router must land and succeed.
@@ -170,8 +179,8 @@ func TestRouterRoutesEveryVerbToOwningShard(t *testing.T) {
 			}
 		}
 	}
-	if len(shardsHit) != 2 {
-		t.Fatalf("all sessions landed on one shard: %v", shardsHit)
+	if len(shardsHit) != len(members) {
+		t.Fatalf("%d creates reached only %v of %d members", maxCreates, shardsHit, len(members))
 	}
 }
 
