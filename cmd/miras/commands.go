@@ -16,10 +16,10 @@ import (
 	"syscall"
 	"time"
 
-	"miras/internal/cluster"
 	"miras/internal/core"
 	"miras/internal/env"
 	"miras/internal/experiments"
+	"miras/internal/faults"
 	"miras/internal/metrics"
 	"miras/internal/obs"
 	"miras/internal/rl"
@@ -541,8 +541,8 @@ func selfcheck(*flag.FlagSet) body {
 		if err != nil {
 			return err
 		}
-		check := func(label string, opts ...cluster.Option) error {
-			res, err := experiments.SelfCheck(s, 0, opts...)
+		check := func(label string, plan *faults.Plan) error {
+			res, err := experiments.SelfCheck(s, 0, plan)
 			if err != nil {
 				return fmt.Errorf("%s: %w", label, err)
 			}
@@ -550,11 +550,11 @@ func selfcheck(*flag.FlagSet) body {
 				label, res.Windows, res.Digest)
 			return nil
 		}
-		if err := check("fault-free"); err != nil {
+		if err := check("fault-free", nil); err != nil {
 			return err
 		}
 		for _, regime := range experiments.ChaosRegimes(s) {
-			if err := check("regime="+regime.Name, cluster.WithFaultPlan(regime.Plan)); err != nil {
+			if err := check("regime="+regime.Name, &regime.Plan); err != nil {
 				return err
 			}
 		}

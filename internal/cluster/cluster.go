@@ -66,6 +66,11 @@ type Config struct {
 	// lifecycle with realised startup delays (debug). Nil disables all
 	// telemetry at zero cost.
 	Tracer *obs.Tracer
+	// Faults, when non-nil, is a fault plan New arms at virtual time zero,
+	// exactly as ScheduleFaults right after New would. An empty plan arms
+	// nothing but still builds the injector; its named RNG streams leave
+	// the run bit-identical to a nil plan.
+	Faults *faults.Plan
 }
 
 func (c Config) withDefaults() Config {
@@ -176,8 +181,6 @@ type Cluster struct {
 	dropProb         []float64 // per-service queue-drop probability
 	droppedInstances uint64    // workflow instances lost to queue drops
 	injector         *faults.Injector
-	faultsTotal      *obs.Counter
-	crashed          *obs.Counter
 
 	// events is the cluster's handler ID on the engine and lastToken the
 	// most recently issued event token (see clusterEvents).
@@ -205,9 +208,9 @@ type Cluster struct {
 	inv *invariant.Set
 }
 
-// New validates cfg, applies the options, and returns a fresh cluster with
-// all queues empty.
-func New(cfg Config, opts ...Option) (*Cluster, error) {
+// New validates cfg, arms cfg.Faults, and returns a fresh cluster with all
+// queues empty.
+func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Ensemble == nil || cfg.Engine == nil || cfg.Streams == nil {
 		return nil, fmt.Errorf("cluster: Ensemble, Engine, and Streams are required")
@@ -261,12 +264,10 @@ func New(cfg Config, opts ...Option) (*Cluster, error) {
 			c.nodes.place()
 		}
 	}
-	var st settings
-	for _, o := range opts {
-		o(&st)
-	}
-	if err := c.applySettings(st); err != nil {
-		return nil, err
+	if cfg.Faults != nil {
+		if err := c.ScheduleFaults(*cfg.Faults); err != nil {
+			return nil, fmt.Errorf("cluster: fault plan: %w", err)
+		}
 	}
 	c.registerInvariants()
 	return c, nil

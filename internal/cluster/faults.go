@@ -1,41 +1,11 @@
 package cluster
 
-import (
-	"fmt"
-
-	"miras/internal/faults"
-	"miras/internal/obs"
-)
+import "miras/internal/faults"
 
 // This file is the cluster's side of the fault-injection subsystem: the
-// faults.Target hooks the injector drives, the functional options that arm
-// a fault plan at construction, and the degraded-capacity view controllers
-// and the HTTP API observe.
-
-// Option configures optional cluster behaviour at construction; see
-// WithFaultPlan and WithFaultMetrics.
-type Option func(*settings)
-
-// settings collects option values so New can apply them in a fixed order
-// regardless of argument order.
-type settings struct {
-	plans       []faults.Plan
-	faultsTotal *obs.Counter
-	crashed     *obs.Counter
-}
-
-// WithFaultPlan arms a fault plan at construction time, anchored at virtual
-// time zero. Equivalent to calling ScheduleFaults immediately after New.
-func WithFaultPlan(p faults.Plan) Option {
-	return func(s *settings) { s.plans = append(s.plans, p) }
-}
-
-// WithFaultMetrics wires registry counters for injected fault events
-// (miras_faults_total) and killed consumers (miras_consumers_crashed).
-// Either may be nil.
-func WithFaultMetrics(faultsTotal, crashed *obs.Counter) Option {
-	return func(s *settings) { s.faultsTotal, s.crashed = faultsTotal, crashed }
-}
+// faults.Target hooks the injector drives, its fault counts, and the
+// degraded-capacity view controllers and the HTTP API observe. A plan is
+// armed at construction by Config.Faults or later by ScheduleFaults.
 
 // ScheduleFaults validates plan and arms it on the cluster's engine,
 // relative to the current virtual time. Plans compose: each call adds to
@@ -43,9 +13,7 @@ func WithFaultMetrics(faultsTotal, crashed *obs.Counter) Option {
 // streams, so an empty plan leaves the simulation bit-for-bit unchanged.
 func (c *Cluster) ScheduleFaults(plan faults.Plan) error {
 	if c.injector == nil {
-		in, err := faults.NewInjector(c.engine, c.cfg.Streams, c,
-			faults.WithTracer(c.cfg.Tracer),
-			faults.WithCounters(c.faultsTotal, c.crashed))
+		in, err := faults.NewInjector(c.engine, c.cfg.Streams, c, c.cfg.Tracer)
 		if err != nil {
 			return err
 		}
@@ -61,6 +29,16 @@ func (c *Cluster) ActiveFaults() []faults.ActiveFault {
 		return nil
 	}
 	return c.injector.Active()
+}
+
+// FaultCounts returns the fault events injected so far (episode activations
+// plus individual consumer crashes) and the consumers those crashes killed;
+// both are zero when no plan has been armed.
+func (c *Cluster) FaultCounts() (injected, crashes uint64) {
+	if c.injector == nil {
+		return 0, 0
+	}
+	return c.injector.Injected(), c.injector.Crashes()
 }
 
 // FaultSpecs returns the number of fault specs armed over the cluster's
@@ -214,15 +192,3 @@ func (c *Cluster) FaultView() FaultView {
 // episodes. Conservation under faults reads:
 // completed + in-flight + dropped == submitted.
 func (c *Cluster) Dropped() uint64 { return c.droppedInstances }
-
-// applySettings wires option values into a freshly constructed cluster and
-// arms any construction-time fault plans.
-func (c *Cluster) applySettings(s settings) error {
-	c.faultsTotal, c.crashed = s.faultsTotal, s.crashed
-	for _, p := range s.plans {
-		if err := c.ScheduleFaults(p); err != nil {
-			return fmt.Errorf("cluster: fault plan: %w", err)
-		}
-	}
-	return nil
-}

@@ -3,16 +3,16 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"miras/internal/faults"
-	"miras/internal/obs"
 	"miras/internal/sim"
 	"miras/internal/workflow"
 )
 
-// newFaultyCluster is newTestCluster plus construction options.
-func newFaultyCluster(t *testing.T, e *workflow.Ensemble, seed int64, initial []int, opts ...Option) (*Cluster, *sim.Engine) {
+// newFaultyCluster is newTestCluster plus a construction-time fault plan.
+func newFaultyCluster(t *testing.T, e *workflow.Ensemble, seed int64, initial []int, plan *faults.Plan) (*Cluster, *sim.Engine) {
 	t.Helper()
 	engine := sim.NewEngine()
 	c, err := New(Config{
@@ -22,7 +22,8 @@ func newFaultyCluster(t *testing.T, e *workflow.Ensemble, seed int64, initial []
 		StartupDelayMin:  1e-9,
 		StartupDelayMax:  2e-9,
 		InitialConsumers: initial,
-	}, opts...)
+		Faults:           plan,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,30 +34,34 @@ func newFaultyCluster(t *testing.T, e *workflow.Ensemble, seed int64, initial []
 // the cluster level: arming an empty plan must not perturb any RNG stream,
 // so the whole trajectory matches a plan-free run exactly.
 func TestEmptyPlanLeavesRunBitIdentical(t *testing.T) {
-	run := func(opts ...Option) string {
-		c, engine := newFaultyCluster(t, workflow.NewMSD(), 77, []int{2, 2, 2, 2}, opts...)
+	run := func(plan *faults.Plan) string {
+		c, engine := newFaultyCluster(t, workflow.NewMSD(), 77, []int{2, 2, 2, 2}, plan)
 		for i := 0; i < 40; i++ {
 			c.Submit(i % c.Ensemble().NumWorkflows())
 		}
 		engine.RunUntil(500)
 		return fmt.Sprint(c.DrainCompletions(), c.WIP(), c.Consumers(), c.Snapshot())
 	}
-	plain := run()
-	empty := run(WithFaultPlan(faults.Plan{}))
+	plain := run(nil)
+	empty := run(&faults.Plan{})
 	if plain != empty {
 		t.Fatal("empty fault plan changed the trajectory")
 	}
 }
 
-func TestWithFaultPlanRejectsBadSpec(t *testing.T) {
+func TestConfigFaultsRejectsBadSpec(t *testing.T) {
 	engine := sim.NewEngine()
 	_, err := New(Config{
 		Ensemble: workflow.Toy(),
 		Engine:   engine,
 		Streams:  sim.NewStreams(1),
-	}, WithFaultPlan(faults.Plan{Specs: []faults.Spec{{Kind: "meteor"}}}))
+		Faults:   &faults.Plan{Specs: []faults.Spec{{Kind: "meteor"}}},
+	})
 	if err == nil {
 		t.Fatal("expected construction error for invalid fault plan")
+	}
+	if !strings.HasPrefix(err.Error(), "cluster: fault plan: ") {
+		t.Fatalf("error %q does not name the fault plan", err)
 	}
 }
 
@@ -210,15 +215,11 @@ func TestEffectiveCapacityAndFaultView(t *testing.T) {
 }
 
 func TestScheduledPlanEndToEnd(t *testing.T) {
-	reg := obs.NewRegistry()
-	faultsTotal := reg.Counter("miras_faults_total", "test")
-	crashed := reg.Counter("miras_consumers_crashed", "test")
-	plan := faults.Plan{Specs: []faults.Spec{
+	plan := &faults.Plan{Specs: []faults.Spec{
 		{Kind: faults.Crash, Service: 0, StartSec: 10, DurationSec: 400, MTTFSec: 30, MTTRSec: 5},
 		{Kind: faults.Slowdown, Service: 1, StartSec: 20, DurationSec: 100, Factor: 2},
 	}}
-	c, engine := newFaultyCluster(t, workflow.Toy(), 29, []int{2, 2},
-		WithFaultPlan(plan), WithFaultMetrics(faultsTotal, crashed))
+	c, engine := newFaultyCluster(t, workflow.Toy(), 29, []int{2, 2}, plan)
 	if c.FaultSpecs() != 2 {
 		t.Fatalf("FaultSpecs=%d, want 2", c.FaultSpecs())
 	}
@@ -233,9 +234,9 @@ func TestScheduledPlanEndToEnd(t *testing.T) {
 	if c.Failures() == 0 {
 		t.Fatal("crash process never killed a consumer")
 	}
-	if faultsTotal.Value() == 0 || crashed.Value() != c.Failures() {
-		t.Fatalf("metrics not wired: faults_total=%d crashed=%d failures=%d",
-			faultsTotal.Value(), crashed.Value(), c.Failures())
+	if injected, crashes := c.FaultCounts(); injected == 0 || crashes != c.Failures() {
+		t.Fatalf("fault counts not kept: injected=%d crashes=%d failures=%d",
+			injected, crashes, c.Failures())
 	}
 	if len(c.ActiveFaults()) != 0 {
 		t.Fatalf("faults still active after bounded episodes: %v", c.ActiveFaults())

@@ -51,10 +51,11 @@ func TestDeepQueueTrajectoryPinned(t *testing.T) {
 		Engine:           engine,
 		Streams:          sim.NewStreams(2029),
 		InitialConsumers: []int{2, 2, 2, 2},
-	}, WithFaultPlan(faults.Plan{Specs: []faults.Spec{
-		{Kind: faults.Crash, Service: faults.AllServices, StartSec: 20, DurationSec: 1500, MTTFSec: 4, MTTRSec: 6},
-		{Kind: faults.QueueDrop, Service: 2, StartSec: 300, DurationSec: 60, Factor: 0.05},
-	}}))
+		Faults: &faults.Plan{Specs: []faults.Spec{
+			{Kind: faults.Crash, Service: faults.AllServices, StartSec: 20, DurationSec: 1500, MTTFSec: 4, MTTRSec: 6},
+			{Kind: faults.QueueDrop, Service: 2, StartSec: 300, DurationSec: 60, Factor: 0.05},
+		}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,9 @@ const DefaultWindowSec = 30.0
 // Config describes the emulated system New builds and the Env over it.
 type Config struct {
 	// Cluster configures the emulated microservice system. Its Ensemble is
-	// required. Engine, Streams and Tracer must be left nil: New fills them,
-	// the tracer from Config.Tracer.
+	// required, and its Faults is the fault plan armed at construction.
+	// Engine, Streams and Tracer must be left nil: New fills them, the
+	// tracer from Config.Tracer.
 	Cluster cluster.Config
 	// Seed roots every random stream of the system.
 	Seed int64
@@ -171,10 +172,11 @@ type Op struct {
 }
 
 // New builds the emulated system cfg describes — a fresh engine, the random
-// streams rooted at Seed, the cluster (with copts), and the background
-// generator, already started — and returns the Env over it. Equal (cfg,
-// copts) build systems with identical trajectories.
-func New(cfg Config, copts ...cluster.Option) (*Env, error) {
+// streams rooted at Seed, the cluster (with any fault plan in
+// Cluster.Faults armed), and the background generator, already started —
+// and returns the Env over it. Equal configs build systems with identical
+// trajectories.
+func New(cfg Config) (*Env, error) {
 	cc := cfg.Cluster
 	if cc.Engine != nil || cc.Streams != nil || cc.Tracer != nil {
 		return nil, fmt.Errorf("env: Cluster.Engine, Streams and Tracer are New's to fill")
@@ -182,7 +184,7 @@ func New(cfg Config, copts ...cluster.Option) (*Env, error) {
 	engine := sim.NewEngine()
 	streams := sim.NewStreams(cfg.Seed)
 	cc.Engine, cc.Streams, cc.Tracer = engine, streams, cfg.Tracer
-	c, err := cluster.New(cc, copts...)
+	c, err := cluster.New(cc)
 	if err != nil {
 		return nil, err
 	}

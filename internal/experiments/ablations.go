@@ -48,7 +48,7 @@ func WindowLengthAblation(s Setup, windows []float64) (*WindowLengthResult, erro
 		// Equal total virtual time across window lengths.
 		sw.CompareWindows = int(float64(s.CompareWindows) * s.WindowSec / w)
 		meanDelay := func(ctrl env.Controller) (float64, error) {
-			h, err := scenario(sw, 300, bursts[0])
+			h, err := scenario(sw, 300, bursts[0], nil)
 			if err != nil {
 				return 0, err
 			}
@@ -230,7 +230,7 @@ func SampleEfficiency(s Setup, trained *Trained, episodes int) (*SampleEfficienc
 	evalReturn := func(ctrl env.Controller) (float64, error) {
 		var total float64
 		for ep := 0; ep < episodes; ep++ {
-			h, err := scenario(s, 600+int64(ep), nil)
+			h, err := scenario(s, 600+int64(ep), nil, nil)
 			if err != nil {
 				return 0, err
 			}
@@ -291,7 +291,7 @@ func DynamicLoad(s Setup, algorithms []string, trained *Trained, depth float64) 
 		}
 		mod.Start()
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +328,7 @@ func Chaos(s Setup, algorithms []string, trained *Trained, killEverySec float64)
 		}
 		h.Engine.Schedule(killEverySec, kill)
 		return nil
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

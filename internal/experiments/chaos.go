@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"miras/internal/cluster"
 	"miras/internal/faults"
 )
 
@@ -126,7 +125,7 @@ func ChaosCompare(s Setup, regime ChaosRegime, algorithms []string, trained *Tra
 	if err != nil {
 		return nil, err
 	}
-	c, err := compareOn(s, algorithms, trained, 900, bursts[0], nil, cluster.WithFaultPlan(regime.Plan))
+	c, err := compareOn(s, algorithms, trained, 900, bursts[0], nil, &regime.Plan)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos regime %s: %w", regime.Name, err)
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"miras/internal/baselines"
-	"miras/internal/cluster"
 	"miras/internal/env"
+	"miras/internal/faults"
 	"miras/internal/metrics"
 	"miras/internal/rl"
 	"miras/internal/trace"
@@ -171,7 +171,7 @@ type CompareResult struct {
 // is injected at time zero, and the controller runs for s.CompareWindows
 // windows.
 func Compare(s Setup, burst []int, algorithms []string, trained *Trained) (*CompareResult, error) {
-	c, err := compareOn(s, algorithms, trained, 300, burst, nil)
+	c, err := compareOn(s, algorithms, trained, 300, burst, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -182,11 +182,11 @@ func Compare(s Setup, burst []int, algorithms []string, trained *Trained) (*Comp
 // compareOn runs each algorithm through the Figs. 7–8 protocol: a fresh
 // controller, a fresh harness at seedOffset (identical for every algorithm:
 // paired arrival traces, and paired fault processes under a fault plan)
-// with burst injected at time zero, arm(h) when arm is non-nil (periodic
-// stressors that schedule themselves on the engine), then s.CompareWindows
-// windows of control.
+// with plan armed (nil for none) and burst injected at time zero, arm(h)
+// when arm is non-nil (periodic stressors that schedule themselves on the
+// engine), then s.CompareWindows windows of control.
 func compareOn(s Setup, algorithms []string, trained *Trained, seedOffset int64, burst []int,
-	arm func(*Harness) error, copts ...cluster.Option) (*Comparison, error) {
+	arm func(*Harness) error, plan *faults.Plan) (*Comparison, error) {
 	ens, ok := workflow.ByName(s.EnsembleName)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
@@ -200,7 +200,7 @@ func compareOn(s Setup, algorithms []string, trained *Trained, seedOffset int64,
 		if err != nil {
 			return nil, err
 		}
-		h, err := scenario(s, seedOffset, burst, copts...)
+		h, err := scenario(s, seedOffset, burst, plan)
 		if err != nil {
 			return nil, err
 		}
@@ -219,10 +219,10 @@ func compareOn(s Setup, algorithms []string, trained *Trained, seedOffset int64,
 	return c, nil
 }
 
-// scenario builds a fresh harness at seedOffset and injects burst at time
-// zero when it is non-nil.
-func scenario(s Setup, seedOffset int64, burst []int, copts ...cluster.Option) (*Harness, error) {
-	h, err := BuildHarness(s, seedOffset, copts...)
+// scenario builds a fresh harness at seedOffset with plan armed (nil for
+// none) and injects burst at time zero when it is non-nil.
+func scenario(s Setup, seedOffset int64, burst []int, plan *faults.Plan) (*Harness, error) {
+	h, err := buildHarness(s, seedOffset, plan)
 	if err != nil {
 		return nil, err
 	}

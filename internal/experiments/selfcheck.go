@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"miras/internal/cluster"
+	"miras/internal/faults"
 	"miras/internal/invariant"
 )
 
@@ -18,24 +18,24 @@ type SelfCheckResult struct {
 }
 
 // SelfCheck verifies end-to-end determinism of the emulation stack: it
-// builds two harnesses from identical (Setup, seed, options), drives each
+// builds two harnesses from identical (Setup, seed, plan), drives each
 // through the same short horizon — paper burst at time zero, uniform
 // allocation every window — and digests the full observable trajectory
 // (states, rewards, final conservation counters). Any divergence means a
 // component consumed randomness outside its named stream, iterated a map,
 // or otherwise broke the bit-reproducibility every experiment relies on.
 //
-// Cluster options (e.g. a fault plan) are passed to both harnesses, so the
-// chaos path can be self-checked under every regime.
-func SelfCheck(s Setup, windows int, copts ...cluster.Option) (*SelfCheckResult, error) {
+// plan, when non-nil, is armed in both harnesses, so the chaos path can be
+// self-checked under every regime.
+func SelfCheck(s Setup, windows int, plan *faults.Plan) (*SelfCheckResult, error) {
 	if windows <= 0 {
 		windows = 8
 	}
-	first, err := selfCheckDigest(s, windows, copts...)
+	first, err := selfCheckDigest(s, windows, plan)
 	if err != nil {
 		return nil, err
 	}
-	second, err := selfCheckDigest(s, windows, copts...)
+	second, err := selfCheckDigest(s, windows, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -48,8 +48,8 @@ func SelfCheck(s Setup, windows int, copts ...cluster.Option) (*SelfCheckResult,
 
 // selfCheckDigest runs one deterministic scripted rollout and folds every
 // observable into a digest.
-func selfCheckDigest(s Setup, windows int, copts ...cluster.Option) (uint64, error) {
-	h, err := BuildHarness(s, 700, copts...)
+func selfCheckDigest(s Setup, windows int, plan *faults.Plan) (uint64, error) {
+	h, err := buildHarness(s, 700, plan)
 	if err != nil {
 		return 0, err
 	}

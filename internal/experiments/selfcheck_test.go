@@ -1,14 +1,10 @@
 package experiments
 
-import (
-	"testing"
-
-	"miras/internal/cluster"
-)
+import "testing"
 
 func TestSelfCheckPasses(t *testing.T) {
 	s := microSetup(t, "msd")
-	res, err := SelfCheck(s, 6)
+	res, err := SelfCheck(s, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +16,7 @@ func TestSelfCheckPasses(t *testing.T) {
 func TestSelfCheckPassesUnderFaults(t *testing.T) {
 	s := microSetup(t, "msd")
 	for _, regime := range ChaosRegimes(s) {
-		res, err := SelfCheck(s, 6, cluster.WithFaultPlan(regime.Plan))
+		res, err := SelfCheck(s, 6, &regime.Plan)
 		if err != nil {
 			t.Fatalf("regime %s: %v", regime.Name, err)
 		}
@@ -35,12 +31,12 @@ func TestSelfCheckPassesUnderFaults(t *testing.T) {
 // self-check would pass vacuously.
 func TestSelfCheckDigestIsSeedSensitive(t *testing.T) {
 	s := microSetup(t, "msd")
-	a, err := SelfCheck(s, 6)
+	a, err := SelfCheck(s, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Seed += 1000
-	b, err := SelfCheck(s, 6)
+	b, err := SelfCheck(s, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 
 	"miras/internal/cluster"
 	"miras/internal/env"
+	"miras/internal/faults"
 	"miras/internal/obs"
 	"miras/internal/sim"
 	"miras/internal/workflow"
@@ -253,26 +254,31 @@ type Harness struct {
 	Env       *env.Env
 }
 
-// BuildHarness constructs a fresh environment for s. seedOffset decorrelates
-// harnesses built from the same Setup (e.g. training vs evaluation runs);
-// harnesses built with equal (Setup, seedOffset) produce identical arrival
-// traces. Background Poisson arrivals are started immediately. Cluster
-// options (e.g. a fault plan for the chaos experiments) are passed through;
-// an absent or empty plan leaves the harness bit-for-bit identical to a
-// plain one.
-func BuildHarness(s Setup, seedOffset int64, copts ...cluster.Option) (*Harness, error) {
+// BuildHarness constructs a fresh, fault-free environment for s. seedOffset
+// decorrelates harnesses built from the same Setup (e.g. training vs
+// evaluation runs); harnesses built with equal (Setup, seedOffset) produce
+// identical arrival traces. Background Poisson arrivals are started
+// immediately.
+func BuildHarness(s Setup, seedOffset int64) (*Harness, error) {
+	return buildHarness(s, seedOffset, nil)
+}
+
+// buildHarness is BuildHarness with a fault plan armed at construction (the
+// chaos experiments); a nil or empty plan leaves the harness bit-for-bit
+// identical to a plain one.
+func buildHarness(s Setup, seedOffset int64, plan *faults.Plan) (*Harness, error) {
 	ens, ok := workflow.ByName(s.EnsembleName)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown ensemble %q", s.EnsembleName)
 	}
 	e, err := env.New(env.Config{
-		Cluster:   cluster.Config{Ensemble: ens},
+		Cluster:   cluster.Config{Ensemble: ens, Faults: plan},
 		Seed:      s.Seed + seedOffset,
 		Rates:     s.Rates,
 		WindowSec: s.WindowSec,
 		Budget:    s.Budget,
 		Tracer:    s.Tracer,
-	}, copts...)
+	})
 	if err != nil {
 		return nil, err
 	}

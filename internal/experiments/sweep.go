@@ -73,7 +73,7 @@ func BudgetSweep(s Setup, algorithms []string, budgets []int) (*BudgetSweepResul
 		if err != nil {
 			return err
 		}
-		h, err := scenario(sb, 300, bursts[0])
+		h, err := scenario(sb, 300, bursts[0], nil)
 		if err != nil {
 			return err
 		}

@@ -10,7 +10,9 @@
 // cluster's failure hooks) on the discrete-event engine, drawing all
 // randomness from named sim.Streams, so the same seed plus the same plan
 // yields byte-identical traces — and an empty plan consumes no randomness
-// at all, leaving fault-free runs bit-for-bit unchanged.
+// at all, leaving fault-free runs bit-for-bit unchanged. The Injector keeps
+// the only count of what it injected (Injected, Crashes); metrics are read
+// from it, never handed to it.
 //
 // Spec is also the wire type of the HTTP API's POST /v1/sessions/{id}/faults
 // endpoint (see internal/httpapi), hence the JSON tags.

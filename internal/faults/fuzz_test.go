@@ -46,7 +46,7 @@ func FuzzFaultPlanValidate(f *testing.F) {
 
 		engine := sim.NewEngine()
 		target := &fakeTarget{services: 3}
-		in, err := NewInjector(engine, sim.NewStreams(1), target)
+		in, err := NewInjector(engine, sim.NewStreams(1), target, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

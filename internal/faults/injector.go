@@ -46,12 +46,6 @@ type Injector struct {
 	// stored).
 	spans map[int]*obs.Span
 
-	// faultsTotal counts injected fault events (episode activations and
-	// individual crashes); crashed counts consumers actually killed. Both
-	// are optional registry-owned counters.
-	faultsTotal *obs.Counter
-	crashed     *obs.Counter
-
 	nextID    int
 	active    map[int]*ActiveFault
 	scheduled int
@@ -59,40 +53,24 @@ type Injector struct {
 	crashes   uint64
 }
 
-// Option configures an Injector.
-type Option func(*Injector)
-
-// WithTracer emits one "fault.episode" span per fault window: opened at
-// activation, closed at deactivation, carrying the spec's kind / service /
-// factor — and the fault lifecycle events (fault_begin, fault_end,
-// consumer_crash). A nil tracer disables both at zero cost.
-func WithTracer(t *obs.Tracer) Option {
-	return func(in *Injector) { in.tracer = t }
-}
-
-// WithCounters wires the miras_faults_total / miras_consumers_crashed
-// registry counters. Either may be nil.
-func WithCounters(faultsTotal, crashed *obs.Counter) Option {
-	return func(in *Injector) { in.faultsTotal, in.crashed = faultsTotal, crashed }
-}
-
 // NewInjector returns an injector with no armed faults. All randomness is
 // drawn from streams named "faults/<id>/…", so injectors built from equal
 // seeds behave identically and never perturb other components' streams.
-func NewInjector(engine *sim.Engine, streams *sim.Streams, target Target, opts ...Option) (*Injector, error) {
+// tracer, when non-nil, gets one "fault.episode" span per fault window
+// (opened at activation, closed at deactivation, carrying the spec's kind,
+// service and factor) and the fault lifecycle events (fault_begin,
+// fault_end, consumer_crash); nil disables both at zero cost.
+func NewInjector(engine *sim.Engine, streams *sim.Streams, target Target, tracer *obs.Tracer) (*Injector, error) {
 	if engine == nil || streams == nil || target == nil {
 		return nil, fmt.Errorf("faults: engine, streams, and target are required")
 	}
-	in := &Injector{
+	return &Injector{
 		engine:  engine,
 		streams: streams,
 		target:  target,
+		tracer:  tracer,
 		active:  make(map[int]*ActiveFault),
-	}
-	for _, o := range opts {
-		o(in)
-	}
-	return in, nil
+	}, nil
 }
 
 // Schedule validates plan and arms every spec relative to the current
@@ -192,10 +170,8 @@ func (in *Injector) armCrash(id int, sp Spec) {
 		}
 		err := in.target.CrashConsumer(j, restart)
 		in.injected++
-		in.count(in.faultsTotal)
 		if err == nil {
 			in.crashes++
-			in.count(in.crashed)
 		}
 		in.tracer.Event("consumer_crash").
 			T(in.engine.Now()).
@@ -234,7 +210,6 @@ func (in *Injector) armEpisode(id int, sp Spec) {
 		in.apply(sp, true)
 		in.activate(id, sp, wireEnd)
 		in.injected++
-		in.count(in.faultsTotal)
 	})
 	if sp.DurationSec > 0 {
 		in.engine.Schedule(sp.StartSec+sp.DurationSec, func() {
@@ -321,11 +296,5 @@ func (in *Injector) deactivate(id int) {
 	if span, ok := in.spans[id]; ok {
 		delete(in.spans, id)
 		span.EndT(in.engine.Now())
-	}
-}
-
-func (in *Injector) count(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
 	}
 }

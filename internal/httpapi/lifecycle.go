@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"miras/internal/checkpoint"
-	"miras/internal/obs"
 )
 
 // spillKeep is how many spill checkpoints each session's store retains;
@@ -312,8 +311,8 @@ func (s *Server) rehydrateOne(id string) error {
 		return fmt.Errorf("%s: %w", CodeBadRequest, err)
 	}
 
-	_, _, err = s.admit(id, func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
-		sess, code, err := s.buildFromSnapshot(snap, faultsTotal, crashed)
+	_, _, err = s.admit(id, func() (*session, ErrorCode, error) {
+		sess, code, err := s.buildFromSnapshot(snap)
 		if err != nil {
 			return nil, code, fmt.Errorf("%s: %w", code, err) // the "failed" map shows why the replay broke
 		}

@@ -13,8 +13,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"miras/internal/obs"
 )
 
 // fakeClock is an atomic fake wall clock for driving TTL/idle eviction
@@ -433,8 +431,8 @@ func TestRegistryOneWayInOneWayOut(t *testing.T) {
 	// No request names the id of a create; a live id reaches admit again
 	// only when a rehydrate races it, so admit is driven directly.
 	live := srv.sessionByID(id)
-	if _, code, err := srv.admit(id, func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
-		e, code, err := srv.buildSystem(live.create, faultsTotal, crashed)
+	if _, code, err := srv.admit(id, func() (*session, ErrorCode, error) {
+		e, code, err := srv.buildSystem(live.create)
 		return &session{env: e, create: live.create}, code, err
 	}); err == nil || code != CodeBadRequest {
 		t.Fatalf("duplicate admit = (%q, %v), want bad_request", code, err)

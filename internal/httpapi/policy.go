@@ -265,12 +265,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, id strin
 // — so a later snapshot round-trips byte-identically — policy and record).
 // Shared by POST …/restore and admin rehydrate — both owe their
 // byte-identical round-trip guarantee to this replay being deterministic.
-func (s *Server) buildFromSnapshot(snap SessionSnapshot, faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
+func (s *Server) buildFromSnapshot(snap SessionSnapshot) (*session, ErrorCode, error) {
 	req := snap.Create
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	e, _, err := s.buildSystem(req, faultsTotal, crashed)
+	e, _, err := s.buildSystem(req)
 	if err != nil {
 		return nil, CodeBadSnapshot, fmt.Errorf("snapshot create request: %w", err)
 	}
@@ -295,8 +295,9 @@ func (s *Server) buildFromSnapshot(snap SessionSnapshot, faultsTotal, crashed *o
 // handleRestore rebuilds the session from a snapshot: a fresh emulated
 // system from the creation request, the op log replayed in order.
 // The swap is atomic from the client's view — any failure leaves the
-// current session untouched. Fault counters are cumulative across the
-// session's metric series, so replayed fault activations count again.
+// current session untouched, its fault counters included. Fault counters
+// are cumulative across the session's metric series, so a successful
+// restore's replayed fault activations count again.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, id string) {
 	var in snapshotJSON
 	if !decodeBody(w, r, &in) {
@@ -316,7 +317,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, id string
 	span := obs.SpanFromContext(r.Context()).Child("session.restore").
 		Str("session", sess.id).Int("ops", len(snap.Ops))
 	defer span.End()
-	built, code, err := s.buildFromSnapshot(snap, sess.faultsTotal, sess.crashed)
+	built, code, err := s.buildFromSnapshot(snap)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, code, err)
 		return
@@ -334,6 +335,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, id string
 	// The snapshot's lifecycle bounds replace the session's.
 	sess.ttl = time.Duration(built.create.TTLSeconds * float64(time.Second))
 	sess.idle = time.Duration(built.create.IdleTimeoutSeconds * float64(time.Second))
+	sess.syncedFaults, sess.syncedCrashes = 0, 0
 	sess.syncGauges()
 	writeJSON(w, http.StatusOK, sessionInfo(sess))
 }

@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"miras/internal/obs"
 )
 
 // tombstoneCap bounds the process's memory of evicted session ids. A ring
@@ -119,48 +117,32 @@ func (s *Server) mintID() string {
 
 // admit is the one way into the registry, shared by create and rehydrate:
 // reserve a slot against the session bound (an atomic reserve-then-rollback,
-// so the slow build runs under no lock), register the per-session fault
-// series build needs, build the emulated system, and insert under the
-// registry lock, enforcing id uniqueness.
+// so the slow build runs under no lock), build the emulated system, and
+// insert under the registry lock, enforcing id uniqueness and registering
+// the session's metric series.
 // build returns the session's build-specific fields (env, create, and for a
-// rehydrate the policy); admit fills in the rest. Any failure rolls the
-// slot and the series back and reports the code to answer with.
-func (s *Server) admit(id string, build func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error)) (*session, ErrorCode, error) {
+// rehydrate the policy); admit fills in the rest. Any failure releases the
+// slot and reports the code to answer with; no series is touched.
+func (s *Server) admit(id string, build func() (*session, ErrorCode, error)) (*session, ErrorCode, error) {
 	if n := s.live.Add(1); n > int64(s.maxSessions) {
 		s.live.Add(-1)
 		return nil, CodeSessionLimit, fmt.Errorf("session limit %d reached", s.maxSessions)
 	}
-	// rollback undoes the reservation; the series are dropped too unless a
-	// live session under the same id turned out to own them.
-	rollback := func(dropSeries bool) {
-		if dropSeries {
-			s.reg.Remove("miras_faults_total", "session", id)
-			s.reg.Remove("miras_consumers_crashed", "session", id)
-		}
-		s.live.Add(-1)
-	}
-	faultsTotal := s.reg.Counter("miras_faults_total",
-		"Fault events injected (episode activations and consumer crashes), by session.",
-		"session", id)
-	crashed := s.reg.Counter("miras_consumers_crashed",
-		"Consumers killed by fault injection, by session.",
-		"session", id)
-	sess, code, err := build(faultsTotal, crashed)
+	sess, code, err := build()
 	if err != nil {
-		rollback(s.sessionByID(id) == nil)
+		s.live.Add(-1)
 		return nil, code, err
 	}
 	sess.id = id
 	sess.createdAt = s.now()
 	sess.ttl = time.Duration(sess.create.TTLSeconds * float64(time.Second))
 	sess.idle = time.Duration(sess.create.IdleTimeoutSeconds * float64(time.Second))
-	sess.faultsTotal, sess.crashed = faultsTotal, crashed
 	sess.touch(sess.createdAt)
 
 	s.registry.mu.Lock()
 	if s.sessionByID(id) != nil {
 		s.registry.mu.Unlock()
-		rollback(false)
+		s.live.Add(-1)
 		return nil, CodeBadRequest, fmt.Errorf("session %q already exists", id)
 	}
 	sess.wip = s.reg.Gauge("miras_env_wip",
@@ -168,6 +150,12 @@ func (s *Server) admit(id string, build func(faultsTotal, crashed *obs.Counter) 
 		"session", id)
 	sess.inflight = s.reg.Gauge("miras_cluster_inflight",
 		"Live (incomplete) workflow instances, by session.",
+		"session", id)
+	sess.faultsTotal = s.reg.Counter("miras_faults_total",
+		"Fault events injected (episode activations and consumer crashes), by session.",
+		"session", id)
+	sess.crashed = s.reg.Counter("miras_consumers_crashed",
+		"Consumers killed by fault injection, by session.",
 		"session", id)
 	sess.fallbackTotal = s.reg.Counter("miras_controller_fallback_total",
 		"Policy failures that degraded the session to the HPA baseline, by session.",

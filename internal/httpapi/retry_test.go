@@ -35,13 +35,19 @@ func (c *client) keyedStep(id, key string) (int, string) {
 	return resp.StatusCode, string(raw)
 }
 
-func (c *client) windows(id string) int {
+// info reads session id's wire view.
+func (c *client) info(id string) SessionInfo {
 	c.t.Helper()
 	var info SessionInfo
 	if status := c.do("GET", "/v1/sessions/"+id, nil, &info); status != http.StatusOK {
 		c.t.Fatalf("info %s: status %d", id, status)
 	}
-	return info.Windows
+	return info
+}
+
+func (c *client) windows(id string) int {
+	c.t.Helper()
+	return c.info(id).Windows
 }
 
 // TestStepKeyAnsweredAcrossSpillAndRehydrate: a repeated step key is

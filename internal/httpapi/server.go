@@ -335,6 +335,10 @@ type session struct {
 	crashed        *obs.Counter
 	fallbackTotal  *obs.Counter
 	recoveredTotal *obs.Counter
+	// syncedFaults and syncedCrashes are the emulator's fault counts
+	// (cluster.FaultCounts) that faultsTotal and crashed last caught up
+	// with; syncGauges adds the growth since.
+	syncedFaults, syncedCrashes uint64
 }
 
 // mutated records a change of the session's state: its spill copy is stale
@@ -677,7 +681,7 @@ func (s *Server) handleEnsembles(w http.ResponseWriter, _ *http.Request) {
 
 // buildSystem builds the emulated system (env.New) for an effective create
 // request. On failure it returns the error code the caller should report.
-func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counter) (*env.Env, ErrorCode, error) {
+func (s *Server) buildSystem(req CreateRequest) (*env.Env, ErrorCode, error) {
 	ens, ok := workflow.ByName(req.Ensemble)
 	if !ok {
 		return nil, CodeUnknownEnsemble, fmt.Errorf("unknown ensemble %q", req.Ensemble)
@@ -690,18 +694,14 @@ func (s *Server) buildSystem(req CreateRequest, faultsTotal, crashed *obs.Counte
 		return nil, CodeBadSessionConfig,
 			fmt.Errorf("idle_timeout_seconds must be non-negative, got %g", req.IdleTimeoutSeconds)
 	}
-	copts := []cluster.Option{cluster.WithFaultMetrics(faultsTotal, crashed)}
-	if req.Faults != nil {
-		copts = append(copts, cluster.WithFaultPlan(*req.Faults))
-	}
 	e, err := env.New(env.Config{
-		Cluster:      cluster.Config{Ensemble: ens},
+		Cluster:      cluster.Config{Ensemble: ens, Faults: req.Faults},
 		Seed:         req.Seed,
 		Rates:        req.Rates,
 		Budget:       req.Budget,
 		WindowSec:    req.WindowSec,
 		FailureAware: req.FailureAware,
-	}, copts...)
+	})
 	if err != nil {
 		if req.Faults != nil && req.Faults.Validate(ens.NumTasks()) != nil {
 			return nil, CodeBadFaultPlan, err
@@ -719,8 +719,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	sess, code, err := s.admit(s.mintID(), func(faultsTotal, crashed *obs.Counter) (*session, ErrorCode, error) {
-		e, code, err := s.buildSystem(req, faultsTotal, crashed)
+	sess, code, err := s.admit(s.mintID(), func() (*session, ErrorCode, error) {
+		e, code, err := s.buildSystem(req)
 		return &session{env: e, create: req}, code, err
 	})
 	if err != nil {
@@ -929,11 +929,16 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, id string)
 }
 
 // syncGauges refreshes the session's env/cluster gauges from the emulated
-// system. Called under the session lock after any state-changing endpoint.
+// system and adds the fault counts' growth since the last sync to the fault
+// counters. Called under the session lock after any state-changing endpoint.
 func (sess *session) syncGauges() {
 	c := sess.env.Cluster()
 	sess.wip.Set(c.TotalWIP())
 	sess.inflight.Set(float64(c.InFlight()))
+	injected, crashes := c.FaultCounts()
+	sess.faultsTotal.Add(injected - sess.syncedFaults)
+	sess.crashed.Add(crashes - sess.syncedCrashes)
+	sess.syncedFaults, sess.syncedCrashes = injected, crashes
 }
 
 // SessionCount returns the number of live sessions.
