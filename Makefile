@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench benchmark-smoke fmt fuzz-smoke
+.PHONY: build test vet race check bench benchmark-smoke fmt fuzz-smoke test-purego test-fma
 
 build:
 	$(GO) build ./...
@@ -24,11 +24,35 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# The pure-Go kernels are what every platform but amd64 runs: the golden
+# end-to-end file and the pinned digests must hold on them too. envmodel and
+# core carry the resume bit-identity tests over Adam and the model fit;
+# httpapi and router serve the auto-step's decide through Matrix.MulVecTo,
+# with no packed panels, and pin its allocations there.
+test-purego:
+	$(GO) test -tags purego ./internal/mat/ ./internal/nn/ ./internal/rl/ ./internal/envmodel/ ./internal/core/ ./internal/experiments/ ./internal/httpapi/ ./internal/router/
+
+# The lane tanh replays math.tanh and math.Exp's FMA path op for op. Under
+# GOAMD64=v3 the compiler may emit FMA; Go 1.24 does not fuse math.tanh's
+# polynomial there, and this target fails if a release starts to. The same
+# holds for the emulator's log-normal draw, exp(μ + σ·z) with σ built once
+# per task type: a fused σ·z + μ would move
+# cluster.TestDeepQueueTrajectoryPinned, which sim, cluster and workload run
+# here beside their engine and allocation pins. GODEBUG=cpu.fma=off sends
+# math.Exp down its non-FMA path: the start-up probe must turn the lanes off
+# and TanhTo must still equal math.Tanh, and the golden gates that differ
+# there check their second digests (testdata/golden_nofma.json,
+# golden_demo_nofma.sha256).
+test-fma:
+	GOAMD64=v3 $(GO) test ./internal/mat/ ./internal/nn/ ./internal/rl/ ./internal/envmodel/ ./internal/core/ ./internal/experiments/ ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./cmd/miras/
+	GODEBUG=cpu.fma=off $(GO) test ./internal/mat/ ./internal/nn/ ./internal/rl/ ./internal/envmodel/ ./internal/core/ ./internal/experiments/ ./internal/sim/ ./internal/cluster/ ./internal/workload/ ./cmd/miras/
+
 # The pre-commit gate, stopping at the first failure: a format check that
 # fails on any file gofmt would change, vet, build, the full test suite
-# (the end-to-end checks and the fuzz seed corpora included), the race
-# detector over every package, and the benchmark's smoke run. Timing
-# verdicts are `make bench`'s job, not a pre-commit gate's.
+# (the end-to-end checks and the fuzz seed corpora included), the pure-Go
+# and FMA-path runs CI makes (test-purego, test-fma), the race detector
+# over every package, and the benchmark's smoke run. Timing verdicts are
+# `make bench`'s job, not a pre-commit gate's.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
@@ -36,6 +60,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(MAKE) test-purego test-fma
 	$(GO) test -race ./...
 	$(GO) run ./benchmark -smoke
 

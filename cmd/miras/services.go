@@ -25,9 +25,8 @@ import (
 
 // Serving settings that have only ever had one value.
 const (
-	requestTimeout = 30 * time.Second // per API request; slower ones get 408 request_timeout
-	slowRequest    = 10 * time.Second // span wall time that triggers a -profile-dir capture
-	sweepInterval  = 30 * time.Second // period of evicting sessions past their TTL or idle bound
+	slowRequest   = 10 * time.Second // span wall time that triggers a -profile-dir capture
+	sweepInterval = 30 * time.Second // period of evicting sessions past their TTL or idle bound
 )
 
 // listener is the flag block and the listen / SIGINT-SIGTERM / graceful
@@ -165,7 +164,7 @@ func serve(fs *flag.FlagSet) func(io.Writer) error {
 	spillSync := fs.Duration("spill-sync-interval", 0,
 		"how often to snapshot every live session to -spill-dir without evicting (0 disables); a crash then loses at most one interval of steps, and no session, since a create is spilled before its 201")
 	return func(w io.Writer) (err error) {
-		opts := []httpapi.Option{httpapi.WithMaxSessions(*maxSessions), httpapi.WithRequestTimeout(requestTimeout)}
+		opts := []httpapi.Option{httpapi.WithMaxSessions(*maxSessions)}
 		if (*self == "") != (*list == "") {
 			return usagef("-self and -members go together")
 		}

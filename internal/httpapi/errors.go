@@ -52,14 +52,10 @@ const (
 	// CodeBodyTooLarge means the request body exceeded the server's byte
 	// limit (HTTP 413).
 	CodeBodyTooLarge ErrorCode = "body_too_large"
-	// CodeRequestTimeout means the handler did not finish within the
-	// server's request deadline (HTTP 408).
-	CodeRequestTimeout ErrorCode = "request_timeout"
 	// CodeDeadlineExceeded means the client's propagated deadline (the
 	// X-Miras-Deadline-Ms header) expired before the work finished
-	// (HTTP 504). Unlike request_timeout — the server protecting itself —
-	// this is the server honoring a budget the caller declared: work the
-	// client has already given up on is abandoned, not finished.
+	// (HTTP 504), or the client went away while its step was queued: a
+	// step the client has already given up on is abandoned, not run.
 	CodeDeadlineExceeded ErrorCode = "deadline_exceeded"
 	// CodeUpstreamDegraded is emitted by `miras route` when the owning
 	// shard's circuit breaker is open (HTTP 503): the shard is presumed

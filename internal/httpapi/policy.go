@@ -340,22 +340,11 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, id string
 	writeJSON(w, http.StatusOK, sessionInfo(sess))
 }
 
-// --- protective middlewares ---
+// --- the request's bound ---
 
-// maxBodyMiddleware caps every request body at n bytes; decodeBody turns
-// the resulting *http.MaxBytesError into a 413 body_too_large envelope.
-func maxBodyMiddleware(n int64, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, n)
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// bufferedResponse accumulates a handler's full response in memory so the
-// bound middleware can atomically either flush it or discard it in favor of
-// a timeout envelope. Handler responses here are small (session info, step
+// bufferedResponse accumulates a handler's full response in memory so
+// serveBounded can atomically either flush it or discard it in favor of a
+// deadline envelope. Handler responses here are small (session info, step
 // stats), so buffering is cheap.
 type bufferedResponse struct {
 	header http.Header
@@ -398,53 +387,44 @@ func RequestDeadline(w http.ResponseWriter, r *http.Request) (time.Duration, boo
 	return time.Duration(min(ms, maxDeadlineMs)) * time.Millisecond, true
 }
 
-// boundMiddleware is the one bound on a request's time. The budget is the
-// tighter of the server's own request timeout (0 = none) and the caller's
-// propagated DeadlineHeader; the handler runs under a context carrying it,
-// its response is buffered, and when the budget runs out first the client
-// gets a clean envelope instead of a half-written body — 408
-// request_timeout when the server's bound tripped (the server protecting
-// itself), 504 deadline_exceeded when the caller's did (work the caller
-// has given up on is abandoned, not finished). With neither bound the
-// handler runs on the caller's goroutine, unbuffered.
-func boundMiddleware(serverTimeout time.Duration, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		budget, ok := RequestDeadline(w, r)
-		if !ok {
-			return
+// serveBounded serves one request under its one bound, the caller's
+// DeadlineHeader, read through RequestDeadline (which answers a malformed
+// or spent budget itself). Without the header h runs on the caller's
+// goroutine, straight onto w. With it h runs on a goroutine of its own
+// under a context carrying the budget, its response buffered: a handler
+// done in time is copied to w, and when the budget runs out first the
+// client gets a clean 504 deadline_exceeded envelope instead of a
+// half-written body. The abandoned handler runs on; the channel returned
+// then closes when it returns, and is nil in every other case.
+func serveBounded(w http.ResponseWriter, r *http.Request, id string, h endpoint) <-chan struct{} {
+	budget, ok := RequestDeadline(w, r)
+	if !ok {
+		return nil
+	}
+	if budget == 0 {
+		h(w, r, id)
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), budget)
+	defer cancel()
+	buf := &bufferedResponse{header: make(http.Header), status: http.StatusOK}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h(buf, r.WithContext(ctx), id)
+	}()
+	select {
+	case <-done:
+		hdr := w.Header()
+		for k, vs := range buf.header {
+			hdr[k] = vs
 		}
-		serverBound := serverTimeout > 0 && (budget == 0 || serverTimeout < budget)
-		if serverBound {
-			budget = serverTimeout
-		}
-		if budget == 0 {
-			next.ServeHTTP(w, r)
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), budget)
-		defer cancel()
-		buf := &bufferedResponse{header: make(http.Header), status: http.StatusOK}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			next.ServeHTTP(buf, r.WithContext(ctx))
-		}()
-		select {
-		case <-done:
-			h := w.Header()
-			for k, vs := range buf.header {
-				h[k] = vs
-			}
-			w.WriteHeader(buf.status)
-			_, _ = w.Write(buf.body.Bytes())
-		case <-ctx.Done():
-			if serverBound {
-				writeError(w, http.StatusRequestTimeout, CodeRequestTimeout,
-					fmt.Errorf("request exceeded the %s deadline", budget))
-			} else {
-				writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-					fmt.Errorf("request exceeded its %dms deadline", budget.Milliseconds()))
-			}
-		}
-	})
+		w.WriteHeader(buf.status)
+		_, _ = w.Write(buf.body.Bytes())
+		return nil
+	case <-ctx.Done():
+		writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
+			fmt.Errorf("request exceeded its %dms deadline", budget.Milliseconds()))
+		return done
+	}
 }

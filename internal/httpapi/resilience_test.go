@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,10 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"miras/internal/obs"
 	"miras/internal/shardring"
 )
 
@@ -84,39 +87,163 @@ func TestDeadlineHeaderValidation(t *testing.T) {
 	}
 }
 
-// TestDeadlineMiddlewareExpiry exercises the middleware against a handler
-// that outlives the budget: the client gets a clean 504 deadline_exceeded
+// TestDeadlineMiddlewareExpiry exercises the bound against a handler that
+// outlives its budget: the client gets a clean 504 deadline_exceeded
 // envelope while the abandoned handler's late writes go to the buffer, not
-// the wire.
+// the wire, and the returned channel closes when that handler returns. A
+// handler done within its budget passes through untouched: status,
+// headers, body.
 func TestDeadlineMiddlewareExpiry(t *testing.T) {
 	released := make(chan struct{})
-	h := boundMiddleware(0, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	req := httptest.NewRequest("GET", "/v1/sessions/s1", nil)
+	req.Header.Set(DeadlineHeader, "30")
+	rec := httptest.NewRecorder()
+	running := serveBounded(rec, req, "s1", func(w http.ResponseWriter, r *http.Request, _ string) {
 		<-r.Context().Done()
-		// Outlive the deadline by a margin so the middleware's select
+		// Outlive the deadline by a margin so the bound's select
 		// deterministically sees the expiry, not the handler's return.
 		time.Sleep(150 * time.Millisecond)
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte("too late"))
 		close(released)
-	}))
-	req := httptest.NewRequest("GET", "/v1/sessions/s1", nil)
-	req.Header.Set(DeadlineHeader, "30")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status %d, want 504", rec.Code)
+	})
+	if env := envelopeOf(t, rec.Result()); rec.Code != http.StatusGatewayTimeout ||
+		env.Error.Code != CodeDeadlineExceeded || !strings.Contains(env.Error.Message, "30ms") {
+		t.Fatalf("status %d envelope %+v, want 504 %s naming the 30ms budget", rec.Code, env.Error, CodeDeadlineExceeded)
 	}
-	var env ErrorEnvelope
-	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
-		t.Fatal(err)
+	if running == nil {
+		t.Fatal("an expired request reported its handler returned")
 	}
-	if env.Error.Code != CodeDeadlineExceeded {
-		t.Fatalf("code %q, want %q", env.Error.Code, CodeDeadlineExceeded)
-	}
-	if !strings.Contains(env.Error.Message, "30ms") {
-		t.Fatalf("message %q does not name the budget", env.Error.Message)
-	}
+	<-running
 	<-released
+
+	req = httptest.NewRequest("GET", "/", nil)
+	req.Header.Set(DeadlineHeader, "5000")
+	rec = httptest.NewRecorder()
+	running = serveBounded(rec, req, "", func(w http.ResponseWriter, r *http.Request, _ string) {
+		w.Header().Set("X-Probe", "ok")
+		w.WriteHeader(http.StatusTeapot)
+		fmt.Fprint(w, "hello")
+	})
+	if running != nil || rec.Code != http.StatusTeapot || rec.Body.String() != "hello" || rec.Header().Get("X-Probe") != "ok" {
+		t.Fatalf("fast handler mangled: running %v, %d %q %q", running, rec.Code, rec.Body.String(), rec.Header().Get("X-Probe"))
+	}
+}
+
+// TestUnboundedRequestRunsInline: a request without X-Miras-Deadline-Ms
+// has no bound. Its handler runs on the caller's goroutine, straight onto
+// the caller's ResponseWriter, under a context without a deadline.
+func TestUnboundedRequestRunsInline(t *testing.T) {
+	rec := httptest.NewRecorder()
+	running := serveBounded(rec, httptest.NewRequest("GET", "/v1/sessions/s1", nil), "s1",
+		func(w http.ResponseWriter, r *http.Request, _ string) {
+			if w != http.ResponseWriter(rec) {
+				t.Error("unbounded request got a buffered ResponseWriter")
+			}
+			if _, ok := r.Context().Deadline(); ok {
+				t.Error("unbounded request got a context deadline")
+			}
+			stack := make([]byte, 16<<10)
+			if stack = stack[:runtime.Stack(stack, false)]; !strings.Contains(string(stack), "TestUnboundedRequestRunsInline") {
+				t.Errorf("unbounded request left the caller's goroutine:\n%s", stack)
+			}
+		})
+	if running != nil {
+		t.Error("an unbounded request reported a handler still running")
+	}
+}
+
+// TestBoundRefusalsAreCounted: a request the deadline bound refuses or
+// cuts short is counted under its endpoint — request and error counters,
+// latency histogram, span — with the status its client received: a
+// malformed header (400), a spent one (504), and one that expires while its
+// handler waits on the session lock (504, though the abandoned handler
+// then writes 200 into its buffer).
+func TestBoundRefusalsAreCounted(t *testing.T) {
+	ring := obs.NewSpanRing(64)
+	srv := NewServer(WithTracer(obs.NewTracer(obs.TracerConfig{Ring: ring})))
+	h := srv.Handler()
+	id := doJSON(t, h, "POST", "/v1/sessions", `{"ensemble":"toy","budget":6,"window_sec":10}`, http.StatusCreated)["id"].(string)
+	info := func(deadline string, want int) {
+		t.Helper()
+		req := httptest.NewRequest("GET", "/v1/sessions/"+id, nil)
+		if deadline != "" {
+			req.Header.Set(DeadlineHeader, deadline)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != want {
+			t.Fatalf("info with deadline %q: status %d, want %d", deadline, rec.Code, want)
+		}
+	}
+	info("abc", http.StatusBadRequest)
+	info("0", http.StatusGatewayTimeout)
+	info("", http.StatusOK)
+	srv.sessionByID(id).mu.Lock()
+	info("20", http.StatusGatewayTimeout)
+	srv.sessionByID(id).mu.Unlock()
+
+	body := scrape(t, srv)
+	for _, want := range []string{
+		`miras_http_requests_total{endpoint="info"} 4`,
+		`miras_http_errors_total{endpoint="info"} 3`,
+		`miras_http_request_duration_seconds_count{endpoint="info"} 4`,
+	} {
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("metrics lack %q", want)
+		}
+	}
+	// The abandoned handler's span ends when that handler returns.
+	var statuses []int64
+	for end := time.Now().Add(5 * time.Second); len(statuses) < 4 && time.Now().Before(end); time.Sleep(time.Millisecond) {
+		statuses = statuses[:0]
+		for _, rec := range ring.Records() {
+			if rec.Name == "http.info" {
+				statuses = append(statuses, rec.Attrs["status"].(int64))
+			}
+		}
+	}
+	if slices.Sort(statuses); !slices.Equal(statuses, []int64{200, 400, 504, 504}) {
+		t.Errorf("http.info span statuses %v, want [200 400 504 504]", statuses)
+	}
+}
+
+// TestQueuedStepAbandonedWhenClientLeaves: a step without a deadline
+// header has no bound of its own, but a client that gives up closes its
+// connection, which cancels the request's context. A step still queued on
+// the session lock then is dropped before it runs: 504 deadline_exceeded,
+// the window does not advance and the op log does not grow.
+func TestQueuedStepAbandonedWhenClientLeaves(t *testing.T) {
+	srv := NewServer()
+	h := srv.Handler()
+	id := doJSON(t, h, "POST", "/v1/sessions", `{"ensemble":"toy","budget":6,"window_sec":10}`, http.StatusCreated)["id"].(string)
+	sess := srv.sessionByID(id)
+	sess.mu.Lock()
+	windows, ops := sess.env.Window(), len(sess.env.Ops())
+	touched := sess.lastAccess.Load()
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequestWithContext(ctx, "POST", "/v1/sessions/"+id+"/step", strings.NewReader(`{"allocation":[4,2]}`))
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() { h.ServeHTTP(rec, req); close(done) }()
+	// lookup touches the session just before the step takes its lock.
+	for deadline := time.Now().Add(5 * time.Second); sess.lastAccess.Load() == touched; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the step never reached the session lock")
+		}
+	}
+	cancel()
+	sess.mu.Unlock()
+	<-done
+
+	if env := envelopeOf(t, rec.Result()); rec.Code != http.StatusGatewayTimeout || env.Error.Code != CodeDeadlineExceeded {
+		t.Fatalf("abandoned step: status %d envelope %+v, want 504 %s", rec.Code, env.Error, CodeDeadlineExceeded)
+	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if w, n := sess.env.Window(), len(sess.env.Ops()); w != windows || n != ops {
+		t.Fatalf("abandoned step moved the session: window %d → %d, op log %d → %d", windows, w, ops, n)
+	}
 }
 
 // fleetPair builds two in-process shard "processes" sharing a spill
@@ -337,58 +464,4 @@ func TestSpillAllRequiresSpillDir(t *testing.T) {
 	if _, err := NewServer().SpillAll(); err == nil {
 		t.Fatal("SpillAll without a spill directory succeeded")
 	}
-}
-
-// TestBoundMiddlewareTighterBoundWins: with both a server request timeout
-// and a caller deadline in play there is one bound — the tighter — and it
-// labels the refusal: 408 when the server's tripped, 504 when the caller's
-// did. With neither, the handler runs on the caller's goroutine, straight
-// onto the caller's ResponseWriter.
-func TestBoundMiddlewareTighterBoundWins(t *testing.T) {
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-		case <-time.After(5 * time.Second):
-		}
-		time.Sleep(100 * time.Millisecond) // lose the race to the middleware's select
-	})
-	for _, tc := range []struct {
-		name       string
-		server     time.Duration
-		header     string
-		status     int
-		code       ErrorCode
-		messageHas string
-	}{
-		{"server tighter", 30 * time.Millisecond, "5000", http.StatusRequestTimeout, CodeRequestTimeout, "30ms"},
-		{"caller tighter", 5 * time.Second, "30", http.StatusGatewayTimeout, CodeDeadlineExceeded, "30ms"},
-		{"tie goes to the caller", 30 * time.Millisecond, "30", http.StatusGatewayTimeout, CodeDeadlineExceeded, "30ms"},
-	} {
-		req := httptest.NewRequest("GET", "/v1/sessions/s1", nil)
-		req.Header.Set(DeadlineHeader, tc.header)
-		rec := httptest.NewRecorder()
-		boundMiddleware(tc.server, slow).ServeHTTP(rec, req)
-		var env ErrorEnvelope
-		if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if rec.Code != tc.status || env.Error.Code != tc.code || !strings.Contains(env.Error.Message, tc.messageHas) {
-			t.Fatalf("%s: status %d envelope %+v, want %d %s naming %s",
-				tc.name, rec.Code, env.Error, tc.status, tc.code, tc.messageHas)
-		}
-	}
-
-	rec := httptest.NewRecorder()
-	boundMiddleware(0, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if w != http.ResponseWriter(rec) {
-			t.Error("unbounded request got a buffered ResponseWriter")
-		}
-		if _, ok := r.Context().Deadline(); ok {
-			t.Error("unbounded request got a context deadline")
-		}
-		stack := make([]byte, 16<<10)
-		if stack = stack[:runtime.Stack(stack, false)]; !strings.Contains(string(stack), "TestBoundMiddlewareTighterBoundWins") {
-			t.Errorf("unbounded request left the caller's goroutine:\n%s", stack)
-		}
-	})).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/sessions/s1", nil))
 }

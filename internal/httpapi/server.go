@@ -34,7 +34,7 @@
 // with one of the stable codes: bad_request, unknown_ensemble,
 // bad_session_config, session_limit, session_not_found, session_expired,
 // wrong_shard, bad_allocation, bad_burst, bad_fault_plan, bad_policy,
-// bad_snapshot, body_too_large, request_timeout, deadline_exceeded.
+// bad_snapshot, body_too_large, deadline_exceeded.
 // Clients branch on code; messages may change (except as pinned by the
 // golden envelope test).
 //
@@ -199,8 +199,6 @@ type Server struct {
 	// policy snapshot, small enough to bound memory per request. Oversized
 	// bodies are rejected with 413 body_too_large.
 	maxBodyBytes int64
-	// reqTimeout bounds handler execution (0 disables).
-	reqTimeout time.Duration
 }
 
 // Option configures a Server at construction.
@@ -274,12 +272,6 @@ func WithTracer(tr *obs.Tracer) Option {
 // The caller owns sampling (obs.TimeSeriesRing.Run over Registry()).
 func WithTimeSeries(ts *obs.TimeSeriesRing) Option {
 	return func(s *Server) { s.tsRing = ts }
-}
-
-// WithRequestTimeout bounds each handler's execution; requests that run
-// longer are answered 408 request_timeout. Zero disables the deadline.
-func WithRequestTimeout(d time.Duration) Option {
-	return func(s *Server) { s.reqTimeout = d }
 }
 
 // session is one live environment. mu serialises every operation touching
@@ -419,20 +411,19 @@ func (s *Server) Handler() http.Handler {
 		"snapshot": {allow: "GET, HEAD", get: s.instrument("snapshot", s.handleSnapshot)},
 		"restore":  {allow: "POST", post: s.instrument("restore", s.handleRestore)},
 	}
-	return boundMiddleware(s.reqTimeout, maxBodyMiddleware(s.maxBodyBytes,
-		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			id, op, ok := SessionPath(r)
-			if !ok {
-				mux.ServeHTTP(w, r)
-				return
-			}
-			route, known := routes[op]
-			if !known {
-				http.NotFound(w, r)
-				return
-			}
-			route.serve(w, r, id)
-		})))
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id, op, ok := SessionPath(r)
+		if !ok {
+			mux.ServeHTTP(w, r)
+			return
+		}
+		route, known := routes[op]
+		if !known {
+			http.NotFound(w, r)
+			return
+		}
+		route.serve(w, r, id)
+	})
 }
 
 // sessionsPrefix begins every per-session path.
@@ -515,7 +506,10 @@ func (rt sessionRoute) serve(w http.ResponseWriter, r *http.Request, id string) 
 }
 
 // instrument wraps h with a per-endpoint request counter, error counter,
-// and latency histogram.
+// latency histogram and span, caps the request body (decodeBody turns the
+// cap's *http.MaxBytesError into 413 body_too_large) and runs h under the
+// request's bound (serveBounded), so a request the bound refuses or cuts
+// short is counted with the status its client received.
 func (s *Server) instrument(endpoint string, h endpoint) endpoint {
 	reqs := s.reg.Counter("miras_http_requests_total",
 		"HTTP requests served, by endpoint.", "endpoint", endpoint)
@@ -526,6 +520,9 @@ func (s *Server) instrument(endpoint string, h endpoint) endpoint {
 	spanName := "http." + endpoint
 	return func(w http.ResponseWriter, r *http.Request, id string) {
 		start := time.Now()
+		if r.Body != nil {
+			r.Body = http.MaxBytesReader(w, r.Body, s.maxBodyBytes)
+		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		var span *obs.Span
 		if s.tracer != nil {
@@ -536,8 +533,18 @@ func (s *Server) instrument(endpoint string, h endpoint) endpoint {
 			sw.Header().Set("traceparent", span.Traceparent())
 			r = r.WithContext(obs.ContextWithSpan(r.Context(), span))
 		}
-		h(sw, r, id)
-		span.Int("status", sw.status).End()
+		running := serveBounded(sw, r, id, h)
+		if running == nil {
+			span.Int("status", sw.status).End()
+		} else if span != nil {
+			// End recycles the span, and the abandoned handler may still
+			// open children of it: end it once the handler returns.
+			status := sw.status
+			go func() {
+				<-running
+				span.Int("status", status).End()
+			}()
+		}
 		reqs.Inc()
 		if sw.status >= 400 {
 			errs.Inc()
@@ -806,11 +813,12 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id string) {
 		return
 	}
 	// The session lock can be a queue under contention; if the client's
-	// deadline expired while waiting, abandon the step before doing the
-	// simulation work (the bound middleware owns the timeout response).
+	// deadline expired or its connection closed while waiting, abandon
+	// the step before doing the simulation work (under a deadline,
+	// serveBounded has already answered).
 	if err := r.Context().Err(); err != nil {
 		writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-			fmt.Errorf("client deadline expired before the step ran"))
+			fmt.Errorf("the client gave up before the step ran"))
 		return
 	}
 	root := obs.SpanFromContext(r.Context())

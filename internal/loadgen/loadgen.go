@@ -38,8 +38,16 @@ const (
 	OpInfo = "info"
 )
 
-// requestTimeout bounds each request.
-const requestTimeout = 30 * time.Second
+// Load settings that have only ever had one value.
+const (
+	requestTimeout = 30 * time.Second // bounds each request
+	zipfS          = 1.2              // Zipf exponent of the zipf session mix
+	stepShare      = 0.92             // fraction of trace ops that are steps, the rest info reads
+	// The created sessions' ensemble, budget and control window.
+	sessionEnsemble  = "toy"
+	sessionBudget    = 6
+	sessionWindowSec = 10
+)
 
 // Op is one trace entry: an operation against one session of the
 // population (sessions are numbered 0..Sessions-1; Run maps them to real
@@ -67,18 +75,8 @@ type Config struct {
 	Concurrency int
 	// Skew selects the session mix: "uniform" or "zipf" (default uniform).
 	Skew string
-	// ZipfS is the Zipf exponent (default 1.2; must be > 1).
-	ZipfS float64
-	// StepShare is the fraction of trace ops that are steps, the rest
-	// being info reads (default 0.92).
-	StepShare float64
 	// Seed drives trace generation (default 1).
 	Seed int64
-	// Ensemble, Budget, WindowSec configure the created sessions
-	// (defaults "toy", 6, 10).
-	Ensemble  string
-	Budget    int
-	WindowSec float64
 	// ChaosKillAt, in (0,1), arms chaos mode: when the dispatch loop
 	// reaches that fraction of the trace, KillHook runs once — typically
 	// SIGKILLing a shard process or killing a FleetTransport member — and
@@ -117,32 +115,11 @@ func (c *Config) withDefaults() error {
 	default:
 		return fmt.Errorf("loadgen: unknown skew %q (want uniform or zipf)", c.Skew)
 	}
-	// A NaN fails every comparison, so each range check below is written to
-	// refuse one: negated, or for ZipfS explicitly.
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.2
-	}
-	if math.IsNaN(c.ZipfS) || math.IsInf(c.ZipfS, 0) || c.Skew == "zipf" && c.ZipfS <= 1 {
-		return fmt.Errorf("loadgen: ZipfS must be finite and, for zipf, > 1, got %g", c.ZipfS)
-	}
-	if c.StepShare == 0 {
-		c.StepShare = 0.92
-	}
-	if !(c.StepShare >= 0 && c.StepShare <= 1) {
-		return fmt.Errorf("loadgen: StepShare must be in [0,1], got %g", c.StepShare)
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Ensemble == "" {
-		c.Ensemble = "toy"
-	}
-	if c.Budget <= 0 {
-		c.Budget = 6
-	}
-	if c.WindowSec == 0 {
-		c.WindowSec = 10
-	}
+	// A NaN fails every comparison, so each range check below is negated
+	// to refuse one.
 	if c.ChaosKillAt != 0 && !(c.ChaosKillAt > 0 && c.ChaosKillAt < 1) {
 		return fmt.Errorf("loadgen: ChaosKillAt must be in (0,1), got %g", c.ChaosKillAt)
 	}
@@ -164,7 +141,7 @@ func GenTrace(cfg Config) ([]Op, error) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	var zipf *rand.Zipf
 	if cfg.Skew == "zipf" && cfg.Sessions > 1 {
-		zipf = rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Sessions-1))
+		zipf = rand.NewZipf(r, zipfS, 1, uint64(cfg.Sessions-1))
 	}
 	trace := make([]Op, cfg.Requests)
 	for i := range trace {
@@ -175,7 +152,7 @@ func GenTrace(cfg Config) ([]Op, error) {
 			sess = r.Intn(cfg.Sessions)
 		}
 		kind := OpStep
-		if r.Float64() >= cfg.StepShare {
+		if r.Float64() >= stepShare {
 			kind = OpInfo
 		}
 		trace[i] = Op{Session: sess, Kind: kind}
@@ -264,7 +241,7 @@ func Run(cfg Config) (Result, error) {
 
 	// One step body serves every step: the budget spread evenly over the
 	// action vector.
-	stepBody, err := json.Marshal(httpapi.StepRequest{Allocation: evenAllocation(cfg.Budget, actionDim)})
+	stepBody, err := json.Marshal(httpapi.StepRequest{Allocation: evenAllocation(sessionBudget, actionDim)})
 	if err != nil {
 		return Result{}, err
 	}
@@ -353,7 +330,7 @@ func summarize(cfg Config, trace []Op, samples []sample, elapsed time.Duration) 
 		Statuses:    make(map[string]int),
 	}
 	if cfg.Skew == "zipf" {
-		res.ZipfS = cfg.ZipfS
+		res.ZipfS = zipfS
 	}
 	lat := make([]float64, 0, len(samples))
 	perSession := make([]int, cfg.Sessions)
@@ -406,9 +383,9 @@ func summarize(cfg Config, trace []Op, samples []sample, elapsed time.Duration) 
 
 func createSession(client *http.Client, cfg Config) (httpapi.SessionInfo, error) {
 	body, err := json.Marshal(httpapi.CreateRequest{
-		Ensemble:  cfg.Ensemble,
-		Budget:    cfg.Budget,
-		WindowSec: cfg.WindowSec,
+		Ensemble:  sessionEnsemble,
+		Budget:    sessionBudget,
+		WindowSec: sessionWindowSec,
 		Seed:      cfg.Seed,
 	})
 	if err != nil {

@@ -86,9 +86,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := GenTrace(Config{Target: "http://x", Skew: "pareto"}); err == nil {
 		t.Fatal("unknown skew accepted")
 	}
-	if _, err := GenTrace(Config{Target: "http://x", Skew: "zipf", ZipfS: 0.5}); err == nil {
-		t.Fatal("zipf s <= 1 accepted")
-	}
 }
 
 // TestConfigRejectsNonFinite: a NaN or an infinity in any float field is
@@ -100,8 +97,6 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 		name string
 		set  func(*Config, float64)
 	}{
-		{"ZipfS", func(c *Config, v float64) { c.ZipfS = v }},
-		{"StepShare", func(c *Config, v float64) { c.StepShare = v }},
 		{"ChaosKillAt", func(c *Config, v float64) { c.ChaosKillAt = v }},
 		{"ErrorBudget", func(c *Config, v float64) { c.ErrorBudget = v }},
 	} {
