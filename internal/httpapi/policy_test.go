@@ -296,3 +296,42 @@ func TestBodyLimit(t *testing.T) {
 		t.Fatalf("oversized policy body: status %d envelope %q, want 413 %q", status, body, want)
 	}
 }
+
+// TestTimeoutMiddleware pins the bound's two answers under a caller's
+// deadline: a handler still running when the budget runs out gets the exact
+// 504 deadline_exceeded envelope, and one done in time passes through its
+// buffer untouched: status, headers, body.
+func TestTimeoutMiddleware(t *testing.T) {
+	release := make(chan struct{})
+	req := httptest.NewRequest("GET", "/", nil)
+	req.Header.Set(DeadlineHeader, "20")
+	rec := httptest.NewRecorder()
+	running := serveBounded(rec, req, "", func(w http.ResponseWriter, r *http.Request, _ string) {
+		<-release
+		w.WriteHeader(http.StatusOK)
+	})
+	close(release)
+	if running == nil {
+		t.Fatal("slow handler reported it returned in time")
+	}
+	<-running
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("slow handler status %d, want 504", rec.Code)
+	}
+	want := `{"error":{"code":"deadline_exceeded","message":"request exceeded its 20ms deadline"}}` + "\n"
+	if rec.Body.String() != want {
+		t.Fatalf("envelope %q, want %q", rec.Body.String(), want)
+	}
+
+	req = httptest.NewRequest("GET", "/", nil)
+	req.Header.Set(DeadlineHeader, "5000")
+	rec = httptest.NewRecorder()
+	running = serveBounded(rec, req, "", func(w http.ResponseWriter, r *http.Request, _ string) {
+		w.Header().Set("X-Probe", "ok")
+		w.WriteHeader(http.StatusTeapot)
+		fmt.Fprint(w, "hello")
+	})
+	if running != nil || rec.Code != http.StatusTeapot || rec.Body.String() != "hello" || rec.Header().Get("X-Probe") != "ok" {
+		t.Fatalf("fast handler mangled: running %v, %d %q %q", running, rec.Code, rec.Body.String(), rec.Header().Get("X-Probe"))
+	}
+}

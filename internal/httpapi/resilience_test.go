@@ -90,9 +90,7 @@ func TestDeadlineHeaderValidation(t *testing.T) {
 // TestDeadlineMiddlewareExpiry exercises the bound against a handler that
 // outlives its budget: the client gets a clean 504 deadline_exceeded
 // envelope while the abandoned handler's late writes go to the buffer, not
-// the wire, and the returned channel closes when that handler returns. A
-// handler done within its budget passes through untouched: status,
-// headers, body.
+// the wire, and the returned channel closes when that handler returns.
 func TestDeadlineMiddlewareExpiry(t *testing.T) {
 	released := make(chan struct{})
 	req := httptest.NewRequest("GET", "/v1/sessions/s1", nil)
@@ -116,18 +114,6 @@ func TestDeadlineMiddlewareExpiry(t *testing.T) {
 	}
 	<-running
 	<-released
-
-	req = httptest.NewRequest("GET", "/", nil)
-	req.Header.Set(DeadlineHeader, "5000")
-	rec = httptest.NewRecorder()
-	running = serveBounded(rec, req, "", func(w http.ResponseWriter, r *http.Request, _ string) {
-		w.Header().Set("X-Probe", "ok")
-		w.WriteHeader(http.StatusTeapot)
-		fmt.Fprint(w, "hello")
-	})
-	if running != nil || rec.Code != http.StatusTeapot || rec.Body.String() != "hello" || rec.Header().Get("X-Probe") != "ok" {
-		t.Fatalf("fast handler mangled: running %v, %d %q %q", running, rec.Code, rec.Body.String(), rec.Header().Get("X-Probe"))
-	}
 }
 
 // TestUnboundedRequestRunsInline: a request without X-Miras-Deadline-Ms
