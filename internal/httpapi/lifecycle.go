@@ -72,14 +72,13 @@ type RehydrateResponse struct {
 // ordered lexicographically by id; page_token is the last id of the
 // previous page (exclusive). Listing does not touch the sessions' idle
 // clocks — an operator watching the fleet must not keep it alive.
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request, _ string) {
 	q := r.URL.Query()
 	limit := 100
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("limit must be a positive integer, got %q", raw))
+			fail(w, "list", coded(CodeBadRequest, fmt.Errorf("limit must be a positive integer, got %q", raw)))
 			return
 		}
 		limit = n
@@ -111,18 +110,19 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	out := ListResponse{Sessions: make([]SessionSummary, 0, len(page))}
 	for _, sess := range page {
 		sess.mu.Lock()
+		info := sess.Info()
+		sess.mu.Unlock()
 		out.Sessions = append(out.Sessions, SessionSummary{
-			ID:                 sess.id,
-			Ensemble:           sess.create.Ensemble,
-			Windows:            sess.env.Window(),
+			ID:                 info.ID,
+			Ensemble:           info.Ensemble,
+			Windows:            info.Windows,
 			AgeSec:             now.Sub(sess.createdAt).Seconds(),
 			IdleSec:            now.Sub(time.Unix(0, sess.lastAccess.Load())).Seconds(),
-			TTLSeconds:         sess.ttl.Seconds(),
-			IdleTimeoutSeconds: sess.idle.Seconds(),
-			HasPolicy:          sess.policy != nil,
-			Degraded:           sess.fallback != nil,
+			TTLSeconds:         info.TTLSeconds,
+			IdleTimeoutSeconds: info.IdleTimeoutSeconds,
+			HasPolicy:          info.HasPolicy,
+			Degraded:           info.Degraded,
 		})
-		sess.mu.Unlock()
 	}
 	if more && len(page) > 0 {
 		out.NextPageToken = page[len(page)-1].id
@@ -133,23 +133,23 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // spill writes sess's replayable snapshot to its per-id checkpoint store
 // under the server's spill directory. With dirtyOnly it skips a session
 // whose store already holds its state and reports false; otherwise it
-// reports true. A failed write leaves the session dirty.
+// reports true. A failed write leaves the session dirty and is counted in
+// miras_spill_errors_total.
 func (s *Server) spill(sess *session, dirtyOnly bool) (bool, error) {
 	sess.mu.Lock()
-	if dirtyOnly && sess.spilled {
-		sess.mu.Unlock()
+	snap, ok := sess.SpillSnapshot(dirtyOnly)
+	sess.mu.Unlock()
+	if !ok {
 		return false, nil
 	}
-	snap := sess.snapshot()
-	sess.spilled = true // a request from here on marks it dirty again
-	sess.mu.Unlock()
 	st, err := checkpoint.NewStore(filepath.Join(s.spillDir, sess.id), spillKeep)
 	if err == nil {
 		err = st.Save(int(s.spillSeq.Add(1)), snap)
 	}
 	if err != nil {
+		s.spillErrors.Inc()
 		sess.mu.Lock()
-		sess.spilled = false
+		sess.SetSpilled(false)
 		sess.mu.Unlock()
 	}
 	return true, err
@@ -170,14 +170,10 @@ func (s *Server) SpillAll() (int, error) {
 	var firstErr error
 	for _, sess := range s.registry.snapshot() {
 		wrote, err := s.spill(sess, true)
-		if err != nil {
-			s.spillErrors.Inc()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("spill session %q: %w", sess.id, err)
-			}
-			continue
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("spill session %q: %w", sess.id, err)
 		}
-		if wrote {
+		if wrote && err == nil {
 			n++
 		}
 	}
@@ -200,10 +196,9 @@ func (s *Server) removeSpill(id string) {
 // evicts it, so the process can be retired without losing state. Unlike
 // TTL/idle eviction, a drain spill failure aborts the drain — the
 // remaining sessions keep serving rather than vanish unspilled.
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request, _ string) {
 	if s.spillDir == "" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("drain requires a spill directory (start the server with -spill-dir)"))
+		fail(w, "drain", coded(CodeBadRequest, fmt.Errorf("drain requires a spill directory (start the server with -spill-dir)")))
 		return
 	}
 	resp := DrainResponse{Spilled: []string{}}
@@ -211,9 +206,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		// Spill before removing (evict spills after): the session must not
 		// leave the registry until its snapshot is durable.
 		if _, err := s.spill(sess, false); err != nil {
-			s.spillErrors.Inc()
-			writeError(w, http.StatusInternalServerError, CodeInternal,
-				fmt.Errorf("drain: spill session %q: %w", sess.id, err))
+			fail(w, "drain", coded(CodeInternal, fmt.Errorf("drain: spill session %q: %w", sess.id, err)))
 			return
 		}
 		if s.remove(sess.id, sess, "drain") {
@@ -234,21 +227,18 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 // applied to this request's copy of the table, so this process adopts those
 // too (shard failover). Sessions that fail to rebuild are reported in
 // "failed" and left on disk.
-func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request, _ string) {
 	if s.spillDir == "" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("rehydrate requires a spill directory (start the server with -spill-dir)"))
+		fail(w, "rehydrate", coded(CodeBadRequest, fmt.Errorf("rehydrate requires a spill directory (start the server with -spill-dir)")))
 		return
 	}
 	var req RehydrateRequest
 	if body, err := io.ReadAll(r.Body); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("rehydrate: read body: %w", err))
+		fail(w, "rehydrate", coded(CodeBadRequest, fmt.Errorf("rehydrate: read body: %w", err)))
 		return
 	} else if len(bytes.TrimSpace(body)) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("rehydrate: %w", err))
+			fail(w, "rehydrate", coded(CodeBadRequest, fmt.Errorf("rehydrate: %w", err)))
 			return
 		}
 	}
@@ -260,8 +250,7 @@ func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request) {
 	}
 	entries, err := os.ReadDir(s.spillDir)
 	if err != nil && !os.IsNotExist(err) {
-		writeError(w, http.StatusInternalServerError, CodeInternal,
-			fmt.Errorf("rehydrate: read spill directory: %w", err))
+		fail(w, "rehydrate", coded(CodeInternal, fmt.Errorf("rehydrate: read spill directory: %w", err)))
 		return
 	}
 	resp := RehydrateResponse{Rehydrated: []string{}, Failed: map[string]string{}}
@@ -308,16 +297,15 @@ func (s *Server) rehydrateOne(id string) error {
 	}
 	snap, err := s.policies.snapshot(in)
 	if err != nil {
-		return fmt.Errorf("%s: %w", CodeBadRequest, err)
+		return fmt.Errorf("%s: %w", codeOf(err), err)
 	}
-
-	_, _, err = s.admit(id, func() (*session, ErrorCode, error) {
-		sess, code, err := s.buildFromSnapshot(snap)
+	_, err = s.admit(id, func() (*session, error) {
+		built, err := buildFromSnapshot(snap)
 		if err != nil {
-			return nil, code, fmt.Errorf("%s: %w", code, err) // the "failed" map shows why the replay broke
+			return nil, fmt.Errorf("%s: %w", codeOf(err), err) // the "failed" map shows why the replay broke
 		}
-		sess.spilled = s.durable // otherwise the store is deleted below
-		return sess, "", nil
+		built.SetSpilled(s.durable) // otherwise the store is deleted below
+		return built, nil
 	})
 	if err != nil {
 		return err

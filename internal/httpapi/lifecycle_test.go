@@ -402,9 +402,9 @@ func TestConcurrentRegistry(t *testing.T) {
 	}
 }
 
-// sessionSeries lists the metric series labelled with session id, values
+// seriesOf lists the metric series labelled with session id, values
 // stripped — the per-session footprint a session leaves in the registry.
-func sessionSeries(t *testing.T, srv *Server, id string) []string {
+func seriesOf(t *testing.T, srv *Server, id string) []string {
 	t.Helper()
 	var out []string
 	for _, line := range strings.Split(scrape(t, srv), "\n") {
@@ -424,20 +424,17 @@ func sessionSeries(t *testing.T, srv *Server, id string) []string {
 func TestRegistryOneWayInOneWayOut(t *testing.T) {
 	c, srv, clock := lifecycleClient(t, WithSpillDir(t.TempDir()))
 	id := c.createSession(6).ID
-	created := sessionSeries(t, srv, id)
+	created := seriesOf(t, srv, id)
 	if len(created) != 6 {
 		t.Fatalf("a created session registered %d series, want 6: %v", len(created), created)
 	}
 	// No request names the id of a create; a live id reaches admit again
 	// only when a rehydrate races it, so admit is driven directly.
 	live := srv.sessionByID(id)
-	if _, code, err := srv.admit(id, func() (*session, ErrorCode, error) {
-		e, code, err := srv.buildSystem(live.create)
-		return &session{env: e, create: live.create}, code, err
-	}); err == nil || code != CodeBadRequest {
-		t.Fatalf("duplicate admit = (%q, %v), want bad_request", code, err)
+	if _, err := srv.admit(id, func() (*session, error) { return newSession(live.create) }); codeOf(err) != CodeBadRequest {
+		t.Fatalf("duplicate admit: %v, want bad_request", err)
 	}
-	if got := sessionSeries(t, srv, id); !reflect.DeepEqual(got, created) {
+	if got := seriesOf(t, srv, id); !reflect.DeepEqual(got, created) {
 		t.Fatalf("refused duplicate admit changed the live session's series:\n got %v\nwant %v", got, created)
 	}
 	if srv.sessionByID(id) != live {
@@ -447,20 +444,20 @@ func TestRegistryOneWayInOneWayOut(t *testing.T) {
 	if status := c.do("POST", "/v1/admin/drain", nil, nil); status != http.StatusOK {
 		t.Fatalf("drain status %d", status)
 	}
-	if got := sessionSeries(t, srv, id); len(got) != 0 {
+	if got := seriesOf(t, srv, id); len(got) != 0 {
 		t.Fatalf("drain left series behind: %v", got)
 	}
 	if status := c.do("POST", "/v1/admin/rehydrate", nil, nil); status != http.StatusOK {
 		t.Fatalf("rehydrate status %d", status)
 	}
-	if got := sessionSeries(t, srv, id); !reflect.DeepEqual(got, created) {
+	if got := seriesOf(t, srv, id); !reflect.DeepEqual(got, created) {
 		t.Fatalf("rehydrated session's series differ from a created one's:\n got %v\nwant %v", got, created)
 	}
 
 	if status := c.do("DELETE", "/v1/sessions/"+id, nil, nil); status != http.StatusNoContent {
 		t.Fatalf("delete status %d", status)
 	}
-	if got := sessionSeries(t, srv, id); len(got) != 0 {
+	if got := seriesOf(t, srv, id); len(got) != 0 {
 		t.Fatalf("DELETE left series behind: %v", got)
 	}
 
@@ -474,7 +471,7 @@ func TestRegistryOneWayInOneWayOut(t *testing.T) {
 	if n := srv.SweepExpired(); n != 1 {
 		t.Fatalf("sweep evicted %d, want 1", n)
 	}
-	if got := sessionSeries(t, srv, info.ID); len(got) != 0 {
+	if got := seriesOf(t, srv, info.ID); len(got) != 0 {
 		t.Fatalf("expiry left series behind: %v", got)
 	}
 	if n := srv.SessionCount(); n != 0 {
@@ -531,5 +528,33 @@ func TestRestartMintsAroundSpilledAndLiveIDs(t *testing.T) {
 	}
 	if id := third.createSession(6).ID; id == drained || id == fresh {
 		t.Fatalf("process re-minted the live id %q", id)
+	}
+}
+
+// TestRestoreRacesLookup: restores, which replace the session's lifetime
+// bounds, run beside lookups that read them without the session lock (run
+// with -race).
+func TestRestoreRacesLookup(t *testing.T) {
+	h := NewServer().Handler()
+	path := "/v1/sessions/" + doJSON(t, h, "POST", "/v1/sessions", `{"ensemble":"toy","budget":4}`, http.StatusCreated)["id"].(string)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 50 {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", path+"/restore",
+				strings.NewReader(`{"create":{"ensemble":"toy","budget":4,"ttl_seconds":600}}`)))
+			if rec.Code != http.StatusOK {
+				t.Errorf("restore: %d %s", rec.Code, rec.Body)
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			doJSON(t, h, "GET", path, "", http.StatusOK)
+		}
 	}
 }

@@ -37,15 +37,14 @@ func doJSON(t *testing.T, h http.Handler, method, path, body string, status int)
 	return m
 }
 
-// scrape renders the server's registry the way /metrics would serve it.
+// scrape renders the server's registry as /metrics serves it.
 func scrape(t *testing.T, s *Server) string {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	s.Registry().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/metrics = %d", rec.Code)
+	var b strings.Builder
+	if err := s.Registry().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	return rec.Body.String()
+	return b.String()
 }
 
 // assertPrometheusFormat checks every non-comment line is `name{...} value`.

@@ -205,7 +205,7 @@ func TestFallbackTriggersProfile(t *testing.T) {
 			t.Fatalf("policy attach status %d", status)
 		}
 	}
-	poisonPolicy(srv, sess.ID, math.NaN())
+	poisonPolicy(srv.sessionByID(sess.ID), math.NaN())
 
 	var step StepResponse
 	if status := c.do("POST", "/v1/sessions/"+sess.ID+"/step", StepRequest{}, &step); status != http.StatusOK {

@@ -114,14 +114,14 @@ type snapshotJSON struct {
 }
 
 // snapshot resolves in's policy through the table. A policy that does not
-// decode is an error the caller answers 400 bad_request, like any other
-// part of a snapshot body that does not decode.
+// decode is a bad_request, like any other part of a snapshot body that does
+// not decode.
 func (t *policyTable) snapshot(in snapshotJSON) (SessionSnapshot, error) {
 	snap := SessionSnapshot{Create: in.Create, Ops: in.Ops, LastStep: in.LastStep}
 	if len(in.Policy) > 0 {
 		p, err := t.intern(in.Policy...)
 		if err != nil {
-			return SessionSnapshot{}, fmt.Errorf("policy: %w", err)
+			return SessionSnapshot{}, coded(CodeBadRequest, fmt.Errorf("policy: %w", err))
 		}
 		snap.Policy = p
 	}

@@ -48,6 +48,17 @@ func awaitNoPolicyEntries(t *testing.T, s *Server) {
 	}
 }
 
+// restoreInto restores raw into a fresh session on c and returns its info.
+func restoreInto(t *testing.T, c *client, raw string) SessionInfo {
+	t.Helper()
+	target := c.createSession(4)
+	var info SessionInfo
+	if status := c.do("POST", "/v1/sessions/"+target.ID+"/restore", json.RawMessage(raw), &info); status != http.StatusOK {
+		t.Fatalf("restore status %d", status)
+	}
+	return info
+}
+
 // TestAttachInternsByContent is the sharing referee for POST …/policy:
 // sessions sent the same bytes hold one snapshot and the table one entry,
 // different bytes get their own snapshot, concurrent auto-steps on the

@@ -1,7 +1,7 @@
 package httpapi
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,245 +30,159 @@ func testPolicy(stateDim, actionDim int) *rl.PolicySnapshot {
 	}
 }
 
+// TestPolicyAttachAndAutoStep: an auto-step needs an attached policy, a
+// policy must match the session's dimensions, and an attached one decides.
 func TestPolicyAttachAndAutoStep(t *testing.T) {
-	c := newClient(t)
-	sess := c.createSession(6)
-
-	// Auto-step before any policy is attached is a conflict.
-	status, body := c.rawDo("POST", "/v1/sessions/"+sess.ID+"/step", `{}`)
-	if status != http.StatusConflict || !strings.Contains(body, string(CodeBadPolicy)) {
-		t.Fatalf("policyless auto-step: status %d body %q", status, body)
+	sess := newCore(t, NewServer(), 6)
+	if _, err := sess.Step(t.Context(), nil, ""); codeOf(err) != CodeBadPolicy {
+		t.Fatalf("policyless auto-step: %v, want %s", err, CodeBadPolicy)
 	}
-
-	// A policy with the wrong dimensions is rejected.
-	var info SessionInfo
-	if status := c.do("POST", "/v1/sessions/"+sess.ID+"/policy", testPolicy(5, 2), &info); status != http.StatusUnprocessableEntity {
-		t.Fatalf("wrong-width policy status %d, want 422", status)
+	if _, err := sess.AttachPolicy(testPolicy(5, 2)); codeOf(err) != CodeBadPolicy || sess.Info().HasPolicy {
+		t.Fatalf("wrong-width policy: %v, has_policy %v", err, sess.Info().HasPolicy)
 	}
-
-	if status := c.do("POST", "/v1/sessions/"+sess.ID+"/policy", testPolicy(2, 2), &info); status != http.StatusOK {
-		t.Fatalf("policy attach status %d", status)
+	if info, err := sess.AttachPolicy(testPolicy(2, 2)); err != nil || !info.HasPolicy || info.Degraded {
+		t.Fatalf("info after attach: %+v (%v)", info, err)
 	}
-	if !info.HasPolicy || info.Degraded {
-		t.Fatalf("info after attach: %+v", info)
-	}
-
-	var step StepResponse
-	if status := c.do("POST", "/v1/sessions/"+sess.ID+"/step", StepRequest{}, &step); status != http.StatusOK {
-		t.Fatalf("auto-step status %d", status)
-	}
-	if step.Controller != "policy" {
-		t.Fatalf("controller %q, want policy", step.Controller)
-	}
-	if step.Allocation == nil {
-		t.Fatal("auto-step response has no allocation")
+	if body := step(t, sess, nil, ""); !strings.Contains(body, `"allocation":[`) || controllerOf(body) != "policy" {
+		t.Fatalf("auto-step answered %s, want the policy's allocation", body)
 	}
 }
 
-// poisonPolicy swaps session id's policy for a private clone whose first
-// weight is v (in-package, under the session lock). The attached snapshot
-// may be shared with other sessions, so it is never edited in place, and
-// the clone is a new snapshot rather than a copy of it, which would carry
-// its packed weights along.
-func poisonPolicy(srv *Server, id string, v float64) {
-	s := srv.sessionByID(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.policy
+// poisonPolicy swaps sess's policy for a private clone whose first weight
+// is v. The attached snapshot may be shared with other sessions, so it is
+// never edited in place, and the clone is a new snapshot rather than a copy
+// of it, which would carry its packed weights along.
+func poisonPolicy(sess *session, v float64) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	p := sess.policy
 	actor := p.Actor.Clone()
 	actor.Layers[0].W.Data[0] = v
-	s.policy = &rl.PolicySnapshot{Actor: actor, NormCount: p.NormCount, NormMean: p.NormMean, NormM2: p.NormM2}
+	sess.policy = &rl.PolicySnapshot{Actor: actor, NormCount: p.NormCount, NormMean: p.NormMean, NormM2: p.NormM2}
+	sess.scratch = nil // built for the policy it replaces
 }
 
-// TestPolicyFallbackAndRecovery poisons an attached policy's weights and
-// checks the full self-healing cycle: degrade to HPA with the fallback
-// counter bumped, shadow-probe the repaired policy, promote it back with
-// the recovered counter bumped. A sibling session attached with the same
-// policy keeps serving from it throughout.
+// TestPolicyFallbackAndRecovery walks every controller transition of the
+// session core: created → stepping, stepping → degraded (fallback counted),
+// degraded → probing → degraded on a failed probe, probing → promoted after
+// recoveryProbes clean probes (recovery counted) → stepping, and an attach
+// that clears a degradation. A sibling attached with the same policy keeps
+// serving from it throughout.
 func TestPolicyFallbackAndRecovery(t *testing.T) {
 	srv := NewServer()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c := &client{t: t, srv: ts}
-	sess := c.createSession(6)
-	sibling := c.createSession(6)
-
-	for _, id := range []string{sess.ID, sibling.ID} {
-		if status := c.do("POST", "/v1/sessions/"+id+"/policy", testPolicy(2, 2), nil); status != http.StatusOK {
-			t.Fatalf("policy attach status %d", status)
+	sess, sibling := newCore(t, srv, 6), newCore(t, srv, 6)
+	shared := testPolicy(2, 2)
+	for _, s := range []*session{sess, sibling} {
+		if _, err := s.AttachPolicy(shared); err != nil {
+			t.Fatal(err)
 		}
 	}
-	poison := func(v float64) { poisonPolicy(srv, sess.ID, v) }
-	poison(math.NaN())
-
-	var step StepResponse
-	if status := c.do("POST", "/v1/sessions/"+sess.ID+"/step", StepRequest{}, &step); status != http.StatusOK {
-		t.Fatalf("degraded auto-step status %d", status)
-	}
-	if step.Controller != "hpa" {
-		t.Fatalf("controller %q after NaN poisoning, want hpa", step.Controller)
-	}
-	if status := c.do("POST", "/v1/sessions/"+sibling.ID+"/step", StepRequest{}, &step); status != http.StatusOK {
-		t.Fatalf("sibling auto-step status %d", status)
-	}
-	if step.Controller != "policy" {
-		t.Fatalf("sibling controller %q after its neighbour's poisoning, want policy", step.Controller)
-	}
-	var info SessionInfo
-	if status := c.do("GET", "/v1/sessions/"+sess.ID, nil, &info); status != http.StatusOK {
-		t.Fatalf("info status %d", status)
-	}
-	if !info.Degraded || !info.HasPolicy {
-		t.Fatalf("info after fallback: %+v", info)
-	}
-	var buf bytes.Buffer
-	if err := srv.Registry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), fmt.Sprintf("miras_controller_fallback_total{session=%q} 1", sess.ID)) {
-		t.Fatalf("fallback counter missing:\n%s", buf.String())
-	}
-
-	// A still-broken policy never recovers.
-	for k := 0; k < recoveryProbes+1; k++ {
-		if status := c.do("POST", "/v1/sessions/"+sess.ID+"/step", StepRequest{}, &step); status != http.StatusOK {
-			t.Fatalf("step status %d", status)
+	nan := math.NaN()
+	for i, tc := range []struct {
+		weight     float64
+		controller string
+		degraded   bool
+		probes     int
+	}{
+		{0.1, "policy", false, 0}, // created → stepping
+		{nan, "hpa", true, 0},     // stepping → degraded
+		{0.1, "hpa", true, 1},     // degraded → probing
+		{nan, "hpa", true, 0},     // probing → degraded
+		{0.1, "hpa", true, 1},     // degraded → probing
+		{0.1, "hpa", true, 2},
+		{0.1, "hpa", false, 0},    // probing → promoted
+		{0.1, "policy", false, 0}, // promoted → stepping
+	} {
+		poisonPolicy(sess, tc.weight)
+		if got := controllerOf(step(t, sess, nil, "")); got != tc.controller {
+			t.Fatalf("window %d: controller %q, want %q", i, got, tc.controller)
 		}
-		if step.Controller != "hpa" {
-			t.Fatalf("broken policy regained control at step %d", k)
+		if sess.Info().Degraded != tc.degraded || sess.healthyProbes != tc.probes {
+			t.Fatalf("window %d: degraded %v after %d probes, want %v after %d",
+				i, sess.Info().Degraded, sess.healthyProbes, tc.degraded, tc.probes)
+		}
+		if got := controllerOf(step(t, sibling, nil, "")); got != "policy" {
+			t.Fatalf("window %d: sibling controller %q, want policy", i, got)
 		}
 	}
-
-	// Heal the weight: recoveryProbes clean windows promote it back.
-	poison(0.1)
-	for k := 0; k < recoveryProbes; k++ {
-		if status := c.do("POST", "/v1/sessions/"+sess.ID+"/step", StepRequest{}, &step); status != http.StatusOK {
-			t.Fatalf("probe step status %d", status)
-		}
-		if step.Controller != "hpa" {
-			t.Fatalf("probe window %d served by %q, want hpa until promotion", k, step.Controller)
-		}
+	if f, r := sess.fallbackTotal.Value(), sess.recoveredTotal.Value(); f != 1 || r != 1 {
+		t.Fatalf("fallbacks %d recoveries %d, want 1 and 1", f, r)
 	}
-	if status := c.do("POST", "/v1/sessions/"+sess.ID+"/step", StepRequest{}, &step); status != http.StatusOK {
-		t.Fatalf("post-recovery step status %d", status)
+	poisonPolicy(sess, nan)
+	step(t, sess, nil, "")
+	if info, err := sess.AttachPolicy(testPolicy(2, 2)); err != nil || info.Degraded {
+		t.Fatalf("attach over a degraded session: %v, degraded %v", err, info.Degraded)
 	}
-	if step.Controller != "policy" {
-		t.Fatalf("controller %q after recovery, want policy", step.Controller)
-	}
-	if status := c.do("GET", "/v1/sessions/"+sess.ID, nil, &info); status != http.StatusOK {
-		t.Fatalf("info status %d", status)
-	}
-	if info.Degraded {
-		t.Fatal("session still degraded after recovery")
-	}
-	buf.Reset()
-	if err := srv.Registry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), fmt.Sprintf("miras_controller_recovered_total{session=%q} 1", sess.ID)) {
-		t.Fatalf("recovered counter missing:\n%s", buf.String())
-	}
-
-	// DELETE removes the controller series.
-	if status := c.do("DELETE", "/v1/sessions/"+sess.ID, nil, nil); status != http.StatusNoContent {
-		t.Fatalf("delete status %d", status)
-	}
-	buf.Reset()
-	if err := srv.Registry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), fmt.Sprintf("miras_controller_fallback_total{session=%q}", sess.ID)) {
-		t.Fatal("controller metrics survived DELETE")
+	if got := controllerOf(step(t, sess, nil, "")); got != "policy" {
+		t.Fatalf("controller %q after a fresh attach, want policy", got)
 	}
 }
 
 // TestSnapshotRestoreRoundTrip exports a session that saw bursts, faults,
-// steps, and a policy, restores it into a fresh session, and verifies both
-// sessions are behaviourally identical from that point on.
+// steps, and a policy, restores it over a session of another shape, and
+// verifies both sessions are behaviourally identical from that point on.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	c := newClient(t)
-	a := c.createSession(6)
-
-	if status := c.do("POST", "/v1/sessions/"+a.ID+"/burst", BurstRequest{Counts: []int{20}}, nil); status != http.StatusOK {
-		t.Fatalf("burst status %d", status)
+	srv := NewServer()
+	a := newCore(t, srv, 6)
+	if _, err := a.Burst([]int{20}); err != nil {
+		t.Fatal(err)
 	}
-	plan := faults.Plan{Specs: []faults.Spec{
+	if _, err := a.ArmFaults(faults.Plan{Specs: []faults.Spec{
 		{Kind: faults.Slowdown, Service: 0, StartSec: 0, DurationSec: 3600, Factor: 2},
-	}}
-	if status := c.do("POST", "/v1/sessions/"+a.ID+"/faults", plan, nil); status != http.StatusOK {
-		t.Fatalf("faults status %d", status)
+	}}); err != nil {
+		t.Fatal(err)
 	}
 	for k := 0; k < 5; k++ {
-		if status := c.do("POST", "/v1/sessions/"+a.ID+"/step",
-			StepRequest{Allocation: []int{4, 2}}, nil); status != http.StatusOK {
-			t.Fatalf("step status %d", status)
-		}
+		step(t, a, []int{4, 2}, "")
 	}
-	if status := c.do("POST", "/v1/sessions/"+a.ID+"/policy", testPolicy(2, 2), nil); status != http.StatusOK {
-		t.Fatalf("policy status %d", status)
+	if _, err := a.AttachPolicy(testPolicy(2, 2)); err != nil {
+		t.Fatal(err)
 	}
-
-	var snap SessionSnapshot
-	if status := c.do("GET", "/v1/sessions/"+a.ID+"/snapshot", nil, &snap); status != http.StatusOK {
-		t.Fatalf("snapshot status %d", status)
-	}
+	snap := a.Snapshot()
 	if len(snap.Ops) != 7 || snap.Policy == nil {
 		t.Fatalf("snapshot ops=%d policy=%v", len(snap.Ops), snap.Policy != nil)
 	}
 
-	b := c.createSession(4) // different shape; restore overwrites it
-	var restored SessionInfo
-	if status := c.do("POST", "/v1/sessions/"+b.ID+"/restore", snap, &restored); status != http.StatusOK {
-		t.Fatalf("restore status %d", status)
+	b := newCore(t, srv, 4)
+	step(t, b, []int{2, 2}, "")
+	built, err := buildFromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var orig SessionInfo
-	if status := c.do("GET", "/v1/sessions/"+a.ID, nil, &orig); status != http.StatusOK {
-		t.Fatalf("info status %d", status)
+	restored, orig := b.Restore(built), a.Info()
+	if b.prev.State != nil {
+		t.Fatal("a restored session kept its previous window; it must be back at created")
 	}
-	if restored.Windows != orig.Windows || restored.Budget != orig.Budget {
+	restored.ID = orig.ID
+	if !reflect.DeepEqual(restored, orig) {
 		t.Fatalf("restored %+v != original %+v", restored, orig)
 	}
-	if !reflect.DeepEqual(restored.State, orig.State) {
-		t.Fatalf("restored state %v != original %v", restored.State, orig.State)
-	}
-	if !restored.HasPolicy {
-		t.Fatal("restored session lost its policy")
-	}
-
 	// Both sessions evolve identically from here, including auto-steps.
 	for k := 0; k < 3; k++ {
-		var sa, sb StepResponse
-		if status := c.do("POST", "/v1/sessions/"+a.ID+"/step", StepRequest{}, &sa); status != http.StatusOK {
-			t.Fatalf("original step status %d", status)
-		}
-		if status := c.do("POST", "/v1/sessions/"+b.ID+"/step", StepRequest{}, &sb); status != http.StatusOK {
-			t.Fatalf("restored step status %d", status)
-		}
-		if !reflect.DeepEqual(sa, sb) {
-			t.Fatalf("window %d diverged:\noriginal: %+v\nrestored: %+v", k, sa, sb)
+		if sa, sb := step(t, a, nil, ""), step(t, b, nil, ""); sa != sb {
+			t.Fatalf("window %d diverged:\noriginal: %s\nrestored: %s", k, sa, sb)
 		}
 	}
 }
 
+// TestRestoreRejectsBadSnapshots: a snapshot whose create request, op log
+// or policy is refused builds nothing, so the session a restore targets
+// keeps its state.
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
-	c := newClient(t)
-	sess := c.createSession(6)
-	cases := []string{
+	for i, raw := range []string{
 		`{"create":{"ensemble":"nope","budget":4}}`,
 		`{"create":{"ensemble":"toy","budget":6},"ops":[{"kind":"zz"}]}`,
 		`{"create":{"ensemble":"toy","budget":6},"ops":[{"kind":"step","alloc":[9,9]}]}`,
 		`{"create":{"ensemble":"toy","budget":6},"ops":[{"kind":"faults"}]}`,
-	}
-	for i, body := range cases {
-		status, resp := c.rawDo("POST", "/v1/sessions/"+sess.ID+"/restore", body)
-		if status != http.StatusUnprocessableEntity || !strings.Contains(resp, string(CodeBadSnapshot)) {
-			t.Fatalf("case %d: status %d body %q", i, status, resp)
+		`{"create":{"ensemble":"toy","budget":6},"policy":{"norm_count":1}}`,
+	} {
+		var snap SessionSnapshot
+		if err := json.Unmarshal([]byte(raw), &snap); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Failed restores leave the session intact.
-	var info SessionInfo
-	if status := c.do("GET", "/v1/sessions/"+sess.ID, nil, &info); status != http.StatusOK || info.Budget != 6 {
-		t.Fatalf("session damaged by failed restore: status %d %+v", status, info)
+		if built, err := buildFromSnapshot(snap); built != nil || codeOf(err) != CodeBadSnapshot {
+			t.Fatalf("case %d: built %v, error %v; want %s", i, built != nil, err, CodeBadSnapshot)
+		}
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
-	"time"
+
+	"miras/internal/obs"
 )
 
 // tombstoneCap bounds the process's memory of evicted session ids. A ring
@@ -82,19 +83,6 @@ func (t *tombstones) remove(id string) {
 	delete(t.set, id)
 }
 
-// accepts reports whether this process may serve id for r, asking the
-// routing table (a server without one accepts everything). When not, it
-// writes the 421 wrong_shard refusal naming id's home, so routers and
-// clients can follow, and returns false.
-func (s *Server) accepts(w http.ResponseWriter, r *http.Request, id string) bool {
-	if s.table == nil || s.table.Accepts(s.self, id, r.Header.Get(FailoverHeader)) {
-		return true
-	}
-	writeError(w, http.StatusMisdirectedRequest, CodeWrongShard,
-		fmt.Errorf("session %q is owned by shard %s", id, s.table.Home(id)))
-	return false
-}
-
 // mintID draws the next session id from the shared sequence. It skips ids
 // the routing table homes on other processes, so every process walking the
 // sequence mints from a disjoint namespace without coordination, and ids
@@ -115,59 +103,61 @@ func (s *Server) mintID() string {
 	}
 }
 
+// sessionSeries names each per-session metric series once, with the
+// session field holding it: admit registers every row for a new session,
+// labelled with its id, and remove deletes every row's series.
+var sessionSeries = [...]struct {
+	name, help string
+	field      func(*session) any // a **obs.Gauge or **obs.Counter
+}{
+	{"miras_env_wip", "Total work-in-progress (queued + in-service tasks), by session.", func(s *session) any { return &s.wip }},
+	{"miras_cluster_inflight", "Live (incomplete) workflow instances, by session.", func(s *session) any { return &s.inflight }},
+	{"miras_faults_total", "Fault events injected (episode activations and consumer crashes), by session.", func(s *session) any { return &s.faultsTotal }},
+	{"miras_consumers_crashed", "Consumers killed by fault injection, by session.", func(s *session) any { return &s.crashed }},
+	{"miras_controller_fallback_total", "Policy failures that degraded the session to the HPA baseline, by session.", func(s *session) any { return &s.fallbackTotal }},
+	{"miras_controller_recovered_total", "Policies restored to control after passing health probes, by session.", func(s *session) any { return &s.recoveredTotal }},
+}
+
 // admit is the one way into the registry, shared by create and rehydrate:
 // reserve a slot against the session bound (an atomic reserve-then-rollback,
-// so the slow build runs under no lock), build the emulated system, and
-// insert under the registry lock, enforcing id uniqueness and registering
-// the session's metric series.
-// build returns the session's build-specific fields (env, create, and for a
-// rehydrate the policy); admit fills in the rest. Any failure releases the
-// slot and reports the code to answer with; no series is touched.
-func (s *Server) admit(id string, build func() (*session, ErrorCode, error)) (*session, ErrorCode, error) {
+// so the slow build runs under no lock), build the session, and insert it
+// under the registry lock, enforcing id uniqueness and registering the
+// session's metric series. Any failure releases the slot and returns a
+// coded error; no series is touched.
+func (s *Server) admit(id string, build func() (*session, error)) (*session, error) {
 	if n := s.live.Add(1); n > int64(s.maxSessions) {
 		s.live.Add(-1)
-		return nil, CodeSessionLimit, fmt.Errorf("session limit %d reached", s.maxSessions)
+		return nil, coded(CodeSessionLimit, fmt.Errorf("session limit %d reached", s.maxSessions))
 	}
-	sess, code, err := build()
+	sess, err := build()
 	if err != nil {
 		s.live.Add(-1)
-		return nil, code, err
+		return nil, err
 	}
 	sess.id = id
 	sess.createdAt = s.now()
-	sess.ttl = time.Duration(sess.create.TTLSeconds * float64(time.Second))
-	sess.idle = time.Duration(sess.create.IdleTimeoutSeconds * float64(time.Second))
-	sess.touch(sess.createdAt)
+	sess.setBounds(sess.create)
+	sess.lastAccess.Store(sess.createdAt.UnixNano())
+	sess.tracer, sess.windows = s.tracer, s.windowsTotal
 
 	s.registry.mu.Lock()
+	defer s.registry.mu.Unlock()
 	if s.sessionByID(id) != nil {
-		s.registry.mu.Unlock()
 		s.live.Add(-1)
-		return nil, CodeBadRequest, fmt.Errorf("session %q already exists", id)
+		return nil, coded(CodeBadRequest, fmt.Errorf("session %q already exists", id))
 	}
-	sess.wip = s.reg.Gauge("miras_env_wip",
-		"Total work-in-progress (queued + in-service tasks), by session.",
-		"session", id)
-	sess.inflight = s.reg.Gauge("miras_cluster_inflight",
-		"Live (incomplete) workflow instances, by session.",
-		"session", id)
-	sess.faultsTotal = s.reg.Counter("miras_faults_total",
-		"Fault events injected (episode activations and consumer crashes), by session.",
-		"session", id)
-	sess.crashed = s.reg.Counter("miras_consumers_crashed",
-		"Consumers killed by fault injection, by session.",
-		"session", id)
-	sess.fallbackTotal = s.reg.Counter("miras_controller_fallback_total",
-		"Policy failures that degraded the session to the HPA baseline, by session.",
-		"session", id)
-	sess.recoveredTotal = s.reg.Counter("miras_controller_recovered_total",
-		"Policies restored to control after passing health probes, by session.",
-		"session", id)
+	for _, se := range sessionSeries {
+		switch p := se.field(sess).(type) {
+		case **obs.Gauge:
+			*p = s.reg.Gauge(se.name, se.help, "session", id)
+		case **obs.Counter:
+			*p = s.reg.Counter(se.name, se.help, "session", id)
+		}
+	}
+	sess.syncGauges()
 	s.registry.tombs.remove(id)
 	s.registry.sessions.Store(id, sess)
-	s.registry.mu.Unlock()
-	sess.syncGauges()
-	return sess, "", nil
+	return sess, nil
 }
 
 // remove is the one way out of the registry, shared by DELETE, expiry and
@@ -190,10 +180,8 @@ func (s *Server) remove(id string, sess *session, reason string) bool {
 	}
 	s.registry.mu.Unlock()
 	s.live.Add(-1)
-	for _, series := range []string{"miras_env_wip", "miras_cluster_inflight",
-		"miras_faults_total", "miras_consumers_crashed",
-		"miras_controller_fallback_total", "miras_controller_recovered_total"} {
-		s.reg.Remove(series, "session", id)
+	for _, se := range sessionSeries {
+		s.reg.Remove(se.name, "session", id)
 	}
 	// Evict the session's spans from the trace ring; the time-series ring
 	// prunes its removed registry series on its next sample.
@@ -206,48 +194,41 @@ func (s *Server) remove(id string, sess *session, reason string) bool {
 	return true
 }
 
-// lookup resolves the session id the request's path names to a live session, handling the full
-// miss ladder (expired → tombstoned → wrong shard → not found) and
-// touching the session's idle clock. A hit takes no registry lock; callers
-// take the session's own lock before touching its state.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request, id string) (*session, bool) {
+// lookup resolves the session id the request's path names to a live
+// session, handling the full miss ladder (expired → tombstoned → wrong shard
+// → not found) and touching the session's idle clock. A hit takes no
+// registry lock; callers take the session's own lock before touching its
+// state.
+func (s *Server) lookup(r *http.Request, id string) (*session, error) {
 	sess := s.sessionByID(id)
 	if sess == nil {
-		s.writeMiss(w, r, id)
-		return nil, false
+		return nil, s.miss(r, id)
 	}
 	now := s.now()
 	if reason, exp := sess.expired(now); exp {
 		s.evict(sess, reason)
-		writeError(w, http.StatusGone, CodeSessionExpired,
-			fmt.Errorf("session %q expired", id))
-		return nil, false
+		return nil, coded(CodeSessionExpired, fmt.Errorf("session %q expired", id))
 	}
-	sess.touch(now)
-	return sess, true
+	sess.lastAccess.Store(now.UnixNano()) // the idle clock
+	return sess, nil
 }
 
-// writeMiss explains an absent id: evicted sessions answer 410 from the
-// tombstone ring; ids the routing table does not let this process accept
-// answer 421 (see accepts); everything else is a plain 404. A session
-// present locally is always served, whatever the table says — rehydrated
-// sessions must stay reachable wherever they were adopted. A failover
-// re-route is accepted, so its miss is an honest 404: this process is the
-// id's home while the owner is down.
-func (s *Server) writeMiss(w http.ResponseWriter, r *http.Request, id string) {
+// miss explains an absent id: 410 for an evicted one (the tombstone ring),
+// 421 naming the home for one the routing table does not let this process
+// accept, else 404. A session present locally is served whatever the table
+// says, so rehydrated sessions stay reachable where they were adopted; a
+// failover re-route is accepted, so its miss is an honest 404.
+func (s *Server) miss(r *http.Request, id string) error {
 	s.registry.mu.Lock()
 	tomb := s.registry.tombs.has(id)
 	s.registry.mu.Unlock()
-	if tomb {
-		writeError(w, http.StatusGone, CodeSessionExpired,
-			fmt.Errorf("session %q expired", id))
-		return
+	switch {
+	case tomb:
+		return coded(CodeSessionExpired, fmt.Errorf("session %q expired", id))
+	case s.table != nil && !s.table.Accepts(s.self, id, r.Header.Get(FailoverHeader)):
+		return coded(CodeWrongShard, fmt.Errorf("session %q is owned by shard %s", id, s.table.Home(id)))
 	}
-	if !s.accepts(w, r, id) {
-		return
-	}
-	writeError(w, http.StatusNotFound, CodeSessionNotFound,
-		fmt.Errorf("no session %q", id))
+	return coded(CodeSessionNotFound, fmt.Errorf("no session %q", id))
 }
 
 // evict expires sess: remove it, then spill its snapshot when a spill store
@@ -259,9 +240,7 @@ func (s *Server) evict(sess *session, reason string) bool {
 		return false
 	}
 	if s.spillDir != "" {
-		if _, err := s.spill(sess, false); err != nil {
-			s.spillErrors.Inc()
-		}
+		_, _ = s.spill(sess, false) // best-effort: a failure is counted
 	}
 	return true
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,67 +49,79 @@ func (c *client) windows(id string) int {
 	return c.info(id).Windows
 }
 
-// TestStepKeyAnsweredAcrossSpillAndRehydrate: a repeated step key is
-// answered with the recorded bytes and does not step, on the process that
-// adopted the session from a spill as on the one that recorded it; a new
-// key steps, a reset clears the record, and an over-long key is refused.
+// TestStepKeyAnsweredAcrossSpillAndRehydrate walks the keyed-step record: a
+// keyed step sets it, a repeated key is answered with the recorded bytes
+// and does not step — on the process that adopted the session from a spill
+// as on the one that recorded it, and after a restore — a new key sets it
+// anew, and a reset clears it.
 func TestStepKeyAnsweredAcrossSpillAndRehydrate(t *testing.T) {
 	spill := t.TempDir()
-	a, srvA, _ := lifecycleClient(t, WithSpillDir(spill))
-	id := a.createSession(6).ID
-	status, first := a.keyedStep(id, "k1")
-	if status != http.StatusOK {
-		t.Fatalf("keyed step: status %d %s", status, first)
-	}
+	srvA := NewServer(WithSpillDir(spill))
+	sess := newCore(t, srvA, 6)
+	first := step(t, sess, []int{3, 3}, "k1")
 	if n, err := srvA.SpillAll(); n != 1 || err != nil {
 		t.Fatalf("SpillAll wrote %d (%v), want 1", n, err)
 	}
+	srvB := NewServer(WithSpillDir(spill))
+	if err := srvB.rehydrateOne(sess.id); err != nil {
+		t.Fatal(err)
+	}
+	sess = srvB.sessionByID(sess.id)
+	windows := func(want int, stage string) {
+		t.Helper()
+		if w := sess.env.Window(); w != want {
+			t.Fatalf("%s: windows %d, want %d", stage, w, want)
+		}
+	}
+	if again := step(t, sess, []int{3, 3}, "k1"); again != first {
+		t.Fatalf("repeated key after rehydrate:\n got: %s\nwant: %s", again, first)
+	}
+	windows(1, "repeated key after rehydrate")
 
-	b, _, _ := lifecycleClient(t, WithSpillDir(spill))
-	var re RehydrateResponse
-	if status := b.do("POST", "/v1/admin/rehydrate", nil, &re); status != http.StatusOK || len(re.Rehydrated) != 1 {
-		t.Fatalf("rehydrate: status %d %+v", status, re)
+	second := step(t, sess, []int{3, 3}, "k2")
+	windows(2, "new key")
+	if second == first {
+		t.Fatal("a new key answered the old record")
 	}
-	if status, again := b.keyedStep(id, "k1"); status != http.StatusOK || again != first {
-		t.Fatalf("repeated key after rehydrate: status %d\n got: %s\nwant: %s", status, again, first)
+	built, err := buildFromSnapshot(sess.Snapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if w := b.windows(id); w != 1 {
-		t.Fatalf("repeated key stepped: windows %d, want 1", w)
+	sess.Restore(built)
+	if again := step(t, sess, []int{3, 3}, "k2"); again != second {
+		t.Fatalf("repeated k2 after a restore:\n got: %s\nwant: %s", again, second)
 	}
+	windows(2, "repeated k2")
+	sess.Reset()
+	step(t, sess, []int{3, 3}, "k2")
+	windows(3, "k2 after a reset")
+}
 
-	status, second := b.keyedStep(id, "k2")
-	if status != http.StatusOK || second == first || b.windows(id) != 2 {
-		t.Fatalf("new key: status %d, windows %d, body %s; want a second step", status, b.windows(id), second)
-	}
-	if status, again := b.keyedStep(id, "k2"); status != http.StatusOK || again != second || b.windows(id) != 2 {
-		t.Fatalf("repeated k2: status %d, windows %d", status, b.windows(id))
-	}
-	if status := b.do("POST", "/v1/sessions/"+id+"/reset", nil, nil); status != http.StatusOK {
-		t.Fatalf("reset: status %d", status)
-	}
-	if status, _ := b.keyedStep(id, "k2"); status != http.StatusOK || b.windows(id) != 3 {
-		t.Fatalf("k2 after a reset: status %d, windows %d; want it to step", status, b.windows(id))
-	}
-
+// TestStepKeyLimit: a key over maxIdempotencyKeyBytes is refused with 400
+// bad_request before anything steps; a key at the limit steps.
+func TestStepKeyLimit(t *testing.T) {
+	c := newClient(t)
+	id := c.createSession(6).ID
 	long := strings.Repeat("k", maxIdempotencyKeyBytes+1)
-	status, body := b.keyedStep(id, long)
+	status, body := c.keyedStep(id, long)
 	var env ErrorEnvelope
 	if status != http.StatusBadRequest || json.Unmarshal([]byte(body), &env) != nil || env.Error.Code != CodeBadRequest {
 		t.Fatalf("over-long key: status %d %s, want 400 bad_request", status, body)
 	}
-	if status, _ := b.keyedStep(id, long[1:]); status != http.StatusOK || b.windows(id) != 4 {
-		t.Fatalf("key at the limit: status %d, windows %d", status, b.windows(id))
+	if status, _ := c.keyedStep(id, long[1:]); status != http.StatusOK || c.windows(id) != 1 {
+		t.Fatalf("key at the limit: status %d, windows %d", status, c.windows(id))
 	}
 }
 
-// TestSpillAllWritesOnlyDirtySessions: a sync pass writes only sessions a
-// mutating request touched since their last spill; reads do not dirty a
-// session, a failed write leaves it dirty, and a session rehydrated without
-// WithDurableSessions is dirty because its store was deleted.
+// TestSpillAllWritesOnlyDirtySessions walks the spill copy: a sync pass
+// writes only sessions a mutation touched since their last spill; reads do
+// not dirty a session, a failed write leaves it dirty, and a session
+// rehydrated without WithDurableSessions is dirty because its store was
+// deleted.
 func TestSpillAllWritesOnlyDirtySessions(t *testing.T) {
 	spill := t.TempDir()
-	c, srv, _ := lifecycleClient(t, WithSpillDir(spill))
-	s1, s2 := c.createSession(6).ID, c.createSession(6).ID
+	srv := NewServer(WithSpillDir(spill))
+	s1, s2 := newCore(t, srv, 6), newCore(t, srv, 6)
 	pass := func(want int) {
 		t.Helper()
 		if n, err := srv.SpillAll(); n != want || err != nil {
@@ -119,21 +130,30 @@ func TestSpillAllWritesOnlyDirtySessions(t *testing.T) {
 	}
 	pass(2)
 	pass(0)
-	c.windows(s1)
-	c.rawDo("GET", "/v1/sessions/"+s1+"/snapshot", "")
+	s1.Info()
+	s1.Snapshot()
 	pass(0)
-	c.keyedStep(s1, "")
-	pass(1)
-	policy, err := json.Marshal(testPolicy(2, 2))
-	if err != nil {
-		t.Fatal(err)
+	for _, mutate := range []func() error{
+		func() error { _, err := s1.Step(t.Context(), []int{3, 3}, ""); return err },
+		func() error { s1.Reset(); return nil },
+		func() error { _, err := s1.Burst([]int{1}); return err },
+		func() error { _, err := s1.ArmFaults(crashPlan); return err },
+		func() error { _, err := s2.AttachPolicy(testPolicy(2, 2)); return err },
+		func() error {
+			built, err := buildFromSnapshot(s2.Snapshot())
+			if err == nil {
+				s2.Restore(built)
+			}
+			return err
+		},
+	} {
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		pass(1)
 	}
-	if status, body := c.rawDo("POST", "/v1/sessions/"+s2+"/policy", string(policy)); status != http.StatusOK {
-		t.Fatalf("attach: status %d %s", status, body)
-	}
-	pass(1)
 
-	c.keyedStep(s1, "")
+	step(t, s1, []int{3, 3}, "")
 	file := filepath.Join(t.TempDir(), "file") // a spill directory no write can enter
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -151,12 +171,10 @@ func TestSpillAllWritesOnlyDirtySessions(t *testing.T) {
 			opts = append(opts, WithDurableSessions())
 		}
 		other := NewServer(opts...)
-		ts := httptest.NewServer(other.Handler())
-		var re RehydrateResponse
-		status := (&client{t: t, srv: ts}).do("POST", "/v1/admin/rehydrate", nil, &re)
-		ts.Close()
-		if status != http.StatusOK || len(re.Rehydrated) != 2 {
-			t.Fatalf("rehydrate (durable %v): status %d %+v", durable, status, re)
+		for _, id := range []string{s1.id, s2.id} {
+			if err := other.rehydrateOne(id); err != nil {
+				t.Fatalf("rehydrate %s (durable %v): %v", id, durable, err)
+			}
 		}
 		want := 2
 		if durable {

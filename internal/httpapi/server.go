@@ -31,12 +31,9 @@
 //
 //	{"error": {"code": "<stable code>", "message": "<human detail>"}}
 //
-// with one of the stable codes: bad_request, unknown_ensemble,
-// bad_session_config, session_limit, session_not_found, session_expired,
-// wrong_shard, bad_allocation, bad_burst, bad_fault_plan, bad_policy,
-// bad_snapshot, body_too_large, deadline_exceeded.
-// Clients branch on code; messages may change (except as pinned by the
-// golden envelope test).
+// with one of the stable ErrorCode values, each answered with the status
+// codec.go's table gives it. Clients branch on code; messages may change
+// (except as pinned by the golden envelope test).
 //
 // # Sharding
 //
@@ -67,14 +64,10 @@
 //
 // # Self-healing serving
 //
-// A session with an attached policy auto-allocates when a step request
-// omits the allocation. If the policy misbehaves — panics, emits NaN/Inf
-// or negative weights, or violates the budget — the session degrades to
-// the HPA baseline controller (miras_controller_fallback_total) and keeps
-// serving; the sidelined policy is shadow-probed each window and promoted
-// back after passing consecutive health probes
-// (miras_controller_recovered_total). SessionInfo reports has_policy and
-// degraded.
+// A step request that omits the allocation is decided by the session's
+// attached policy, or by the HPA baseline while a misbehaving policy is
+// sidelined (session.go lists the transitions); SessionInfo reports
+// has_policy and degraded.
 //
 // # Fault injection
 //
@@ -87,17 +80,14 @@
 package httpapi
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"miras/internal/baselines"
-	"miras/internal/cluster"
-	"miras/internal/env"
 	"miras/internal/faults"
 	"miras/internal/obs"
 	"miras/internal/rl"
@@ -120,19 +110,14 @@ const DeadlineHeader = "X-Miras-Deadline-Ms"
 const FailoverHeader = "X-Miras-Failover-From"
 
 // IdempotencyKeyHeader names a step POST, so that a retry of it is answered
-// and not applied again. A session records the key and the response of its
-// last successful step; a step repeating that key gets the recorded bytes
-// back and does not step, and any other mutating request clears the record.
+// and not applied again: a step repeating the key of a session's last
+// successful step gets that step's bytes back (see the session core's record).
 // `miras route` mints a key for every step that arrives without one, so
 // every routed step may be retried. A step is therefore applied exactly once
 // for a client that waits for each step's answer before sending the next;
 // two clients stepping one session at once get at-least-once. Keys longer
 // than 128 bytes are refused with 400 bad_request.
 const IdempotencyKeyHeader = "X-Miras-Idempotency-Key"
-
-// maxIdempotencyKeyBytes bounds an IdempotencyKeyHeader value and the key a
-// snapshot's last_step may carry.
-const maxIdempotencyKeyBytes = 128
 
 // Server is the HTTP handler. It is safe for concurrent use: resolving a
 // session id reads the registry without a lock (only inserts, deletes and
@@ -274,88 +259,6 @@ func WithTimeSeries(ts *obs.TimeSeriesRing) Option {
 	return func(s *Server) { s.tsRing = ts }
 }
 
-// session is one live environment. mu serialises every operation touching
-// the session's state; handlers lock it after resolving the id through the
-// registry, so sessions never contend with each other.
-type session struct {
-	mu sync.Mutex
-
-	id  string
-	env *env.Env // records its own op log, which snapshots export
-
-	// Lifecycle: createdAt is immutable after insert; lastAccess holds the
-	// wall time (UnixNano) of the most recent request that resolved this
-	// session, updated without the session lock so lookups take no lock
-	// at all. ttl and idle are the create request's bounds (0 = unbounded).
-	createdAt  time.Time
-	lastAccess atomic.Int64
-	ttl        time.Duration
-	idle       time.Duration
-
-	// create is the effective creation request (defaults applied); a
-	// snapshot rebuilds an equivalent session from it and env's op log.
-	create CreateRequest
-
-	// policy is the attached serving policy (nil until POST …/policy).
-	policy *rl.PolicySnapshot
-	// fallback is non-nil while the session is degraded to the HPA
-	// baseline after a policy failure; healthyProbes counts consecutive
-	// successful shadow probes of the sidelined policy.
-	fallback      *baselines.HPA
-	healthyProbes int
-	// scratch is the preallocated decide working memory (see decideScratch);
-	// nil until the first auto-step and after a policy change.
-	scratch *decideScratch
-	// prev is the last step result, feeding controller decisions.
-	prev     env.StepResult
-	havePrev bool
-	// lastKey is the idempotency key of the last successful step and
-	// stepBuf that step's encoded response, newline included; lastKey is ""
-	// when the step carried no key or a later mutation cleared the record
-	// (see IdempotencyKeyHeader). stepBuf's array is reused from step to
-	// step.
-	lastKey string
-	stepBuf []byte
-	// spilled reports that the spill store holds the session's current
-	// state, so SpillAll may skip it; every mutating request clears it.
-	spilled bool
-
-	// Per-session metrics, removed from the registry on DELETE/eviction.
-	wip            *obs.Gauge
-	inflight       *obs.Gauge
-	faultsTotal    *obs.Counter
-	crashed        *obs.Counter
-	fallbackTotal  *obs.Counter
-	recoveredTotal *obs.Counter
-	// syncedFaults and syncedCrashes are the emulator's fault counts
-	// (cluster.FaultCounts) that faultsTotal and crashed last caught up
-	// with; syncGauges adds the growth since.
-	syncedFaults, syncedCrashes uint64
-}
-
-// mutated records a change of the session's state: its spill copy is stale
-// and its last step's record no longer answers a retry. Callers hold the
-// session lock.
-func (sess *session) mutated() {
-	sess.spilled = false
-	sess.lastKey = ""
-}
-
-// touch records an access at now for idle-timeout accounting.
-func (sess *session) touch(now time.Time) { sess.lastAccess.Store(now.UnixNano()) }
-
-// expired reports whether the session has outlived its TTL or idle bound
-// at now, and which bound tripped ("ttl" or "idle").
-func (sess *session) expired(now time.Time) (string, bool) {
-	if sess.ttl > 0 && now.Sub(sess.createdAt) >= sess.ttl {
-		return "ttl", true
-	}
-	if sess.idle > 0 && now.Sub(time.Unix(0, sess.lastAccess.Load())) >= sess.idle {
-		return "idle", true
-	}
-	return "", false
-}
-
 // NewServer returns an empty server with a fresh metrics registry. With no
 // options it allows 64 concurrent sessions.
 func NewServer(opts ...Option) *Server {
@@ -388,11 +291,11 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // the mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /v1/ensembles", s.instrument("ensembles", noID(s.handleEnsembles)))
-	mux.Handle("POST /v1/sessions", s.instrument("create", noID(s.handleCreate)))
-	mux.Handle("GET /v1/sessions", s.instrument("list", noID(s.handleList)))
-	mux.Handle("POST /v1/admin/drain", s.instrument("drain", noID(s.handleDrain)))
-	mux.Handle("POST /v1/admin/rehydrate", s.instrument("rehydrate", noID(s.handleRehydrate)))
+	mux.Handle("GET /v1/ensembles", s.instrument("ensembles", s.handleEnsembles))
+	mux.Handle("POST /v1/sessions", s.instrument("create", s.handleCreate))
+	mux.Handle("GET /v1/sessions", s.instrument("list", s.handleList))
+	mux.Handle("POST /v1/admin/drain", s.instrument("drain", s.handleDrain))
+	mux.Handle("POST /v1/admin/rehydrate", s.instrument("rehydrate", s.handleRehydrate))
 	if ring := s.tracer.Ring(); ring != nil {
 		mux.Handle("GET /v1/debug/traces", ring.Handler())
 	}
@@ -473,11 +376,6 @@ type endpoint func(w http.ResponseWriter, r *http.Request, id string)
 
 // ServeHTTP serves a path that names no session.
 func (h endpoint) ServeHTTP(w http.ResponseWriter, r *http.Request) { h(w, r, "") }
-
-// noID adapts a handler whose path names no session.
-func noID(h http.HandlerFunc) endpoint {
-	return func(w http.ResponseWriter, r *http.Request, _ string) { h(w, r) }
-}
 
 // sessionRoute is one per-session path shape: its endpoint for each method
 // it serves (get also serves HEAD) and, for any other method, the Allow
@@ -673,7 +571,7 @@ type BurstRequest struct {
 
 // --- handlers ---
 
-func (s *Server) handleEnsembles(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleEnsembles(w http.ResponseWriter, _ *http.Request, _ string) {
 	var out []EnsembleInfo
 	for _, name := range []string{"msd", "ligo", "toy"} {
 		e, _ := workflow.ByName(name)
@@ -686,267 +584,141 @@ func (s *Server) handleEnsembles(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// buildSystem builds the emulated system (env.New) for an effective create
-// request. On failure it returns the error code the caller should report.
-func (s *Server) buildSystem(req CreateRequest) (*env.Env, ErrorCode, error) {
-	ens, ok := workflow.ByName(req.Ensemble)
-	if !ok {
-		return nil, CodeUnknownEnsemble, fmt.Errorf("unknown ensemble %q", req.Ensemble)
-	}
-	if req.TTLSeconds < 0 {
-		return nil, CodeBadSessionConfig,
-			fmt.Errorf("ttl_seconds must be non-negative, got %g", req.TTLSeconds)
-	}
-	if req.IdleTimeoutSeconds < 0 {
-		return nil, CodeBadSessionConfig,
-			fmt.Errorf("idle_timeout_seconds must be non-negative, got %g", req.IdleTimeoutSeconds)
-	}
-	e, err := env.New(env.Config{
-		Cluster:      cluster.Config{Ensemble: ens, Faults: req.Faults},
-		Seed:         req.Seed,
-		Rates:        req.Rates,
-		Budget:       req.Budget,
-		WindowSec:    req.WindowSec,
-		FailureAware: req.FailureAware,
-	})
-	if err != nil {
-		if req.Faults != nil && req.Faults.Validate(ens.NumTasks()) != nil {
-			return nil, CodeBadFaultPlan, err
+// withSession is every per-session endpoint after its decode: resolve id,
+// run act under the session lock, answer a non-nil result 200 as JSON (or
+// act writes its own), and any error (decodeErr first) from the table.
+func (s *Server) withSession(w http.ResponseWriter, r *http.Request, id, endpoint string,
+	decodeErr error, act func(*session) (any, error)) {
+	err := decodeErr
+	if err == nil {
+		var sess *session
+		if sess, err = s.lookup(r, id); err == nil {
+			sess.mu.Lock()
+			defer sess.mu.Unlock()
+			var v any
+			if v, err = act(sess); err == nil && v != nil {
+				writeJSON(w, http.StatusOK, v)
+			}
 		}
-		return nil, CodeBadSessionConfig, err
 	}
-	return e, "", nil
+	if err != nil {
+		fail(w, endpoint, err)
+	}
 }
 
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request, _ string) {
 	var req CreateRequest
-	if !decodeBody(w, r, &req) {
-		return
+	var sess *session
+	err := decodeBody(r, &req)
+	if err == nil {
+		sess, err = s.admit(s.mintID(), func() (*session, error) { return newSession(req) })
 	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	sess, code, err := s.admit(s.mintID(), func() (*session, ErrorCode, error) {
-		e, code, err := s.buildSystem(req)
-		return &session{env: e, create: req}, code, err
-	})
-	if err != nil {
-		status := http.StatusBadRequest
-		if code == CodeSessionLimit {
-			status = http.StatusTooManyRequests
-		}
-		writeError(w, status, code, err)
-		return
-	}
-	if s.durable && s.spillDir != "" {
-		if _, err := s.spill(sess, false); err != nil {
-			s.spillErrors.Inc()
+	if err == nil && s.durable && s.spillDir != "" {
+		if _, err = s.spill(sess, false); err != nil {
 			s.remove(sess.id, sess, "")
 			s.removeSpill(sess.id)
-			writeError(w, http.StatusInternalServerError, CodeInternal,
-				fmt.Errorf("spill session %q: %w", sess.id, err))
-			return
+			err = coded(CodeInternal, fmt.Errorf("spill session %q: %w", sess.id, err))
 		}
 	}
-	writeJSON(w, http.StatusCreated, sessionInfo(sess))
-}
-
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request, id string) {
-	sess, ok := s.lookup(w, r, id)
-	if !ok {
+	if err != nil {
+		fail(w, "create", err)
 		return
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, sessionInfo(sess))
+	writeJSON(w, http.StatusCreated, sess.Info())
 }
 
-// sessionInfo builds the wire view of a session. Callers hold the session
-// lock.
-func sessionInfo(sess *session) SessionInfo {
-	c := sess.env.Cluster()
-	v := c.FaultView()
-	return SessionInfo{
-		ID:                 sess.id,
-		Ensemble:           sess.create.Ensemble,
-		StateDim:           sess.env.StateDim(),
-		ActionDim:          sess.env.ActionDim(),
-		Budget:             sess.env.Budget(),
-		WindowSec:          sess.env.WindowSec(),
-		Windows:            sess.env.Window(),
-		TTLSeconds:         sess.ttl.Seconds(),
-		IdleTimeoutSeconds: sess.idle.Seconds(),
-		FailureAware:       sess.env.FailureAware(),
-		State:              sess.env.State(),
-		Consumers:          v.Consumers,
-		Crashed:            v.Crashed,
-		Redelivered:        v.Redelivered,
-		Dropped:            v.Dropped,
-		FaultSpecs:         c.FaultSpecs(),
-		ActiveFaults:       c.ActiveFaults(),
-		HasPolicy:          sess.policy != nil,
-		Degraded:           sess.fallback != nil,
-	}
+func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request, id string) {
+	s.withSession(w, r, id, "info", nil, func(sess *session) (any, error) { return sess.Info(), nil })
 }
 
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request, id string) {
 	key := r.Header.Get(IdempotencyKeyHeader)
-	if len(key) > maxIdempotencyKeyBytes {
-		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("%s is %d bytes, over the %d-byte limit", IdempotencyKeyHeader, len(key), maxIdempotencyKeyBytes))
-		return
-	}
 	var req StepRequest
-	if !decodeBody(w, r, &req) {
-		return
+	err := decodeBody(r, &req)
+	if len(key) > maxIdempotencyKeyBytes {
+		err = coded(CodeBadRequest, fmt.Errorf("%s is %d bytes, over the %d-byte limit",
+			IdempotencyKeyHeader, len(key), maxIdempotencyKeyBytes))
 	}
-	sess, ok := s.lookup(w, r, id)
-	if !ok {
-		return
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	// A repeat of the last step's key is a retry whose answer was lost:
-	// answer it again without stepping.
-	if key != "" && key == sess.lastKey {
-		writeRawJSON(w, http.StatusOK, sess.stepBuf)
-		return
-	}
-	// The session lock can be a queue under contention; if the client's
-	// deadline expired or its connection closed while waiting, abandon
-	// the step before doing the simulation work (under a deadline,
-	// serveBounded has already answered).
-	if err := r.Context().Err(); err != nil {
-		writeError(w, http.StatusGatewayTimeout, CodeDeadlineExceeded,
-			fmt.Errorf("the client gave up before the step ran"))
-		return
-	}
-	root := obs.SpanFromContext(r.Context())
-	alloc := req.Allocation
-	controller := ""
-	if alloc == nil {
-		decideSpan := root.Child("session.decide").Str("session", sess.id)
-		var err error
-		alloc, controller, err = sess.decideAuto(s.tracer)
-		decideSpan.Str("controller", controller).End()
-		if err != nil {
-			writeError(w, http.StatusConflict, CodeBadPolicy, err)
-			return
+	s.withSession(w, r, id, "step", err, func(sess *session) (any, error) {
+		body, err := sess.Step(r.Context(), req.Allocation, key)
+		if err == nil {
+			writeRawJSON(w, http.StatusOK, body)
 		}
-	}
-	stepSpan := root.Child("session.step").Str("session", sess.id).
-		Int("window", sess.env.Window())
-	res, err := sess.env.Step(alloc)
-	if err != nil {
-		stepSpan.Bool("error", true).End()
-		writeError(w, http.StatusUnprocessableEntity, CodeBadAllocation, err)
-		return
-	}
-	stepSpan.F64("reward", res.Reward).End()
-	sess.mutated()
-	sess.prev = res
-	sess.havePrev = true
-	s.windowsTotal.Inc()
-	sess.syncGauges()
-	sess.stepBuf, err = appendStepResponse(sess.stepBuf[:0], StepResponse{
-		State:          res.State,
-		Reward:         res.Reward,
-		Window:         res.Stats.Window,
-		Consumers:      res.Stats.Consumers,
-		ArrivalRate:    res.Stats.ArrivalRate,
-		CompletionRate: res.Stats.CompletionRate,
-		Utilization:    res.Stats.Utilization,
-		Completed:      len(res.Stats.Completions),
-		MeanDelaySec:   res.Stats.MeanDelay(),
-		Allocation:     alloc,
-		Controller:     controller,
+		return nil, err
 	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
-	}
-	sess.lastKey = key
-	writeRawJSON(w, http.StatusOK, sess.stepBuf)
 }
 
 func (s *Server) handleReset(w http.ResponseWriter, r *http.Request, id string) {
-	sess, ok := s.lookup(w, r, id)
-	if !ok {
-		return
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	state := sess.env.Reset()
-	sess.mutated()
-	sess.havePrev = false
-	if sess.fallback != nil {
-		sess.fallback.Reset()
-	}
-	sess.syncGauges()
-	writeJSON(w, http.StatusOK, map[string][]float64{"state": state})
+	s.withSession(w, r, id, "reset", nil, func(sess *session) (any, error) {
+		return map[string][]float64{"state": sess.Reset()}, nil
+	})
 }
 
 func (s *Server) handleBurst(w http.ResponseWriter, r *http.Request, id string) {
 	var req BurstRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	sess, ok := s.lookup(w, r, id)
-	if !ok {
-		return
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if err := sess.env.InjectBurst(req.Counts); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, CodeBadBurst, err)
-		return
-	}
-	sess.mutated()
-	sess.syncGauges()
-	writeJSON(w, http.StatusOK, map[string][]float64{"state": sess.env.State()})
+	s.withSession(w, r, id, "burst", decodeBody(r, &req), func(sess *session) (any, error) {
+		state, err := sess.Burst(req.Counts)
+		return map[string][]float64{"state": state}, err
+	})
 }
 
 func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request, id string) {
 	var plan faults.Plan
-	if !decodeBody(w, r, &plan) {
-		return
+	s.withSession(w, r, id, "faults", decodeBody(r, &plan), func(sess *session) (any, error) {
+		return sess.ArmFaults(plan)
+	})
+}
+
+func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request, id string) {
+	// Sizing the buffer from Content-Length (within the body cap) reads a
+	// multi-megabyte policy without a chain of growing copies.
+	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), s.maxBodyBytes)+bytes.MinRead))
+	var snap *rl.PolicySnapshot
+	_, err := body.ReadFrom(r.Body)
+	if err != nil {
+		err = bodyError(err)
+	} else if snap, err = s.policies.intern(body.Bytes()); err != nil {
+		err = coded(CodeBadRequest, err)
 	}
-	sess, ok := s.lookup(w, r, id)
-	if !ok {
-		return
+	s.withSession(w, r, id, "policy", err, func(sess *session) (any, error) {
+		return sess.AttachPolicy(snap)
+	})
+}
+
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, id string) {
+	s.withSession(w, r, id, "snapshot", nil, func(sess *session) (any, error) { return sess.Snapshot(), nil })
+}
+
+func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, id string) {
+	var in snapshotJSON
+	var snap SessionSnapshot
+	err := decodeBody(r, &in)
+	if err == nil {
+		snap, err = s.policies.snapshot(in)
 	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	if err := sess.env.ScheduleFaults(plan); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, CodeBadFaultPlan, err)
-		return
-	}
-	sess.mutated()
-	writeJSON(w, http.StatusOK, sessionInfo(sess))
+	s.withSession(w, r, id, "restore", err, func(sess *session) (any, error) {
+		span := obs.SpanFromContext(r.Context()).Child("session.restore").
+			Str("session", sess.id).Int("ops", len(snap.Ops))
+		defer span.End()
+		built, err := buildFromSnapshot(snap)
+		if err != nil {
+			return nil, err
+		}
+		return sess.Restore(built), nil
+	})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, id string) {
 	if !s.remove(id, nil, "") {
-		s.writeMiss(w, r, id)
+		fail(w, "delete", s.miss(r, id))
 		return
 	}
 	// A deleted session must stay deleted: drop any spilled snapshot so a
 	// later rehydrate (failover or restart) cannot resurrect it.
 	s.removeSpill(id)
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// syncGauges refreshes the session's env/cluster gauges from the emulated
-// system and adds the fault counts' growth since the last sync to the fault
-// counters. Called under the session lock after any state-changing endpoint.
-func (sess *session) syncGauges() {
-	c := sess.env.Cluster()
-	sess.wip.Set(c.TotalWIP())
-	sess.inflight.Set(float64(c.InFlight()))
-	injected, crashes := c.FaultCounts()
-	sess.faultsTotal.Add(injected - sess.syncedFaults)
-	sess.crashed.Add(crashes - sess.syncedCrashes)
-	sess.syncedFaults, sess.syncedCrashes = injected, crashes
 }
 
 // SessionCount returns the number of live sessions.

@@ -311,6 +311,48 @@ func TestRouterDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// TestRouterTimesItsOwnAnswers: the request-latency histogram observes the
+// answers the router gives itself, a malformed (400) and a spent (504)
+// X-Miras-Deadline-Ms, as it observes forwarded ones.
+func TestRouterTimesItsOwnAnswers(t *testing.T) {
+	rt, err := New([]string{"http://shard-0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func() string {
+		t.Helper()
+		var buf strings.Builder
+		if err := rt.Registry().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if n, ok := strings.CutPrefix(line, "miras_router_request_duration_seconds_count "); ok {
+				return n
+			}
+		}
+		t.Fatalf("no request-duration count in:\n%s", buf.String())
+		return ""
+	}
+	if n := count(); n != "0" {
+		t.Fatalf("count %s before any request, want 0", n)
+	}
+	for _, tc := range []struct {
+		deadline string
+		status   int
+	}{{"abc", http.StatusBadRequest}, {"0", http.StatusGatewayTimeout}} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/sessions/s1", nil)
+		req.Header.Set(httpapi.DeadlineHeader, tc.deadline)
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, req)
+		if rec.Code != tc.status {
+			t.Fatalf("deadline %q: status %d, want %d", tc.deadline, rec.Code, tc.status)
+		}
+	}
+	if n := count(); n != "2" {
+		t.Fatalf("count %s after two refused requests, want 2", n)
+	}
+}
+
 // TestRouterRetriesRespectDeadline: against a permanently dead shard, a
 // generous retry budget must still collapse to the caller's deadline —
 // the loop stops backing off once the budget cannot cover the next wait.

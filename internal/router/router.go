@@ -185,7 +185,7 @@ func New(shards []string, opts ...Option) (*Router, error) {
 	rt.failoverTotal = rt.reg.Counter("miras_router_failover_total",
 		"Shard failovers executed: a dead member's spilled sessions rehydrated on a fallback and its ids re-routed.")
 	rt.duration = rt.reg.Histogram("miras_router_request_duration_seconds",
-		"End-to-end forwarded request latency.", nil)
+		"End-to-end latency of requests the router forwards, answers it gives itself included.", nil)
 	return rt, nil
 }
 
@@ -213,14 +213,6 @@ func (rt *Router) Handler() http.Handler {
 	})
 }
 
-func writeError(w http.ResponseWriter, status int, code httpapi.ErrorCode, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(httpapi.ErrorEnvelope{
-		Error: httpapi.ErrorDetail{Code: code, Message: err.Error()},
-	})
-}
-
 // proxy forwards the request to the member serving id, preserving method,
 // path, query, body, and headers both ways. id is the routing key: a
 // session id, or "" for a request any member can answer (the ensemble
@@ -236,6 +228,7 @@ func writeError(w http.ResponseWriter, status int, code httpapi.ErrorCode, err e
 // upstream_unreachable.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id, op string) {
 	start := time.Now()
+	defer func() { rt.duration.Observe(time.Since(start).Seconds()) }()
 	// Buffer the body so retries and failover re-routes can resend it. The
 	// shard-side body cap (64 MiB) bounds what a well-behaved client sends.
 	// A small body of known length is read into a slice of exactly that
@@ -252,7 +245,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id, op string) {
 			b, err = io.ReadAll(r.Body)
 		}
 		if err != nil {
-			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
+			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
 				fmt.Errorf("read request body: %v", err))
 			return
 		}
@@ -339,7 +332,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id, op string) {
 		if err != nil {
 			cancel()
 			br.abort(trial)
-			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
+			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest, err)
 			return
 		}
 		if dl, ok := ctx.Deadline(); ok {
@@ -396,22 +389,21 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, id, op string) {
 		_, _ = io.Copy(w, resp.Body)
 		resp.Body.Close()
 		cancel()
-		rt.duration.Observe(time.Since(start).Seconds())
 		return
 	}
 
 	switch {
 	case ctx.Err() == context.DeadlineExceeded:
-		writeError(w, http.StatusGatewayTimeout, httpapi.CodeDeadlineExceeded,
+		httpapi.WriteError(w, http.StatusGatewayTimeout, httpapi.CodeDeadlineExceeded,
 			fmt.Errorf("request deadline exceeded after %d attempt(s): %v", lastAttempt+1, lastErr))
 	case breakerHit != "":
 		// Fail fast, but tell the client when it is worth coming back.
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int((rt.res.BreakerCooldown+time.Second-1)/time.Second)))
-		writeError(w, http.StatusServiceUnavailable, httpapi.CodeUpstreamDegraded,
+		httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.CodeUpstreamDegraded,
 			fmt.Errorf("shard %s degraded: circuit breaker open", breakerHit))
 	default:
-		writeError(w, http.StatusBadGateway, httpapi.CodeUpstreamUnreachable, lastErr)
+		httpapi.WriteError(w, http.StatusBadGateway, httpapi.CodeUpstreamUnreachable, lastErr)
 	}
 }
 
@@ -473,7 +465,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
+			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
 				fmt.Errorf("limit must be a positive integer, got %q", raw))
 			return
 		}
@@ -521,7 +513,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	truncated := false
 	for _, p := range pages {
 		if p.err != nil {
-			writeError(w, http.StatusBadGateway, httpapi.CodeUpstreamUnreachable, p.err)
+			httpapi.WriteError(w, http.StatusBadGateway, httpapi.CodeUpstreamUnreachable, p.err)
 			return
 		}
 		merged = append(merged, p.page.Sessions...)
