@@ -62,7 +62,6 @@ func train(fs *flag.FlagSet) body {
 	savePolicy := fs.String("save-policy", "", "optional path to save the trained policy snapshot (JSON)")
 	profileDir := fs.String("profile-dir", "", "directory for anomaly-triggered pprof captures (empty disables)")
 	checkpointDir := fs.String("checkpoint-dir", "", "directory for per-iteration training checkpoints (empty disables)")
-	checkpointKeep := fs.Int("checkpoint-keep", 0, "checkpoint files to retain (0 keeps the store default)")
 	resume := fs.Bool("resume", false, "continue from the newest checkpoint in -checkpoint-dir")
 	return func(c *common, w io.Writer) error {
 		s, err := c.setup(c.ensemble)
@@ -70,7 +69,7 @@ func train(fs *flag.FlagSet) body {
 			return err
 		}
 		if *profileDir != "" {
-			prof, err := obs.NewProfileCapturer(obs.ProfileConfig{Dir: *profileDir})
+			prof, err := obs.NewProfileCapturer(*profileDir)
 			if err != nil {
 				return err
 			}
@@ -85,7 +84,6 @@ func train(fs *flag.FlagSet) body {
 		defer cancelSignals()
 		res, err := experiments.TrainingTraceOpts(s, experiments.TrainOptions{
 			CheckpointDir: *checkpointDir,
-			Keep:          *checkpointKeep,
 			Resume:        *resume,
 			Stop:          func() bool { return ctx.Err() != nil },
 		})

@@ -193,7 +193,7 @@ func serve(fs *flag.FlagSet) func(io.Writer) error {
 		}()
 		var prof *obs.ProfileCapturer
 		if *profileDir != "" {
-			if prof, err = obs.NewProfileCapturer(obs.ProfileConfig{Dir: *profileDir}); err != nil {
+			if prof, err = obs.NewProfileCapturer(*profileDir); err != nil {
 				return err
 			}
 		}

@@ -94,27 +94,26 @@ type header struct {
 	CRC32   uint32 `json:"crc32"`
 }
 
+// keep is how many checkpoints a Store retains: LoadLatest needs only the
+// newest intact one, and the older two are its fallbacks.
+const keep = 3
+
 // Store manages a directory of versioned checkpoints. Sequence numbers are
 // caller-assigned and monotonically increasing (the training loop uses the
-// outer-iteration index); Save prunes old files beyond Keep.
+// outer-iteration index); Save prunes old files beyond the newest keep.
 type Store struct {
-	dir  string
-	keep int
+	dir string
 }
 
-// NewStore opens (creating if needed) a checkpoint directory keeping the
-// newest keep snapshots (keep <= 0 means 3).
-func NewStore(dir string, keep int) (*Store, error) {
+// NewStore opens (creating if needed) a checkpoint directory.
+func NewStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("checkpoint: empty directory")
-	}
-	if keep <= 0 {
-		keep = 3
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: create dir: %w", err)
 	}
-	return &Store{dir: dir, keep: keep}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's directory.
@@ -126,7 +125,7 @@ func (s *Store) path(seq int) string {
 }
 
 // Save marshals payload as JSON and writes checkpoint seq atomically, then
-// prunes snapshots older than the newest Keep.
+// prunes snapshots older than the newest keep.
 func (s *Store) Save(seq int, payload any) error {
 	if seq < 0 {
 		return fmt.Errorf("checkpoint: negative sequence %d", seq)
@@ -177,7 +176,7 @@ func (s *Store) seqs() []int {
 // prune removes all but the newest keep checkpoints.
 func (s *Store) prune() {
 	seqs := s.seqs()
-	for len(seqs) > s.keep {
+	for len(seqs) > keep {
 		os.Remove(s.path(seqs[0]))
 		seqs = seqs[1:]
 	}

@@ -47,7 +47,7 @@ func TestWriteFileAtomic(t *testing.T) {
 }
 
 func TestStoreSaveLoadRoundTrip(t *testing.T) {
-	st, err := NewStore(t.TempDir(), 3)
+	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestStorePrune(t *testing.T) {
-	st, err := NewStore(t.TempDir(), 2)
+	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestStorePrune(t *testing.T) {
 		}
 	}
 	seqs := st.seqs()
-	if len(seqs) != 2 || seqs[0] != 3 || seqs[1] != 4 {
-		t.Fatalf("after prune seqs = %v, want [3 4]", seqs)
+	if len(seqs) != 3 || seqs[0] != 2 || seqs[2] != 4 {
+		t.Fatalf("after prune seqs = %v, want [2 3 4]", seqs)
 	}
 }
 
 func TestLoadLatestEmptyDir(t *testing.T) {
-	st, err := NewStore(t.TempDir(), 3)
+	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLoadLatestEmptyDir(t *testing.T) {
 // previous intact checkpoint when one exists.
 func TestCrashMidWrite(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore(dir, 3)
+	st, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCrashMidWrite(t *testing.T) {
 // TestAllCorrupt verifies that when every checkpoint is damaged the store
 // reports an error describing the corruption instead of ErrNoCheckpoint.
 func TestAllCorrupt(t *testing.T) {
-	st, err := NewStore(t.TempDir(), 3)
+	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ type taggedPayload struct {
 // its CRC but fails to decode must not leave the fields it had already
 // decoded (here the omitempty tag) in the older checkpoint returned.
 func TestLoadLatestDiscardsRejectedCandidate(t *testing.T) {
-	st, err := NewStore(t.TempDir(), 3)
+	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

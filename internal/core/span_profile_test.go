@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"miras/internal/env"
 	"miras/internal/obs"
@@ -32,7 +31,7 @@ func newSpannedToyEnv(t *testing.T, seed int64, tracer *obs.Tracer) *env.Env {
 // capture on disk, named for the divergence_rollback trigger.
 func TestTrainRollbackTriggersProfile(t *testing.T) {
 	dir := t.TempDir()
-	prof, err := obs.NewProfileCapturer(obs.ProfileConfig{Dir: dir, MinInterval: time.Hour})
+	prof, err := obs.NewProfileCapturer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,37 +124,8 @@ type Normalizer struct {
 	Std  []float64
 }
 
-// FitNormalizer estimates per-coordinate mean and standard deviation from
-// rows. Coordinates with (near-)zero variance get Std 1 so Apply stays
-// finite.
-func FitNormalizer(rows [][]float64) *Normalizer {
-	if len(rows) == 0 {
-		panic("envmodel: fitting normalizer on empty data")
-	}
-	dim := len(rows[0])
-	n := &Normalizer{Mean: make([]float64, dim), Std: make([]float64, dim)}
-	for _, r := range rows {
-		if len(r) != dim {
-			panic("envmodel: ragged rows in FitNormalizer")
-		}
-		for j, v := range r {
-			n.Mean[j] += v
-		}
-	}
-	inv := 1 / float64(len(rows))
-	mat.VecScale(n.Mean, inv)
-	for _, r := range rows {
-		for j, v := range r {
-			d := v - n.Mean[j]
-			n.Std[j] += d * d
-		}
-	}
-	for j := range n.Std {
-		n.Std[j] = sqrtOr1(n.Std[j] * inv)
-	}
-	return n
-}
-
+// sqrtOr1 is the standard deviation for variance v, or 1 where v is
+// (near) zero, so a constant coordinate keeps Apply finite.
 func sqrtOr1(v float64) float64 {
 	const eps = 1e-8
 	if v < eps {

@@ -245,11 +245,11 @@ func (m *Model) targetTo(dst []float64, t Transition) {
 	}
 }
 
-// fitNormalizers refits inNorm/outNorm on the full dataset without
-// materialising a per-row copy of it. The accumulation order (transitions
-// ascending, dimensions left to right, mean pass then deviation pass) is
-// exactly FitNormalizer's, so the statistics are bit-identical to fitting
-// on explicit rows. The statistics are accumulated into the model's
+// fitNormalizers refits inNorm/outNorm, the per-coordinate mean and
+// standard deviation of the inputs (state, action) and of the targets (the
+// state delta), on the full dataset without materialising a per-row copy
+// of it: transitions ascending, dimensions left to right, a mean pass then
+// a deviation pass. The statistics are accumulated into the model's
 // persistent fitIn/fitOut storage (zeroed first), so refits allocate
 // nothing.
 func (m *Model) fitNormalizers(d *Dataset) {

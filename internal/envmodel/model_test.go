@@ -90,58 +90,94 @@ func TestDatasetSampleStateFromStored(t *testing.T) {
 	}
 }
 
-func TestNormalizerRoundTrip(t *testing.T) {
-	rows := [][]float64{{1, 10}, {3, 30}, {5, 50}}
-	n := FitNormalizer(rows)
-	if math.Abs(n.Mean[0]-3) > 1e-12 || math.Abs(n.Mean[1]-30) > 1e-12 {
-		t.Fatalf("mean=%v", n.Mean)
+// fitNormalizersOn fits a fresh model's normalizers on d, as Fit does
+// before its first epoch.
+func fitNormalizersOn(t *testing.T, d *Dataset) *Model {
+	t.Helper()
+	m, err := New(Config{StateDim: d.StateDim(), ActionDim: d.ActionDim(), Hidden: []int{4}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	x := []float64{4, 20}
-	normed := make([]float64, 2)
-	n.Apply(normed, x)
-	back := make([]float64, 2)
-	n.Invert(back, normed)
-	for i := range x {
-		if math.Abs(back[i]-x[i]) > 1e-9 {
-			t.Fatalf("round trip %v → %v", x, back)
+	m.fitNormalizers(d)
+	return m
+}
+
+func TestNormalizerRoundTrip(t *testing.T) {
+	d := NewDataset(1, 1)
+	d.Add([]float64{1}, []float64{10}, []float64{2})
+	d.Add([]float64{3}, []float64{30}, []float64{7})
+	d.Add([]float64{5}, []float64{50}, []float64{12})
+	m := fitNormalizersOn(t, d)
+	// Inputs are (state, action); targets are the deltas 1, 4, 7.
+	in, out := m.inNorm, m.outNorm
+	if math.Abs(in.Mean[0]-3) > 1e-12 || math.Abs(in.Mean[1]-30) > 1e-12 || math.Abs(out.Mean[0]-4) > 1e-12 {
+		t.Fatalf("means in=%v out=%v", in.Mean, out.Mean)
+	}
+	if math.Abs(in.Std[0]-math.Sqrt(8.0/3)) > 1e-12 || math.Abs(out.Std[0]-math.Sqrt(6)) > 1e-12 {
+		t.Fatalf("stds in=%v out=%v", in.Std, out.Std)
+	}
+	for _, c := range []struct {
+		n *Normalizer
+		x []float64
+	}{{in, []float64{4, 20}}, {out, []float64{-2}}} {
+		normed := make([]float64, len(c.x))
+		c.n.Apply(normed, c.x)
+		back := make([]float64, len(c.x))
+		c.n.Invert(back, normed)
+		for i := range c.x {
+			if math.Abs(back[i]-c.x[i]) > 1e-9 {
+				t.Fatalf("round trip %v → %v", c.x, back)
+			}
 		}
 	}
 }
 
 func TestNormalizerConstantColumn(t *testing.T) {
-	rows := [][]float64{{5}, {5}, {5}}
-	n := FitNormalizer(rows)
-	out := make([]float64, 1)
-	n.Apply(out, []float64{5})
-	if math.IsNaN(out[0]) || math.IsInf(out[0], 0) {
-		t.Fatalf("constant column produced %v", out)
+	d := NewDataset(1, 1)
+	for _, a := range []float64{1, 2, 3} {
+		d.Add([]float64{5}, []float64{a}, []float64{5})
+	}
+	m := fitNormalizersOn(t, d)
+	// The constant state column and the all-zero deltas get Std 1; the
+	// varying action column keeps its own.
+	if m.inNorm.Std[0] != 1 || m.outNorm.Std[0] != 1 || math.Abs(m.inNorm.Std[1]-math.Sqrt(2.0/3)) > 1e-12 {
+		t.Fatalf("stds in=%v out=%v", m.inNorm.Std, m.outNorm.Std)
+	}
+	got := make([]float64, 2)
+	m.inNorm.Apply(got, []float64{5, 2})
+	if got[0] != 0 || got[1] != 0 {
+		t.Fatalf("constant column normalised to %v, want [0 0]", got)
 	}
 }
 
-// Property: Apply then Invert is identity for any data.
+// Property: Apply then Invert is identity for any data, on both fitted
+// normalizers.
 func TestNormalizerInverseProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		dim := 1 + rng.Intn(6)
-		rows := make([][]float64, 3+rng.Intn(20))
-		for i := range rows {
-			rows[i] = make([]float64, dim)
-			for j := range rows[i] {
-				rows[i][j] = rng.NormFloat64() * 100
+		stateDim, actionDim := 1+rng.Intn(4), 1+rng.Intn(3)
+		d := NewDataset(stateDim, actionDim)
+		draw := func(n int) []float64 {
+			v := make([]float64, n)
+			for j := range v {
+				v[j] = rng.NormFloat64() * 100
 			}
+			return v
 		}
-		n := FitNormalizer(rows)
-		x := make([]float64, dim)
-		for j := range x {
-			x[j] = rng.NormFloat64() * 100
+		for i := 3 + rng.Intn(20); i > 0; i-- {
+			d.Add(draw(stateDim), draw(actionDim), draw(stateDim))
 		}
-		tmp := make([]float64, dim)
-		back := make([]float64, dim)
-		n.Apply(tmp, x)
-		n.Invert(back, tmp)
-		for j := range x {
-			if math.Abs(back[j]-x[j]) > 1e-6 {
-				return false
+		m := fitNormalizersOn(t, d)
+		for _, n := range []*Normalizer{m.inNorm, m.outNorm} {
+			x := draw(n.Dim())
+			tmp := make([]float64, len(x))
+			back := make([]float64, len(x))
+			n.Apply(tmp, x)
+			n.Invert(back, tmp)
+			for j := range x {
+				if math.Abs(back[j]-x[j]) > 1e-6 {
+					return false
+				}
 			}
 		}
 		return true

@@ -6,7 +6,6 @@ import (
 	"miras/internal/baselines"
 	"miras/internal/core"
 	"miras/internal/env"
-	"miras/internal/envmodel"
 	"miras/internal/metrics"
 	"miras/internal/rl"
 	"miras/internal/trace"
@@ -334,75 +333,4 @@ func Chaos(s Setup, algorithms []string, trained *Trained, killEverySec float64)
 	}
 	c.Table.Title = fmt.Sprintf("chaos-%s", s.EnsembleName)
 	return c, nil
-}
-
-// EnsembleModelResult compares the single environment model against a
-// K-member ensemble (the Nagandi-style variance-reduction extension) on
-// the Fig. 5 protocol: one-step and iterative RMSE on a held-out trace.
-type EnsembleModelResult struct {
-	// Members is the ensemble size compared against 1.
-	Members int
-	// SingleOneStep/SingleIter are the single model's RMSEs.
-	SingleOneStep, SingleIter float64
-	// EnsembleOneStep/EnsembleIter are the ensemble's RMSEs.
-	EnsembleOneStep, EnsembleIter float64
-	// MeanDisagreementTest is the ensemble's mean prediction disagreement
-	// over the test trace (epistemic-uncertainty signal).
-	MeanDisagreementTest float64
-}
-
-// EnsembleModelAblation trains both predictors on the same dataset and
-// evaluates both on the same held-out trace.
-func EnsembleModelAblation(s Setup, members int) (*EnsembleModelResult, error) {
-	if members < 2 {
-		return nil, fmt.Errorf("experiments: ensemble needs ≥2 members, got %d", members)
-	}
-	h, err := BuildHarness(s, 1100)
-	if err != nil {
-		return nil, err
-	}
-	rng := h.Streams.Stream("experiments/ensemble-ablation")
-	dataset := envmodel.NewDataset(h.Env.StateDim(), h.Env.StateDim())
-	hook := trainBurstHook(s, h)
-	if err := collectRandom(h.Env, dataset, rng, s.CollectSteps, s.ResetEvery, hook); err != nil {
-		return nil, err
-	}
-	cfg := envmodel.Config{
-		StateDim:  h.Env.StateDim(),
-		ActionDim: h.Env.StateDim(),
-		Hidden:    s.ModelHidden,
-		Seed:      s.Seed + 41,
-	}
-	single, err := envmodel.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := single.Fit(dataset, s.ModelEpochs); err != nil {
-		return nil, err
-	}
-	ens, err := envmodel.NewEnsemble(cfg, members)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := ens.Fit(dataset, s.ModelEpochs); err != nil {
-		return nil, err
-	}
-
-	states, actions, err := collectTestTrace(h.Env, rng, s.TestPoints, s.ActionHold)
-	if err != nil {
-		return nil, err
-	}
-	res := &EnsembleModelResult{Members: members}
-	if res.SingleOneStep, res.SingleIter, err = predictionRMSE(single, states, actions); err != nil {
-		return nil, err
-	}
-	if res.EnsembleOneStep, res.EnsembleIter, err = predictionRMSE(ens, states, actions); err != nil {
-		return nil, err
-	}
-	var disagreement float64
-	for k := range actions {
-		disagreement += ens.Disagreement(states[k], actions[k])
-	}
-	res.MeanDisagreementTest = disagreement / float64(len(actions))
-	return res, nil
 }

@@ -583,33 +583,6 @@ func TestComparePerWorkflowTables(t *testing.T) {
 	}
 }
 
-func TestEnsembleModelAblation(t *testing.T) {
-	s := microSetup(t, "msd")
-	res, err := EnsembleModelAblation(s, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Members != 2 {
-		t.Fatalf("members=%d", res.Members)
-	}
-	for name, v := range map[string]float64{
-		"single one-step":   res.SingleOneStep,
-		"single iter":       res.SingleIter,
-		"ensemble one-step": res.EnsembleOneStep,
-		"ensemble iter":     res.EnsembleIter,
-	} {
-		if v < 0 {
-			t.Fatalf("%s RMSE negative", name)
-		}
-	}
-	if res.MeanDisagreementTest < 0 {
-		t.Fatal("negative disagreement")
-	}
-	if _, err := EnsembleModelAblation(s, 1); err == nil {
-		t.Fatal("expected error for single-member ensemble")
-	}
-}
-
 // TestCompareDeterministic: the whole comparison pipeline must reproduce
 // identical numbers for identical setups — the repository's headline
 // reproducibility guarantee.

@@ -16,9 +16,6 @@ type TrainOptions struct {
 	// CheckpointDir, when non-empty, enables a checkpoint store there and
 	// writes one full-training-state checkpoint per outer iteration.
 	CheckpointDir string
-	// Keep bounds how many checkpoint files are retained (0 → store
-	// default of 3).
-	Keep int
 	// Resume loads the newest valid checkpoint from CheckpointDir before
 	// training and continues from it; an empty directory starts fresh.
 	Resume bool
@@ -84,7 +81,7 @@ func TrainingTraceOpts(s Setup, opts TrainOptions) (*TrainingResult, error) {
 	digest := setupDigest(s)
 	var store *checkpoint.Store
 	if opts.CheckpointDir != "" {
-		store, err = checkpoint.NewStore(opts.CheckpointDir, opts.Keep)
+		store, err = checkpoint.NewStore(opts.CheckpointDir)
 		if err != nil {
 			return nil, err
 		}

@@ -54,7 +54,7 @@ func TestTrainingTraceResumeEquivalence(t *testing.T) {
 	if !errors.Is(err, core.ErrStopped) {
 		t.Fatalf("interrupted run returned %v, want ErrStopped", err)
 	}
-	store, err := checkpoint.NewStore(dir, 0)
+	store, err := checkpoint.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,6 @@ import (
 	"miras/internal/checkpoint"
 )
 
-// spillKeep is how many spill checkpoints each session's store retains;
-// eviction writes one per eviction, so history beyond the latest only
-// matters for forensics.
-const spillKeep = 3
-
 // SessionSummary is one row of GET /v1/sessions: lifecycle at a glance,
 // without the full state vector.
 type SessionSummary struct {
@@ -142,7 +137,7 @@ func (s *Server) spill(sess *session, dirtyOnly bool) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	st, err := checkpoint.NewStore(filepath.Join(s.spillDir, sess.id), spillKeep)
+	st, err := checkpoint.NewStore(filepath.Join(s.spillDir, sess.id))
 	if err == nil {
 		err = st.Save(int(s.spillSeq.Add(1)), snap)
 	}
@@ -234,7 +229,7 @@ func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request, _ strin
 	}
 	var req RehydrateRequest
 	if body, err := io.ReadAll(r.Body); err != nil {
-		fail(w, "rehydrate", coded(CodeBadRequest, fmt.Errorf("rehydrate: read body: %w", err)))
+		fail(w, "rehydrate", bodyError(fmt.Errorf("rehydrate: read body: %w", err)))
 		return
 	} else if len(bytes.TrimSpace(body)) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -287,7 +282,7 @@ func (s *Server) handleRehydrate(w http.ResponseWriter, r *http.Request, _ strin
 // session's current state, its crash copy until the next SpillAll.
 func (s *Server) rehydrateOne(id string) error {
 	dir := filepath.Join(s.spillDir, id)
-	st, err := checkpoint.NewStore(dir, spillKeep)
+	st, err := checkpoint.NewStore(dir)
 	if err != nil {
 		return err
 	}

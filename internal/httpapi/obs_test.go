@@ -8,7 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"miras/internal/obs"
 )
@@ -193,7 +192,7 @@ func TestDeleteCleansUpObservability(t *testing.T) {
 // disk — the serving twin of the training-side divergence_rollback test.
 func TestFallbackTriggersProfile(t *testing.T) {
 	dir := t.TempDir()
-	prof, err := obs.NewProfileCapturer(obs.ProfileConfig{Dir: dir, MinInterval: time.Hour})
+	prof, err := obs.NewProfileCapturer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,7 +187,7 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 }
 
 func TestBodyLimit(t *testing.T) {
-	srv := NewServer()
+	srv := NewServer(WithSpillDir(t.TempDir()))
 	srv.maxBodyBytes = 64 // the 64 MiB production cap, shrunk to test cheaply
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -208,6 +208,12 @@ func TestBodyLimit(t *testing.T) {
 	status, body = c.rawDo("POST", "/v1/sessions/"+sess.ID+"/policy", big)
 	if status != http.StatusRequestEntityTooLarge || body != want {
 		t.Fatalf("oversized policy body: status %d envelope %q, want 413 %q", status, body, want)
+	}
+	// So does the rehydrate request, which also reads its body whole.
+	takeOver := fmt.Sprintf(`{"take_over":[%s"x"]}`, strings.Repeat(`"x",`, 16))
+	status, body = c.rawDo("POST", "/v1/admin/rehydrate", takeOver)
+	if status != http.StatusRequestEntityTooLarge || body != want {
+		t.Fatalf("oversized rehydrate body: status %d envelope %q, want 413 %q", status, body, want)
 	}
 }
 

@@ -120,7 +120,7 @@ func TestSnapshotFixtureRestoresByteIdentical(t *testing.T) {
 	}
 
 	// The same bytes as a spill file, as the previous server wrote them.
-	st, err := checkpoint.NewStore(filepath.Join(dir, "spilled"), spillKeep)
+	st, err := checkpoint.NewStore(filepath.Join(dir, "spilled"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,19 +215,14 @@ func Run(cfg Config) (Result, error) {
 	// connection: close them all, so the target can drain at once.
 	defer client.CloseIdleConnections()
 
-	// Population setup (unmeasured).
+	// Population setup (unmeasured). The cleanup is armed first, so a
+	// create that fails partway still deletes the sessions made before it.
 	ids := make([]string, cfg.Sessions)
-	var actionDim int
-	for i := range ids {
-		info, err := createSession(client, cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("create session %d: %w", i, err)
-		}
-		ids[i] = info.ID
-		actionDim = info.ActionDim
-	}
 	defer func() {
 		for _, id := range ids {
+			if id == "" {
+				continue
+			}
 			req, err := http.NewRequest("DELETE", cfg.Target+"/v1/sessions/"+id, nil)
 			if err != nil {
 				continue
@@ -238,6 +233,15 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 	}()
+	var actionDim int
+	for i := range ids {
+		info, err := createSession(client, cfg)
+		if err != nil {
+			return Result{}, fmt.Errorf("create session %d: %w", i, err)
+		}
+		ids[i] = info.ID
+		actionDim = info.ActionDim
+	}
 
 	// One step body serves every step: the budget spread evenly over the
 	// action vector.

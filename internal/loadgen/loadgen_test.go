@@ -110,6 +110,20 @@ func TestConfigRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestRunCleansUpAfterFailedCreate: a create refused partway (the third
+// session on a server capped at two) fails the run, and the sessions made
+// before it are deleted, not left on the target.
+func TestRunCleansUpAfterFailedCreate(t *testing.T) {
+	srv := httpapi.NewServer(httpapi.WithMaxSessions(2))
+	_, err := Run(Config{Transport: NewHandlerTransport(srv.Handler()), Requests: 10, Sessions: 3})
+	if err == nil || !strings.Contains(err.Error(), "create session 2") {
+		t.Fatalf("err = %v, want the third create to fail", err)
+	}
+	if n := srv.SessionCount(); n != 0 {
+		t.Fatalf("%d sessions left after the failed run", n)
+	}
+}
+
 func TestRunAgainstServer(t *testing.T) {
 	ts := httptest.NewServer(httpapi.NewServer(httpapi.WithMaxSessions(64)).Handler())
 	defer ts.Close()

@@ -17,26 +17,6 @@ func VecClone(x []float64) []float64 {
 	return out
 }
 
-// VecAdd returns x + y as a fresh slice.
-func VecAdd(x, y []float64) []float64 {
-	checkSameLen("VecAdd", x, y)
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
-	}
-	return out
-}
-
-// VecSub returns x − y as a fresh slice.
-func VecSub(x, y []float64) []float64 {
-	checkSameLen("VecSub", x, y)
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] - y[i]
-	}
-	return out
-}
-
 // VecAddScaled adds s*y to x in place.
 func VecAddScaled(x, y []float64, s float64) {
 	checkSameLen("VecAddScaled", x, y)

@@ -11,12 +11,6 @@ import (
 func TestVecBasicOps(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}
-	if got := VecAdd(x, y); got[0] != 5 || got[2] != 9 {
-		t.Fatalf("VecAdd=%v", got)
-	}
-	if got := VecSub(y, x); got[0] != 3 || got[2] != 3 {
-		t.Fatalf("VecSub=%v", got)
-	}
 	if got := VecDot(x, y); got != 32 {
 		t.Fatalf("VecDot=%g, want 32", got)
 	}
@@ -189,8 +183,6 @@ func TestVecStdKnownValue(t *testing.T) {
 
 func TestLengthMismatchPanics(t *testing.T) {
 	funcs := map[string]func(){
-		"VecAdd":  func() { VecAdd([]float64{1}, []float64{1, 2}) },
-		"VecSub":  func() { VecSub([]float64{1}, []float64{1, 2}) },
 		"VecDot":  func() { VecDot([]float64{1}, []float64{1, 2}) },
 		"VecDist": func() { VecDist([]float64{1}, []float64{1, 2}) },
 		"Softmax": func() { Softmax(make([]float64, 1), []float64{1, 2}) },

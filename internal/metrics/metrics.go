@@ -51,21 +51,6 @@ func RMSE(a, b []float64) (float64, error) {
 	return math.Sqrt(sum / float64(len(a))), nil
 }
 
-// MAE returns the mean absolute error between two equal-length series.
-func MAE(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("metrics: MAE over series of length %d and %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, nil
-	}
-	var sum float64
-	for i := range a {
-		sum += math.Abs(a[i] - b[i])
-	}
-	return sum / float64(len(a)), nil
-}
-
 // AUC returns the sum of the series — for response-time traces, lower
 // total area means faster burst recovery, the headline comparison of
 // Figs. 7–8.

@@ -20,23 +20,21 @@ import (
 	"time"
 )
 
-// ProfileConfig configures a ProfileCapturer.
-type ProfileConfig struct {
-	// Dir is the directory captures are written into (created if missing).
-	Dir string
-	// MinInterval is the minimum gap between captures; triggers arriving
-	// sooner are dropped (counted in Dropped). Default 30s.
-	MinInterval time.Duration
-	// MaxDirBytes caps the total size of capture files in Dir; the oldest
-	// captures are deleted to make room. Default 32 MiB.
-	MaxDirBytes int64
-}
+// A capturer takes at most one capture per profileMinInterval (triggers
+// arriving sooner are dropped, counted in Dropped) and deletes the oldest
+// captures once those in its directory exceed profileMaxDirBytes.
+const (
+	profileMinInterval = 30 * time.Second
+	profileMaxDirBytes = 32 << 20
+)
 
 // ProfileCapturer writes rate-limited pprof captures on anomaly triggers.
 // All methods are safe on a nil receiver and safe for concurrent use.
 type ProfileCapturer struct {
-	cfg ProfileConfig
-	now func() time.Time // injectable for rate-limit tests
+	dir string
+	// maxDirBytes is profileMaxDirBytes; the size-cap test shrinks it.
+	maxDirBytes int64
+	now         func() time.Time // injectable for rate-limit tests
 
 	mu       sync.Mutex
 	last     time.Time
@@ -45,23 +43,21 @@ type ProfileCapturer struct {
 	dropped  uint64
 }
 
-// NewProfileCapturer returns a capturer writing into cfg.Dir, creating the
+// NewProfileCapturer returns a capturer writing into dir, creating the
 // directory eagerly so a misconfigured path fails at startup, not at the
 // first incident.
-func NewProfileCapturer(cfg ProfileConfig) (*ProfileCapturer, error) {
-	if cfg.Dir == "" {
+func NewProfileCapturer(dir string) (*ProfileCapturer, error) {
+	if dir == "" {
 		return nil, fmt.Errorf("obs: profile dir is empty")
 	}
-	if cfg.MinInterval <= 0 {
-		cfg.MinInterval = 30 * time.Second
-	}
-	if cfg.MaxDirBytes <= 0 {
-		cfg.MaxDirBytes = 32 << 20
-	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obs: profile dir: %w", err)
 	}
-	return &ProfileCapturer{cfg: cfg, now: time.Now}, nil
+	return &ProfileCapturer{
+		dir:         dir,
+		maxDirBytes: profileMaxDirBytes,
+		now:         time.Now,
+	}, nil
 }
 
 // setNow swaps the clock used for rate limiting and file naming (tests).
@@ -97,7 +93,7 @@ func (p *ProfileCapturer) capture(reason string, rec *Recorder) bool {
 	}
 	p.mu.Lock()
 	now := p.now()
-	if !p.last.IsZero() && now.Sub(p.last) < p.cfg.MinInterval {
+	if !p.last.IsZero() && now.Sub(p.last) < profileMinInterval {
 		p.dropped++
 		p.mu.Unlock()
 		return false
@@ -109,7 +105,7 @@ func (p *ProfileCapturer) capture(reason string, rec *Recorder) bool {
 	p.mu.Unlock()
 
 	base := fmt.Sprintf("%s-%04d-%s", now.UTC().Format("20060102T150405"), seq, sanitizeReason(reason))
-	heapPath := filepath.Join(p.cfg.Dir, base+".heap.pprof")
+	heapPath := filepath.Join(p.dir, base+".heap.pprof")
 	heapErr := p.writeHeap(heapPath)
 	p.enforceCap()
 
@@ -139,7 +135,7 @@ func (p *ProfileCapturer) writeHeap(path string) error {
 func (p *ProfileCapturer) enforceCap() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	entries, err := os.ReadDir(p.cfg.Dir)
+	entries, err := os.ReadDir(p.dir)
 	if err != nil {
 		return
 	}
@@ -164,10 +160,10 @@ func (p *ProfileCapturer) enforceCap() {
 	// lexical order is age order.
 	sort.Slice(files, func(i, j int) bool { return files[i].name < files[j].name })
 	for _, f := range files {
-		if total <= p.cfg.MaxDirBytes {
+		if total <= p.maxDirBytes {
 			break
 		}
-		if err := os.Remove(filepath.Join(p.cfg.Dir, f.name)); err == nil {
+		if err := os.Remove(filepath.Join(p.dir, f.name)); err == nil {
 			total -= f.size
 		}
 	}

@@ -38,7 +38,7 @@ func TestProfileCapturerNilSafe(t *testing.T) {
 func TestProfileCapturerWritesHeap(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	p, err := NewProfileCapturer(ProfileConfig{Dir: dir, MinInterval: time.Hour})
+	p, err := NewProfileCapturer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestProfileCapturerWritesHeap(t *testing.T) {
 
 func TestProfileCapturerRateLimit(t *testing.T) {
 	dir := t.TempDir()
-	p, err := NewProfileCapturer(ProfileConfig{Dir: dir, MinInterval: time.Minute})
+	p, err := NewProfileCapturer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +78,13 @@ func TestProfileCapturerRateLimit(t *testing.T) {
 	if !p.capture("hpa_fallback", nil) {
 		t.Fatal("first trigger limited")
 	}
-	clock = clock.Add(30 * time.Second)
+	clock = clock.Add(profileMinInterval - time.Second)
 	if p.capture("hpa_fallback", nil) {
-		t.Fatal("trigger inside MinInterval not limited")
+		t.Fatal("trigger inside the minimum interval not limited")
 	}
-	clock = clock.Add(31 * time.Second)
+	clock = clock.Add(time.Second)
 	if !p.capture("hpa_fallback", nil) {
-		t.Fatal("trigger after MinInterval limited")
+		t.Fatal("trigger after the minimum interval limited")
 	}
 	if p.Captures() != 2 || p.Dropped() != 1 {
 		t.Fatalf("captures=%d dropped=%d, want 2/1", p.Captures(), p.Dropped())
@@ -96,12 +96,13 @@ func TestProfileCapturerRateLimit(t *testing.T) {
 
 func TestProfileCapturerDirSizeCap(t *testing.T) {
 	dir := t.TempDir()
-	p, err := NewProfileCapturer(ProfileConfig{Dir: dir, MinInterval: time.Nanosecond, MaxDirBytes: 1})
+	p, err := NewProfileCapturer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.maxDirBytes = 1 // the 32 MiB production cap, shrunk to test cheaply
 	clock := time.Unix(1700000000, 0)
-	p.setNow(func() time.Time { c := clock; clock = clock.Add(time.Second); return c })
+	p.setNow(func() time.Time { c := clock; clock = clock.Add(profileMinInterval); return c })
 
 	for i := 0; i < 4; i++ {
 		if !p.capture("slow_span", nil) {
@@ -122,14 +123,14 @@ func TestProfileCapturerDirSizeCap(t *testing.T) {
 }
 
 func TestProfileCapturerBadDir(t *testing.T) {
-	if _, err := NewProfileCapturer(ProfileConfig{Dir: ""}); err == nil {
+	if _, err := NewProfileCapturer(""); err == nil {
 		t.Fatal("empty dir accepted")
 	}
 	file := filepath.Join(t.TempDir(), "f")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewProfileCapturer(ProfileConfig{Dir: filepath.Join(file, "sub")}); err == nil {
+	if _, err := NewProfileCapturer(filepath.Join(file, "sub")); err == nil {
 		t.Fatal("dir under a regular file accepted")
 	}
 }

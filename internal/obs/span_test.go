@@ -353,7 +353,7 @@ func TestSpanRingHandler(t *testing.T) {
 // capture is reported on the tracer's sink.
 func TestSpanOnAnomaly(t *testing.T) {
 	dir := t.TempDir()
-	p, err := NewProfileCapturer(ProfileConfig{Dir: dir, MinInterval: time.Hour})
+	p, err := NewProfileCapturer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

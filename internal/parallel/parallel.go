@@ -1,11 +1,11 @@
 // Package parallel provides the bounded worker pool behind the
-// embarrassingly-parallel experiment layers: multi-seed comparison runs,
-// ensemble-member fitting, and budget-sweep points.
+// embarrassingly-parallel experiment layers: multi-seed comparison runs
+// and budget-sweep points.
 //
 // The pool is deliberately deterministic: callers hand it n independent,
 // index-addressed work items, each item derives all of its randomness from
-// its own index (its seed, its member id), and results are written into
-// index i of a caller-owned slice. Scheduling order therefore cannot leak
+// its own index (its seed), and results are written into index i of a
+// caller-owned slice. Scheduling order therefore cannot leak
 // into results — a parallel run produces bit-for-bit the output of a
 // sequential one, which the experiments package verifies in its tests.
 package parallel

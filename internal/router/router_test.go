@@ -412,7 +412,7 @@ func TestRouterListEncodesPageToken(t *testing.T) {
 
 	ids := []string{"a+b", "a&limit=1", "a%41"}
 	for _, id := range ids {
-		st, err := checkpoint.NewStore(filepath.Join(spill, id), 0)
+		st, err := checkpoint.NewStore(filepath.Join(spill, id))
 		if err != nil {
 			t.Fatal(err)
 		}
