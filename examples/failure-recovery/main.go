@@ -48,7 +48,7 @@ func run(w io.Writer) error {
 		for attempt := 0; attempt < 4; attempt++ {
 			j := chaosRNG.Intn(len(alive))
 			if alive[j] > 0 {
-				if err := c.InjectFailure(j); err == nil {
+				if err := c.CrashConsumer(j, -1); err == nil {
 					break
 				}
 			}

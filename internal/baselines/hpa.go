@@ -8,26 +8,28 @@ import (
 // added beyond the paper's four comparisons as the rule-based family its
 // related-work section dismisses ("rule-based, heuristics approaches"). Per
 // microservice it scales the consumer count toward
-// current · (utilization / target), clamped to ±MaxStep per window, then
-// fits the whole vector into the budget proportionally. It has no model and
-// no lookahead — pure reactive feedback.
+// current · (utilization / target), clamped to ±hpaMaxStep per window,
+// then fits the whole vector into the budget proportionally. It has no model
+// and no lookahead — pure reactive feedback.
 type HPA struct {
 	budget int
-	// TargetUtilization is the per-consumer busy fraction it steers to
-	// (default 0.7, the common HPA default).
-	TargetUtilization float64
-	// MaxStep caps the per-window change per microservice (default 3).
-	MaxStep int
-
-	last []int
+	last   []int
 }
+
+const (
+	// hpaTargetUtilization is the per-consumer busy fraction HPA steers
+	// to, the common HPA default.
+	hpaTargetUtilization = 0.7
+	// hpaMaxStep caps the per-window change per microservice.
+	hpaMaxStep = 3
+)
 
 // Compile-time interface check.
 var _ env.Controller = (*HPA)(nil)
 
 // NewHPA returns a threshold autoscaler.
 func NewHPA(budget int) *HPA {
-	return &HPA{budget: budget, TargetUtilization: 0.7, MaxStep: 3}
+	return &HPA{budget: budget}
 }
 
 // Name implements env.Controller.
@@ -57,12 +59,12 @@ func (h *HPA) Decide(prev env.StepResult) []int {
 		if prev.Stats.WIP[i] > float64(cur) {
 			util += prev.Stats.WIP[i] / float64(cur) * 0.1
 		}
-		desired := int(float64(cur)*util/h.TargetUtilization + 0.5)
-		if desired > cur+h.MaxStep {
-			desired = cur + h.MaxStep
+		desired := int(float64(cur)*util/hpaTargetUtilization + 0.5)
+		if desired > cur+hpaMaxStep {
+			desired = cur + hpaMaxStep
 		}
-		if desired < cur-h.MaxStep {
-			desired = cur - h.MaxStep
+		if desired < cur-hpaMaxStep {
+			desired = cur - hpaMaxStep
 		}
 		if desired < 0 {
 			desired = 0

@@ -1,8 +1,8 @@
 // Package cluster emulates the paper's microservice workflow infrastructure
 // (Figure 1): per-task-type request queues, pools of identical consumers,
 // Kubernetes-style scaling with container start-up delay, and the workflow
-// invoker / task-dependency-service control flow that routes requests
-// through workflow DAGs.
+// invoker / consumer control flow that routes requests through workflow
+// DAGs.
 //
 // This is the substitution for the paper's Google Cloud deployment
 // (RabbitMQ queues + Docker consumers + Kubernetes replication controllers);
@@ -162,9 +162,7 @@ type inServiceEntry struct {
 type Cluster struct {
 	cfg      Config
 	engine   *sim.Engine
-	tds      *workflow.TDS
 	services []*microservice
-	nodes    *nodePool
 
 	serviceRNG *rand.Rand
 	sizeRNG    *rand.Rand
@@ -219,9 +217,8 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: invalid startup delay range [%g, %g]",
 			cfg.StartupDelayMin, cfg.StartupDelayMax)
 	}
-	tds, err := workflow.NewTDS(cfg.Ensemble)
-	if err != nil {
-		return nil, err
+	if err := cfg.Ensemble.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	j := cfg.Ensemble.NumTasks()
 	if j > maxServices {
@@ -234,8 +231,6 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:        cfg,
 		engine:     cfg.Engine,
-		tds:        tds,
-		nodes:      newNodePool(numNodes),
 		serviceRNG: cfg.Streams.Stream("cluster/service"),
 		sizeRNG:    cfg.Streams.Stream("cluster/size"),
 		startupRNG: cfg.Streams.Stream("cluster/startup"),
@@ -260,9 +255,6 @@ func New(cfg Config) (*Cluster, error) {
 		task := cfg.Ensemble.Tasks[i]
 		c.services = append(c.services, &microservice{target: n, available: n,
 			mean: task.MeanServiceSec, service: sim.NewLogNormal(task.ServiceCV)})
-		for k := 0; k < n; k++ {
-			c.nodes.place()
-		}
 	}
 	if cfg.Faults != nil {
 		if err := c.ScheduleFaults(*cfg.Faults); err != nil {
@@ -338,9 +330,6 @@ func (c *Cluster) CheckInvariants() { c.inv.Run() }
 // Ensemble returns the workflow ensemble the cluster serves.
 func (c *Cluster) Ensemble() *workflow.Ensemble { return c.cfg.Ensemble }
 
-// TDS returns the cluster's task dependency service.
-func (c *Cluster) TDS() *workflow.TDS { return c.tds }
-
 // Now returns the current virtual time.
 func (c *Cluster) Now() sim.Time { return c.engine.Now() }
 
@@ -372,7 +361,7 @@ func (c *Cluster) Submit(wf int) {
 	inst.sizeFactor = requestSize.Draw(c.sizeRNG, 1)
 	c.inFlight++
 	c.submitted++
-	for _, root := range c.tds.InitialNodes(wf) {
+	for _, root := range c.cfg.Ensemble.Workflows[wf].Roots() {
 		c.enqueue(taskRequest{inst: inst, node: root})
 	}
 }
@@ -384,7 +373,7 @@ func (c *Cluster) enqueue(req taskRequest) {
 	if req.inst.failed {
 		return
 	}
-	j := int(c.tds.TaskOf(req.inst.wf, req.node))
+	j := int(c.cfg.Ensemble.Workflows[req.inst.wf].Nodes[req.node].Task)
 	svc := c.services[j]
 	if c.dropProb != nil && c.dropProb[j] > 0 && c.failureRNG.Float64() < c.dropProb[j] {
 		c.dropRequest(j, req)
@@ -465,7 +454,7 @@ func (c *Cluster) complete(j int, req taskRequest) {
 		invariant.Checkf("workflow/join-sync", inst.nodesDone <= wt.NumNodes(),
 			"workflow %d instance finished %d nodes of %d", inst.wf, inst.nodesDone, wt.NumNodes())
 	}
-	for _, succ := range c.tds.SuccessorNodes(inst.wf, req.node) {
+	for _, succ := range wt.Successors(req.node) {
 		inst.remainingPreds[succ]--
 		if invariant.Enabled() {
 			invariant.Checkf("workflow/join-sync", inst.remainingPreds[succ] >= 0,
@@ -550,15 +539,14 @@ func (c *Cluster) setTarget(j, m int) {
 		// beyond the reduced pool).
 		for excess > 0 && svc.available > 0 {
 			svc.available--
-			c.nodes.release()
 			excess--
 		}
 	}
 }
 
 // startConsumer schedules one container start for microservice j; the
-// consumer becomes available (and is placed on the least-loaded node)
-// after the start-up delay, stretched by any active startup-spike fault.
+// consumer becomes available after the start-up delay, stretched by any
+// active startup-spike fault.
 func (c *Cluster) startConsumer(j int) {
 	delay := sim.Uniform(c.startupRNG, c.cfg.StartupDelayMin, c.cfg.StartupDelayMax)
 	if c.startupSpike > 0 {
@@ -590,7 +578,6 @@ func (c *Cluster) consumerUp(j int, tok uint64) {
 	}
 	svc.pendingStarts = slices.Delete(svc.pendingStarts, i, i+1)
 	svc.available++
-	c.nodes.place()
 	c.cfg.Tracer.Debug("consumer_up").
 		T(float64(c.engine.Now())).
 		Int("service", j).

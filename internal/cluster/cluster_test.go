@@ -42,6 +42,7 @@ func TestNewValidation(t *testing.T) {
 		{"bad delays", Config{Ensemble: e, Engine: engine, Streams: streams, StartupDelayMin: 5, StartupDelayMax: 2}},
 		{"bad initial len", Config{Ensemble: e, Engine: engine, Streams: streams, InitialConsumers: []int{1}}},
 		{"negative initial", Config{Ensemble: e, Engine: engine, Streams: streams, InitialConsumers: []int{1, -1}}},
+		{"invalid ensemble", Config{Ensemble: &workflow.Ensemble{Name: "bad"}, Engine: engine, Streams: streams}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.cfg); err == nil {
@@ -506,20 +507,6 @@ func TestBusyIntegralMatchesServiceDurations(t *testing.T) {
 			t.Fatalf("task %d busy integral %.6f != service sum %.6f",
 				j, snap.BusySeconds[j], snap.ServiceSum[j])
 		}
-	}
-}
-
-// TestTDSQueryLoadGrows: the cluster actually consults the TDS for every
-// workflow (roots + successors), mirroring the real system's query load.
-func TestTDSQueryLoadGrows(t *testing.T) {
-	c, engine := newTestCluster(t, workflow.NewMSD(), 61, []int{2, 2, 2, 2})
-	before := c.TDS().Queries()
-	for i := 0; i < 5; i++ {
-		c.Submit(2) // fork-join workflow: several successor queries each
-	}
-	engine.RunUntil(1000)
-	if got := c.TDS().Queries() - before; got < 5*4 {
-		t.Fatalf("TDS queries=%d, want at least one per node", got)
 	}
 }
 

@@ -1,11 +1,16 @@
 package cluster
 
-import "miras/internal/faults"
+import (
+	"fmt"
+
+	"miras/internal/faults"
+)
 
 // This file is the cluster's side of the fault-injection subsystem: the
-// faults.Target hooks the injector drives, its fault counts, and the
-// degraded-capacity view controllers and the HTTP API observe. A plan is
-// armed at construction by Config.Faults or later by ScheduleFaults.
+// faults.Target hooks the injector drives (CrashConsumer is also the one
+// crash path for kill timers), the fault counts, and the degraded capacity
+// a failure-aware state observes. A plan is armed at construction by
+// Config.Faults or later by ScheduleFaults.
 
 // ScheduleFaults validates plan and arms it on the cluster's engine,
 // relative to the current virtual time. Plans compose: each call adds to
@@ -31,14 +36,14 @@ func (c *Cluster) ActiveFaults() []faults.ActiveFault {
 	return c.injector.Active()
 }
 
-// FaultCounts returns the fault events injected so far (episode activations
-// plus individual consumer crashes) and the consumers those crashes killed;
-// both are zero when no plan has been armed.
-func (c *Cluster) FaultCounts() (injected, crashes uint64) {
+// FaultsInjected returns the fault events injected so far: episode
+// activations plus crash attempts, zero when no plan has been armed. The
+// consumers those crashes killed are counted by Failures.
+func (c *Cluster) FaultsInjected() uint64 {
 	if c.injector == nil {
-		return 0, 0
+		return 0
 	}
-	return c.injector.Injected(), c.injector.Crashes()
+	return c.injector.Injected()
 }
 
 // FaultSpecs returns the number of fault specs armed over the cluster's
@@ -55,17 +60,66 @@ func (c *Cluster) FaultSpecs() int {
 // Compile-time check that the cluster exposes the injector's hook set.
 var _ faults.Target = (*Cluster)(nil)
 
-// NumServices implements faults.Target.
-func (c *Cluster) NumServices() int { return len(c.services) }
-
-// CrashConsumer implements faults.Target: it kills one live consumer of
-// microservice j like InjectFailure, but when restartDelaySec is
-// non-negative the replacement container becomes available after exactly
-// that delay (the fault plan's MTTR draw) instead of the normal start-up
-// draw.
+// CrashConsumer kills one consumer of microservice j, emulating a container
+// crash; it implements faults.Target, and the chaos kill timers call it
+// directly:
+//
+//   - if the consumer was processing a request, that request is NOT lost —
+//     the acknowledgement mechanism returns it to the head of its queue to
+//     be re-delivered (the paper's RabbitMQ ack guarantee);
+//   - the replication controller notices the missing replica and starts a
+//     replacement container. A non-negative restartDelaySec (the fault
+//     plan's MTTR draw) is its start-up delay; a negative one keeps the
+//     normal start-up draw.
+//
+// It returns an error if microservice j has no live consumers to kill.
 func (c *Cluster) CrashConsumer(j int, restartDelaySec float64) error {
-	return c.crashConsumer(j, restartDelaySec)
+	if j < 0 || j >= len(c.services) {
+		return fmt.Errorf("cluster: microservice %d out of range", j)
+	}
+	svc := c.services[j]
+	if svc.available == 0 {
+		return fmt.Errorf("cluster: microservice %d has no live consumers", j)
+	}
+	c.touchBusy(svc)
+	svc.available--
+	c.failures++
+
+	// Busy consumers are killed with probability busy/available+1 — i.e.
+	// uniformly over live consumers. When a busy one dies, its in-flight
+	// request is withdrawn (dropping its token turns the scheduled
+	// completion into a no-op) and requeued at the head (re-delivery).
+	if svc.busy > 0 && c.failureRNG.Intn(svc.available+1) < svc.busy {
+		if i := c.failureRNG.Intn(svc.busy); i < svc.inService.len() {
+			svc.busy--
+			svc.queue.pushFront(svc.inService.removeAt(i).req)
+			c.redeliveries++
+		}
+	}
+
+	// Replication controller: restore the target replica count if the
+	// controller still wants more than we now have committed.
+	if svc.target > svc.available+len(svc.pendingStarts) {
+		if restartDelaySec >= 0 {
+			c.startConsumerAfter(j, restartDelaySec)
+		} else {
+			c.startConsumer(j)
+		}
+	}
+	// A replacement may immediately pick up work once started; meanwhile
+	// the remaining consumers keep draining.
+	c.dispatch(j)
+	return nil
 }
+
+// Failures returns the number of consumers killed by CrashConsumer, whether
+// a fault plan or a kill timer called it.
+func (c *Cluster) Failures() uint64 { return c.failures }
+
+// Redeliveries returns the number of task requests re-queued after their
+// consumer died mid-processing. Conservation tests use it to prove the ack
+// mechanism loses nothing.
+func (c *Cluster) Redeliveries() uint64 { return c.redeliveries }
 
 // SetServiceSlowdown implements faults.Target: subsequent service-time
 // draws for microservice j are multiplied by factor (1 = healthy). The
@@ -115,34 +169,6 @@ func (c *Cluster) SetQueueDrop(j int, prob float64) {
 
 // --- degraded-capacity view ---
 
-// FaultView is the cluster's degraded-capacity snapshot: what a
-// failure-aware controller (or the session API) can observe about active
-// fault effects without being told the fault plan.
-type FaultView struct {
-	// Consumers and Targets mirror the scaling view: started consumers and
-	// controller-requested counts per microservice.
-	Consumers []int `json:"consumers"`
-	Targets   []int `json:"targets"`
-	// Slowdown is the per-microservice service-time multiplier (1 =
-	// healthy).
-	Slowdown []float64 `json:"slowdown"`
-	// StartupSpike is the cluster-wide start-up delay multiplier (1 =
-	// healthy).
-	StartupSpike float64 `json:"startup_spike"`
-	// DropProb is the per-microservice queue-drop probability (0 =
-	// healthy).
-	DropProb []float64 `json:"drop_prob"`
-	// EffectiveCapacity is Consumers scaled by 1/Slowdown — the throughput
-	// capacity the pool actually delivers.
-	EffectiveCapacity []float64 `json:"effective_capacity"`
-	// Crashed counts consumers killed, Redelivered the in-flight requests
-	// requeued by the ack mechanism after their consumer died, and Dropped
-	// the workflow instances lost to queue-drop episodes (all cumulative).
-	Crashed     uint64 `json:"crashed"`
-	Redelivered uint64 `json:"redelivered"`
-	Dropped     uint64 `json:"dropped"`
-}
-
 // slowdownFactor returns the service-time multiplier for microservice j.
 func (c *Cluster) slowdownFactor(j int) float64 {
 	if c.slowdown == nil {
@@ -160,32 +186,6 @@ func (c *Cluster) EffectiveCapacity() []float64 {
 		out[j] = float64(svc.available) / c.slowdownFactor(j)
 	}
 	return out
-}
-
-// FaultView returns the current degraded-capacity snapshot.
-func (c *Cluster) FaultView() FaultView {
-	n := len(c.services)
-	v := FaultView{
-		Consumers:         c.Consumers(),
-		Targets:           c.Targets(),
-		Slowdown:          make([]float64, n),
-		StartupSpike:      1,
-		DropProb:          make([]float64, n),
-		EffectiveCapacity: c.EffectiveCapacity(),
-		Crashed:           c.failures,
-		Redelivered:       c.redeliveries,
-		Dropped:           c.droppedInstances,
-	}
-	if c.startupSpike > 0 {
-		v.StartupSpike = c.startupSpike
-	}
-	for j := range v.Slowdown {
-		v.Slowdown[j] = c.slowdownFactor(j)
-	}
-	if c.dropProb != nil {
-		copy(v.DropProb, c.dropProb)
-	}
-	return v
 }
 
 // Dropped returns the number of workflow instances lost to queue-drop

@@ -499,15 +499,19 @@ type Controller interface {
 	Reset()
 }
 
+// StartResult is the synthetic StepResult a controller's first decision
+// sees, before any window has run (or after a reset): the current state and
+// WIP, and no other stats.
+func (e *Env) StartResult() StepResult {
+	return StepResult{State: e.State(), Stats: Stats{WIP: e.c.WIP()}}
+}
+
 // Run drives the environment with the controller for the given number of
-// windows, returning one StepResult per window. The first decision sees a
-// synthetic StepResult holding the current state and empty stats.
+// windows, returning one StepResult per window. The first decision sees
+// StartResult.
 func Run(e *Env, ctrl Controller, windows int) ([]StepResult, error) {
 	results := make([]StepResult, 0, windows)
-	prev := StepResult{State: e.State(), Stats: Stats{
-		WIP:       e.Cluster().WIP(),
-		Consumers: e.Cluster().Consumers(),
-	}}
+	prev := e.StartResult()
 	for k := 0; k < windows; k++ {
 		m := ctrl.Decide(prev)
 		res, err := e.Step(m)

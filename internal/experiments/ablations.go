@@ -318,7 +318,7 @@ func Chaos(s Setup, algorithms []string, trained *Trained, killEverySec float64)
 			for attempt := 0; attempt < 4; attempt++ {
 				j := rng.Intn(len(alive))
 				if alive[j] > 0 {
-					if err := h.Cluster.InjectFailure(j); err == nil {
+					if err := h.Cluster.CrashConsumer(j, -1); err == nil {
 						break
 					}
 				}

@@ -11,8 +11,9 @@
 // randomness from named sim.Streams, so the same seed plus the same plan
 // yields byte-identical traces — and an empty plan consumes no randomness
 // at all, leaving fault-free runs bit-for-bit unchanged. The Injector keeps
-// the only count of what it injected (Injected, Crashes); metrics are read
-// from it, never handed to it.
+// the only count of the fault events it injected (Injected) and the Target
+// the only count of the consumers they killed; metrics are read from them,
+// never handed to them.
 //
 // Spec is also the wire type of the HTTP API's POST /v1/sessions/{id}/faults
 // endpoint (see internal/httpapi), hence the JSON tags.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"log/slog"
+	"strings"
 	"testing"
 
 	"miras/internal/obs"
@@ -20,7 +21,7 @@ type fakeTarget struct {
 	failCrash bool
 }
 
-func (f *fakeTarget) NumServices() int { return f.services }
+func (f *fakeTarget) NumTasks() int { return f.services }
 
 func (f *fakeTarget) CrashConsumer(j int, restart float64) error {
 	f.calls = append(f.calls, fmt.Sprintf("crash(%d,%.3f)", j, restart))
@@ -139,8 +140,8 @@ func TestEpisodeLifecycle(t *testing.T) {
 	if len(in.Active()) != 0 {
 		t.Fatalf("fault still active after end: %v", in.Active())
 	}
-	if in.Injected() != 1 || in.Crashes() != 0 {
-		t.Fatalf("injected=%d crashes=%d", in.Injected(), in.Crashes())
+	if in.Injected() != 1 {
+		t.Fatalf("injected=%d, want 1", in.Injected())
 	}
 }
 
@@ -187,11 +188,11 @@ func TestCrashRenewalProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine.RunUntil(1000)
-	if in.Crashes() == 0 {
+	if len(target.calls) == 0 {
 		t.Fatal("no crashes over 20 mean lifetimes")
 	}
-	if in.Injected() != in.Crashes() {
-		t.Fatalf("injected=%d crashes=%d, want equal when every crash kills", in.Injected(), in.Crashes())
+	if in.Injected() != uint64(len(target.calls)) {
+		t.Fatalf("injected=%d crashes=%d, want one injected event per crash", in.Injected(), len(target.calls))
 	}
 	if len(in.Active()) != 0 {
 		t.Fatalf("bounded crash process still active: %v", in.Active())
@@ -228,10 +229,18 @@ func TestCrashWithoutMTTRUsesClusterDraw(t *testing.T) {
 	}
 }
 
+// TestFailedCrashDoesNotCountKill: a crash the target refuses is injected
+// (an attempt) but reported as no kill; the target counts kills.
 func TestFailedCrashDoesNotCountKill(t *testing.T) {
-	in, engine, target := newTestInjector(t, 7, 2)
-	target.failCrash = true
-	err := in.Schedule(Plan{Specs: []Spec{
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(obs.TracerConfig{Recorder: obs.NewRecorder(&buf, slog.LevelDebug), SimTime: true})
+	engine := sim.NewEngine()
+	target := &fakeTarget{services: 2, failCrash: true}
+	in, err := NewInjector(engine, sim.NewStreams(7), target, tracer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = in.Schedule(Plan{Specs: []Spec{
 		{Kind: Crash, Service: 0, StartSec: 0, DurationSec: 50, MTTFSec: 5},
 	}})
 	if err != nil {
@@ -241,8 +250,12 @@ func TestFailedCrashDoesNotCountKill(t *testing.T) {
 	if in.Injected() == 0 {
 		t.Fatal("no crash attempts")
 	}
-	if in.Crashes() != 0 {
-		t.Fatalf("crashes=%d for a target with no live consumers", in.Crashes())
+	trace := buf.String()
+	if got := strings.Count(trace, `"killed":false`); uint64(got) != in.Injected() {
+		t.Fatalf("%d crash events report no kill, want all %d attempts:\n%s", got, in.Injected(), trace)
+	}
+	if strings.Contains(trace, `"killed":true`) {
+		t.Fatalf("a refused crash reported a kill:\n%s", trace)
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 // implements it; the indirection keeps this package free of a cluster
 // dependency so cluster can in turn accept a Plan at construction.
 type Target interface {
-	// NumServices returns the number of microservices.
-	NumServices() int
-	// CrashConsumer kills one live consumer of the service. restartDelaySec
-	// overrides the replacement container's start-up delay; a negative
-	// value keeps the normal draw. It returns an error when the service
-	// has no live consumer to kill (the crash is then a no-op).
+	// NumTasks returns the number of microservices (task types).
+	NumTasks() int
+	// CrashConsumer kills one live consumer of the service and counts the
+	// kill. restartDelaySec overrides the replacement container's start-up
+	// delay; a negative value keeps the normal draw. It returns an error
+	// when the service has no live consumer to kill (the crash is then a
+	// no-op).
 	CrashConsumer(service int, restartDelaySec float64) error
 	// SetServiceSlowdown sets the service-time multiplier for the service
 	// (1 = healthy).
@@ -50,7 +51,6 @@ type Injector struct {
 	active    map[int]*ActiveFault
 	scheduled int
 	injected  uint64
-	crashes   uint64
 }
 
 // NewInjector returns an injector with no armed faults. All randomness is
@@ -77,7 +77,7 @@ func NewInjector(engine *sim.Engine, streams *sim.Streams, target Target, tracer
 // virtual time. Scheduling an empty plan is a no-op. Plans compose: later
 // calls add to whatever is already armed.
 func (in *Injector) Schedule(plan Plan) error {
-	if err := plan.Validate(in.target.NumServices()); err != nil {
+	if err := plan.Validate(in.target.NumTasks()); err != nil {
 		return err
 	}
 	for _, sp := range plan.Specs {
@@ -98,11 +98,9 @@ func (in *Injector) Schedule(plan Plan) error {
 func (in *Injector) Scheduled() int { return in.scheduled }
 
 // Injected returns the number of fault events injected so far (episode
-// activations plus individual consumer crashes).
+// activations plus crash attempts, whether or not they killed a consumer;
+// the target counts the kills).
 func (in *Injector) Injected() uint64 { return in.injected }
-
-// Crashes returns the number of consumers killed so far.
-func (in *Injector) Crashes() uint64 { return in.crashes }
 
 // CheckWindows verifies every live fault sits inside its declared activation
 // window at virtual time now: it became active no later than now and, for
@@ -134,16 +132,15 @@ func (in *Injector) Active() []ActiveFault {
 	return out
 }
 
-// window computes the spec's absolute [begin, end] interval; end is +Inf
-// for open-ended specs, and wireEnd is its 0-means-open wire form.
-func (in *Injector) window(sp Spec) (begin, end, wireEnd float64) {
-	begin = in.engine.Now() + sp.StartSec
+// window computes the absolute end of the spec's activation window: end is
+// +Inf for open-ended specs, and wireEnd is its 0-means-open wire form.
+func (in *Injector) window(sp Spec) (end, wireEnd float64) {
 	end = math.Inf(1)
 	if sp.DurationSec > 0 {
-		end = begin + sp.DurationSec
+		end = in.engine.Now() + sp.StartSec + sp.DurationSec
 		wireEnd = end
 	}
-	return begin, end, wireEnd
+	return end, wireEnd
 }
 
 // armCrash schedules a crash/restart renewal process: from the episode
@@ -152,7 +149,7 @@ func (in *Injector) window(sp Spec) (begin, end, wireEnd float64) {
 // delay (or the cluster default when MTTR is 0).
 func (in *Injector) armCrash(id int, sp Spec) {
 	rng := in.streams.Stream(fmt.Sprintf("faults/%d/crash", id))
-	begin, end, wireEnd := in.window(sp)
+	end, wireEnd := in.window(sp)
 
 	var fire func()
 	fire = func() {
@@ -162,7 +159,7 @@ func (in *Injector) armCrash(id int, sp Spec) {
 		}
 		j := sp.Service
 		if j == AllServices {
-			j = rng.Intn(in.target.NumServices())
+			j = rng.Intn(in.target.NumTasks())
 		}
 		restart := -1.0
 		if sp.MTTRSec > 0 {
@@ -170,9 +167,6 @@ func (in *Injector) armCrash(id int, sp Spec) {
 		}
 		err := in.target.CrashConsumer(j, restart)
 		in.injected++
-		if err == nil {
-			in.crashes++
-		}
 		in.tracer.Event("consumer_crash").
 			T(in.engine.Now()).
 			Int("fault", id).
@@ -186,13 +180,12 @@ func (in *Injector) armCrash(id int, sp Spec) {
 		in.activate(id, sp, wireEnd)
 		in.reschedule(id, fire, sim.Exponential(rng, sp.MTTFSec), end)
 	})
-	// Open-ended processes stay in Active forever; bounded ones are
-	// deactivated when the next crash would land past the end.
-	_ = begin
 }
 
 // reschedule arms the next crash after gap, or ends the process when the
-// next event would fall outside the episode.
+// next event would fall outside the episode: open-ended processes stay in
+// Active forever, bounded ones are deactivated when the next crash would
+// land past the end.
 func (in *Injector) reschedule(id int, fire func(), gap, end float64) {
 	if in.engine.Now()+gap > end {
 		in.deactivate(id)
@@ -205,7 +198,7 @@ func (in *Injector) reschedule(id int, fire func(), gap, end float64) {
 // effect. Overlapping episodes of the same kind on the same service are not
 // composed: the end of any of them reverts the service to healthy.
 func (in *Injector) armEpisode(id int, sp Spec) {
-	_, _, wireEnd := in.window(sp)
+	_, wireEnd := in.window(sp)
 	in.engine.Schedule(sp.StartSec, func() {
 		in.apply(sp, true)
 		in.activate(id, sp, wireEnd)
@@ -224,7 +217,7 @@ func (in *Injector) apply(sp Spec, on bool) {
 	services := []int{sp.Service}
 	if sp.Service == AllServices {
 		services = services[:0]
-		for j := 0; j < in.target.NumServices(); j++ {
+		for j := 0; j < in.target.NumTasks(); j++ {
 			services = append(services, j)
 		}
 	}

@@ -99,7 +99,7 @@ func TestRefusedAdmitCountsNoFaults(t *testing.T) {
 				return nil, err
 			}
 		}
-		if injected, _ := sess.env.Cluster().FaultCounts(); injected == 0 {
+		if sess.env.Cluster().FaultsInjected() == 0 {
 			t.Error("the build's crash plan injected nothing")
 		}
 		return sess, nil
@@ -126,7 +126,7 @@ func TestFaultSeriesMatchEmulator(t *testing.T) {
 	// counts and the session's reported crashed count.
 	check := func(stage string, srv *Server, sess *session, baseFaults, baseCrashed uint64) {
 		t.Helper()
-		injected, crashes := sess.env.Cluster().FaultCounts()
+		injected, crashes := sess.env.Cluster().FaultsInjected(), sess.env.Cluster().Failures()
 		f, cr := faultSeries(t, srv, sess.id)
 		if f != baseFaults+injected || cr != baseCrashed+crashes {
 			t.Fatalf("%s: series (%d, %d), want (%d+%d, %d+%d)",

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -63,23 +64,33 @@ type RehydrateResponse struct {
 	Failed     map[string]string `json:"failed,omitempty"`
 }
 
+// ListLimit reads a session listing's page size from q's limit: 100 when
+// absent, at most 1000 (the shard's full page). A limit that is not a
+// positive integer is answered here, 400 bad_request, and ok is false. The
+// shard and the router parse it alike.
+func ListLimit(w http.ResponseWriter, q url.Values) (limit int, ok bool) {
+	limit = 100
+	if raw := q.Get("limit"); raw != "" {
+		n, err := strconv.Atoi(raw)
+		if err != nil || n <= 0 {
+			WriteError(w, http.StatusBadRequest, CodeBadRequest,
+				fmt.Errorf("limit must be a positive integer, got %q", raw))
+			return 0, false
+		}
+		limit = n
+	}
+	return min(limit, 1000), true
+}
+
 // handleList serves GET /v1/sessions?limit=&page_token=. Sessions are
 // ordered lexicographically by id; page_token is the last id of the
 // previous page (exclusive). Listing does not touch the sessions' idle
 // clocks — an operator watching the fleet must not keep it alive.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request, _ string) {
 	q := r.URL.Query()
-	limit := 100
-	if raw := q.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			fail(w, "list", coded(CodeBadRequest, fmt.Errorf("limit must be a positive integer, got %q", raw)))
-			return
-		}
-		limit = n
-	}
-	if limit > 1000 {
-		limit = 1000
+	limit, ok := ListLimit(w, q)
+	if !ok {
+		return
 	}
 	token := q.Get("page_token")
 

@@ -147,8 +147,8 @@ type sessionState struct {
 	spilled bool
 
 	// syncedFaults and syncedCrashes are the emulator's fault counts
-	// (cluster.FaultCounts) that faultsTotal and crashed last caught up
-	// with; syncGauges adds the growth since.
+	// (cluster.FaultsInjected and cluster.Failures) that faultsTotal and
+	// crashed last caught up with; syncGauges adds the growth since.
 	syncedFaults, syncedCrashes uint64
 }
 
@@ -248,7 +248,7 @@ func (sess *session) syncGauges() {
 	c := sess.env.Cluster()
 	sess.wip.Set(c.TotalWIP())
 	sess.inflight.Set(float64(c.InFlight()))
-	injected, crashes := c.FaultCounts()
+	injected, crashes := c.FaultsInjected(), c.Failures()
 	sess.faultsTotal.Add(injected - sess.syncedFaults)
 	sess.crashed.Add(crashes - sess.syncedCrashes)
 	sess.syncedFaults, sess.syncedCrashes = injected, crashes
@@ -389,7 +389,6 @@ func (sess *session) SetSpilled(spilled bool) { sess.spilled = spilled }
 // Info is the session's wire view.
 func (sess *session) Info() SessionInfo {
 	c := sess.env.Cluster()
-	v := c.FaultView()
 	return SessionInfo{
 		ID:                 sess.id,
 		Ensemble:           sess.create.Ensemble,
@@ -402,10 +401,10 @@ func (sess *session) Info() SessionInfo {
 		IdleTimeoutSeconds: time.Duration(sess.idle.Load()).Seconds(),
 		FailureAware:       sess.env.FailureAware(),
 		State:              sess.env.State(),
-		Consumers:          v.Consumers,
-		Crashed:            v.Crashed,
-		Redelivered:        v.Redelivered,
-		Dropped:            v.Dropped,
+		Consumers:          c.Consumers(),
+		Crashed:            c.Failures(),
+		Redelivered:        c.Redeliveries(),
+		Dropped:            c.Dropped(),
 		FaultSpecs:         c.FaultSpecs(),
 		ActiveFaults:       c.ActiveFaults(),
 		HasPolicy:          sess.policy != nil,
@@ -425,7 +424,7 @@ func (sess *session) decideAuto() (alloc []int, controller, cause string, err er
 	}
 	prev := sess.prev
 	if prev.State == nil {
-		prev = syntheticPrev(sess.env)
+		prev = sess.env.StartResult()
 	}
 	if sess.fallback == nil {
 		if alloc, cause = policyDecide(sess.policy, sess.env, prev.State, sess.decideScratch()); cause == "" {
@@ -450,21 +449,6 @@ func (sess *session) decideAuto() (alloc []int, controller, cause string, err er
 		sess.recoveredTotal.Inc()
 	}
 	return alloc, "hpa", cause, nil
-}
-
-// syntheticPrev fabricates the controller input for the very first window
-// (or the first after a reset), when no step result exists yet: current
-// state, WIP read straight off the state vector, zero utilization.
-func syntheticPrev(e *env.Env) env.StepResult {
-	state := e.State()
-	j := e.ActionDim()
-	return env.StepResult{
-		State: state,
-		Stats: env.Stats{
-			WIP:         append([]float64(nil), state[:j]...),
-			Utilization: make([]float64, j),
-		},
-	}
 }
 
 // decideScratch is a session's preallocated working memory for policy

@@ -461,18 +461,9 @@ func (rt *Router) get(ctx context.Context, target string) (*http.Response, error
 // single shard holds more than 1000 sessions past the token.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	limit := 100
-	if raw := q.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				fmt.Errorf("limit must be a positive integer, got %q", raw))
-			return
-		}
-		limit = n
-	}
-	if limit > 1000 {
-		limit = 1000
+	limit, ok := httpapi.ListLimit(w, q)
+	if !ok {
+		return
 	}
 	token := q.Get("page_token")
 

@@ -1,6 +1,7 @@
 // Package workflow models scientific workflows as directed acyclic graphs of
-// task nodes and provides the Task Dependency Service (TDS) that the
-// microservice workflow infrastructure consults for DAG topology.
+// task nodes. The emulated cluster reads an Ensemble's roots, successors and
+// node tasks directly where the paper's infrastructure queries its Task
+// Dependency Service, a ZooKeeper ensemble (DESIGN.md §1).
 //
 // Terminology follows §II of the paper: an Ensemble supports N workflow
 // types composed from J task types. Each task type is realised by one
@@ -209,16 +210,6 @@ func (t *Type) TopoOrder() []int { return t.order }
 
 // NumNodes returns the number of DAG vertices.
 func (t *Type) NumNodes() int { return len(t.Nodes) }
-
-// UsesTask reports whether any node of the workflow runs task type j.
-func (t *Type) UsesTask(j TaskType) bool {
-	for _, n := range t.Nodes {
-		if n.Task == j {
-			return true
-		}
-	}
-	return false
-}
 
 // Ensemble is a family of workflow types over a shared set of task types —
 // the unit the paper calls a "workflow computing ensemble" (MSD, LIGO).

@@ -90,13 +90,6 @@ func TestMultiRootGraph(t *testing.T) {
 	}
 }
 
-func TestUsesTask(t *testing.T) {
-	wf := MustType("p", []Node{{Task: 3}}, [][]int{{}})
-	if !wf.UsesTask(3) || wf.UsesTask(0) {
-		t.Fatal("UsesTask wrong")
-	}
-}
-
 func TestMSDEnsembleStructure(t *testing.T) {
 	e := NewMSD()
 	if err := e.Validate(); err != nil {
@@ -116,9 +109,30 @@ func TestMSDEnsembleStructure(t *testing.T) {
 	// Type1 and Type2 share Extract and Align — cascading-effect setup.
 	t1, _ := e.WorkflowByName("Type1")
 	t2, _ := e.WorkflowByName("Type2")
-	if !t1.UsesTask(MSDExtract) || !t2.UsesTask(MSDExtract) {
+	if !usesTask(t1, MSDExtract) || !usesTask(t2, MSDExtract) {
 		t.Fatal("Type1 and Type2 should share the Extract task")
 	}
+	// Type3 is the fork-join workflow: Extract → (Align, Segment) → Render.
+	t3 := e.Workflows[2]
+	if roots := t3.Roots(); len(roots) != 1 || roots[0] != 0 {
+		t.Fatalf("Type3 roots=%v, want [0]", roots)
+	}
+	if succ := t3.Successors(0); len(succ) != 2 {
+		t.Fatalf("Type3 successors of 0=%v, want 2 successors", succ)
+	}
+	if got := t3.Nodes[3].Task; got != MSDRender {
+		t.Fatalf("Type3 node 3 task=%d, want Render", got)
+	}
+}
+
+// usesTask reports whether any node of wf runs task type j.
+func usesTask(wf *Type, j TaskType) bool {
+	for _, n := range wf.Nodes {
+		if n.Task == j {
+			return true
+		}
+	}
+	return false
 }
 
 func TestLIGOEnsembleStructure(t *testing.T) {
@@ -140,7 +154,7 @@ func TestLIGOEnsembleStructure(t *testing.T) {
 	// §VI-D: Coire terminates CAT, Full, and Injection.
 	for _, name := range []string{"CAT", "Full", "Injection"} {
 		wf, _ := e.WorkflowByName(name)
-		if !wf.UsesTask(LIGOCoire) {
+		if !usesTask(wf, LIGOCoire) {
 			t.Fatalf("workflow %s should use Coire", name)
 		}
 	}
@@ -224,36 +238,6 @@ func TestEnsembleValidateCatchesBadServiceTimes(t *testing.T) {
 	}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("a large but drawable cv: %v", err)
-	}
-}
-
-func TestTDSQueries(t *testing.T) {
-	e := NewMSD()
-	tds, err := NewTDS(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Type3 is the fork-join workflow: Extract → (Align, Segment) → Render.
-	roots := tds.InitialNodes(2)
-	if len(roots) != 1 || roots[0] != 0 {
-		t.Fatalf("InitialNodes=%v", roots)
-	}
-	succ := tds.SuccessorNodes(2, 0)
-	if len(succ) != 2 {
-		t.Fatalf("SuccessorNodes=%v, want 2 successors", succ)
-	}
-	if got := tds.TaskOf(2, 3); got != MSDRender {
-		t.Fatalf("TaskOf=%d, want Render", got)
-	}
-	if tds.Queries() == 0 {
-		t.Fatal("TDS did not count queries")
-	}
-}
-
-func TestTDSRejectsBadInput(t *testing.T) {
-	bad := &Ensemble{Name: "bad"}
-	if _, err := NewTDS(bad); err == nil {
-		t.Fatal("expected error for invalid ensemble")
 	}
 }
 
