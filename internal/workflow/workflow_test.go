@@ -112,17 +112,6 @@ func TestMSDEnsembleStructure(t *testing.T) {
 	if !usesTask(t1, MSDExtract) || !usesTask(t2, MSDExtract) {
 		t.Fatal("Type1 and Type2 should share the Extract task")
 	}
-	// Type3 is the fork-join workflow: Extract → (Align, Segment) → Render.
-	t3 := e.Workflows[2]
-	if roots := t3.Roots(); len(roots) != 1 || roots[0] != 0 {
-		t.Fatalf("Type3 roots=%v, want [0]", roots)
-	}
-	if succ := t3.Successors(0); len(succ) != 2 {
-		t.Fatalf("Type3 successors of 0=%v, want 2 successors", succ)
-	}
-	if got := t3.Nodes[3].Task; got != MSDRender {
-		t.Fatalf("Type3 node 3 task=%d, want Render", got)
-	}
 }
 
 // usesTask reports whether any node of wf runs task type j.
@@ -238,6 +227,36 @@ func TestEnsembleValidateCatchesBadServiceTimes(t *testing.T) {
 	}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("a large but drawable cv: %v", err)
+	}
+}
+
+// TestTDSQueries checks the three Task Dependency Service lookups the cluster
+// makes against an ensemble: a workflow's initial nodes, a node's successors
+// and a node's task type.
+func TestTDSQueries(t *testing.T) {
+	e := NewMSD()
+	if err := e.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// Type3 is the fork-join workflow: Extract → (Align, Segment) → Render.
+	t3 := e.Workflows[2]
+	if roots := t3.Roots(); len(roots) != 1 || roots[0] != 0 {
+		t.Fatalf("Type3 roots=%v, want [0]", roots)
+	}
+	if succ := t3.Successors(0); len(succ) != 2 {
+		t.Fatalf("Type3 successors of 0=%v, want 2 successors", succ)
+	}
+	if got := t3.Nodes[3].Task; got != MSDRender {
+		t.Fatalf("Type3 node 3 task=%d, want Render", got)
+	}
+}
+
+// TestTDSRejectsBadInput checks that an ensemble with no tasks or workflows
+// fails validation, so the cluster never serves lookups over it.
+func TestTDSRejectsBadInput(t *testing.T) {
+	bad := &Ensemble{Name: "bad"}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("expected error for invalid ensemble")
 	}
 }
 
