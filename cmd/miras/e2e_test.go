@@ -472,8 +472,8 @@ const (
 // pipelines (debug-level -trace-out on) and the quick budget, dynamic-load
 // and kill-timer sweeps, then pins the sha256 of every CSV and JSONL trace
 // they write in testdata/golden_demo.sha256. Any behavioural drift changes
-// the CSV bytes; any telemetry drift (an event or span added, dropped,
-// reordered or re-tagged) changes the trace bytes. Where math.Exp takes its
+// the CSV bytes; any telemetry drift (a span added, dropped, reordered,
+// re-parented or re-tagged) changes the trace bytes. Where math.Exp takes its
 // non-FMA path (see experiments' golden gate), the files that differ there
 // are pinned in testdata/golden_demo_nofma.sha256 instead. Refresh
 // deliberately with
@@ -542,6 +542,56 @@ func TestGoldenManifest(t *testing.T) {
 	for name := range got {
 		if _, ok := pinned[name]; !ok {
 			t.Errorf("%s is written but not pinned (run with -update)", name)
+		}
+	}
+}
+
+// TestTrainTraceHoldsOnlySpans: a debug-level -trace-out file carries one
+// kind of record, the span. Every line is a named "span" record, and the
+// per-window, per-iteration, per-fit, per-update and per-actuation fields
+// the paper's figures read are attributes of the span of that occurrence.
+func TestTrainTraceHoldsOnlySpans(t *testing.T) {
+	out := t.TempDir()
+	path := filepath.Join(out, "train.jsonl")
+	runOK(t, "train", "-iterations", "1",
+		"-out", out, "-trace-out", path, "-log-level", "debug")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]map[string]any{} // first record per span name
+	for i, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("line %d is not JSON: %v\n%s", i+1, err, line)
+		}
+		name, _ := m["name"].(string)
+		if m["msg"] != "span" || name == "" {
+			t.Fatalf("line %d is not a span record: %s", i+1, line)
+		}
+		if seen[name] == nil {
+			seen[name] = m
+		}
+	}
+	for name, keys := range map[string][]string{
+		"train.iteration": {"iteration", "dataset", "model_loss", "policy_episodes", "synthetic_return",
+			"eval_return", "noise_sigma", "ddpg_updates", "rolled_back"},
+		"train.health_guard":     {"rolled_back"},
+		"model.fit":              {"dataset", "epochs", "losses", "final_loss"},
+		"ddpg.update":            {"update", "critic_loss", "mean_q", "replay", "sigma"},
+		"env.window":             {"window", "action", "wip", "reward", "mean_delay", "completed"},
+		"cluster.scale":          {"target", "available", "queues", "inflight"},
+		"cluster.consumer_start": {"service", "startup_delay"},
+		"cluster.consumer_up":    {"service", "available"},
+	} {
+		m := seen[name]
+		if m == nil {
+			t.Fatalf("no %s span in the trace (names: %v)", name, slices.Sorted(maps.Keys(seen)))
+		}
+		for _, k := range keys {
+			if _, ok := m[k]; !ok {
+				t.Errorf("%s span lacks %s: %v", name, k, m)
+			}
 		}
 	}
 }

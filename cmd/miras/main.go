@@ -144,7 +144,7 @@ func (c *common) declare(fs *flag.FlagSet, ensemble, scale string) {
 	fs.Int64Var(&c.seed, "seed", 0, "override the preset's seed (0 keeps it)")
 	fs.StringVar(&c.out, "out", "results", "output directory for CSV files")
 	fs.StringVar(&c.traceOut, "trace-out", "", "optional JSONL trace file for structured telemetry and sim-time spans")
-	fs.StringVar(&c.logLevel, "log-level", "info", "trace verbosity: debug or info (debug adds per-epoch and per-update events)")
+	fs.StringVar(&c.logLevel, "log-level", "info", "trace verbosity: debug or info (debug adds per-update and per-consumer spans)")
 	fs.Var(&c.iterations, "iterations", "override Algorithm 2 outer iterations with `n` (0 keeps the preset)")
 	fs.Var(&c.stepsPerIter, "steps-per-iter", "override real interactions per iteration with `n` (0 keeps the preset)")
 	fs.Var(&c.policyEpisodes, "policy-episodes", "override synthetic policy episodes per iteration with `n` (0 keeps the preset)")
@@ -163,10 +163,11 @@ func (c *common) openTrace() (err error) {
 }
 
 // newTracer returns a tracer over the -trace-out sink (none without one)
-// carrying prof. Spans ride the same JSONL file as events, in sim-time mode
-// so seeded traces are byte-identical across runs.
+// carrying prof. Spans are written in sim-time mode so seeded traces are
+// byte-identical across runs; -log-level debug, through the sink's level,
+// also turns on the debug spans.
 func (c *common) newTracer(prof *obs.ProfileCapturer) *obs.Tracer {
-	return obs.NewTracer(obs.TracerConfig{Recorder: c.rec, SimTime: true, Debug: c.logLevel == "debug", Profiler: prof})
+	return obs.NewTracer(obs.TracerConfig{Recorder: c.rec, SimTime: true, Profiler: prof})
 }
 
 // presets maps -scale to its experiment preset.

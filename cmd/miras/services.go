@@ -204,12 +204,11 @@ func serve(fs *flag.FlagSet) func(io.Writer) error {
 		tracer := obs.NewTracer(obs.TracerConfig{
 			Recorder: rec,
 			Ring:     obs.NewSpanRing(4096),
-			Debug:    *logLevel == "debug",
 			SlowWall: slowRequest,
 			Profiler: prof,
 		})
 		tsRing := obs.NewTimeSeriesRing(360)
-		opts = append(opts, httpapi.WithTracer(tracer), httpapi.WithTimeSeries(tsRing))
+		opts = append(opts, httpapi.WithTracer(tracer))
 		if *spillDir != "" {
 			opts = append(opts, httpapi.WithSpillDir(*spillDir))
 		}
@@ -220,7 +219,7 @@ func serve(fs *flag.FlagSet) func(io.Writer) error {
 		obs.RegisterProcessMetrics(srv.Registry())
 		mux := http.NewServeMux()
 		mux.Handle("/", srv.Handler())
-		obs.MountDebug(mux, srv.Registry())
+		obs.MountDebug(mux, srv.Registry(), tsRing)
 
 		loops := []func(context.Context){
 			func(ctx context.Context) { tsRing.Run(ctx, srv.Registry(), *sampleInterval) },

@@ -58,13 +58,12 @@ type Config struct {
 	// InitialConsumers sets the starting consumer count per task type.
 	// Defaults to 1 per microservice when nil.
 	InitialConsumers []int
-	// Tracer, when non-nil, emits one "cluster.scale" marker span per
-	// SetConsumers actuation and one "fault.episode" span per injected
-	// fault window (opened at activation, closed at deactivation), plus
-	// structured control-loop events: scaling decisions with queue depths
-	// (info), dropped requests and fault lifecycle (info), and per-consumer
-	// lifecycle with realised startup delays (debug). Nil disables all
-	// telemetry at zero cost.
+	// Tracer, when non-nil, emits one zero-length "cluster.scale" span per
+	// SetConsumers actuation carrying the queue depths it reacted to, one
+	// per dropped request (info) and one per consumer start and arrival
+	// with the realised startup delay (debug), plus the fault injector's
+	// spans (one "fault.episode" per fault window, one "fault.crash" per
+	// crash). Nil disables all telemetry at zero cost.
 	Tracer *obs.Tracer
 	// Faults, when non-nil, is a fault plan New arms at virtual time zero,
 	// exactly as ScheduleFaults right after New would. An empty plan arms
@@ -395,14 +394,13 @@ func (c *Cluster) dropRequest(j int, req taskRequest) {
 		invariant.Checkf("cluster/conservation", c.inFlight >= 0,
 			"in-flight went negative (%d) dropping workflow %d", c.inFlight, inst.wf)
 	}
-	if ev := c.cfg.Tracer.Event("request_dropped"); ev != nil {
-		ev.T(c.engine.Now()).
-			Int("service", j).
-			Int("workflow", inst.wf).
-			Int("node", req.node).
-			Uint("dropped_total", c.droppedInstances).
-			Emit()
-	}
+	now := c.engine.Now()
+	c.cfg.Tracer.Start("cluster.request_dropped").T0(now).
+		Int("service", j).
+		Int("workflow", inst.wf).
+		Int("node", req.node).
+		Uint("dropped_total", c.droppedInstances).
+		EndT(now)
 }
 
 // dispatch starts idle consumers on queued requests for microservice j.
@@ -499,21 +497,19 @@ func (c *Cluster) SetConsumers(target []int) error {
 		}
 		c.setTarget(j, m)
 	}
-	// One scale event per decision, carrying the queue depths the decision
-	// reacted to — the paper's Figure 1 control actuation, observable.
-	if ev := c.cfg.Tracer.Event("cluster_scale"); ev != nil {
-		ev.T(float64(c.engine.Now())).
+	// One scale span per decision, carrying the queue depths the decision
+	// reacted to — the paper's Figure 1 control actuation, observable. The
+	// actuation is instantaneous in virtual time, so the span is a
+	// zero-duration marker, parented under whatever window span is ambient.
+	if sp := c.cfg.Tracer.Start("cluster.scale"); sp != nil {
+		now := c.engine.Now()
+		sp.T0(now).
 			Ints("target", target).
 			Ints("available", c.Consumers()).
 			Ints("queues", c.QueueLengths()).
 			Int("inflight", c.inFlight).
-			Emit()
+			EndT(now)
 	}
-	// The actuation is instantaneous in virtual time; the span is a
-	// zero-duration marker carrying the decision, parented under whatever
-	// window span is ambient.
-	now := float64(c.engine.Now())
-	c.cfg.Tracer.Start("cluster.scale").T0(now).Int("inflight", c.inFlight).EndT(now)
 	return nil
 }
 
@@ -559,11 +555,10 @@ func (c *Cluster) startConsumer(j int) {
 // (a fault plan's MTTR draw, or the normal start-up draw).
 func (c *Cluster) startConsumerAfter(j int, delay float64) {
 	svc := c.services[j]
-	c.cfg.Tracer.Debug("consumer_start").
-		T(float64(c.engine.Now())).
-		Int("service", j).
-		F64("startup_delay", delay).
-		Emit()
+	if sp := c.cfg.Tracer.StartDebug("cluster.consumer_start"); sp != nil {
+		now := c.engine.Now()
+		sp.T0(now).Int("service", j).F64("startup_delay", delay).EndT(now)
+	}
 	svc.pendingStarts = append(svc.pendingStarts, c.schedule(delay, evStart, j))
 }
 
@@ -578,11 +573,10 @@ func (c *Cluster) consumerUp(j int, tok uint64) {
 	}
 	svc.pendingStarts = slices.Delete(svc.pendingStarts, i, i+1)
 	svc.available++
-	c.cfg.Tracer.Debug("consumer_up").
-		T(float64(c.engine.Now())).
-		Int("service", j).
-		Int("available", svc.available).
-		Emit()
+	if sp := c.cfg.Tracer.StartDebug("cluster.consumer_up"); sp != nil {
+		now := c.engine.Now()
+		sp.T0(now).Int("service", j).Int("available", svc.available).EndT(now)
+	}
 	c.dispatch(j)
 }
 

@@ -110,13 +110,12 @@ type Config struct {
 	// Tracer, when non-nil, is the training stack's one telemetry handle.
 	// It emits one span per outer iteration with child spans for the
 	// collect / model-fit / policy-improvement / health-guard / evaluate /
-	// checkpoint phases, propagated into the components (model fit epochs,
-	// DDPG updates, env windows); one "iteration" event per outer iteration
-	// and one "rollback" event per divergence rollback, plus the
-	// components' per-epoch and per-update debug events; and, through its
-	// Profiler, a pprof capture when the health guard rolls the learner
-	// back — the anomaly is profiled at the moment it is detected, not when
-	// someone reproduces it. Nil disables telemetry at zero cost.
+	// checkpoint phases, propagated into the components (model fits, DDPG
+	// updates, env windows); the iteration span carries the Fig. 6 row and
+	// the health-guard span any divergence rollback and its cause; and,
+	// through its Profiler, a pprof capture when the health guard rolls the
+	// learner back — the anomaly is profiled at the moment it is detected,
+	// not when someone reproduces it. Nil disables telemetry at zero cost.
 	Tracer *obs.Tracer
 }
 
@@ -496,9 +495,6 @@ func (a *Agent) Train() ([]IterationStats, error) {
 			}
 			a.rollbacks++
 			rolledBack = true
-			if ev := a.cfg.Tracer.Event("rollback"); ev != nil {
-				ev.Int("iteration", iter).Str("cause", herr.Error()).Emit()
-			}
 			guardSpan.Bool("rolled_back", true).Str("cause", herr.Error())
 			a.cfg.Tracer.Trigger("divergence_rollback")
 		} else {
@@ -527,18 +523,6 @@ func (a *Agent) Train() ([]IterationStats, error) {
 			NoiseSigma:      a.ddpg.NoiseSigma(),
 			RolledBack:      rolledBack,
 		})
-		// One event per Algorithm 2 outer iteration — the Fig. 6 trace.
-		if ev := a.cfg.Tracer.Event("iteration"); ev != nil {
-			ev.Int("iteration", iter).
-				Int("dataset", a.dataset.Len()).
-				F64("model_loss", loss).
-				Int("policy_episodes", episodes).
-				F64("synthetic_return", synthReturn).
-				F64("eval_return", evalReturn).
-				F64("noise_sigma", a.ddpg.NoiseSigma()).
-				Uint("ddpg_updates", a.ddpg.Updates()).
-				Emit()
-		}
 		if a.cfg.CheckpointFn != nil {
 			ckptSpan := a.cfg.Tracer.Start("train.checkpoint")
 			st := a.trainState(iter+1, stats, bestReturn, bestActor)
@@ -549,7 +533,16 @@ func (a *Agent) Train() ([]IterationStats, error) {
 			ckptSpan.End()
 		}
 		restoreParent()
-		iterSpan.Bool("rolled_back", rolledBack).End()
+		// The iteration span carries the Fig. 6 row of Algorithm 2.
+		iterSpan.Int("dataset", a.dataset.Len()).
+			F64("model_loss", loss).
+			Int("policy_episodes", episodes).
+			F64("synthetic_return", synthReturn).
+			F64("eval_return", evalReturn).
+			F64("noise_sigma", a.ddpg.NoiseSigma()).
+			Uint("ddpg_updates", a.ddpg.Updates()).
+			Bool("rolled_back", rolledBack).
+			End()
 	}
 	if bestActor != nil {
 		a.ddpg.RestoreActorParams(bestActor)

@@ -51,13 +51,14 @@ type Config struct {
 	Budget int
 	// Tracer, when non-nil, is also the cluster's tracer (cluster.Config).
 	// The env emits one "env.window" span per Step covering the virtual
-	// control window, with the cluster's scale actuation and any fault
-	// episodes activated inside the window parented under it, plus one
-	// event per control window (action, end-of-window WIP, reward) and one
-	// per rejected action. Step installs the span as the tracer's ambient
-	// parent for the window's duration, so a Tracer must not be shared by
-	// envs stepping concurrently (the HTTP server leaves session envs
-	// untraced for this reason). Nil disables telemetry at zero cost.
+	// control window and carrying its action, end-of-window WIP, reward and
+	// delay, with the cluster's scale actuation and any fault episodes
+	// activated inside the window parented under it, and one zero-length
+	// "env.constraint_violation" span per rejected action. Step installs
+	// the span as the tracer's ambient parent for the window's duration, so
+	// a Tracer must not be shared by envs stepping concurrently (the HTTP
+	// server leaves session envs untraced for this reason). Nil disables
+	// telemetry at zero cost.
 	Tracer *obs.Tracer
 	// FailureAware appends the cluster's per-microservice effective
 	// capacity (started consumers divided by any active slowdown factor)
@@ -327,14 +328,13 @@ func (e *Env) Step(m []int) (StepResult, error) {
 		total += v
 	}
 	if total > e.cfg.Budget {
-		if ev := e.cfg.Tracer.Event("constraint_violation"); ev != nil {
-			ev.T(e.c.Now()).
-				Int("window", e.window).
-				Ints("action", m).
-				Int("total", total).
-				Int("budget", e.cfg.Budget).
-				Emit()
-		}
+		now := e.c.Now()
+		e.cfg.Tracer.Start("env.constraint_violation").T0(now).
+			Int("window", e.window).
+			Ints("action", m).
+			Int("total", total).
+			Int("budget", e.cfg.Budget).
+			EndT(now)
 		return StepResult{}, fmt.Errorf("env: allocation total %d exceeds budget %d", total, e.cfg.Budget)
 	}
 	c := e.c
@@ -368,18 +368,15 @@ func (e *Env) Step(m []int) (StepResult, error) {
 		sum += w
 	}
 	res := StepResult{State: e.observe(wip), Reward: 1 - sum, Stats: stats}
-	winSpan.F64("reward", res.Reward).EndT(c.Now())
-	// One event per window: the (s, a, r) triple of §IV-B plus the
-	// delay observable the paper's evaluation plots (Fig. 6).
-	if ev := e.cfg.Tracer.Event("env_window"); ev != nil {
-		ev.T(c.Now()).
-			Int("window", stats.Window).
-			Ints("action", m).
+	// One span per window: the (s, a, r) triple of §IV-B plus the delay
+	// observable the paper's evaluation plots (Fig. 6).
+	if winSpan != nil {
+		winSpan.Ints("action", m).
 			F64s("wip", wip).
 			F64("reward", res.Reward).
 			F64("mean_delay", stats.MeanDelay()).
 			Int("completed", len(stats.Completions)).
-			Emit()
+			EndT(c.Now())
 	}
 	return res, nil
 }

@@ -27,20 +27,23 @@ func traceLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
 	return out
 }
 
-func countMsg(lines []map[string]any, msg string) int {
-	n := 0
+// spans returns the span records named name, in trace order.
+func spans(lines []map[string]any, name string) []map[string]any {
+	var out []map[string]any
 	for _, m := range lines {
-		if m["msg"] == msg {
-			n++
+		if m["msg"] == "span" && m["name"] == name {
+			out = append(out, m)
 		}
 	}
-	return n
+	return out
 }
 
-// TestStepEmitsWindowEvents checks the env and cluster trace stream: every
-// accepted Step produces one cluster_scale and one env_window event (plus
-// consumer lifecycle events at debug), and rejected actions produce a
-// constraint_violation event without advancing time.
+// TestStepEmitsWindowEvents checks the env and cluster trace: every
+// accepted Step produces one env.window span carrying the window's (s, a, r)
+// and delay, with one cluster.scale span nested beneath it (plus consumer
+// lifecycle spans at debug), and a rejected action produces a zero-length
+// env.constraint_violation span without advancing time. The trace holds
+// spans only.
 func TestStepEmitsWindowEvents(t *testing.T) {
 	var buf bytes.Buffer
 	tracer := obs.NewTracer(obs.TracerConfig{Recorder: obs.NewRecorder(&buf, slog.LevelDebug), SimTime: true})
@@ -60,7 +63,8 @@ func TestStepEmitsWindowEvents(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Submit(0)
 	}
-	if _, err := e.Step([]int{2, 2}); err != nil {
+	first, err := e.Step([]int{2, 2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Step([]int{3, 1}); err != nil {
@@ -71,56 +75,72 @@ func TestStepEmitsWindowEvents(t *testing.T) {
 	}
 
 	lines := traceLines(t, &buf)
-	if got := countMsg(lines, "env_window"); got != 2 {
-		t.Fatalf("env_window events = %d, want 2:\n%v", got, lines)
+	for _, m := range lines {
+		if m["msg"] != "span" {
+			t.Fatalf("non-span record in the trace: %v", m)
+		}
 	}
-	if got := countMsg(lines, "cluster_scale"); got != 2 {
-		t.Fatalf("cluster_scale events = %d, want 2", got)
+	windows := spans(lines, "env.window")
+	if len(windows) != 2 {
+		t.Fatalf("env.window spans = %d, want 2:\n%v", len(windows), lines)
 	}
-	if got := countMsg(lines, "constraint_violation"); got != 1 {
-		t.Fatalf("constraint_violation events = %d, want 1", got)
+	scales := spans(lines, "cluster.scale")
+	if len(scales) != 2 {
+		t.Fatalf("cluster.scale spans = %d, want 2", len(scales))
 	}
-	if countMsg(lines, "consumer_start") == 0 {
-		t.Fatal("no consumer_start events despite scale-ups")
+	violations := spans(lines, "env.constraint_violation")
+	if len(violations) != 1 {
+		t.Fatalf("env.constraint_violation spans = %d, want 1", len(violations))
 	}
-	if countMsg(lines, "consumer_up") == 0 {
-		t.Fatal("no consumer_up events despite windows longer than startup delay")
+	if v := violations[0]; v["t0"] != 60.0 || v["t1"] != 60.0 || v["total"] != 18.0 || v["budget"] != 6.0 {
+		t.Fatalf("constraint violation = %v, want a zero-length span at t=60 with total 18, budget 6", v)
+	}
+	if len(spans(lines, "cluster.consumer_start")) == 0 {
+		t.Fatal("no cluster.consumer_start spans despite scale-ups")
+	}
+	if len(spans(lines, "cluster.consumer_up")) == 0 {
+		t.Fatal("no cluster.consumer_up spans despite windows longer than startup delay")
 	}
 
-	// Spot-check the first window event's payload.
-	for _, m := range lines {
-		if m["msg"] != "env_window" {
-			continue
-		}
-		if m["window"] != 1.0 {
-			t.Fatalf("first env_window has window=%v, want 1", m["window"])
-		}
-		if m["t"] != 30.0 {
-			t.Fatalf("first env_window at t=%v, want 30", m["t"])
-		}
-		a, ok := m["action"].([]any)
-		if !ok || len(a) != 2 || a[0] != 2.0 || a[1] != 2.0 {
-			t.Fatalf("first env_window action=%v, want [2 2]", m["action"])
-		}
-		if _, ok := m["reward"].(float64); !ok {
-			t.Fatalf("env_window reward missing: %v", m)
-		}
-		break
+	// Spot-check the first window's payload.
+	w := windows[0]
+	if w["window"] != 0.0 || w["t0"] != 0.0 || w["t1"] != 30.0 {
+		t.Fatalf("first env.window window=%v over [%v, %v], want 0 over [0, 30]", w["window"], w["t0"], w["t1"])
+	}
+	a, ok := w["action"].([]any)
+	if !ok || len(a) != 2 || a[0] != 2.0 || a[1] != 2.0 {
+		t.Fatalf("first env.window action=%v, want [2 2]", w["action"])
+	}
+	wip, ok := w["wip"].([]any)
+	if !ok || len(wip) != len(first.State) || wip[0] != first.State[0] || wip[1] != first.State[1] {
+		t.Fatalf("first env.window wip=%v, want the returned state %v", w["wip"], first.State)
+	}
+	if w["reward"] != first.Reward || w["mean_delay"] != first.Stats.MeanDelay() ||
+		w["completed"] != float64(len(first.Stats.Completions)) {
+		t.Fatalf("first env.window reward/mean_delay/completed = %v/%v/%v, want %v/%v/%d",
+			w["reward"], w["mean_delay"], w["completed"],
+			first.Reward, first.Stats.MeanDelay(), len(first.Stats.Completions))
 	}
 
-	// The scale event must carry the queue depths the decision saw.
-	for _, m := range lines {
-		if m["msg"] != "cluster_scale" {
-			continue
-		}
-		q, ok := m["queues"].([]any)
-		if !ok || len(q) != 2 {
-			t.Fatalf("cluster_scale queues=%v, want 2 entries", m["queues"])
-		}
-		if v, ok := q[0].(float64); !ok || v <= 0 {
-			t.Fatalf("first scale saw queue[0]=%v, want the submitted backlog", q[0])
-		}
-		break
+	// The scale span nests under its window and carries the queue depths
+	// the decision saw.
+	sc := scales[0]
+	if sc["parent"] != w["id"] || sc["t0"] != 0.0 || sc["t1"] != 0.0 {
+		t.Fatalf("first cluster.scale parent=%v over [%v, %v], want window %v at t=0",
+			sc["parent"], sc["t0"], sc["t1"], w["id"])
+	}
+	q, ok := sc["queues"].([]any)
+	if !ok || len(q) != 2 {
+		t.Fatalf("cluster.scale queues=%v, want 2 entries", sc["queues"])
+	}
+	if v, ok := q[0].(float64); !ok || v <= 0 {
+		t.Fatalf("first scale saw queue[0]=%v, want the submitted backlog", q[0])
+	}
+	if tg, ok := sc["target"].([]any); !ok || len(tg) != 2 || tg[0] != 2.0 {
+		t.Fatalf("cluster.scale target=%v, want [2 2]", sc["target"])
+	}
+	if av, ok := sc["available"].([]any); !ok || len(av) != 2 {
+		t.Fatalf("cluster.scale available=%v, want 2 entries", sc["available"])
 	}
 }
 

@@ -125,8 +125,8 @@ func New(cfg Config) (*Model, error) {
 }
 
 // SetTracer attaches a tracer; Fit then emits one "model.fit" span per call
-// and one "model_epoch" debug event per epoch, both tagged model="model". A
-// nil tracer keeps Fit's hot loop allocation-free.
+// carrying the dataset size, the epoch count and every epoch's loss. A nil
+// tracer keeps Fit's hot loop allocation-free.
 func (m *Model) SetTracer(t *obs.Tracer) { m.tracer = t }
 
 // StateDim returns the model's state width.
@@ -159,7 +159,6 @@ func (m *Model) Fit(d *Dataset, epochs int) ([]float64, error) {
 	m.fitNormalizers(d)
 
 	fitSpan := m.tracer.Start("model.fit").
-		Str("model", "model").
 		Int("dataset", d.Len()).
 		Int("epochs", epochs)
 
@@ -201,15 +200,9 @@ func (m *Model) Fit(d *Dataset, epochs int) ([]float64, error) {
 			epochLoss += batchLoss / float64(len(batch))
 		}
 		losses = append(losses, epochLoss/float64(stepsPerEpoch))
-		m.tracer.Debug("model_epoch").
-			Str("model", "model").
-			Int("epoch", e).
-			F64("loss", losses[e]).
-			Int("dataset", d.Len()).
-			Emit()
 	}
 	m.lossBuf = losses
-	fitSpan.F64("final_loss", losses[len(losses)-1]).End()
+	fitSpan.F64s("losses", losses).F64("final_loss", losses[len(losses)-1]).End()
 	return losses, nil
 }
 

@@ -70,7 +70,7 @@ type Setup struct {
 	// Tracer, when non-nil, is threaded into every harness this Setup
 	// builds (cluster scaling, env windows, fault episodes) and into the
 	// training agents (Algorithm 2 iterations with phase children, model
-	// epochs, DDPG updates): spans, events, and — through its Profiler —
+	// fits, DDPG updates): spans and — through its Profiler —
 	// divergence-rollback profiles. BuildHarness points the tracer's clock
 	// at the harness engine so spans carry virtual timestamps; with SimTime
 	// set, seeded traces are byte-identical across runs. A tracer is

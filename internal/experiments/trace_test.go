@@ -49,6 +49,7 @@ func TestTrainingSpanTraceByteIdentical(t *testing.T) {
 	for _, name := range []string{
 		`"msg":"span"`,
 		`"name":"train.iteration"`,
+		`"name":"ddpg.update"`,
 		`"name":"train.collect"`,
 		`"name":"train.fit_model"`,
 		`"name":"train.improve_policy"`,
@@ -64,6 +65,9 @@ func TestTrainingSpanTraceByteIdentical(t *testing.T) {
 	}
 	if strings.Contains(a, "wall_start") || strings.Contains(a, "wall_dur") {
 		t.Fatal("sim-time trace leaked wall-clock fields")
+	}
+	if n, spans := strings.Count(a, "\n"), strings.Count(a, `"msg":"span"`); n != spans {
+		t.Fatalf("%d of %d trace lines are not spans", n-spans, n)
 	}
 }
 
@@ -103,7 +107,7 @@ func TestTracedFanOutsByteIdentical(t *testing.T) {
 	if a != b {
 		t.Fatal("traced fan-outs wrote different traces on identical seeded runs")
 	}
-	if !strings.Contains(a, `"name":"env.window"`) || !strings.Contains(a, `"msg":"env_window"`) {
-		t.Fatal("traced fan-outs emitted no window spans or events")
+	if !strings.Contains(a, `"name":"env.window"`) || !strings.Contains(a, `"mean_delay":`) {
+		t.Fatal("traced fan-outs emitted no window spans carrying the window's delay")
 	}
 }

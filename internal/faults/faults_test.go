@@ -230,7 +230,9 @@ func TestCrashWithoutMTTRUsesClusterDraw(t *testing.T) {
 }
 
 // TestFailedCrashDoesNotCountKill: a crash the target refuses is injected
-// (an attempt) but reported as no kill; the target counts kills.
+// (an attempt) but its zero-length fault.crash span reports no kill; the
+// target counts kills. The bounded episode's fault.episode span carries its
+// planned end.
 func TestFailedCrashDoesNotCountKill(t *testing.T) {
 	var buf bytes.Buffer
 	tracer := obs.NewTracer(obs.TracerConfig{Recorder: obs.NewRecorder(&buf, slog.LevelDebug), SimTime: true})
@@ -251,11 +253,17 @@ func TestFailedCrashDoesNotCountKill(t *testing.T) {
 		t.Fatal("no crash attempts")
 	}
 	trace := buf.String()
+	if got := strings.Count(trace, `"name":"fault.crash"`); uint64(got) != in.Injected() {
+		t.Fatalf("%d fault.crash spans, want one per %d attempts:\n%s", got, in.Injected(), trace)
+	}
 	if got := strings.Count(trace, `"killed":false`); uint64(got) != in.Injected() {
-		t.Fatalf("%d crash events report no kill, want all %d attempts:\n%s", got, in.Injected(), trace)
+		t.Fatalf("%d crash spans report no kill, want all %d attempts:\n%s", got, in.Injected(), trace)
 	}
 	if strings.Contains(trace, `"killed":true`) {
 		t.Fatalf("a refused crash reported a kill:\n%s", trace)
+	}
+	if !strings.Contains(trace, `"name":"fault.episode"`) || !strings.Contains(trace, `"until":50`) {
+		t.Fatalf("no fault.episode span with until=50:\n%s", trace)
 	}
 }
 
@@ -298,7 +306,7 @@ func TestPlansCompose(t *testing.T) {
 }
 
 // TestInjectorDeterminism drives the same plan twice from equal seeds and
-// requires byte-identical traces (events and fault.episode spans) and
+// requires byte-identical traces (fault.episode and fault.crash spans) and
 // identical target call logs.
 func TestInjectorDeterminism(t *testing.T) {
 	run := func() (string, string) {
@@ -332,5 +340,27 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 	if len(trace1) == 0 {
 		t.Fatal("trace captured nothing")
+	}
+}
+
+// TestOpenEndedEpisodeSpan: a fault with no end never deactivates, so its
+// fault.episode span is a zero-length marker at activation carrying until=0
+// rather than a span that is never written.
+func TestOpenEndedEpisodeSpan(t *testing.T) {
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(obs.TracerConfig{Recorder: obs.NewRecorder(&buf, slog.LevelInfo), SimTime: true})
+	engine := sim.NewEngine()
+	in, err := NewInjector(engine, sim.NewStreams(3), &fakeTarget{services: 1}, tracer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Schedule(Plan{Specs: []Spec{{Kind: Crash, Service: 0, StartSec: 2, MTTFSec: 1e9}}}); err != nil {
+		t.Fatal(err)
+	}
+	engine.RunUntil(5)
+	trace := buf.String()
+	if !strings.Contains(trace, `"name":"fault.episode"`) ||
+		!strings.Contains(trace, `"t0":2,"t1":2,"fault":0,"kind":"crash"`) || !strings.Contains(trace, `"until":0`) {
+		t.Fatalf("no zero-length fault.episode marker at t=2 with until=0:\n%s", trace)
 	}
 }

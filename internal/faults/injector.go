@@ -58,8 +58,9 @@ type Injector struct {
 // seeds behave identically and never perturb other components' streams.
 // tracer, when non-nil, gets one "fault.episode" span per fault window
 // (opened at activation, closed at deactivation, carrying the spec's kind,
-// service and factor) and the fault lifecycle events (fault_begin,
-// fault_end, consumer_crash); nil disables both at zero cost.
+// service, factor and planned end "until", 0 for open-ended) and one
+// zero-length "fault.crash" span per crash attempt; nil disables both at
+// zero cost.
 func NewInjector(engine *sim.Engine, streams *sim.Streams, target Target, tracer *obs.Tracer) (*Injector, error) {
 	if engine == nil || streams == nil || target == nil {
 		return nil, fmt.Errorf("faults: engine, streams, and target are required")
@@ -167,13 +168,13 @@ func (in *Injector) armCrash(id int, sp Spec) {
 		}
 		err := in.target.CrashConsumer(j, restart)
 		in.injected++
-		in.tracer.Event("consumer_crash").
-			T(in.engine.Now()).
+		now := in.engine.Now()
+		in.tracer.Start("fault.crash").T0(now).
 			Int("fault", id).
 			Int("service", j).
 			F64("restart_delay", restart).
 			Bool("killed", err == nil).
-			Emit()
+			EndT(now)
 		in.reschedule(id, fire, sim.Exponential(rng, sp.MTTFSec), end)
 	}
 	in.engine.Schedule(sp.StartSec, func() {
@@ -256,20 +257,20 @@ func (in *Injector) activate(id int, sp Spec, untilSec float64) {
 		UntilSec: untilSec,
 		Factor:   sp.Factor,
 	}
-	in.tracer.Event("fault_begin").
-		T(in.engine.Now()).
-		Int("fault", id).
-		Str("kind", string(sp.Kind)).
-		Int("service", sp.Service).
-		F64("factor", sp.Factor).
-		F64("until", untilSec).
-		Emit()
-	if span := in.tracer.Start("fault.episode").
+	span := in.tracer.Start("fault.episode").
 		T0(in.engine.Now()).
 		Int("fault", id).
 		Str("kind", string(sp.Kind)).
 		Int("service", sp.Service).
-		F64("factor", sp.Factor); span != nil {
+		F64("factor", sp.Factor).
+		F64("until", untilSec)
+	switch {
+	case span == nil:
+	case untilSec == 0:
+		// An open-ended fault never deactivates: its span is a
+		// zero-length marker at activation.
+		span.EndT(in.engine.Now())
+	default:
 		if in.spans == nil {
 			in.spans = make(map[int]*obs.Span)
 		}
@@ -282,10 +283,6 @@ func (in *Injector) deactivate(id int) {
 		return
 	}
 	delete(in.active, id)
-	in.tracer.Event("fault_end").
-		T(in.engine.Now()).
-		Int("fault", id).
-		Emit()
 	if span, ok := in.spans[id]; ok {
 		delete(in.spans, id)
 		span.EndT(in.engine.Now())

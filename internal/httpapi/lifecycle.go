@@ -64,10 +64,14 @@ type RehydrateResponse struct {
 	Failed     map[string]string `json:"failed,omitempty"`
 }
 
+// MaxListLimit is the largest session-listing page: the shard's full page,
+// and what the router asks every shard for when it merges a listing.
+const MaxListLimit = 1000
+
 // ListLimit reads a session listing's page size from q's limit: 100 when
-// absent, at most 1000 (the shard's full page). A limit that is not a
-// positive integer is answered here, 400 bad_request, and ok is false. The
-// shard and the router parse it alike.
+// absent, at most MaxListLimit. A limit that is not a positive integer is
+// answered here, 400 bad_request, and ok is false. The shard and the router
+// parse it alike.
 func ListLimit(w http.ResponseWriter, q url.Values) (limit int, ok bool) {
 	limit = 100
 	if raw := q.Get("limit"); raw != "" {
@@ -79,7 +83,7 @@ func ListLimit(w http.ResponseWriter, q url.Values) (limit int, ok bool) {
 		}
 		limit = n
 	}
-	return min(limit, 1000), true
+	return min(limit, MaxListLimit), true
 }
 
 // handleList serves GET /v1/sessions?limit=&page_token=. Sessions are

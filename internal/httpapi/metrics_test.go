@@ -127,13 +127,15 @@ func TestMetricsMiddleware(t *testing.T) {
 }
 
 // TestMountDebugEndToEnd serves the full server mux the way `miras serve`
-// assembles it and checks /metrics, /healthz, and the pprof index respond.
+// assembles it and checks /metrics, /healthz, the pprof index, and the
+// time-series dump and dashboard (sampled after live traffic) respond.
 func TestMountDebugEndToEnd(t *testing.T) {
 	s := NewServer()
 	obs.RegisterProcessMetrics(s.Registry())
+	ts := obs.NewTimeSeriesRing(32)
 	mux := http.NewServeMux()
 	mux.Handle("/", s.Handler())
-	obs.MountDebug(mux, s.Registry())
+	obs.MountDebug(mux, s.Registry(), ts)
 
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -169,5 +171,28 @@ func TestMountDebugEndToEnd(t *testing.T) {
 	}
 	if code, _ := get("/debug/pprof/"); code != http.StatusOK {
 		t.Fatalf("/debug/pprof/ = %d", code)
+	}
+
+	if code, _ := get("/v1/ensembles"); code != http.StatusOK {
+		t.Fatalf("/v1/ensembles = %d", code)
+	}
+	ts.Sample(s.Registry(), 1)
+	code, body = get("/v1/debug/timeseries")
+	if code != http.StatusOK {
+		t.Fatalf("timeseries status %d", code)
+	}
+	var dump obs.TimeSeriesDump
+	if err := json.Unmarshal([]byte(body), &dump); err != nil {
+		t.Fatalf("timeseries not JSON: %v\n%s", err, body)
+	}
+	if dump.Samples == 0 || len(dump.Series) == 0 {
+		t.Fatalf("empty timeseries dump: %+v", dump)
+	}
+	code, body = get("/debug/dash")
+	if code != http.StatusOK {
+		t.Fatalf("dash status %d", code)
+	}
+	if !strings.Contains(body, "<svg") || !strings.Contains(body, "miras_http_requests_total") {
+		t.Fatalf("dash HTML lacks sparklines or metric names (%d bytes)", len(body))
 	}
 }

@@ -13,17 +13,16 @@ import (
 )
 
 // obsClient builds a server with the full observability surface attached:
-// wall-clock tracer over a span ring, carrying (optionally) an anomaly
-// profiler, and a time-series ring.
-func obsClient(t *testing.T, prof *obs.ProfileCapturer) (*client, *Server, *obs.SpanRing, *obs.TimeSeriesRing) {
+// a wall-clock tracer over a span ring, carrying (optionally) an anomaly
+// profiler.
+func obsClient(t *testing.T, prof *obs.ProfileCapturer) (*client, *Server, *obs.SpanRing) {
 	t.Helper()
 	ring := obs.NewSpanRing(1 << 10)
 	tracer := obs.NewTracer(obs.TracerConfig{Ring: ring, Profiler: prof})
-	ts := obs.NewTimeSeriesRing(32)
-	srv := NewServer(WithTracer(tracer), WithTimeSeries(ts))
+	srv := NewServer(WithTracer(tracer))
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
-	return &client{t: t, srv: hs}, srv, ring, ts
+	return &client{t: t, srv: hs}, srv, ring
 }
 
 // TestRequestSpansAndTraceparent checks the request middleware: an incoming
@@ -31,7 +30,7 @@ func obsClient(t *testing.T, prof *obs.ProfileCapturer) (*client, *Server, *obs.
 // span lands in the ring with its remote parent, and session work appears
 // as child spans tagged with the session id.
 func TestRequestSpansAndTraceparent(t *testing.T) {
-	c, _, ring, _ := obsClient(t, nil)
+	c, _, ring := obsClient(t, nil)
 	sess := c.createSession(6)
 
 	const inTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
@@ -85,16 +84,16 @@ func TestRequestSpansAndTraceparent(t *testing.T) {
 	}
 }
 
-// TestDebugEndpoints checks the three mounted debug routes serve well-formed
-// payloads reflecting live traffic.
+// TestDebugEndpoints checks the server's mounted trace route serves a
+// well-formed payload reflecting live traffic. The time-series routes are
+// obs.MountDebug's (TestMountDebugEndToEnd).
 func TestDebugEndpoints(t *testing.T) {
-	c, srv, _, ts := obsClient(t, nil)
+	c, _, _ := obsClient(t, nil)
 	sess := c.createSession(6)
 	if status := c.do("POST", "/v1/sessions/"+sess.ID+"/step",
 		StepRequest{Allocation: []int{4, 2}}, nil); status != http.StatusOK {
 		t.Fatalf("step status %d", status)
 	}
-	ts.Sample(srv.Registry(), 1)
 
 	var spans []obs.SpanRecord
 	if status := c.do("GET", "/v1/debug/traces", nil, &spans); status != http.StatusOK {
@@ -109,27 +108,6 @@ func TestDebugEndpoints(t *testing.T) {
 	if !found {
 		t.Fatalf("no session.step span in /v1/debug/traces (%d spans)", len(spans))
 	}
-
-	var dump obs.TimeSeriesDump
-	if status := c.do("GET", "/v1/debug/timeseries", nil, &dump); status != http.StatusOK {
-		t.Fatalf("timeseries status %d", status)
-	}
-	if dump.Samples == 0 || len(dump.Series) == 0 {
-		t.Fatalf("empty timeseries dump: %+v", dump)
-	}
-
-	resp, err := http.Get(c.srv.URL + "/debug/dash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("dash status %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), "<svg") || !strings.Contains(string(body), "miras_http_requests_total") {
-		t.Fatalf("dash HTML lacks sparklines or metric names (%d bytes)", len(body))
-	}
 }
 
 // TestDeleteCleansUpObservability is the per-session cleanup audit: after
@@ -137,7 +115,8 @@ func TestDebugEndpoints(t *testing.T) {
 // next sample) time-series cardinality all return to their pre-session
 // baselines.
 func TestDeleteCleansUpObservability(t *testing.T) {
-	c, srv, ring, ts := obsClient(t, nil)
+	c, srv, ring := obsClient(t, nil)
+	ts := obs.NewTimeSeriesRing(32)
 
 	// Baseline after the handler (and its per-endpoint series) exist but
 	// before any session.
@@ -196,7 +175,7 @@ func TestFallbackTriggersProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, srv, _, _ := obsClient(t, prof)
+	c, srv, _ := obsClient(t, prof)
 	sess := c.createSession(6)
 	sibling := c.createSession(6)
 	for _, id := range []string{sess.ID, sibling.ID} {

@@ -172,11 +172,7 @@ type Server struct {
 	// any, is mounted at GET /v1/debug/traces, and its profiler captures a
 	// pprof profile whenever a session degrades to the HPA fallback (an
 	// anomaly worth a flight recording).
-	tracer *obs.Tracer
-	// tsRing, when set, is served at GET /v1/debug/timeseries (JSON) and
-	// GET /debug/dash (HTML sparklines). The server does not sample into
-	// it; run obs.TimeSeriesRing.Run against Registry() for that.
-	tsRing       *obs.TimeSeriesRing
+	tracer       *obs.Tracer
 	windowsTotal *obs.Counter
 	spillErrors  *obs.Counter
 
@@ -253,12 +249,6 @@ func WithTracer(tr *obs.Tracer) Option {
 	return func(s *Server) { s.tracer = tr }
 }
 
-// WithTimeSeries mounts ts at GET /v1/debug/timeseries and /debug/dash.
-// The caller owns sampling (obs.TimeSeriesRing.Run over Registry()).
-func WithTimeSeries(ts *obs.TimeSeriesRing) Option {
-	return func(s *Server) { s.tsRing = ts }
-}
-
 // NewServer returns an empty server with a fresh metrics registry. With no
 // options it allows 64 concurrent sessions.
 func NewServer(opts ...Option) *Server {
@@ -298,10 +288,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /v1/admin/rehydrate", s.instrument("rehydrate", s.handleRehydrate))
 	if ring := s.tracer.Ring(); ring != nil {
 		mux.Handle("GET /v1/debug/traces", ring.Handler())
-	}
-	if s.tsRing != nil {
-		mux.Handle("GET /v1/debug/timeseries", s.tsRing.Handler())
-		mux.Handle("GET /debug/dash", s.tsRing.DashHandler())
 	}
 	routes := map[string]sessionRoute{
 		"": {allow: "DELETE, GET, HEAD",

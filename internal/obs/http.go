@@ -10,14 +10,21 @@ import (
 
 // MountDebug mounts the operational endpoints on mux:
 //
-//	GET /metrics        the registry in Prometheus text format
-//	GET /healthz        liveness probe ("ok")
-//	    /debug/pprof/*  net/http/pprof profiling handlers
+//	GET /metrics              the registry in Prometheus text format
+//	GET /healthz              liveness probe ("ok")
+//	    /debug/pprof/*        net/http/pprof profiling handlers
+//	GET /v1/debug/timeseries  ts as JSON (only when ts is non-nil)
+//	GET /debug/dash           ts as HTML sparklines (likewise)
 //
 // pprof is mounted explicitly (not via the package's DefaultServeMux side
-// effect) so servers with custom muxes get it too.
-func MountDebug(mux *http.ServeMux, reg *Registry) {
+// effect) so servers with custom muxes get it too. The caller owns ts's
+// sampling (TimeSeriesRing.Run over reg).
+func MountDebug(mux *http.ServeMux, reg *Registry, ts *TimeSeriesRing) {
 	mux.Handle("GET /metrics", reg.Handler())
+	if ts != nil {
+		mux.Handle("GET /v1/debug/timeseries", ts.Handler())
+		mux.Handle("GET /debug/dash", ts.DashHandler())
+	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write([]byte("ok\n"))

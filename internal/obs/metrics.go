@@ -1,18 +1,19 @@
 // Package obs is the runtime observability layer: a stdlib-only metrics
-// registry rendered in Prometheus text exposition format, and the Tracer —
-// the one telemetry handle components accept — which mints causal spans,
-// writes sim-time-aware structured events through its Recorder sink (JSONL
-// over log/slog), and fires anomaly profiles through its ProfileCapturer.
+// registry rendered in Prometheus text exposition format, a sampled
+// time-series ring over it, and the Tracer — the one telemetry handle
+// components accept — which mints causal spans, writes them through its
+// Recorder sink (JSONL over log/slog) and its in-memory SpanRing, and fires
+// anomaly profiles through its ProfileCapturer.
 //
 // The registry serves the ROADMAP's production-server goal: counters,
 // gauges, and fixed-bucket histograms safe for concurrent use, scraped from
-// `miras serve`'s /metrics endpoint. The event stream serves the paper's
-// evaluation methodology (§VI): every per-window observable the controller
-// sees — WIP vectors, allocations, rewards, model losses — can be written
-// as a replayable JSONL trace.
+// `miras serve`'s /metrics endpoint. The span is the one trace record, and
+// it serves the paper's evaluation methodology (§VI): every per-window
+// observable the controller sees — WIP vectors, allocations, rewards, model
+// losses — is an attribute of a span in a replayable JSONL trace.
 //
-// Everything is nil-safe: a nil *Tracer swallows spans, events and triggers
-// with zero allocations, so instrumented hot paths (rl.DDPG.Update,
+// Everything is nil-safe: a nil *Tracer swallows spans and triggers with
+// zero allocations, so instrumented hot paths (rl.DDPG.Update,
 // envmodel.Model.Fit) cost one pointer comparison when observability is off.
 package obs
 

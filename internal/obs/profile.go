@@ -3,7 +3,7 @@
 // the ProfileCapturer writes a pprof heap profile into a size-capped
 // directory, so the evidence exists before anyone tries to reproduce the
 // incident. Captures are rate-limited and bounded; a nil capturer is a
-// no-op, mirroring the nil Recorder/Tracer discipline. The capturer rides on
+// no-op, mirroring the nil Tracer discipline. The capturer rides on
 // a Tracer (TracerConfig.Profiler), whose Trigger and slow spans fire it.
 
 package obs
@@ -83,20 +83,20 @@ func (p *ProfileCapturer) Dropped() uint64 {
 	return p.dropped
 }
 
-// capture writes a heap profile for the named anomaly (see Tracer.Trigger)
-// and reports it as a "profile_capture" event on rec (nil: none). Returns
-// true if a capture was taken, false if it was rate-limited or the receiver
-// is nil.
-func (p *ProfileCapturer) capture(reason string, rec *Recorder) bool {
+// capture writes a heap profile for the named anomaly (see Tracer.Trigger).
+// ok reports whether a capture was taken (false if it was rate-limited or
+// the receiver is nil); file is its name stem and heapErr a failure to
+// write the profile.
+func (p *ProfileCapturer) capture(reason string) (file string, ok bool, heapErr error) {
 	if p == nil {
-		return false
+		return "", false, nil
 	}
 	p.mu.Lock()
 	now := p.now()
 	if !p.last.IsZero() && now.Sub(p.last) < profileMinInterval {
 		p.dropped++
 		p.mu.Unlock()
-		return false
+		return "", false, nil
 	}
 	p.last = now
 	p.seq++
@@ -106,15 +106,9 @@ func (p *ProfileCapturer) capture(reason string, rec *Recorder) bool {
 
 	base := fmt.Sprintf("%s-%04d-%s", now.UTC().Format("20060102T150405"), seq, sanitizeReason(reason))
 	heapPath := filepath.Join(p.dir, base+".heap.pprof")
-	heapErr := p.writeHeap(heapPath)
+	heapErr = p.writeHeap(heapPath)
 	p.enforceCap()
-
-	ev := rec.Event("profile_capture").Str("reason", reason).Str("file", base)
-	if heapErr != nil {
-		ev = ev.Str("heap_error", heapErr.Error())
-	}
-	ev.Emit()
-	return true
+	return base, true, heapErr
 }
 
 func (p *ProfileCapturer) writeHeap(path string) error {

@@ -27,7 +27,7 @@ func captureFiles(t *testing.T, dir string) []string {
 
 func TestProfileCapturerNilSafe(t *testing.T) {
 	var p *ProfileCapturer
-	if p.capture("x", nil) {
+	if _, ok, _ := p.capture("x"); ok {
 		t.Fatal("nil capturer captured")
 	}
 	if p.Captures() != 0 || p.Dropped() != 0 {
@@ -61,8 +61,10 @@ func TestProfileCapturerWritesHeap(t *testing.T) {
 	if info.Size() == 0 {
 		t.Fatal("heap profile is empty")
 	}
-	if !strings.Contains(buf.String(), `"msg":"profile_capture"`) {
-		t.Fatalf("no profile_capture event recorded: %s", buf.String())
+	lines := decodeLines(t, &buf)
+	if len(lines) != 1 || lines[0]["msg"] != "span" || lines[0]["name"] != "profile.capture" ||
+		lines[0]["reason"] != "divergence_rollback" || !strings.HasPrefix(files[0], lines[0]["file"].(string)) {
+		t.Fatalf("want one profile.capture span naming the reason and file %s: %v", files[0], lines)
 	}
 }
 
@@ -75,15 +77,15 @@ func TestProfileCapturerRateLimit(t *testing.T) {
 	clock := time.Unix(1700000000, 0)
 	p.setNow(func() time.Time { return clock })
 
-	if !p.capture("hpa_fallback", nil) {
+	if _, ok, _ := p.capture("hpa_fallback"); !ok {
 		t.Fatal("first trigger limited")
 	}
 	clock = clock.Add(profileMinInterval - time.Second)
-	if p.capture("hpa_fallback", nil) {
+	if _, ok, _ := p.capture("hpa_fallback"); ok {
 		t.Fatal("trigger inside the minimum interval not limited")
 	}
 	clock = clock.Add(time.Second)
-	if !p.capture("hpa_fallback", nil) {
+	if _, ok, _ := p.capture("hpa_fallback"); !ok {
 		t.Fatal("trigger after the minimum interval limited")
 	}
 	if p.Captures() != 2 || p.Dropped() != 1 {
@@ -105,7 +107,7 @@ func TestProfileCapturerDirSizeCap(t *testing.T) {
 	p.setNow(func() time.Time { c := clock; clock = clock.Add(profileMinInterval); return c })
 
 	for i := 0; i < 4; i++ {
-		if !p.capture("slow_span", nil) {
+		if _, ok, _ := p.capture("slow_span"); !ok {
 			t.Fatalf("trigger %d limited", i)
 		}
 	}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -10,20 +9,20 @@ import (
 	"sync"
 )
 
-// Recorder writes structured control-loop events as JSON lines through a
-// log/slog JSONHandler. Events carry virtual (simulation) time via T, not
-// wall-clock time — the handler strips slog's time attribute so traces are
+// Recorder is the JSONL span sink: every finished span at or above its
+// level becomes one "span" line, written through a log/slog JSONHandler.
+// Spans carry virtual (simulation) time in t0/t1 in sim-time mode; the
+// handler strips slog's own wall-clock time attribute, so a seeded trace is
 // deterministic and replayable.
 //
-// A nil *Recorder is valid and fully disabled: every method is a nil check,
-// and the event-builder chain allocates nothing, so hot paths can stay
-// instrumented unconditionally.
+// The level is also the tracer's debug gate: a Tracer starts debug spans
+// only when its Recorder accepts debug records. A nil *Recorder is valid
+// and writes nothing.
 //
-// Recorder is safe for concurrent use; each event is written as one line.
+// Recorder is safe for concurrent use; each span is written as one line.
 type Recorder struct {
 	logger *slog.Logger
 	level  slog.Level
-	pool   sync.Pool
 	out    *lockedWriter
 }
 
@@ -43,8 +42,8 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// NewRecorder returns a recorder writing JSONL events at or above level
-// to w.
+// NewRecorder returns a recorder writing JSONL span records at or above
+// level to w.
 func NewRecorder(w io.Writer, level slog.Level) *Recorder {
 	out := &lockedWriter{w: w}
 	h := slog.NewJSONHandler(out, &slog.HandlerOptions{
@@ -56,9 +55,7 @@ func NewRecorder(w io.Writer, level slog.Level) *Recorder {
 			return a
 		},
 	})
-	r := &Recorder{logger: slog.New(h), level: level, out: out}
-	r.pool.New = func() any { return &Event{attrs: make([]slog.Attr, 0, 16)} }
-	return r
+	return &Recorder{logger: slog.New(h), level: level, out: out}
 }
 
 // FileRecorder opens path (truncating) and returns a buffered recorder at
@@ -113,108 +110,5 @@ func (r *Recorder) Close() error {
 	return nil
 }
 
-// Event starts an info-level event named name, or returns nil (all builder
-// methods no-op) when disabled.
-func (r *Recorder) Event(name string) *Event { return r.at(slog.LevelInfo, name) }
-
-// Debug starts a debug-level event — the level used by per-step hot-path
-// telemetry (DDPG updates, model epochs, consumer lifecycle).
-func (r *Recorder) Debug(name string) *Event { return r.at(slog.LevelDebug, name) }
-
-func (r *Recorder) at(lvl slog.Level, name string) *Event {
-	if r == nil || lvl < r.level {
-		return nil
-	}
-	e := r.pool.Get().(*Event)
-	e.rec, e.level, e.name = r, lvl, name
-	return e
-}
-
-// Event accumulates attributes for one JSONL line. Builders are pooled;
-// every started event must end with Emit. A nil *Event (disabled recorder)
-// accepts the whole chain as no-ops.
-type Event struct {
-	rec   *Recorder
-	level slog.Level
-	name  string
-	attrs []slog.Attr
-}
-
-// T attaches the virtual-time attribute "t" (simulation seconds).
-func (e *Event) T(simTime float64) *Event { return e.F64("t", simTime) }
-
-// F64 attaches a float attribute.
-func (e *Event) F64(k string, v float64) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Float64(k, v))
-	return e
-}
-
-// Int attaches an int attribute.
-func (e *Event) Int(k string, v int) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Int(k, v))
-	return e
-}
-
-// Uint attaches a uint64 attribute.
-func (e *Event) Uint(k string, v uint64) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Uint64(k, v))
-	return e
-}
-
-// Str attaches a string attribute.
-func (e *Event) Str(k, v string) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.String(k, v))
-	return e
-}
-
-// Bool attaches a bool attribute.
-func (e *Event) Bool(k string, v bool) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Bool(k, v))
-	return e
-}
-
-// F64s attaches a float-slice attribute (serialised as a JSON array). The
-// slice is read during Emit, synchronously, so callers may reuse it after.
-func (e *Event) F64s(k string, v []float64) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Any(k, v))
-	return e
-}
-
-// Ints attaches an int-slice attribute (serialised as a JSON array).
-func (e *Event) Ints(k string, v []int) *Event {
-	if e == nil {
-		return nil
-	}
-	e.attrs = append(e.attrs, slog.Any(k, v))
-	return e
-}
-
-// Emit writes the event as one JSON line and recycles the builder.
-func (e *Event) Emit() {
-	if e == nil {
-		return
-	}
-	e.rec.logger.LogAttrs(context.Background(), e.level, e.name, e.attrs...)
-	rec := e.rec
-	e.rec = nil
-	e.attrs = e.attrs[:0]
-	rec.pool.Put(e)
-}
+// enabled reports whether r writes records at lvl. False on a nil recorder.
+func (r *Recorder) enabled(lvl slog.Level) bool { return r != nil && lvl >= r.level }

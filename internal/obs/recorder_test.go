@@ -26,11 +26,12 @@ func decodeLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
 	return out
 }
 
+// TestRecorderJSONL: a span's record is one JSON line carrying every typed
+// attribute, slices as arrays, and no wall-clock time.
 func TestRecorderJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, slog.LevelInfo)
-	r.Event("window").
-		T(30).
+	tr := NewTracer(TracerConfig{Recorder: NewRecorder(&buf, slog.LevelInfo), SimTime: true})
+	tr.Start("window").T0(0).
 		Int("window", 1).
 		Ints("action", []int{4, 4, 3, 3}).
 		F64s("wip", []float64{0, 1.5}).
@@ -38,19 +39,20 @@ func TestRecorderJSONL(t *testing.T) {
 		Str("ensemble", "msd").
 		Bool("burst", true).
 		Uint("updates", 7).
-		Emit()
+		EndT(30)
 	lines := decodeLines(t, &buf)
 	if len(lines) != 1 {
 		t.Fatalf("got %d lines, want 1", len(lines))
 	}
 	m := lines[0]
-	if m["msg"] != "window" || m["level"] != "INFO" {
-		t.Fatalf("msg/level wrong: %v", m)
+	if m["msg"] != "span" || m["name"] != "window" || m["level"] != "INFO" {
+		t.Fatalf("msg/name/level wrong: %v", m)
 	}
 	if _, hasTime := m["time"]; hasTime {
 		t.Fatal("wall-clock time leaked into the trace; replays would not be deterministic")
 	}
-	if m["t"] != 30.0 || m["reward"] != -3.5 || m["window"] != 1.0 {
+	if m["t1"] != 30.0 || m["reward"] != -3.5 || m["window"] != 1.0 || m["ensemble"] != "msd" ||
+		m["burst"] != true || m["updates"] != 7.0 {
 		t.Fatalf("scalar attrs wrong: %v", m)
 	}
 	if a, ok := m["action"].([]any); !ok || len(a) != 4 || a[0] != 4.0 {
@@ -61,27 +63,36 @@ func TestRecorderJSONL(t *testing.T) {
 	}
 }
 
+// TestRecorderLevelFiltering: the recorder writes only spans at or above
+// its level.
 func TestRecorderLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, slog.LevelInfo)
-	if r.Debug("noisy") != nil {
-		t.Fatal("Debug should return nil below the recorder level")
+	rec := NewRecorder(&buf, slog.LevelWarn)
+	tr := NewTracer(TracerConfig{Recorder: rec, SimTime: true})
+	tr.Start("dropped").F64("x", 1).End()
+	if buf.Len() != 0 {
+		t.Fatalf("info span written below a warn recorder: %s", buf.String())
 	}
-	r.Debug("noisy").F64("x", 1).Emit() // whole chain must be a no-op
-	r.Event("kept").Emit()
+
+	rec = NewRecorder(&buf, slog.LevelInfo)
+	tr = NewTracer(TracerConfig{Recorder: rec, SimTime: true})
+	tr.Start("kept").End()
 	lines := decodeLines(t, &buf)
-	if len(lines) != 1 || lines[0]["msg"] != "kept" {
+	if len(lines) != 1 || lines[0]["name"] != "kept" {
 		t.Fatalf("level filtering wrong: %v", lines)
 	}
 }
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if r.Event("x") != nil || r.Debug("y") != nil {
-		t.Fatal("nil recorder started an event")
+	if r.enabled(slog.LevelError) {
+		t.Fatal("nil recorder accepts records")
 	}
-	r.Event("x").T(1).F64("a", 2).Ints("b", []int{1}).Emit() // must not panic
-	r.Debug("y").Str("s", "v").Emit()
+	tr := NewTracer(TracerConfig{Recorder: r, SimTime: true})
+	tr.Start("x").T0(1).F64("a", 2).Ints("b", []int{1}).EndT(2) // must not panic
+	if sp := tr.StartDebug("y"); sp != nil {
+		t.Fatal("a tracer without a recorder started a debug span")
+	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
 	}
@@ -89,7 +100,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestRecorderConcurrentEmit(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, slog.LevelDebug)
+	tr := NewTracer(TracerConfig{Recorder: NewRecorder(&buf, slog.LevelDebug), SimTime: true})
 	const workers, per = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -97,7 +108,7 @@ func TestRecorderConcurrentEmit(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Debug("tick").Int("worker", id).Int("i", i).Emit()
+				tr.StartDebug("tick").Int("worker", id).Int("i", i).End()
 			}
 		}(w)
 	}
@@ -114,8 +125,9 @@ func TestFileRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Event("a").Int("n", 1).Emit()
-	r.Debug("b").Emit()
+	tr := NewTracer(TracerConfig{Recorder: r, SimTime: true})
+	tr.Start("a").Int("n", 1).End()
+	tr.StartDebug("b").End()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,45 +150,14 @@ func TestFileRecorder(t *testing.T) {
 	}
 }
 
-// BenchmarkRecorderDisabled proves the disabled fast path allocates
-// nothing: instrumented hot loops (DDPG updates, model epochs) stay
-// allocation-free when no -trace-out is given.
-func BenchmarkRecorderDisabled(b *testing.B) {
-	var r *Recorder
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Debug("ddpg_update").
-			Uint("update", uint64(i)).
-			F64("critic_loss", 0.5).
-			F64("mean_q", -1).
-			Int("replay", 1024).
-			Emit()
-	}
-	if testing.AllocsPerRun(100, func() {
-		r.Debug("x").F64("v", 1).Emit()
-	}) != 0 {
-		b.Fatal("disabled recorder path allocates")
-	}
-}
-
-// BenchmarkRecorderLevelFiltered measures the below-level path of a live
-// recorder — also allocation-free, since the builder is never taken from
-// the pool.
-func BenchmarkRecorderLevelFiltered(b *testing.B) {
-	r := NewRecorder(&bytes.Buffer{}, slog.LevelInfo)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Debug("ddpg_update").F64("critic_loss", 0.5).Emit()
-	}
-}
-
-// BenchmarkRecorderEmit measures the enabled path writing to memory.
-func BenchmarkRecorderEmit(b *testing.B) {
+// BenchmarkSpanEmit measures the enabled path writing one debug span with
+// the per-update attributes to memory.
+func BenchmarkSpanEmit(b *testing.B) {
 	var buf bytes.Buffer
-	r := NewRecorder(&buf, slog.LevelDebug)
+	tr := NewTracer(TracerConfig{Recorder: NewRecorder(&buf, slog.LevelDebug), SimTime: true})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		r.Debug("ddpg_update").Uint("update", uint64(i)).F64("critic_loss", 0.5).Emit()
+		tr.StartDebug("ddpg.update").Uint("update", uint64(i)).F64("critic_loss", 0.5).End()
 	}
 }

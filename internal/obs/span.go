@@ -1,20 +1,14 @@
 // Causal span tracing. A Tracer produces spans — named intervals with a
-// trace id, a span id, and a parent link — threaded through the training
-// loop (iteration → collect/fit/improve/evaluate windows) and the serving
-// path (HTTP request → decide/step), so latency and failures can be
-// attributed across component boundaries instead of inferred from flat
-// counters.
+// trace id, a span id, a parent link and typed attributes — threaded
+// through the training loop (iteration → collect/fit/improve/evaluate → env
+// windows → cluster actuation) and the serving path (HTTP request →
+// decide/step), so latency and failures can be attributed across component
+// boundaries instead of inferred from flat counters. Something that happens
+// at one instant (a scale decision, a dropped request, a consumer crash, a
+// profile capture) is a zero-length span at that virtual time, nested under
+// whatever span is ambient.
 //
-// The Tracer is the one telemetry handle a component accepts: besides spans
-// it carries structured events (Event/Debug, written through its Recorder
-// sink) and anomaly profiles (Trigger, and every span slower than SlowWall,
-// captured by its Profiler). A nil *Tracer (and the nil *Span or *Event
-// every method then returns) is fully disabled and allocates nothing, so hot
-// paths stay instrumented unconditionally. In sim-time mode spans carry
-// virtual timestamps only — wall-clock fields are stripped — so a seeded run
-// emits a byte-identical trace every time, at any GOMAXPROCS.
-//
-// Finished spans are exported two ways: as "span" records on the Recorder's
+// Finished spans are exported two ways: as "span" lines on the Recorder's
 // JSONL sink (the CLI -trace-out files), and into an in-process SpanRing
 // served at GET /v1/debug/traces.
 
@@ -26,6 +20,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -36,7 +31,8 @@ import (
 // tracer: no sink, no ring, no profiler, wall-clock timestamps.
 type TracerConfig struct {
 	// Recorder, when non-nil, is the JSONL sink: it receives one "span"
-	// record per finished span and every Event/Debug event.
+	// record per finished span at or above its level. Its level also gates
+	// StartDebug: debug spans run only when the Recorder accepts them.
 	Recorder *Recorder
 	// Ring, when non-nil, keeps the most recent finished spans in memory
 	// for GET /v1/debug/traces.
@@ -45,9 +41,6 @@ type TracerConfig struct {
 	// traces are byte-identical across runs. Virtual timestamps come from
 	// the clock installed by SetClock or the explicit T0/EndT calls.
 	SimTime bool
-	// Debug enables the debug-granularity spans (per DDPG minibatch
-	// update); by default StartDebug is a no-op.
-	Debug bool
 	// SlowWall, when positive, marks spans whose wall duration exceeds it
 	// as anomalies: each one triggers a "slow_span_<name>" profile (even in
 	// sim-time mode, where the wall measurement is internal only).
@@ -86,7 +79,7 @@ type parentRef struct {
 // NewTracer builds a tracer from cfg.
 func NewTracer(cfg TracerConfig) *Tracer {
 	t := &Tracer{cfg: cfg}
-	t.pool.New = func() any { return &Span{attrs: make([]slog.Attr, 0, 16)} }
+	t.pool.New = func() any { return &Span{attrs: make([]slog.Attr, 0, 16), line: make([]slog.Attr, 0, 24)} }
 	return t
 }
 
@@ -99,35 +92,25 @@ func (t *Tracer) SetClock(fn func() float64) {
 	}
 }
 
-// Event starts an info-level event on the tracer's Recorder, or returns nil
-// (all builder methods no-op) when the tracer or its Recorder is absent.
-func (t *Tracer) Event(name string) *Event {
-	if t == nil {
-		return nil
-	}
-	return t.cfg.Recorder.Event(name)
-}
-
-// Debug starts a debug-level event — the level of per-step hot-path
-// telemetry (DDPG updates, model epochs, consumer lifecycle). Nil-safe like
-// Event.
-func (t *Tracer) Debug(name string) *Event {
-	if t == nil {
-		return nil
-	}
-	return t.cfg.Recorder.Debug(name)
-}
-
 // Trigger captures an anomaly profile named for reason (e.g.
 // "divergence_rollback", "hpa_fallback") through the tracer's Profiler and
-// reports it as a "profile_capture" event. It returns whether a capture
-// started: false when rate-limited, or when the tracer or its Profiler is
-// absent.
+// reports it as a zero-length "profile.capture" span carrying the reason
+// and the capture's file stem. It returns whether a capture started: false
+// when rate-limited, or when the tracer or its Profiler is absent.
 func (t *Tracer) Trigger(reason string) bool {
 	if t == nil {
 		return false
 	}
-	return t.cfg.Profiler.capture(reason, t.cfg.Recorder)
+	file, ok, err := t.cfg.Profiler.capture(reason)
+	if !ok {
+		return false
+	}
+	sp := t.Start("profile.capture").Str("reason", reason).Str("file", file)
+	if err != nil {
+		sp.Str("heap_error", err.Error())
+	}
+	sp.End()
+	return true
 }
 
 // Ring returns the tracer's span ring, or nil. Safe on a nil tracer.
@@ -165,10 +148,11 @@ func (t *Tracer) Start(name string) *Span {
 	return t.start(name, slog.LevelInfo)
 }
 
-// StartDebug begins a debug-granularity span (per-minibatch hot-path
-// instrumentation). It is a no-op unless the tracer was built with Debug.
+// StartDebug begins a debug-granularity span (per-minibatch and
+// per-consumer hot-path instrumentation). It returns nil unless the
+// tracer's Recorder accepts debug records.
 func (t *Tracer) StartDebug(name string) *Span {
-	if t == nil || !t.cfg.Debug {
+	if t == nil || !t.cfg.Recorder.enabled(slog.LevelDebug) {
 		return nil
 	}
 	return t.start(name, slog.LevelDebug)
@@ -225,6 +209,8 @@ type Span struct {
 	t0        float64
 	hasT0     bool
 	attrs     []slog.Attr
+	// line is the pooled scratch the JSONL record is assembled in.
+	line []slog.Attr
 }
 
 // Child begins a span in the same trace with s as parent, at s's level.
@@ -299,6 +285,25 @@ func (s *Span) Bool(k string, v bool) *Span {
 	return s
 }
 
+// Ints attaches an int-slice attribute (a JSON array). The slice is copied,
+// so the caller may reuse it and a retained record never aliases it.
+func (s *Span) Ints(k string, v []int) *Span {
+	if s == nil {
+		return nil
+	}
+	s.attrs = append(s.attrs, slog.Any(k, slices.Clone(v)))
+	return s
+}
+
+// F64s attaches a float-slice attribute (a JSON array), copied like Ints.
+func (s *Span) F64s(k string, v []float64) *Span {
+	if s == nil {
+		return nil
+	}
+	s.attrs = append(s.attrs, slog.Any(k, slices.Clone(v)))
+	return s
+}
+
 // TraceID returns the span's 32-hex-digit W3C trace id ("" when disabled).
 func (s *Span) TraceID() string {
 	if s == nil {
@@ -344,27 +349,28 @@ func (s *Span) finish(t1 float64, hasT1 bool) {
 		tr.Trigger("slow_span_" + s.name)
 	}
 
-	if rec := tr.cfg.Recorder; rec != nil {
-		if ev := rec.at(s.level, "span"); ev != nil {
-			ev.Str("name", s.name).
-				Str("trace", s.TraceID()).
-				Uint("id", s.id)
-			if s.parent != 0 {
-				ev.Uint("parent", s.parent)
-			}
-			if s.hasT0 {
-				ev.F64("t0", s.t0)
-			}
-			if hasT1 {
-				ev.F64("t1", t1)
-			}
-			if !tr.cfg.SimTime {
-				ev.F64("wall_start", float64(s.wallStart.UnixNano())/1e9).
-					F64("wall_dur", wall.Seconds())
-			}
-			ev.attrs = append(ev.attrs, s.attrs...)
-			ev.Emit()
+	if rec := tr.cfg.Recorder; rec.enabled(s.level) {
+		line := append(s.line[:0],
+			slog.String("name", s.name),
+			slog.String("trace", s.TraceID()),
+			slog.Uint64("id", s.id))
+		if s.parent != 0 {
+			line = append(line, slog.Uint64("parent", s.parent))
 		}
+		if s.hasT0 {
+			line = append(line, slog.Float64("t0", s.t0))
+		}
+		if hasT1 {
+			line = append(line, slog.Float64("t1", t1))
+		}
+		if !tr.cfg.SimTime {
+			line = append(line,
+				slog.Float64("wall_start", float64(s.wallStart.UnixNano())/1e9),
+				slog.Float64("wall_dur", wall.Seconds()))
+		}
+		line = append(line, s.attrs...)
+		rec.logger.LogAttrs(context.Background(), s.level, "span", line...)
+		s.line = line[:0]
 	}
 	if ring := tr.cfg.Ring; ring != nil {
 		rec := SpanRecord{

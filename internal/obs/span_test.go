@@ -25,7 +25,8 @@ func TestNilTracerFullChainSafe(t *testing.T) {
 	if sp != nil {
 		t.Fatalf("nil tracer Start = %v, want nil", sp)
 	}
-	sp = sp.Child("y").Str("k", "v").Int("i", 1).Uint("u", 2).F64("f", 3).Bool("b", true).T0(1)
+	sp = sp.Child("y").Str("k", "v").Int("i", 1).Uint("u", 2).F64("f", 3).Bool("b", true).
+		Ints("is", []int{1}).F64s("fs", []float64{1}).T0(1)
 	if sp != nil {
 		t.Fatalf("nil span chain = %v, want nil", sp)
 	}
@@ -39,8 +40,6 @@ func TestNilTracerFullChainSafe(t *testing.T) {
 	sp.EndT(5)
 	tr.StartDebug("d").End()
 	tr.StartRemote("r", "").End()
-	tr.Event("e").Int("i", 1).Emit()
-	tr.Debug("d").F64("f", 1).Emit()
 	if tr.Trigger("x") {
 		t.Fatal("nil tracer Trigger reported a capture")
 	}
@@ -49,16 +48,18 @@ func TestNilTracerFullChainSafe(t *testing.T) {
 func TestTracerDisabledZeroAlloc(t *testing.T) {
 	var tr *Tracer
 	sinkless := NewTracer(TracerConfig{})
+	action, wip := []int{4, 2}, []float64{1, 2}
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := tr.Start("decide").Str("session", "s1").Int("window", 3).F64("reward", 1.5)
 		c := sp.Child("fit").Uint("epoch", 2).Bool("ok", true).T0(1)
 		c.EndT(2)
 		sp.End()
-		tr.Event("env_window").T(30).Int("window", 3).Ints("action", nil).F64s("wip", nil).Emit()
-		tr.Debug("ddpg_update").Uint("update", 7).Str("k", "v").Bool("ok", true).Emit()
+		tr.Start("env.window").T0(0).Int("window", 3).Ints("action", action).F64s("wip", wip).EndT(30)
+		tr.StartDebug("ddpg.update").Uint("update", 7).Str("k", "v").Bool("ok", true).End()
 		tr.Trigger("hpa_fallback")
-		// A sink-less, profiler-less tracer drops events just as cheaply.
-		sinkless.Event("env_window").T(30).Int("window", 3).Emit()
+		// A sink-less, profiler-less tracer skips debug spans and triggers
+		// just as cheaply.
+		sinkless.StartDebug("ddpg.update").Ints("action", action).End()
 		sinkless.Trigger("hpa_fallback")
 	})
 	if allocs != 0 {
@@ -149,7 +150,7 @@ func TestSpanTraceDeterministic(t *testing.T) {
 		var buf bytes.Buffer
 		rec := NewRecorder(&buf, slog.LevelDebug)
 		clock := 0.0
-		tr := NewTracer(TracerConfig{Recorder: rec, SimTime: true, Debug: true})
+		tr := NewTracer(TracerConfig{Recorder: rec, SimTime: true})
 		tr.SetClock(func() float64 { return clock })
 		for i := 0; i < 3; i++ {
 			it := tr.Start("train.iteration").Int("iteration", i)
@@ -172,15 +173,32 @@ func TestSpanTraceDeterministic(t *testing.T) {
 	}
 }
 
+// TestStartDebugGatedByConfig: the Recorder's level is the one debug gate.
+// Below debug (or with no Recorder at all, even with a ring) StartDebug
+// returns nil and nothing reaches either sink; at debug it runs.
 func TestStartDebugGatedByConfig(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewRecorder(&buf, slog.LevelDebug)
-	tr := NewTracer(TracerConfig{Recorder: rec})
-	if sp := tr.StartDebug("hot"); sp != nil {
-		t.Fatalf("StartDebug without Debug config = %v, want nil", sp)
+	ring := NewSpanRing(4)
+	for _, tr := range []*Tracer{
+		NewTracer(TracerConfig{Recorder: NewRecorder(&buf, slog.LevelInfo), Ring: ring}),
+		NewTracer(TracerConfig{Ring: ring}),
+	} {
+		if sp := tr.StartDebug("hot"); sp != nil {
+			t.Fatalf("StartDebug below a debug recorder = %v, want nil", sp)
+		}
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("gated debug span emitted output: %s", buf.String())
+	if buf.Len() != 0 || ring.Len() != 0 {
+		t.Fatalf("gated debug span emitted output: %q, %d ring records", buf.String(), ring.Len())
+	}
+
+	tr := NewTracer(TracerConfig{Recorder: NewRecorder(&buf, slog.LevelDebug), Ring: ring})
+	tr.StartDebug("hot").End()
+	lines := decodeLines(t, &buf)
+	if len(lines) != 1 || lines[0]["name"] != "hot" || lines[0]["level"] != "DEBUG" {
+		t.Fatalf("debug recorder: lines %v, want one DEBUG span", lines)
+	}
+	if recs := ring.Records(); len(recs) != 1 || !recs[0].Debug {
+		t.Fatalf("debug recorder: ring %+v, want one debug record", recs)
 	}
 }
 
@@ -283,6 +301,27 @@ func TestSpanRingRecordFields(t *testing.T) {
 	}
 }
 
+// TestSpanRingCopiesSlices: a ring record keeps the Ints/F64s values the
+// span saw, after the caller overwrites its buffers.
+func TestSpanRingCopiesSlices(t *testing.T) {
+	ring := NewSpanRing(4)
+	tr := NewTracer(TracerConfig{Ring: ring, SimTime: true})
+	action, wip := []int{4, 2}, []float64{1.5, 0}
+	tr.Start("env.window").Ints("action", action).F64s("wip", wip).EndT(1)
+	action[0], wip[0] = 99, 99
+
+	recs := ring.Records()
+	if len(recs) != 1 {
+		t.Fatalf("got %d records, want 1", len(recs))
+	}
+	if got, ok := recs[0].Attrs["action"].([]int); !ok || got[0] != 4 || got[1] != 2 {
+		t.Fatalf("action = %v, want the attached [4 2]", recs[0].Attrs["action"])
+	}
+	if got, ok := recs[0].Attrs["wip"].([]float64); !ok || got[0] != 1.5 || got[1] != 0 {
+		t.Fatalf("wip = %v, want the attached [1.5 0]", recs[0].Attrs["wip"])
+	}
+}
+
 func TestSpanRingDropSession(t *testing.T) {
 	ring := NewSpanRing(16)
 	tr := NewTracer(TracerConfig{Ring: ring, SimTime: true})
@@ -372,8 +411,14 @@ func TestSpanOnAnomaly(t *testing.T) {
 	if p.Captures() != 1 || len(files) != 1 || !strings.Contains(files[0], "slow_span_slow") {
 		t.Fatalf("captures=%d files=%v, want one slow_span_slow capture", p.Captures(), files)
 	}
-	if !strings.Contains(buf.String(), `"reason":"slow_span_slow"`) {
-		t.Fatalf("no profile_capture event for the slow span: %s", buf.String())
+	var capture map[string]any
+	for _, m := range decodeLines(t, &buf) {
+		if m["name"] == "profile.capture" {
+			capture = m
+		}
+	}
+	if capture == nil || capture["reason"] != "slow_span_slow" {
+		t.Fatalf("no profile.capture span for the slow span: %s", buf.String())
 	}
 }
 

@@ -265,9 +265,9 @@ func NewDDPG(cfg Config) (*DDPG, error) {
 func (d *DDPG) Config() Config { return d.cfg }
 
 // SetTracer attaches a tracer; each minibatch update then emits one
-// "ddpg_update" debug event and one debug-granularity "ddpg.update" span
-// (only when the tracer was built with Debug). A nil tracer keeps Update
-// allocation-free.
+// debug-granularity "ddpg.update" span carrying the critic loss, mean Q,
+// replay size and noise σ (only when the tracer's sink accepts debug). A
+// nil tracer keeps Update allocation-free.
 func (d *DDPG) SetTracer(t *obs.Tracer) { d.tracer = t }
 
 // ReplayLen returns the number of stored experiences.
@@ -446,14 +446,12 @@ func (d *DDPG) Update() (criticLoss, meanQ float64) {
 	d.criticTarget.SoftUpdateFrom(d.critic, tau)
 	d.updates++
 	d.lastCriticLoss, d.lastMeanQ = criticLoss, meanQ
-	d.tracer.Debug("ddpg_update").
-		Uint("update", d.updates).
+	updateSpan.Uint("update", d.updates).
 		F64("critic_loss", criticLoss).
 		F64("mean_q", meanQ).
 		Int("replay", d.replay.Len()).
 		F64("sigma", d.NoiseSigma()).
-		Emit()
-	updateSpan.Uint("update", d.updates).F64("critic_loss", criticLoss).End()
+		End()
 	return criticLoss, meanQ
 }
 

@@ -509,7 +509,7 @@ func TestRouterFailoverRecoversDeadShardSessions(t *testing.T) {
 			httpapi.WithSpillDir(spill))
 		mux := http.NewServeMux()
 		mux.Handle("/", srv.Handler())
-		obs.MountDebug(mux, srv.Registry())
+		obs.MountDebug(mux, srv.Registry(), nil)
 		ts := &httptest.Server{Listener: ln, Config: &http.Server{Handler: mux}}
 		ts.Start()
 		t.Cleanup(ts.Close)

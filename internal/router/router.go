@@ -457,8 +457,8 @@ func (rt *Router) get(ctx context.Context, target string) (*http.Response, error
 
 // handleList fans GET /v1/sessions out to every shard and merges the
 // results into one id-ordered page. Each shard is asked for a full page
-// (the shard-side maximum), so the merged listing is exact as long as no
-// single shard holds more than 1000 sessions past the token.
+// (httpapi.MaxListLimit), so the merged listing is exact as long as no
+// single shard holds more than a full page of sessions past the token.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	limit, ok := httpapi.ListLimit(w, q)
@@ -479,7 +479,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			// The token is a client-chosen session id and may hold query
 			// metacharacters (&, +, %, =, #); encode it.
-			upstream := url.Values{"limit": {"1000"}}
+			upstream := url.Values{"limit": {strconv.Itoa(httpapi.MaxListLimit)}}
 			if token != "" {
 				upstream.Set("page_token", token)
 			}

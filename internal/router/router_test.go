@@ -43,7 +43,7 @@ func startFleet(t *testing.T, n int, opts ...httpapi.Option) []string {
 		srv := httpapi.NewServer(append([]httpapi.Option{httpapi.WithShardTopology(members[i], members)}, opts...)...)
 		mux := http.NewServeMux()
 		mux.Handle("/", srv.Handler())
-		obs.MountDebug(mux, srv.Registry())
+		obs.MountDebug(mux, srv.Registry(), nil)
 		ts := &httptest.Server{Listener: ln, Config: &http.Server{Handler: mux}}
 		ts.Start()
 		t.Cleanup(ts.Close)
@@ -463,6 +463,32 @@ func TestRouterListEncodesPageToken(t *testing.T) {
 	}
 	if len(listed) != len(ids) {
 		t.Fatalf("listing %v, want exactly %v", listed, ids)
+	}
+}
+
+// TestRouterListAsksForFullPage: the router's merged listing is exact only
+// while it asks each shard for the page the shard caps at, so the limit it
+// sends must be httpapi.MaxListLimit, whatever limit its client asked for.
+func TestRouterListAsksForFullPage(t *testing.T) {
+	limits := make(chan string, 1)
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		limits <- r.URL.Query().Get("limit")
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(httpapi.ListResponse{Sessions: []httpapi.SessionSummary{}})
+	}))
+	defer shard.Close()
+
+	rt, err := New([]string{shard.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/v1/sessions?limit=3", nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("list status %d: %s", rr.Code, rr.Body.String())
+	}
+	if got, want := <-limits, fmt.Sprint(httpapi.MaxListLimit); got != want {
+		t.Fatalf("router asked the shard for limit=%s, want the shard's full page %s", got, want)
 	}
 }
 
