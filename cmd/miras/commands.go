@@ -259,17 +259,22 @@ func figuresFor(c *common, w io.Writer, s experiments.Setup, skipAblations bool,
 	fmt.Fprintf(report, "- **Dynamic load (±50%% sine)**: completions miras %d, stream %d, heft %d, monad %d, hpa %d; mean delay miras %.1fs vs heft %.1fs\n",
 		d["miras"].Completed, d["stream"].Completed, d["heft"].Completed,
 		d["monad"].Completed, d["hpa"].Completed, d["miras"].MeanDelay, d["heft"].MeanDelay)
-	kill, err := experiments.Chaos(s, []string{"miras", "stream", "heft", "hpa"}, trained, 60)
+	regimes, err := chaosRegimes(c, c.save, w, s, experiments.AlgorithmNames, trained)
 	if err != nil {
 		return err
 	}
-	if err := c.save(w, &kill.Table); err != nil {
-		return err
+	for _, res := range regimes {
+		if res.Regime.Name != "crash" {
+			continue
+		}
+		var runs []string
+		for _, series := range res.Table.Series {
+			o := res.Outcomes[series.Name]
+			runs = append(runs, fmt.Sprintf("%s %d (%d, %d)", series.Name, o.Completed, o.Crashed, o.Redelivered))
+		}
+		fmt.Fprintf(report, "- **Chaos (%s regime: %s)**: completions (kills, redeliveries) %s\n",
+			res.Regime.Name, res.Regime.Description, strings.Join(runs, ", "))
 	}
-	k := kill.Outcomes
-	fmt.Fprintf(report, "- **Chaos (consumer kill every 60s)**: completions (kills) miras %d (%d), stream %d (%d), heft %d (%d), hpa %d (%d) — no request lost\n",
-		k["miras"].Completed, k["miras"].Crashed, k["stream"].Completed, k["stream"].Crashed,
-		k["heft"].Completed, k["heft"].Crashed, k["hpa"].Completed, k["hpa"].Crashed)
 	if skipAblations {
 		fmt.Fprintln(w, "[5/5] ablations skipped")
 	} else if err := ablations(c, w, s, trained, report); err != nil {
@@ -323,82 +328,31 @@ func ablations(c *common, w io.Writer, s experiments.Setup, trained *experiments
 	return nil
 }
 
-// nonLearning are the controllers that need no training.
-var nonLearning = []string{"stream", "heft", "monad", "hpa", "static"}
-
-// sweep runs the extension studies: the consumer-budget sweep, dynamic
-// load, consumer kills, and multi-seed ±σ bands of the burst comparison.
-func sweep(fs *flag.FlagSet) body {
-	study := fs.String("study", "budget", "study: budget, dynamic, chaos, or multiseed")
-	budgets := fs.String("budgets", "", "comma-separated budgets for -study budget (default ½C,C,2C)")
-	seeds := fs.String("seeds", "1,2,3", "comma-separated seeds for -study multiseed")
+// budget sweeps the consumer budget C for the controllers that need no
+// training: the cost–performance curve behind §II-C.
+func budget(fs *flag.FlagSet) body {
+	budgets := fs.String("budgets", "", "comma-separated consumer budgets (default ½C,C,2C)")
 	return func(c *common, w io.Writer) error {
 		s, err := c.setup(c.ensemble)
 		if err != nil {
 			return err
 		}
-		switch *study {
-		case "budget":
-			bs, err := parseList(*budgets, strconv.Atoi)
-			if err != nil {
-				return err
-			}
-			if len(bs) == 0 {
-				bs = []int{s.Budget / 2, s.Budget, s.Budget * 2}
-			}
-			res, err := experiments.BudgetSweep(s, nonLearning, bs)
-			if err != nil {
-				return err
-			}
-			for _, name := range nonLearning {
-				fmt.Fprintf(w, "%-8s completions by budget %v: %v\n", name, bs, res.Completed[name])
-			}
-			return c.show(w, &res.Table)
-		case "dynamic":
-			res, err := experiments.DynamicLoad(s, nonLearning, nil, 0.5)
-			if err != nil {
-				return err
-			}
-			for _, name := range nonLearning {
-				o := res.Outcomes[name]
-				fmt.Fprintf(w, "%-8s completed %d, mean delay %.1fs\n", name, o.Completed, o.MeanDelay)
-			}
-			return c.show(w, &res.Table)
-		case "chaos":
-			res, err := experiments.Chaos(s, nonLearning, nil, 60)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, "completions and consumers killed per run:")
-			for _, name := range nonLearning {
-				o := res.Outcomes[name]
-				fmt.Fprintf(w, "%-8s %d (mean delay %.1fs), %d killed\n", name, o.Completed, o.MeanDelay, o.Crashed)
-			}
-			return c.show(w, &res.Table)
-		case "multiseed":
-			seedList, err := parseList(*seeds, func(v string) (int64, error) { return strconv.ParseInt(v, 10, 64) })
-			if err != nil {
-				return err
-			}
-			bursts := []int{100, 60, 100}
-			if s.EnsembleName == "ligo" {
-				bursts = []int{50, 50, 25, 15}
-			}
-			agg, err := experiments.MultiSeedTable(s, seedList, func(s experiments.Setup) (*trace.Table, error) {
-				res, err := experiments.Compare(s, bursts, []string{"stream", "heft", "monad"}, nil)
-				if err != nil {
-					return nil, err
-				}
-				return &res.Table, nil
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "aggregated %d seeds into mean ± σ bands (%d series)\n", len(seedList), len(agg.Series))
-			return c.save(w, agg)
-		default:
-			return fmt.Errorf("unknown study %q (budget, dynamic, chaos, multiseed)", *study)
+		bs, err := parseList(*budgets, strconv.Atoi)
+		if err != nil {
+			return err
 		}
+		if len(bs) == 0 {
+			bs = []int{s.Budget / 2, s.Budget, s.Budget * 2}
+		}
+		algs := []string{"stream", "heft", "monad", "hpa", "static"}
+		res, err := experiments.BudgetSweep(s, algs, bs)
+		if err != nil {
+			return err
+		}
+		for _, name := range algs {
+			fmt.Fprintf(w, "%-8s completions by budget %v: %v\n", name, bs, res.Completed[name])
+		}
+		return c.show(w, &res.Table)
 	}
 }
 
@@ -424,31 +378,40 @@ func chaos(fs *flag.FlagSet) body {
 				return err
 			}
 		}
-		fmt.Fprintf(w, "chaos comparison: ensemble=%s scale=%s algorithms=%v regimes=%d\n",
-			s.EnsembleName, c.scale, algs, len(experiments.ChaosRegimes(s)))
-		results, err := experiments.ChaosCompareAll(s, algs, trained)
-		if err != nil {
-			return err
-		}
-		for _, res := range results {
-			fmt.Fprintf(w, "\n--- regime %s: %s ---\n", res.Regime.Name, res.Regime.Description)
-			if err := c.show(w, &res.Table); err != nil {
-				return err
-			}
-			fmt.Fprintln(w, "algorithm   completed  mean-delay(s)  crashed  redelivered  dropped")
-			for _, series := range res.Table.Series {
-				o := res.Outcomes[series.Name]
-				fmt.Fprintf(w, "%-11s %-10d %-14.1f %-8d %-12d %d\n",
-					series.Name, o.Completed, o.MeanDelay, o.Crashed, o.Redelivered, o.Dropped)
-			}
-		}
-		summaryPath := filepath.Join(c.out, fmt.Sprintf("chaos-%s-summary.csv", s.EnsembleName))
-		if err := experiments.SaveChaosSummary(summaryPath, results); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", summaryPath)
-		return nil
+		_, err = chaosRegimes(c, c.show, w, s, algs, trained)
+		return err
 	}
+}
+
+// chaosRegimes runs algs under every fault regime, prints each regime's
+// counters, hands its table to emit (show or save), and writes
+// chaos-<ensemble>-summary.csv.
+func chaosRegimes(c *common, emit func(io.Writer, ...*trace.Table) error, w io.Writer,
+	s experiments.Setup, algs []string, trained *experiments.Trained) ([]*experiments.ChaosRegimeResult, error) {
+	fmt.Fprintf(w, "chaos comparison: ensemble=%s scale=%s algorithms=%v regimes=%d\n",
+		s.EnsembleName, c.scale, algs, len(experiments.ChaosRegimes(s)))
+	results, err := experiments.ChaosCompareAll(s, algs, trained)
+	if err != nil {
+		return nil, err
+	}
+	for _, res := range results {
+		fmt.Fprintf(w, "\n--- regime %s: %s ---\n", res.Regime.Name, res.Regime.Description)
+		if err := emit(w, &res.Table); err != nil {
+			return nil, err
+		}
+		fmt.Fprintln(w, "algorithm   completed  mean-delay(s)  crashed  redelivered  dropped")
+		for _, series := range res.Table.Series {
+			o := res.Outcomes[series.Name]
+			fmt.Fprintf(w, "%-11s %-10d %-14.1f %-8d %-12d %d\n",
+				series.Name, o.Completed, o.MeanDelay, o.Crashed, o.Redelivered, o.Dropped)
+		}
+	}
+	summaryPath := filepath.Join(c.out, fmt.Sprintf("chaos-%s-summary.csv", s.EnsembleName))
+	if err := experiments.SaveChaosSummary(summaryPath, results); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "\nwrote %s\n", summaryPath)
+	return results, nil
 }
 
 // replay runs a policy snapshot saved by train against a burst on a fresh

@@ -36,7 +36,7 @@ var commands = []command{
 	{"train", "Fig. 6: the Algorithm 2 training loop, with checkpoint/resume", experiment("msd", "quick", train)},
 	{"compare", "Figs. 7/8: burst response of miras, stream, heft, monad and rl", experiment("msd", "quick", compare)},
 	{"figures", "Figs. 5-8, extensions and ablations in one run, plus summary.md", experiment("both", "quick", figures)},
-	{"sweep", "extension studies: budget, dynamic, chaos, multiseed", experiment("msd", "medium", sweep)},
+	{"budget", "the consumer-budget sweep of the non-learning controllers", experiment("msd", "medium", budget)},
 	{"chaos", "the Figs. 7/8 comparison under each seeded fault regime", experiment("msd", "quick", chaos)},
 	{"replay", "replay a policy saved by train against a burst", experiment("msd", "medium", replay)},
 	{"selfcheck", "determinism digests: fault-free, then every fault regime", experiment("msd", "quick", selfcheck)},

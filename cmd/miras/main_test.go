@@ -68,7 +68,7 @@ func TestSubcommands(t *testing.T) {
 		"train":     {"msd", "quick"},
 		"compare":   {"msd", "quick"},
 		"figures":   {"both", "quick"},
-		"sweep":     {"msd", "medium"},
+		"budget":    {"msd", "medium"},
 		"chaos":     {"msd", "quick"},
 		"replay":    {"msd", "medium"},
 		"selfcheck": {"msd", "quick"},
@@ -125,10 +125,11 @@ func TestSubcommands(t *testing.T) {
 		{[]string{"train", "-iterations", "-1"}, 2, "", "usage: miras train"},
 		{[]string{"compare", "-steps-per-iter", "-5"}, 2, "", "must be >= 0"},
 		{[]string{"figures", "-policy-episodes", "x"}, 2, "", "usage: miras figures"},
-		{[]string{"sweep", "-scale", "huge"}, 1, "", "unknown scale"},
+		{[]string{"budget", "-scale", "huge"}, 1, "", "unknown scale"},
 		{[]string{"dot", "-ensemble", "toy"}, 0, "digraph", ""},
 		{[]string{"selfcheck"}, 0, "regime=queue_drop", ""},
 		{[]string{"chaos", "-algorithms", "stream", "-windows", "2", "-out", out}, 0, "chaos-msd-summary.csv", ""},
+		{[]string{"figures", "-ensemble", "msd", "-scale", "quick", "-skip-ablations", "-out", out}, 0, "chaos-msd-summary.csv", ""},
 	} {
 		name := strings.ReplaceAll(strings.Join(append([]string{"miras"}, tc.args...), " "), out, "$TMP")
 		t.Run(name, func(t *testing.T) {

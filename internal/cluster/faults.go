@@ -8,7 +8,7 @@ import (
 
 // This file is the cluster's side of the fault-injection subsystem: the
 // faults.Target hooks the injector drives (CrashConsumer is also the one
-// crash path for kill timers), the fault counts, and the degraded capacity
+// crash path for a kill timer), the fault counts, and the degraded capacity
 // a failure-aware state observes. A plan is armed at construction by
 // Config.Faults or later by ScheduleFaults.
 
@@ -61,8 +61,8 @@ func (c *Cluster) FaultSpecs() int {
 var _ faults.Target = (*Cluster)(nil)
 
 // CrashConsumer kills one consumer of microservice j, emulating a container
-// crash; it implements faults.Target, and the chaos kill timers call it
-// directly:
+// crash; it implements faults.Target, and the failure-recovery example's
+// kill timer calls it directly:
 //
 //   - if the consumer was processing a request, that request is NOT lost —
 //     the acknowledgement mechanism returns it to the head of its queue to

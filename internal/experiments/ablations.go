@@ -297,40 +297,3 @@ func DynamicLoad(s Setup, algorithms []string, trained *Trained, depth float64) 
 	c.Table.Title = fmt.Sprintf("dynamic-load-%s", s.EnsembleName)
 	return c, nil
 }
-
-// Chaos runs the named controllers under the first paper burst while
-// killing one random live consumer every killEverySec of virtual time. No
-// workflow request may be lost regardless of controller; each Outcome's
-// Crashed counts that run's kills.
-func Chaos(s Setup, algorithms []string, trained *Trained, killEverySec float64) (*Comparison, error) {
-	if killEverySec <= 0 {
-		return nil, fmt.Errorf("experiments: killEverySec %g must be positive", killEverySec)
-	}
-	bursts, err := paperOrFallbackBursts(s)
-	if err != nil {
-		return nil, err
-	}
-	c, err := compareOn(s, algorithms, trained, 800, bursts[0], func(h *Harness) error {
-		rng := h.Streams.Stream("experiments/chaos")
-		var kill func()
-		kill = func() {
-			alive := h.Cluster.Consumers()
-			for attempt := 0; attempt < 4; attempt++ {
-				j := rng.Intn(len(alive))
-				if alive[j] > 0 {
-					if err := h.Cluster.CrashConsumer(j, -1); err == nil {
-						break
-					}
-				}
-			}
-			h.Engine.Schedule(killEverySec, kill)
-		}
-		h.Engine.Schedule(killEverySec, kill)
-		return nil
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.Table.Title = fmt.Sprintf("chaos-%s", s.EnsembleName)
-	return c, nil
-}

@@ -10,23 +10,15 @@ import (
 	"miras/internal/faults"
 )
 
-// This file is the declarative chaos-experiment driver built on
-// internal/faults: every algorithm is evaluated under identical seeded
-// fault regimes (paired arrival traces AND paired fault processes), giving
-// a Fig. 6-style comparison of burst response under failures.
-//
-// The kill-timer Chaos driver (ablations.go) is the other chaos
-// experiment, and the two answer different questions. The kill timer
-// strikes on a fixed period and tries up to four random services for a live
-// consumer, so nearly every tick kills one and the kill count is set by the
-// horizon, not by chance: it asks how each controller recovers from a known
-// number of evenly spaced losses with the cluster's normal restart delay.
-// The "crash" regime below is a renewal process (exponential gaps,
-// exponential repair times, a random service that may have nobody to kill)
-// beside slowdown, start-up and queue-drop episodes: it asks how the
-// controllers fare under a realistic, declarative fault model that selfcheck
-// and the trace also see. Both run through compareOn and differ only in how
-// the harness is armed.
+// This file is the chaos experiment, built on internal/faults: every
+// algorithm is evaluated under identical seeded fault regimes, giving a
+// Figs. 7/8-style comparison of burst response under failures. The runs are
+// paired twice over: every controller sees the same arrival trace, and,
+// because the injector draws from its own named streams rather than from
+// the controller's allocation, the same fault trajectory. The "crash" regime
+// (a renewal process of exponential gaps and repairs across all services)
+// is the consumer-kill study; slowdown, start-up and queue-drop episodes
+// complete the set, and selfcheck and the trace see the same plans.
 
 // ChaosRegime is one named fault scenario.
 type ChaosRegime struct {

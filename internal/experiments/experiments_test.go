@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"miras/internal/env"
-	"miras/internal/trace"
 )
 
 // microSetup shrinks QuickSetup further so every experiment driver can run
@@ -154,6 +153,29 @@ func TestCompareRunsAllAlgorithms(t *testing.T) {
 		for _, v := range series.Values {
 			if v < 0 {
 				t.Fatalf("negative response time in %s", series.Name)
+			}
+		}
+	}
+
+	// The same bundle under every fault regime: the learners run there too.
+	regimes, err := ChaosCompareAll(s, AlgorithmNames, trained)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regimes) != len(ChaosRegimes(s)) {
+		t.Fatalf("regimes=%d, want %d", len(regimes), len(ChaosRegimes(s)))
+	}
+	for _, r := range regimes {
+		if len(r.Table.Series) != len(AlgorithmNames) || len(r.Outcomes) != len(AlgorithmNames) {
+			t.Fatalf("regime %s: %d series, %d outcomes, want %d", r.Regime.Name,
+				len(r.Table.Series), len(r.Outcomes), len(AlgorithmNames))
+		}
+		for _, name := range AlgorithmNames {
+			if _, ok := r.Outcomes[name]; !ok {
+				t.Fatalf("regime %s: no row for %s", r.Regime.Name, name)
+			}
+			if r.Regime.Name == "crash" && (name == "miras" || name == "rl") && r.Outcomes[name].Crashed == 0 {
+				t.Fatalf("crash regime killed no consumer under %s", name)
 			}
 		}
 	}
@@ -325,47 +347,28 @@ func TestHPAAvailableInHarness(t *testing.T) {
 	}
 }
 
-func TestChaosExperiment(t *testing.T) {
-	s := microSetup(t, "msd")
-	s.CompareWindows = 8
-	res, err := Chaos(s, []string{"heft", "hpa"}, nil, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Table.Series) != 2 {
-		t.Fatalf("series=%d", len(res.Table.Series))
-	}
-	for _, name := range []string{"heft", "hpa"} {
-		if res.Outcomes[name].Crashed == 0 {
-			t.Fatalf("%s: no failures injected", name)
-		}
-		if res.Outcomes[name].Completed == 0 {
-			t.Fatalf("%s completed nothing under chaos", name)
-		}
-	}
-	if _, err := Chaos(s, []string{"heft"}, nil, 0); err == nil {
-		t.Fatal("expected error for non-positive kill interval")
-	}
-}
-
-// TestChaosKillsCountedPerRun: each algorithm's kill count is its own run's,
-// equal to what a run of that algorithm alone reports. At the quick MSD
-// scale with a kill every 60 s the counts differ between algorithms (a kill
-// attempt can find no live consumer), so a single per-driver figure would be
-// wrong for some of them.
+// TestChaosKillsCountedPerRun: under the crash regime each algorithm's kill
+// count is its own run's, equal to what a run of that algorithm alone
+// reports. At the quick MSD scale the counts differ between algorithms (a
+// crash can strike a service with no live consumer), so a single
+// per-regime figure would be wrong for some of them.
 func TestChaosKillsCountedPerRun(t *testing.T) {
 	s, err := QuickSetup("msd")
 	if err != nil {
 		t.Fatal(err)
 	}
+	crash := ChaosRegimes(s)[1]
+	if crash.Name != "crash" {
+		t.Fatalf("regime 1 is %q, want crash", crash.Name)
+	}
 	algs := []string{"stream", "heft", "monad", "hpa", "static"}
-	res, err := Chaos(s, algs, nil, 60)
+	res, err := ChaosCompare(s, crash, algs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	distinct := map[uint64]bool{}
 	for _, name := range algs {
-		alone, err := Chaos(s, []string{name}, nil, 60)
+		alone, err := ChaosCompare(s, crash, []string{name}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -524,38 +527,6 @@ func TestBudgetSweep(t *testing.T) {
 	}
 	if _, err := BudgetSweep(s, []string{"heft"}, []int{0}); err == nil {
 		t.Fatal("expected error for zero budget")
-	}
-}
-
-func TestMultiSeedTable(t *testing.T) {
-	s := microSetup(t, "msd")
-	s.CompareWindows = 4
-	run := func(s Setup) (*trace.Table, error) {
-		res, err := Compare(s, []int{10, 10, 10}, []string{"heft", "monad"}, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &res.Table, nil
-	}
-	agg, err := MultiSeedTable(s, []int64{1, 2, 3}, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 base series × (mean, lo, hi) = 6.
-	if len(agg.Series) != 6 {
-		t.Fatalf("aggregated series=%d, want 6", len(agg.Series))
-	}
-	// Bands bracket the mean.
-	for i := 0; i < len(agg.Series); i += 3 {
-		mean, lo, hi := agg.Series[i], agg.Series[i+1], agg.Series[i+2]
-		for k := range mean.Values {
-			if lo.Values[k] > mean.Values[k] || hi.Values[k] < mean.Values[k] {
-				t.Fatalf("band does not bracket mean at %d", k)
-			}
-		}
-	}
-	if _, err := MultiSeedTable(s, nil, run); err == nil {
-		t.Fatal("expected error for no seeds")
 	}
 }
 

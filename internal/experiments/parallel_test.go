@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"miras/internal/parallel"
-	"miras/internal/trace"
 )
 
 // runSequentialThenParallel executes f once with the pool forced
@@ -34,27 +33,6 @@ func runSequentialThenParallel(t *testing.T, f func() (any, error)) (seq, par []
 		t.Fatal(err)
 	}
 	return seq, par
-}
-
-// TestMultiSeedTableParallelDeterminism is the regression guard for the
-// parallel experiment layer: fanning the seeds across workers must produce
-// byte-identical metrics to the sequential path.
-func TestMultiSeedTableParallelDeterminism(t *testing.T) {
-	s := microSetup(t, "msd")
-	s.CompareWindows = 4
-	run := func(s Setup) (*trace.Table, error) {
-		res, err := Compare(s, []int{10, 10, 10}, []string{"heft", "monad"}, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &res.Table, nil
-	}
-	seq, par := runSequentialThenParallel(t, func() (any, error) {
-		return MultiSeedTable(s, []int64{1, 2, 3, 4}, run)
-	})
-	if !bytes.Equal(seq, par) {
-		t.Fatalf("parallel multi-seed table differs from sequential:\nseq: %s\npar: %s", seq, par)
-	}
 }
 
 // TestBudgetSweepParallelDeterminism pins the budget-sweep grid fan-out to

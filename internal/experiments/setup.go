@@ -74,9 +74,9 @@ type Setup struct {
 	// divergence-rollback profiles. BuildHarness points the tracer's clock
 	// at the harness engine so spans carry virtual timestamps; with SimTime
 	// set, seeded traces are byte-identical across runs. A tracer is
-	// single-goroutine, so the fan-outs (BudgetSweep, MultiSeedTable) run
-	// in index order when one is set. The CLI populates it from -trace-out
-	// (and -profile-dir); nil disables telemetry at zero cost.
+	// single-goroutine, so BudgetSweep's fan-out runs in index order when
+	// one is set. The CLI populates it from -trace-out (and -profile-dir);
+	// nil disables telemetry at zero cost.
 	Tracer *obs.Tracer
 }
 

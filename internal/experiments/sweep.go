@@ -101,91 +101,6 @@ func BudgetSweep(s Setup, algorithms []string, budgets []int) (*BudgetSweepResul
 	return res, nil
 }
 
-// MultiSeedTable reruns a table-producing experiment across seeds and
-// aggregates each series pointwise into mean and mean±std bands — honest
-// error bars for stochastic experiments. Series are matched by name; all
-// runs must produce the same series set.
-//
-// Seeds fan out across the worker pool (see fanOut), so run must be safe for
-// concurrent invocation with distinct Setups (every experiment driver in
-// this package is: all state is built fresh from the Setup). Each run's
-// randomness is rooted in its own seed and results are aggregated in seed
-// order, so the table is bit-for-bit identical to a sequential loop over
-// the seeds.
-func MultiSeedTable(base Setup, seeds []int64, run func(Setup) (*trace.Table, error)) (*trace.Table, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiments: no seeds")
-	}
-	tables := make([]*trace.Table, len(seeds))
-	err := fanOut(base, len(seeds), func(i int) error {
-		s := base
-		s.Seed = seeds[i]
-		t, err := run(s)
-		if err != nil {
-			return fmt.Errorf("experiments: seed %d: %w", seeds[i], err)
-		}
-		tables[i] = t
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// collected[name][seedIdx] = series values.
-	collected := make(map[string][][]float64)
-	var order []string
-	var template *trace.Table
-	for i, t := range tables {
-		if template == nil {
-			template = t
-			for _, series := range t.Series {
-				order = append(order, series.Name)
-			}
-		}
-		if len(t.Series) != len(order) {
-			return nil, fmt.Errorf("experiments: seed %d produced %d series, want %d",
-				seeds[i], len(t.Series), len(order))
-		}
-		for _, series := range t.Series {
-			collected[series.Name] = append(collected[series.Name], series.Values)
-		}
-	}
-	out := &trace.Table{
-		Title:  template.Title + "-multiseed",
-		XLabel: template.XLabel,
-		YLabel: template.YLabel,
-		X:      template.X,
-	}
-	for _, name := range order {
-		runs := collected[name]
-		n := 0
-		for _, r := range runs {
-			if len(r) > n {
-				n = len(r)
-			}
-		}
-		mean := make([]float64, n)
-		lo := make([]float64, n)
-		hi := make([]float64, n)
-		for i := 0; i < n; i++ {
-			var point []float64
-			for _, r := range runs {
-				if i < len(r) {
-					point = append(point, r[i])
-				}
-			}
-			m := metrics.Mean(point)
-			sd := metrics.Std(point)
-			mean[i] = m
-			lo[i] = m - sd
-			hi[i] = m + sd
-		}
-		out.AddSeries(name, mean)
-		out.AddSeries(name+"-lo", lo)
-		out.AddSeries(name+"-hi", hi)
-	}
-	return out, nil
-}
-
 // fanOut runs fn(0) … fn(n−1), independent runs built from s, on the worker
 // pool — or in index order when s carries a Tracer. A tracer is
 // single-goroutine: every harness points its clock at its own engine and

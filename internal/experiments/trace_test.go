@@ -9,7 +9,6 @@ import (
 
 	"miras/internal/obs"
 	"miras/internal/parallel"
-	"miras/internal/trace"
 )
 
 // TestTrainingSpanTraceByteIdentical pins the tracing determinism
@@ -72,10 +71,9 @@ func TestTrainingSpanTraceByteIdentical(t *testing.T) {
 }
 
 // TestTracedFanOutsByteIdentical: a tracer is single-goroutine, so the
-// pooled fan-outs must not share one across workers. With four workers and
-// four procs forced, a traced BudgetSweep and MultiSeedTable write the same
-// trace bytes on every run (and -race sees no concurrent SetClock or
-// SetParent).
+// pooled fan-out must not share one across workers. With four workers and
+// four procs forced, a traced BudgetSweep writes the same trace bytes on
+// every run (and -race sees no concurrent SetClock or SetParent).
 func TestTracedFanOutsByteIdentical(t *testing.T) {
 	t.Cleanup(func() { parallel.SetMaxWorkers(0) })
 	parallel.SetMaxWorkers(4)
@@ -89,16 +87,6 @@ func TestTracedFanOutsByteIdentical(t *testing.T) {
 			SimTime:  true,
 		})
 		if _, err := BudgetSweep(s, []string{"heft", "monad"}, []int{6, 14}); err != nil {
-			t.Fatal(err)
-		}
-		_, err := MultiSeedTable(s, []int64{1, 2, 3}, func(s Setup) (*trace.Table, error) {
-			res, err := Compare(s, []int{10, 10, 10}, []string{"heft"}, nil)
-			if err != nil {
-				return nil, err
-			}
-			return &res.Table, nil
-		})
-		if err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

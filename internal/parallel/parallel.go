@@ -1,6 +1,5 @@
 // Package parallel provides the bounded worker pool behind the
-// embarrassingly-parallel experiment layers: multi-seed comparison runs
-// and budget-sweep points.
+// embarrassingly-parallel budget-sweep points.
 //
 // The pool is deliberately deterministic: callers hand it n independent,
 // index-addressed work items, each item derives all of its randomness from
