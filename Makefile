@@ -103,9 +103,10 @@ fmt:
 # (FuzzAuxGradBatch: decoded networks must give bit-identical dAux), the
 # row-blocked mat-vec kernel against a plain ascending dot product
 # (FuzzMulVecTo: decoded matrices must give bit-identical outputs), and the
-# AVX2 lane kernels against the pure-Go ones (FuzzGemmLanes: decoded shapes
-# and raw float64 bits must give bit-identical products and rank-k updates;
-# it skips on a CPU without AVX2), the Adam and soft-update lanes against
+# ZMM and AVX2 lane kernels against the pure-Go ones (FuzzGemmLanes: decoded
+# shapes and raw float64 bits must give bit-identical products and rank-k
+# updates on each set; it skips on a CPU without AVX2, its zmm subtests
+# without AVX-512F), the Adam and soft-update lanes against
 # their pure-Go loops (FuzzUpdateLanes: raw float64 bits and step counts
 # must give bit-identical parameters and moments; it skips likewise), the
 # lane tanh against math.Tanh (FuzzTanhLanes: raw float64 bits must give

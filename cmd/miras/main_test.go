@@ -24,13 +24,6 @@ func TestParseInts(t *testing.T) {
 	}
 }
 
-func TestParseInt64s(t *testing.T) {
-	seeds, err := parseList("7,8", func(v string) (int64, error) { return strconv.ParseInt(v, 10, 64) })
-	if err != nil || len(seeds) != 2 || seeds[0] != 7 || seeds[1] != 8 {
-		t.Fatalf("int64 list=%v, %v", seeds, err)
-	}
-}
-
 func TestParseList(t *testing.T) {
 	algs, _ := parseList(" stream,,heft ", func(v string) (string, error) { return v, nil })
 	if len(algs) != 2 || algs[0] != "stream" || algs[1] != "heft" {

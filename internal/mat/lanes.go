@@ -10,14 +10,24 @@ import "fmt"
 // way at every step. Results are bit-identical to the pure-Go kernels
 // (FuzzGemmLanes, TestLaneKernelsMatchGeneric, FuzzMulVecTo), which remain
 // the fallback on every other platform, under the purego build tag, and on
-// CPUs without AVX2.
+// CPUs without AVX2. On CPUs with AVX-512F the product and rank-k tiles
+// take panels two at a time into ZMM registers (gemm4x16, rank4x16) and
+// tanh runs eight lanes (tanhLanes512); each lane still holds one entry
+// and runs the same op sequence, so all three kernel sets agree bit for bit.
 
 // useAVX2 selects the lane kernels. It is chosen once at start-up from
 // CPUID; tests flip it to referee the lane path against the pure-Go one.
 var useAVX2 = haveAVX2
 
-// panelWidth is the column count of one packed panel: the width of the
-// lane kernel's 4×8 register tile (two YMM registers of float64).
+// useAVX512 selects the ZMM kernels: the 4×16 tiles, which run only while
+// useAVX2 is on, and the eight-lane tanh, only while useTanhLanes is. It
+// too is chosen once from CPUID, and tests flip it to referee the ZMM
+// kernels against the YMM and pure-Go ones.
+var useAVX512 = haveAVX512
+
+// panelWidth is the column count of one packed panel: two YMM registers,
+// or one ZMM register, of float64. The YMM tile (4×8) takes one panel per
+// step, the ZMM tile (4×16) two.
 const panelWidth = 8
 
 // laneRows is the row count of the lane kernel's register tile.
@@ -44,11 +54,17 @@ func packPanel(panel []float64, b *Matrix, c int) {
 }
 
 // packPanelRows writes 8 transposed columns — rows of length k in bt —
-// into panel as k×8, p-major: panel[p*8+q] = bt[q*k+p].
+// into panel as k×8, p-major: panel[p*8+q] = bt[q*k+p]. With useAVX512
+// the first k&^7 p's go through the 8×8 ZMM transpose, the rest here.
 func packPanelRows(panel, bt []float64, k int) {
+	p0 := 0
+	if useAVX512 && k >= panelWidth {
+		p0 = k &^ (panelWidth - 1)
+		transpose8(p0/panelWidth, &panel[0], &bt[0], k)
+	}
 	b0, b1, b2, b3 := bt[:k], bt[k:][:k], bt[2*k:][:k], bt[3*k:][:k]
 	b4, b5, b6, b7 := bt[4*k:][:k], bt[5*k:][:k], bt[6*k:][:k], bt[7*k:][:k]
-	for p := 0; p < k; p++ {
+	for p := p0; p < k; p++ {
 		c := panel[p*panelWidth:][:panelWidth]
 		c[0], c[1], c[2], c[3] = b0[p], b1[p], b2[p], b3[p]
 		c[4], c[5], c[6], c[7] = b4[p], b5[p], b6[p], b7[p]
@@ -64,21 +80,40 @@ func gemmRows(dst, a *Matrix, pb *packedB, r0, r1 int) {
 	mulPackedTransRows(dst, a, pb.bt, pb.lanes, pb.n, r0, r1)
 }
 
+// zmmPairs returns how many pairs of a run of npanels panels go through a
+// ZMM tile (4×16): all of them when useAVX512 is set, none otherwise. The
+// panels left over — an odd last one, or all of them — go through the YMM
+// tile (4×8).
+func zmmPairs(npanels int) int {
+	if useAVX512 {
+		return npanels / 2
+	}
+	return 0
+}
+
 // mulLanesRows computes rows [r0, r1) and columns [0, lanes) of dst = a·B,
 // B's columns packed as panels. Panels are taken in blocks of gemmBlock
 // columns, kept cache-resident while the tile's rows stream past them;
-// each group of four rows runs the 4×8 lane kernel across the block, and
+// each group of four rows runs the lane tiles across the block, and
 // leftover rows run a scalar 1×8 loop with the same per-entry chain.
 func mulLanesRows(dst, a *Matrix, panels []float64, lanes, r0, r1 int) {
 	k, ld := a.Cols, dst.Cols
 	for j0 := 0; j0 < lanes; j0 += gemmBlock {
 		j1 := min(j0+gemmBlock, lanes)
 		blk := panels[j0*k : j1*k]
+		np := (j1 - j0) / panelWidth
+		pairs := zmmPairs(np)
+		c := 2 * pairs * panelWidth
 		i := r0
 		for ; i+laneRows <= r1; i += laneRows {
 			ai := a.Data[i*k : (i+laneRows)*k]
 			di := dst.Data[i*ld+j0 : (i+laneRows-1)*ld+j1]
-			gemm4x8(k, &ai[0], k, &blk[0], (j1-j0)/panelWidth, &di[0], ld)
+			if pairs > 0 {
+				gemm4x16(k, &ai[0], k, &blk[0], pairs, &di[0], ld)
+			}
+			if c < j1-j0 {
+				gemm4x8(k, &ai[0], k, &blk[c*k], np-2*pairs, &di[c], ld)
+			}
 		}
 		for ; i < r1; i++ {
 			arow := a.Data[i*k:][:k]
@@ -152,9 +187,10 @@ func packRank(a, b *Matrix, s float64) (rp rankPacked, sp *[]float64) {
 }
 
 // rankRows accumulates rows [i0, i1) of dst += s·aᵀ·b packed as rp. Each
-// group of four rows runs the 4×8 lane tile over the whole panels, block
-// by block as mulLanesRows does, and over the padded last panel through a
-// 4×8 copy of its tile; the rows left over run the pure-Go kernel.
+// group of four rows runs the lane tiles over the whole panels, block by
+// block and pair by pair as mulLanesRows does, and over the padded last
+// panel through a 4×8 copy of its tile; the rows left over run the pure-Go
+// kernel.
 func rankRows(dst, a, b *Matrix, s float64, rp *rankPacked, i0, i1 int) {
 	g1 := i0
 	if rp.f != nil {
@@ -165,9 +201,17 @@ func rankRows(dst, a, b *Matrix, s float64, rp *rankPacked, i0, i1 int) {
 		for j0 := 0; j0 < lanes; j0 += gemmBlock {
 			j1 := min(j0+gemmBlock, lanes)
 			blk := rp.panels[j0*p : j1*p]
+			np := (j1 - j0) / panelWidth
+			pairs := zmmPairs(np)
+			c := 2 * pairs * panelWidth
 			for i := i0; i < g1; i += laneRows {
 				di := dst.Data[i*ld+j0 : (i+laneRows-1)*ld+j1]
-				rank4x8(p, &rp.f[i], m, &tail[i], &blk[0], (j1-j0)/panelWidth, &di[0], ld)
+				if pairs > 0 {
+					rank4x16(p, &rp.f[i], m, &tail[i], &blk[0], pairs, &di[0], ld)
+				}
+				if c < j1-j0 {
+					rank4x8(p, &rp.f[i], m, &tail[i], &blk[c*p], np-2*pairs, &di[c], ld)
+				}
 			}
 		}
 		if rem := ld - lanes; rem > 0 {

@@ -7,6 +7,11 @@ package mat
 // the XMM and YMM state components).
 var haveAVX2 = detectAVX2()
 
+// haveAVX512 reports whether the ZMM kernels can run: AVX2 as above, plus
+// AVX-512F with the OS saving the opmask and ZMM registers (XCR0 bits
+// 0xE6: XMM, YMM, opmask, the upper halves of ZMM0–15 and ZMM16–31).
+var haveAVX512 = haveAVX2 && detectAVX512()
+
 // haveTanhLanes reports whether tanhLanes can run: AVX2 plus FMA3.
 var haveTanhLanes = haveAVX2 && detectFMA()
 
@@ -27,6 +32,19 @@ func detectAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+func detectAVX512() bool {
+	const osxsave = 1 << 27
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	const avx512f = 1 << 16
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0
+}
+
 func detectFMA() bool {
 	const fma = 1 << 12
 	_, _, ecx, _ := cpuid(1, 0)
@@ -41,10 +59,19 @@ func xgetbv() (eax, edx uint32)
 func gemm4x8(k int, a *float64, lda int, panels *float64, npanels int, dst *float64, ldd int)
 
 //go:noescape
+func gemm4x16(k int, a *float64, lda int, panels *float64, npairs int, dst *float64, ldd int)
+
+//go:noescape
+func transpose8(nblocks int, panel, bt *float64, ldb int)
+
+//go:noescape
 func mulVecPanels(k int, panels *float64, npanels int, x *float64, dst *float64)
 
 //go:noescape
 func rank4x8(k int, f *float64, ldf int, atail *float64, panels *float64, npanels int, dst *float64, ldd int)
+
+//go:noescape
+func rank4x16(k int, f *float64, ldf int, atail *float64, panels *float64, npairs int, dst *float64, ldd int)
 
 //go:noescape
 func adamLanes(n int, w, m, v, grad *float64, c *[8]float64)
@@ -54,3 +81,6 @@ func softLanes(n int, w, src *float64, keep, tau float64)
 
 //go:noescape
 func tanhLanes(n int, out, pre *float64)
+
+//go:noescape
+func tanhLanes512(n int, out, pre *float64)

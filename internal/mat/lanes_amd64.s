@@ -2,12 +2,15 @@
 
 #include "textflag.h"
 
-// AVX2 lane kernels. Every YMM lane holds a different output entry, and
-// each step is a separate, correctly rounded op — VMULPD then VADDPD, and
-// for Adam VDIVPD, VSQRTPD and VSUBPD; no FMA — so every entry is rounded
-// exactly as the scalar Go loops round it: one ascending chain per entry,
-// starting from +0 (VXORPD) in the product and from dst in the rank-k
-// update.
+// AVX2 lane kernels, and the AVX-512F tiles gemm4x16 and rank4x16. Every
+// YMM or ZMM lane holds a different output entry, and each step is a
+// separate, correctly rounded op — VMULPD then VADDPD, and for Adam
+// VDIVPD, VSQRTPD and VSUBPD; no FMA — so every entry is rounded exactly
+// as the scalar Go loops round it: one ascending chain per entry, starting
+// from +0 (VXORPD, VPXORQ) in the product and from dst in the rank-k
+// update. The ZMM tiles keep the YMM tiles' operand order, so even a NaN's
+// payload comes out the same, and use only Z0–Z15, whose upper halves the
+// closing VZEROUPPER clears: no ZMM state stays dirty after a kernel.
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -108,6 +111,169 @@ store:
 	ADDQ $64, DX
 	DECQ R9
 	JNZ panel
+	VZEROUPPER
+	RET
+
+// func gemm4x16(k int, a *float64, lda int, panels *float64, npairs int, dst *float64, ldd int)
+//
+// gemm4x8 on ZMM registers, two panels per step: for each of npairs pairs
+// of consecutive k×8 panels, writes the 4×16 tile dst[r][c] = Σ_p
+// a[r][p]·panel[p][c], the first panel's 8 columns then the second's,
+// accumulated in ascending p, then moves dst 16 columns right. lda and
+// ldd are row strides in elements; npairs must be at least 1.
+TEXT ·gemm4x16(SB), NOSPLIT, $0-56
+	MOVQ k+0(FP), CX
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R8
+	SHLQ $3, R8
+	MOVQ panels+24(FP), DI
+	MOVQ npairs+32(FP), R9
+	MOVQ dst+40(FP), DX
+	MOVQ ldd+48(FP), R10
+	SHLQ $3, R10
+	LEAQ (SI)(R8*1), R11
+	LEAQ (R11)(R8*1), R12
+	LEAQ (R12)(R8*1), R13
+	MOVQ CX, R14
+	SHLQ $6, R14
+
+zpair:
+	// BX walks the pair's second panel, k·64 bytes after the first.
+	LEAQ (DI)(R14*1), BX
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	XORQ AX, AX
+	MOVQ CX, R8
+	TESTQ R8, R8
+	JZ zstore
+
+zstep:
+	VMOVUPD (DI), Z8
+	VMOVUPD (BX), Z9
+
+	VBROADCASTSD (SI)(AX*1), Z10
+	VMULPD Z8, Z10, Z11
+	VMULPD Z9, Z10, Z10
+	VADDPD Z11, Z0, Z0
+	VADDPD Z10, Z1, Z1
+
+	VBROADCASTSD (R11)(AX*1), Z12
+	VMULPD Z8, Z12, Z13
+	VMULPD Z9, Z12, Z12
+	VADDPD Z13, Z2, Z2
+	VADDPD Z12, Z3, Z3
+
+	VBROADCASTSD (R12)(AX*1), Z14
+	VMULPD Z8, Z14, Z15
+	VMULPD Z9, Z14, Z14
+	VADDPD Z15, Z4, Z4
+	VADDPD Z14, Z5, Z5
+
+	VBROADCASTSD (R13)(AX*1), Z10
+	VMULPD Z8, Z10, Z11
+	VMULPD Z9, Z10, Z10
+	VADDPD Z11, Z6, Z6
+	VADDPD Z10, Z7, Z7
+
+	ADDQ $64, DI
+	ADDQ $64, BX
+	ADDQ $8, AX
+	DECQ R8
+	JNZ zstep
+
+zstore:
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, (DX)(R10*1)
+	VMOVUPD Z3, 64(DX)(R10*1)
+	LEAQ (DX)(R10*2), AX
+	VMOVUPD Z4, (AX)
+	VMOVUPD Z5, 64(AX)
+	VMOVUPD Z6, (AX)(R10*1)
+	VMOVUPD Z7, 64(AX)(R10*1)
+	ADDQ $128, DX
+	MOVQ BX, DI
+	DECQ R9
+	JNZ zpair
+	VZEROUPPER
+	RET
+
+// func transpose8(nblocks int, panel, bt *float64, ldb int)
+//
+// Packs nblocks blocks of eight p's from eight rows of bt (row stride ldb
+// elements) into panel, p-major: panel[p*8+q] = bt[q*ldb+p] for q < 8 and
+// p < 8·nblocks. Each block is an 8×8 transpose: eight ZMM row loads,
+// VUNPCKLPD/VUNPCKHPD pairs, then two rounds of VSHUFF64X2 on 128-bit
+// lanes. It only moves bits. nblocks must be at least 1.
+TEXT ·transpose8(SB), NOSPLIT, $0-32
+	MOVQ nblocks+0(FP), CX
+	MOVQ panel+8(FP), DI
+	MOVQ bt+16(FP), SI
+	MOVQ ldb+24(FP), R8
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R9
+	LEAQ (SI)(R8*4), R10
+
+tblock:
+	VMOVUPD (SI), Z0
+	VMOVUPD (SI)(R8*1), Z1
+	VMOVUPD (SI)(R8*2), Z2
+	VMOVUPD (SI)(R9*1), Z3
+	VMOVUPD (R10), Z4
+	VMOVUPD (R10)(R8*1), Z5
+	VMOVUPD (R10)(R8*2), Z6
+	VMOVUPD (R10)(R9*1), Z7
+
+	// Z8 + 2j: rows 2j, 2j+1 at even p (lane l holds p = 2l); Z9 + 2j at odd p.
+	VUNPCKLPD Z1, Z0, Z8
+	VUNPCKHPD Z1, Z0, Z9
+	VUNPCKLPD Z3, Z2, Z10
+	VUNPCKHPD Z3, Z2, Z11
+	VUNPCKLPD Z5, Z4, Z12
+	VUNPCKHPD Z5, Z4, Z13
+	VUNPCKLPD Z7, Z6, Z14
+	VUNPCKHPD Z7, Z6, Z15
+
+	// Lanes {0, 2} then {1, 3} of each pair of rows' lanes: rows 0–3 at
+	// p ∈ {0, 4}, {2, 6}, {1, 5}, {3, 7} in Z0–Z3, rows 4–7 in Z4–Z7.
+	VSHUFF64X2 $0x88, Z10, Z8, Z0
+	VSHUFF64X2 $0xdd, Z10, Z8, Z1
+	VSHUFF64X2 $0x88, Z11, Z9, Z2
+	VSHUFF64X2 $0xdd, Z11, Z9, Z3
+	VSHUFF64X2 $0x88, Z14, Z12, Z4
+	VSHUFF64X2 $0xdd, Z14, Z12, Z5
+	VSHUFF64X2 $0x88, Z15, Z13, Z6
+	VSHUFF64X2 $0xdd, Z15, Z13, Z7
+
+	// Rows 0–3 beside rows 4–7: one panel row per p.
+	VSHUFF64X2 $0x88, Z4, Z0, Z8
+	VSHUFF64X2 $0xdd, Z4, Z0, Z12
+	VSHUFF64X2 $0x88, Z5, Z1, Z10
+	VSHUFF64X2 $0xdd, Z5, Z1, Z14
+	VSHUFF64X2 $0x88, Z6, Z2, Z9
+	VSHUFF64X2 $0xdd, Z6, Z2, Z13
+	VSHUFF64X2 $0x88, Z7, Z3, Z11
+	VSHUFF64X2 $0xdd, Z7, Z3, Z15
+
+	VMOVUPD Z8, (DI)
+	VMOVUPD Z9, 64(DI)
+	VMOVUPD Z10, 128(DI)
+	VMOVUPD Z11, 192(DI)
+	VMOVUPD Z12, 256(DI)
+	VMOVUPD Z13, 320(DI)
+	VMOVUPD Z14, 384(DI)
+	VMOVUPD Z15, 448(DI)
+	ADDQ $512, DI
+	ADDQ $64, SI
+	ADDQ $64, R10
+	DECQ CX
+	JNZ tblock
 	VZEROUPPER
 	RET
 
@@ -379,6 +545,179 @@ rstore:
 	ADDQ $64, DX
 	DECQ R9
 	JNZ rpanel
+	VZEROUPPER
+	RET
+
+// ROWZ is ROW for the ZMM tile: acc0:acc1 += f·b, with f broadcast from
+// off(R12) and the sample's sixteen b entries in Z8:Z9.
+#define ROWZ(off, t0, t1, acc0, acc1) \
+	VBROADCASTSD off(R12), t0; \
+	VMULPD Z8, t0, t1; \
+	VMULPD Z9, t0, t0; \
+	VADDPD t1, acc0, acc0; \
+	VADDPD t0, acc1, acc1
+
+// func rank4x16(k int, f *float64, ldf int, atail *float64, panels *float64, npairs int, dst *float64, ldd int)
+//
+// rank4x8 on ZMM registers, two panels per step: for each of npairs pairs
+// of consecutive k×8 panels of b, folds the k samples into the 4×16 tile
+// of dst in ascending p, the first panel's 8 columns then the second's,
+// then moves dst 16 columns right. The skip rules are rank4x8's, computed
+// on the same YMM compares; k and npairs must be at least 1.
+TEXT ·rank4x16(SB), NOSPLIT, $0-64
+	MOVQ f+8(FP), SI
+	MOVQ ldf+16(FP), R8
+	SHLQ $3, R8
+	MOVQ panels+32(FP), DI
+	MOVQ npairs+40(FP), R9
+	MOVQ dst+48(FP), DX
+	MOVQ ldd+56(FP), R10
+	SHLQ $3, R10
+	VXORPD Y10, Y10, Y10
+
+	// CX = 0 when no f of these rows is 0, nor any atail.
+	MOVQ k+0(FP), R11
+	MOVQ SI, R12
+	MOVQ atail+24(FP), BX
+	VCMPPD $0, (BX), Y10, Y11
+
+zscan:
+	VCMPPD $0, (R12), Y10, Y12
+	VORPD Y12, Y11, Y11
+	ADDQ R8, R12
+	DECQ R11
+	JNZ zscan
+	VMOVMSKPD Y11, CX
+
+zrpanel:
+	// R14 walks the pair's second panel, k·64 bytes after the first.
+	MOVQ k+0(FP), R14
+	SHLQ $6, R14
+	ADDQ DI, R14
+	LEAQ (DX)(R10*2), R13
+	VMOVUPD (DX), Z0
+	VMOVUPD 64(DX), Z1
+	VMOVUPD (DX)(R10*1), Z2
+	VMOVUPD 64(DX)(R10*1), Z3
+	VMOVUPD (R13), Z4
+	VMOVUPD 64(R13), Z5
+	VMOVUPD (R13)(R10*1), Z6
+	VMOVUPD 64(R13)(R10*1), Z7
+	MOVQ SI, R12
+	MOVQ k+0(FP), R11
+	SHRQ $1, R11
+	JZ zrtail
+
+zrpair:
+	TESTL CX, CX
+	JZ zrdense
+	// AX bit r: both f's of row r are 0 in this pass.
+	VCMPPD $0, (R12), Y10, Y11
+	VCMPPD $0, (R12)(R8*1), Y10, Y12
+	VANDPD Y12, Y11, Y11
+	VMOVMSKPD Y11, AX
+	TESTL AX, AX
+	JNZ zrmasked
+
+zrdense:
+	VMOVUPD (DI), Z8
+	VMOVUPD (R14), Z9
+	ROWZ(0, Z12, Z13, Z0, Z1)
+	ROWZ(8, Z14, Z15, Z2, Z3)
+	ROWZ(16, Z12, Z13, Z4, Z5)
+	ROWZ(24, Z14, Z15, Z6, Z7)
+	ADDQ R8, R12
+	VMOVUPD 64(DI), Z8
+	VMOVUPD 64(R14), Z9
+	ROWZ(0, Z12, Z13, Z0, Z1)
+	ROWZ(8, Z14, Z15, Z2, Z3)
+	ROWZ(16, Z12, Z13, Z4, Z5)
+	ROWZ(24, Z14, Z15, Z6, Z7)
+	ADDQ R8, R12
+	ADDQ $128, DI
+	ADDQ $128, R14
+	DECQ R11
+	JNZ zrpair
+	JMP zrtail
+
+zrmasked:
+	// The same pass, one row at a time, leaving out the rows set in AX.
+	MOVQ $2, BX
+
+zrsample:
+	VMOVUPD (DI), Z8
+	VMOVUPD (R14), Z9
+	TESTL $1, AX
+	JNZ zrskip0
+	ROWZ(0, Z12, Z13, Z0, Z1)
+
+zrskip0:
+	TESTL $2, AX
+	JNZ zrskip1
+	ROWZ(8, Z14, Z15, Z2, Z3)
+
+zrskip1:
+	TESTL $4, AX
+	JNZ zrskip2
+	ROWZ(16, Z12, Z13, Z4, Z5)
+
+zrskip2:
+	TESTL $8, AX
+	JNZ zrskip3
+	ROWZ(24, Z14, Z15, Z6, Z7)
+
+zrskip3:
+	ADDQ R8, R12
+	ADDQ $64, DI
+	ADDQ $64, R14
+	DECQ BX
+	JNZ zrsample
+	DECQ R11
+	JNZ zrpair
+
+zrtail:
+	// An odd last sample skips the rows where its unscaled a is 0.
+	MOVQ k+0(FP), AX
+	TESTQ $1, AX
+	JZ zrstore
+	MOVQ atail+24(FP), BX
+	VCMPPD $0, (BX), Y10, Y11
+	VMOVMSKPD Y11, AX
+	VMOVUPD (DI), Z8
+	VMOVUPD (R14), Z9
+	ADDQ $64, R14
+	TESTL $1, AX
+	JNZ zrtail0
+	ROWZ(0, Z12, Z13, Z0, Z1)
+
+zrtail0:
+	TESTL $2, AX
+	JNZ zrtail1
+	ROWZ(8, Z14, Z15, Z2, Z3)
+
+zrtail1:
+	TESTL $4, AX
+	JNZ zrtail2
+	ROWZ(16, Z12, Z13, Z4, Z5)
+
+zrtail2:
+	TESTL $8, AX
+	JNZ zrstore
+	ROWZ(24, Z14, Z15, Z6, Z7)
+
+zrstore:
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	VMOVUPD Z2, (DX)(R10*1)
+	VMOVUPD Z3, 64(DX)(R10*1)
+	VMOVUPD Z4, (R13)
+	VMOVUPD Z5, 64(R13)
+	VMOVUPD Z6, (R13)(R10*1)
+	VMOVUPD Z7, 64(R13)(R10*1)
+	ADDQ $128, DX
+	MOVQ R14, DI
+	DECQ R9
+	JNZ zrpanel
 	VZEROUPPER
 	RET
 

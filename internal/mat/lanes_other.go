@@ -6,10 +6,21 @@ package mat
 // kernels run everywhere, and the lane kernels below are never called.
 const haveAVX2 = false
 
+// haveAVX512 is false for the same reasons: no ZMM kernel runs.
+const haveAVX512 = false
+
 // haveTanhLanes is false for the same reasons: TanhTo runs math.Tanh.
 const haveTanhLanes = false
 
 func gemm4x8(k int, a *float64, lda int, panels *float64, npanels int, dst *float64, ldd int) {
+	panic("mat: lane kernels need amd64")
+}
+
+func gemm4x16(k int, a *float64, lda int, panels *float64, npairs int, dst *float64, ldd int) {
+	panic("mat: lane kernels need amd64")
+}
+
+func transpose8(nblocks int, panel, bt *float64, ldb int) {
 	panic("mat: lane kernels need amd64")
 }
 
@@ -18,6 +29,10 @@ func mulVecPanels(k int, panels *float64, npanels int, x *float64, dst *float64)
 }
 
 func rank4x8(k int, f *float64, ldf int, atail *float64, panels *float64, npanels int, dst *float64, ldd int) {
+	panic("mat: lane kernels need amd64")
+}
+
+func rank4x16(k int, f *float64, ldf int, atail *float64, panels *float64, npairs int, dst *float64, ldd int) {
 	panic("mat: lane kernels need amd64")
 }
 
@@ -30,5 +45,9 @@ func softLanes(n int, w, src *float64, keep, tau float64) {
 }
 
 func tanhLanes(n int, out, pre *float64) {
+	panic("mat: lane kernels need amd64")
+}
+
+func tanhLanes512(n int, out, pre *float64) {
 	panic("mat: lane kernels need amd64")
 }

@@ -2,27 +2,78 @@ package mat
 
 import (
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"miras/internal/parallel"
 )
-
-// withLanes runs fn with the lane kernels switched on or off, restoring
-// the start-up choice afterwards.
-func withLanes(on bool, fn func()) {
-	defer func(prev bool) { useAVX2 = prev }(useAVX2)
-	useAVX2 = on
-	fn()
-}
 
 func requireAVX2(tb testing.TB) {
 	tb.Helper()
 	if !haveAVX2 {
 		tb.Skip("lane kernels not available: no AVX2 on this CPU, or a non-amd64 or purego build")
 	}
+}
+
+// laneSet is one of the three kernel sets the lane path can run: the ZMM
+// tiles and tanh beside the AVX2 lanes, the AVX2 lanes alone, or pure Go.
+type laneSet struct {
+	name         string
+	avx2, avx512 bool
+}
+
+var (
+	zmmSet  = laneSet{"zmm", true, true}
+	avx2Set = laneSet{"avx2", true, false}
+	goSet   = laneSet{"go", false, false}
+	// laneArms are the sets refereed against pure Go; each agreeing with
+	// it bit for bit makes all three agree.
+	laneArms = []laneSet{zmmSet, avx2Set}
+)
+
+// use runs fn with the kernels of s selected, restoring the start-up
+// choice afterwards.
+func (s laneSet) use(fn func()) {
+	defer func(avx2, avx512 bool) { useAVX2, useAVX512 = avx2, avx512 }(useAVX2, useAVX512)
+	useAVX2, useAVX512 = s.avx2, s.avx512
+	fn()
+}
+
+// require skips tb, saying why, unless this CPU and build can run s.
+func (s laneSet) require(tb testing.TB) {
+	tb.Helper()
+	if s.avx512 && !haveAVX512 {
+		tb.Skip("ZMM kernels not available: no AVX-512F with opmask and ZMM state enabled on this CPU, or a non-amd64 or purego build")
+	}
+	if s.avx2 {
+		requireAVX2(tb)
+	}
+}
+
+// activeLaneSet names the kernel set chosen at start-up.
+func activeLaneSet() laneSet {
+	switch {
+	case useAVX2 && useAVX512:
+		return zmmSet
+	case useAVX2:
+		return avx2Set
+	}
+	return goSet
+}
+
+// TestMain reports in the verbose log which kernel set this CPU runs, so a
+// CI log shows whether the ZMM arms were exercised or skipped.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if testing.Verbose() {
+		fmt.Printf("mat: lane kernels %s (AVX2 %v, AVX-512F %v, lane tanh %v)\n",
+			activeLaneSet().name, haveAVX2, haveAVX512, useTanhLanes)
+	}
+	os.Exit(m.Run())
 }
 
 // sameBits reports whether x and y are the same float64 bit pattern; any
@@ -70,31 +121,42 @@ var laneKernelOps = []struct {
 	}},
 }
 
-// laneMismatch runs every lane-served kernel on a and b with the lane
-// kernels on and off and describes the first entry whose bits differ ("" if
-// none).
-func laneMismatch(a, b *Matrix) string {
+// laneMismatch runs every lane-served kernel on a and b with the kernels of
+// arm and with pure Go, and describes the first entry whose bits differ
+// ("" if none).
+func laneMismatch(arm laneSet, a, b *Matrix) string {
 	for _, op := range laneKernelOps {
 		var lanes, generic *Matrix
-		withLanes(true, func() { lanes = op.run(a, b) })
-		withLanes(false, func() { generic = op.run(a, b) })
-		if msg := entryMismatch(lanes, generic); msg != "" {
+		arm.use(func() { lanes = op.run(a, b) })
+		goSet.use(func() { generic = op.run(a, b) })
+		if msg := entryMismatch(arm, lanes, generic); msg != "" {
 			return fmt.Sprintf("%s, a %dx%d, b %dx%d: %s", op.name, a.Rows, a.Cols, b.Rows, b.Cols, msg)
 		}
 	}
 	return ""
 }
 
-// entryMismatch describes the first entry whose bits differ between the
-// lane and pure-Go results ("" if none).
-func entryMismatch(lanes, generic *Matrix) string {
+// entryMismatch describes the first entry whose bits differ between arm's
+// and the pure-Go results ("" if none).
+func entryMismatch(arm laneSet, lanes, generic *Matrix) string {
 	for i, v := range lanes.Data {
 		if w := generic.Data[i]; !sameBits(v, w) {
-			return fmt.Sprintf("entry (%d,%d) lanes %v (%#x) != pure Go %v (%#x)",
-				i/lanes.Cols, i%lanes.Cols, v, math.Float64bits(v), w, math.Float64bits(w))
+			return fmt.Sprintf("entry (%d,%d) %s %v (%#x) != pure Go %v (%#x)",
+				i/lanes.Cols, i%lanes.Cols, arm.name, v, math.Float64bits(v), w, math.Float64bits(w))
 		}
 	}
 	return ""
+}
+
+// forEachArm runs fn as one subtest per arm, skipping the arms this CPU
+// cannot run.
+func forEachArm(t *testing.T, fn func(t *testing.T, arm laneSet)) {
+	for _, arm := range laneArms {
+		t.Run(arm.name, func(t *testing.T) {
+			arm.require(t)
+			fn(t, arm)
+		})
+	}
 }
 
 // laneSpecials are the edge values the deterministic table mixes into
@@ -127,39 +189,48 @@ func laneResidueShapes() [][3]int {
 	return append(shapes, [3]int{4, 0, 8}, [3]int{7, 0, 13}, [3]int{0, 3, 8}, [3]int{12, 1, 1}, [3]int{33, 40, 39})
 }
 
-// TestLaneKernelsMatchGeneric referees the AVX2 lane kernels against the
-// pure-Go ones, bit for bit, on the residue shapes plus the training and
-// paper widths and ragged multi-block shapes; 64·256² is large enough to
-// fan out over the pool.
+// TestLaneKernelsMatchGeneric referees the ZMM and AVX2 kernels against
+// the pure-Go ones, bit for bit, on the residue shapes plus the training
+// and paper widths, ragged multi-block shapes, and odd panel counts (3, 5,
+// and 17, whose last block holds one panel), where the ZMM tile hands the
+// last panel to the YMM one; 64·256² is large enough to fan out over the
+// pool. Both arms see the same inputs.
 func TestLaneKernelsMatchGeneric(t *testing.T) {
 	requireAVX2(t)
-	rng := rand.New(rand.NewSource(21))
-	shapes := append(laneResidueShapes(), [3]int{64, 64, 64}, [3]int{64, 256, 256}, [3]int{67, 130, 129}, [3]int{129, 257, 33})
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		if msg := laneMismatch(laneRandMat(m, k, rng), laneRandMat(k, n, rng)); msg != "" {
-			t.Fatal(msg)
-		}
-	}
-	// The rank-k update's skips, made certain rather than rare: even and
-	// odd sample counts, every residue of rows mod 4 and columns mod 8, and
-	// the scaled (s = 0.5, where 5e-324 scales to 0) and unscaled copies.
-	for _, s := range [][3]int{{64, 64, 64}, {65, 64, 68}, {7, 12, 4}, {33, 13, 21}, {1, 4, 8}, {2, 6, 3}, {9, 7, 15}} {
-		for _, scale := range []float64{1, 0.5} {
-			if msg := rankSkipMismatch(s[0], s[1], s[2], scale, rng); msg != "" {
+	forEachArm(t, func(t *testing.T, arm laneSet) {
+		rng := rand.New(rand.NewSource(21))
+		shapes := append(laneResidueShapes(), [3]int{64, 64, 64}, [3]int{64, 256, 256}, [3]int{67, 130, 129}, [3]int{129, 257, 33},
+			[3]int{9, 11, 24}, [3]int{12, 70, 44}, [3]int{5, 20, 137})
+		for _, s := range shapes {
+			m, k, n := s[0], s[1], s[2]
+			if msg := laneMismatch(arm, laneRandMat(m, k, rng), laneRandMat(k, n, rng)); msg != "" {
 				t.Fatal(msg)
 			}
 		}
-	}
+		// The rank-k update's skips, made certain rather than rare: even
+		// and odd sample counts down to one sample, every residue of rows
+		// mod 4 and columns mod 8, odd whole-panel counts (1, 3, 5 and a
+		// 17-panel width whose last block holds one panel, where the ZMM
+		// tile hands a panel to the YMM one), and the scaled (s = 0.5,
+		// where 5e-324 scales to 0) and unscaled copies.
+		for _, s := range [][3]int{{64, 64, 64}, {65, 64, 68}, {7, 12, 4}, {33, 13, 21}, {1, 4, 8}, {2, 6, 3}, {9, 7, 15},
+			{1, 9, 24}, {3, 5, 40}, {5, 7, 136}, {4, 12, 139}, {1, 4, 17}} {
+			for _, scale := range []float64{1, 0.5} {
+				if msg := rankSkipMismatch(arm, s[0], s[1], s[2], scale, rng); msg != "" {
+					t.Fatal(msg)
+				}
+			}
+		}
+	})
 }
 
-// rankSkipMismatch runs dst += scale·aᵀ·b with the lane kernels on and off
-// on ReLU-shaped inputs and describes the first entry whose bits differ
-// ("" if none). Half of a's entries are ±0 and a few are 5e-324; row 0 of
+// rankSkipMismatch runs dst += scale·aᵀ·b with the kernels of arm and with
+// pure Go on ReLU-shaped inputs and describes the first entry whose bits
+// differ ("" if none). Half of a's entries are ±0 and a few are 5e-324; row 0 of
 // dst sees only zeros, rows 1 mod 3 see whole zero sample pairs, and even
 // rows a zero odd last sample. dst starts at −0 with a few ±Inf, and one
 // column of b is +Inf, so a skipped add that ran would show as +0 or NaN.
-func rankSkipMismatch(p, m, n int, scale float64, rng *rand.Rand) string {
+func rankSkipMismatch(arm laneSet, p, m, n int, scale float64, rng *rand.Rand) string {
 	negZero := math.Copysign(0, -1)
 	a := New(p, m)
 	for r := 0; r < p; r++ {
@@ -196,9 +267,9 @@ func rankSkipMismatch(p, m, n int, scale float64, rng *rand.Rand) string {
 		return dst
 	}
 	var lanes, generic *Matrix
-	withLanes(true, func() { lanes = run() })
-	withLanes(false, func() { generic = run() })
-	msg := entryMismatch(lanes, generic)
+	arm.use(func() { lanes = run() })
+	goSet.use(func() { generic = run() })
+	msg := entryMismatch(arm, lanes, generic)
 	for j := 0; j < n && msg == ""; j++ {
 		if !sameBits(generic.Data[j], seed.Data[j]) {
 			msg = fmt.Sprintf("all-zero row 0 moved at column %d", j)
@@ -214,7 +285,8 @@ func rankSkipMismatch(p, m, n int, scale float64, rng *rand.Rand) string {
 // shape (each of m, k, n in 0–40), then entries of a and b as raw float64
 // bits — so signed zeros, subnormals, infinities and NaNs all occur — are
 // decoded from the fuzz input, and every lane-served kernel must equal its
-// pure-Go twin bit for bit (NaNs equal to any NaN).
+// pure-Go twin bit for bit (NaNs equal to any NaN), on the ZMM and on the
+// AVX2 kernels, one subtest each.
 func FuzzGemmLanes(f *testing.F) {
 	requireAVX2(f)
 	f.Add([]byte{4, 3, 8})
@@ -223,9 +295,12 @@ func FuzzGemmLanes(f *testing.F) {
 	f.Add([]byte{40, 40, 40})
 	f.Add([]byte{2, 1, 31, 0, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if msg := laneMismatch(decodeLaneCase(data)); msg != "" {
-			t.Fatalf("%s\ninput: %v", msg, data)
-		}
+		forEachArm(t, func(t *testing.T, arm laneSet) {
+			a, b := decodeLaneCase(data)
+			if msg := laneMismatch(arm, a, b); msg != "" {
+				t.Fatalf("%s\ninput: %v", msg, data)
+			}
+		})
 	})
 }
 
@@ -258,9 +333,11 @@ func decodeLaneCase(data []byte) (a, b *Matrix) {
 
 // BenchmarkMulTransTo times the forward-pass product at m = 64 from the
 // benchmark's width (64³) through the paper's MSD and LIGO widths, in
-// GFLOP/s: serial, and pooled on two workers with the size gate lowered so
-// every shape fans out. DESIGN.md §4g's crossover table, which places
-// minParallelFlops, comes from this benchmark and the next.
+// GFLOP/s, on each kernel set (zmm, avx2, go; a set this CPU lacks is
+// skipped): serial, and pooled on two workers with the size gate lowered
+// so every shape fans out. DESIGN.md §4g's crossover table, which places
+// minParallelFlops, and its per-set tile rates come from this benchmark
+// and the next.
 func BenchmarkMulTransTo(b *testing.B) {
 	gemmBench(b, func(dst, x, y *Matrix) { dst.MulTransTo(x, y) }, func(m, k, n int) (*Matrix, *Matrix, *Matrix) {
 		rng := rand.New(rand.NewSource(1))
@@ -284,20 +361,25 @@ func gemmBench(b *testing.B, op func(dst, x, y *Matrix), setup func(m, k, n int)
 	}(minParallelFlops)
 	shapes := [][3]int{{64, 64, 64}, {64, 128, 64}, {64, 128, 128}, {64, 256, 128}, {64, 256, 256}, {64, 512, 512}}
 	for _, s := range shapes {
-		for _, mode := range []struct {
-			name    string
-			workers int
-		}{{"serial", 1}, {"pooled", 2}} {
-			m, k, n := s[0], s[1], s[2]
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, mode.name), func(b *testing.B) {
-				parallel.SetMaxWorkers(mode.workers)
-				minParallelFlops = 0
-				dst, x, y := setup(m, k, n)
-				for b.Loop() {
-					op(dst, x, y)
-				}
-				b.ReportMetric(float64(2*m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
+		for _, set := range []laneSet{zmmSet, avx2Set, goSet} {
+			for _, mode := range []struct {
+				name    string
+				workers int
+			}{{"serial", 1}, {"pooled", 2}} {
+				m, k, n := s[0], s[1], s[2]
+				b.Run(fmt.Sprintf("%dx%dx%d/%s/%s", m, k, n, set.name, mode.name), func(b *testing.B) {
+					set.require(b)
+					parallel.SetMaxWorkers(mode.workers)
+					minParallelFlops = 0
+					dst, x, y := setup(m, k, n)
+					set.use(func() {
+						for b.Loop() {
+							op(dst, x, y)
+						}
+					})
+					b.ReportMetric(float64(2*m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
 		}
 	}
 }

@@ -340,16 +340,16 @@ func packedMulVecTo(m *Matrix, dst, x []float64) {
 }
 
 // mulVecMismatch reports the first output where MulVecTo or the packed
-// path, each with the lane kernels on (where the CPU has them) and off,
-// differs in its bits from the ascending reference, or "". Any two NaNs
+// path, each on every kernel set the CPU has (pure Go, AVX2, and ZMM,
+// whose packing runs transpose8), differs in its bits from the ascending reference, or "". Any two NaNs
 // match: which payload a NaN sum carries depends on operand order in a
 // commutative add, which the compiler may pick either way, and no caller
 // reads NaN payloads.
 func mulVecMismatch(m *Matrix, x []float64) string {
 	want := ascendingDots(m, x)
 	got := make([]float64, m.Rows)
-	for _, lanes := range []bool{false, true} {
-		if lanes && !haveAVX2 {
+	for _, set := range []laneSet{goSet, avx2Set, zmmSet} {
+		if (set.avx2 && !haveAVX2) || (set.avx512 && !haveAVX512) {
 			continue
 		}
 		for _, path := range []struct {
@@ -362,11 +362,11 @@ func mulVecMismatch(m *Matrix, x []float64) string {
 			for i := range got {
 				got[i] = 42
 			}
-			withLanes(lanes, path.run)
+			set.use(path.run)
 			for i, w := range want {
 				if !sameBits(got[i], w) {
-					return fmt.Sprintf("%dx%d row %d, lanes %v: %s %v (%#x), ascending dot %v (%#x)",
-						m.Rows, m.Cols, i, lanes, path.name, got[i], math.Float64bits(got[i]), w, math.Float64bits(w))
+					return fmt.Sprintf("%dx%d row %d, %s: %s %v (%#x), ascending dot %v (%#x)",
+						m.Rows, m.Cols, i, set.name, path.name, got[i], math.Float64bits(got[i]), w, math.Float64bits(w))
 				}
 			}
 		}

@@ -99,8 +99,8 @@ func updateMismatch(c updateCase) string {
 		return w, m, v, soft
 	}
 	var lanes, generic [4][]float64
-	withLanes(true, func() { lanes[0], lanes[1], lanes[2], lanes[3] = run() })
-	withLanes(false, func() { generic[0], generic[1], generic[2], generic[3] = run() })
+	avx2Set.use(func() { lanes[0], lanes[1], lanes[2], lanes[3] = run() })
+	goSet.use(func() { generic[0], generic[1], generic[2], generic[3] = run() })
 	for k, name := range []string{"AdamStep w", "AdamStep m", "AdamStep v", "SoftUpdate w"} {
 		for i, x := range lanes[k] {
 			if y := generic[k][i]; !sameBits(x, y) {

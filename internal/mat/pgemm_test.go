@@ -53,7 +53,17 @@ func requireBitIdentical(t *testing.T, results map[int]*Matrix, context string) 
 // (every train-msd hidden product), 2²¹ for {256,64,64} and ≈ 2²¹·¹ for
 // {67,130,129} and {129,257,33} (strictly below), and ≈ 2²²·¹ for
 // {67,130,257} and {129,257,67} and 2²³ for {64,256,256} (strictly above).
+// It runs once per kernel set: ZMM, AVX2 and pure Go.
 func TestGemmBitIdenticalAcrossWorkers(t *testing.T) {
+	for _, set := range []laneSet{zmmSet, avx2Set, goSet} {
+		t.Run(set.name, func(t *testing.T) {
+			set.require(t)
+			set.use(func() { gemmAcrossWorkers(t) })
+		})
+	}
+}
+
+func gemmAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := [][3]int{{3, 5, 2}, {64, 64, 64}, {64, 256, 256}, {67, 130, 129}, {256, 64, 64}, {129, 257, 33}, {67, 130, 257}, {129, 257, 67}}
 	for _, s := range shapes {

@@ -3,16 +3,23 @@ package mat
 import "math"
 
 // TanhTo writes math.Tanh(pre[i]) into out[i], bit for bit. out must be at
-// least as long as pre and may be pre itself. Runs of four go through
-// tanhLanes when useTanhLanes is set; the tail, and every element
+// least as long as pre and may be pre itself. When useTanhLanes is set,
+// runs of eight go through tanhLanes512 if useAVX512 is set too, and the
+// rest in runs of four through tanhLanes; the tail, and every element
 // otherwise, call math.Tanh.
 func TanhTo(out, pre []float64) {
 	out = out[:len(pre)]
 	n := 0
 	if useTanhLanes {
-		n = len(pre) &^ 3
-		if n > 0 {
-			tanhLanes(n, &out[0], &pre[0])
+		if useAVX512 {
+			n = len(pre) &^ 7
+			if n > 0 {
+				tanhLanes512(n, &out[0], &pre[0])
+			}
+		}
+		if m := len(pre) &^ 3; m > n {
+			tanhLanes(m-n, &out[n], &pre[n])
+			n = m
 		}
 	}
 	for i := n; i < len(pre); i++ {
@@ -38,9 +45,22 @@ var tanhProbe = [...]float64{
 	math.Inf(1), math.Inf(-1), math.NaN(), 1e300,
 }
 
+// tanhLanesMatchMath runs the probe through tanhLanes and, where the CPU
+// has it, tanhLanes512; both must match math.Tanh.
 func tanhLanesMatchMath() bool {
 	var got [len(tanhProbe)]float64
 	tanhLanes(len(got), &got[0], &tanhProbe[0])
+	if !probeMatches(&got) {
+		return false
+	}
+	if haveAVX512 {
+		tanhLanes512(len(got), &got[0], &tanhProbe[0])
+		return probeMatches(&got)
+	}
+	return true
+}
+
+func probeMatches(got *[len(tanhProbe)]float64) bool {
 	for i, x := range tanhProbe {
 		want := math.Tanh(x)
 		if math.Float64bits(got[i]) != math.Float64bits(want) && !(got[i] != got[i] && want != want) {

@@ -10,7 +10,8 @@
 // 0.625 ≤ |x| ≤ 0.5·MAXLOG that path is straight-line: 2|x| is at most 89,
 // so archExp's overflow, underflow and denormal exits are never taken.
 
-// Each constant is repeated in four lanes so it can be a memory operand.
+// Each constant is repeated in four lanes so it can be a memory operand;
+// tanhLanes512 broadcasts the first lane of each into all eight (.BCST).
 #define LANES(off, v) \
 	DATA tanhconst<>+(off)(SB)/8, v; \
 	DATA tanhconst<>+(off+8)(SB)/8, v; \
@@ -202,5 +203,135 @@ four:
 	VMOVUPD Y3, (DI)
 
 done:
+	VZEROUPPER
+	RET
+
+// The same stages on eight ZMM lanes, op for op: constants are embedded
+// broadcasts, the sign masks VPANDQ, VPXORQ and VPORQ, and each blend a
+// VCMPPD into K1 then VBLENDMPD. Z12 holds 1.0, Z13 2.0 and Z14 zero
+// throughout; KX is an eight-lane int32 YMM register. Only Z0–Z15 are
+// used, so the closing VZEROUPPER leaves no ZMM state dirty.
+
+#define EXPAZ(X, R, KF, KX) \
+	VPANDQ.BCST       ABS, X, R; \
+	VADDPD            R, R, R; \
+	VMULPD.BCST       LOG2E, R, KF; \
+	VCVTPD2DQ         KF, KX; \
+	VCVTDQ2PD         KX, KF; \
+	VFNMADD231PD.BCST LN2U, KF, R; \
+	VFNMADD231PD.BCST LN2L, KF, R; \
+	VMULPD.BCST       SIXTEENTH, R, R
+
+#define EXPBZ(R, P) \
+	VBROADCASTSD     EXP7, P; \
+	VFMADD213PD.BCST EXP6, R, P; \
+	VFMADD213PD.BCST EXP5, R, P; \
+	VFMADD213PD.BCST EXP4, R, P; \
+	VFMADD213PD.BCST EXP3, R, P; \
+	VFMADD213PD.BCST EXP2, R, P; \
+	VFMADD213PD.BCST HALF, R, P; \
+	VFMADD213PD      Z12, R, P
+
+#define EXPCZ(R, P) \
+	VMULPD      P, R, R; \
+	VADDPD      Z13, R, P; \
+	VMULPD      P, R, R; \
+	VADDPD      Z13, R, P; \
+	VMULPD      P, R, R; \
+	VADDPD      Z13, R, P; \
+	VMULPD      P, R, R; \
+	VADDPD      Z13, R, P; \
+	VFMADD213PD Z12, P, R
+
+#define EXPDZ(X, R, K, KX, P) \
+	VPMOVSXDQ   KX, K; \
+	VPADDQ.BCST BIAS, K, K; \
+	VPSLLQ      $52, K, K; \
+	VMULPD      K, R, R; \
+	VADDPD      Z12, R, R; \
+	VDIVPD      R, Z13, R; \
+	VSUBPD      R, Z12, R; \
+	VPANDQ.BCST SIGN, X, P; \
+	VPXORQ      P, R, R
+
+#define RATZ(X, S, A, P, Q) \
+	VMULPD      X, X, S; \
+	VMULPD      S, X, A; \
+	VMULPD.BCST P0, S, P; \
+	VADDPD.BCST P1, P, P; \
+	VMULPD      S, P, P; \
+	VADDPD.BCST P2, P, P; \
+	VMULPD      P, A, A; \
+	VADDPD.BCST Q0, S, Q; \
+	VMULPD      S, Q, Q; \
+	VADDPD.BCST Q1, Q, Q; \
+	VMULPD      S, Q, Q; \
+	VADDPD.BCST Q2, Q, Q; \
+	VDIVPD      Q, A, A; \
+	VADDPD      A, X, A
+
+#define PICKZ(X, E, A, Z) \
+	VPANDQ.BCST ABS, X, Z; \
+	VCMPPD.BCST $0x1d, EXPMIN, Z, K1; \
+	VBLENDMPD   E, A, K1, A; \
+	VCMPPD.BCST $0x1e, SATURATE, Z, K1; \
+	VPANDQ.BCST SIGN, X, Z; \
+	VPORQ       Z12, Z, Z; \
+	VBLENDMPD   Z, A, K1, A; \
+	VCMPPD      $0x00, Z14, X, K1; \
+	VBLENDMPD   X, A, K1, A
+
+// func tanhLanes512(n int, out, pre *float64)
+//
+// tanhLanes on ZMM registers: out[i] = math.Tanh(pre[i]) for i < n; n must
+// be a multiple of 8. Sixteen elements per step as two interleaved
+// eight-lane chains, then one eight-lane step if n mod 16 = 8. out may
+// equal pre: each step loads its inputs before storing.
+TEXT ·tanhLanes512(SB), NOSPLIT, $0-24
+	MOVQ         n+0(FP), CX
+	MOVQ         out+8(FP), DI
+	MOVQ         pre+16(FP), SI
+	VPXORQ       Z14, Z14, Z14
+	VBROADCASTSD ONE, Z12
+	VBROADCASTSD TWO, Z13
+	MOVQ         CX, BX
+	SHRQ         $4, BX
+	JZ           zeight
+
+zsixteen:
+	VMOVUPD (SI), Z0
+	VMOVUPD 64(SI), Z5
+	EXPAZ(Z0, Z1, Z2, Y3)
+	EXPAZ(Z5, Z6, Z7, Y8)
+	EXPBZ(Z1, Z4)
+	EXPBZ(Z6, Z9)
+	EXPCZ(Z1, Z4)
+	EXPCZ(Z6, Z9)
+	EXPDZ(Z0, Z1, Z3, Y3, Z4)
+	EXPDZ(Z5, Z6, Z8, Y8, Z9)
+	RATZ(Z0, Z2, Z3, Z4, Z10)
+	RATZ(Z5, Z7, Z8, Z9, Z11)
+	PICKZ(Z0, Z1, Z3, Z2)
+	PICKZ(Z5, Z6, Z8, Z7)
+	VMOVUPD Z3, (DI)
+	VMOVUPD Z8, 64(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	DECQ    BX
+	JNZ     zsixteen
+
+zeight:
+	TESTQ   $8, CX
+	JZ      zdone
+	VMOVUPD (SI), Z0
+	EXPAZ(Z0, Z1, Z2, Y3)
+	EXPBZ(Z1, Z4)
+	EXPCZ(Z1, Z4)
+	EXPDZ(Z0, Z1, Z3, Y3, Z4)
+	RATZ(Z0, Z2, Z3, Z4, Z10)
+	PICKZ(Z0, Z1, Z3, Z2)
+	VMOVUPD Z3, (DI)
+
+zdone:
 	VZEROUPPER
 	RET

@@ -40,22 +40,24 @@ func expOnFMAPath() bool {
 	return math.Float64bits(math.Exp(3.84375)) == 0x404759a28795660f
 }
 
-// tanhMismatch runs TanhTo with the lanes on over xs, into a fresh slice
-// and in place, and describes the first element that differs from
+// tanhMismatch runs TanhTo with the lanes of arm on over xs, into a fresh
+// slice and in place, and describes the first element that differs from
 // math.Tanh ("" if none).
-func tanhMismatch(xs []float64) string {
+func tanhMismatch(arm laneSet, xs []float64) string {
 	out := make([]float64, len(xs))
 	inPlace := append([]float64(nil), xs...)
-	withTanhLanes(true, func() {
-		TanhTo(out, xs)
-		TanhTo(inPlace, inPlace)
+	arm.use(func() {
+		withTanhLanes(true, func() {
+			TanhTo(out, xs)
+			TanhTo(inPlace, inPlace)
+		})
 	})
 	for i, x := range xs {
 		want := math.Tanh(x)
 		for _, got := range []float64{out[i], inPlace[i]} {
 			if !sameBits(got, want) {
-				return fmt.Sprintf("n=%d, element %d: TanhTo(%v [%#x]) = %v [%#x], math.Tanh = %v [%#x]",
-					len(xs), i, x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+				return fmt.Sprintf("%s, n=%d, element %d: TanhTo(%v [%#x]) = %v [%#x], math.Tanh = %v [%#x]",
+					arm.name, len(xs), i, x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
 	}
@@ -73,18 +75,27 @@ func ulpsAround(x float64, k int) []float64 {
 	return vs
 }
 
-// TestTanhLanesMatchMathTanh referees the lane tanh against math.Tanh bit
-// for bit: a dense sweep of [−50, 50] at 1/4096, the branch edges 0.625 and
-// 0.5·MAXLOG to ±4 ulps on both signs, signed zeros, subnormals,
-// infinities and NaNs, at every length mod 4, written to a fresh slice and
+// TestTanhLanesMatchMathTanh referees the ZMM and the YMM lane tanh
+// against math.Tanh bit for bit: a dense sweep of [−50, 50] at 1/4096, the
+// branch edges 0.625 and 0.5·MAXLOG to ±4 ulps on both signs, 32 768
+// random inputs (half raw bit patterns), signed zeros, subnormals,
+// infinities and NaNs, at every length mod 8, written to a fresh slice and
 // in place.
 func TestTanhLanesMatchMathTanh(t *testing.T) {
 	requireTanhLanes(t)
+	forEachArm(t, func(t *testing.T, arm laneSet) { tanhMatchesMath(t, arm) })
+}
+
+func tanhMatchesMath(t *testing.T, arm laneSet) {
 	var sweep []float64
 	for i := -50 * 4096; i <= 50*4096; i++ {
 		sweep = append(sweep, float64(i)/4096)
 	}
-	if msg := tanhMismatch(sweep); msg != "" {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1<<14; i++ {
+		sweep = append(sweep, math.Float64frombits(rng.Uint64()), 8*rng.NormFloat64())
+	}
+	if msg := tanhMismatch(arm, sweep); msg != "" {
 		t.Fatal(msg)
 	}
 	const maxLog = 8.8029691931113054295988e+01
@@ -100,7 +111,7 @@ func TestTanhLanesMatchMathTanh(t *testing.T) {
 	for n := 0; n <= len(vals); n++ {
 		// Rotate so every value meets every lane position at some length.
 		xs := append(append([]float64(nil), vals[n%len(vals):]...), vals[:n%len(vals)]...)[:n]
-		if msg := tanhMismatch(xs); msg != "" {
+		if msg := tanhMismatch(arm, xs); msg != "" {
 			t.Fatal(msg)
 		}
 	}
@@ -157,8 +168,9 @@ func TestTanhLanesFollowMathFMA(t *testing.T) {
 // FuzzTanhLanes is the differential target for the lane tanh: the input is
 // read as raw little-endian float64 bit patterns — so signed zeros,
 // subnormals, infinities, NaNs and every branch edge can occur at any lane
-// position — and TanhTo with the lanes on, into a fresh slice and in place,
-// must equal math.Tanh bit for bit (NaNs equal to any NaN).
+// position — and TanhTo with the ZMM and with the YMM lanes, into a fresh
+// slice and in place, must equal math.Tanh bit for bit (NaNs equal to any
+// NaN).
 func FuzzTanhLanes(f *testing.F) {
 	requireTanhLanes(f)
 	bits := func(xs ...float64) []byte {
@@ -176,15 +188,19 @@ func FuzzTanhLanes(f *testing.F) {
 		for i := range xs {
 			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 		}
-		if msg := tanhMismatch(xs); msg != "" {
-			t.Fatal(msg)
-		}
+		forEachArm(t, func(t *testing.T, arm laneSet) {
+			if msg := tanhMismatch(arm, xs); msg != "" {
+				t.Fatal(msg)
+			}
+		})
 	})
 }
 
 // BenchmarkTanhTo times one hidden layer's worth of tanh at the benchmark's
-// width and the paper's MSD and LIGO widths, lane tanh against the scalar
-// math.Tanh loop, on pre-activations spread over both of tanh's branches.
+// width and the paper's MSD and LIGO widths on each kernel set — the ZMM
+// lanes, the YMM lanes and the scalar math.Tanh loop — on pre-activations
+// spread over both of tanh's branches, in Gelem/s (a tanh has no fixed
+// flop count).
 func BenchmarkTanhTo(b *testing.B) {
 	for _, n := range []int{64, 256, 512} {
 		rng := rand.New(rand.NewSource(1))
@@ -193,19 +209,20 @@ func BenchmarkTanhTo(b *testing.B) {
 			pre[i] = 2 * rng.NormFloat64()
 		}
 		out := make([]float64, n)
-		for _, mode := range []struct {
-			name  string
-			lanes bool
-		}{{"lanes", true}, {"scalar", false}} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
-				if mode.lanes && !useTanhLanes {
+		for _, set := range []laneSet{zmmSet, avx2Set, goSet} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, set.name), func(b *testing.B) {
+				set.require(b)
+				if set.avx2 && !useTanhLanes {
 					b.Skip("lane tanh not chosen at start-up")
 				}
-				withTanhLanes(mode.lanes, func() {
-					for b.Loop() {
-						TanhTo(out, pre)
-					}
+				set.use(func() {
+					withTanhLanes(set.avx2, func() {
+						for b.Loop() {
+							TanhTo(out, pre)
+						}
+					})
 				})
+				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gelem/s")
 			})
 		}
 	}

@@ -164,6 +164,12 @@ type DDPG struct {
 	logBuf         []float64
 	updates        uint64
 
+	// logRows holds each replay slot's log-compressed State and Next, slot
+	// j's at logRows[2j·StateDim:], so sampled transitions are compressed
+	// once, when observed; slots maps the current minibatch to its slots.
+	logRows []float64
+	slots   []int
+
 	// actCache, plainActs and noisyActs are adaptParamNoise's scratch: one
 	// per-sample cache shared by the actor and its perturbed copy (same
 	// shape), and one action row per minibatch slot for each policy.
@@ -219,6 +225,7 @@ func NewDDPG(cfg Config) (*DDPG, error) {
 		src:          src,
 		norm:         newRunningNorm(cfg.StateDim),
 		batch:        make([]Experience, cfg.BatchSize),
+		slots:        make([]int, cfg.BatchSize),
 		logBuf:       make([]float64, cfg.StateDim),
 		actorGrads:   nn.NewGrads(actor),
 		criticGrads:  nn.NewGrads(critic),
@@ -339,21 +346,45 @@ func (d *DDPG) adaptParamNoise() {
 	if n > d.replay.Len() {
 		n = d.replay.Len()
 	}
-	sample := d.batch[:n]
-	d.replay.Sample(d.rng, sample)
-	for i, e := range sample {
-		ns := d.normalize(e.State)
+	slots := d.slots[:n]
+	d.replay.sample(d.rng, d.batch[:n], slots)
+	for i, slot := range slots {
+		ns := d.norm.apply(d.logState(slot))
 		copy(d.plainActs[i], d.actor.ForwardCache(d.actCache, ns, nil))
 		copy(d.noisyActs[i], d.perturbed.ForwardCache(d.actCache, ns, nil))
 	}
 	d.pnoise.Adapt(ActionDistance(d.plainActs[:n], d.noisyActs[:n]))
 }
 
-// Observe stores a transition in the replay buffer and updates state
-// normalisation statistics.
+// Observe stores a transition in the replay buffer, log-compresses its
+// State and Next into the slot's logRows, and updates state normalisation
+// statistics.
 func (d *DDPG) Observe(e Experience) {
-	d.norm.update(logCompress(d.logBuf, e.State))
-	d.replay.Add(e)
+	slot := d.replay.add(e)
+	d.compressSlot(slot, e)
+	d.norm.update(d.logState(slot))
+}
+
+// compressSlot writes e's log-compressed State and Next into slot's
+// logRows, growing them by one slot when slot is new.
+func (d *DDPG) compressSlot(slot int, e Experience) {
+	dim := d.cfg.StateDim
+	if end := 2 * (slot + 1) * dim; end > len(d.logRows) {
+		d.logRows = append(d.logRows, make([]float64, end-len(d.logRows))...)
+	}
+	logCompress(d.logState(slot), e.State)
+	logCompress(d.logNext(slot), e.Next)
+}
+
+// logState and logNext return slot's log-compressed State and Next.
+func (d *DDPG) logState(slot int) []float64 {
+	dim := d.cfg.StateDim
+	return d.logRows[2*slot*dim:][:dim]
+}
+
+func (d *DDPG) logNext(slot int) []float64 {
+	dim := d.cfg.StateDim
+	return d.logRows[(2*slot+1)*dim:][:dim]
 }
 
 // Update performs one minibatch DDPG update (critic TD regression, actor
@@ -370,16 +401,18 @@ func (d *DDPG) Update() (criticLoss, meanQ float64) {
 		return 0, 0
 	}
 	updateSpan := d.tracer.StartDebug("ddpg.update")
-	d.replay.Sample(d.rng, d.batch)
+	d.replay.sample(d.rng, d.batch, d.slots)
 	cfg := d.cfg
 	invB := 1 / float64(len(d.batch))
 
 	// Stage the normalised states, next states, and stored actions as
-	// batch matrices. The normalizer reuses one buffer, so each result is
-	// copied out before the next call.
+	// batch matrices, from the log-compressed rows Observe kept. The
+	// normalizer reuses one buffer, so each result is copied out before
+	// the next call.
 	for i, e := range d.batch {
-		copy(d.bNext.Row(i), d.normalize(e.Next))
-		copy(d.bState.Row(i), d.normalize(e.State))
+		slot := d.slots[i]
+		copy(d.bNext.Row(i), d.norm.apply(d.logNext(slot)))
+		copy(d.bState.Row(i), d.norm.apply(d.logState(slot)))
 		copy(d.bAction.Row(i), e.Action)
 	}
 

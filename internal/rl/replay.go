@@ -45,7 +45,10 @@ func NewReplayBuffer(capacity int) *ReplayBuffer {
 
 // Add stores e, copying its slices, evicting the oldest experience when
 // full.
-func (b *ReplayBuffer) Add(e Experience) {
+func (b *ReplayBuffer) Add(e Experience) { b.add(e) }
+
+// add is Add, returning the slot e was stored in.
+func (b *ReplayBuffer) add(e Experience) int {
 	stored := Experience{
 		State:  mat.VecClone(e.State),
 		Action: mat.VecClone(e.Action),
@@ -55,11 +58,13 @@ func (b *ReplayBuffer) Add(e Experience) {
 	}
 	if len(b.buf) < cap(b.buf) {
 		b.buf = append(b.buf, stored)
-		return
+		return len(b.buf) - 1
 	}
 	b.full = true
-	b.buf[b.next] = stored
+	slot := b.next
+	b.buf[slot] = stored
 	b.next = (b.next + 1) % cap(b.buf)
+	return slot
 }
 
 // Len returns the number of stored experiences.
@@ -71,10 +76,20 @@ func (b *ReplayBuffer) Cap() int { return cap(b.buf) }
 // Sample fills batch with uniformly sampled experiences (with
 // replacement). It panics on an empty buffer.
 func (b *ReplayBuffer) Sample(rng *rand.Rand, batch []Experience) {
+	b.sample(rng, batch, nil)
+}
+
+// sample is Sample, also writing each draw's slot into slots when slots is
+// not nil (it must then be as long as batch).
+func (b *ReplayBuffer) sample(rng *rand.Rand, batch []Experience, slots []int) {
 	if len(b.buf) == 0 {
 		panic("rl: sampling from empty replay buffer")
 	}
 	for i := range batch {
-		batch[i] = b.buf[rng.Intn(len(b.buf))]
+		j := rng.Intn(len(b.buf))
+		batch[i] = b.buf[j]
+		if slots != nil {
+			slots[i] = j
+		}
 	}
 }

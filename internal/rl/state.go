@@ -171,6 +171,10 @@ func (d *DDPG) Restore(s *AgentState) error {
 	}
 	d.replay.next = s.ReplayNext
 	d.replay.full = s.ReplayFull
+	d.logRows = d.logRows[:0]
+	for slot, e := range d.replay.buf {
+		d.compressSlot(slot, e)
+	}
 	d.norm.count = s.NormCount
 	copy(d.norm.mean, s.NormMean)
 	copy(d.norm.m2, s.NormM2)

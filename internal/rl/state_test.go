@@ -105,6 +105,48 @@ func TestAgentStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLogRowsFollowReplay checks that each replay slot's log-compressed
+// rows are logCompress of the experience now in that slot, after the ring
+// has wrapped, and that Restore rebuilds the same rows from a checkpoint,
+// which carries only the raw experiences.
+func TestLogRowsFollowReplay(t *testing.T) {
+	cfg := testConfig()
+	cfg.ReplayCapacity = 16
+	a, err := NewDDPG(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillReplay(a, rand.New(rand.NewSource(5)), 41)
+	want := make([]float64, cfg.StateDim)
+	for slot, e := range a.replay.buf {
+		for _, row := range []struct {
+			got, raw []float64
+		}{{a.logState(slot), e.State}, {a.logNext(slot), e.Next}} {
+			logCompress(want, row.raw)
+			for i := range want {
+				if math.Float64bits(row.got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("slot %d: compressed row %v, want %v", slot, row.got, want)
+				}
+			}
+		}
+	}
+	b, err := NewDDPG(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(a.State()); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.logRows) != len(a.logRows) {
+		t.Fatalf("restored %d compressed entries, want %d", len(b.logRows), len(a.logRows))
+	}
+	for i, v := range a.logRows {
+		if math.Float64bits(b.logRows[i]) != math.Float64bits(v) {
+			t.Fatalf("restored compressed entry %d = %v, want %v", i, b.logRows[i], v)
+		}
+	}
+}
+
 func TestAgentRestoreRejectsCorruptState(t *testing.T) {
 	cfg := testConfig()
 	a, err := NewDDPG(cfg)
