@@ -92,7 +92,7 @@ benchmark-smoke:
 fmt:
 	gofmt -l -w .
 
-# Short fuzz runs over five input surfaces, one property target and seven
+# Short fuzz runs over five input surfaces, one property target and eight
 # differential targets: the untrusted inputs (fault plans, HTTP session
 # creation, session snapshots on restore, serialized networks and policy
 # snapshots), ensemble validation (FuzzEnsembleSteps: any service times
@@ -100,7 +100,8 @@ fmt:
 # event engine against its reference implementation (FuzzEngineOracle:
 # decoded operation sequences must fire the same callbacks in the same order
 # on both), the aux-only backward pass against the full one
-# (FuzzAuxGradBatch: decoded networks must give bit-identical dAux), the
+# (FuzzAuxGradBatch: decoded networks must give the per-sample Backward's
+# dAux bit for bit), the
 # row-blocked mat-vec kernel against a plain ascending dot product
 # (FuzzMulVecTo: decoded matrices must give bit-identical outputs), and the
 # ZMM and AVX2 lane kernels against the pure-Go ones (FuzzGemmLanes: decoded
@@ -109,9 +110,12 @@ fmt:
 # without AVX-512F), the Adam and soft-update lanes against
 # their pure-Go loops (FuzzUpdateLanes: raw float64 bits and step counts
 # must give bit-identical parameters and moments; it skips likewise), the
-# lane tanh against math.Tanh (FuzzTanhLanes: raw float64 bits must give
-# bit-identical results; it skips where the lanes are not chosen at
-# start-up), and the appended step answer against encoding/json
+# fused bias-add and lane tanh against math.Tanh (FuzzTanhLanes: raw
+# float64 bits of pre-activations and biases must give bit-identical
+# results; its lane subtests skip where the lanes are not chosen at
+# start-up), the tanh gradient pass against its plain loop
+# (FuzzTanhGradLanes: raw float64 bits must give bit-identical dPre and
+# bias gradients on each kernel set), and the appended step answer against encoding/json
 # (FuzzStepResponseEncoding: raw float64 bits, nil and empty slices and any
 # controller string must give json.Encoder's bytes, or its error).
 # Go allows one -fuzz pattern per invocation, hence one run each; each
@@ -131,3 +135,4 @@ fuzz-smoke:
 	$(GO) test ./internal/mat/ -fuzz FuzzGemmLanes -fuzztime 10s
 	$(GO) test ./internal/mat/ -fuzz FuzzUpdateLanes -fuzztime 10s
 	$(GO) test ./internal/mat/ -fuzz FuzzTanhLanes -fuzztime 10s
+	$(GO) test ./internal/mat/ -fuzz FuzzTanhGradLanes -fuzztime 10s

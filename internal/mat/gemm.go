@@ -321,21 +321,6 @@ func addMulATBScaledRows(dst, a, b *Matrix, s float64, i0, i1 int) {
 	}
 }
 
-// AddColumnSumsScaled accumulates dst[j] += s · Σ_i m[i][j] — the batched
-// bias-gradient reduction (each row is one sample's dPre). Rows are folded
-// in ascending order to match sequential per-sample accumulation.
-func (m *Matrix) AddColumnSumsScaled(dst []float64, s float64) {
-	if len(dst) != m.Cols {
-		panic(fmt.Sprintf("mat: AddColumnSumsScaled length %d != cols %d", len(dst), m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			dst[j] += s * v
-		}
-	}
-}
-
 // AddRowVector adds v to every row of m in place (broadcast add, used for
 // layer biases on a batched pre-activation).
 func (m *Matrix) AddRowVector(v []float64) {

@@ -92,23 +92,6 @@ func TestAddMulATBScaledMatchesOuterProducts(t *testing.T) {
 	}
 }
 
-func TestAddColumnSumsScaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randMat(19, 7, rng)
-	got := make([]float64, 7)
-	want := make([]float64, 7)
-	got[3], want[3] = 2, 2 // accumulation, not overwrite
-	a.AddColumnSumsScaled(got, 1.5)
-	for r := 0; r < a.Rows; r++ {
-		VecAddScaled(want, a.Row(r), 1.5)
-	}
-	for j := range got {
-		if got[j] != want[j] {
-			t.Fatalf("col %d: got %g want %g", j, got[j], want[j])
-		}
-	}
-}
-
 func TestAddRowVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randMat(5, 4, rng)
@@ -127,12 +110,11 @@ func TestAddRowVector(t *testing.T) {
 func TestGemmDimensionPanics(t *testing.T) {
 	a, b := New(3, 4), New(5, 6)
 	for name, fn := range map[string]func(){
-		"MulTo inner":       func() { New(3, 6).MulTo(a, b) },
-		"MulTo dst":         func() { New(2, 2).MulTo(a, New(4, 6)) },
-		"MulTransTo inner":  func() { New(3, 5).MulTransTo(a, b) },
-		"AddMulATBScaled":   func() { New(4, 6).AddMulATBScaled(a, b, 1) },
-		"AddColumnSums len": func() { a.AddColumnSumsScaled(make([]float64, 3), 1) },
-		"AddRowVector len":  func() { a.AddRowVector(make([]float64, 3)) },
+		"MulTo inner":      func() { New(3, 6).MulTo(a, b) },
+		"MulTo dst":        func() { New(2, 2).MulTo(a, New(4, 6)) },
+		"MulTransTo inner": func() { New(3, 5).MulTransTo(a, b) },
+		"AddMulATBScaled":  func() { New(4, 6).AddMulATBScaled(a, b, 1) },
+		"AddRowVector len": func() { a.AddRowVector(make([]float64, 3)) },
 	} {
 		func() {
 			defer func() {

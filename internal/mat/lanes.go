@@ -80,6 +80,58 @@ func gemmRows(dst, a *Matrix, pb *packedB, r0, r1 int) {
 	mulPackedTransRows(dst, a, pb.bt, pb.lanes, pb.n, r0, r1)
 }
 
+// narrowFor reports whether an m×n product with shared dimension k runs
+// transposed on the lane kernels (mulNarrow): fewer than 8 output columns,
+// too few for one panel, and at least one panel's worth of rows. Packing
+// a's rows costs about as much as two pure-Go output columns unless the
+// ZMM transpose packs them, so one or two columns take the lanes only
+// with useAVX512 (BenchmarkMulTransToNarrow).
+func narrowFor(m, k, n int) bool {
+	return useAVX2 && n > 0 && n < panelWidth && (n >= 3 || useAVX512) && m >= panelWidth && k > 0
+}
+
+// mulNarrow computes dst = a · btᵀ for bt holding dst's n < 8 columns as
+// rows of length k, through the transposed product dstᵀ = bt · aᵀ: a's
+// first m&^7 rows are packed as panels, as MulTransTo packs its right
+// operand, and each row of dstᵀ is one output column. Groups of four run
+// the lane tiles and the rest mulVecPanels, into scratch that is then
+// transposed into dst; a single column is written straight into dst. The
+// rows of a past the last whole panel run the pure-Go kernel, and ep runs
+// on every row at the end. Each entry is the same ascending chain 0 +
+// a₀b₀ + a₁b₁ + … as the pure-Go kernel's, with every product's operands
+// swapped, so the result is bit-identical.
+func mulNarrow(dst, a *Matrix, bt []float64, ep Epilogue) {
+	m, k, n := a.Rows, a.Cols, dst.Cols
+	lanes := m &^ (panelWidth - 1)
+	sp := getScratch(lanes * (k + n))
+	panels := (*sp)[:lanes*k]
+	for g := 0; g < lanes; g += panelWidth {
+		packPanelRows(panels[g*k:][:panelWidth*k], a.Data[g*k:][:panelWidth*k], k)
+	}
+	t := &Matrix{Rows: n, Cols: lanes, Data: (*sp)[lanes*k:][:n*lanes]}
+	if n == 1 {
+		t.Data = dst.Data[:lanes]
+	}
+	tiled := n &^ (laneRows - 1)
+	if tiled > 0 {
+		mulLanesRows(t, &Matrix{Rows: n, Cols: k, Data: bt[:n*k]}, panels, lanes, 0, tiled)
+	}
+	for j := tiled; j < n; j++ {
+		mulVecPanels(k, &panels[0], lanes/panelWidth, &bt[j*k], &t.Data[j*lanes])
+	}
+	if n > 1 {
+		for i := 0; i < lanes; i++ {
+			drow := dst.Data[i*n:][:n]
+			for j := range drow {
+				drow[j] = t.Data[j*lanes+i]
+			}
+		}
+	}
+	putScratch(sp)
+	mulPackedTransRows(dst, a, bt, 0, n, lanes, m)
+	applyEpilogueRows(ep, dst, 0, m)
+}
+
 // zmmPairs returns how many pairs of a run of npanels panels go through a
 // ZMM tile (4×16): all of them when useAVX512 is set, none otherwise. The
 // panels left over — an odd last one, or all of them — go through the YMM

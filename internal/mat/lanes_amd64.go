@@ -80,7 +80,13 @@ func adamLanes(n int, w, m, v, grad *float64, c *[8]float64)
 func softLanes(n int, w, src *float64, keep, tau float64)
 
 //go:noescape
-func tanhLanes(n int, out, pre *float64)
+func tanhLanes(n int, out, pre, b *float64)
 
 //go:noescape
-func tanhLanes512(n int, out, pre *float64)
+func tanhLanes512(n int, out, pre, b *float64)
+
+//go:noescape
+func tanhGradLanes(n int, dPre, out, dOut, dB *float64)
+
+//go:noescape
+func tanhGradLanes512(n int, dPre, out, dOut, dB *float64)

@@ -44,10 +44,18 @@ func softLanes(n int, w, src *float64, keep, tau float64) {
 	panic("mat: lane kernels need amd64")
 }
 
-func tanhLanes(n int, out, pre *float64) {
+func tanhLanes(n int, out, pre, b *float64) {
 	panic("mat: lane kernels need amd64")
 }
 
-func tanhLanes512(n int, out, pre *float64) {
+func tanhLanes512(n int, out, pre, b *float64) {
+	panic("mat: lane kernels need amd64")
+}
+
+func tanhGradLanes(n int, dPre, out, dOut, dB *float64) {
+	panic("mat: lane kernels need amd64")
+}
+
+func tanhGradLanes512(n int, dPre, out, dOut, dB *float64) {
 	panic("mat: lane kernels need amd64")
 }

@@ -159,6 +159,18 @@ func forEachArm(t *testing.T, fn func(t *testing.T, arm laneSet)) {
 	}
 }
 
+// forEachSet runs fn as one subtest per kernel set, pure Go included,
+// skipping the sets this CPU cannot run: for kernels refereed against a
+// plain loop rather than against the pure-Go kernels.
+func forEachSet(t *testing.T, fn func(t *testing.T, set laneSet)) {
+	for _, set := range []laneSet{zmmSet, avx2Set, goSet} {
+		t.Run(set.name, func(t *testing.T) {
+			set.require(t)
+			fn(t, set)
+		})
+	}
+}
+
 // laneSpecials are the edge values the deterministic table mixes into
 // normal entries: signed zeros, subnormals and 1e300-scale magnitudes,
 // whose products underflow or overflow.
@@ -189,18 +201,35 @@ func laneResidueShapes() [][3]int {
 	return append(shapes, [3]int{4, 0, 8}, [3]int{7, 0, 13}, [3]int{0, 3, 8}, [3]int{12, 1, 1}, [3]int{33, 40, 39})
 }
 
+// laneNarrowShapes are products with 1–7 output columns, which run
+// transposed on the lane kernels from 8 rows up (mulNarrow): every row
+// count from 4 to 17 — below one panel, one panel with every residue, two
+// whole panels and past them — and 64, the training batch, against
+// shared dimensions of 1, 5 and 64.
+func laneNarrowShapes() [][3]int {
+	var shapes [][3]int
+	for _, m := range []int{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64} {
+		for n := 1; n < 8; n++ {
+			shapes = append(shapes, [3]int{m, []int{1, 5, 64}[(m+n)%3], n})
+		}
+	}
+	return shapes
+}
+
 // TestLaneKernelsMatchGeneric referees the ZMM and AVX2 kernels against
 // the pure-Go ones, bit for bit, on the residue shapes plus the training
-// and paper widths, ragged multi-block shapes, and odd panel counts (3, 5,
+// and paper widths, ragged multi-block shapes, odd panel counts (3, 5,
 // and 17, whose last block holds one panel), where the ZMM tile hands the
-// last panel to the YMM one; 64·256² is large enough to fan out over the
-// pool. Both arms see the same inputs.
+// last panel to the YMM one, and the narrow shapes of 1–7 output columns;
+// 64·256² is large enough to fan out over the pool. Both arms see the
+// same inputs.
 func TestLaneKernelsMatchGeneric(t *testing.T) {
 	requireAVX2(t)
 	forEachArm(t, func(t *testing.T, arm laneSet) {
 		rng := rand.New(rand.NewSource(21))
 		shapes := append(laneResidueShapes(), [3]int{64, 64, 64}, [3]int{64, 256, 256}, [3]int{67, 130, 129}, [3]int{129, 257, 33},
 			[3]int{9, 11, 24}, [3]int{12, 70, 44}, [3]int{5, 20, 137})
+		shapes = append(shapes, laneNarrowShapes()...)
 		for _, s := range shapes {
 			m, k, n := s[0], s[1], s[2]
 			if msg := laneMismatch(arm, laneRandMat(m, k, rng), laneRandMat(k, n, rng)); msg != "" {
@@ -294,6 +323,9 @@ func FuzzGemmLanes(f *testing.F) {
 	f.Add([]byte{9, 5, 17, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 1, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add([]byte{40, 40, 40})
 	f.Add([]byte{2, 1, 31, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add([]byte{16, 9, 4, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add([]byte{17, 40, 1})
+	f.Add([]byte{13, 5, 7, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		forEachArm(t, func(t *testing.T, arm laneSet) {
 			a, b := decodeLaneCase(data)
@@ -352,6 +384,27 @@ func BenchmarkAddMulATBScaled(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		return New(k, n), randMat(m, k, rng), randMat(m, n, rng)
 	})
+}
+
+// BenchmarkMulTransToNarrow times the narrow forward products of the
+// DDPG update at batch 64 and width 64 — the critic's 1-wide value output
+// and the actor's 4-wide softmax layer — on each kernel set, in GFLOP/s.
+func BenchmarkMulTransToNarrow(b *testing.B) {
+	for _, n := range []int{1, 4} {
+		for _, set := range []laneSet{zmmSet, avx2Set, goSet} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, set.name), func(b *testing.B) {
+				set.require(b)
+				rng := rand.New(rand.NewSource(1))
+				dst, x, w := New(64, n), randMat(64, 64, rng), randMat(n, 64, rng)
+				set.use(func() {
+					for b.Loop() {
+						dst.MulTransTo(x, w)
+					}
+				})
+				b.ReportMetric(float64(2*64*64*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
 }
 
 func gemmBench(b *testing.B, op func(dst, x, y *Matrix), setup func(m, k, n int) (*Matrix, *Matrix, *Matrix)) {

@@ -63,9 +63,14 @@ var gemmTasks = sync.Pool{New: func() any { return new(gemmTask) }}
 
 // gemm computes dst = a · B for B packed as pb, then applies ep row-wise,
 // tiling over dst rows when the product is large enough to pay for the
-// fan-out and more than one worker is available.
+// fan-out and more than one worker is available. A narrow product (see
+// narrowFor) runs serially through mulNarrow.
 func gemm(dst, a *Matrix, pb packedB, ep Epilogue) {
 	m, k, n := a.Rows, a.Cols, pb.n
+	if pb.lanes == 0 && narrowFor(m, k, n) {
+		mulNarrow(dst, a, pb.bt, ep)
+		return
+	}
 	w := parallel.MaxWorkers()
 	if w <= 1 || m < 4 || 2*m*n*k < minParallelFlops {
 		gemmRows(dst, a, &pb, 0, m)

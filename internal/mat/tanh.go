@@ -2,28 +2,71 @@ package mat
 
 import "math"
 
-// TanhTo writes math.Tanh(pre[i]) into out[i], bit for bit. out must be at
-// least as long as pre and may be pre itself. When useTanhLanes is set,
+// TanhTo writes math.Tanh(pre[i]+b[i]) into out[i], bit for bit: a layer's
+// bias add and tanh in one pass. b and out must be at least as long as
+// pre; out may be pre itself. When useTanhLanes is set,
 // runs of eight go through tanhLanes512 if useAVX512 is set too, and the
 // rest in runs of four through tanhLanes; the tail, and every element
 // otherwise, call math.Tanh.
-func TanhTo(out, pre []float64) {
-	out = out[:len(pre)]
+func TanhTo(out, pre, b []float64) {
+	out, b = out[:len(pre)], b[:len(pre)]
 	n := 0
 	if useTanhLanes {
 		if useAVX512 {
 			n = len(pre) &^ 7
 			if n > 0 {
-				tanhLanes512(n, &out[0], &pre[0])
+				tanhLanes512(n, &out[0], &pre[0], &b[0])
 			}
 		}
 		if m := len(pre) &^ 3; m > n {
-			tanhLanes(m-n, &out[n], &pre[n])
+			tanhLanes(m-n, &out[n], &pre[n], &b[n])
 			n = m
 		}
 	}
 	for i := n; i < len(pre); i++ {
-		out[i] = math.Tanh(pre[i])
+		out[i] = math.Tanh(pre[i] + b[i])
+	}
+}
+
+// TanhGradTo writes dPre[i] = dOut[i]·(1 − out[i]²), tanh's gradient at
+// its pre-activation given its output out, and adds dPre[i] into dB[i]
+// unless dB is nil: a layer's activation and bias gradients in one pass.
+// out, dOut and a non-nil dB must be at least as long as dPre; dPre may
+// be dOut itself. With useAVX2 set, runs of eight go through
+// tanhGradLanes512 if useAVX512 is set too, and the rest in runs of four
+// through tanhGradLanes; each entry is the same multiply, subtract,
+// multiply and add as the loop that takes the tail, bit for bit.
+func TanhGradTo(dPre, out, dOut, dB []float64) {
+	n := len(dPre)
+	out, dOut = out[:n], dOut[:n]
+	if dB != nil {
+		dB = dB[:n]
+	}
+	// lane returns a kernel's dB operand for the run starting at i.
+	lane := func(i int) *float64 {
+		if dB == nil {
+			return nil
+		}
+		return &dB[i]
+	}
+	i := 0
+	if useAVX2 {
+		if useAVX512 {
+			i = n &^ 7
+			if i > 0 {
+				tanhGradLanes512(i, &dPre[0], &out[0], &dOut[0], lane(0))
+			}
+		}
+		if m := n &^ 3; m > i {
+			tanhGradLanes(m-i, &dPre[i], &out[i], &dOut[i], lane(i))
+			i = m
+		}
+	}
+	for ; i < n; i++ {
+		dPre[i] = dOut[i] * (1 - out[i]*out[i])
+		if dB != nil {
+			dB[i] += dPre[i]
+		}
 	}
 }
 
@@ -46,15 +89,19 @@ var tanhProbe = [...]float64{
 }
 
 // tanhLanesMatchMath runs the probe through tanhLanes and, where the CPU
-// has it, tanhLanes512; both must match math.Tanh.
+// has it, tanhLanes512, under a bias of −0, which leaves every x as it is
+// (−0 included); both must match math.Tanh.
 func tanhLanesMatchMath() bool {
-	var got [len(tanhProbe)]float64
-	tanhLanes(len(got), &got[0], &tanhProbe[0])
+	var got, bias [len(tanhProbe)]float64
+	for i := range bias {
+		bias[i] = math.Copysign(0, -1)
+	}
+	tanhLanes(len(got), &got[0], &tanhProbe[0], &bias[0])
 	if !probeMatches(&got) {
 		return false
 	}
 	if haveAVX512 {
-		tanhLanes512(len(got), &got[0], &tanhProbe[0])
+		tanhLanes512(len(got), &got[0], &tanhProbe[0], &bias[0])
 		return probeMatches(&got)
 	}
 	return true

@@ -33,6 +33,18 @@ func requireTanhLanes(tb testing.TB) {
 	}
 }
 
+// forEachTanhSet runs fn as one subtest per kernel set — the ZMM lanes,
+// the YMM lanes and math.Tanh — skipping the lane sets unless the lane
+// tanh was chosen at start-up.
+func forEachTanhSet(t *testing.T, fn func(t *testing.T, set laneSet)) {
+	forEachSet(t, func(t *testing.T, set laneSet) {
+		if set.avx2 {
+			requireTanhLanes(t)
+		}
+		fn(t, set)
+	})
+}
+
 // expOnFMAPath reports whether math.Exp takes its FMA path in this process:
 // 0x404759a28795660f is math.Exp(3.84375) there, and the non-FMA path
 // rounds it one ulp higher.
@@ -40,28 +52,39 @@ func expOnFMAPath() bool {
 	return math.Float64bits(math.Exp(3.84375)) == 0x404759a28795660f
 }
 
-// tanhMismatch runs TanhTo with the lanes of arm on over xs, into a fresh
-// slice and in place, and describes the first element that differs from
-// math.Tanh ("" if none).
-func tanhMismatch(arm laneSet, xs []float64) string {
-	out := make([]float64, len(xs))
-	inPlace := append([]float64(nil), xs...)
-	arm.use(func() {
-		withTanhLanes(true, func() {
-			TanhTo(out, xs)
-			TanhTo(inPlace, inPlace)
+// tanhMismatch runs TanhTo with the kernels of set over pre and b, into a
+// fresh slice and in place, and describes the first element that differs
+// from math.Tanh(pre[i]+b[i]) ("" if none).
+func tanhMismatch(set laneSet, pre, b []float64) string {
+	out := make([]float64, len(pre))
+	inPlace := append([]float64(nil), pre...)
+	set.use(func() {
+		withTanhLanes(set.avx2, func() {
+			TanhTo(out, pre, b)
+			TanhTo(inPlace, inPlace, b)
 		})
 	})
-	for i, x := range xs {
-		want := math.Tanh(x)
+	for i, x := range pre {
+		want := math.Tanh(x + b[i])
 		for _, got := range []float64{out[i], inPlace[i]} {
 			if !sameBits(got, want) {
-				return fmt.Sprintf("%s, n=%d, element %d: TanhTo(%v [%#x]) = %v [%#x], math.Tanh = %v [%#x]",
-					arm.name, len(xs), i, x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+				return fmt.Sprintf("%s, n=%d, element %d: TanhTo(%v [%#x] + %v [%#x]) = %v [%#x], math.Tanh = %v [%#x]",
+					set.name, len(pre), i, x, math.Float64bits(x), b[i], math.Float64bits(b[i]),
+					got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
 	}
 	return ""
+}
+
+// zeroBias returns n biases of −0, under which TanhTo computes math.Tanh
+// of pre itself: x + (−0) is x for every x, −0 included.
+func zeroBias(n int) []float64 {
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = math.Copysign(0, -1)
+	}
+	return b
 }
 
 // ulpsAround returns x and its k nearest neighbours on each side.
@@ -75,18 +98,18 @@ func ulpsAround(x float64, k int) []float64 {
 	return vs
 }
 
-// TestTanhLanesMatchMathTanh referees the ZMM and the YMM lane tanh
-// against math.Tanh bit for bit: a dense sweep of [−50, 50] at 1/4096, the
-// branch edges 0.625 and 0.5·MAXLOG to ±4 ulps on both signs, 32 768
-// random inputs (half raw bit patterns), signed zeros, subnormals,
-// infinities and NaNs, at every length mod 8, written to a fresh slice and
-// in place.
+// TestTanhLanesMatchMathTanh referees TanhTo on the ZMM lanes, the YMM
+// lanes and math.Tanh against math.Tanh(pre+b) bit for bit: a dense sweep
+// of [−50, 50] at 1/4096 under zero and random biases, the branch edges
+// 0.625 and 0.5·MAXLOG to ±4 ulps on both signs, 32 768 random inputs
+// (half raw bit patterns), signed zeros — −0 under a +0 and a −0 bias —,
+// subnormals, infinities and NaNs, at every length mod 8 (tails of 1–7
+// included), written to a fresh slice and in place.
 func TestTanhLanesMatchMathTanh(t *testing.T) {
-	requireTanhLanes(t)
-	forEachArm(t, func(t *testing.T, arm laneSet) { tanhMatchesMath(t, arm) })
+	forEachTanhSet(t, tanhMatchesMath)
 }
 
-func tanhMatchesMath(t *testing.T, arm laneSet) {
+func tanhMatchesMath(t *testing.T, set laneSet) {
 	var sweep []float64
 	for i := -50 * 4096; i <= 50*4096; i++ {
 		sweep = append(sweep, float64(i)/4096)
@@ -95,7 +118,14 @@ func tanhMatchesMath(t *testing.T, arm laneSet) {
 	for i := 0; i < 1<<14; i++ {
 		sweep = append(sweep, math.Float64frombits(rng.Uint64()), 8*rng.NormFloat64())
 	}
-	if msg := tanhMismatch(arm, sweep); msg != "" {
+	if msg := tanhMismatch(set, sweep, zeroBias(len(sweep))); msg != "" {
+		t.Fatal(msg)
+	}
+	bias := make([]float64, len(sweep))
+	for i := range bias {
+		bias[i] = rng.NormFloat64()
+	}
+	if msg := tanhMismatch(set, sweep, bias); msg != "" {
 		t.Fatal(msg)
 	}
 	const maxLog = 8.8029691931113054295988e+01
@@ -104,14 +134,29 @@ func tanhMatchesMath(t *testing.T, arm laneSet) {
 		edges = append(edges, ulpsAround(e, 4)...)
 		edges = append(edges, ulpsAround(-e, 4)...)
 	}
-	specials := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	negZero := math.Copysign(0, -1)
+	specials := []float64{0, negZero, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		2.2250738585072009e-308, -1e-310, math.Inf(1), math.Inf(-1), math.NaN(),
 		math.Float64frombits(0xfff8000000000001), math.MaxFloat64, -math.MaxFloat64, 1e-8, -3e-160}
 	vals := append(edges, specials...)
 	for n := 0; n <= len(vals); n++ {
 		// Rotate so every value meets every lane position at some length.
 		xs := append(append([]float64(nil), vals[n%len(vals):]...), vals[:n%len(vals)]...)[:n]
-		if msg := tanhMismatch(arm, xs); msg != "" {
+		if msg := tanhMismatch(set, xs, zeroBias(n)); msg != "" {
+			t.Fatal(msg)
+		}
+	}
+	// −0 inputs under +0 and −0 biases at every lane position and tail
+	// length: −0 + +0 is +0, −0 + −0 stays −0, and tanh keeps the sign.
+	for n := 1; n <= 17; n++ {
+		pre, b := make([]float64, n), make([]float64, n)
+		for i := range pre {
+			pre[i] = negZero
+			if (i+n)%2 == 0 {
+				b[i] = negZero
+			}
+		}
+		if msg := tanhMismatch(set, pre, b); msg != "" {
 			t.Fatal(msg)
 		}
 	}
@@ -136,7 +181,7 @@ func TestTanhLanesFollowMathFMA(t *testing.T) {
 		}
 		xs := append(append([]float64(nil), tanhProbe[:]...), -1.921875, 0.3, 2.5, -0.75, 5)
 		out := make([]float64, len(xs))
-		TanhTo(out, xs)
+		TanhTo(out, xs, zeroBias(len(xs)))
 		for i, x := range xs {
 			if want := math.Tanh(x); !sameBits(out[i], want) {
 				t.Fatalf("TanhTo(%v) = %v, math.Tanh = %v", x, out[i], want)
@@ -166,47 +211,163 @@ func TestTanhLanesFollowMathFMA(t *testing.T) {
 }
 
 // FuzzTanhLanes is the differential target for the lane tanh: the input is
-// read as raw little-endian float64 bit patterns — so signed zeros,
-// subnormals, infinities, NaNs and every branch edge can occur at any lane
-// position — and TanhTo with the ZMM and with the YMM lanes, into a fresh
-// slice and in place, must equal math.Tanh bit for bit (NaNs equal to any
-// NaN).
+// read as raw little-endian float64 bit patterns, alternately
+// pre-activations and biases — so signed zeros, subnormals, infinities,
+// NaNs and every branch edge can occur at any lane position, in either
+// operand — and TanhTo on the ZMM lanes, the YMM lanes and math.Tanh, into
+// a fresh slice and in place, must equal math.Tanh(pre+b) bit for bit
+// (NaNs equal to any NaN).
 func FuzzTanhLanes(f *testing.F) {
-	requireTanhLanes(f)
-	bits := func(xs ...float64) []byte {
-		var b []byte
-		for _, x := range xs {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-		}
-		return b
-	}
-	f.Add(bits(-1.921875, 0.625, math.Nextafter(0.625, 0), 44.014845965556525, 44.01484596555653))
-	f.Add(bits(0, math.Copysign(0, -1), 5e-324, math.Inf(-1), math.NaN(), 1e300, -0.3))
-	f.Add(bits(0.1, 0.2, 0.3, 0.4))
+	f.Add(float64Bits(-1.921875, 0, 0.625, 0, math.Nextafter(0.625, 0), 0, 44.014845965556525, 0, 44.01484596555653, 0))
+	f.Add(float64Bits(0, 0, math.Copysign(0, -1), 0, 5e-324, 0, math.Inf(-1), 0, math.NaN(), 0, 1e300, 0, -0.3, 0))
+	f.Add(float64Bits(0.1, 0, 0.2, 0, 0.3, 0, 0.4, 0))
+	f.Add(float64Bits(math.Copysign(0, -1), math.Copysign(0, -1), math.Copysign(0, -1), 0, 0.5, 0.125, -0.5, -0.25, 1, -0.375))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		xs := make([]float64, len(data)/8)
-		for i := range xs {
-			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		vs := decodeFloat64s(data)
+		pre, b := make([]float64, (len(vs)+1)/2), make([]float64, (len(vs)+1)/2)
+		for i, v := range vs {
+			if i%2 == 0 {
+				pre[i/2] = v
+			} else {
+				b[i/2] = v
+			}
 		}
-		forEachArm(t, func(t *testing.T, arm laneSet) {
-			if msg := tanhMismatch(arm, xs); msg != "" {
+		forEachTanhSet(t, func(t *testing.T, set laneSet) {
+			if msg := tanhMismatch(set, pre, b); msg != "" {
 				t.Fatal(msg)
 			}
 		})
 	})
 }
 
-// BenchmarkTanhTo times one hidden layer's worth of tanh at the benchmark's
-// width and the paper's MSD and LIGO widths on each kernel set — the ZMM
-// lanes, the YMM lanes and the scalar math.Tanh loop — on pre-activations
-// spread over both of tanh's branches, in Gelem/s (a tanh has no fixed
-// flop count).
+// float64Bits encodes xs as raw little-endian float64 bit patterns, the
+// fuzz inputs' layout.
+func float64Bits(xs ...float64) []byte {
+	var b []byte
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+// decodeFloat64s reads data as raw little-endian float64 bit patterns,
+// dropping a trailing partial one.
+func decodeFloat64s(data []byte) []float64 {
+	vs := make([]float64, len(data)/8)
+	for i := range vs {
+		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	return vs
+}
+
+// tanhGradLoop is the tanh gradient pass as a plain loop: the referee for
+// TanhGradTo.
+func tanhGradLoop(dPre, out, dOut, dB []float64) {
+	for i := range dPre {
+		dPre[i] = dOut[i] * (1 - out[i]*out[i])
+		if dB != nil {
+			dB[i] += dPre[i]
+		}
+	}
+}
+
+// tanhGradMismatch runs TanhGradTo with the kernels of set over out, dOut
+// and a copy of dB — with dB, without it (nil), and in place (dPre being
+// dOut) — and describes the first entry of dPre or dB that differs from
+// tanhGradLoop's ("" if none).
+func tanhGradMismatch(set laneSet, out, dOut, dB []float64) string {
+	n := len(out)
+	wantPre, wantB := make([]float64, n), append([]float64(nil), dB...)
+	tanhGradLoop(wantPre, out, dOut, wantB)
+	gotPre, gotB := make([]float64, n), append([]float64(nil), dB...)
+	plainPre := make([]float64, n)
+	inPlace, inPlaceB := append([]float64(nil), dOut...), append([]float64(nil), dB...)
+	set.use(func() {
+		TanhGradTo(gotPre, out, dOut, gotB)
+		TanhGradTo(plainPre, out, dOut, nil)
+		TanhGradTo(inPlace, out, inPlace, inPlaceB)
+	})
+	for _, c := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"dPre", gotPre, wantPre}, {"dB", gotB, wantB}, {"dPre without dB", plainPre, wantPre},
+		{"dPre in place", inPlace, wantPre}, {"dB in place", inPlaceB, wantB},
+	} {
+		for i, v := range c.got {
+			if w := c.want[i]; !sameBits(v, w) {
+				return fmt.Sprintf("%s, n=%d, %s[%d] = %v [%#x], loop %v [%#x] (out %v, dOut %v)",
+					set.name, n, c.name, i, v, math.Float64bits(v), w, math.Float64bits(w), out[i], dOut[i])
+			}
+		}
+	}
+	return ""
+}
+
+// TestTanhGradLanesMatchLoop referees TanhGradTo on the ZMM lanes, the
+// YMM lanes and pure Go against tanhGradLoop bit for bit at every length
+// up to 70 (every tail mod 8), on outputs over [−1, 1] and raw bit
+// patterns mixed with signed zeros, ±1, infinities and NaNs.
+func TestTanhGradLanesMatchLoop(t *testing.T) {
+	forEachSet(t, func(t *testing.T, set laneSet) {
+		rng := rand.New(rand.NewSource(5))
+		specials := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.NaN(), 5e-324, 1e300}
+		val := func(scale float64) float64 {
+			switch rng.Intn(8) {
+			case 0:
+				return specials[rng.Intn(len(specials))]
+			case 1:
+				return math.Float64frombits(rng.Uint64())
+			}
+			return scale * (2*rng.Float64() - 1)
+		}
+		for n := 0; n <= 70; n++ {
+			out, dOut, dB := make([]float64, n), make([]float64, n), make([]float64, n)
+			for i := range out {
+				out[i], dOut[i], dB[i] = val(1), val(3), val(10)
+			}
+			if msg := tanhGradMismatch(set, out, dOut, dB); msg != "" {
+				t.Fatal(msg)
+			}
+		}
+	})
+}
+
+// FuzzTanhGradLanes is the differential target for the tanh gradient
+// pass: the input is read as raw little-endian float64 bit patterns, in
+// triples of out, dOut and dB, and TanhGradTo on the ZMM lanes, the YMM
+// lanes and pure Go must give tanhGradLoop's dPre and dB bit for bit, with
+// dB, without it and in place.
+func FuzzTanhGradLanes(f *testing.F) {
+	f.Add(float64Bits(0.5, 1, 0, -0.25, 2, 0.125, 1, -1, 3, math.Copysign(0, -1), math.Copysign(0, -1), 0))
+	f.Add(float64Bits(math.Inf(1), 1, 0, math.NaN(), 1, 1, 0.9, 5e-324, -1e300, -0.75, 0.5, 0.25, 0.3, 0.3, 0.3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vs := decodeFloat64s(data)
+		n := (len(vs) + 2) / 3
+		out, dOut, dB := make([]float64, n), make([]float64, n), make([]float64, n)
+		cols := [3][]float64{out, dOut, dB}
+		for i, v := range vs {
+			cols[i%3][i/3] = v
+		}
+		forEachSet(t, func(t *testing.T, set laneSet) {
+			if msg := tanhGradMismatch(set, out, dOut, dB); msg != "" {
+				t.Fatal(msg)
+			}
+		})
+	})
+}
+
+// BenchmarkTanhTo times one hidden layer's worth of bias add and tanh at
+// the benchmark's width and the paper's MSD and LIGO widths on each kernel
+// set — the ZMM lanes, the YMM lanes and the scalar math.Tanh loop — on
+// pre-activations spread over both of tanh's branches, in Gelem/s (a tanh
+// has no fixed flop count).
 func BenchmarkTanhTo(b *testing.B) {
 	for _, n := range []int{64, 256, 512} {
 		rng := rand.New(rand.NewSource(1))
-		pre := make([]float64, n)
+		pre, bias := make([]float64, n), make([]float64, n)
 		for i := range pre {
-			pre[i] = 2 * rng.NormFloat64()
+			pre[i], bias[i] = 2*rng.NormFloat64(), 0.1*rng.NormFloat64()
 		}
 		out := make([]float64, n)
 		for _, set := range []laneSet{zmmSet, avx2Set, goSet} {
@@ -218,7 +379,7 @@ func BenchmarkTanhTo(b *testing.B) {
 				set.use(func() {
 					withTanhLanes(set.avx2, func() {
 						for b.Loop() {
-							TanhTo(out, pre)
+							TanhTo(out, pre, bias)
 						}
 					})
 				})

@@ -21,17 +21,21 @@ import (
 )
 
 // Activation is an elementwise (or, for Softmax, vectorwise) nonlinearity
-// applied to a layer's pre-activation.
+// applied to a layer's pre-activation. Both methods carry the layer's bias
+// term, so a layer's bias and activation take one pass over its outputs
+// forward and one backward.
 type Activation interface {
 	// Name identifies the activation for serialisation.
 	Name() string
-	// Apply writes f(pre) into out. out and pre have the same length and
-	// may alias.
-	Apply(out, pre []float64)
+	// Apply writes f(pre + b) into out: the layer bias b added to the
+	// pre-activation, then the activation. out, pre and b have the same
+	// length; out may alias pre.
+	Apply(out, pre, b []float64)
 	// Backprop writes into dPre the gradient of the loss with respect to
-	// the pre-activation, given the layer output out (= f(pre)) and the
-	// gradient dOut with respect to that output. dPre may alias dOut.
-	Backprop(dPre, out, dOut []float64)
+	// the pre-activation, given the layer output out (= f(pre + b)) and the
+	// gradient dOut with respect to that output, and adds dPre into the
+	// bias gradient dB unless dB is nil. dPre may alias dOut.
+	Backprop(dPre, out, dOut, dB []float64)
 }
 
 // Compile-time interface checks.
@@ -43,6 +47,14 @@ var (
 	_ Activation = Sigmoid{}
 )
 
+// addBiasGrad adds dPre into dB unless dB is nil: the bias gradient of
+// every activation without a fused pass of its own.
+func addBiasGrad(dB, dPre []float64) {
+	if dB != nil {
+		mat.VecAddScaled(dB, dPre, 1)
+	}
+}
+
 // ReLU is the rectified linear unit, max(0, x). The paper uses ReLU in the
 // environment-model network.
 type ReLU struct{}
@@ -51,9 +63,9 @@ type ReLU struct{}
 func (ReLU) Name() string { return "relu" }
 
 // Apply implements Activation.
-func (ReLU) Apply(out, pre []float64) {
+func (ReLU) Apply(out, pre, b []float64) {
 	for i, v := range pre {
-		if v > 0 {
+		if v += b[i]; v > 0 {
 			out[i] = v
 		} else {
 			out[i] = 0
@@ -62,7 +74,7 @@ func (ReLU) Apply(out, pre []float64) {
 }
 
 // Backprop implements Activation. The subgradient at 0 is taken as 0.
-func (ReLU) Backprop(dPre, out, dOut []float64) {
+func (ReLU) Backprop(dPre, out, dOut, dB []float64) {
 	for i := range dPre {
 		if out[i] > 0 {
 			dPre[i] = dOut[i]
@@ -70,6 +82,7 @@ func (ReLU) Backprop(dPre, out, dOut []float64) {
 			dPre[i] = 0
 		}
 	}
+	addBiasGrad(dB, dPre)
 }
 
 // Tanh is the hyperbolic tangent activation, used in DDPG hidden layers.
@@ -78,16 +91,14 @@ type Tanh struct{}
 // Name implements Activation.
 func (Tanh) Name() string { return "tanh" }
 
-// Apply implements Activation: math.Tanh of every element, through
-// mat.TanhTo's lanes where they run.
-func (Tanh) Apply(out, pre []float64) { mat.TanhTo(out, pre) }
+// Apply implements Activation: math.Tanh(pre+b) of every element, bias add
+// and tanh in one pass through mat.TanhTo's lanes where they run.
+func (Tanh) Apply(out, pre, b []float64) { mat.TanhTo(out, pre, b) }
 
-// Backprop implements Activation: d tanh(x)/dx = 1 − tanh(x)².
-func (Tanh) Backprop(dPre, out, dOut []float64) {
-	for i := range dPre {
-		dPre[i] = dOut[i] * (1 - out[i]*out[i])
-	}
-}
+// Backprop implements Activation: d tanh(x)/dx = 1 − tanh(x)², and the
+// bias gradient in the same pass, through mat.TanhGradTo's lanes where
+// they run.
+func (Tanh) Backprop(dPre, out, dOut, dB []float64) { mat.TanhGradTo(dPre, out, dOut, dB) }
 
 // Identity is the linear activation used on regression output layers (the
 // environment model predicts raw next-state WIP values).
@@ -97,10 +108,17 @@ type Identity struct{}
 func (Identity) Name() string { return "identity" }
 
 // Apply implements Activation.
-func (Identity) Apply(out, pre []float64) { copy(out, pre) }
+func (Identity) Apply(out, pre, b []float64) {
+	for i, v := range pre {
+		out[i] = v + b[i]
+	}
+}
 
 // Backprop implements Activation.
-func (Identity) Backprop(dPre, out, dOut []float64) { copy(dPre, dOut) }
+func (Identity) Backprop(dPre, out, dOut, dB []float64) {
+	copy(dPre, dOut)
+	addBiasGrad(dB, dPre)
+}
 
 // Sigmoid is the logistic activation 1/(1+e^−x).
 type Sigmoid struct{}
@@ -109,17 +127,18 @@ type Sigmoid struct{}
 func (Sigmoid) Name() string { return "sigmoid" }
 
 // Apply implements Activation.
-func (Sigmoid) Apply(out, pre []float64) {
+func (Sigmoid) Apply(out, pre, b []float64) {
 	for i, v := range pre {
-		out[i] = 1 / (1 + math.Exp(-v))
+		out[i] = 1 / (1 + math.Exp(-(v + b[i])))
 	}
 }
 
 // Backprop implements Activation: dσ/dx = σ(1−σ).
-func (Sigmoid) Backprop(dPre, out, dOut []float64) {
+func (Sigmoid) Backprop(dPre, out, dOut, dB []float64) {
 	for i := range dPre {
 		dPre[i] = dOut[i] * out[i] * (1 - out[i])
 	}
+	addBiasGrad(dB, dPre)
 }
 
 // Softmax is the vectorwise softmax activation used on the actor's output
@@ -131,15 +150,19 @@ type Softmax struct{}
 func (Softmax) Name() string { return "softmax" }
 
 // Apply implements Activation.
-func (Softmax) Apply(out, pre []float64) { mat.Softmax(out, pre) }
+func (Softmax) Apply(out, pre, b []float64) {
+	Identity{}.Apply(out, pre, b)
+	mat.Softmax(out, out)
+}
 
 // Backprop implements Activation using the softmax Jacobian-vector product:
 // dPre_i = out_i · (dOut_i − Σ_j dOut_j · out_j).
-func (Softmax) Backprop(dPre, out, dOut []float64) {
+func (Softmax) Backprop(dPre, out, dOut, dB []float64) {
 	dot := mat.VecDot(dOut, out)
 	for i := range dPre {
 		dPre[i] = out[i] * (dOut[i] - dot)
 	}
+	addBiasGrad(dB, dPre)
 }
 
 // ActivationByName returns the activation with the given Name. It is the

@@ -69,7 +69,8 @@ func FuzzNetworkDecode(f *testing.F) {
 // FuzzAuxGradBatch is the differential target for the aux-only backward
 // pass: the network shape, the aux layer's position, the batch size and
 // then the inputs, output gradient and parameters are decoded from the fuzz
-// input, and AuxGradBatch must equal BackwardBatch's dAux bit for bit.
+// input, and AuxGradBatch must equal the per-sample Backward's dAux bit
+// for bit.
 func FuzzAuxGradBatch(f *testing.F) {
 	f.Add([]byte{0, 3, 2, 0, 0, 0, 2, 4})                         // one layer, aux at 0
 	f.Add([]byte{1, 4, 9, 1, 1, 3, 1, 2, 4, 0x80, 0x7f, 0, 0x10}) // aux at the last of two

@@ -230,8 +230,7 @@ func (n *Network) ForwardCache(c *Cache, x, aux []float64) []float64 {
 		} else {
 			layer.W.MulVecTo(out, in)
 		}
-		mat.VecAddScaled(out, layer.B, 1)
-		layer.Act.Apply(out, out)
+		layer.Act.Apply(out, out, layer.B)
 		cur = out
 	}
 	return cur
@@ -317,10 +316,10 @@ func (n *Network) Backward(c *Cache, dOut []float64, g *Grads) (dX, dAux []float
 	for l := last; l >= 0; l-- {
 		layer := n.Layers[l]
 		dPre := c.dPre[l]
-		layer.Act.Backprop(dPre, c.outputs[l], dCur)
-		// Parameter gradients: dW += dPre ⊗ input, dB += dPre.
+		// dPre and the bias gradient dB += dPre in one pass, then
+		// dW += dPre ⊗ input.
+		layer.Act.Backprop(dPre, c.outputs[l], dCur, g.B[l])
 		g.W[l].AddOuterScaled(dPre, c.inputs[l], 1)
-		mat.VecAddScaled(g.B[l], dPre, 1)
 		// Input gradient: dIn = Wᵀ · dPre.
 		dIn := c.dIn[l]
 		layer.W.MulVecTransTo(dIn, dPre)

@@ -14,10 +14,11 @@ import (
 // too, under several parallel worker bounds and requires every output and
 // accumulated gradient to be byte-for-byte identical — the end-to-end
 // version of the mat package's kernel-level determinism test, covering the
-// fused bias+activation epilogue on pool workers. At batch 48 the 256×256
-// products (2·48·256·256 ≈ 2²²·⁶ flops, including the critic's layer-2
-// input gradient inside AuxGradBatch) reach the pool, and the 12-, 5-, 4-
-// and 1-wide ones (≤ 2¹⁸·²) stay below the 2²² dispatch threshold.
+// fused bias+activation epilogue on pool workers — and the aux gradient to
+// equal the per-sample Backward's dAux. At batch 48 the 256×256 products
+// (2·48·256·256 ≈ 2²²·⁶ flops, including the critic's layer-2 input
+// gradient inside AuxGradBatch) reach the pool, and the 12-, 5-, 4- and
+// 1-wide ones (≤ 2¹⁸·²) stay below the 2²² dispatch threshold.
 func TestBatchPassesBitIdenticalAcrossWorkers(t *testing.T) {
 	defer parallel.SetMaxWorkers(0)
 	rng := rand.New(rand.NewSource(31))
@@ -35,21 +36,24 @@ func TestBatchPassesBitIdenticalAcrossWorkers(t *testing.T) {
 		}
 
 		// Each worker count's results, flattened in a fixed order: the
-		// output, every dW and dB, dX, then (with an aux input) the
-		// BackwardBatch and AuxGradBatch dAux.
+		// output, every dW and dB, then (with an aux input) the
+		// AuxGradBatch dAux, which must also equal the per-sample
+		// Backward's.
 		results := map[int][][]float64{}
 		for _, w := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
 			parallel.SetMaxWorkers(w)
 			c := NewBatchCache(net, batch)
 			g := NewGrads(net)
 			res := [][]float64{clone(net.ForwardBatch(c, x, aux).Data)}
-			dX, dAux := net.BackwardBatch(c, dOut, g)
+			net.BackwardBatch(c, dOut, g)
 			for l := range g.W {
 				res = append(res, g.W[l].Data, g.B[l])
 			}
-			res = append(res, clone(dX.Data))
 			if aux != nil {
-				res = append(res, clone(dAux.Data), clone(net.AuxGradBatch(c, dOut).Data))
+				res = append(res, clone(net.AuxGradBatch(c, dOut).Data))
+				if msg := auxGradMismatch(net, x, aux, dOut); msg != "" {
+					t.Fatalf("sizes %v, %d workers: %s", cfg.Sizes, w, msg)
+				}
 			}
 			results[w] = res
 		}

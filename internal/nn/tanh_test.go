@@ -11,9 +11,9 @@ import (
 // scalarTanh is Tanh with the lanes off: math.Tanh element by element.
 type scalarTanh struct{ Tanh }
 
-func (scalarTanh) Apply(out, pre []float64) {
+func (scalarTanh) Apply(out, pre, b []float64) {
 	for i, v := range pre {
-		out[i] = math.Tanh(v)
+		out[i] = math.Tanh(v + b[i])
 	}
 }
 

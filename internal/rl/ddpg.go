@@ -349,7 +349,7 @@ func (d *DDPG) adaptParamNoise() {
 	slots := d.slots[:n]
 	d.replay.sample(d.rng, d.batch[:n], slots)
 	for i, slot := range slots {
-		ns := d.norm.apply(d.logState(slot))
+		ns := d.norm.apply(d.logBuf, d.logState(slot))
 		copy(d.plainActs[i], d.actor.ForwardCache(d.actCache, ns, nil))
 		copy(d.noisyActs[i], d.perturbed.ForwardCache(d.actCache, ns, nil))
 	}
@@ -406,13 +406,11 @@ func (d *DDPG) Update() (criticLoss, meanQ float64) {
 	invB := 1 / float64(len(d.batch))
 
 	// Stage the normalised states, next states, and stored actions as
-	// batch matrices, from the log-compressed rows Observe kept. The
-	// normalizer reuses one buffer, so each result is copied out before
-	// the next call.
+	// batch matrices, from the log-compressed rows Observe kept.
 	for i, e := range d.batch {
 		slot := d.slots[i]
-		copy(d.bNext.Row(i), d.norm.apply(d.logNext(slot)))
-		copy(d.bState.Row(i), d.norm.apply(d.logState(slot)))
+		d.norm.apply(d.bNext.Row(i), d.logNext(slot))
+		d.norm.apply(d.bState.Row(i), d.logState(slot))
 		copy(d.bAction.Row(i), e.Action)
 	}
 
@@ -520,7 +518,8 @@ func (d *DDPG) RestoreActorParams(src *nn.Network) {
 // magnitude between idle and burst conditions, and a linear standardiser
 // would leave the calm regime with no resolution.
 func (d *DDPG) normalize(state []float64) []float64 {
-	return d.norm.apply(logCompress(d.logBuf, state))
+	x := logCompress(d.logBuf, state)
+	return d.norm.apply(x, x)
 }
 
 // logCompress writes log(1+x) per coordinate into dst (clamping negatives
@@ -573,14 +572,12 @@ type runningNorm struct {
 	count float64
 	mean  []float64
 	m2    []float64
-	buf   []float64
 }
 
 func newRunningNorm(dim int) *runningNorm {
 	return &runningNorm{
 		mean: make([]float64, dim),
 		m2:   make([]float64, dim),
-		buf:  make([]float64, dim),
 	}
 }
 
@@ -593,19 +590,19 @@ func (r *runningNorm) update(x []float64) {
 	}
 }
 
-// apply returns the standardised vector, reusing an internal buffer (valid
-// until the next call).
-func (r *runningNorm) apply(x []float64) []float64 {
+// apply writes x standardised into dst, which may be x itself, and
+// returns dst.
+func (r *runningNorm) apply(dst, x []float64) []float64 {
 	if r.count < 2 {
-		copy(r.buf, x)
-		return r.buf
+		copy(dst, x)
+		return dst
 	}
 	for i, v := range x {
 		std := math.Sqrt(r.m2[i] / r.count)
 		if std < 1e-6 {
 			std = 1
 		}
-		r.buf[i] = (v - r.mean[i]) / std
+		dst[i] = (v - r.mean[i]) / std
 	}
-	return r.buf
+	return dst
 }

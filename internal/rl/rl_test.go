@@ -341,14 +341,14 @@ func TestProjectSimplex(t *testing.T) {
 func TestRunningNorm(t *testing.T) {
 	r := newRunningNorm(1)
 	// Before two samples, apply is identity.
-	out := r.apply([]float64{5})
+	out := r.apply(make([]float64, 1), []float64{5})
 	if out[0] != 5 {
 		t.Fatalf("early apply=%v", out)
 	}
 	for i := 0; i < 1000; i++ {
 		r.update([]float64{10 + float64(i%5)}) // mean 12, bounded variance
 	}
-	out = r.apply([]float64{12})
+	out = r.apply(out, []float64{12})
 	if math.Abs(out[0]) > 0.1 {
 		t.Fatalf("normalised mean input=%g, want ≈0", out[0])
 	}
@@ -356,7 +356,8 @@ func TestRunningNorm(t *testing.T) {
 	rc := newRunningNorm(1)
 	rc.update([]float64{3})
 	rc.update([]float64{3})
-	out = rc.apply([]float64{4})
+	x := []float64{4}
+	out = rc.apply(x, x)
 	if math.IsNaN(out[0]) || math.IsInf(out[0], 0) {
 		t.Fatalf("constant coordinate produced %v", out)
 	}
@@ -397,25 +398,43 @@ func TestRawNoiseViolationCounting(t *testing.T) {
 	}
 }
 
-// TestDDPGUpdateZeroAlloc pins that one minibatch update allocates nothing
-// once its scratch is warm, at train-msd's shapes (4 services, 64×64×64
-// actor and critic, batch 64).
-func TestDDPGUpdateZeroAlloc(t *testing.T) {
+// msdAgent returns an agent at train-msd's shapes (4 services, 64×64×64
+// actor and critic, batch 64) whose replay holds 256 transitions and whose
+// update scratch is warm after one Update.
+func msdAgent(tb testing.TB, seed int64) *DDPG {
+	tb.Helper()
 	agent, err := NewDDPG(Config{
 		StateDim: 4, ActionDim: 4, Hidden: []int{64, 64, 64},
-		BatchSize: 64, Seed: 6,
+		BatchSize: 64, Seed: seed,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(seed + 1))
 	for i := 0; i < 256; i++ {
 		s := []float64{rng.Float64() * 50, rng.Float64() * 50, rng.Float64() * 50, rng.Float64() * 50}
 		agent.Observe(Experience{State: s, Action: agent.Act(s), Next: s, Reward: -rng.Float64() * 100})
 	}
-	agent.Update() // warm up: size the batch scratch
+	agent.Update()
+	return agent
+}
+
+// TestDDPGUpdateZeroAlloc pins that one minibatch update allocates nothing
+// once its scratch is warm, at train-msd's shapes.
+func TestDDPGUpdateZeroAlloc(t *testing.T) {
+	agent := msdAgent(t, 6)
 	if allocs := testing.AllocsPerRun(20, func() { agent.Update() }); allocs != 0 {
 		t.Fatalf("DDPG.Update: %v allocs/run, want 0", allocs)
+	}
+}
+
+// BenchmarkDDPGUpdate times one minibatch update at train-msd's shapes on
+// a warm replay: the loop behind DESIGN §4g's profile of the update, which
+// is nearly all of a train-msd iteration.
+func BenchmarkDDPGUpdate(b *testing.B) {
+	agent := msdAgent(b, 6)
+	for b.Loop() {
+		agent.Update()
 	}
 }
 
