@@ -194,8 +194,7 @@ func (m *Model) Fit(d *Dataset, epochs int) ([]float64, error) {
 				batchLoss += nn.MSE(m.batchD.Row(i), pred.Row(i), m.batchT.Row(i))
 			}
 			m.net.BackwardBatch(m.bcache, m.batchD, m.grads)
-			m.grads.Scale(1 / float64(len(batch)))
-			m.grads.ClipGlobalNorm(5)
+			m.grads.ScaleClip(1/float64(len(batch)), 5)
 			m.opt.Step(m.grads)
 			epochLoss += batchLoss / float64(len(batch))
 		}

@@ -551,3 +551,24 @@ func TestFitZeroAlloc(t *testing.T) {
 		t.Fatalf("Model.Fit: %v allocs/run, want 0", allocs)
 	}
 }
+
+// BenchmarkModelFit times one epoch of Model.Fit at train-msd's model
+// shapes — 8 inputs (4 states, 4 actions), three 20-wide ReLU layers, 4
+// outputs, batch 64 — over a seeded 8 000-row dataset: 125 minibatch
+// steps of the batched forward, backward, clip and Adam step per op, on a
+// model warmed by one epoch.
+func BenchmarkModelFit(b *testing.B) {
+	d := linearDynamics(8000, 4, 11)
+	m, err := New(Config{StateDim: 4, ActionDim: 4, Seed: 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Fit(d, 1); err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if _, err := m.Fit(d, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,10 +4,12 @@ import "fmt"
 
 // This file contains the batched (matrix-matrix) kernels behind the
 // minibatch training path. They are destination-passing and allocation-free
-// in steady state: MulTo packs its right operand into a scratch buffer
-// (caller-owned via MulToBuf, or drawn from gemmScratch) — transposed for the
-// pure-Go kernel, as 8-column panels for the AVX2 lane kernel (lanes.go) —
-// so every inner loop streams unit-stride memory. Large products are tiled
+// in steady state: the AVX2 lane tiles (lanes.go) read MulTo's row-major
+// right operand in place, 8 columns at a time, and pack only a short last
+// panel; the pure-Go kernel reads it transposed into a scratch buffer
+// (caller-owned via MulToBuf, or drawn from gemmScratch). MulTransTo's
+// operand, already transposed, is read in place by the pure-Go kernel and
+// packed as panels for the tiles. Large products are tiled
 // over rows and fanned across the parallel kernel pool — see pgemm.go —
 // without changing any per-entry arithmetic.
 //
@@ -17,8 +19,8 @@ import "fmt"
 // of per-sample calls to within floating-point noise at the -0.0 edge
 // cases, and typically bit-for-bit.
 
-// gemmBlock is the column-block size for the packed right operand: one
-// block of B's columns (Bᵀ rows, or eight lane panels) is kept hot in cache
+// gemmBlock is the column-block size for the right operand: one block of
+// B's columns (Bᵀ rows, or eight lane panels) is kept hot in cache
 // while every row of A streams past it.
 const gemmBlock = 64
 
@@ -70,25 +72,24 @@ func growBuf(buf *[]float64, n int) []float64 {
 }
 
 // MulTo computes dst = a · b, where a is m×k, b is k×n, and dst is m×n.
-// dst must not alias a or b. The implementation packs b into a scratch
-// layout once and then performs blocked row-by-row dot products, which
-// keeps all three operands on unit-stride access.
+// dst must not alias a or b. The lane tiles read b in place; the pure-Go
+// kernel reads it transposed into a scratch buffer, so every inner loop
+// streams unit-stride memory.
 func (dst *Matrix) MulTo(a, b *Matrix) {
-	k, n := b.Rows, b.Cols
-	sp := getScratch(k * n)
-	dst.mulPacked(a, b, *sp, nil)
+	sp := getScratch(0)
+	dst.mulPacked(a, b, sp, nil)
 	putScratch(sp)
 }
 
-// MulToBuf is MulTo packing b into the caller-owned buffer *buf (grown as
-// needed) instead of shared scratch, so steady-state callers that hold a
-// buffer per product shape stay allocation-free. The optional epilogue is
-// fused into the kernel (nil for none).
+// MulToBuf is MulTo packing what b needs packed into the caller-owned
+// buffer *buf (grown as needed) instead of shared scratch, so steady-state
+// callers that hold a buffer per product shape stay allocation-free. The
+// optional epilogue is fused into the kernel (nil for none).
 func (dst *Matrix) MulToBuf(a, b *Matrix, buf *[]float64, ep Epilogue) {
-	dst.mulPacked(a, b, growBuf(buf, b.Rows*b.Cols), ep)
+	dst.mulPacked(a, b, buf, ep)
 }
 
-func (dst *Matrix) mulPacked(a, b *Matrix, buf []float64, ep Epilogue) {
+func (dst *Matrix) mulPacked(a, b *Matrix, buf *[]float64, ep Epilogue) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulTo inner dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -99,11 +100,11 @@ func (dst *Matrix) mulPacked(a, b *Matrix, buf []float64, ep Epilogue) {
 }
 
 // MulColsToBuf computes dst = a · b[:, c0:c0+dst.Cols] — the product with
-// a window of b's columns — packing only that window into *buf (grown as
-// needed). Each entry is the same ascending dot product MulTo computes for
-// that column of the full product, so the result equals the matching
-// columns of MulTo's bit for bit at a fraction of the work when the window
-// is narrow. dst must not alias a or b.
+// a window of b's columns — packing what that window needs packed into
+// *buf (grown as needed). Each entry is the same ascending dot product
+// MulTo computes for that column of the full product, so the result equals
+// the matching columns of MulTo's bit for bit at a fraction of the work
+// when the window is narrow. dst must not alias a or b.
 func (dst *Matrix) MulColsToBuf(a, b *Matrix, c0 int, buf *[]float64) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulColsToBuf inner dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -111,38 +112,43 @@ func (dst *Matrix) MulColsToBuf(a, b *Matrix, c0 int, buf *[]float64) {
 	if dst.Rows != a.Rows || c0 < 0 || c0+dst.Cols > b.Cols {
 		panic(fmt.Sprintf("mat: MulColsToBuf destination %dx%d at column %d outside %dx%d", dst.Rows, dst.Cols, c0, a.Rows, b.Cols))
 	}
-	gemm(dst, a, packCols(growBuf(buf, b.Rows*dst.Cols), b, c0, dst.Cols, a.Rows), nil)
+	gemm(dst, a, packCols(buf, b, c0, dst.Cols, a.Rows), nil)
 }
 
-// packedB is a product's right operand as the row kernels read it:
-// columns [0, lanes) as k×8 panels for the lane kernel (panel g/8 of
-// column group g at panels[g*k:], see packPanel), and columns [lanes, n)
-// transposed, column j at bt[j*k:][:k], for the pure-Go kernel.
+// packedB is a product's right operand B (k×n) as the row kernels read
+// it. With lanes > 0 the lane tiles run every column: the whole 8-column
+// panels of columns [0, lanes), entry (p, 8g+q) at panels[g*ldp+p*ldb+q]
+// — a row-major B read in place (ldb its row stride, ldp 8) or packed k×8
+// panels (ldb 8, ldp 8k) — and, when 8 does not divide n, columns
+// [lanes, n) as one k×8 panel padded with zero columns, last. With lanes
+// = 0, bt holds B transposed for the pure-Go kernel and mulNarrow, column
+// j at bt[j*k:][:k].
 type packedB struct {
-	panels, bt []float64
-	lanes, n   int
+	panels, last, bt []float64
+	ldb, ldp         int
+	lanes, n         int
 }
 
-// packCols packs columns [c0, c0+n) of b into buf for an m-row product:
-// as many whole 8-column panels as the lane kernel takes, then the rest
-// transposed. Column j of either part starts at buf[j*k], so one buffer
-// of k·n holds both.
-func packCols(buf []float64, b *Matrix, c0, n, m int) packedB {
+// packCols lays out columns [c0, c0+n) of b for an m-row product: read in
+// place by the lane tiles, with only a short last panel packed into *buf,
+// when they run and n ≥ 8; otherwise transposed into *buf.
+func packCols(buf *[]float64, b *Matrix, c0, n, m int) packedB {
 	k := b.Rows
-	lanes := 0
-	if lanesFor(m, k) {
-		lanes = n &^ (panelWidth - 1)
-		for g := 0; g < lanes; g += panelWidth {
-			packPanel(buf[g*k:][:panelWidth*k], b, c0+g)
+	if lanesFor(m, k) && n >= panelWidth {
+		pb := packedB{panels: b.Data[c0:], ldb: b.Cols, ldp: panelWidth, lanes: n &^ (panelWidth - 1), n: n}
+		if pb.lanes < n {
+			pb.last = growBuf(buf, panelWidth*k)
+			packColsTail(pb.last, b, c0+pb.lanes, n-pb.lanes)
 		}
+		return pb
 	}
+	bt := growBuf(buf, k*n)
 	for i := 0; i < k; i++ {
-		row := b.Data[i*b.Cols+c0:][lanes:n]
-		for j, v := range row {
-			buf[(lanes+j)*k+i] = v
+		for j, v := range b.Data[i*b.Cols+c0:][:n] {
+			bt[j*k+i] = v
 		}
 	}
-	return packedB{panels: buf, bt: buf, lanes: lanes, n: n}
+	return packedB{bt: bt, n: n}
 }
 
 // MulTransTo computes dst = a · bᵀ, where a is m×k, b is n×k, and dst is
@@ -165,23 +171,26 @@ func (dst *Matrix) MulTransEpilogueTo(a, b *Matrix, ep Epilogue) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulTransTo destination %dx%d != %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	pb := packedB{bt: b.Data, n: b.Rows}
-	k := b.Cols
-	if !lanesFor(a.Rows, k) || b.Rows < panelWidth {
-		gemm(dst, a, pb, ep)
+	k, n := b.Cols, b.Rows
+	if !lanesFor(a.Rows, k) || n < panelWidth {
+		gemm(dst, a, packedB{bt: b.Data, n: n}, ep)
 		return
 	}
-	pb.lanes = b.Rows &^ (panelWidth - 1)
-	sp := getScratch(pb.lanes * k)
-	pb.panels = *sp
-	for g := 0; g < pb.lanes; g += panelWidth {
+	lanes := n &^ (panelWidth - 1)
+	sp := getScratch((n + panelWidth - 1) &^ (panelWidth - 1) * k)
+	pb := packedB{panels: *sp, ldb: panelWidth, ldp: panelWidth * k, lanes: lanes, n: n}
+	for g := 0; g < lanes; g += panelWidth {
 		packPanelRows(pb.panels[g*k:][:panelWidth*k], b.Data[g*k:][:panelWidth*k], k)
+	}
+	if lanes < n {
+		pb.last = pb.panels[lanes*k:][:panelWidth*k]
+		packPanelTail(pb.last, b.Data[lanes*k:n*k], k)
 	}
 	gemm(dst, a, pb, ep)
 	putScratch(sp)
 }
 
-// mulPackedTransRows computes rows [r0, r1) and columns [c0, n) of dst =
+// mulPackedTransRows computes rows [r0, r1) and columns [0, n) of dst =
 // a · btᵀ, where bt holds column j as the row bt[j*k:][:k] of length
 // a.Cols (i.e. the right operand already transposed). Rows of bt are
 // processed in blocks so a block stays cache-resident while the tile's
@@ -190,9 +199,9 @@ func (dst *Matrix) MulTransEpilogueTo(a, b *Matrix, ep Epilogue) {
 // output entry is one plain ascending-order dot product, so results are
 // bit-identical to the per-sample kernels — and independent of how the row
 // range is tiled.
-func mulPackedTransRows(dst, a *Matrix, bt []float64, c0, n, r0, r1 int) {
+func mulPackedTransRows(dst, a *Matrix, bt []float64, n, r0, r1 int) {
 	k := a.Cols
-	for j0 := c0; j0 < n; j0 += gemmBlock {
+	for j0 := 0; j0 < n; j0 += gemmBlock {
 		j1 := j0 + gemmBlock
 		if j1 > n {
 			j1 = n

@@ -2,8 +2,8 @@ package mat
 
 import "fmt"
 
-// The AVX2 lane path under the training GEMM, the rank-k update and the
-// serving decide's mat-vec (VecPanels). SIMD lanes here never split a dot
+// The AVX2 lane path under the training GEMM, the rank-k update, ReLU and
+// the serving decide's mat-vec (VecPanels). SIMD lanes here never split a dot
 // product: each lane holds a different output entry, and every step is a
 // separate multiply then add, so each entry is still the one ascending
 // chain 0 + a₀b₀ + a₁b₁ + … the pure-Go kernels compute, rounded the same
@@ -40,19 +40,6 @@ func lanesFor(m, k int) bool {
 	return useAVX2 && m >= laneRows && k > 0
 }
 
-// packPanel writes columns [c, c+8) of b into panel as k×8, p-major:
-// panel[p*8+q] = b[p][c+q].
-func packPanel(panel []float64, b *Matrix, c int) {
-	for p := 0; p < b.Rows; p++ {
-		// Element-wise rather than as one [8]float64 copy, which the
-		// compiler turns into a memmove call per row.
-		src := b.Data[p*b.Cols+c:][:panelWidth]
-		dst := panel[p*panelWidth:][:panelWidth]
-		dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
-		dst[4], dst[5], dst[6], dst[7] = src[4], src[5], src[6], src[7]
-	}
-}
-
 // packPanelRows writes 8 transposed columns — rows of length k in bt —
 // into panel as k×8, p-major: panel[p*8+q] = bt[q*k+p]. With useAVX512
 // the first k&^7 p's go through the 8×8 ZMM transpose, the rest here.
@@ -71,13 +58,39 @@ func packPanelRows(panel, bt []float64, k int) {
 	}
 }
 
-// gemmRows computes rows [r0, r1) of dst = a · B for B packed as pb:
-// the panel columns on the lane kernel, the rest on the pure-Go one.
+// packPanelTail writes the fewer than 8 rows of length k in bt into panel
+// as packPanelRows does, padding the missing rows with zero columns.
+func packPanelTail(panel, bt []float64, k int) {
+	rem := len(bt) / k
+	for p := 0; p < k; p++ {
+		c := panel[p*panelWidth:][:panelWidth]
+		for q := range c {
+			c[q] = 0
+			if q < rem {
+				c[q] = bt[q*k+p]
+			}
+		}
+	}
+}
+
+// packColsTail writes columns [c, c+rem) of b, rem < 8, into panel as one
+// k×8 panel, p-major, padded with zero columns: the short last panel of an
+// operand the lane tiles otherwise read in place.
+func packColsTail(panel []float64, b *Matrix, c, rem int) {
+	for p := 0; p < b.Rows; p++ {
+		row := panel[p*panelWidth:][:panelWidth]
+		clear(row[copy(row, b.Data[p*b.Cols+c:][:rem]):])
+	}
+}
+
+// gemmRows computes rows [r0, r1) of dst = a · B for B laid out as pb: on
+// the lane kernel when pb has panels, on the pure-Go one otherwise.
 func gemmRows(dst, a *Matrix, pb *packedB, r0, r1 int) {
 	if pb.lanes > 0 {
-		mulLanesRows(dst, a, pb.panels, pb.lanes, r0, r1)
+		mulLanesRows(dst, a, pb, r0, r1)
+		return
 	}
-	mulPackedTransRows(dst, a, pb.bt, pb.lanes, pb.n, r0, r1)
+	mulPackedTransRows(dst, a, pb.bt, pb.n, r0, r1)
 }
 
 // narrowFor reports whether an m×n product with shared dimension k runs
@@ -114,7 +127,8 @@ func mulNarrow(dst, a *Matrix, bt []float64, ep Epilogue) {
 	}
 	tiled := n &^ (laneRows - 1)
 	if tiled > 0 {
-		mulLanesRows(t, &Matrix{Rows: n, Cols: k, Data: bt[:n*k]}, panels, lanes, 0, tiled)
+		pb := packedB{panels: panels, ldb: panelWidth, ldp: panelWidth * k, lanes: lanes, n: lanes}
+		mulLanesRows(t, &Matrix{Rows: n, Cols: k, Data: bt[:n*k]}, &pb, 0, tiled)
 	}
 	for j := tiled; j < n; j++ {
 		mulVecPanels(k, &panels[0], lanes/panelWidth, &bt[j*k], &t.Data[j*lanes])
@@ -128,7 +142,7 @@ func mulNarrow(dst, a *Matrix, bt []float64, ep Epilogue) {
 		}
 	}
 	putScratch(sp)
-	mulPackedTransRows(dst, a, bt, 0, n, lanes, m)
+	mulPackedTransRows(dst, a, bt, n, lanes, m)
 	applyEpilogueRows(ep, dst, 0, m)
 }
 
@@ -143,16 +157,18 @@ func zmmPairs(npanels int) int {
 	return 0
 }
 
-// mulLanesRows computes rows [r0, r1) and columns [0, lanes) of dst = a·B,
-// B's columns packed as panels. Panels are taken in blocks of gemmBlock
-// columns, kept cache-resident while the tile's rows stream past them;
-// each group of four rows runs the lane tiles across the block, and
-// leftover rows run a scalar 1×8 loop with the same per-entry chain.
-func mulLanesRows(dst, a *Matrix, panels []float64, lanes, r0, r1 int) {
+// mulLanesRows computes rows [r0, r1) of dst = a·B for B laid out as pb.
+// The whole panels are taken in blocks of gemmBlock columns, kept
+// cache-resident while the tile's rows stream past them; each group of
+// four rows runs the lane tiles across the block, and leftover rows run
+// rowPanel, with the same per-entry chain. The padded last panel, if any,
+// runs the same kernels into a local 4×8 tile whose valid columns are then
+// copied into dst.
+func mulLanesRows(dst, a *Matrix, pb *packedB, r0, r1 int) {
 	k, ld := a.Cols, dst.Cols
-	for j0 := 0; j0 < lanes; j0 += gemmBlock {
-		j1 := min(j0+gemmBlock, lanes)
-		blk := panels[j0*k : j1*k]
+	for j0 := 0; j0 < pb.lanes; j0 += gemmBlock {
+		j1 := min(j0+gemmBlock, pb.lanes)
+		blk := pb.panels[j0/panelWidth*pb.ldp:]
 		np := (j1 - j0) / panelWidth
 		pairs := zmmPairs(np)
 		c := 2 * pairs * panelWidth
@@ -161,76 +177,94 @@ func mulLanesRows(dst, a *Matrix, panels []float64, lanes, r0, r1 int) {
 			ai := a.Data[i*k : (i+laneRows)*k]
 			di := dst.Data[i*ld+j0 : (i+laneRows-1)*ld+j1]
 			if pairs > 0 {
-				gemm4x16(k, &ai[0], k, &blk[0], pairs, &di[0], ld)
+				gemm4x16(k, &ai[0], k, &blk[0], pb.ldb, pb.ldp, pairs, &di[0], ld)
 			}
 			if c < j1-j0 {
-				gemm4x8(k, &ai[0], k, &blk[c*k], np-2*pairs, &di[c], ld)
+				gemm4x8(k, &ai[0], k, &blk[c/panelWidth*pb.ldp], pb.ldb, pb.ldp, np-2*pairs, &di[c], ld)
 			}
 		}
 		for ; i < r1; i++ {
 			arow := a.Data[i*k:][:k]
 			drow := dst.Data[i*ld:][:ld]
 			for j := j0; j < j1; j += panelWidth {
-				panel := panels[j*k:][:panelWidth*k]
-				var s0, s1, s2, s3, s4, s5, s6, s7 float64
-				for p, av := range arow {
-					c := panel[p*panelWidth:][:panelWidth]
-					s0 += av * c[0]
-					s1 += av * c[1]
-					s2 += av * c[2]
-					s3 += av * c[3]
-					s4 += av * c[4]
-					s5 += av * c[5]
-					s6 += av * c[6]
-					s7 += av * c[7]
-				}
-				d := drow[j:][:panelWidth]
-				d[0], d[1], d[2], d[3] = s0, s1, s2, s3
-				d[4], d[5], d[6], d[7] = s4, s5, s6, s7
+				rowPanel(drow[j:][:panelWidth], arow, pb.panels[j/panelWidth*pb.ldp:], pb.ldb)
 			}
+		}
+	}
+	if rem := pb.n - pb.lanes; rem > 0 {
+		var tile [laneRows * panelWidth]float64
+		i := r0
+		for ; i+laneRows <= r1; i += laneRows {
+			gemm4x8(k, &a.Data[i*k], k, &pb.last[0], panelWidth, 0, 1, &tile[0], panelWidth)
+			for r := 0; r < laneRows; r++ {
+				copy(dst.Data[(i+r)*ld+pb.lanes:][:rem], tile[r*panelWidth:])
+			}
+		}
+		for ; i < r1; i++ {
+			rowPanel(tile[:panelWidth], a.Data[i*k:][:k], pb.last, panelWidth)
+			copy(dst.Data[i*ld+pb.lanes:][:rem], tile[:rem])
 		}
 	}
 }
 
-// rankPacked is a rank-k update dst += s·aᵀ·b (a p×m, b p×n) as the lane
-// tile reads it: f = s·a in a's p×m layout (a itself when s is 1, which
-// leaves every product unchanged), and b's columns as p×8 panels, panel
-// g/8 at panels[g*p:] as packPanel writes them, the last one padded with
-// zeros when 8 does not divide n. f is nil when the update runs on the
-// pure-Go kernel alone.
-type rankPacked struct {
-	f, panels []float64
+// rowPanel writes d[q] = Σ_p arow[p]·b[p*ldb+q] for q < 8, accumulated in
+// ascending p: one row of a lane tile, for the rows left over.
+func rowPanel(d, arow, b []float64, ldb int) {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	for p, av := range arow {
+		c := b[p*ldb:][:panelWidth]
+		s0 += av * c[0]
+		s1 += av * c[1]
+		s2 += av * c[2]
+		s3 += av * c[3]
+		s4 += av * c[4]
+		s5 += av * c[5]
+		s6 += av * c[6]
+		s7 += av * c[7]
+	}
+	d = d[:panelWidth]
+	d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+	d[4], d[5], d[6], d[7] = s4, s5, s6, s7
 }
 
-// packRank packs a and b for the lane tile into shared scratch, which the
-// caller hands back with putScratch once the update is done (sp is nil
-// when nothing was packed).
+// rankPacked is what the lane tile of a rank-k update dst += s·aᵀ·b (a
+// p×m, b p×n) reads besides b itself, which it reads in place: f = s·a in
+// a's p×m layout (a itself when s is 1, which leaves every product
+// unchanged), and, when 8 does not divide n, b's last n mod 8 columns as
+// one p×8 panel padded with zero columns, last. f is nil when the update
+// runs on the pure-Go kernel alone.
+type rankPacked struct {
+	f, last []float64
+}
+
+// packRank packs what the lane tile needs packed into shared scratch,
+// which the caller hands back with putScratch once the update is done (sp
+// is nil when nothing was packed).
 func packRank(a, b *Matrix, s float64) (rp rankPacked, sp *[]float64) {
 	p, m, n := a.Rows, a.Cols, b.Cols
 	if !lanesFor(m, p) || n == 0 {
 		return rankPacked{}, nil
 	}
 	lanes := n &^ (panelWidth - 1)
-	cols := (n + panelWidth - 1) &^ (panelWidth - 1)
-	size := p * cols
+	rp.f = a.Data
+	size := 0
+	if lanes < n {
+		size += p * panelWidth
+	}
 	if s != 1 {
 		size += p * m
 	}
+	if size == 0 {
+		return rp, nil
+	}
 	sp = getScratch(size)
-	rp.panels = (*sp)[:p*cols]
-	for g := 0; g < lanes; g += panelWidth {
-		packPanel(rp.panels[g*p:][:panelWidth*p], b, g)
-	}
+	buf := *sp
 	if lanes < n {
-		last := rp.panels[lanes*p:]
-		for r := 0; r < p; r++ {
-			row := last[r*panelWidth:][:panelWidth]
-			clear(row[copy(row, b.Data[r*n+lanes:(r+1)*n]):])
-		}
+		rp.last, buf = buf[:p*panelWidth], buf[p*panelWidth:]
+		packColsTail(rp.last, b, lanes, n-lanes)
 	}
-	rp.f = a.Data
 	if s != 1 {
-		rp.f = (*sp)[p*cols:]
+		rp.f = buf[:p*m]
 		for i, v := range a.Data {
 			rp.f[i] = s * v
 		}
@@ -238,11 +272,11 @@ func packRank(a, b *Matrix, s float64) (rp rankPacked, sp *[]float64) {
 	return rp, sp
 }
 
-// rankRows accumulates rows [i0, i1) of dst += s·aᵀ·b packed as rp. Each
-// group of four rows runs the lane tiles over the whole panels, block by
-// block and pair by pair as mulLanesRows does, and over the padded last
-// panel through a 4×8 copy of its tile; the rows left over run the pure-Go
-// kernel.
+// rankRows accumulates rows [i0, i1) of dst += s·aᵀ·b with rp packed. Each
+// group of four rows runs the lane tiles over b's whole panels in place,
+// block by block and pair by pair as mulLanesRows does, and over the
+// padded last panel through a 4×8 copy of its tile; the rows left over run
+// the pure-Go kernel.
 func rankRows(dst, a, b *Matrix, s float64, rp *rankPacked, i0, i1 int) {
 	g1 := i0
 	if rp.f != nil {
@@ -252,28 +286,27 @@ func rankRows(dst, a, b *Matrix, s float64, rp *rankPacked, i0, i1 int) {
 		tail := a.Data[(p-1)*m:]
 		for j0 := 0; j0 < lanes; j0 += gemmBlock {
 			j1 := min(j0+gemmBlock, lanes)
-			blk := rp.panels[j0*p : j1*p]
+			blk := b.Data[j0:]
 			np := (j1 - j0) / panelWidth
 			pairs := zmmPairs(np)
 			c := 2 * pairs * panelWidth
 			for i := i0; i < g1; i += laneRows {
 				di := dst.Data[i*ld+j0 : (i+laneRows-1)*ld+j1]
 				if pairs > 0 {
-					rank4x16(p, &rp.f[i], m, &tail[i], &blk[0], pairs, &di[0], ld)
+					rank4x16(p, &rp.f[i], m, &tail[i], &blk[0], ld, pairs, &di[0], ld)
 				}
 				if c < j1-j0 {
-					rank4x8(p, &rp.f[i], m, &tail[i], &blk[c*p], np-2*pairs, &di[c], ld)
+					rank4x8(p, &rp.f[i], m, &tail[i], &blk[c], ld, np-2*pairs, &di[c], ld)
 				}
 			}
 		}
 		if rem := ld - lanes; rem > 0 {
-			last := rp.panels[lanes*p:]
 			var tile [laneRows * panelWidth]float64
 			for i := i0; i < g1; i += laneRows {
 				for r := 0; r < laneRows; r++ {
 					copy(tile[r*panelWidth:], dst.Data[(i+r)*ld+lanes:][:rem])
 				}
-				rank4x8(p, &rp.f[i], m, &tail[i], &last[0], 1, &tile[0], panelWidth)
+				rank4x8(p, &rp.f[i], m, &tail[i], &rp.last[0], panelWidth, 1, &tile[0], panelWidth)
 				for r := 0; r < laneRows; r++ {
 					copy(dst.Data[(i+r)*ld+lanes:][:rem], tile[r*panelWidth:])
 				}
@@ -306,10 +339,8 @@ func PackVecPanels(m *Matrix) *VecPanels {
 	for g := 0; g < full; g++ {
 		packPanelRows(p.data[g*panelWidth*k:], m.Data[g*panelWidth*k:], k)
 	}
-	if full*panelWidth < m.Rows {
-		last := make([]float64, panelWidth*k)
-		copy(last, m.Data[full*panelWidth*k:])
-		packPanelRows(p.data[full*panelWidth*k:], last, k)
+	if full*panelWidth < m.Rows && k > 0 {
+		packPanelTail(p.data[full*panelWidth*k:], m.Data[full*panelWidth*k:], k)
 	}
 	return p
 }

@@ -56,10 +56,10 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func gemm4x8(k int, a *float64, lda int, panels *float64, npanels int, dst *float64, ldd int)
+func gemm4x8(k int, a *float64, lda int, b *float64, ldb, ldp, npanels int, dst *float64, ldd int)
 
 //go:noescape
-func gemm4x16(k int, a *float64, lda int, panels *float64, npairs int, dst *float64, ldd int)
+func gemm4x16(k int, a *float64, lda int, b *float64, ldb, ldp, npairs int, dst *float64, ldd int)
 
 //go:noescape
 func transpose8(nblocks int, panel, bt *float64, ldb int)
@@ -68,10 +68,16 @@ func transpose8(nblocks int, panel, bt *float64, ldb int)
 func mulVecPanels(k int, panels *float64, npanels int, x *float64, dst *float64)
 
 //go:noescape
-func rank4x8(k int, f *float64, ldf int, atail *float64, panels *float64, npanels int, dst *float64, ldd int)
+func rank4x8(k int, f *float64, ldf int, atail *float64, b *float64, ldb, npanels int, dst *float64, ldd int)
 
 //go:noescape
-func rank4x16(k int, f *float64, ldf int, atail *float64, panels *float64, npairs int, dst *float64, ldd int)
+func rank4x16(k int, f *float64, ldf int, atail *float64, b *float64, ldb, npairs int, dst *float64, ldd int)
+
+//go:noescape
+func reluLanes(n int, out, pre, b *float64)
+
+//go:noescape
+func reluGradLanes(n int, dPre, out, dOut, dB *float64)
 
 //go:noescape
 func adamLanes(n int, w, m, v, grad *float64, c *[8]float64)

@@ -31,27 +31,33 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gemm4x8(k int, a *float64, lda int, panels *float64, npanels int, dst *float64, ldd int)
+// func gemm4x8(k int, a *float64, lda int, b *float64, ldb, ldp, npanels int, dst *float64, ldd int)
 //
-// For each of npanels consecutive k×8 panels (p-major), writes the 4×8
-// tile dst[r][c] = Σ_p a[r][p]·panel[p][c] for r < 4, accumulated in
-// ascending p, then moves dst 8 columns right. lda and ldd are row
-// strides in elements; npanels must be at least 1.
-TEXT ·gemm4x8(SB), NOSPLIT, $0-56
+// For each of npanels 8-column panels of b, writes the 4×8 tile dst[r][c]
+// = Σ_p a[r][p]·b[p][c] for r < 4, accumulated in ascending p, then moves
+// dst 8 columns right. Row p of a panel is the 8 entries ldb·p after its
+// start, and each panel starts ldp entries after the one before: ldb = 8
+// and ldp = 8k for packed k×8 panels, and ldb = B's row stride and ldp = 8
+// for a row-major B read in place. lda, ldb and ldd are row strides in
+// elements; npanels must be at least 1.
+TEXT ·gemm4x8(SB), NOSPLIT, $0-72
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ lda+16(FP), R8
 	SHLQ $3, R8
-	MOVQ panels+24(FP), DI
-	MOVQ npanels+32(FP), R9
-	MOVQ dst+40(FP), DX
-	MOVQ ldd+48(FP), R10
+	MOVQ b+24(FP), R15
+	MOVQ ldb+32(FP), R14
+	SHLQ $3, R14
+	MOVQ npanels+48(FP), R9
+	MOVQ dst+56(FP), DX
+	MOVQ ldd+64(FP), R10
 	SHLQ $3, R10
 	LEAQ (SI)(R8*1), R11
 	LEAQ (R11)(R8*1), R12
 	LEAQ (R12)(R8*1), R13
 
 panel:
+	MOVQ R15, DI
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -93,7 +99,7 @@ step:
 	VADDPD Y11, Y6, Y6
 	VADDPD Y10, Y7, Y7
 
-	ADDQ $64, DI
+	ADDQ R14, DI
 	ADDQ $8, AX
 	DECQ R8
 	JNZ step
@@ -109,37 +115,42 @@ store:
 	VMOVUPD Y6, (BX)(R10*1)
 	VMOVUPD Y7, 32(BX)(R10*1)
 	ADDQ $64, DX
+	MOVQ ldp+40(FP), BX
+	LEAQ (R15)(BX*8), R15
 	DECQ R9
 	JNZ panel
 	VZEROUPPER
 	RET
 
-// func gemm4x16(k int, a *float64, lda int, panels *float64, npairs int, dst *float64, ldd int)
+// func gemm4x16(k int, a *float64, lda int, b *float64, ldb, ldp, npairs int, dst *float64, ldd int)
 //
 // gemm4x8 on ZMM registers, two panels per step: for each of npairs pairs
-// of consecutive k×8 panels, writes the 4×16 tile dst[r][c] = Σ_p
-// a[r][p]·panel[p][c], the first panel's 8 columns then the second's,
-// accumulated in ascending p, then moves dst 16 columns right. lda and
-// ldd are row strides in elements; npairs must be at least 1.
-TEXT ·gemm4x16(SB), NOSPLIT, $0-56
+// of consecutive panels of b, laid out as gemm4x8 reads them, writes the
+// 4×16 tile dst[r][c] = Σ_p a[r][p]·b[p][c], the first panel's 8 columns
+// then the second's, accumulated in ascending p, then moves dst 16
+// columns right. lda, ldb and ldd are row strides in elements; npairs
+// must be at least 1.
+TEXT ·gemm4x16(SB), NOSPLIT, $0-72
 	MOVQ k+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ lda+16(FP), R8
 	SHLQ $3, R8
-	MOVQ panels+24(FP), DI
-	MOVQ npairs+32(FP), R9
-	MOVQ dst+40(FP), DX
-	MOVQ ldd+48(FP), R10
+	MOVQ b+24(FP), R15
+	MOVQ ldb+32(FP), R14
+	SHLQ $3, R14
+	MOVQ npairs+48(FP), R9
+	MOVQ dst+56(FP), DX
+	MOVQ ldd+64(FP), R10
 	SHLQ $3, R10
 	LEAQ (SI)(R8*1), R11
 	LEAQ (R11)(R8*1), R12
 	LEAQ (R12)(R8*1), R13
-	MOVQ CX, R14
-	SHLQ $6, R14
 
 zpair:
-	// BX walks the pair's second panel, k·64 bytes after the first.
-	LEAQ (DI)(R14*1), BX
+	// DI walks the pair's first panel and BX its second, ldp entries on.
+	MOVQ R15, DI
+	MOVQ ldp+40(FP), BX
+	LEAQ (R15)(BX*8), BX
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -181,8 +192,8 @@ zstep:
 	VADDPD Z11, Z6, Z6
 	VADDPD Z10, Z7, Z7
 
-	ADDQ $64, DI
-	ADDQ $64, BX
+	ADDQ R14, DI
+	ADDQ R14, BX
 	ADDQ $8, AX
 	DECQ R8
 	JNZ zstep
@@ -198,7 +209,9 @@ zstore:
 	VMOVUPD Z6, (AX)(R10*1)
 	VMOVUPD Z7, 64(AX)(R10*1)
 	ADDQ $128, DX
-	MOVQ BX, DI
+	MOVQ ldp+40(FP), AX
+	SHLQ $4, AX
+	ADDQ AX, R15
 	DECQ R9
 	JNZ zpair
 	VZEROUPPER
@@ -387,24 +400,27 @@ vdone:
 	VADDPD t1, acc0, acc0; \
 	VADDPD t0, acc1, acc1
 
-// func rank4x8(k int, f *float64, ldf int, atail *float64, panels *float64, npanels int, dst *float64, ldd int)
+// func rank4x8(k int, f *float64, ldf int, atail *float64, b *float64, ldb, npanels int, dst *float64, ldd int)
 //
-// For each of npanels consecutive k×8 panels of b (p-major), folds the k
-// samples into the 4×8 tile of dst in ascending p: dst[r][c] += f[p][r]·
-// panel[p][c], where f[p][r] sits at f[p*ldf+r]. The tile is loaded once,
-// samples go two per pass, and the tile is stored once, then dst moves 8
-// columns right. Row r skips a pass whose two f's are both 0 and, when k
+// For each of npanels consecutive 8-column panels of the k×n row-major b,
+// read in place (row stride ldb; ldb = 8 for one packed k×8 panel), folds
+// the k samples into the 4×8 tile of dst in ascending p: dst[r][c] +=
+// f[p][r]·b[p][c], where f[p][r] sits at f[p*ldf+r]. The tile is loaded once,
+// samples go two per pass, and the tile is stored once, then dst and b
+// move 8 columns right. Row r skips a pass whose two f's are both 0 and, when k
 // is odd, skips the last sample where atail[r] == 0 — the pure-Go kernel's
-// rules. ldf and ldd are row strides in elements; k and npanels must be at
-// least 1.
-TEXT ·rank4x8(SB), NOSPLIT, $0-64
+// rules. ldf, ldb and ldd are row strides in elements; k and npanels must
+// be at least 1.
+TEXT ·rank4x8(SB), NOSPLIT, $0-72
 	MOVQ f+8(FP), SI
 	MOVQ ldf+16(FP), R8
 	SHLQ $3, R8
-	MOVQ panels+32(FP), DI
-	MOVQ npanels+40(FP), R9
-	MOVQ dst+48(FP), DX
-	MOVQ ldd+56(FP), R10
+	MOVQ b+32(FP), R15
+	MOVQ ldb+40(FP), R14
+	SHLQ $3, R14
+	MOVQ npanels+48(FP), R9
+	MOVQ dst+56(FP), DX
+	MOVQ ldd+64(FP), R10
 	SHLQ $3, R10
 	VXORPD Y10, Y10, Y10
 
@@ -424,6 +440,7 @@ rscan:
 	VMOVMSKPD Y11, CX
 
 rpanel:
+	MOVQ R15, DI
 	LEAQ (DX)(R10*2), R13
 	VMOVUPD (DX), Y0
 	VMOVUPD 32(DX), Y1
@@ -457,14 +474,14 @@ rdense:
 	ROW(16, Y12, Y13, Y4, Y5)
 	ROW(24, Y14, Y15, Y6, Y7)
 	ADDQ R8, R12
-	VMOVUPD 64(DI), Y8
-	VMOVUPD 96(DI), Y9
+	VMOVUPD (DI)(R14*1), Y8
+	VMOVUPD 32(DI)(R14*1), Y9
 	ROW(0, Y12, Y13, Y0, Y1)
 	ROW(8, Y14, Y15, Y2, Y3)
 	ROW(16, Y12, Y13, Y4, Y5)
 	ROW(24, Y14, Y15, Y6, Y7)
 	ADDQ R8, R12
-	ADDQ $128, DI
+	LEAQ (DI)(R14*2), DI
 	DECQ R11
 	JNZ rpair
 	JMP rtail
@@ -497,7 +514,7 @@ rskip2:
 
 rskip3:
 	ADDQ R8, R12
-	ADDQ $64, DI
+	ADDQ R14, DI
 	DECQ BX
 	JNZ rsample
 	DECQ R11
@@ -513,7 +530,6 @@ rtail:
 	VMOVMSKPD Y11, AX
 	VMOVUPD (DI), Y8
 	VMOVUPD 32(DI), Y9
-	ADDQ $64, DI
 	TESTL $1, AX
 	JNZ rtail0
 	ROW(0, Y12, Y13, Y0, Y1)
@@ -543,6 +559,7 @@ rstore:
 	VMOVUPD Y6, (R13)(R10*1)
 	VMOVUPD Y7, 32(R13)(R10*1)
 	ADDQ $64, DX
+	ADDQ $64, R15
 	DECQ R9
 	JNZ rpanel
 	VZEROUPPER
@@ -557,21 +574,24 @@ rstore:
 	VADDPD t1, acc0, acc0; \
 	VADDPD t0, acc1, acc1
 
-// func rank4x16(k int, f *float64, ldf int, atail *float64, panels *float64, npairs int, dst *float64, ldd int)
+// func rank4x16(k int, f *float64, ldf int, atail *float64, b *float64, ldb, npairs int, dst *float64, ldd int)
 //
 // rank4x8 on ZMM registers, two panels per step: for each of npairs pairs
-// of consecutive k×8 panels of b, folds the k samples into the 4×16 tile
-// of dst in ascending p, the first panel's 8 columns then the second's,
-// then moves dst 16 columns right. The skip rules are rank4x8's, computed
-// on the same YMM compares; k and npairs must be at least 1.
-TEXT ·rank4x16(SB), NOSPLIT, $0-64
+// of consecutive 8-column panels of b, read in place as rank4x8 reads
+// them, folds the k samples into the 4×16 tile of dst in ascending p, the
+// first panel's 8 columns then the second's, then moves dst and b 16
+// columns right. The skip rules are rank4x8's, computed on the same YMM
+// compares; k and npairs must be at least 1.
+TEXT ·rank4x16(SB), NOSPLIT, $0-72
 	MOVQ f+8(FP), SI
 	MOVQ ldf+16(FP), R8
 	SHLQ $3, R8
-	MOVQ panels+32(FP), DI
-	MOVQ npairs+40(FP), R9
-	MOVQ dst+48(FP), DX
-	MOVQ ldd+56(FP), R10
+	MOVQ b+32(FP), R15
+	MOVQ ldb+40(FP), R14
+	SHLQ $3, R14
+	MOVQ npairs+48(FP), R9
+	MOVQ dst+56(FP), DX
+	MOVQ ldd+64(FP), R10
 	SHLQ $3, R10
 	VXORPD Y10, Y10, Y10
 
@@ -590,10 +610,8 @@ zscan:
 	VMOVMSKPD Y11, CX
 
 zrpanel:
-	// R14 walks the pair's second panel, k·64 bytes after the first.
-	MOVQ k+0(FP), R14
-	SHLQ $6, R14
-	ADDQ DI, R14
+	// A row of the pair is the 16 entries at DI.
+	MOVQ R15, DI
 	LEAQ (DX)(R10*2), R13
 	VMOVUPD (DX), Z0
 	VMOVUPD 64(DX), Z1
@@ -621,21 +639,20 @@ zrpair:
 
 zrdense:
 	VMOVUPD (DI), Z8
-	VMOVUPD (R14), Z9
+	VMOVUPD 64(DI), Z9
 	ROWZ(0, Z12, Z13, Z0, Z1)
 	ROWZ(8, Z14, Z15, Z2, Z3)
 	ROWZ(16, Z12, Z13, Z4, Z5)
 	ROWZ(24, Z14, Z15, Z6, Z7)
 	ADDQ R8, R12
-	VMOVUPD 64(DI), Z8
-	VMOVUPD 64(R14), Z9
+	VMOVUPD (DI)(R14*1), Z8
+	VMOVUPD 64(DI)(R14*1), Z9
 	ROWZ(0, Z12, Z13, Z0, Z1)
 	ROWZ(8, Z14, Z15, Z2, Z3)
 	ROWZ(16, Z12, Z13, Z4, Z5)
 	ROWZ(24, Z14, Z15, Z6, Z7)
 	ADDQ R8, R12
-	ADDQ $128, DI
-	ADDQ $128, R14
+	LEAQ (DI)(R14*2), DI
 	DECQ R11
 	JNZ zrpair
 	JMP zrtail
@@ -646,7 +663,7 @@ zrmasked:
 
 zrsample:
 	VMOVUPD (DI), Z8
-	VMOVUPD (R14), Z9
+	VMOVUPD 64(DI), Z9
 	TESTL $1, AX
 	JNZ zrskip0
 	ROWZ(0, Z12, Z13, Z0, Z1)
@@ -668,8 +685,7 @@ zrskip2:
 
 zrskip3:
 	ADDQ R8, R12
-	ADDQ $64, DI
-	ADDQ $64, R14
+	ADDQ R14, DI
 	DECQ BX
 	JNZ zrsample
 	DECQ R11
@@ -684,8 +700,7 @@ zrtail:
 	VCMPPD $0, (BX), Y10, Y11
 	VMOVMSKPD Y11, AX
 	VMOVUPD (DI), Z8
-	VMOVUPD (R14), Z9
-	ADDQ $64, R14
+	VMOVUPD 64(DI), Z9
 	TESTL $1, AX
 	JNZ zrtail0
 	ROWZ(0, Z12, Z13, Z0, Z1)
@@ -715,9 +730,82 @@ zrstore:
 	VMOVUPD Z6, (R13)(R10*1)
 	VMOVUPD Z7, 64(R13)(R10*1)
 	ADDQ $128, DX
-	MOVQ R14, DI
+	ADDQ $128, R15
 	DECQ R9
 	JNZ zrpanel
+	VZEROUPPER
+	RET
+
+// func reluLanes(n int, out, pre, b *float64)
+//
+// out = x where x = pre + b is greater than +0 and +0 elsewhere, on the
+// first n&^3 entries, four per YMM step: VCMPPD's ordered greater-than
+// (predicate 0x1e) is false for ±0, negatives and NaN of either sign, and
+// its mask ANDed with x keeps x or clears it to +0.
+TEXT ·reluLanes(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), CX
+	MOVQ out+8(FP), DI
+	MOVQ pre+16(FP), SI
+	MOVQ b+24(FP), DX
+	VXORPD Y0, Y0, Y0
+	XORQ AX, AX
+	SHRQ $2, CX
+	JZ rldone
+
+rlstep:
+	VMOVUPD (SI)(AX*8), Y1
+	VADDPD (DX)(AX*8), Y1, Y1
+	VCMPPD $0x1e, Y0, Y1, Y2
+	VANDPD Y1, Y2, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	DECQ CX
+	JNZ rlstep
+
+rldone:
+	VZEROUPPER
+	RET
+
+// func reluGradLanes(n int, dPre, out, dOut, dB *float64)
+//
+// dPre = dOut where out is greater than +0 and +0 elsewhere, and dB +=
+// dPre unless dB is nil, on the first n&^3 entries, four per YMM step.
+TEXT ·reluGradLanes(SB), NOSPLIT, $0-40
+	MOVQ n+0(FP), CX
+	MOVQ dPre+8(FP), DI
+	MOVQ out+16(FP), SI
+	MOVQ dOut+24(FP), R8
+	MOVQ dB+32(FP), DX
+	VXORPD Y0, Y0, Y0
+	XORQ AX, AX
+	SHRQ $2, CX
+	JZ rgdone
+	TESTQ DX, DX
+	JZ rgplain
+
+rgbias:
+	VMOVUPD (SI)(AX*8), Y1
+	VCMPPD $0x1e, Y0, Y1, Y1
+	VANDPD (R8)(AX*8), Y1, Y1
+	VMOVUPD (DX)(AX*8), Y2
+	VADDPD Y1, Y2, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, (DX)(AX*8)
+	ADDQ $4, AX
+	DECQ CX
+	JNZ rgbias
+	JMP rgdone
+
+rgplain:
+	VMOVUPD (SI)(AX*8), Y1
+	VCMPPD $0x1e, Y0, Y1, Y1
+	VANDPD (R8)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ $4, AX
+	DECQ CX
+	JNZ rgplain
+
+rgdone:
 	VZEROUPPER
 	RET
 

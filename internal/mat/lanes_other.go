@@ -12,11 +12,11 @@ const haveAVX512 = false
 // haveTanhLanes is false for the same reasons: TanhTo runs math.Tanh.
 const haveTanhLanes = false
 
-func gemm4x8(k int, a *float64, lda int, panels *float64, npanels int, dst *float64, ldd int) {
+func gemm4x8(k int, a *float64, lda int, b *float64, ldb, ldp, npanels int, dst *float64, ldd int) {
 	panic("mat: lane kernels need amd64")
 }
 
-func gemm4x16(k int, a *float64, lda int, panels *float64, npairs int, dst *float64, ldd int) {
+func gemm4x16(k int, a *float64, lda int, b *float64, ldb, ldp, npairs int, dst *float64, ldd int) {
 	panic("mat: lane kernels need amd64")
 }
 
@@ -28,11 +28,19 @@ func mulVecPanels(k int, panels *float64, npanels int, x *float64, dst *float64)
 	panic("mat: lane kernels need amd64")
 }
 
-func rank4x8(k int, f *float64, ldf int, atail *float64, panels *float64, npanels int, dst *float64, ldd int) {
+func rank4x8(k int, f *float64, ldf int, atail *float64, b *float64, ldb, npanels int, dst *float64, ldd int) {
 	panic("mat: lane kernels need amd64")
 }
 
-func rank4x16(k int, f *float64, ldf int, atail *float64, panels *float64, npairs int, dst *float64, ldd int) {
+func rank4x16(k int, f *float64, ldf int, atail *float64, b *float64, ldb, npairs int, dst *float64, ldd int) {
+	panic("mat: lane kernels need amd64")
+}
+
+func reluLanes(n int, out, pre, b *float64) {
+	panic("mat: lane kernels need amd64")
+}
+
+func reluGradLanes(n int, dPre, out, dOut, dB *float64) {
 	panic("mat: lane kernels need amd64")
 }
 

@@ -108,6 +108,13 @@ var laneKernelOps = []struct {
 		dst.MulColsToBuf(a, b, c0, &buf)
 		return dst
 	}},
+	{"MulColsToBuf/c0=1", func(a, b *Matrix) *Matrix {
+		c0 := min(1, b.Cols)
+		dst := New(a.Rows, b.Cols-c0)
+		var buf []float64
+		dst.MulColsToBuf(a, b, c0, &buf)
+		return dst
+	}},
 	{"AddMulATBScaled", func(a, b *Matrix) *Matrix {
 		dst := New(a.Rows, b.Cols)
 		for i := range dst.Data {
@@ -216,13 +223,29 @@ func laneNarrowShapes() [][3]int {
 	return shapes
 }
 
+// laneTailShapes are products whose n ≥ 8 columns end in a short panel,
+// n ∈ {9…15, 20, 68}, which the lane tiles run through a zero-padded last
+// panel: MulTo and MulColsToBuf read b in place with a row stride wider
+// than the panel, and MulColsToBuf from a nonzero first column. Rows run
+// through every residue mod 4 and the training batch, against shared
+// dimensions of 1, 5, 20 and 64.
+func laneTailShapes() [][3]int {
+	var shapes [][3]int
+	for i, n := range []int{9, 10, 11, 12, 13, 14, 15, 20, 68} {
+		for j, m := range []int{4, 5, 6, 7, 64} {
+			shapes = append(shapes, [3]int{m, []int{1, 5, 20, 64}[(i+j)%4], n})
+		}
+	}
+	return shapes
+}
+
 // TestLaneKernelsMatchGeneric referees the ZMM and AVX2 kernels against
 // the pure-Go ones, bit for bit, on the residue shapes plus the training
 // and paper widths, ragged multi-block shapes, odd panel counts (3, 5,
 // and 17, whose last block holds one panel), where the ZMM tile hands the
-// last panel to the YMM one, and the narrow shapes of 1–7 output columns;
-// 64·256² is large enough to fan out over the pool. Both arms see the
-// same inputs.
+// last panel to the YMM one, the narrow shapes of 1–7 output columns and
+// the tail shapes; 64·256² is large enough to fan out over the pool. Both
+// arms see the same inputs.
 func TestLaneKernelsMatchGeneric(t *testing.T) {
 	requireAVX2(t)
 	forEachArm(t, func(t *testing.T, arm laneSet) {
@@ -230,6 +253,7 @@ func TestLaneKernelsMatchGeneric(t *testing.T) {
 		shapes := append(laneResidueShapes(), [3]int{64, 64, 64}, [3]int{64, 256, 256}, [3]int{67, 130, 129}, [3]int{129, 257, 33},
 			[3]int{9, 11, 24}, [3]int{12, 70, 44}, [3]int{5, 20, 137})
 		shapes = append(shapes, laneNarrowShapes()...)
+		shapes = append(shapes, laneTailShapes()...)
 		for _, s := range shapes {
 			m, k, n := s[0], s[1], s[2]
 			if msg := laneMismatch(arm, laneRandMat(m, k, rng), laneRandMat(k, n, rng)); msg != "" {
@@ -311,11 +335,13 @@ func rankSkipMismatch(arm laneSet, p, m, n int, scale float64, rng *rand.Rand) s
 }
 
 // FuzzGemmLanes is the differential target for the lane kernels: the
-// shape (each of m, k, n in 0–40), then entries of a and b as raw float64
-// bits — so signed zeros, subnormals, infinities and NaNs all occur — are
+// shape (each of m, k, n in 0–68, so widths past two whole ZMM pairs with
+// a short last panel occur), then entries of a and b as raw float64 bits
+// — so signed zeros, subnormals, infinities and NaNs all occur — are
 // decoded from the fuzz input, and every lane-served kernel must equal its
 // pure-Go twin bit for bit (NaNs equal to any NaN), on the ZMM and on the
-// AVX2 kernels, one subtest each.
+// AVX2 kernels, one subtest each; the seeds include the short-panel widths
+// 9, 12, 15, 20 and 68.
 func FuzzGemmLanes(f *testing.F) {
 	requireAVX2(f)
 	f.Add([]byte{4, 3, 8})
@@ -326,6 +352,11 @@ func FuzzGemmLanes(f *testing.F) {
 	f.Add([]byte{16, 9, 4, 0, 0, 0, 0, 0, 0, 0, 0x80})
 	f.Add([]byte{17, 40, 1})
 	f.Add([]byte{13, 5, 7, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	f.Add([]byte{5, 7, 9})
+	f.Add([]byte{6, 20, 12, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
+	f.Add([]byte{7, 3, 15})
+	f.Add([]byte{9, 20, 20, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add([]byte{5, 9, 68})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		forEachArm(t, func(t *testing.T, arm laneSet) {
 			a, b := decodeLaneCase(data)
@@ -344,7 +375,7 @@ func decodeLaneCase(data []byte) (a, b *Matrix) {
 		if len(data) == 0 {
 			return 0
 		}
-		v := int(data[0]) % 41
+		v := int(data[0]) % 69
 		data = data[1:]
 		return v
 	}

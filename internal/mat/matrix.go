@@ -100,10 +100,18 @@ func (m *Matrix) checkIndex(i, j int) {
 // Row returns row i as a slice aliasing the matrix storage. Mutating the
 // returned slice mutates the matrix.
 func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.Rows {
-		panic(fmt.Sprintf("mat: row %d out of range for %dx%d", i, m.Rows, m.Cols))
+	if uint(i) >= uint(m.Rows) {
+		m.rowOutOfRange(i)
 	}
-	return m.Data[i*m.Cols : (i+1)*m.Cols]
+	return m.Data[i*m.Cols:][:m.Cols]
+}
+
+// rowOutOfRange panics for Row. It is kept out of line so that Row, with
+// no formatting in its body, stays within the inliner's budget.
+//
+//go:noinline
+func (m *Matrix) rowOutOfRange(i int) {
+	panic(fmt.Sprintf("mat: row %d out of range for %dx%d", i, m.Rows, m.Cols))
 }
 
 // Clone returns a deep copy of m.

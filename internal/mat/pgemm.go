@@ -10,7 +10,7 @@ import (
 // decomposed into destination row tiles and fanned across
 // parallel.Kernel's persistent pool; small products (and all products when
 // only one worker is available) run the original untiled serial loop,
-// which streams the packed right operand exactly once.
+// which streams the right operand exactly once.
 //
 // Determinism: tiles own disjoint destination rows, and every output
 // entry is computed by exactly the arithmetic the serial kernel uses —
@@ -61,7 +61,7 @@ func (t *gemmTask) RunTile(tile int) {
 
 var gemmTasks = sync.Pool{New: func() any { return new(gemmTask) }}
 
-// gemm computes dst = a · B for B packed as pb, then applies ep row-wise,
+// gemm computes dst = a · B for B laid out as pb, then applies ep row-wise,
 // tiling over dst rows when the product is large enough to pay for the
 // fan-out and more than one worker is available. A narrow product (see
 // narrowFor) runs serially through mulNarrow.
@@ -108,7 +108,7 @@ var rankTasks = sync.Pool{New: func() any { return new(rankTask) }}
 // update is large enough and more than one worker is available. Each dst
 // row is owned by one tile and folds the minibatch in ascending sample
 // order, so accumulation is bit-identical to the serial kernel for any
-// worker count. The operands are packed for the lane tile once, before
+// worker count. What the lane tile needs packed is packed once, before
 // the fan-out, and every tile reads the one packing.
 func rankUpdate(dst, a, b *Matrix, s float64) {
 	m, n := a.Cols, b.Cols

@@ -62,28 +62,14 @@ type ReLU struct{}
 // Name implements Activation.
 func (ReLU) Name() string { return "relu" }
 
-// Apply implements Activation.
-func (ReLU) Apply(out, pre, b []float64) {
-	for i, v := range pre {
-		if v += b[i]; v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
-	}
-}
+// Apply implements Activation: pre+b where it is positive, +0 elsewhere
+// (NaN included), branch-free through mat.ReLUTo's lanes where they run.
+func (ReLU) Apply(out, pre, b []float64) { mat.ReLUTo(out, pre, b) }
 
-// Backprop implements Activation. The subgradient at 0 is taken as 0.
-func (ReLU) Backprop(dPre, out, dOut, dB []float64) {
-	for i := range dPre {
-		if out[i] > 0 {
-			dPre[i] = dOut[i]
-		} else {
-			dPre[i] = 0
-		}
-	}
-	addBiasGrad(dB, dPre)
-}
+// Backprop implements Activation. The subgradient at 0 is taken as 0; the
+// bias gradient comes in the same branch-free pass, through
+// mat.ReLUGradTo's lanes where they run.
+func (ReLU) Backprop(dPre, out, dOut, dB []float64) { mat.ReLUGradTo(dPre, out, dOut, dB) }
 
 // Tanh is the hyperbolic tangent activation, used in DDPG hidden layers.
 type Tanh struct{}

@@ -35,9 +35,11 @@ type BatchCache struct {
 	// layer l; its fields are (re)bound to the layer's parameters on every
 	// ForwardBatch, so a cache works with any same-shaped network.
 	eps []biasActEpilogue
-	// wPack[l] is the persistent packing buffer for layer l's weight
-	// matrix in the backward passes' input-gradient GEMMs, keeping them
-	// off the shared scratch pool (and allocation-free).
+	// wPack[l] is the persistent packing buffer for what the backward
+	// passes' input-gradient GEMMs pack of layer l's weight matrix — its
+	// short last panel on the lane tiles, which read the rest in place,
+	// or the transposed window on the pure-Go and narrow kernels —
+	// grown on first use and kept off the shared scratch pool.
 	wPack [][]float64
 }
 
@@ -79,8 +81,8 @@ func NewBatchCache(n *Network, batch int) *BatchCache {
 		c.outputs = append(c.outputs, mat.New(batch, layer.OutDim()))
 		c.dPre = append(c.dPre, mat.New(batch, layer.OutDim()))
 		c.dIn = append(c.dIn, dIn)
-		c.wPack = append(c.wPack, make([]float64, layer.InDim()*layer.OutDim()))
 	}
+	c.wPack = make([][]float64, len(n.Layers))
 	c.eps = make([]biasActEpilogue, len(n.Layers))
 	c.dGrad = mat.New(batch, n.OutDim())
 	if n.AuxLayer >= 0 {
@@ -155,8 +157,8 @@ func (n *Network) BackwardBatch(c *BatchCache, dOut *mat.Matrix, g *Grads) {
 			break
 		}
 		// Input gradient: dIn = dPre · W, over the primary columns only at
-		// AuxLayer, packing W into the cache's persistent per-layer buffer
-		// (no pool traffic, no allocations).
+		// AuxLayer, packing what W needs packed into the cache's persistent
+		// per-layer buffer (no pool traffic, no allocations).
 		dIn := c.dIn[l]
 		if l == n.AuxLayer {
 			dIn.MulColsToBuf(dPre, layer.W, 0, &c.wPack[l])

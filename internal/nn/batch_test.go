@@ -50,8 +50,8 @@ func maxAbsDiff(a, b []float64) float64 {
 
 // TestBatchMatchesPerSample is the sequential-equivalence property: for a
 // random architecture and batch, ForwardBatch row i equals ForwardCache on
-// sample i, and the weight and bias gradients BackwardBatch accumulates
-// equal the sum of N per-sample Backward calls, all within 1e-12.
+// sample i bit for bit, and the weight and bias gradients BackwardBatch
+// accumulates equal the sum of N per-sample Backward calls within 1e-12.
 func TestBatchMatchesPerSample(t *testing.T) {
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -80,8 +80,8 @@ func TestBatchMatchesPerSample(t *testing.T) {
 				auxRow = aux.Row(i)
 			}
 			wantOut := net.ForwardCache(cache, x.Row(i), auxRow)
-			if maxAbsDiff(gotOut.Row(i), wantOut) > tol {
-				t.Logf("seed %d: forward row %d differs", seed, i)
+			if j := firstBitsDiff(gotOut.Row(i), wantOut); j >= 0 {
+				t.Logf("seed %d: forward row %d differs at %d: %v != %v", seed, i, j, gotOut.Row(i)[j], wantOut[j])
 				return false
 			}
 			net.Backward(cache, dOut.Row(i), gSeq)
@@ -103,6 +103,47 @@ func TestBatchMatchesPerSample(t *testing.T) {
 		Rand:     rand.New(rand.NewSource(99)),
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// firstBitsDiff returns the first index where a and b differ in bits, or
+// -1.
+func firstBitsDiff(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestBatchForwardMatchesPerSampleAtTrainingShapes checks ForwardBatch
+// against ForwardCache bit for bit at the shapes training runs at batch
+// 64: the DDPG actor (tanh, softmax output), whose batched pass the
+// parameter-noise probe takes for per-sample ones, and the msd environment
+// model (ReLU, 20-wide layers past the last whole lane panel).
+func TestBatchForwardMatchesPerSampleAtTrainingShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	nets := []*Network{
+		NewNetwork(Config{Sizes: []int{4, 64, 64, 64, 4}, Hidden: Tanh{}, Output: Softmax{}, AuxLayer: -1}, rng),
+		NewNetwork(Config{Sizes: []int{8, 20, 20, 20, 4}, Hidden: ReLU{}, Output: Identity{}, AuxLayer: -1}, rng),
+	}
+	const batch = 64
+	for _, net := range nets {
+		for _, layer := range net.Layers {
+			for i := range layer.B {
+				layer.B[i] = 0.1 * rng.NormFloat64()
+			}
+		}
+		x := mat.NewRandn(batch, net.InDim(), 1, rng)
+		got := net.ForwardBatch(NewBatchCache(net, batch), x, nil)
+		cache := NewCache(net)
+		for i := 0; i < batch; i++ {
+			want := net.ForwardCache(cache, x.Row(i), nil)
+			if j := firstBitsDiff(got.Row(i), want); j >= 0 {
+				t.Fatalf("%d-wide input: row %d differs at %d: %v != %v", net.InDim(), i, j, got.Row(i)[j], want[j])
+			}
+		}
 	}
 }
 

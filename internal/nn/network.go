@@ -265,38 +265,44 @@ func (g *Grads) Zero() {
 	}
 }
 
-// Scale multiplies all accumulated gradients by s.
-func (g *Grads) Scale(s float64) {
-	for l := range g.W {
-		g.W[l].Scale(s)
-		mat.VecScale(g.B[l], s)
-	}
-}
-
-// GlobalNorm returns the Euclidean norm of all gradients taken together,
-// used for gradient clipping.
-func (g *Grads) GlobalNorm() float64 {
+// ScaleClip multiplies every accumulated gradient by s, then rescales them
+// so their global Euclidean norm is at most maxNorm, and reports whether
+// it clipped. The scaled entries are squared and summed in the same pass
+// — layer by layer, weights then bias, each in storage order — so a
+// gradient is walked once unless it is clipped.
+func (g *Grads) ScaleClip(s, maxNorm float64) bool {
 	var sum float64
 	for l := range g.W {
-		for _, v := range g.W[l].Data {
-			sum += v * v
-		}
-		for _, v := range g.B[l] {
-			sum += v * v
-		}
+		sum = scaleSumSquares(g.W[l].Data, s, sum)
+		sum = scaleSumSquares(g.B[l], s, sum)
 	}
-	return math.Sqrt(sum)
-}
-
-// ClipGlobalNorm rescales the gradients so their global norm is at most
-// maxNorm. It reports whether clipping occurred.
-func (g *Grads) ClipGlobalNorm(maxNorm float64) bool {
-	norm := g.GlobalNorm()
+	norm := math.Sqrt(sum)
 	if norm <= maxNorm || norm == 0 {
 		return false
 	}
-	g.Scale(maxNorm / norm)
+	c := maxNorm / norm
+	for l := range g.W {
+		g.W[l].Scale(c)
+		mat.VecScale(g.B[l], c)
+	}
 	return true
+}
+
+// scaleSumSquares multiplies x by s in place, unless s is 1, and returns
+// sum plus the squares of the scaled entries, added in order.
+func scaleSumSquares(x []float64, s, sum float64) float64 {
+	if s == 1 {
+		for _, v := range x {
+			sum += v * v
+		}
+		return sum
+	}
+	for i, v := range x {
+		v *= s
+		x[i] = v
+		sum += v * v
+	}
+	return sum
 }
 
 // Backward backpropagates dOut — the gradient of the loss with respect to

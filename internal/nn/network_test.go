@@ -352,8 +352,21 @@ func TestGradientAccumulationProperty(t *testing.T) {
 	}
 }
 
-// Property: ClipGlobalNorm caps the global norm and preserves direction.
-func TestClipGlobalNormProperty(t *testing.T) {
+// Property: ScaleClip scales, then caps the global norm and preserves
+// direction; unclipped, every entry is exactly its scaled value.
+func TestScaleClipProperty(t *testing.T) {
+	norm := func(g *Grads) float64 {
+		var sum float64
+		for l := range g.W {
+			for _, v := range g.W[l].Data {
+				sum += v * v
+			}
+			for _, v := range g.B[l] {
+				sum += v * v
+			}
+		}
+		return math.Sqrt(sum)
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		net := NewNetwork(Config{Sizes: []int{2, 4, 1}, AuxLayer: -1}, rng)
@@ -366,13 +379,15 @@ func TestClipGlobalNormProperty(t *testing.T) {
 				g.B[l][i] = rng.NormFloat64() * 10
 			}
 		}
-		before := g.GlobalNorm()
-		clipped := g.ClipGlobalNorm(1.0)
-		after := g.GlobalNorm()
-		if before > 1 {
+		s := []float64{1, 0.25, 1.0 / 64}[rng.Intn(3)]
+		w0 := g.W[0].Data[0] * s
+		before := norm(g) * s
+		clipped := g.ScaleClip(s, 1.0)
+		after := norm(g)
+		if before > 1+1e-9 {
 			return clipped && math.Abs(after-1) < 1e-9
 		}
-		return !clipped && math.Abs(after-before) < 1e-12
+		return !clipped && math.Abs(after-before) < 1e-12 && g.W[0].Data[0] == w0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -170,11 +170,15 @@ type DDPG struct {
 	logRows []float64
 	slots   []int
 
-	// actCache, plainActs and noisyActs are adaptParamNoise's scratch: one
-	// per-sample cache shared by the actor and its perturbed copy (same
-	// shape), and one action row per minibatch slot for each policy.
-	actCache             *nn.Cache
+	// plainActs and noisyActs are adaptParamNoise's scratch: one action
+	// row per minibatch slot for each policy, over the rows of plain and
+	// of actorBC's output.
+	plain                *mat.Matrix
 	plainActs, noisyActs [][]float64
+
+	// cache is Act's and ActExplore's per-sample forward cache, shared by
+	// the actor and its perturbed copy (same shape).
+	cache *nn.Cache
 
 	// lastCriticLoss and lastMeanQ record the most recent Update's outputs
 	// for the divergence health check.
@@ -238,6 +242,7 @@ func NewDDPG(cfg Config) (*DDPG, error) {
 	d.actorTarget.CopyParamsFrom(actor)
 	d.criticTarget.CopyParamsFrom(critic)
 	d.perturbed.CopyParamsFrom(actor)
+	d.cache = nn.NewCache(d.actor)
 	d.actorBC = nn.NewBatchCache(d.actor, cfg.BatchSize)
 	d.criticBC = nn.NewBatchCache(d.critic, cfg.BatchSize)
 	d.actorTargetBC = nn.NewBatchCache(d.actorTarget, cfg.BatchSize)
@@ -254,10 +259,10 @@ func NewDDPG(cfg Config) (*DDPG, error) {
 	case ParamSpaceNoise:
 		d.pnoise = NewParamNoise(cfg.NoiseSigma, noiseTargetDelta)
 		d.perturbed.PerturbFrom(d.actor, d.pnoise.Sigma, rng)
-		d.actCache = nn.NewCache(d.actor)
-		plain, noisy := mat.New(cfg.BatchSize, cfg.ActionDim), mat.New(cfg.BatchSize, cfg.ActionDim)
+		d.plain = mat.New(cfg.BatchSize, cfg.ActionDim)
+		noisy := d.actorBC.Output()
 		for i := 0; i < cfg.BatchSize; i++ {
-			d.plainActs = append(d.plainActs, plain.Row(i))
+			d.plainActs = append(d.plainActs, d.plain.Row(i))
 			d.noisyActs = append(d.noisyActs, noisy.Row(i))
 		}
 	case ActionSpaceNoise:
@@ -289,9 +294,10 @@ func (d *DDPG) NoiseSigma() float64 {
 	return d.pnoise.Sigma
 }
 
-// Act returns the deterministic policy action μ_Θ(s) — a simplex vector.
+// Act returns the deterministic policy action μ_Θ(s) — a simplex vector,
+// newly allocated: the replay keeps actions it is given.
 func (d *DDPG) Act(state []float64) []float64 {
-	return d.actor.Forward(d.normalize(state), nil)
+	return mat.VecClone(d.actor.ForwardCache(d.cache, d.normalize(state), nil))
 }
 
 // ActExplore returns an exploratory action according to the configured
@@ -300,9 +306,9 @@ func (d *DDPG) Act(state []float64) []float64 {
 func (d *DDPG) ActExplore(state []float64) []float64 {
 	ns := d.normalize(state)
 	if d.cfg.Exploration == ParamSpaceNoise {
-		return d.perturbed.Forward(ns, nil)
+		return mat.VecClone(d.perturbed.ForwardCache(d.cache, ns, nil))
 	}
-	a := d.actor.Forward(ns, nil)
+	a := mat.VecClone(d.actor.ForwardCache(d.cache, ns, nil))
 	noise := d.ounoise.Sample()
 	violated := false
 	var sum float64
@@ -338,6 +344,11 @@ func (d *DDPG) BeginEpisode() {
 }
 
 // adaptParamNoise measures d(π, π̃) on a replay minibatch and adjusts σ.
+// The minibatch's normalised states are staged in bState and run through
+// the actor, then the perturbed actor, on the batched path: its rows equal
+// per-sample forward passes bit for bit. With fewer stored transitions
+// than a batch, the rows past them are left over from the last batch and
+// are not read.
 func (d *DDPG) adaptParamNoise() {
 	if d.replay.Len() == 0 {
 		return
@@ -349,10 +360,10 @@ func (d *DDPG) adaptParamNoise() {
 	slots := d.slots[:n]
 	d.replay.sample(d.rng, d.batch[:n], slots)
 	for i, slot := range slots {
-		ns := d.norm.apply(d.logBuf, d.logState(slot))
-		copy(d.plainActs[i], d.actor.ForwardCache(d.actCache, ns, nil))
-		copy(d.noisyActs[i], d.perturbed.ForwardCache(d.actCache, ns, nil))
+		d.norm.apply(d.bState.Row(i), d.logState(slot))
 	}
+	d.plain.CopyFrom(d.actor.ForwardBatch(d.actorBC, d.bState, nil))
+	d.perturbed.ForwardBatch(d.actorBC, d.bState, nil)
 	d.pnoise.Adapt(ActionDistance(d.plainActs[:n], d.noisyActs[:n]))
 }
 
@@ -426,8 +437,7 @@ func (d *DDPG) Update() (criticLoss, meanQ float64) {
 	}
 	d.criticGrads.Zero()
 	d.critic.BackwardBatch(d.criticBC, d.bDOut, d.criticGrads)
-	d.criticGrads.Scale(invB)
-	d.criticGrads.ClipGlobalNorm(5)
+	d.criticGrads.ScaleClip(invB, 5)
 	d.criticOpt.Step(d.criticGrads)
 	criticLoss = loss * invB
 
@@ -468,7 +478,7 @@ func (d *DDPG) Update() (criticLoss, meanQ float64) {
 	}
 	d.actorGrads.Zero()
 	d.actor.BackwardBatch(d.actorBC, d.bDA, d.actorGrads)
-	d.actorGrads.ClipGlobalNorm(5)
+	d.actorGrads.ScaleClip(1, 5)
 	d.actorOpt.Step(d.actorGrads)
 	meanQ = qSum * invB
 

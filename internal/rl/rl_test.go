@@ -428,6 +428,19 @@ func TestDDPGUpdateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestActAllocs pins that Act and ActExplore allocate only the action they
+// return, which the replay keeps: the forward pass runs through the
+// agent's one per-sample cache.
+func TestActAllocs(t *testing.T) {
+	agent := msdAgent(t, 7)
+	s := []float64{3, 40, 0, 12}
+	for name, act := range map[string]func([]float64) []float64{"Act": agent.Act, "ActExplore": agent.ActExplore} {
+		if allocs := testing.AllocsPerRun(50, func() { act(s) }); allocs != 1 {
+			t.Errorf("DDPG.%s: %v allocs/run, want 1", name, allocs)
+		}
+	}
+}
+
 // BenchmarkDDPGUpdate times one minibatch update at train-msd's shapes on
 // a warm replay: the loop behind DESIGN §4g's profile of the update, which
 // is nearly all of a train-msd iteration.
